@@ -73,71 +73,11 @@ pub struct ExprAqm {
 }
 
 enum Engine {
-    /// The production path: compiled bytecode + reusable ctx slab/map,
-    /// with the layout pre-split into a fill plan (which slot gets which
-    /// [`AqmView`] field) so the hot path does no feature matching.
-    Compiled { policy: CompiledPolicy, ctx: Vec<i64>, map: Vec<i64>, slots: FillPlan },
-    /// The reference oracle: `dsl::eval` over a flat field-read
+    /// The production path: compiled bytecode + reusable ctx slab/map.
+    Compiled { policy: CompiledPolicy, ctx: Vec<i64>, map: Vec<i64> },
+    /// The reference oracle: `dsl::eval` over the same feature
     /// environment, kept for differential testing only.
     Interpreted { expr: Expr },
-}
-
-/// `(ctx slot, view field to write there)` pairs, precomputed per layout.
-type FillPlan = Vec<(usize, ViewField)>;
-
-#[derive(Clone, Copy)]
-enum ViewField {
-    Now,
-    Sojourn,
-    PktSize,
-    QueueBytes,
-    QueuePkts,
-    Capacity,
-    DrainRate,
-    EwmaSojourn,
-    SinceDrop,
-    Drops,
-}
-
-fn fill_plan(policy: &CompiledPolicy) -> FillPlan {
-    policy
-        .layout()
-        .features()
-        .iter()
-        .enumerate()
-        .map(|(slot, f)| {
-            let field = match f {
-                Feature::Now => ViewField::Now,
-                Feature::PktSojournUs => ViewField::Sojourn,
-                Feature::PktSize => ViewField::PktSize,
-                Feature::QueueBytes => ViewField::QueueBytes,
-                Feature::QueuePkts => ViewField::QueuePkts,
-                Feature::QueueCapacityBytes => ViewField::Capacity,
-                Feature::DrainRateBps => ViewField::DrainRate,
-                Feature::SojournEwmaUs => ViewField::EwmaSojourn,
-                Feature::SinceLastDropUs => ViewField::SinceDrop,
-                Feature::AqmDrops => ViewField::Drops,
-                // non-aqm features cannot survive the Mode::Aqm check
-                _ => unreachable!("non-aqm feature in a Mode::Aqm layout"),
-            };
-            (slot, field)
-        })
-        .collect()
-}
-
-fn read_field(view: &AqmView, field: ViewField) -> i64 {
-    match field {
-        ViewField::Now => view.now_us as i64,
-        ViewField::Sojourn => view.sojourn_us as i64,
-        ViewField::PktSize => view.pkt_size as i64,
-        ViewField::QueueBytes => view.backlog_bytes as i64,
-        ViewField::QueuePkts => view.backlog_pkts as i64,
-        ViewField::Capacity => view.capacity_bytes as i64,
-        ViewField::DrainRate => view.drain_rate_bps as i64,
-        ViewField::EwmaSojourn => view.ewma_sojourn_us as i64,
-        ViewField::SinceDrop => view.since_drop_us as i64,
-        ViewField::Drops => view.drops as i64,
-    }
 }
 
 /// Map a template verdict onto the bottleneck decision.
@@ -153,14 +93,12 @@ impl ExprAqm {
     /// Host a compiled (checked, lowered, verified) verdict policy.
     pub fn new(name: &str, policy: CompiledPolicy) -> Self {
         debug_assert_eq!(policy.mode(), Mode::Aqm, "aqm host needs a Mode::Aqm policy");
-        let slots = fill_plan(&policy);
         ExprAqm {
             name: name.to_string(),
             engine: Engine::Compiled {
-                ctx: vec![0; policy.layout().len()],
+                ctx: Vec::with_capacity(policy.layout().len()),
                 map: vec![0; SPILL_SLOTS],
                 policy,
-                slots,
             },
             probe: AqmProbe::default(),
         }
@@ -213,16 +151,12 @@ impl ExprAqm {
             // latched failure: degrade to drop-tail, keep the run exact
             return AqmDecision::Pass;
         }
+        let env = AqmEnv { view };
         let verdict = match &mut self.engine {
-            Engine::Compiled { policy, ctx, map, slots } => {
-                for &(slot, field) in slots.iter() {
-                    ctx[slot] = read_field(view, field);
-                }
-                policy.run(ctx, map).map_err(RuntimeFault::Vm)
+            Engine::Compiled { policy, ctx, map } => {
+                policy.run_with_env(&env, ctx, map).map_err(RuntimeFault::Vm)
             }
-            Engine::Interpreted { expr } => {
-                eval(expr, &OracleEnv { view }).map_err(RuntimeFault::Interp)
-            }
+            Engine::Interpreted { expr } => eval(expr, &env).map_err(RuntimeFault::Interp),
         };
         match verdict {
             Ok(v) => verdict_to_decision(v),
@@ -255,14 +189,13 @@ impl AqmPolicy for ExprAqm {
     }
 }
 
-/// The oracle's per-decision feature environment: plain field reads off
-/// the borrowed view — the same dense treatment the compiled engine's
-/// fill plan gets.
-struct OracleEnv<'a> {
+/// The per-decision feature environment, shared by both engines: plain
+/// field reads off the borrowed view.
+struct AqmEnv<'a> {
     view: &'a AqmView,
 }
 
-impl FeatureEnv for OracleEnv<'_> {
+impl FeatureEnv for AqmEnv<'_> {
     fn feature(&self, f: Feature) -> i64 {
         match f {
             Feature::Now => self.view.now_us as i64,

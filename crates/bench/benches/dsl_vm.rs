@@ -1,9 +1,7 @@
 //! Criterion: DSL interpreter vs compiled kbpf execution for all three
 //! template modes (the per-decision cost every host pays), plus verifier
-//! and compiler cost (the per-candidate Checker overhead).
-//!
-//! The workload table is shared with the `exp_dsl_vm` summary binary
-//! (`policysmith_bench::vm_workloads`), so both measure the same thing.
+//! and compiler cost (the per-candidate Checker overhead). The workload
+//! table is `policysmith_bench::vm_workloads`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use policysmith_bench::{vm_workloads, SliceEnv};

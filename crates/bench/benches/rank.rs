@@ -1,11 +1,10 @@
 //! Criterion: the cache host's rescore/evict cost in isolation — the
-//! slab-plus-lazy-deletion heap vs the reference `BTreeSet` index, on the
-//! op mix the priority host actually issues (mostly rescores of resident
-//! objects, with an evict-min and a fresh insert every few accesses).
-//! Future ranking changes get compared against this baseline.
+//! slab-plus-lazy-deletion heap on the op mix the priority host actually
+//! issues (mostly rescores of resident objects, with an evict-min and a
+//! fresh insert every few accesses).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use policysmith_cachesim::rank::{BTreeRank, EvictionRank, HeapRank};
+use policysmith_cachesim::rank::{EvictionRank, HeapRank};
 
 const RESIDENTS: u64 = 2_048;
 const OPS: usize = 50_000;
@@ -47,9 +46,6 @@ fn bench_rank(c: &mut Criterion) {
     g.throughput(Throughput::Elements(OPS as u64));
     g.bench_with_input(BenchmarkId::new("host-ops", "heap"), &ops, |b, ops| {
         b.iter(|| drive(HeapRank::new(), ops));
-    });
-    g.bench_with_input(BenchmarkId::new("host-ops", "btree"), &ops, |b, ops| {
-        b.iter(|| drive(BTreeRank::new(), ops));
     });
     g.finish();
 }

@@ -16,7 +16,7 @@ use policysmith_lbsim::workload::{ArrivalProcess, BoundedPareto, WorkloadCfg};
 use policysmith_lbsim::{
     lb_baseline_names, scenario, sim, DispatchView, Dispatcher, ExprDispatcher, Scenario, ServerCfg,
 };
-use policysmith_serve::LatencyHistogram;
+use policysmith_obs::LatencyHistogram;
 use std::time::Instant;
 
 fn main() {

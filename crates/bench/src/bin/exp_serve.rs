@@ -7,10 +7,7 @@
 //!
 //! * `throughput` — open-loop lb dispatch decisions/sec at 1..=N workers
 //!   (thread-confined fleets, one shared hot-swap cell), with p50/p99/p999
-//!   decision latency from the HDR-style histogram. Each worker count is
-//!   run twice — sharded SPSC telemetry (the default) and the legacy
-//!   single-mpsc funnel (`ServeConfig::funnel`) — so the aggregation
-//!   rewiring's throughput delta is measured in-run, not across commits;
+//!   decision latency from the HDR-style histogram;
 //! * `drift` — a mid-run slow-node onset under a stale, speed-blind
 //!   deployed policy (JSQ): the telemetry → monitor → library →
 //!   `run_search` → guard → publish loop answers it in the background; the
@@ -30,8 +27,9 @@ use policysmith_dsl::{parse, Mode};
 use policysmith_gen::{GenConfig, MockLlm};
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::{scenario, sim, ExprDispatcher, Scenario};
+use policysmith_obs::LatencyHistogram;
 use policysmith_serve::runtime::Resynth;
-use policysmith_serve::{loadgen, serve_lb, LatencyHistogram, ServeConfig, ServeReport};
+use policysmith_serve::{loadgen, serve_lb, ServeConfig, ServeReport};
 
 /// The canonical compiled dispatch policy (exact least-work-left plus the
 /// request's own demand) — a realistic hosted candidate for throughput
@@ -90,55 +88,36 @@ fn main() {
     let base = scenario::uniform_fleet();
     let policy = compiled(SERVE_POLICY);
 
-    // interleaved best-of-N per arm: these runs are short enough that
-    // scheduler noise swamps a single sample, so each worker count runs
-    // (funnel, sharded) × rounds and keeps the best of each
-    let ab_rounds = if opts.fast { 2 } else { 3 };
-    println!(
-        "== serve throughput ({} × 30k decisions per worker, sharded vs funnel, best of {ab_rounds}) ==",
-        reps
-    );
+    // best-of-N: these runs are short enough that scheduler noise swamps
+    // a single sample
+    let rounds = if opts.fast { 2 } else { 3 };
+    println!("== serve throughput ({reps} × 30k decisions per worker, best of {rounds}) ==");
     let mut throughput = Vec::new();
     let mut best: Option<(usize, f64)> = None;
     let mut best_metrics: Option<serde_json::Value> = None;
-    let mut funnel_best = 0.0f64;
     for &workers in &worker_counts {
-        let run = |funnel: bool| {
+        let run = || {
             let phases = repeated(&base, reps, opts.seed);
             let shards = loadgen::lb_shards(&phases, workers);
             let cfg = ServeConfig {
                 workers,
                 window: 1_000,
                 latency_sample_every: 8,
-                funnel,
                 ..ServeConfig::default()
             };
             serve_lb(&shards, policy.clone(), &cfg, no_resynth())
         };
-        let mut report = None;
-        let mut dps = 0.0f64;
-        let mut funnel_dps = 0.0f64;
-        for _ in 0..ab_rounds {
-            funnel_dps = funnel_dps.max(run(true).decisions_per_sec());
-            let r = run(false);
-            if report.is_none() || r.decisions_per_sec() > dps {
-                dps = r.decisions_per_sec();
-                report = Some(r);
-            }
-        }
-        let report = report.unwrap();
-        funnel_best = funnel_best.max(funnel_dps);
+        let report = (0..rounds)
+            .map(|_| run())
+            .max_by(|a, b| a.decisions_per_sec().total_cmp(&b.decisions_per_sec()))
+            .expect("at least one round");
+        let dps = report.decisions_per_sec();
         let lat = report.latency();
         let lq = report.latency_quantiles(&[0.50, 0.99, 0.999]);
         println!(
-            "  {workers:>2} workers: {:>10.0} decisions/s (funnel {:>10.0}, {:+5.1}%)  \
+            "  {workers:>2} workers: {dps:>10.0} decisions/s  \
              p50 {:>6} ns  p99 {:>6} ns  p999 {:>7} ns",
-            dps,
-            funnel_dps,
-            (dps / funnel_dps - 1.0) * 100.0,
-            lq[0],
-            lq[1],
-            lq[2]
+            lq[0], lq[1], lq[2]
         );
         if best.is_none_or(|(_, b)| dps > b) {
             best = Some((workers, dps));
@@ -149,16 +128,11 @@ fn main() {
             "decisions": report.total_decisions(),
             "wall_seconds": report.wall_seconds,
             "decisions_per_sec": dps,
-            "funnel_decisions_per_sec": funnel_dps,
             "latency": hist_json(&lat),
         }));
     }
     let (best_workers, best_dps) = best.unwrap();
-    println!(
-        "  best: {best_workers} workers at {best_dps:.0} decisions/s \
-         (funnel best {funnel_best:.0}, sharded {:+.1}%)",
-        (best_dps / funnel_best - 1.0) * 100.0
-    );
+    println!("  best: {best_workers} workers at {best_dps:.0} decisions/s");
 
     // ---- section 2: drift injection + background re-synthesis ----------
     println!("\n== drift injection (slow-node onset under a healthy-fleet policy) ==");
@@ -261,7 +235,6 @@ fn main() {
             "telemetry": {
                 "transport": "sharded-spsc",
                 "sharded_best_decisions_per_sec": best_dps,
-                "funnel_best_decisions_per_sec": funnel_best,
                 "metrics": best_metrics.unwrap(),
             },
             "drift": drift_json,
@@ -273,11 +246,6 @@ fn main() {
         assert!(
             best_dps >= 1_000_000.0,
             "acceptance: sustained aggregate throughput must reach 1M decisions/s (got {best_dps:.0})"
-        );
-        assert!(
-            best_dps >= funnel_best * 0.95,
-            "acceptance: sharded telemetry must not trail the mpsc funnel \
-             (sharded {best_dps:.0} vs funnel {funnel_best:.0})"
         );
     }
 }

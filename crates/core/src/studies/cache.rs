@@ -21,7 +21,6 @@ pub struct CacheStudy {
     trace: Trace,
     capacity: u64,
     fifo_miss_ratio: f64,
-    btree_host: bool,
 }
 
 impl CacheStudy {
@@ -38,21 +37,7 @@ impl CacheStudy {
             capacity,
             policysmith_cachesim::policies::Fifo::new(),
         );
-        CacheStudy {
-            trace: trace.clone(),
-            capacity,
-            fifo_miss_ratio: fifo.miss_ratio(),
-            btree_host: false,
-        }
-    }
-
-    /// Evaluate candidates on the reference `BTreeSet`-ranked host instead
-    /// of the slab + lazy-heap one — the pre-optimization evaluator, kept
-    /// as the throughput baseline and for differential measurements. The
-    /// two hosts produce identical simulations, so scores do not change.
-    pub fn with_btree_host(mut self) -> Self {
-        self.btree_host = true;
-        self
+        CacheStudy { trace: trace.clone(), capacity, fifo_miss_ratio: fifo.miss_ratio() }
     }
 
     /// The context's cache capacity, bytes.
@@ -86,9 +71,7 @@ impl Study for CacheStudy {
     }
 
     fn evaluate(&self, policy: &CompiledPolicy) -> f64 {
-        let host = PriorityPolicy::new("candidate", policy.clone());
-        let host = if self.btree_host { host.use_btree_ranking() } else { host };
-        let mut cache = Cache::new(self.capacity, host);
+        let mut cache = Cache::new(self.capacity, PriorityPolicy::new("candidate", policy.clone()));
         let result = cache.run(&self.trace);
         if cache.policy.first_error().is_some() {
             // The candidate crashed in production: rank below everything.
@@ -160,19 +143,6 @@ mod tests {
                 policysmith_dsl::parse(src).unwrap(),
             ));
             assert_eq!(compiled, oracle, "engines diverged for `{src}`");
-        }
-    }
-
-    #[test]
-    fn btree_reference_host_scores_identically() {
-        let fast = study();
-        let slow = study().with_btree_host();
-        for src in ["obj.last_access", "obj.count * 20 - obj.age / 300 - obj.size / 500"] {
-            assert_eq!(
-                fast.evaluate(&fast.check(src).unwrap()),
-                slow.evaluate(&slow.check(src).unwrap()),
-                "ranking structures diverged for `{src}`"
-            );
         }
     }
 

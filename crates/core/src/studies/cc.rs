@@ -112,6 +112,15 @@ mod tests {
     }
 
     #[test]
+    fn multibyte_comment_source_evaluates_without_panicking() {
+        // byte 24 of this source falls inside an 'α': the host's display
+        // name must not slice it there
+        let s = CcStudy::with_duration(1_000_000);
+        let c = s.check("// ααααααααααααα\ncwnd + 1").unwrap();
+        assert!(s.evaluate(&c).is_finite());
+    }
+
+    #[test]
     fn tiny_cc_search_runs_end_to_end() {
         let s = CcStudy::with_duration(2_000_000);
         let mut llm = MockLlm::new(GenConfig::kernel_defaults(31));

@@ -17,11 +17,10 @@
 //! * [`policy`] — the PolicySmith **template host**: a synthesized DSL
 //!   expression scores the fleet at dispatch time and the request goes
 //!   to the argmin (runtime faults are latched, as in the cache host).
-//!   Four scan engines share the rule: the default **batched**
+//!   Three scan engines share the rule: the default **batched**
 //!   structure-of-arrays full scan (one fused `run_batch_argmin` call
-//!   per pick), the legacy **scalar** per-server loop, and two sublinear
-//!   modes — **power-of-d** sampling and an incremental **argmin tree**
-//!   driven by the engine's dirty marks;
+//!   per pick) and two sublinear modes — **power-of-d** sampling and an
+//!   incremental **argmin tree** driven by the engine's dirty marks;
 //! * [`scenario`] — seven presets (uniform fleet, two-tier fleet, flash
 //!   crowd, slow-node degradation, correlated failures, diurnal load,
 //!   slow-node onset) with documented load factors, plus the

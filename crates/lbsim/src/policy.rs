@@ -3,7 +3,7 @@
 //! A synthesized candidate arrives as a verified [`CompiledPolicy`] in
 //! [`Mode::Lb`]; the host scores the fleet and sends the request to the
 //! **lowest-scoring** server (argmin, ties to the lower index), the mirror
-//! image of the cache host's highest-priority-stays rule. Four scan
+//! image of the cache host's highest-priority-stays rule. Three scan
 //! engines implement that rule at different points on the cost curve:
 //!
 //! * **Batched** (the default, [`ExprDispatcher::new`]) — fills one
@@ -11,9 +11,6 @@
 //!   single [`CompiledPolicy::run_batch_argmin`] call per pick: no per-row
 //!   fill plan, no per-server VM call, a column-major inner loop the
 //!   compiler can vectorize.
-//! * **Scalar** ([`ExprDispatcher::scalar`]) — the legacy one-`run`-per-
-//!   server loop, kept as the measured baseline (`exp_batch`) and as a
-//!   second reference implementation in the differential tests.
 //! * **Power-of-d** ([`ExprDispatcher::power_of_d`]) — score only `d`
 //!   seeded distinct samples per pick: O(d) instead of O(fleet), the
 //!   classical sampling tradeoff, batched under the hood.
@@ -37,9 +34,9 @@
 //! cache-study contract: the first error is **latched**, the dispatch
 //! falls back to round-robin so the simulation still completes with exact
 //! accounting, and the study scores the candidate as a hard failure. The
-//! batched argmin preserves the scalar loop's fault order (it aborts at
-//! the lowest faulting row), so the latched fault and the fallback
-//! sequence are engine-independent.
+//! batched argmin aborts at the lowest faulting row — the fault a
+//! server-by-server scan would meet first — so the latched fault and the
+//! fallback sequence are engine-independent.
 
 use crate::dispatch::{DispatchView, Dispatcher, ServerView};
 use policysmith_dsl::{eval, Expr, Feature, FeatureEnv, Mode};
@@ -70,16 +67,6 @@ enum Engine {
         /// Per-request invariant slots, broadcast once per pick.
         invariant_slots: FillPlan<InvariantField>,
         /// Per-server feature slots, filled column-major.
-        server_slots: FillPlan<ServerField>,
-    },
-    /// The legacy path: compiled bytecode + reusable ctx slab/map, one
-    /// scalar `run` per server. Kept as the benchmark baseline and as a
-    /// second reference in the differential tests.
-    Scalar {
-        policy: CompiledPolicy,
-        ctx: Vec<i64>,
-        map: Vec<i64>,
-        invariant_slots: FillPlan<InvariantField>,
         server_slots: FillPlan<ServerField>,
     },
     /// Power-of-d sampling: score `d` seeded distinct servers, batched.
@@ -276,28 +263,6 @@ impl ExprDispatcher {
         }
     }
 
-    /// Host on the legacy scalar loop: one `CompiledPolicy::run` per
-    /// server per pick. Decision-identical to [`new`](Self::new); kept as
-    /// the measured baseline and differential reference.
-    pub fn scalar(name: &str, policy: CompiledPolicy) -> Self {
-        debug_assert_eq!(policy.mode(), Mode::Lb, "lb host needs a Mode::Lb policy");
-        let (invariant_slots, server_slots) = fill_plans(&policy);
-        ExprDispatcher {
-            name: name.to_string(),
-            engine: Engine::Scalar {
-                ctx: vec![0; policy.layout().len()],
-                map: vec![0; SPILL_SLOTS],
-                policy,
-                invariant_slots,
-                server_slots,
-            },
-            first_error: None,
-            fallback_next: 0,
-            score_calls: 0,
-            picks: 0,
-        }
-    }
-
     /// Host on power-of-d sampling: each pick scores `d` distinct servers
     /// drawn from a seeded RNG and dispatches to the best of the sample —
     /// O(d) score calls per pick regardless of fleet size, at a bounded
@@ -404,7 +369,6 @@ impl ExprDispatcher {
     pub fn scan_kind(&self) -> &'static str {
         match self.engine {
             Engine::Batched { .. } => "batched",
-            Engine::Scalar { .. } => "scalar",
             Engine::PowerOfD { .. } => "power-of-d",
             Engine::Tree { .. } => "argmin-tree",
             Engine::Interpreted { .. } => "interpreted",
@@ -461,36 +425,9 @@ impl Dispatcher for ExprDispatcher {
                         None
                     }
                     // the fused argmin aborts at the lowest faulting row —
-                    // the same fault the scalar scan would latch first
+                    // the fault a server-by-server scan would latch first
                     Err(bf) => Some(RuntimeFault::Vm(bf.fault)),
                 }
-            }
-            Engine::Scalar { policy, ctx, map, invariant_slots, server_slots } => {
-                // per-dispatch invariants once, per-server slots in the loop
-                for &(slot, field) in invariant_slots.iter() {
-                    ctx[slot] = invariant_value(field, view);
-                }
-                let mut best_score = i64::MAX;
-                let mut fault = None;
-                for (ix, s) in view.servers.iter().enumerate() {
-                    for &(slot, field) in server_slots.iter() {
-                        ctx[slot] = server_value(field, s);
-                    }
-                    scored += 1;
-                    match policy.run(ctx, map) {
-                        Ok(score) => {
-                            if score < best_score {
-                                best_score = score;
-                                best = ix;
-                            }
-                        }
-                        Err(e) => {
-                            fault = Some(RuntimeFault::Vm(e));
-                            break;
-                        }
-                    }
-                }
-                fault
             }
             Engine::PowerOfD {
                 policy,
@@ -700,23 +637,6 @@ mod tests {
     fn ties_break_to_the_lower_index() {
         let servers = [sv(2, 2, 4, 0), sv(2, 2, 4, 0)];
         assert_eq!(host("server.queue_len").pick(&view(&servers)), 0);
-    }
-
-    #[test]
-    fn scalar_host_agrees_with_the_batched_default() {
-        let e = parse("server.inflight * 1000 / server.speed + server.queue_len * 50").unwrap();
-        let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
-        let mut batched = ExprDispatcher::new("b", policy.clone());
-        let mut scalar = ExprDispatcher::scalar("s", policy);
-        assert_eq!(scalar.scan_kind(), "scalar");
-        let fleets = [
-            vec![sv(4, 5, 4, 10), sv(1, 2, 4, 0), sv(2, 3, 8, 900)],
-            vec![sv(0, 0, 1, 0); 5],
-            vec![sv(7, 8, 2, 50), sv(7, 8, 2, 50)],
-        ];
-        for servers in &fleets {
-            assert_eq!(batched.pick(&view(servers)), scalar.pick(&view(servers)));
-        }
     }
 
     #[test]

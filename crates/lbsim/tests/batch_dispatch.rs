@@ -1,9 +1,10 @@
 //! Whole-simulation differential tests for the sublinear dispatch engines.
 //!
 //! The batched full scan is the reference (itself pinned against the
-//! scalar loop and the interpreter oracle in `policy.rs` unit tests and
-//! `kbpf/tests/batch_differential.rs`). Here the two sublinear engines are
-//! held to their contracts across **all seven scenario presets**:
+//! interpreter oracle here and in `policy.rs` unit tests, and against
+//! per-row `run` in `kbpf/tests/batch_differential.rs`). The two sublinear
+//! engines are held to their contracts across **all seven scenario
+//! presets**:
 //!
 //! * the **argmin tree** is an exact engine — it must replay every preset
 //!   decision-for-decision against the batched full scan, because dirty
@@ -141,14 +142,14 @@ fn power_of_d_stays_within_a_slowdown_band_of_jsq() {
     }
 }
 
-/// The legacy scalar loop and the batched default agree over whole
-/// simulations, not just single picks.
+/// The interpreter oracle (a scalar, server-by-server scan) and the
+/// batched default agree over whole simulations, not just single picks.
 #[test]
 fn scalar_and_batched_agree_over_whole_simulations() {
     for sc in scenario::all_presets() {
         for src in TREE_EXPRS {
             let mut batched = Recording::new(ExprDispatcher::new("ps", lb_policy(src)));
-            let mut scalar = Recording::new(ExprDispatcher::scalar("ps", lb_policy(src)));
+            let mut scalar = Recording::new(ExprDispatcher::interpreted("ps", parse(src).unwrap()));
             simulate(&sc, &mut batched);
             simulate(&sc, &mut scalar);
             assert_eq!(batched.picks, scalar.picks, "engines diverged on {}", sc.name);

@@ -5,12 +5,11 @@
 //! validation. This crate is that evidence layer, in three pillars:
 //!
 //! * [`metrics`] — a sharded [`MetricsRegistry`]: counters, gauges, and
-//!   the log-linear [`LatencyHistogram`] (moved here from
-//!   `serve::telemetry`), one cache-line-padded slot per worker shard.
-//!   Workers write their own shard with plain unsynchronized stores; a
-//!   reader merges shards lock-free on demand. [`ring`] adds the bounded
-//!   SPSC lane that carries per-window samples to the adaptation thread
-//!   without funneling every worker through one mpsc.
+//!   the log-linear [`LatencyHistogram`], one cache-line-padded slot per
+//!   worker shard. Workers write their own shard with plain
+//!   unsynchronized stores; a reader merges shards lock-free on demand.
+//!   [`ring`] adds the bounded SPSC lane that carries per-window samples
+//!   to the adaptation thread, one lane per worker.
 //! * [`trace`] — policy-lifecycle tracing: a bounded ring-buffer event
 //!   log ([`TraceLog`], process-global via [`trace::global`]) with spans
 //!   over the whole §3.1 loop: search rounds with `CostLedger` deltas,

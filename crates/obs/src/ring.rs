@@ -1,5 +1,5 @@
 //! A bounded lock-free SPSC ring: the per-worker window-sample lane into
-//! the adaptation thread, replacing the shared mpsc funnel.
+//! the adaptation thread.
 //!
 //! One producer (the serving worker), one consumer (the adaptation
 //! thread). `push` is two `Relaxed`/`Acquire` loads and a `Release` store

@@ -71,4 +71,4 @@ pub use runtime::{
     ServeConfig, ServeReport, WorkerStats,
 };
 pub use swap::{Guard, PolicyCell, ReaderHandle, SwapRecord};
-pub use telemetry::{LatencyHistogram, WindowSample};
+pub use telemetry::WindowSample;

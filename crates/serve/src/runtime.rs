@@ -26,8 +26,7 @@
 //! quarantine counts flow through a sharded
 //! [`MetricsRegistry`] — per-worker
 //! shards written with plain stores, merged lock-free into
-//! [`ServeReport::metrics`]. (`ServeConfig::funnel` keeps the legacy
-//! single-mpsc funnel alive for A/B measurement in `exp_serve`.)
+//! [`ServeReport::metrics`].
 //!
 //! The adaptation thread drains the rings and feeds each signal into the
 //! `AdaptiveController`'s
@@ -67,7 +66,7 @@
 use crate::chaos::{ChaosSpec, ChaosStats, TelemetryInjector};
 use crate::guard::{resolve_recovery, GuardVerdict, PolicyGuard, Recovery, RejectReason};
 use crate::swap::{PolicyCell, ReaderHandle, SwapRecord};
-use crate::telemetry::{LatencyHistogram, WindowSample};
+use crate::telemetry::WindowSample;
 use policysmith_cachesim::{Cache, PriorityPolicy, SimResult};
 use policysmith_core::library::{
     run_search_with_retry, Adaptation, AdaptiveController, ContextMonitor, HeuristicLibrary,
@@ -81,11 +80,12 @@ use policysmith_lbsim::{
     run_phased_windowed, DispatchView, Dispatcher, ExprDispatcher, LbMetrics, Scenario,
 };
 use policysmith_obs::ring::{spsc, SpscReceiver, SpscSender};
-use policysmith_obs::{CounterId, HistId, MetricsRegistry, MetricsSnapshot, TraceKind};
+use policysmith_obs::{
+    CounterId, HistId, LatencyHistogram, MetricsRegistry, MetricsSnapshot, TraceKind,
+};
 use policysmith_traces::Trace;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -129,10 +129,6 @@ pub struct ServeConfig {
     /// control arm. Telemetry *windows* still flow either way: the
     /// adaptation loop needs them.
     pub instrument: bool,
-    /// Route window samples through the legacy single-mpsc funnel instead
-    /// of the per-worker SPSC rings. Only for A/B throughput comparison
-    /// (`exp_serve`) — decisions are identical on both paths.
-    pub funnel: bool,
 }
 
 impl Default for ServeConfig {
@@ -149,7 +145,6 @@ impl Default for ServeConfig {
             retry: RetryPolicy::serving(),
             chaos: None,
             instrument: true,
-            funnel: false,
         }
     }
 }
@@ -423,25 +418,20 @@ impl ShardMetrics<'_> {
 
     /// This worker's decision-latency histogram, snapshotted out of its
     /// shard (empty when instrumentation is off).
-    fn latency_hist(&self) -> policysmith_obs::LatencyHistogram {
+    fn latency_hist(&self) -> LatencyHistogram {
         self.m.registry.hist_shard(self.m.latency, self.worker)
     }
 }
 
-/// A worker's window-sample lane to the adaptation thread.
-///
-/// Sharded (default): a bounded lock-free SPSC ring plus an unbounded
-/// worker-local overflow backlog — `send` never blocks and never loses a
-/// sample while the consumer is alive. Funnel (legacy, kept for A/B
-/// measurement): the shared mpsc all workers contend on.
-enum WindowTx {
-    Sharded {
-        tx: SpscSender<WindowSample>,
-        backlog: VecDeque<WindowSample>,
-        /// Samples that transited the backlog (ring momentarily full).
-        backlogged: u64,
-    },
-    Funnel(mpsc::Sender<WindowSample>),
+/// A worker's window-sample lane to the adaptation thread: a bounded
+/// lock-free SPSC ring plus an unbounded worker-local overflow backlog —
+/// `send` never blocks and never loses a sample while the consumer is
+/// alive.
+struct WindowTx {
+    tx: SpscSender<WindowSample>,
+    backlog: VecDeque<WindowSample>,
+    /// Samples that transited the backlog (ring momentarily full).
+    backlogged: u64,
 }
 
 impl WindowTx {
@@ -449,100 +439,69 @@ impl WindowTx {
     /// `false` when the receiver is gone (the worker keeps serving
     /// without telemetry; the caller counts the degradation).
     fn send(&mut self, sample: WindowSample) -> bool {
-        match self {
-            WindowTx::Sharded { tx, backlog, backlogged } => {
-                if tx.receiver_closed() {
-                    return false;
-                }
-                // FIFO: older backlogged samples go first
-                while let Some(front) = backlog.pop_front() {
-                    if let Err(back) = tx.push(front) {
-                        backlog.push_front(back);
-                        break;
-                    }
-                }
-                if backlog.is_empty() {
-                    if let Err(full) = tx.push(sample) {
-                        backlog.push_back(full);
-                        *backlogged += 1;
-                    }
-                } else {
-                    backlog.push_back(sample);
-                    *backlogged += 1;
-                }
-                true
-            }
-            WindowTx::Funnel(tx) => tx.send(sample).is_ok(),
+        if self.tx.receiver_closed() {
+            return false;
         }
+        // FIFO: older backlogged samples go first
+        while let Some(front) = self.backlog.pop_front() {
+            if let Err(back) = self.tx.push(front) {
+                self.backlog.push_front(back);
+                break;
+            }
+        }
+        if self.backlog.is_empty() {
+            if let Err(full) = self.tx.push(sample) {
+                self.backlog.push_back(full);
+                self.backlogged += 1;
+            }
+        } else {
+            self.backlog.push_back(sample);
+            self.backlogged += 1;
+        }
+        true
     }
 
     /// End of stream: flush any backlog into the ring (yield-looping while
     /// the consumer drains — the worker is done serving, so this costs no
     /// decisions). Returns `(undelivered, backlogged)`.
-    fn finish(self) -> (u64, u64) {
-        match self {
-            WindowTx::Sharded { mut tx, mut backlog, backlogged } => {
-                while let Some(front) = backlog.pop_front() {
-                    if tx.receiver_closed() {
-                        // consumer died: these samples are undeliverable
-                        return (backlog.len() as u64 + 1, backlogged);
-                    }
-                    if let Err(back) = tx.push(front) {
-                        backlog.push_front(back);
-                        std::thread::yield_now();
-                    }
-                }
-                (0, backlogged)
+    fn finish(mut self) -> (u64, u64) {
+        while let Some(front) = self.backlog.pop_front() {
+            if self.tx.receiver_closed() {
+                // consumer died: these samples are undeliverable
+                return (self.backlog.len() as u64 + 1, self.backlogged);
             }
-            WindowTx::Funnel(_) => (0, 0),
+            if let Err(back) = self.tx.push(front) {
+                self.backlog.push_front(back);
+                std::thread::yield_now();
+            }
         }
+        (0, self.backlogged)
     }
 }
 
 /// The adaptation thread's consuming half of the window lanes.
-enum WindowRx {
-    Sharded {
-        rings: Vec<SpscReceiver<WindowSample>>,
-        /// Rotating scan start, so no worker's lane is structurally favored.
-        next: usize,
-    },
-    Funnel {
-        rx: mpsc::Receiver<WindowSample>,
-        disconnected: bool,
-    },
+struct WindowRx {
+    rings: Vec<SpscReceiver<WindowSample>>,
+    /// Rotating scan start, so no worker's lane is structurally favored.
+    next: usize,
 }
 
 impl WindowRx {
     fn pop(&mut self) -> Option<WindowSample> {
-        match self {
-            WindowRx::Sharded { rings, next } => {
-                let n = rings.len();
-                for i in 0..n {
-                    let at = (*next + i) % n;
-                    if let Some(s) = rings[at].pop() {
-                        *next = (at + 1) % n;
-                        return Some(s);
-                    }
-                }
-                None
+        let n = self.rings.len();
+        for i in 0..n {
+            let at = (self.next + i) % n;
+            if let Some(s) = self.rings[at].pop() {
+                self.next = (at + 1) % n;
+                return Some(s);
             }
-            WindowRx::Funnel { rx, disconnected } => match rx.try_recv() {
-                Ok(s) => Some(s),
-                Err(mpsc::TryRecvError::Empty) => None,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    *disconnected = true;
-                    None
-                }
-            },
         }
+        None
     }
 
     /// Nothing queued and nothing can ever arrive again.
     fn finished(&self) -> bool {
-        match self {
-            WindowRx::Sharded { rings, .. } => rings.iter().all(|r| r.finished()),
-            WindowRx::Funnel { disconnected, .. } => *disconnected,
-        }
+        self.rings.iter().all(|r| r.finished())
     }
 }
 
@@ -580,8 +539,8 @@ pub fn serve_lb<S: Study + Send>(
     assert!(!shards.is_empty() && shards.iter().all(|s| !s.is_empty()), "need phases per worker");
     debug_assert_eq!(initial.mode(), Mode::Lb);
     let baseline = compile_baseline(Mode::Lb);
-    serve(cfg, initial, baseline, resynth, shards, |worker, shard, handle, lanes, c, base| {
-        run_lb_worker(worker, shard, handle, lanes, c, base)
+    serve(cfg, initial, baseline, resynth, shards, |shard, shell, initial| {
+        run_lb_worker(shard, shell, initial, cfg.window)
     })
 }
 
@@ -598,8 +557,8 @@ pub fn serve_cache<S: Study + Send>(
     assert!(!shards.is_empty(), "need a trace per worker");
     debug_assert_eq!(initial.mode(), Mode::Cache);
     let baseline = compile_baseline(Mode::Cache);
-    serve(cfg, initial, baseline, resynth, shards, move |worker, trace, handle, lanes, c, base| {
-        run_cache_worker(worker, trace, capacity, handle, lanes, c, base)
+    serve(cfg, initial, baseline, resynth, shards, |trace, shell, initial| {
+        run_cache_worker(trace, capacity, shell, initial, cfg.window)
     })
 }
 
@@ -612,15 +571,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<non-string panic payload>")
 }
 
-/// Everything a worker needs to talk to the rest of the runtime: its
-/// window-sample lane, the control-plane quarantine sender, and the
-/// writer half of its metric shard.
-struct WorkerLanes<'a> {
-    windows: WindowTx,
-    control: mpsc::Sender<QuarantineReport>,
-    metrics: ShardMetrics<'a>,
-}
-
 /// The shared scaffold: spawn one worker per shard plus the adaptation
 /// thread, join everything (a panicking thread degrades the report, it
 /// does not take the run down), assemble the report.
@@ -630,15 +580,7 @@ fn serve<S: Study + Send, ShardInput: Sync>(
     baseline: CompiledPolicy,
     resynth: Option<Resynth<S>>,
     shards: &[ShardInput],
-    worker_fn: impl Fn(
-            usize,
-            &ShardInput,
-            ReaderHandle<'_, CompiledPolicy>,
-            WorkerLanes<'_>,
-            &ServeConfig,
-            &CompiledPolicy,
-        ) -> WorkerStats
-        + Sync,
+    worker_fn: impl Fn(&ShardInput, ServeWorker<'_, '_>, CompiledPolicy) -> WorkerStats + Sync,
 ) -> ServeReport {
     let mode = initial.mode();
     debug_assert_eq!(baseline.mode(), mode);
@@ -647,22 +589,10 @@ fn serve<S: Study + Send, ShardInput: Sync>(
     let metrics = ServeMetrics::new(shards.len());
     // control plane: quarantine reports keep the one shared mpsc
     let (ctl_tx, ctl_rx) = mpsc::channel::<QuarantineReport>();
-    // data plane: window samples ride per-worker SPSC rings (or, for A/B
-    // measurement only, the legacy shared funnel)
-    let (mut window_txs, window_rx) = if cfg.funnel {
-        let (wtx, wrx) = mpsc::channel::<WindowSample>();
-        let txs = (0..shards.len()).map(|_| WindowTx::Funnel(wtx.clone())).collect::<Vec<_>>();
-        (txs, WindowRx::Funnel { rx: wrx, disconnected: false })
-    } else {
-        let mut txs = Vec::with_capacity(shards.len());
-        let mut rings = Vec::with_capacity(shards.len());
-        for _ in 0..shards.len() {
-            let (tx, rx) = spsc::<WindowSample>(WINDOW_RING_CAPACITY);
-            txs.push(WindowTx::Sharded { tx, backlog: VecDeque::new(), backlogged: 0 });
-            rings.push(rx);
-        }
-        (txs, WindowRx::Sharded { rings, next: 0 })
-    };
+    // data plane: window samples ride per-worker SPSC rings
+    let (window_txs, rings): (Vec<_>, Vec<_>) =
+        (0..shards.len()).map(|_| spsc::<WindowSample>(WINDOW_RING_CAPACITY)).unzip();
+    let window_rx = WindowRx { rings, next: 0 };
     let monitor = ContextMonitor::new(cfg.monitor_window, cfg.monitor_tolerance);
     let seed_library = resynth.as_ref().map(|r| r.library.clone()).unwrap_or_default();
     let mut controller =
@@ -672,17 +602,36 @@ fn serve<S: Study + Send, ShardInput: Sync>(
     let mut failures = Vec::new();
     let (stats, background) = std::thread::scope(|scope| {
         let mut joins = Vec::with_capacity(shards.len());
-        for (w, shard) in shards.iter().enumerate() {
-            let handle = cell.register();
-            let lanes = WorkerLanes {
-                windows: window_txs.remove(0),
-                control: ctl_tx.clone(),
-                metrics: metrics.shard(w, cfg.instrument),
-            };
-            let cfg = cfg.clone();
-            let worker_fn = &worker_fn;
-            let baseline = baseline.clone();
-            joins.push(scope.spawn(move || worker_fn(w, shard, handle, lanes, &cfg, &baseline)));
+        for (w, (shard, tx)) in shards.iter().zip(window_txs).enumerate() {
+            let mut handle = cell.register();
+            let control = ctl_tx.clone();
+            let (metrics, worker_fn, baseline) = (&metrics, &worker_fn, &baseline);
+            joins.push(scope.spawn(move || {
+                let generation = handle.cell().generation();
+                // initial adoption is deployment, not a swap: not a recorded pause
+                let initial = handle.pin().clone();
+                let shell = ServeWorker {
+                    worker: w,
+                    started: Instant::now(),
+                    handle,
+                    generation,
+                    pauses_ns: Vec::new(),
+                    metrics: metrics.shard(w, cfg.instrument),
+                    sample_every: cfg.latency_sample_every,
+                    decisions: 0,
+                    log: cfg.record_decisions.then(Vec::new),
+                    windows: WindowTx { tx, backlog: VecDeque::new(), backlogged: 0 },
+                    seq: 0,
+                    control,
+                    baseline: baseline.clone(),
+                    current_source: to_source(initial.expr()),
+                    in_fallback: false,
+                    quarantines: 0,
+                    dropped: 0,
+                    stall: cfg.chaos.as_ref().and_then(|c| c.worker_stall),
+                };
+                worker_fn(shard, shell, initial)
+            }));
         }
         drop(ctl_tx); // the adaptation loop ends when the last worker hangs up
         let ctrl = &mut controller;
@@ -1096,29 +1045,54 @@ fn process_window<S: Study>(
     *live_expr = expr;
 }
 
-/// The lb worker's serving host, layered over the batch engine's own
-/// phased driver: per pick it (1) adopts any newly published generation
-/// (pin → clone → rebuild, timed as the adoption pause), (2) scores the
-/// fleet with the live compiled policy, sampling decision latency and
-/// optionally recording the pick, (3) checks the dispatcher's fault
-/// latch — a tripped latch demotes this worker to the man-made baseline
-/// on the spot (no decision dropped) and reports the quarantine. Because
-/// the worker drives [`run_phased_windowed`] with this host, the serve
-/// path *is* the batch path plus this wrapper — the decision-identity
-/// guarantee is structural, not mirrored code.
-///
-/// Scoring goes through `ExprDispatcher::new`'s default engine, which is
-/// the batched structure-of-arrays scan (one fused `run_batch_argmin`
-/// call per pick) — workers adopted the batched dispatcher the moment it
-/// became the default, with no serve-side opt-in and no change to the
-/// fault-latch contract (the batched argmin latches the same
-/// lowest-index fault the scalar loop did).
-struct ServeLbHost<'h, 'c, 'm> {
-    handle: &'h mut ReaderHandle<'c, CompiledPolicy>,
-    inner: ExprDispatcher,
-    /// Shared with the window callback so samples can report the
-    /// generation that served them (worker-local, single-threaded).
-    generation: Rc<Cell<u64>>,
+/// The two things that differ per domain inside the per-decision shell:
+/// how a host takes on a policy, and where its fault latch is read.
+trait ServeHost {
+    /// Host `policy` from the next decision on (a fresh fault latch).
+    fn adopt(&mut self, policy: CompiledPolicy);
+    /// The host's latched runtime fault, rendered.
+    fn fault(&self) -> Option<String>;
+}
+
+/// Scoring goes through `ExprDispatcher::new`'s default engine: the
+/// batched structure-of-arrays scan, one fused `run_batch_argmin` call
+/// per pick.
+impl ServeHost for ExprDispatcher {
+    fn adopt(&mut self, policy: CompiledPolicy) {
+        *self = ExprDispatcher::new("serve", policy);
+    }
+
+    fn fault(&self) -> Option<String> {
+        self.first_error().map(|f| f.to_string())
+    }
+}
+
+impl ServeHost for Cache<PriorityPolicy> {
+    fn adopt(&mut self, policy: CompiledPolicy) {
+        // swap_policy resets the fault latch along with the policy
+        self.policy.swap_policy(policy);
+    }
+
+    fn fault(&self) -> Option<String> {
+        self.policy.first_error().map(|f| f.to_string())
+    }
+}
+
+/// One worker's per-decision serve shell, the same for every domain.
+/// Per decision it (1) adopts any newly published generation (pin →
+/// clone → [`ServeHost::adopt`], timed as the adoption pause), (2) runs
+/// the decision through the host, sampling its latency and optionally
+/// recording it, (3) checks the host's fault latch — a tripped latch
+/// demotes this worker to the man-made baseline on the spot (the host
+/// already degraded that decision internally; none is dropped) and
+/// reports the quarantine. It also owns the worker's window lane and
+/// assembles its [`WorkerStats`].
+struct ServeWorker<'c, 'm> {
+    worker: usize,
+    started: Instant,
+    handle: ReaderHandle<'c, CompiledPolicy>,
+    /// Generation of the policy currently hosted; window samples report it.
+    generation: u64,
     pauses_ns: Vec<u64>,
     /// Writer half of this worker's metric shard (latency histogram,
     /// decision/pause/quarantine counters — plain stores, merged
@@ -1127,9 +1101,9 @@ struct ServeLbHost<'h, 'c, 'm> {
     sample_every: u64,
     decisions: u64,
     log: Option<Vec<u32>>,
+    windows: WindowTx,
+    seq: u64,
     // -- fault path --
-    worker: usize,
-    started: Instant,
     control: mpsc::Sender<QuarantineReport>,
     baseline: CompiledPolicy,
     /// Source of the policy currently hosted (what a quarantine names).
@@ -1138,15 +1112,28 @@ struct ServeLbHost<'h, 'c, 'm> {
     /// adoption (the recovery publish).
     in_fallback: bool,
     quarantines: u64,
-    /// Shared with the window callback (telemetry degradation counter).
-    dropped: Rc<Cell<u64>>,
+    /// Telemetry and control messages that found their receiver gone.
+    dropped: u64,
     stall: Option<crate::chaos::WorkerStall>,
 }
 
-impl ServeLbHost<'_, '_, '_> {
-    /// Chaos: a periodic decision-path stall (deterministic in decision
-    /// count, so it needs no rng).
-    fn maybe_stall(&self) {
+impl ServeWorker<'_, '_> {
+    #[inline]
+    fn decide<H: ServeHost>(&mut self, host: &mut H, f: impl FnOnce(&mut H) -> u32) -> u32 {
+        let now = self.handle.cell().generation();
+        if now != self.generation {
+            let t0 = Instant::now();
+            let policy = self.handle.pin().clone();
+            self.current_source = to_source(policy.expr());
+            host.adopt(policy);
+            self.in_fallback = false;
+            self.generation = now;
+            let pause = t0.elapsed().as_nanos() as u64;
+            self.pauses_ns.push(pause);
+            self.metrics.on_pause(pause);
+        }
+        // chaos: a periodic decision-path stall (deterministic in decision
+        // count, so it needs no rng)
         if let Some(st) = self.stall {
             if st.every_decisions > 0
                 && self.decisions > 0
@@ -1155,7 +1142,98 @@ impl ServeLbHost<'_, '_, '_> {
                 std::thread::sleep(Duration::from_micros(st.stall_micros));
             }
         }
+        let sampled = self.metrics.enabled
+            && (self.sample_every <= 1 || self.decisions.is_multiple_of(self.sample_every));
+        let t0 = sampled.then(Instant::now);
+        let decision = f(host);
+        if let Some(t0) = t0 {
+            self.metrics.record_latency(t0.elapsed().as_nanos() as u64);
+        }
+        // safe-fallback chain, local leg: the host latched a runtime fault
+        // (it already degraded this decision internally — nothing was
+        // dropped); demote to the baseline and report the quarantine
+        if !self.in_fallback {
+            if let Some(fault) = host.fault() {
+                policysmith_obs::emit(TraceKind::Demotion {
+                    worker: self.worker,
+                    generation: self.generation,
+                    fault: fault.clone(),
+                });
+                let q = QuarantineReport {
+                    worker: self.worker,
+                    generation: self.generation,
+                    source: self.current_source.clone(),
+                    fault,
+                    at_micros: self.started.elapsed().as_micros() as u64,
+                };
+                if self.control.send(q).is_err() {
+                    self.dropped += 1;
+                }
+                host.adopt(self.baseline.clone());
+                self.in_fallback = true;
+                self.quarantines += 1;
+                self.metrics.on_quarantine();
+            }
+        }
+        if let Some(log) = self.log.as_mut() {
+            log.push(decision);
+        }
+        self.decisions += 1;
+        self.metrics.on_decision();
+        decision
     }
+
+    fn send_window(&mut self, phase: usize, decisions: u64, signal: f64) {
+        let sample = WindowSample {
+            worker: self.worker,
+            seq: self.seq,
+            phase,
+            decisions,
+            signal,
+            generation: self.generation,
+            at_micros: self.started.elapsed().as_micros() as u64,
+        };
+        // a dead receiver must not panic a serving worker: keep serving
+        // without telemetry, count the degradation
+        if self.windows.send(sample) {
+            self.metrics.on_window();
+        } else {
+            self.dropped += 1;
+        }
+        self.seq += 1;
+    }
+
+    fn into_stats(
+        self,
+        lb_metrics: Option<LbMetrics>,
+        cache_result: Option<SimResult>,
+    ) -> WorkerStats {
+        let (undelivered, backlogged) = self.windows.finish();
+        self.metrics.on_backlogged(backlogged);
+        WorkerStats {
+            worker: self.worker,
+            decisions: self.decisions,
+            wall_seconds: self.started.elapsed().as_secs_f64(),
+            latency: self.metrics.latency_hist(),
+            swap_pauses_ns: self.pauses_ns,
+            lb_metrics,
+            cache_result,
+            decisions_log: self.log,
+            telemetry_dropped: self.dropped + undelivered,
+            quarantines: self.quarantines,
+        }
+    }
+}
+
+/// The lb worker's dispatcher: the shell around an [`ExprDispatcher`].
+/// Because the worker drives [`run_phased_windowed`] with this host, the
+/// serve path *is* the batch path plus the shell — the decision-identity
+/// guarantee is structural, not mirrored code. The shell sits in a
+/// `RefCell` because the driver holds the dispatcher and the window
+/// callback at once (worker-local, single-threaded).
+struct ServeLbHost<'s, 'c, 'm> {
+    shell: &'s RefCell<ServeWorker<'c, 'm>>,
+    inner: ExprDispatcher,
 }
 
 impl Dispatcher for ServeLbHost<'_, '_, '_> {
@@ -1164,224 +1242,37 @@ impl Dispatcher for ServeLbHost<'_, '_, '_> {
     }
 
     fn pick(&mut self, view: &DispatchView<'_>) -> usize {
-        let now = self.handle.cell().generation();
-        if now != self.generation.get() {
-            let t0 = Instant::now();
-            let policy = self.handle.pin().clone();
-            self.current_source = to_source(policy.expr());
-            self.inner = ExprDispatcher::new("serve", policy);
-            self.in_fallback = false;
-            self.generation.set(now);
-            let pause = t0.elapsed().as_nanos() as u64;
-            self.pauses_ns.push(pause);
-            self.metrics.on_pause(pause);
-        }
-        self.maybe_stall();
-        let sampled = self.metrics.enabled
-            && (self.sample_every <= 1 || self.decisions.is_multiple_of(self.sample_every));
-        let t0 = sampled.then(Instant::now);
-        let p = self.inner.pick(view);
-        if let Some(t0) = t0 {
-            self.metrics.record_latency(t0.elapsed().as_nanos() as u64);
-        }
-        // safe-fallback chain, local leg: the dispatcher latched a runtime
-        // fault (it already degraded this pick internally — nothing was
-        // dropped); demote to the baseline and report the quarantine
-        if !self.in_fallback {
-            let fault = self.inner.first_error().map(|f| f.to_string());
-            if let Some(fault) = fault {
-                policysmith_obs::emit(TraceKind::Demotion {
-                    worker: self.worker,
-                    generation: self.generation.get(),
-                    fault: fault.clone(),
-                });
-                let q = QuarantineReport {
-                    worker: self.worker,
-                    generation: self.generation.get(),
-                    source: self.current_source.clone(),
-                    fault,
-                    at_micros: self.started.elapsed().as_micros() as u64,
-                };
-                if self.control.send(q).is_err() {
-                    self.dropped.set(self.dropped.get() + 1);
-                }
-                self.inner = ExprDispatcher::new("serve-fallback", self.baseline.clone());
-                self.in_fallback = true;
-                self.quarantines += 1;
-                self.metrics.on_quarantine();
-            }
-        }
-        if let Some(log) = self.log.as_mut() {
-            log.push(p as u32);
-        }
-        self.decisions += 1;
-        self.metrics.on_decision();
-        p
+        self.shell.borrow_mut().decide(&mut self.inner, |d| d.pick(view) as u32) as usize
     }
 }
 
 fn run_lb_worker(
-    worker: usize,
     phases: &[Scenario],
-    mut handle: ReaderHandle<'_, CompiledPolicy>,
-    lanes: WorkerLanes<'_>,
-    cfg: &ServeConfig,
-    baseline: &CompiledPolicy,
+    shell: ServeWorker<'_, '_>,
+    initial: CompiledPolicy,
+    window: usize,
 ) -> WorkerStats {
-    let WorkerLanes { windows, control, metrics } = lanes;
-    let mut windows = windows;
-    let started = Instant::now();
-    // initial adoption is deployment, not a swap: not a recorded pause
-    let initial_generation = handle.cell().generation();
-    let initial = handle.pin().clone();
-    let current_source = to_source(initial.expr());
-    let generation = Rc::new(Cell::new(initial_generation));
-    let dropped = Rc::new(Cell::new(0u64));
-    let mut host = ServeLbHost {
-        handle: &mut handle,
-        inner: ExprDispatcher::new("serve", initial),
-        generation: Rc::clone(&generation),
-        pauses_ns: Vec::new(),
-        metrics,
-        sample_every: cfg.latency_sample_every,
-        decisions: 0,
-        log: cfg.record_decisions.then(Vec::new),
-        worker,
-        started,
-        control,
-        baseline: baseline.clone(),
-        current_source,
-        in_fallback: false,
-        quarantines: 0,
-        dropped: Rc::clone(&dropped),
-        stall: cfg.chaos.as_ref().and_then(|c| c.worker_stall),
-    };
-    let mut seq = 0u64;
-    let phased = run_phased_windowed(phases, &mut host, cfg.window, &mut |phase, interval| {
-        let sample = WindowSample {
-            worker,
-            seq,
-            phase,
-            decisions: interval.offered,
-            signal: interval.resolved_slowdown(),
-            generation: generation.get(),
-            at_micros: started.elapsed().as_micros() as u64,
-        };
-        // a dead receiver must not panic a serving worker: keep serving
-        // without telemetry, count the degradation
-        if windows.send(sample) {
-            metrics.on_window();
-        } else {
-            dropped.set(dropped.get() + 1);
-        }
-        seq += 1;
+    let shell = RefCell::new(shell);
+    let mut host = ServeLbHost { shell: &shell, inner: ExprDispatcher::new("serve", initial) };
+    let phased = run_phased_windowed(phases, &mut host, window, &mut |phase, interval| {
+        shell.borrow_mut().send_window(phase, interval.offered, interval.resolved_slowdown());
     });
-    let (undelivered, backlogged) = windows.finish();
-    dropped.set(dropped.get() + undelivered);
-    metrics.on_backlogged(backlogged);
-
-    WorkerStats {
-        worker,
-        decisions: host.decisions,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        latency: metrics.latency_hist(),
-        swap_pauses_ns: host.pauses_ns,
-        lb_metrics: Some(phased.combined),
-        cache_result: None,
-        decisions_log: host.log,
-        telemetry_dropped: dropped.get(),
-        quarantines: host.quarantines,
-    }
+    shell.into_inner().into_stats(Some(phased.combined), None)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_cache_worker(
-    worker: usize,
     trace: &Trace,
     capacity: u64,
-    mut handle: ReaderHandle<'_, CompiledPolicy>,
-    lanes: WorkerLanes<'_>,
-    cfg: &ServeConfig,
-    baseline: &CompiledPolicy,
+    mut shell: ServeWorker<'_, '_>,
+    initial: CompiledPolicy,
+    window: usize,
 ) -> WorkerStats {
-    let WorkerLanes { mut windows, control, metrics } = lanes;
     // swap-capable hosts keep every tracker warm (see `track_everything`)
-    let initial = handle.pin().clone();
-    let mut current_source = to_source(initial.expr());
     let mut cache = Cache::new(capacity, PriorityPolicy::new("serve", initial).track_everything());
-    let mut generation = handle.cell().generation();
-    let mut pauses_ns = Vec::new();
-    let mut log = cfg.record_decisions.then(Vec::new);
-    let mut decisions = 0u64;
-    let mut in_fallback = false;
-    let mut quarantines = 0u64;
-    let mut telemetry_dropped = 0u64;
-    let stall = cfg.chaos.as_ref().and_then(|c| c.worker_stall);
-    let started = Instant::now();
-
-    for (seq, chunk) in trace.requests.chunks(cfg.window).enumerate() {
+    for chunk in trace.requests.chunks(window) {
         let before = cache.result();
         for req in chunk {
-            let now = handle.cell().generation();
-            if now != generation {
-                let t0 = Instant::now();
-                let policy = handle.pin().clone();
-                current_source = to_source(policy.expr());
-                // swap_policy resets the fault latch along with the policy
-                cache.policy.swap_policy(policy);
-                in_fallback = false;
-                generation = now;
-                let pause = t0.elapsed().as_nanos() as u64;
-                pauses_ns.push(pause);
-                metrics.on_pause(pause);
-            }
-            if let Some(st) = stall {
-                if st.every_decisions > 0
-                    && decisions > 0
-                    && decisions.is_multiple_of(st.every_decisions)
-                {
-                    std::thread::sleep(Duration::from_micros(st.stall_micros));
-                }
-            }
-            let sampled = metrics.enabled
-                && (cfg.latency_sample_every <= 1
-                    || decisions.is_multiple_of(cfg.latency_sample_every));
-            let t0 = sampled.then(Instant::now);
-            let hit = cache.request(req);
-            if let Some(t0) = t0 {
-                metrics.record_latency(t0.elapsed().as_nanos() as u64);
-            }
-            // safe-fallback chain, local leg (see the lb host): demote to
-            // LRU on a latched fault, report, keep serving
-            if !in_fallback {
-                let fault = cache.policy.first_error().map(|f| f.to_string());
-                if let Some(fault) = fault {
-                    policysmith_obs::emit(TraceKind::Demotion {
-                        worker,
-                        generation,
-                        fault: fault.clone(),
-                    });
-                    let q = QuarantineReport {
-                        worker,
-                        generation,
-                        source: current_source.clone(),
-                        fault,
-                        at_micros: started.elapsed().as_micros() as u64,
-                    };
-                    if control.send(q).is_err() {
-                        telemetry_dropped += 1;
-                    }
-                    cache.policy.swap_policy(baseline.clone());
-                    in_fallback = true;
-                    quarantines += 1;
-                    metrics.on_quarantine();
-                }
-            }
-            if let Some(log) = log.as_mut() {
-                log.push(hit as u32);
-            }
-            decisions += 1;
-            metrics.on_decision();
+            shell.decide(&mut cache, |c| c.request(req) as u32);
         }
         let after = cache.result();
         let window_requests = after.requests - before.requests;
@@ -1390,35 +1281,8 @@ fn run_cache_worker(
         } else {
             (after.misses - before.misses) as f64 / window_requests as f64
         };
-        let sample = WindowSample {
-            worker,
-            seq: seq as u64,
-            phase: 0,
-            decisions: window_requests,
-            signal: window_mr,
-            generation,
-            at_micros: started.elapsed().as_micros() as u64,
-        };
-        if windows.send(sample) {
-            metrics.on_window();
-        } else {
-            telemetry_dropped += 1;
-        }
+        shell.send_window(0, window_requests, window_mr);
     }
-    let (undelivered, backlogged) = windows.finish();
-    telemetry_dropped += undelivered;
-    metrics.on_backlogged(backlogged);
-
-    WorkerStats {
-        worker,
-        decisions,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        latency: metrics.latency_hist(),
-        swap_pauses_ns: pauses_ns,
-        lb_metrics: None,
-        cache_result: Some(cache.result()),
-        decisions_log: log,
-        telemetry_dropped,
-        quarantines,
-    }
+    let result = cache.result();
+    shell.into_stats(None, Some(result))
 }

@@ -1,13 +1,5 @@
 //! Serving telemetry: the per-window quality samples workers stream to
-//! the background controller, plus a re-export of the latency histogram.
-//!
-//! [`LatencyHistogram`] itself now lives in `policysmith-obs`
-//! ([`policysmith_obs::hist`]) so every crate can record and merge
-//! latencies through the same sharded registry; this re-export keeps the
-//! historical `policysmith_serve::telemetry::LatencyHistogram` path (and
-//! the crate-root re-export) compiling unchanged.
-
-pub use policysmith_obs::LatencyHistogram;
+//! the background controller.
 
 /// One serving window's telemetry, streamed from a worker to the
 /// background controller (and kept for the report timeline).

@@ -13,7 +13,7 @@ use policysmith_gen::{GenConfig, MockLlm};
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::{scenario, sim, DispatchView, Dispatcher, ExprDispatcher, Scenario};
 use policysmith_serve::runtime::Resynth;
-use policysmith_serve::{loadgen, serve_cache, serve_lb, ServeConfig};
+use policysmith_serve::{loadgen, serve_cache, serve_lb, ServeConfig, ServeReport};
 use proptest::prelude::*;
 
 const POLICIES: &[&str] = &[
@@ -135,44 +135,40 @@ fn multi_worker_shards_each_match_their_own_batch_run() {
 }
 
 /// The sharded metrics registry is an *accounting view* over the same
-/// run: its merged counters must agree with the report's ground truth,
-/// and the funnel transport must produce the identical decision stream.
+/// run: its merged counters must agree with the report's ground truth, on
+/// both drivers (they share one per-decision shell).
 #[test]
 fn sharded_metrics_account_for_every_decision_and_window() {
-    let sc = scenario::two_tier_fleet();
-    let src = POLICIES[1];
-    let mk = |funnel: bool| {
-        let cfg =
-            ServeConfig { workers: 3, record_decisions: true, funnel, ..ServeConfig::default() };
-        let shards = loadgen::lb_shards(std::slice::from_ref(&sc), 3);
-        serve_lb(&shards, compiled(src, Mode::Lb), &cfg, no_resynth())
-    };
-    let sharded = mk(false);
-    let funnel = mk(true);
+    fn check(driver: &str, run: impl Fn(&ServeConfig) -> ServeReport) {
+        // merged registry counters agree with the report's ground truth
+        let lit = run(&ServeConfig { workers: 3, ..ServeConfig::default() });
+        let m = &lit.metrics;
+        assert_eq!(m.counter("serve.decisions"), lit.total_decisions(), "{driver}");
+        assert_eq!(m.counter("serve.windows"), lit.windows.len() as u64, "{driver}");
+        assert_eq!(m.counter("serve.quarantines"), 0, "{driver}");
+        let hist = m.histogram("serve.decision_latency_ns").expect("latency histogram registered");
+        assert_eq!(hist.count(), lit.latency().count(), "{driver}");
+        assert!(hist.count() > 0, "{driver}: latency sampling recorded through the registry");
 
-    // transport never influences decisions
-    for (a, b) in sharded.workers.iter().zip(&funnel.workers) {
-        assert_eq!(a.decisions_log, b.decisions_log, "worker {}", a.worker);
-        assert_eq!(a.lb_metrics, b.lb_metrics, "worker {}", a.worker);
+        // instrument = false empties the hot-path metrics but not the windows
+        let dark = run(&ServeConfig { workers: 2, instrument: false, ..ServeConfig::default() });
+        assert_eq!(dark.metrics.counter("serve.decisions"), 0, "{driver}");
+        assert_eq!(dark.latency().count(), 0, "{driver}");
+        let telemetry: u64 = dark.windows.iter().map(|s| s.decisions).sum();
+        assert_eq!(telemetry, dark.total_decisions(), "{driver}: windows flow despite the gate");
     }
 
-    // merged registry counters agree with the report's ground truth
-    let m = &sharded.metrics;
-    assert_eq!(m.counter("serve.decisions"), sharded.total_decisions());
-    assert_eq!(m.counter("serve.windows"), sharded.windows.len() as u64);
-    assert_eq!(m.counter("serve.quarantines"), 0);
-    let hist = m.histogram("serve.decision_latency_ns").expect("latency histogram registered");
-    assert_eq!(hist.count(), sharded.latency().count());
-    assert!(hist.count() > 0, "latency sampling recorded through the registry");
-
-    // instrument = false empties the hot-path metrics but not the windows
-    let cfg = ServeConfig { workers: 2, instrument: false, ..ServeConfig::default() };
-    let shards = loadgen::lb_shards(std::slice::from_ref(&sc), 2);
-    let dark = serve_lb(&shards, compiled(src, Mode::Lb), &cfg, no_resynth());
-    assert_eq!(dark.metrics.counter("serve.decisions"), 0);
-    assert_eq!(dark.latency().count(), 0);
-    let telemetry: u64 = dark.windows.iter().map(|s| s.decisions).sum();
-    assert_eq!(telemetry, dark.total_decisions(), "windows flow regardless of the gate");
+    let sc = scenario::two_tier_fleet();
+    check("lb", |cfg| {
+        let shards = loadgen::lb_shards(std::slice::from_ref(&sc), cfg.workers);
+        serve_lb(&shards, compiled(POLICIES[1], Mode::Lb), cfg, no_resynth())
+    });
+    let replay = loadgen::CacheReplay::new("cloudphysics", 10, 12_000).unwrap();
+    let capacity = (policysmith_traces::footprint_bytes(&replay.trace()) / 10).max(1);
+    check("cache", |cfg| {
+        let policy = compiled("obj.last_access", Mode::Cache);
+        serve_cache(&replay.shards(cfg.workers), capacity, policy, cfg, no_resynth())
+    });
 }
 
 #[test]
@@ -207,16 +203,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Randomized no-drift equivalence: any preset × policy × telemetry
-    /// window cadence × transport (sharded SPSC rings or the legacy mpsc
-    /// funnel) × instrumentation gate serves exactly the batch decisions —
-    /// how telemetry is cut, carried, and counted must never influence
+    /// window cadence × instrumentation gate serves exactly the batch
+    /// decisions — how telemetry is cut and counted must never influence
     /// decisions.
     #[test]
     fn serve_equals_batch_for_any_preset_policy_and_window(
         preset_ix in 0usize..7,
         policy_ix in 0usize..3,
         window in proptest::sample::select(vec![64usize, 500, 4096]),
-        funnel in any::<bool>(),
         instrument in any::<bool>(),
     ) {
         let sc = scenario::all_presets().swap_remove(preset_ix);
@@ -225,7 +219,6 @@ proptest! {
             workers: 1,
             window,
             record_decisions: true,
-            funnel,
             instrument,
             ..ServeConfig::default()
         };

@@ -15,7 +15,7 @@ use policysmith_serve::guard::resolve_recovery;
 use policysmith_serve::runtime::Resynth;
 use policysmith_serve::{
     loadgen, serve_cache, serve_lb, ChaosSpec, ExternalPublish, Recovery, ServeConfig, ServeReport,
-    TelemetryChaos,
+    TelemetryChaos, WorkerStall,
 };
 use proptest::prelude::*;
 
@@ -154,6 +154,7 @@ fn externally_published_faulting_policy_is_quarantined_and_recovered_cache() {
         chaos: Some(ChaosSpec {
             seed: 11,
             external_publish: Some(ExternalPublish { after_windows: 2, source: bad.into() }),
+            worker_stall: Some(WorkerStall { every_decisions: 4_000, stall_micros: 100 }),
             ..ChaosSpec::default()
         }),
         ..ServeConfig::default()
