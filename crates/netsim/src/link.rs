@@ -144,14 +144,28 @@ impl Bottleneck {
         self.last_drop_us = Some(now);
     }
 
+    /// The byte bound, for a burst: if a `size`-byte packet does not fit,
+    /// tail-drop it and the `n − 1` equal-sized packets offered behind it in
+    /// the same instant, and say so. Refusing a packet changes nothing but
+    /// `drops`, and nothing drains between two offers of one instant, so the
+    /// packets behind a refused one would each be refused in turn — which
+    /// holds only while [`Bottleneck::enqueue`] checks this bound *before*
+    /// it consults the AQM hook. Whoever reorders the two must revisit it.
+    pub fn tail_drop_burst(&mut self, size: u32, n: u64) -> bool {
+        let full = self.queued_bytes + size as u64 > self.cfg.queue_bytes;
+        if full {
+            self.drops += n;
+        }
+        full
+    }
+
     /// Offer a packet. Returns `true` if accepted; on acceptance, if the
     /// transmitter was idle the caller must schedule the first completion
     /// ([`Bottleneck::start_tx`]). The byte bound is checked first (a full
     /// buffer tail-drops regardless of policy), then the AQM's enqueue hook
     /// may refuse or CE-mark the packet.
     pub fn enqueue(&mut self, mut pkt: QueuedPacket) -> bool {
-        if self.queued_bytes + pkt.size as u64 > self.cfg.queue_bytes {
-            self.drops += 1;
+        if self.tail_drop_burst(pkt.size, 1) {
             return false;
         }
         let view = self.aqm_view(pkt.enq_us, pkt.size, pkt.enq_us);
@@ -327,6 +341,23 @@ mod tests {
         assert_eq!(b.drops, 1);
         assert_eq!(b.aqm_drops(), 0, "tail drop is not an AQM drop");
         assert_eq!(b.backlog_bytes(), 3_000);
+    }
+
+    #[test]
+    fn tail_drop_burst_counts_what_offering_each_packet_would() {
+        let cfg = LinkCfg { rate_bps: 1_000_000, delay_us: 1_000, queue_bytes: 3_000 };
+        let (mut each, mut burst) = (Bottleneck::new(cfg), Bottleneck::new(cfg));
+        for seq in 0..10 {
+            each.enqueue(pkt(seq, 1500, 0));
+        }
+        for seq in 0..10 {
+            if burst.tail_drop_burst(1500, 10 - seq) {
+                break;
+            }
+            assert!(burst.enqueue(pkt(seq, 1500, 0)));
+        }
+        assert_eq!(burst.drops, 8);
+        assert_eq!((burst.drops, burst.backlog_bytes()), (each.drops, each.backlog_bytes()));
     }
 
     #[test]

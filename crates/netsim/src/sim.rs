@@ -1,15 +1,26 @@
 //! The event loop: flows × bottleneck × virtual time.
 //!
-//! A binary-heap agenda of `(time, seq, event)` drives the system; ties
-//! break on insertion order, so runs are fully deterministic. The reverse
-//! (ACK) path is delay-only — the paper's `mm-delay 20` both ways with the
+//! An agenda of `(time, order, event)` drives the system; ties break on
+//! scheduling order, so runs are fully deterministic. The reverse (ACK)
+//! path is delay-only — the paper's `mm-delay 20` both ways with the
 //! `mm-link` bottleneck on data only.
+//!
+//! # Cost contract
+//!
+//! An event allocates nothing, and the two kinds there are most of —
+//! arrivals and acks — cost a queue push and pop, not a heap's: the agenda
+//! entry carries the event, the senders hand segments over without
+//! building a list ([`crate::transport`]), and a receiver remembers a
+//! sequence number in one bit. The simulation keeps no state that grows
+//! with the events it has processed — only with what is in flight. A fresh
+//! burst that overflows the buffer costs the packets the link admits, not
+//! the packets offered ([`Bottleneck::tail_drop_burst`]).
 
 use crate::aqm::AqmPolicy;
 use crate::link::{Bottleneck, LinkCfg, QueuedPacket};
-use crate::transport::{CongestionControl, Receiver, SendAction, Sender};
+use crate::transport::{CongestionControl, Receiver, Sender};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -56,16 +67,72 @@ pub struct FlowMetrics {
     pub final_cwnd: u64,
 }
 
-#[derive(Debug)]
+/// Ordered only so it can ride in the agenda's key; the `order` counter
+/// before it is unique, so two events are never themselves compared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// Bottleneck finished serializing its head packet.
     TxDone,
-    /// Data packet reaches the receiver.
-    Arrive { pkt: QueuedPacket },
+    /// Data packet reaches the receiver, CE-marked or not.
+    Arrive { flow: usize, seq: u64, size: u32, ecn_ce: bool },
     /// ACK reaches the sender; `ece` echoes the data packet's CE mark.
     Ack { flow: usize, seq: u64, ece: bool },
     /// Per-flow housekeeping timer.
     Timer { flow: usize },
+}
+
+/// `(due, order, event)`: `order` counts `schedule` calls, so it is unique
+/// and breaks ties between events due at the same instant.
+type Entry = (u64, u64, Event);
+
+/// Pending events, earliest first; events due at the same instant pop in
+/// the order they were scheduled.
+///
+/// A packet arrives one propagation delay after it leaves the bottleneck
+/// and its ack arrives one more after that: both are scheduled a constant
+/// ahead of a clock that never runs backwards, so each kind is already in
+/// `(due, order)` order as scheduled and needs a FIFO, not a heap. Only the
+/// one pending `TxDone` and the per-flow timers — a handful of entries —
+/// go through a heap; `pop` merges the three.
+#[derive(Default)]
+struct Agenda {
+    arrivals: VecDeque<Entry>,
+    acks: VecDeque<Entry>,
+    rest: BinaryHeap<Reverse<Entry>>,
+    order: u64,
+}
+
+impl Agenda {
+    fn schedule(&mut self, at_us: u64, ev: Event) {
+        self.order += 1;
+        let entry = (at_us, self.order, ev);
+        let fifo = match ev {
+            Event::Arrive { .. } => &mut self.arrivals,
+            Event::Ack { .. } => &mut self.acks,
+            Event::TxDone | Event::Timer { .. } => return self.rest.push(Reverse(entry)),
+        };
+        debug_assert!(
+            fifo.back().is_none_or(|last| last.0 <= at_us),
+            "{ev:?} due before its queue's tail"
+        );
+        fifo.push_back(entry);
+    }
+
+    fn pop(&mut self) -> Option<(u64, Event)> {
+        let due =
+            |e: Option<&Entry>| e.map_or((u64::MAX, u64::MAX), |&(at_us, order, _)| (at_us, order));
+        let arrival = due(self.arrivals.front());
+        let ack = due(self.acks.front());
+        let rest = due(self.rest.peek().map(|Reverse(e)| e));
+        let (at_us, _, ev) = if arrival <= ack && arrival <= rest {
+            self.arrivals.pop_front()?
+        } else if ack <= rest {
+            self.acks.pop_front()?
+        } else {
+            self.rest.pop()?.0
+        };
+        Some((at_us, ev))
+    }
 }
 
 /// A running simulation over one shared bottleneck.
@@ -74,10 +141,8 @@ pub struct Simulation {
     link: Bottleneck,
     senders: Vec<Sender>,
     receivers: Vec<Receiver>,
-    agenda: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    events: Vec<Option<Event>>,
+    agenda: Agenda,
     now_us: u64,
-    seq_counter: u64,
 }
 
 impl Simulation {
@@ -99,38 +164,50 @@ impl Simulation {
             link: Bottleneck::with_aqm(cfg.link, aqm),
             senders: ccs.into_iter().map(|cc| Sender::new(cc, cfg.mss)).collect(),
             receivers: (0..n).map(|_| Receiver::new()).collect(),
-            agenda: BinaryHeap::new(),
-            events: Vec::new(),
+            agenda: Agenda::default(),
             now_us: 0,
-            seq_counter: 0,
             cfg,
         };
         for f in 0..n {
             // Stagger timer phases so identical flows do not share every
             // event timestamp (deterministic tie-breaking would otherwise
             // systematically favour the lower-numbered flow).
-            sim.schedule(cfg.timer_period_us + f as u64 * 997, Event::Timer { flow: f });
+            sim.agenda.schedule(cfg.timer_period_us + f as u64 * 997, Event::Timer { flow: f });
         }
         sim
     }
 
-    fn schedule(&mut self, at_us: u64, ev: Event) {
-        let idx = self.events.len();
-        self.events.push(Some(ev));
-        self.seq_counter += 1;
-        self.agenda.push(Reverse((at_us, self.seq_counter, idx)));
+    /// Offer one segment to the bottleneck, starting the transmitter if it
+    /// was idle.
+    fn offer(link: &mut Bottleneck, agenda: &mut Agenda, pkt: QueuedPacket) {
+        if link.enqueue(pkt) {
+            if let Some(delay) = link.start_tx(pkt.enq_us) {
+                agenda.schedule(pkt.enq_us + delay, Event::TxDone);
+            }
+        }
     }
 
-    fn transmit(&mut self, flow: usize, actions: Vec<SendAction>) {
-        for SendAction::Transmit { seq, size } in actions {
-            let pkt = QueuedPacket { flow, seq, size, enq_us: self.now_us, ecn_ce: false };
-            if self.link.enqueue(pkt) {
-                if let Some(delay) = self.link.start_tx(self.now_us) {
-                    self.schedule(self.now_us + delay, Event::TxDone);
-                }
-            } else {
-                self.senders[flow].on_local_drop(seq);
+    /// What the sender of `flow` decided to put back on the wire, then as
+    /// many fresh segments as its window now allows.
+    fn transmit(
+        &mut self,
+        flow: usize,
+        retransmit: impl FnOnce(&mut Sender, u64) -> &[(u64, u32)],
+    ) {
+        let (now_us, sender) = (self.now_us, &mut self.senders[flow]);
+        for &(seq, size) in retransmit(sender, now_us) {
+            let pkt = QueuedPacket { flow, seq, size, enq_us: now_us, ecn_ce: false };
+            Self::offer(&mut self.link, &mut self.agenda, pkt);
+        }
+        let fresh = sender.pump(now_us);
+        let size = sender.mss;
+        for seq in fresh.clone() {
+            // the rest of the burst is equal-sized and offered in this instant
+            if self.link.tail_drop_burst(size, fresh.end - seq) {
+                break;
             }
+            let pkt = QueuedPacket { flow, seq, size, enq_us: now_us, ecn_ce: false };
+            Self::offer(&mut self.link, &mut self.agenda, pkt);
         }
     }
 
@@ -138,43 +215,34 @@ impl Simulation {
     pub fn run(&mut self) -> Vec<FlowMetrics> {
         // kick off all flows
         for f in 0..self.senders.len() {
-            let sends = self.senders[f].pump(0);
-            self.transmit(f, sends);
+            self.transmit(f, |_, _| &[]);
         }
 
-        while let Some(Reverse((t, _, idx))) = self.agenda.pop() {
+        while let Some((t, ev)) = self.agenda.pop() {
             if t > self.cfg.duration_us {
                 break;
             }
             self.now_us = t;
-            let ev = self.events[idx].take().expect("event consumed twice");
             match ev {
                 Event::TxDone => {
-                    let pkt = self.link.tx_done(self.now_us);
-                    self.schedule(self.now_us + self.cfg.link.delay_us, Event::Arrive { pkt });
-                    if let Some(delay) = self.link.start_tx(self.now_us) {
-                        self.schedule(self.now_us + delay, Event::TxDone);
+                    let QueuedPacket { flow, seq, size, ecn_ce, .. } = self.link.tx_done(t);
+                    let arrive = Event::Arrive { flow, seq, size, ecn_ce };
+                    self.agenda.schedule(t + self.cfg.link.delay_us, arrive);
+                    if let Some(delay) = self.link.start_tx(t) {
+                        self.agenda.schedule(t + delay, Event::TxDone);
                     }
                 }
-                Event::Arrive { pkt } => {
-                    let ack_seq = self.receivers[pkt.flow].on_data(pkt.seq, pkt.size, pkt.ecn_ce);
-                    self.schedule(
-                        self.now_us + self.cfg.link.delay_us,
-                        Event::Ack { flow: pkt.flow, seq: ack_seq, ece: pkt.ecn_ce },
-                    );
+                Event::Arrive { flow, seq, size, ecn_ce } => {
+                    let seq = self.receivers[flow].on_data(seq, size, ecn_ce);
+                    let ack = Event::Ack { flow, seq, ece: ecn_ce };
+                    self.agenda.schedule(t + self.cfg.link.delay_us, ack);
                 }
                 Event::Ack { flow, seq, ece } => {
-                    let retx = self.senders[flow].on_ack(seq, self.now_us, ece);
-                    self.transmit(flow, retx);
-                    let sends = self.senders[flow].pump(self.now_us);
-                    self.transmit(flow, sends);
+                    self.transmit(flow, |s, now_us| s.on_ack(seq, now_us, ece));
                 }
                 Event::Timer { flow } => {
-                    let retx = self.senders[flow].on_timer(self.now_us);
-                    self.transmit(flow, retx);
-                    let sends = self.senders[flow].pump(self.now_us);
-                    self.transmit(flow, sends);
-                    self.schedule(self.now_us + self.cfg.timer_period_us, Event::Timer { flow });
+                    self.transmit(flow, Sender::on_timer);
+                    self.agenda.schedule(t + self.cfg.timer_period_us, Event::Timer { flow });
                 }
             }
         }
@@ -197,6 +265,11 @@ impl Simulation {
                 }
             })
             .collect()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn sender(&self, flow: usize) -> &Sender {
+        &self.senders[flow]
     }
 
     /// Mean bottleneck queuing delay over the run, µs.
@@ -274,6 +347,37 @@ mod tests {
             self.acks = 0;
             v.cwnd / 2
         }
+    }
+
+    /// The agenda must pop exactly as one heap keyed `(due, order)` would:
+    /// that is what makes splitting it into queues invisible to a run.
+    #[test]
+    fn agenda_pops_in_due_then_scheduling_order() {
+        let (mut agenda, mut heap) = (Agenda::default(), BinaryHeap::new());
+        let mut rng = 0x9e37_79b9_u64;
+        let (mut now_us, mut popped) = (0, 0);
+        for step in 0..4_000_u64 {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            // arrivals and acks a constant ahead of the clock, the rest
+            // anywhere ahead of it; small deltas so instants collide
+            let (at_us, ev) = match (rng >> 33) % 4 {
+                0 => (now_us + 20, Event::Arrive { flow: 0, seq: step, size: 1, ecn_ce: false }),
+                1 => (now_us + 20, Event::Ack { flow: 0, seq: step, ece: false }),
+                2 => (now_us + (rng >> 40) % 30, Event::TxDone),
+                _ => (now_us + (rng >> 40) % 30, Event::Timer { flow: step as usize }),
+            };
+            agenda.schedule(at_us, ev);
+            heap.push(Reverse((at_us, step + 1, ev)));
+            if !(rng >> 20).is_multiple_of(3) {
+                let Reverse((due_us, _, ev)) = heap.pop().unwrap();
+                assert_eq!(agenda.pop(), Some((due_us, ev)), "pop {popped}");
+                (now_us, popped) = (due_us, popped + 1);
+            }
+        }
+        while let Some(Reverse((due_us, _, ev))) = heap.pop() {
+            assert_eq!(agenda.pop(), Some((due_us, ev)));
+        }
+        assert_eq!(agenda.pop(), None);
     }
 
     fn run_one(cc: Box<dyn CongestionControl>, dur_us: u64) -> (FlowMetrics, f64, u64) {

@@ -9,8 +9,34 @@
 //! retransmits); a delivery-rate estimator and the paper's 10-interval
 //! smoothed history arrays (\[66\]) complete the §5.0.1 feature surface that
 //! [`CcView`] exposes to policies.
+//!
+//! # Cost contract
+//!
+//! A verifier-accepted controller may open the window to [`MAX_CWND`], so
+//! the sender's cost must follow the packets it handles, not the window it
+//! is told to keep:
+//!
+//! * **memory** — 16 bytes per sequence number between the oldest
+//!   outstanding packet and the newest sent (a dense [`VecDeque`] indexed by
+//!   `seq − base`), plus 8 per *suspect* (below);
+//! * **[`Sender::pump`]** — one bulk append, no per-packet map insert;
+//! * **[`Sender::on_ack`]** — amortised O(1): each packet is visited at most
+//!   once when the first ack above it arrives, at most three times per
+//!   (re)transmission while it gathers duplicate evidence, and once when it
+//!   leaves the window;
+//! * **no allocation per call** — fresh segments come back as a
+//!   `Range<u64>`, retransmissions in a buffer the sender reuses.
+//!
+//! The evidence bound rests on one observation: a packet's `dup_evidence`
+//! is only ever compared with `== 3`. Once a count reaches 3 with the
+//! half-RTT guard unmet it can never equal 3 again until a retransmission
+//! resets it, so further bumps are unobservable and the packet is *inert*.
+//! Only live packets that lie below some ack and hold evidence ≤ 2 — the
+//! suspects — need a visit per ack, and every visit either bumps a count
+//! toward 3 or drops an acknowledged packet from the list.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Length of each history ring (§5.0.1: "the last 10 RTT intervals").
 pub const HIST_LEN: usize = 10;
@@ -85,13 +111,31 @@ pub const MIN_CWND: u64 = 2;
 /// Ceiling for cwnd, packets.
 pub const MAX_CWND: u64 = 1 << 20;
 
-/// Per-packet bookkeeping at the sender.
+/// Per-packet bookkeeping at the sender: one window slot, 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct SentPacket {
     sent_us: u64,
     size: u32,
     retransmitted: bool,
+    /// Acks for later packets since the last (re)transmission, counted to 3
+    /// and no further: 3 with the packet still in this state means inert.
     dup_evidence: u8,
+    /// Still outstanding. A dead slot only waits for the slots before it to
+    /// die so it can be popped off the front.
+    live: bool,
+}
+
+// the cost contract's "16 bytes per sequence number"
+const _: () = assert!(std::mem::size_of::<SentPacket>() == 16);
+
+impl SentPacket {
+    /// Put the packet back on the wire: its evidence starts over and
+    /// Karn's rule bars it from RTT sampling.
+    fn resend(&mut self, now_us: u64) {
+        self.sent_us = now_us;
+        self.retransmitted = true;
+        self.dup_evidence = 0;
+    }
 }
 
 /// The sending endpoint of one flow.
@@ -101,9 +145,23 @@ pub struct Sender {
     pub cwnd: u64,
     pub prev_cwnd: u64,
     pub ssthresh: u64,
-    next_seq: u64,
-    unacked: BTreeMap<u64, SentPacket>,
+    /// Slot `i` is sequence number `base + i`, so `base + window.len()` is
+    /// the next fresh one. The front slot is live or the window is empty.
+    window: VecDeque<SentPacket>,
+    base: u64,
+    /// Live slots in `window`, and their bytes.
+    live: u64,
     inflight_bytes: u64,
+    /// One past the largest sequence number ever acked. Nothing at or above
+    /// it has an ack above it: every such slot is live with evidence 0.
+    high: u64,
+    /// Ascending sequence numbers below `high` that the next ack above them
+    /// must visit: every live packet there with evidence ≤ 2, plus acked
+    /// ones the visit will drop.
+    suspects: VecDeque<u64>,
+    /// `(seq, size)` to put back on the wire, as decided by the latest
+    /// `on_ack`/`on_timer`; reused so neither allocates per call.
+    retx: Vec<(u64, u32)>,
     // RTT estimation
     pub srtt_us: u64,
     rttvar_us: u64,
@@ -134,13 +192,10 @@ pub struct Sender {
     /// ECN congestion events (ECE echoes reacted to), counted separately
     /// from `loss_events` — no packet was lost.
     pub ecn_events: u64,
-}
-
-/// What the sender wants the simulator to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendAction {
-    /// Transmit a (possibly re-) packet with this seq and size.
-    Transmit { seq: u64, size: u32 },
+    /// Window slots and suspects touched so far: what the cost contract
+    /// bounds, counted so a test can hold it to the bound.
+    #[cfg(test)]
+    pub(crate) visits: u64,
 }
 
 /// Build a [`CcView`] borrowing only `history`, leaving `self.cc` free for
@@ -155,7 +210,7 @@ macro_rules! cc_view {
             srtt_us: $self.srtt_us,
             last_rtt_us: $self.last_rtt_us,
             inflight_bytes: $self.inflight_bytes,
-            inflight_pkts: $self.unacked.len() as u64,
+            inflight_pkts: $self.live,
             mss: $self.mss,
             delivered_bytes: $self.delivered_bytes,
             delivery_rate_bps: $self.delivery_rate_bps,
@@ -175,9 +230,13 @@ impl Sender {
             cwnd: 10,
             prev_cwnd: 10,
             ssthresh: MAX_CWND,
-            next_seq: 0,
-            unacked: BTreeMap::new(),
+            window: VecDeque::new(),
+            base: 0,
+            live: 0,
             inflight_bytes: 0,
+            high: 0,
+            suspects: VecDeque::new(),
+            retx: Vec::new(),
             srtt_us: 0,
             rttvar_us: 0,
             min_rtt_us: u64::MAX,
@@ -199,33 +258,46 @@ impl Sender {
             retransmits: 0,
             loss_events: 0,
             ecn_events: 0,
+            #[cfg(test)]
+            visits: 0,
         }
     }
 
     /// Packets currently in flight.
     pub fn inflight_pkts(&self) -> u64 {
-        self.unacked.len() as u64
+        self.live
     }
 
-    /// Produce as many transmissions as the window allows (greedy source).
-    pub fn pump(&mut self, now_us: u64) -> Vec<SendAction> {
-        let mut out = Vec::new();
-        while (self.unacked.len() as u64) < self.cwnd {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.unacked.insert(
-                seq,
-                SentPacket {
-                    sent_us: now_us,
-                    size: self.mss,
-                    retransmitted: false,
-                    dup_evidence: 0,
-                },
-            );
-            self.inflight_bytes += self.mss as u64;
-            out.push(SendAction::Transmit { seq, size: self.mss });
+    fn next_seq(&self) -> u64 {
+        self.base + self.window.len() as u64
+    }
+
+    /// Count `n` window slots or suspects touched (tests only).
+    #[inline]
+    fn visited(&mut self, _n: u64) {
+        #[cfg(test)]
+        {
+            self.visits += _n;
         }
-        out
+    }
+
+    /// Send as many fresh segments as the window allows (greedy source).
+    /// Returns their sequence numbers; each is `mss` bytes.
+    pub fn pump(&mut self, now_us: u64) -> Range<u64> {
+        let first = self.next_seq();
+        let n = self.cwnd.saturating_sub(self.live);
+        let fresh = SentPacket {
+            sent_us: now_us,
+            size: self.mss,
+            retransmitted: false,
+            dup_evidence: 0,
+            live: true,
+        };
+        self.window.extend(std::iter::repeat_n(fresh, n as usize));
+        self.live += n;
+        self.inflight_bytes += n * self.mss as u64;
+        self.visited(n);
+        first..first + n
     }
 
     // NOTE: constructed via `cc_view!` so `self.cc` stays mutably borrowable.
@@ -274,15 +346,32 @@ impl Sender {
         }
     }
 
+    /// A loss event (triple-dup or RTO) opens a recovery window and asks
+    /// the controller for the new cwnd.
+    fn charge_loss_event(&mut self, now_us: u64) {
+        self.loss_events += 1;
+        self.interval_losses += 1;
+        self.recovery_until = self.next_seq();
+        self.ssthresh = (self.cwnd / 2).max(MIN_CWND);
+        let view = cc_view!(self, now_us, 0);
+        let new = self.cc.on_loss(&view);
+        self.set_cwnd(new);
+    }
+
     /// Handle an ACK for `seq` arriving at `now_us`; `ece` is the ECN-Echo
     /// flag (the receiver saw CE on the corresponding data packet). Returns
-    /// retransmission actions triggered by dup evidence (at most one per
-    /// loss event).
-    pub fn on_ack(&mut self, seq: u64, now_us: u64, ece: bool) -> Vec<SendAction> {
-        let Some(pkt) = self.unacked.remove(&seq) else {
-            return Vec::new(); // duplicate/stale ack
+    /// the `(seq, size)` retransmissions triggered by dup evidence, in
+    /// ascending order (however many, they are at most one loss event).
+    pub fn on_ack(&mut self, seq: u64, now_us: u64, ece: bool) -> &[(u64, u32)] {
+        self.retx.clear();
+        let slot = seq.checked_sub(self.base).and_then(|i| self.window.get_mut(i as usize));
+        let Some(slot) = slot.filter(|p| p.live) else {
+            return &self.retx; // duplicate/stale ack
         };
-        self.inflight_bytes = self.inflight_bytes.saturating_sub(pkt.size as u64);
+        slot.live = false;
+        let pkt = *slot;
+        self.live -= 1;
+        self.inflight_bytes -= pkt.size as u64;
         self.delivered_bytes += pkt.size as u64;
 
         // Karn's rule: no RTT sample from retransmitted packets.
@@ -310,67 +399,74 @@ impl Sender {
         self.interval_cwnd_n += 1;
         self.roll_interval(now_us);
 
-        // SACK-style dup evidence for every older outstanding packet.
-        // Retransmission and congestion signalling are decoupled, as in
-        // NewReno: every packet whose evidence crosses the threshold is
-        // retransmitted, but at most one congestion event is charged per
-        // recovery window (burst drops are one event).
-        let mut to_retx: Vec<u64> = Vec::new();
+        // SACK-style dup evidence for every older outstanding packet that
+        // can still act on it (the suspects). Retransmission and congestion
+        // signalling are decoupled, as in NewReno: every packet whose
+        // evidence crosses the threshold is retransmitted, but at most one
+        // congestion event is charged per recovery window (burst drops are
+        // one event).
+        if seq >= self.high {
+            // The first ack above `[high, seq)`: all of it is outstanding
+            // and starts gathering evidence with this ack.
+            self.suspects.extend(self.high..seq);
+            self.visited(seq - self.high);
+            self.high = seq + 1;
+        }
         let mut new_loss_event = false;
         let rtt_guard = self.srtt_us / 2;
-        for (&s, p) in self.unacked.range_mut(..seq) {
-            p.dup_evidence = p.dup_evidence.saturating_add(1);
-            // The guard suppresses spurious re-retransmission of a packet
-            // that was retransmitted less than ~half an RTT ago (evidence
-            // from acks of packets sent before the retransmission).
-            if p.dup_evidence == 3 && now_us.saturating_sub(p.sent_us) >= rtt_guard {
-                to_retx.push(s);
-                if s >= self.recovery_until {
-                    new_loss_event = true;
+        let below = self.suspects.partition_point(|&s| s < seq);
+        let mut kept = 0;
+        for i in 0..below {
+            let s = self.suspects[i];
+            // Acked since it was listed (popped off the front, even): out.
+            let slot = s.checked_sub(self.base).and_then(|i| self.window.get_mut(i as usize));
+            let Some(p) = slot.filter(|p| p.live) else { continue };
+            p.dup_evidence += 1;
+            if p.dup_evidence == 3 {
+                // The guard suppresses spurious re-retransmission of a
+                // packet that was retransmitted less than ~half an RTT ago
+                // (evidence from acks of packets sent before the
+                // retransmission). Unmet, the packet is inert until an RTO
+                // resends it: off the list.
+                if now_us.saturating_sub(p.sent_us) < rtt_guard {
+                    continue;
                 }
+                p.resend(now_us);
+                self.retransmits += 1;
+                self.retx.push((s, p.size));
+                new_loss_event |= s >= self.recovery_until;
             }
+            self.suspects[kept] = s;
+            kept += 1;
         }
+        // moves whichever side of the gap is shorter: at most `kept` entries
+        self.suspects.drain(kept..below);
+        self.visited(below as u64);
 
-        let mut actions = Vec::new();
         if new_loss_event {
-            self.loss_events += 1;
-            self.interval_losses += 1;
-            self.recovery_until = self.next_seq;
-            self.ssthresh = (self.cwnd / 2).max(MIN_CWND);
-            let view = cc_view!(self, now_us, 0);
-            let new = self.cc.on_loss(&view);
-            self.set_cwnd(new);
+            self.charge_loss_event(now_us);
         } else if ece && seq >= self.ecn_recovery_until {
             // RFC 3168 reaction: treat the mark as a congestion signal
             // (ssthresh + cc.on_loss) but with nothing to retransmit, at
             // most once per window of data.
             self.ecn_events += 1;
-            self.ecn_recovery_until = self.next_seq;
+            self.ecn_recovery_until = self.next_seq();
             self.ssthresh = (self.cwnd / 2).max(MIN_CWND);
             let view = cc_view!(self, now_us, 0);
             let new = self.cc.on_loss(&view);
             self.set_cwnd(new);
-        } else if to_retx.is_empty() {
+        } else if self.retx.is_empty() {
             let view = cc_view!(self, now_us, pkt.size as u64);
             let new = self.cc.on_ack(&view);
             self.set_cwnd(new);
         }
-        for s in to_retx {
-            actions.extend(self.retransmit(s, now_us));
-        }
-        actions
-    }
 
-    fn retransmit(&mut self, seq: u64, now_us: u64) -> Vec<SendAction> {
-        let Some(p) = self.unacked.get_mut(&seq) else {
-            return Vec::new();
-        };
-        p.sent_us = now_us;
-        p.retransmitted = true;
-        p.dup_evidence = 0;
-        let size = p.size;
-        self.retransmits += 1;
-        vec![SendAction::Transmit { seq, size }]
+        while self.window.front().is_some_and(|p| !p.live) {
+            self.window.pop_front();
+            self.base += 1;
+            self.visited(1);
+        }
+        &self.retx
     }
 
     /// Current retransmission timeout (RFC 6298 flavoured, floored).
@@ -384,33 +480,60 @@ impl Sender {
 
     /// Periodic timer: retransmit the oldest packet if it has outlived the
     /// RTO (tail-loss recovery when dup evidence cannot accumulate).
-    pub fn on_timer(&mut self, now_us: u64) -> Vec<SendAction> {
-        let Some((&seq, p)) = self.unacked.iter().next() else {
-            return Vec::new();
+    /// Returns it as `(seq, size)`, or nothing.
+    pub fn on_timer(&mut self, now_us: u64) -> &[(u64, u32)] {
+        self.retx.clear();
+        let rto_us = self.rto_us();
+        let Some(oldest) =
+            self.window.front().filter(|p| now_us.saturating_sub(p.sent_us) >= rto_us)
+        else {
+            return &self.retx;
         };
-        if now_us.saturating_sub(p.sent_us) >= self.rto_us() {
-            self.loss_events += 1;
-            self.interval_losses += 1;
-            self.recovery_until = self.next_seq;
-            self.ssthresh = (self.cwnd / 2).max(MIN_CWND);
-            let view = cc_view!(self, now_us, 0);
-            let new = self.cc.on_loss(&view);
-            self.set_cwnd(new);
-            return self.retransmit(seq, now_us);
+        // An inert packet is re-armed by the resend, so it is a suspect again
+        // (one that never left the list is still on it). It is the lowest
+        // live packet: only acked leftovers can sort before it.
+        if oldest.dup_evidence == 3 {
+            let at = self.suspects.partition_point(|&s| s < self.base);
+            self.suspects.insert(at, self.base);
         }
-        Vec::new()
+        self.charge_loss_event(now_us);
+        let oldest = &mut self.window[0];
+        oldest.resend(now_us);
+        self.retransmits += 1;
+        self.retx.push((self.base, oldest.size));
+        &self.retx
     }
 
-    /// A transmission was tail-dropped at the bottleneck before entering
-    /// the wire; the packet stays outstanding and will be recovered by dup
-    /// evidence or RTO.
-    pub fn on_local_drop(&mut self, _seq: u64) {}
+    /// Panic unless the window, its counters and the suspect list agree.
+    /// O(window): for tests to call between operations, not for the hot path.
+    #[cfg(debug_assertions)]
+    pub fn check_invariants(&self) {
+        let live = self.window.iter().filter(|p| p.live);
+        assert_eq!(self.live, live.clone().count() as u64, "live count");
+        assert_eq!(self.inflight_bytes, live.map(|p| p.size as u64).sum::<u64>(), "inflight bytes");
+        assert!(self.window.front().is_none_or(|p| p.live), "dead slot at the front");
+        assert!(self.base <= self.high && self.high <= self.next_seq(), "high outside the window");
+        let ascending = self.suspects.iter().zip(self.suspects.iter().skip(1)).all(|(a, b)| a < b);
+        assert!(ascending, "suspects out of order: {:?}", self.suspects);
+        assert!(self.suspects.back().is_none_or(|&s| s < self.high), "suspect at or above high");
+        for (seq, p) in (self.base..).zip(&self.window) {
+            if seq >= self.high {
+                assert!(p.live && p.dup_evidence == 0, "seq {seq} above high: {p:?}");
+            } else if p.live {
+                let listed = self.suspects.binary_search(&seq).is_ok();
+                assert_eq!(listed, p.dup_evidence <= 2, "seq {seq} listed={listed}: {p:?}");
+                assert!(p.dup_evidence <= 3, "seq {seq}: {p:?}");
+            }
+        }
+    }
 }
 
 /// The receiving endpoint: per-packet ACKs, first-receipt accounting.
 #[derive(Debug, Default)]
 pub struct Receiver {
-    seen: std::collections::HashSet<u64>,
+    /// Bit `seq` is set once `seq` has arrived. A sender numbers its
+    /// packets densely from 0, so this is one bit per packet it ever sent.
+    seen: Vec<u64>,
     /// Unique payload bytes received.
     pub unique_bytes: u64,
     /// Total packets received (including spurious retransmits).
@@ -432,7 +555,12 @@ impl Receiver {
         if ecn_ce {
             self.ce_packets += 1;
         }
-        if self.seen.insert(seq) {
+        let (word, bit) = ((seq / 64) as usize, 1u64 << (seq % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
             self.unique_bytes += size as u64;
         }
         seq
@@ -466,10 +594,9 @@ mod tests {
     #[test]
     fn pump_fills_window() {
         let mut s = sender(5);
-        let sends = s.pump(0);
-        assert_eq!(sends.len(), 5);
+        assert_eq!(s.pump(0), 0..5);
         assert_eq!(s.inflight_pkts(), 5);
-        assert_eq!(s.pump(1).len(), 0, "window full");
+        assert!(s.pump(1).is_empty(), "window full");
     }
 
     #[test]
@@ -483,7 +610,7 @@ mod tests {
         assert_eq!(s.min_rtt_us, 40_000);
         assert_eq!(s.delivered_bytes, 1500);
         // window has room again
-        assert_eq!(s.pump(41_000).len(), 1);
+        assert_eq!(s.pump(41_000), 3..4);
     }
 
     #[test]
@@ -493,8 +620,7 @@ mod tests {
         // acks for 1,2 — packet 0 accumulates dup evidence
         assert!(s.on_ack(1, 40_000, false).is_empty());
         assert!(s.on_ack(2, 41_000, false).is_empty());
-        let actions = s.on_ack(3, 42_000, false);
-        assert_eq!(actions, vec![SendAction::Transmit { seq: 0, size: 1500 }]);
+        assert_eq!(s.on_ack(3, 42_000, false), [(0, 1500)]);
         assert_eq!(s.loss_events, 1);
         // further acks in the same window do not re-trigger
         assert!(s.on_ack(4, 43_000, false).is_empty());
@@ -519,8 +645,7 @@ mod tests {
         let mut s = sender(2);
         s.pump(0);
         assert!(s.on_timer(100_000).is_empty(), "before RTO");
-        let actions = s.on_timer(1_100_000);
-        assert_eq!(actions.len(), 1, "RTO must retransmit the oldest");
+        assert_eq!(s.on_timer(1_100_000), [(0, 1500)], "RTO must retransmit the oldest");
         assert_eq!(s.loss_events, 1);
         assert!(s.rto_us() >= 200_000);
     }
@@ -543,8 +668,7 @@ mod tests {
         let mut s = sender(8);
         s.pump(0);
         let cwnd_before = s.cwnd;
-        let actions = s.on_ack(0, 40_000, true);
-        assert!(actions.is_empty(), "ECN reaction must not retransmit");
+        assert!(s.on_ack(0, 40_000, true).is_empty(), "ECN reaction must not retransmit");
         assert_eq!(s.ecn_events, 1);
         assert_eq!(s.loss_events, 0, "a mark is not a loss");
         assert_eq!(s.ssthresh, (cwnd_before / 2).max(MIN_CWND));
@@ -559,6 +683,32 @@ mod tests {
         }
         s.on_ack(8, 46_000, true);
         assert_eq!(s.ecn_events, 2);
+    }
+
+    /// The cost contract, by count rather than by clock: the 0.4 s run of
+    /// a window held at `MAX_CWND` sends 2^20 packets in one burst, sweeps
+    /// them into the suspect list with the first ack of the second window,
+    /// resends nearly all of them at the third dup, and counts them inert
+    /// three acks later. Before the dense window every one of its ~700 acks
+    /// walked the 2^20 outstanding packets.
+    #[test]
+    fn exploding_window_costs_a_bounded_number_of_visits_per_packet() {
+        use crate::sim::{SimConfig, Simulation};
+        let mut cfg = SimConfig::paper_scenario();
+        cfg.duration_us = 400_000;
+        let mut sim = Simulation::new(cfg, vec![Box::new(FixedCc(MAX_CWND))]);
+        let flow = sim.run().remove(0);
+        let s = sim.sender(0);
+        let sent = s.next_seq();
+        assert!(sent > MAX_CWND && flow.retransmits > MAX_CWND / 2, "the window must explode");
+        assert!(flow.loss_events > 0, "and dup evidence must have run");
+        let budget = 8 * (sent + flow.retransmits);
+        assert!(
+            s.visits <= budget,
+            "{} visits for {sent} sent + {} resent",
+            s.visits,
+            flow.retransmits
+        );
     }
 
     #[test]
