@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use policysmith_cachesim::{paper_heuristic_a, policies, simulate};
-use policysmith_traces::{generate, WorkloadParams};
+use policysmith_core::search::Study;
+use policysmith_core::studies::cache::CacheStudy;
+use policysmith_traces::{cloudphysics, generate, WorkloadParams};
 
 fn bench_policies(c: &mut Criterion) {
     let trace = generate("bench", &WorkloadParams::default(), 7, 50_000);
@@ -22,6 +24,20 @@ fn bench_policies(c: &mut Criterion) {
             cache.run(&trace)
         });
     });
+
+    // what a cache search pays per candidate: one `CacheStudy::evaluate`
+    // (host construction + a full replay at 10 % of footprint) of a
+    // candidate that reads eviction history and a percentile table
+    let trace = cloudphysics().trace(89, 8_000);
+    let study = CacheStudy::new(&trace);
+    let candidate = study
+        .check(
+            "if(hist.contains, hist.count * 10 + 50, 0) + obj.count * 20 \
+             - if(obj.size > sizes.p75, obj.age / 100, 0)",
+        )
+        .expect("the candidate compiles");
+    g.throughput(Throughput::Elements(trace.len() as u64));
+    g.bench_function("candidate-eval-8k", |b| b.iter(|| study.evaluate(&candidate)));
     g.finish();
 }
 

@@ -3,10 +3,10 @@
 //! and compiler cost (the per-candidate Checker overhead). The workload
 //! table is `policysmith_bench::vm_workloads`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use policysmith_bench::{vm_workloads, SliceEnv};
 use policysmith_dsl::{eval, parse};
-use policysmith_kbpf::{CompiledPolicy, SPILL_SLOTS};
+use policysmith_kbpf::{lower, CompiledPolicy, CtxLayout, SPILL_SLOTS};
 
 fn bench_dsl_vm(c: &mut Criterion) {
     for (label, mode, src, values) in vm_workloads() {
@@ -31,6 +31,24 @@ fn bench_dsl_vm(c: &mut Criterion) {
     c.bench_function("kbpf/compile+verify", |b| {
         b.iter(|| CompiledPolicy::compile(&expr, mode).unwrap())
     });
+
+    // the lowerer alone over the three workloads; the element count is the
+    // instructions it emits, so the line shows its output size (elements =
+    // time × rate) as well as its speed
+    let sources: Vec<_> = vm_workloads()
+        .into_iter()
+        .map(|(_, mode, src, _)| {
+            let expr = parse(src).unwrap();
+            let layout = CtxLayout::for_expr(&expr, mode);
+            (expr, layout)
+        })
+        .collect();
+    let lower_all =
+        || sources.iter().map(|(e, l)| lower::compile(e, l).unwrap().len()).sum::<usize>();
+    let mut g = c.benchmark_group("dsl_vm");
+    g.throughput(Throughput::Elements(lower_all() as u64));
+    g.bench_function("lowered-insns", |b| b.iter(lower_all));
+    g.finish();
 }
 
 criterion_group! {

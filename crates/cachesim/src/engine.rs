@@ -6,6 +6,14 @@
 //! driven by callbacks. One `simulate` run is a pure function of
 //! `(trace, capacity, policy)`.
 //!
+//! The object table is a slab: one id → slot map, metadata in a dense
+//! `Vec` indexed by slot, freed slots reused (memory stays O(resident)).
+//! The engine hashes an id once per request and hands the policy the
+//! *slot* of the object each callback is about ([`CacheView::subject`]),
+//! so a policy that keeps per-object state can index plain vectors by it
+//! instead of hashing the id again; [`CacheView::meta`] still answers by
+//! id for policies that address objects that way.
+//!
 //! Virtual time is the request index (`vtime`), the convention libCacheSim
 //! uses for age-based features; wall-clock microseconds from the trace are
 //! also available in [`ObjMeta`] for policies that want them.
@@ -34,7 +42,9 @@ pub struct ObjMeta {
 
 /// Read-only view of engine state passed to policy callbacks.
 pub struct CacheView<'a> {
-    objects: &'a IdMap<ObjId, ObjMeta>,
+    index: &'a IdMap<ObjId, u32>,
+    slab: &'a [ObjMeta],
+    subject: Option<u32>,
     pub vtime: u64,
     pub now_us: u64,
     pub used_bytes: u64,
@@ -44,12 +54,32 @@ pub struct CacheView<'a> {
 impl<'a> CacheView<'a> {
     /// Metadata of a resident object.
     pub fn meta(&self, id: ObjId) -> Option<&ObjMeta> {
-        self.objects.get(&id)
+        self.index.get(&id).map(|&slot| &self.slab[slot as usize])
+    }
+
+    /// Slot of the object this callback is about: the `id` handed to
+    /// `on_hit`, `on_evict` and `on_insert`. `None` in `on_miss` (the
+    /// object is not resident) and `victim` (there is no object yet).
+    ///
+    /// A slot identifies its object from `on_insert` until `on_evict`
+    /// returns; afterwards the engine hands it to the next insertion.
+    pub fn subject(&self) -> Option<u32> {
+        self.subject
+    }
+
+    /// Metadata of the resident object in `slot` — [`meta`](Self::meta)
+    /// without the hash lookup.
+    ///
+    /// # Panics
+    /// If the engine never issued `slot`. A freed slot reads as whatever
+    /// object held it last.
+    pub fn meta_at(&self, slot: u32) -> &ObjMeta {
+        &self.slab[slot as usize]
     }
 
     /// Number of resident objects.
     pub fn num_objects(&self) -> usize {
-        self.objects.len()
+        self.index.len()
     }
 }
 
@@ -63,6 +93,9 @@ impl<'a> CacheView<'a> {
 ///   internal structures (hand movement, queue migration, …).
 /// * `on_evict(id)` — the engine is evicting `id` (meta still readable).
 /// * `on_insert(id)` — `id` just became resident.
+///
+/// In `on_hit`, `on_evict` and `on_insert` the view's
+/// [`subject`](CacheView::subject) is `id`'s slot.
 pub trait Policy {
     /// Display name (stable; used in experiment tables).
     fn name(&self) -> &str;
@@ -120,7 +153,11 @@ impl SimResult {
 /// The cache engine.
 pub struct Cache<P: Policy> {
     pub policy: P,
-    objects: IdMap<ObjId, ObjMeta>,
+    /// Resident id → slot in `slab`.
+    index: IdMap<ObjId, u32>,
+    /// Metadata by slot; a slot on `free` holds its last tenant's.
+    slab: Vec<ObjMeta>,
+    free: Vec<u32>,
     used_bytes: u64,
     capacity_bytes: u64,
     vtime: u64,
@@ -131,9 +168,11 @@ pub struct Cache<P: Policy> {
 /// Construct a `CacheView` borrowing only the engine's data fields, leaving
 /// `self.policy` free for the simultaneous `&mut` the callbacks need.
 macro_rules! engine_view {
-    ($self:ident) => {
+    ($self:ident, $subject:expr) => {
         CacheView {
-            objects: &$self.objects,
+            index: &$self.index,
+            slab: &$self.slab,
+            subject: $subject,
             vtime: $self.vtime,
             now_us: $self.now_us,
             used_bytes: $self.used_bytes,
@@ -148,7 +187,9 @@ impl<P: Policy> Cache<P> {
         assert!(capacity_bytes > 0, "capacity must be positive");
         Cache {
             policy,
-            objects: IdMap::default(),
+            index: IdMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
             used_bytes: 0,
             capacity_bytes,
             vtime: 0,
@@ -161,13 +202,7 @@ impl<P: Policy> Cache<P> {
     /// split borrows with `self.policy`.
     #[cfg(test)]
     fn view(&self) -> CacheView<'_> {
-        CacheView {
-            objects: &self.objects,
-            vtime: self.vtime,
-            now_us: self.now_us,
-            used_bytes: self.used_bytes,
-            capacity_bytes: self.capacity_bytes,
-        }
+        engine_view!(self, None)
     }
 
     /// Process one request; returns `true` on hit.
@@ -176,20 +211,21 @@ impl<P: Policy> Cache<P> {
         self.now_us = req.time_us;
         self.result.requests += 1;
 
-        if let Some(meta) = self.objects.get_mut(&req.obj) {
+        if let Some(&slot) = self.index.get(&req.obj) {
+            let meta = &mut self.slab[slot as usize];
             meta.access_count += 1;
             meta.last_vtime = self.vtime;
             meta.last_us = req.time_us;
             self.result.hits += 1;
             self.result.hit_bytes += meta.size as u64;
-            let view = engine_view!(self);
+            let view = engine_view!(self, Some(slot));
             self.policy.on_hit(req.obj, &view);
             return true;
         }
 
         self.result.misses += 1;
         self.result.miss_bytes += req.size as u64;
-        let view = engine_view!(self);
+        let view = engine_view!(self, None);
         self.policy.on_miss(req.obj, &view);
 
         if req.size as u64 > self.capacity_bytes {
@@ -199,30 +235,39 @@ impl<P: Policy> Cache<P> {
 
         // Make room.
         while self.used_bytes + req.size as u64 > self.capacity_bytes {
-            let view = engine_view!(self);
+            let view = engine_view!(self, None);
             let victim = self.policy.victim(&view);
-            let meta = self.objects.get(&victim).copied().unwrap_or_else(|| {
+            let slot = *self.index.get(&victim).unwrap_or_else(|| {
                 panic!("policy {} evicted non-resident {victim}", self.policy.name())
             });
-            let view = engine_view!(self);
+            let view = engine_view!(self, Some(slot));
             self.policy.on_evict(victim, &view);
-            self.objects.remove(&victim);
-            self.used_bytes -= meta.size as u64;
+            self.index.remove(&victim);
+            self.free.push(slot);
+            self.used_bytes -= self.slab[slot as usize].size as u64;
             self.result.evictions += 1;
         }
 
-        self.objects.insert(
-            req.obj,
-            ObjMeta {
-                size: req.size,
-                insert_vtime: self.vtime,
-                last_vtime: self.vtime,
-                last_us: req.time_us,
-                access_count: 1,
-            },
-        );
+        let meta = ObjMeta {
+            size: req.size,
+            insert_vtime: self.vtime,
+            last_vtime: self.vtime,
+            last_us: req.time_us,
+            access_count: 1,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = meta;
+                slot
+            }
+            None => {
+                self.slab.push(meta);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 resident objects")
+            }
+        };
+        self.index.insert(req.obj, slot);
         self.used_bytes += req.size as u64;
-        let view = engine_view!(self);
+        let view = engine_view!(self, Some(slot));
         self.policy.on_insert(req.obj, &view);
         false
     }
@@ -242,7 +287,7 @@ impl<P: Policy> Cache<P> {
 
     /// Residency check (tests / invariants).
     pub fn contains(&self, id: ObjId) -> bool {
-        self.objects.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// Bytes currently used.
@@ -257,7 +302,21 @@ impl<P: Policy> Cache<P> {
 
     /// Number of resident objects.
     pub fn num_objects(&self) -> usize {
-        self.objects.len()
+        self.index.len()
+    }
+
+    /// Check the slab's bookkeeping: every slot is either one resident's
+    /// or on the free list, and never both or twice. Walks the whole
+    /// table; compiled to nothing without debug assertions.
+    pub fn debug_check_slots(&self) {
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(self.index.len() + self.free.len(), self.slab.len(), "a slot leaked");
+            let mut seen = vec![false; self.slab.len()];
+            for &slot in self.index.values().chain(&self.free) {
+                assert!(!std::mem::replace(&mut seen[slot as usize], true), "slot {slot} twice");
+            }
+        }
     }
 }
 

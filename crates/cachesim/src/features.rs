@@ -14,35 +14,99 @@
 
 use crate::engine::{CacheView, ObjId};
 use crate::util::IdMap;
+use policysmith_dsl::Feature;
 use std::collections::VecDeque;
 
 /// Maximum residents sampled per snapshot refresh.
 const SNAPSHOT_SAMPLE: usize = 256;
 
-/// Sampled percentile snapshots over the resident population.
+/// Which percentile tables an [`AggregateTracker`] keeps. Every refresh
+/// draws the same sample whatever the set — only what is collected from
+/// it, and sorted, differs — so a table's contents do not depend on which
+/// others are kept.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Tables {
+    /// Access counts (`counts.pNN`).
+    pub counts: bool,
+    /// Last-access times (`ages.pNN`).
+    pub ages: bool,
+    /// Object sizes (`sizes.pNN`).
+    pub sizes: bool,
+}
+
+impl Tables {
+    /// All three.
+    pub const ALL: Tables = Tables { counts: true, ages: true, sizes: true };
+
+    /// The tables an expression reading `feats` consults.
+    pub fn read_by(feats: &[Feature]) -> Tables {
+        let mut t = Tables::default();
+        for f in feats {
+            match f {
+                Feature::CountsPct(_) => t.counts = true,
+                Feature::AgesPct(_) => t.ages = true,
+                Feature::SizesPct(_) => t.sizes = true,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// Is any table kept?
+    pub fn any(self) -> bool {
+        self.counts || self.ages || self.sizes
+    }
+
+    /// Does this set include every table of `needed`?
+    pub fn covers(self, needed: Tables) -> bool {
+        (self.counts || !needed.counts)
+            && (self.ages || !needed.ages)
+            && (self.sizes || !needed.sizes)
+    }
+}
+
+/// `pos` entry of a slot the tracker does not hold.
+const ABSENT: u32 = u32::MAX;
+
+/// Sampled percentile snapshots over the resident population, addressed
+/// by the engine's object slots ([`CacheView::subject`]). A tracker that
+/// keeps no table would never be consulted, so it tracks nothing: its
+/// upkeep calls return at once.
 #[derive(Debug, Default, Clone)]
 pub struct AggregateTracker {
-    residents: Vec<ObjId>,
-    slot: IdMap<ObjId, usize>,
+    /// Slots of the residents, in insertion order up to swap-removes.
+    residents: Vec<u32>,
+    /// Index into `residents` by slot ([`ABSENT`] when not tracked).
+    pos: Vec<u32>,
+    tables: Tables,
     /// Sorted access counts of the sampled residents.
     counts: Vec<u64>,
     /// Sorted last-access vtimes of the sampled residents.
     last_access: Vec<u64>,
     /// Sorted sizes of the sampled residents.
     sizes: Vec<u64>,
+    /// Residents the last refresh sampled (0 = no snapshot yet).
+    sampled: usize,
     accesses_since_refresh: u64,
     refresh_interval: u64,
     rng_state: u64,
 }
 
 impl AggregateTracker {
-    /// Tracker refreshing every `refresh_interval` accesses.
-    pub fn new(refresh_interval: u64) -> Self {
+    /// Tracker keeping `tables`, refreshing every `refresh_interval`
+    /// accesses.
+    pub fn new(refresh_interval: u64, tables: Tables) -> Self {
         AggregateTracker {
+            tables,
             refresh_interval: refresh_interval.max(1),
             rng_state: 0xa0761d6478bd642f,
             ..Default::default()
         }
+    }
+
+    /// The tables this tracker keeps.
+    pub fn tables(&self) -> Tables {
+        self.tables
     }
 
     /// Number of tracked residents.
@@ -64,27 +128,40 @@ impl AggregateTracker {
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
-    /// Record an insertion.
-    pub fn insert(&mut self, id: ObjId) {
-        self.slot.insert(id, self.residents.len());
-        self.residents.push(id);
+    /// Record an insertion into engine slot `slot`.
+    pub fn insert(&mut self, slot: u32) {
+        if !self.tables.any() {
+            return;
+        }
+        let ix = slot as usize;
+        if ix >= self.pos.len() {
+            self.pos.resize(ix + 1, ABSENT);
+        }
+        debug_assert_eq!(self.pos[ix], ABSENT, "slot {slot} inserted twice");
+        self.pos[ix] = self.residents.len() as u32;
+        self.residents.push(slot);
     }
 
-    /// Record an eviction.
-    pub fn remove(&mut self, id: ObjId) {
-        if let Some(ix) = self.slot.remove(&id) {
-            let last = *self.residents.last().unwrap();
-            self.residents.swap_remove(ix);
-            if last != id {
-                self.slot.insert(last, ix);
-            }
+    /// Record the eviction of the object in engine slot `slot`.
+    pub fn remove(&mut self, slot: u32) {
+        let Some(at) = self.pos.get_mut(slot as usize) else { return };
+        let at = std::mem::replace(at, ABSENT);
+        if at == ABSENT {
+            return;
+        }
+        self.residents.swap_remove(at as usize);
+        if let Some(&moved) = self.residents.get(at as usize) {
+            self.pos[moved as usize] = at;
         }
     }
 
     /// Tick on every access; refreshes snapshots when due.
     pub fn on_access(&mut self, view: &CacheView<'_>) {
+        if !self.tables.any() {
+            return;
+        }
         self.accesses_since_refresh += 1;
-        if self.accesses_since_refresh >= self.refresh_interval || self.counts.is_empty() {
+        if self.accesses_since_refresh >= self.refresh_interval || self.sampled == 0 {
             self.refresh(view);
             self.accesses_since_refresh = 0;
         }
@@ -95,16 +172,17 @@ impl AggregateTracker {
         self.last_access.clear();
         self.sizes.clear();
         let n = self.residents.len();
-        if n == 0 {
-            return;
-        }
-        let take = SNAPSHOT_SAMPLE.min(n);
-        for _ in 0..take {
+        self.sampled = SNAPSHOT_SAMPLE.min(n);
+        for _ in 0..self.sampled {
             let r = self.next_rand();
-            let id = self.residents[(r % n as u64) as usize];
-            if let Some(m) = view.meta(id) {
+            let m = view.meta_at(self.residents[(r % n as u64) as usize]);
+            if self.tables.counts {
                 self.counts.push(m.access_count);
+            }
+            if self.tables.ages {
                 self.last_access.push(m.last_vtime);
+            }
+            if self.tables.sizes {
                 self.sizes.push(m.size as u64);
             }
         }
@@ -226,19 +304,37 @@ mod tests {
 
     #[test]
     fn resident_tracking() {
-        let mut t = AggregateTracker::new(100);
-        for i in 0..10 {
-            t.insert(i);
+        let mut t = AggregateTracker::new(100, Tables::ALL);
+        for slot in 0..10 {
+            t.insert(slot);
         }
         t.remove(3);
         t.remove(9);
-        t.remove(42); // absent: no-op
+        t.remove(3); // already gone: no-op
+        t.remove(42); // never seen: no-op
         assert_eq!(t.len(), 8);
+        // every survivor is still where `pos` says, so it can be removed
+        for slot in [0, 1, 2, 4, 5, 6, 7, 8] {
+            assert_eq!(t.residents[t.pos[slot as usize] as usize], slot);
+            t.remove(slot);
+        }
+        assert!(t.is_empty());
+        t.insert(3); // a freed slot comes back
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn table_sets() {
+        let t = Tables::read_by(&[Feature::ObjAge, Feature::SizesPct(75), Feature::AgesPct(10)]);
+        assert_eq!(t, Tables { counts: false, ages: true, sizes: true });
+        assert!(t.any() && !Tables::default().any());
+        assert!(Tables::ALL.covers(t) && t.covers(t) && t.covers(Tables::default()));
+        assert!(!t.covers(Tables::ALL) && !Tables::default().covers(t));
     }
 
     #[test]
     fn ages_percentile_uses_query_clock() {
-        let mut t = AggregateTracker::new(1);
+        let mut t = AggregateTracker::new(1, Tables::ALL);
         t.last_access = vec![10, 20, 30, 40, 50];
         // p75 oldest age ↔ 25th percentile of last_access = 20
         assert_eq!(t.ages_pct(75, 100), 80);

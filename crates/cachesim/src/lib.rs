@@ -6,14 +6,16 @@
 //! against fourteen baseline eviction algorithms.
 //!
 //! * [`engine`] — residency + byte accounting + the [`Policy`] trait; one
-//!   simulation is a pure function of `(trace, capacity, policy)`.
+//!   simulation is a pure function of `(trace, capacity, policy)`. Object
+//!   metadata lives in a slab, and callbacks carry the slot of the object
+//!   they are about.
 //! * [`policies`] — sixteen from-scratch baselines (the paper's fourteen
 //!   plus ARC and 2Q).
 //! * [`psq`] — the PolicySmith priority-queue **template host**: runs a
 //!   synthesized `priority()` expression over the Table-1 feature set.
-//! * [`rank`] — the host's eviction-ranking index: a slab + lazy-deletion
-//!   heap on the hot path, with the original `BTreeSet` kept as the
-//!   differential reference.
+//! * [`rank`] — the host's eviction-ranking index: a slot-indexed score
+//!   table + lazy-deletion heap (the original `BTreeSet` index is the
+//!   differential reference in `tests/rank_differential.rs`).
 //! * [`features`] — percentile aggregates and eviction history backing the
 //!   template.
 //! * [`paper_a`] — the paper's Listing 1 embedded as a runnable policy.

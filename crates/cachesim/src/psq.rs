@@ -6,7 +6,10 @@
 //! (re)score the accessed object, and the lowest-scored object is evicted
 //! when space is needed. Each evaluation fills a flat, reusable context
 //! slab with exactly the Table-1 features the candidate reads and runs the
-//! kbpf program: no per-decision allocation, no AST walking. The DSL
+//! kbpf program: no per-decision allocation, no AST walking. Per-object
+//! state (rank scores, the aggregate tracker's resident list) is indexed
+//! by the engine slot each callback carries ([`CacheView::subject`]), so
+//! the host itself hashes an id only for the `hist.*` features. The DSL
 //! interpreter survives only behind [`PriorityPolicy::interpreted`] as the
 //! differential oracle. Priorities of untouched objects are *not*
 //! recomputed (the paper's design: scores update on access), so the host
@@ -20,7 +23,7 @@
 //! candidate (§4.1.3's Checker catches most, the Evaluator the rest).
 
 use crate::engine::{CacheView, ObjId, Policy};
-use crate::features::{AggregateTracker, EvictionHistory, EvictionRecord};
+use crate::features::{AggregateTracker, EvictionHistory, EvictionRecord, Tables};
 use crate::rank::{EvictionRank, HeapRank};
 use policysmith_dsl::{eval, Expr, Feature, FeatureEnv, Mode};
 use policysmith_kbpf::{CompiledPolicy, RuntimeFault, SPILL_SLOTS};
@@ -29,15 +32,6 @@ use policysmith_kbpf::{CompiledPolicy, RuntimeFault, SPILL_SLOTS};
 const DEFAULT_HISTORY: usize = 1024;
 /// Aggregate snapshot refresh interval (accesses).
 const DEFAULT_REFRESH: u64 = 512;
-
-/// Does `feats` read any percentile-aggregate feature? (Gates the
-/// [`AggregateTracker`] upkeep; shared by construction and
-/// [`PriorityPolicy::swap_policy`] so the two can never drift apart.)
-fn reads_aggregates(feats: &[Feature]) -> bool {
-    feats
-        .iter()
-        .any(|f| matches!(f, Feature::CountsPct(_) | Feature::AgesPct(_) | Feature::SizesPct(_)))
-}
 
 /// Does `feats` read any eviction-history feature? (Gates the
 /// [`EvictionHistory`] upkeep.)
@@ -53,19 +47,25 @@ fn reads_history(feats: &[Feature]) -> bool {
     })
 }
 
+/// The slot of the object a hit, insert or evict callback is about.
+fn subject(view: &CacheView<'_>) -> u32 {
+    view.subject().expect("the engine names the subject of every callback about an object")
+}
+
 /// A cache policy driven by a synthesized priority expression.
 pub struct PriorityPolicy {
     name: String,
     engine: Engine,
     /// (score, id) index — min score evicted first.
     rank: HeapRank,
+    /// Keeps the percentile tables the hosted expression reads; when that
+    /// is none, the sampled snapshots would never be consulted, so the
+    /// tracker is not maintained at all — score-identical, measurably
+    /// cheaper.
     aggregates: AggregateTracker,
     history: EvictionHistory,
-    /// Does the hosted expression read any percentile aggregate? If not,
-    /// the sampled snapshots would never be consulted, so the tracker is
-    /// not maintained at all — score-identical, measurably cheaper.
-    uses_aggregates: bool,
-    /// Same gate for the eviction-history features.
+    /// Does the hosted expression read any eviction-history feature? The
+    /// same gate, for the history's upkeep.
     uses_history: bool,
     /// First runtime fault, if any (latched).
     first_error: Option<RuntimeFault>,
@@ -114,16 +114,13 @@ impl PriorityPolicy {
             Engine::Compiled { policy, .. } => policy.expr().features(),
             Engine::Interpreted { expr } => expr.features(),
         };
-        let uses_aggregates = reads_aggregates(&feats);
-        let uses_history = reads_history(&feats);
         PriorityPolicy {
             name: name.into(),
             engine,
             rank: HeapRank::new(),
-            aggregates: AggregateTracker::new(DEFAULT_REFRESH),
+            aggregates: AggregateTracker::new(DEFAULT_REFRESH, Tables::read_by(&feats)),
             history: EvictionHistory::new(DEFAULT_HISTORY),
-            uses_aggregates,
-            uses_history,
+            uses_history: reads_history(&feats),
             first_error: None,
             evaluations: 0,
         }
@@ -138,7 +135,7 @@ impl PriorityPolicy {
     /// start empty. Must be called before the first request.
     pub fn track_everything(mut self) -> Self {
         assert!(self.rank.is_empty(), "tracking switch only valid on an empty host");
-        self.uses_aggregates = true;
+        self.aggregates = AggregateTracker::new(DEFAULT_REFRESH, Tables::ALL);
         self.uses_history = true;
         self
     }
@@ -164,9 +161,9 @@ impl PriorityPolicy {
         // be silently wrong. Refuse instead — swap-capable hosts opt into
         // `track_everything` up front.
         assert!(
-            self.uses_aggregates || !reads_aggregates(&feats),
-            "swapped-in policy reads percentile aggregates but the tracker was never \
-             maintained; construct the host with track_everything()"
+            self.aggregates.tables().covers(Tables::read_by(&feats)),
+            "swapped-in policy reads a percentile table the tracker was never \
+             keeping; construct the host with track_everything()"
         );
         assert!(
             self.uses_history || !reads_history(&feats),
@@ -213,8 +210,14 @@ impl PriorityPolicy {
         matches!(self.engine, Engine::Compiled { .. })
     }
 
+    /// Re-score the callback's subject (object `id`).
     fn rescore(&mut self, id: ObjId, view: &CacheView<'_>) {
-        let Some(meta) = view.meta(id) else { return };
+        let slot = subject(view);
+        let meta = view.meta_at(slot);
+        debug_assert!(
+            view.meta(id).is_some_and(|m| std::ptr::eq(m, meta)),
+            "the view's subject is not object {id}"
+        );
         let env = PsqEnv { id, meta, view, aggregates: &self.aggregates, history: &self.history };
         self.evaluations += 1;
         let result = match &mut self.engine {
@@ -230,10 +233,10 @@ impl PriorityPolicy {
                     self.first_error = Some(e);
                 }
                 // keep previous score; new objects get the minimum
-                self.rank.get(id).unwrap_or(i64::MIN)
+                self.rank.get(slot).unwrap_or(i64::MIN)
             }
         };
-        self.rank.set(id, new_score);
+        self.rank.set(slot, id, new_score);
     }
 }
 
@@ -243,9 +246,7 @@ impl Policy for PriorityPolicy {
     }
 
     fn on_hit(&mut self, id: ObjId, view: &CacheView<'_>) {
-        if self.uses_aggregates {
-            self.aggregates.on_access(view);
-        }
+        self.aggregates.on_access(view);
         self.rescore(id, view);
     }
 
@@ -254,29 +255,25 @@ impl Policy for PriorityPolicy {
     }
 
     fn on_evict(&mut self, id: ObjId, view: &CacheView<'_>) {
-        self.rank.remove(id);
-        if self.uses_aggregates {
-            self.aggregates.remove(id);
-        }
+        let slot = subject(view);
+        self.rank.remove(slot);
+        self.aggregates.remove(slot);
         if self.uses_history {
-            if let Some(m) = view.meta(id) {
-                self.history.record(
-                    id,
-                    EvictionRecord {
-                        evict_vtime: view.vtime,
-                        access_count: m.access_count,
-                        age_at_evict: view.vtime.saturating_sub(m.last_vtime),
-                    },
-                );
-            }
+            let m = view.meta_at(slot);
+            self.history.record(
+                id,
+                EvictionRecord {
+                    evict_vtime: view.vtime,
+                    access_count: m.access_count,
+                    age_at_evict: view.vtime.saturating_sub(m.last_vtime),
+                },
+            );
         }
     }
 
     fn on_insert(&mut self, id: ObjId, view: &CacheView<'_>) {
-        if self.uses_aggregates {
-            self.aggregates.insert(id);
-            self.aggregates.on_access(view);
-        }
+        self.aggregates.insert(subject(view));
+        self.aggregates.on_access(view);
         self.rescore(id, view);
     }
 }
@@ -475,6 +472,57 @@ mod tests {
         assert!(c.contains(1), "anti-LRU protects the oldest");
         assert!(!c.contains(3), "anti-LRU evicts the most recent");
         assert!(c.policy.first_error().is_none());
+    }
+
+    #[test]
+    fn swapped_in_reader_finds_the_tables_it_would_have_kept_itself() {
+        // Two LRU hosts over one request stream: `all` keeps every table
+        // (track_everything), `own` only the one the reader will consult —
+        // the tracking a host built for the reader runs from the start.
+        // Both are then swapped to the reader. A refresh draws the same
+        // sample whatever is kept, so the two must agree on every decision
+        // and on the percentile itself.
+        let reader = policysmith_dsl::parse("if(obj.size > sizes.p75, 0 - obj.age, obj.count)")
+            .expect("reader parses");
+        let lru = || CompiledPolicy::compile(&lru_seed(), Mode::Cache).unwrap();
+        let all = PriorityPolicy::new("all", lru()).track_everything();
+        let mut own = PriorityPolicy::new("own", lru());
+        let tables = Tables::read_by(&reader.features());
+        assert_eq!(tables, Tables { sizes: true, ..Tables::default() });
+        own.aggregates = AggregateTracker::new(DEFAULT_REFRESH, tables);
+
+        let mut all = Cache::new(40_000, all);
+        let mut own = Cache::new(40_000, own);
+        let request = |i: u64| {
+            let obj = (i * 2654435761) % 900;
+            Request { time_us: i, obj, size: 40 + (obj as u32 * 37) % 400, op: OpKind::Read }
+        };
+        for i in 0..6_000 {
+            assert_eq!(all.request(&request(i)), own.request(&request(i)), "request {i}");
+        }
+        assert!(all.result().evictions > 1_000, "the stream must churn the slots");
+        all.policy.swap_policy(CompiledPolicy::compile(&reader, Mode::Cache).unwrap());
+        own.policy.swap_policy(CompiledPolicy::compile(&reader, Mode::Cache).unwrap());
+        for i in 6_000..12_000 {
+            assert_eq!(all.request(&request(i)), own.request(&request(i)), "request {i}");
+            assert_eq!(all.policy.aggregates.sizes_pct(75), own.policy.aggregates.sizes_pct(75));
+        }
+        assert_eq!(all.result(), own.result());
+        assert_ne!(all.policy.aggregates.sizes_pct(75), 0);
+        // what `own` never kept stays empty; `all` has it
+        assert_eq!(own.policy.aggregates.counts_pct(50), 0);
+        assert_ne!(all.policy.aggregates.counts_pct(50), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads a percentile table the tracker was never keeping")]
+    fn swap_policy_refuses_a_reader_of_an_unkept_table() {
+        // the host reads sizes.*, so its tracker keeps sizes only
+        let sizes = policysmith_dsl::parse("obj.count - (obj.size > sizes.p50)").unwrap();
+        let mut host =
+            PriorityPolicy::new("sizes", CompiledPolicy::compile(&sizes, Mode::Cache).unwrap());
+        let counts = policysmith_dsl::parse("obj.count - counts.p50").unwrap();
+        host.swap_policy(CompiledPolicy::compile(&counts, Mode::Cache).unwrap());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use std::collections::HashMap;
 
 /// splitmix64-finalizing hasher for `u64` object ids. The simulator hashes
-/// ids several times per request (engine object table, ranking index,
-/// aggregate/history trackers); the std SipHash is a measurable fraction
+/// ids on every request (engine object table, the baselines' own indexes,
+/// the eviction-history tracker); the std SipHash is a measurable fraction
 /// of that hot path and its DoS resistance buys nothing against trace
 /// files. Deterministic across runs and platforms, so simulations stay
 /// reproducible. Only used with integer keys — the byte-stream fallback

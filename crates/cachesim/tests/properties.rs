@@ -3,7 +3,9 @@
 //! 1. **No panics, exact accounting** on arbitrary request streams — the
 //!    engine panics if a policy ever returns a non-resident victim, so
 //!    completing a run proves the victim contract for every policy.
-//! 2. **Capacity is never exceeded.**
+//! 2. **Capacity is never exceeded**, and the engine's slot table stays
+//!    consistent (`Cache::debug_check_slots`: every slot one resident's or
+//!    free, never both or twice) — after every request, not just at the end.
 //! 3. **Determinism** — same stream, same result.
 //! 4. The **template host** upholds the same contract for arbitrary
 //!    checker-clean priority expressions (including ones that fault at
@@ -44,6 +46,7 @@ proptest! {
         for name in policies::all_baseline_names() {
             let mut cache = Cache::new(capacity, policies::by_name(name).unwrap());
             let r = cache.run(&trace);
+            cache.debug_check_slots();
             prop_assert_eq!(r.requests, trace.len() as u64, "{}", name);
             prop_assert_eq!(r.hits + r.misses, r.requests, "{}", name);
             prop_assert!(cache.used_bytes() <= capacity, "{} over capacity", name);
@@ -75,8 +78,32 @@ proptest! {
         let expr = policysmith_dsl::parse(src).unwrap();
         let mut cache = Cache::new(4_000, PriorityPolicy::from_expr("prop", &expr));
         let r = cache.run(&trace);
+        cache.debug_check_slots();
         prop_assert_eq!(r.requests, trace.len() as u64);
         prop_assert!(cache.used_bytes() <= 4_000);
+    }
+
+    #[test]
+    fn slot_table_is_consistent_after_every_request(
+        trace in arb_trace(200),
+        cap_objs in 1u64..12,
+    ) {
+        // the host that indexes its own state by slot, on a cache small
+        // enough that slots change hands on most misses
+        let expr = policysmith_dsl::parse(
+            "if(hist.contains, 50, 0) + obj.count * 8 - min(obj.age, ages.p50)",
+        )
+        .unwrap();
+        let mut cache = Cache::new(cap_objs * 700, PriorityPolicy::from_expr("slots", &expr));
+        let mut residents = 0usize;
+        for req in &trace.requests {
+            cache.request(req);
+            cache.debug_check_slots();
+            prop_assert!(cache.contains(req.obj) || req.size as u64 > cache.capacity_bytes());
+            residents = residents.max(cache.num_objects());
+        }
+        prop_assert!(cache.policy.first_error().is_none());
+        prop_assert!(residents as u64 <= cap_objs * 700 / 64 + 1, "more residents than fit");
     }
 
     #[test]

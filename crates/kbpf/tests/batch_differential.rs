@@ -99,7 +99,29 @@ fn arb_expr(features: Vec<Feature>) -> impl Strategy<Value = Expr> {
         proptest::sample::select(features).prop_map(Expr::Feat),
     ];
     leaf.prop_recursive(4, 32, 3, |inner| {
+        // literal right operands (immediate forms keep a program
+        // straight-line, so these are the ones the column engine runs) and
+        // `if` over a `&&` chain of comparisons (the row fallback)
+        let literal = || {
+            prop_oneof![
+                -1_000i64..1_000,
+                proptest::sample::select(vec![0, 1, -1, 63, 64, i64::MAX, i64::MIN]),
+            ]
+            .prop_map(Expr::Int)
+        };
+        let cmp = |inner: BoxedStrategy<Expr>| {
+            (0usize..6, inner, literal()).prop_map(|(op, a, b)| {
+                use policysmith_dsl::CmpOp::*;
+                Expr::cmp([Lt, Le, Gt, Ge, Eq, Ne][op], a, b)
+            })
+        };
         prop_oneof![
+            (arb_binop(), inner.clone(), literal()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
+            (arb_binop(), literal(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
+            (cmp(inner.clone().boxed()), cmp(inner.clone().boxed()), inner.clone(), inner.clone())
+                .prop_map(|(c1, c2, t, f)| {
+                    Expr::ite(Expr::bin(policysmith_dsl::BinOp::And, c1, c2), t, f)
+                }),
             (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             inner.clone().prop_map(|a| Expr::Neg(Box::new(a))),
             inner.clone().prop_map(|a| Expr::Abs(Box::new(a))),

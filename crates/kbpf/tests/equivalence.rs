@@ -103,13 +103,41 @@ fn arb_cmpop() -> impl Strategy<Value = CmpOp> {
     ]
 }
 
+/// Literal operands: ordinary constants plus the values where immediate
+/// forms could part ways with register forms if anything could (zero and
+/// `-1` divisors, shift amounts at and past the clamp, the rails).
+fn arb_literal() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        -1_000i64..1_000,
+        proptest::sample::select(vec![0, 1, -1, 2, 63, 64, -64, i64::MAX, i64::MIN]),
+    ]
+    .prop_map(Expr::Int)
+}
+
 fn arb_expr(features: Vec<Feature>) -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (-1_000i64..1_000).prop_map(Expr::Int),
         proptest::sample::select(features).prop_map(Expr::Feat),
     ];
     leaf.prop_recursive(5, 48, 3, |inner| {
+        // what the lowerer selects instructions for: `x op Int` (and the
+        // commuted `Int op x`), `x cmp Int`, `clamp` with literal bounds,
+        // and `if` over a `&&` chain of comparisons
+        let cmp = |inner: BoxedStrategy<Expr>| {
+            (arb_cmpop(), inner.clone(), prop_oneof![inner, arb_literal()])
+                .prop_map(|(op, a, b)| Expr::cmp(op, a, b))
+        };
         prop_oneof![
+            (arb_binop(), inner.clone(), arb_literal()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
+            (arb_binop(), arb_literal(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
+            cmp(inner.clone().boxed()),
+            (inner.clone(), arb_literal(), arb_literal()).prop_map(|(x, lo, hi)| Expr::Clamp(
+                Box::new(x),
+                Box::new(lo),
+                Box::new(hi)
+            )),
+            (cmp(inner.clone().boxed()), cmp(inner.clone().boxed()), inner.clone(), inner.clone())
+                .prop_map(|(c1, c2, t, f)| Expr::ite(Expr::bin(BinOp::And, c1, c2), t, f)),
             (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             (arb_cmpop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::cmp(op, a, b)),
             inner.clone().prop_map(|a| Expr::Neg(Box::new(a))),

@@ -63,122 +63,80 @@ static inline s64 psm_rem(s64 a, s64 b)
 /* the policy: a direct transliteration of the verified bytecode */
 static s64 policysmith_best_policy(const struct psm_ctx *c, s64 *m)
 {
-	s64 r0 = 0, r1 = 0, r2 = 0, r3 = 0;
+	s64 r0 = 0, r1 = 0, r2 = 0;
 	(void)m;
 
-	r1 = c->f[0];
-	r2 = c->f[1];
-	r3 = 7052LL;
-	r2 = (s64)((u64)r2 + (u64)(r3));
-	if (r1 > r2) goto L7;
-	r1 = 0LL;
-	goto L8;
-L7:
-	r1 = 1LL;
-L8:
-	if (r1 == 0LL) goto L73;
-	r1 = c->f[2];
-	r2 = c->f[3];
-	if (r1 < r2) goto L14;
-	r1 = 0LL;
-	goto L15;
-L14:
-	r1 = 1LL;
+	r0 = c->f[0];
+	r1 = c->f[1];
+	r1 = (s64)((u64)r1 + (u64)(7052LL));
+	if (r0 <= r1) goto L48;
+	r0 = c->f[2];
+	r1 = c->f[3];
+	if (r0 >= r1) goto L36;
+	r0 = c->f[2];
+	r1 = c->f[3];
+	if (r0 >= r1) goto L24;
+	r0 = c->f[4];
+	if (r0 == 0LL) goto L16;
+	r0 = c->f[4];
+	if (r0 >= 1LL) goto L15;
+	r0 = 1LL;
 L15:
-	if (r1 == 0LL) goto L56;
-	r1 = c->f[2];
-	r2 = c->f[3];
-	if (r1 < r2) goto L21;
-	r1 = 0LL;
-	goto L22;
-L21:
+	goto L23;
+L16:
+	r0 = c->f[2];
+	r1 = c->f[5];
+	r2 = c->f[6];
+	r1 = psm_div(r1, r2);
+	if (r1 >= 1LL) goto L22;
 	r1 = 1LL;
 L22:
-	if (r1 == 0LL) goto L39;
-	r1 = c->f[4];
-	if (r1 == 0LL) goto L30;
-	r1 = c->f[4];
-	r2 = 1LL;
-	if (r1 >= r2) goto L29;
-	r1 = r2;
-L29:
-	goto L38;
-L30:
-	r1 = c->f[2];
-	r2 = c->f[5];
-	r3 = c->f[6];
-	r2 = psm_div(r2, r3);
-	r3 = 1LL;
-	if (r2 >= r3) goto L37;
-	r2 = r3;
-L37:
-	r1 = (s64)((u64)r1 + (u64)(r2));
-L38:
-	goto L55;
-L39:
-	r1 = c->f[7];
-	r2 = 8LL;
-	r1 = psm_div(r1, r2);
-	r2 = 1000000LL;
-	r1 = psm_div(r1, r2);
-	r2 = c->f[1];
-	r3 = 12LL;
-	r2 = (s64)((u64)r2 * (u64)(r3));
-	r1 = (s64)((u64)r1 * (u64)(r2));
-	r2 = c->f[6];
-	r3 = 10LL;
-	r2 = (s64)((u64)r2 * (u64)(r3));
-	r1 = psm_div(r1, r2);
-	r2 = 4LL;
-	if (r1 >= r2) goto L55;
-	r1 = r2;
-L55:
-	goto L72;
+	r0 = (s64)((u64)r0 + (u64)(r1));
+L23:
+	goto L35;
+L24:
+	r0 = c->f[7];
+	r0 = psm_div(r0, 8LL);
+	r0 = psm_div(r0, 1000000LL);
+	r1 = c->f[1];
+	r1 = (s64)((u64)r1 * (u64)(12LL));
+	r0 = (s64)((u64)r0 * (u64)(r1));
+	r1 = c->f[6];
+	r1 = (s64)((u64)r1 * (u64)(10LL));
+	r0 = psm_div(r0, r1);
+	if (r0 >= 4LL) goto L35;
+	r0 = 4LL;
+L35:
+	goto L47;
+L36:
+	r0 = c->f[7];
+	r0 = psm_div(r0, 8LL);
+	r0 = psm_div(r0, 1000000LL);
+	r1 = c->f[1];
+	r1 = (s64)((u64)r1 * (u64)(12LL));
+	r0 = (s64)((u64)r0 * (u64)(r1));
+	r1 = c->f[6];
+	r1 = (s64)((u64)r1 * (u64)(10LL));
+	r0 = psm_div(r0, r1);
+	if (r0 >= 4LL) goto L47;
+	r0 = 4LL;
+L47:
+	goto L59;
+L48:
+	r0 = c->f[0];
+	r1 = c->f[1];
+	r1 = (s64)((u64)r1 + (u64)(24288LL));
+	if (r0 <= r1) goto L57;
+	r0 = c->f[2];
+	r0 = (s64)((u64)r0 - (u64)(1LL));
+	if (r0 >= 2LL) goto L56;
+	r0 = 2LL;
 L56:
-	r1 = c->f[7];
-	r2 = 8LL;
-	r1 = psm_div(r1, r2);
-	r2 = 1000000LL;
-	r1 = psm_div(r1, r2);
-	r2 = c->f[1];
-	r3 = 12LL;
-	r2 = (s64)((u64)r2 * (u64)(r3));
-	r1 = (s64)((u64)r1 * (u64)(r2));
-	r2 = c->f[6];
-	r3 = 10LL;
-	r2 = (s64)((u64)r2 * (u64)(r3));
-	r1 = psm_div(r1, r2);
-	r2 = 4LL;
-	if (r1 >= r2) goto L72;
-	r1 = r2;
-L72:
-	goto L92;
-L73:
-	r1 = c->f[0];
-	r2 = c->f[1];
-	r3 = 24288LL;
-	r2 = (s64)((u64)r2 + (u64)(r3));
-	if (r1 > r2) goto L80;
-	r1 = 0LL;
-	goto L81;
-L80:
-	r1 = 1LL;
-L81:
-	if (r1 == 0LL) goto L89;
-	r1 = c->f[2];
-	r2 = 1LL;
-	r1 = (s64)((u64)r1 - (u64)(r2));
-	r2 = 2LL;
-	if (r1 >= r2) goto L88;
-	r1 = r2;
-L88:
-	goto L92;
-L89:
-	r1 = c->f[2];
-	r2 = 1LL;
-	r1 = (s64)((u64)r1 + (u64)(r2));
-L92:
-	r0 = r1;
+	goto L59;
+L57:
+	r0 = c->f[2];
+	r0 = (s64)((u64)r0 + (u64)(1LL));
+L59:
 	return r0;
 }
 
