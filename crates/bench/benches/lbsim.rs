@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use policysmith_dsl::Mode;
 use policysmith_kbpf::CompiledPolicy;
-use policysmith_lbsim::dispatch::{DispatchView, Dispatcher, ServerView};
+use policysmith_lbsim::dispatch::{Dispatcher, FleetColumns, ServerView};
 use policysmith_lbsim::{by_name, lb_baseline_names, scenario, sim, ExprDispatcher};
 
 const SCORE_SRC: &str = "server.inflight * 1000 / server.speed + server.queue_len * 50";
@@ -51,7 +51,8 @@ fn bench_dispatch(c: &mut Criterion) {
             work_left_us: 2_000 * i as u64,
         })
         .collect();
-    let view = DispatchView { now_us: 1_000, req_size: 7, servers: &servers, dirty: None };
+    let fleet = FleetColumns::from_rows(&servers, 1_000);
+    let view = fleet.view(1_000, 7, None);
     let mut g = c.benchmark_group("lb-dispatch");
     g.bench_function("pick/compiled", |b| {
         let mut host = ExprDispatcher::new("bench", policy.clone());

@@ -2,11 +2,22 @@
 //!
 //! The scalar fast path ([`execute_verified`]) scores one context per call;
 //! dispatch loops that score a whole fleet pay a call, a fill plan, and a
-//! register-file setup per row. This module amortizes all three: a
-//! [`BatchCtx`] lays N contexts out **column-major** (one contiguous column
-//! per feature slot, one row per server/object) and [`run_batch`] executes
-//! the program **instruction-major** — each instruction streams over whole
-//! register columns in a tight loop the compiler can autovectorize.
+//! register-file setup per row. This module amortizes all three: N contexts
+//! are laid out **column-major** (one contiguous column per feature slot,
+//! one row per server/object) and the program executes
+//! **instruction-major** — each instruction streams over whole columns in a
+//! tight loop the compiler can autovectorize.
+//!
+//! Two ways in, one engine behind them:
+//!
+//! * [`BatchCtx`] owns its columns — the host fills them
+//!   ([`BatchCtx::column_mut`]) and calls `CompiledPolicy::run_batch*`;
+//! * a slice of [`Column`]s **lends** them — a host that already keeps a
+//!   feature as a contiguous column passes [`Column::Rows`] and nothing is
+//!   copied; a feature that is the same for every row of the batch
+//!   (`req.size`, `now`) is passed as [`Column::Uniform`] and is never
+//!   widened (`CompiledPolicy::run_columns*`). A `BatchCtx` is simply the
+//!   all-`Rows` case.
 //!
 //! ## Semantics: spec'd by the scalar VM
 //!
@@ -18,13 +29,14 @@
 //! }
 //! ```
 //!
-//! i.e. one scalar run per row, **in ascending row order, sharing the map**.
-//! This makes the scalar VM the executable spec of the batched engine, the
-//! same way `dsl::eval` is the spec of the scalar VM — and the differential
-//! suite in `tests/batch_differential.rs` pins it per row, fault rows
-//! included. Two execution strategies implement that contract:
+//! i.e. one scalar run per row, **in ascending row order, sharing the map**
+//! (a `Uniform(v)` column reads `v` on every row). This makes the scalar VM
+//! the executable spec of the batched engine, the same way `dsl::eval` is
+//! the spec of the scalar VM — and the differential suite in
+//! `tests/batch_differential.rs` pins it per row, fault rows included. Two
+//! execution strategies implement that contract:
 //!
-//! * **Vector path** — programs that are straight-line (no jumps) and
+//! * **Column engine** — programs that are straight-line (no jumps) and
 //!   map-free, which is everything the expression lowerer emits for
 //!   spill-free policies. Each instruction runs across all rows before the
 //!   next instruction starts; since execution order equals `pc` order for a
@@ -32,6 +44,16 @@
 //!   scalar VM exactly. A row that faults keeps streaming (its lanes hold
 //!   garbage) but only its **first** fault is recorded and reported, which
 //!   is precisely what the scalar run would have returned.
+//!
+//!   The engine tracks what each register holds *while executing* (the
+//!   program is straight-line, so a 16-entry array is the whole analysis):
+//!   a row-invariant value, a column lent by the caller, or a column of its
+//!   own. An instruction whose operands are all row-invariant runs **once**,
+//!   as a scalar; `LdCtx` copies nothing (a lent column is read in place by
+//!   the first instruction that combines it); everything else is one loop.
+//!   No check is dropped on the way: a division still tests every row's
+//!   divisor (a row-invariant zero divisor faults every row at that `pc`),
+//!   and every op is the saturating one the scalar VM runs.
 //! * **Row fallback** — anything with jumps or map traffic gathers one row
 //!   at a time into a scratch buffer and calls [`execute_verified`], making
 //!   the contract hold structurally.
@@ -53,17 +75,28 @@ use crate::isa::{Op, Program};
 use crate::vm::{execute_verified, VmError};
 use policysmith_dsl::eval::{div_sat, rem_sat, shl_sat, shr_arith};
 
+/// One feature slot of a lent batch: a value per row, or one value that
+/// every row shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column<'a> {
+    /// Row `r` reads `.0[r]`. Must hold at least as many values as the
+    /// batch has rows.
+    Rows(&'a [i64]),
+    /// Every row reads the same value (`req.size`, `now`, …).
+    Uniform(i64),
+}
+
 /// N evaluation contexts in structure-of-arrays (column-major) layout.
 ///
 /// Column `c` (one per [`CtxLayout`] feature slot) occupies the contiguous
 /// range `data[c * rows .. (c + 1) * rows]`; row `r` of column `c` is the
 /// value feature `c` takes for object `r`. Hosts fill whole columns at a
-/// time ([`column_mut`] / [`broadcast`]) — the per-row fill plan of the
-/// scalar path disappears.
+/// time ([`column_mut`]) — the per-row fill plan of the scalar path
+/// disappears. A host that already keeps its features as columns lends
+/// them as [`Column`]s instead and fills nothing.
 ///
 /// [`CtxLayout`]: crate::compile::CtxLayout
 /// [`column_mut`]: BatchCtx::column_mut
-/// [`broadcast`]: BatchCtx::broadcast
 #[derive(Debug, Clone, Default)]
 pub struct BatchCtx {
     rows: usize,
@@ -113,12 +146,6 @@ impl BatchCtx {
         &mut self.data[col * self.rows..(col + 1) * self.rows]
     }
 
-    /// Set every row of column `col` to `v` (fleet-invariant features:
-    /// `req.size`, `now`, …).
-    pub fn broadcast(&mut self, col: usize, v: i64) {
-        self.column_mut(col).fill(v);
-    }
-
     /// Set a single cell.
     pub fn set(&mut self, row: usize, col: usize, v: i64) {
         self.data[col * self.rows + row] = v;
@@ -144,11 +171,44 @@ impl BatchCtx {
         }
         b
     }
+}
+
+/// Where the engine reads its columns from: the two ways in.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Owned(&'a BatchCtx),
+    Lent { cols: &'a [Column<'a>], rows: usize },
+}
+
+impl<'a> Source<'a> {
+    fn rows(self) -> usize {
+        match self {
+            Source::Owned(b) => b.rows,
+            Source::Lent { rows, .. } => rows,
+        }
+    }
+
+    fn cols(self) -> usize {
+        match self {
+            Source::Owned(b) => b.cols,
+            Source::Lent { cols, .. } => cols.len(),
+        }
+    }
+
+    fn column(self, c: usize) -> Column<'a> {
+        match self {
+            Source::Owned(b) => Column::Rows(b.column(c)),
+            Source::Lent { cols, .. } => cols[c],
+        }
+    }
 
     /// Gather row `r` into `buf` as a scalar ctx slice (row fallback path).
-    fn gather_row(&self, r: usize, buf: &mut Vec<i64>) {
+    fn gather_row(self, r: usize, buf: &mut Vec<i64>) {
         buf.clear();
-        buf.extend((0..self.cols).map(|c| self.data[c * self.rows + r]));
+        buf.extend((0..self.cols()).map(|c| match self.column(c) {
+            Column::Rows(col) => col[r],
+            Column::Uniform(v) => v,
+        }));
     }
 }
 
@@ -161,8 +221,10 @@ pub struct BatchScratch {
     /// path. Stale values from previous calls are never observable: the
     /// verifier proved every register is written before read.
     regs: Vec<i64>,
-    /// Per-row first fault, encoded as `pc + 1` (`0` = no fault). Only
-    /// touched when the program can divide.
+    /// Per-row first fault, encoded as `pc + 1` (`0` = no fault). All zero
+    /// between calls: only a division that actually meets a zero divisor
+    /// writes here, and the call that saw it clears what it wrote after
+    /// reporting — a clean call neither clears nor scans.
     fault: Vec<u32>,
     /// Row-major gather buffer for the fallback path.
     row: Vec<i64>,
@@ -177,13 +239,13 @@ impl BatchScratch {
 /// How a program may be executed in batch, precomputed at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPlan {
-    /// Straight-line and map-free: eligible for the column-vector path.
+    /// Straight-line and map-free: eligible for the column engine.
     pub vectorizable: bool,
     /// Contains a `StMap` — the map must be treated as mutated per row.
     pub writes_map: bool,
     /// Contains a division or remainder — the only fault source the
-    /// verifier leaves reachable, and the only reason to clear the
-    /// per-row fault buffer.
+    /// verifier leaves reachable, and the only reason to size the per-row
+    /// fault buffer.
     pub may_divide: bool,
 }
 
@@ -227,6 +289,34 @@ impl std::fmt::Display for BatchFault {
 
 impl std::error::Error for BatchFault {}
 
+/// What a register holds at the current `pc` of the column engine.
+#[derive(Clone, Copy)]
+enum Reg<'a> {
+    /// The same value on every row; never widened into a column.
+    Uniform(i64),
+    /// A caller's column, loaded by `LdCtx` and not yet written: read in
+    /// place, never copied.
+    Lent(&'a [i64]),
+    /// The register's own column in [`BatchScratch::regs`].
+    Own,
+}
+
+/// One input of a streamed instruction.
+#[derive(Clone, Copy)]
+enum Arg<'a> {
+    /// The destination column's current contents (an in-place update).
+    Dst,
+    Uniform(i64),
+    Col(&'a [i64]),
+}
+
+/// The second operand of an instruction: its immediate or a register.
+#[derive(Clone, Copy)]
+enum Rhs {
+    Imm(i64),
+    Reg(usize),
+}
+
 /// Mutable column pair `(dst, src)` from the register file — the split
 /// borrow behind every two-register ALU op.
 #[inline]
@@ -246,169 +336,326 @@ fn col_mut(regs: &mut [i64], rows: usize, c: usize) -> &mut [i64] {
     &mut regs[c * rows..(c + 1) * rows]
 }
 
-/// `dst[r] = f(dst[r], src[r])` across all rows, `dst == src` included.
-#[inline]
-fn bin_reg(regs: &mut [i64], rows: usize, d: usize, s: usize, f: impl Fn(i64, i64) -> i64) {
-    if d == s {
-        for x in col_mut(regs, rows, d) {
-            *x = f(*x, *x);
+/// `dst[r] = f(r, a[r], b[r])` across all rows — the one loop a
+/// non-uniform instruction costs.
+#[inline(always)]
+fn stream(dst: &mut [i64], a: Arg<'_>, b: Arg<'_>, mut f: impl FnMut(usize, i64, i64) -> i64) {
+    match (a, b) {
+        (Arg::Dst, Arg::Dst) => {
+            for (r, x) in dst.iter_mut().enumerate() {
+                *x = f(r, *x, *x);
+            }
         }
-    } else {
-        let (dc, sc) = col_pair(regs, rows, d, s);
-        for (x, &y) in dc.iter_mut().zip(sc) {
-            *x = f(*x, y);
+        (Arg::Dst, Arg::Uniform(v)) => {
+            for (r, x) in dst.iter_mut().enumerate() {
+                *x = f(r, *x, v);
+            }
+        }
+        (Arg::Dst, Arg::Col(c)) => {
+            for (r, (x, &y)) in dst.iter_mut().zip(c).enumerate() {
+                *x = f(r, *x, y);
+            }
+        }
+        (Arg::Uniform(u), Arg::Col(c)) => {
+            for (r, (x, &y)) in dst.iter_mut().zip(c).enumerate() {
+                *x = f(r, u, y);
+            }
+        }
+        (Arg::Col(c), Arg::Uniform(v)) => {
+            for (r, (x, &y)) in dst.iter_mut().zip(c).enumerate() {
+                *x = f(r, y, v);
+            }
+        }
+        (Arg::Col(p), Arg::Col(q)) => {
+            for (r, ((x, &y), &z)) in dst.iter_mut().zip(p).zip(q).enumerate() {
+                *x = f(r, y, z);
+            }
+        }
+        (Arg::Uniform(_), Arg::Uniform(_)) => unreachable!("uniform instructions run as scalars"),
+        (Arg::Uniform(_) | Arg::Col(_), Arg::Dst) => {
+            unreachable!("the right operand is the destination only when the left one is")
         }
     }
 }
 
-/// Division-family op with a per-row zero guard. Faulting rows record
-/// `pc + 1` in `fault` (first fault only) and keep their lane untouched;
-/// they stay in the stream but their final value is never reported.
-#[inline]
-fn div_reg(
-    regs: &mut [i64],
+/// The register file of one column-engine run: what each register holds,
+/// plus the scratch columns the `Own` ones live in.
+struct RegFile<'s, 'a> {
+    kinds: [Reg<'a>; 16],
+    regs: &'s mut [i64],
     rows: usize,
-    d: usize,
-    s: usize,
-    fault: &mut [u32],
-    pc: usize,
-    f: impl Fn(i64, i64) -> i64,
-) {
-    if d == s {
-        for (x, fl) in col_mut(regs, rows, d).iter_mut().zip(fault.iter_mut()) {
-            if *x == 0 {
-                if *fl == 0 {
-                    *fl = pc as u32 + 1;
-                }
-            } else {
-                *x = f(*x, *x);
-            }
+}
+
+impl<'a> RegFile<'_, 'a> {
+    fn rhs(&self, rhs: Rhs) -> Reg<'a> {
+        match rhs {
+            Rhs::Imm(v) => Reg::Uniform(v),
+            Rhs::Reg(s) => self.kinds[s],
         }
-    } else {
-        let (dc, sc) = col_pair(regs, rows, d, s);
-        for ((x, &b), fl) in dc.iter_mut().zip(sc).zip(fault.iter_mut()) {
-            if b == 0 {
-                if *fl == 0 {
-                    *fl = pc as u32 + 1;
-                }
-            } else {
-                *x = f(*x, b);
-            }
+    }
+
+    /// `d = f(row, d, rhs)`: once as a scalar when both sides are uniform,
+    /// otherwise one pass that leaves `d` holding its own column.
+    #[inline(always)]
+    fn alu_rows(&mut self, d: usize, rhs: Rhs, mut f: impl FnMut(usize, i64, i64) -> i64) {
+        if let (Reg::Uniform(x), Reg::Uniform(y)) = (self.kinds[d], self.rhs(rhs)) {
+            self.kinds[d] = Reg::Uniform(f(0, x, y));
+            return;
         }
+        let (dst, a, b) = operands(self.regs, self.rows, &mut self.kinds, d, rhs);
+        stream(dst, a, b, f);
+    }
+
+    /// [`alu_rows`](Self::alu_rows) for an op that does not care which row.
+    #[inline(always)]
+    fn alu(&mut self, d: usize, rhs: Rhs, f: impl Fn(i64, i64) -> i64) {
+        self.alu_rows(d, rhs, |_, x, y| f(x, y));
     }
 }
 
-/// The column-vector engine: one pass over the instruction stream, each
-/// instruction applied to whole register columns. Requires
-/// `plan.vectorizable`. On return `scratch.regs[..rows]` holds the `r0`
-/// column and (when `plan.may_divide`) `scratch.fault[r]` holds `pc + 1`
-/// of row `r`'s first fault.
-fn run_vector(prog: &Program, batch: &BatchCtx, scratch: &mut BatchScratch, plan: BatchPlan) {
+/// The per-row first-fault record of one column-engine run.
+struct Faults<'s> {
+    /// `pc + 1` of row `r`'s first fault, `0` for none.
+    first: &'s mut [u32],
+    /// Set in the cold branch of a division: `first` holds something.
+    any: bool,
+}
+
+impl Faults<'_> {
+    #[cold]
+    fn record(&mut self, r: usize, pc: usize) {
+        self.any = true;
+        if self.first[r] == 0 {
+            self.first[r] = pc as u32 + 1;
+        }
+    }
+
+    /// `d = f(d, rhs)` for the division family: every row's divisor is
+    /// tested. A faulting row records `pc` (first fault only) and keeps
+    /// streaming; its lane holds garbage that is never reported.
+    #[inline(always)]
+    fn div(
+        &mut self,
+        file: &mut RegFile<'_, '_>,
+        d: usize,
+        rhs: Rhs,
+        pc: usize,
+        f: impl Fn(i64, i64) -> i64,
+    ) {
+        // a row-invariant zero divisor: every row faults here
+        if let Reg::Uniform(0) = file.rhs(rhs) {
+            for r in 0..file.rows {
+                self.record(r, pc);
+            }
+            return;
+        }
+        file.alu_rows(d, rhs, |r, x, y| {
+            if y == 0 {
+                self.record(r, pc);
+                x
+            } else {
+                f(x, y)
+            }
+        });
+    }
+}
+
+/// Resolve `d = f(d, rhs)` into the column it writes and where its two
+/// inputs are read; `d` holds its own column afterwards.
+#[inline(always)]
+fn operands<'r, 'a: 'r>(
+    regs: &'r mut [i64],
+    rows: usize,
+    kinds: &mut [Reg<'a>; 16],
+    d: usize,
+    rhs: Rhs,
+) -> (&'r mut [i64], Arg<'r>, Arg<'r>) {
+    let a = match std::mem::replace(&mut kinds[d], Reg::Own) {
+        Reg::Own => Arg::Dst,
+        Reg::Uniform(v) => Arg::Uniform(v),
+        Reg::Lent(c) => Arg::Col(c),
+    };
+    match rhs {
+        Rhs::Imm(v) => (col_mut(regs, rows, d), a, Arg::Uniform(v)),
+        Rhs::Reg(s) if s == d => (col_mut(regs, rows, d), a, a),
+        Rhs::Reg(s) => match kinds[s] {
+            Reg::Uniform(v) => (col_mut(regs, rows, d), a, Arg::Uniform(v)),
+            Reg::Lent(c) => (col_mut(regs, rows, d), a, Arg::Col(c)),
+            Reg::Own => {
+                let (dst, src) = col_pair(regs, rows, d, s);
+                (dst, a, Arg::Col(src))
+            }
+        },
+    }
+}
+
+/// The scores of a column-engine run: what `r0` held at `Exit`, and
+/// whether any row faulted (`scratch.fault[r]` then holds `pc + 1` of row
+/// `r`'s first fault, and the caller must [`take_faults`] after reading).
+struct Scored<'a> {
+    r0: Reg<'a>,
+    faulted: bool,
+}
+
+/// The column engine: one pass over the instruction stream. Requires
+/// `plan.vectorizable`.
+fn execute_columns<'a>(
+    prog: &Program,
+    plan: BatchPlan,
+    src: Source<'a>,
+    scratch: &mut BatchScratch,
+) -> Scored<'a> {
     debug_assert!(plan.vectorizable);
-    let rows = batch.rows();
-    // Growth-only resize: new lanes are zeroed once, stale lanes are fine —
-    // verified programs never read a register before writing it.
+    let rows = src.rows();
+    // Growth-only resizes: new lanes are zeroed once, stale register lanes
+    // are fine — verified programs never read a register before writing it.
     if scratch.regs.len() < 16 * rows {
         scratch.regs.resize(16 * rows, 0);
     }
-    if plan.may_divide {
-        scratch.fault.clear();
+    if plan.may_divide && scratch.fault.len() < rows {
         scratch.fault.resize(rows, 0);
     }
-    let BatchScratch { regs, fault, .. } = scratch;
+    let mut file = RegFile { kinds: [Reg::Uniform(0); 16], regs: &mut scratch.regs, rows };
+    let mut faults = Faults { first: &mut scratch.fault, any: false };
     for (pc, insn) in prog.insns.iter().enumerate() {
         let d = (insn.dst & 15) as usize;
         let s = (insn.src & 15) as usize;
+        let rhs = if insn.op.reads_src() { Rhs::Reg(s) } else { Rhs::Imm(insn.imm) };
         use Op::*;
         match insn.op {
-            MovImm => col_mut(regs, rows, d).fill(insn.imm),
-            MovReg => {
-                if d != s {
-                    regs.copy_within(s * rows..(s + 1) * rows, d * rows);
+            MovImm => file.kinds[d] = Reg::Uniform(insn.imm),
+            MovReg => match file.kinds[s] {
+                Reg::Own if d != s => {
+                    file.regs.copy_within(s * rows..(s + 1) * rows, d * rows);
+                    file.kinds[d] = Reg::Own;
+                }
+                held => file.kinds[d] = held,
+            },
+            LdCtx => {
+                file.kinds[d] = match src.column(insn.imm as usize) {
+                    Column::Rows(col) => Reg::Lent(&col[..rows]),
+                    Column::Uniform(v) => Reg::Uniform(v),
                 }
             }
-            AddImm => {
-                for x in col_mut(regs, rows, d) {
-                    *x = x.saturating_add(insn.imm);
-                }
-            }
-            AddReg => bin_reg(regs, rows, d, s, i64::saturating_add),
-            SubImm => {
-                for x in col_mut(regs, rows, d) {
-                    *x = x.saturating_sub(insn.imm);
-                }
-            }
-            SubReg => bin_reg(regs, rows, d, s, i64::saturating_sub),
-            MulImm => {
-                for x in col_mut(regs, rows, d) {
-                    *x = x.saturating_mul(insn.imm);
-                }
-            }
-            MulReg => bin_reg(regs, rows, d, s, i64::saturating_mul),
-            DivImm => {
-                if insn.imm == 0 {
-                    for fl in fault.iter_mut() {
-                        if *fl == 0 {
-                            *fl = pc as u32 + 1;
-                        }
-                    }
-                } else {
-                    for x in col_mut(regs, rows, d) {
-                        *x = div_sat(*x, insn.imm);
-                    }
-                }
-            }
-            DivReg => div_reg(regs, rows, d, s, fault, pc, div_sat),
-            RemImm => {
-                if insn.imm == 0 {
-                    for fl in fault.iter_mut() {
-                        if *fl == 0 {
-                            *fl = pc as u32 + 1;
-                        }
-                    }
-                } else {
-                    for x in col_mut(regs, rows, d) {
-                        *x = rem_sat(*x, insn.imm);
-                    }
-                }
-            }
-            RemReg => div_reg(regs, rows, d, s, fault, pc, rem_sat),
-            Neg => {
-                for x in col_mut(regs, rows, d) {
-                    *x = x.saturating_neg();
-                }
-            }
-            LshImm => {
-                for x in col_mut(regs, rows, d) {
-                    *x = shl_sat(*x, insn.imm);
-                }
-            }
-            LshReg => bin_reg(regs, rows, d, s, shl_sat),
-            RshImm => {
-                for x in col_mut(regs, rows, d) {
-                    *x = shr_arith(*x, insn.imm);
-                }
-            }
-            RshReg => bin_reg(regs, rows, d, s, shr_arith),
-            LdCtx => col_mut(regs, rows, d).copy_from_slice(batch.column(insn.imm as usize)),
-            Exit => return,
+            AddImm | AddReg => file.alu(d, rhs, i64::saturating_add),
+            SubImm | SubReg => file.alu(d, rhs, i64::saturating_sub),
+            MulImm | MulReg => file.alu(d, rhs, i64::saturating_mul),
+            DivImm | DivReg => faults.div(&mut file, d, rhs, pc, div_sat),
+            RemImm | RemReg => faults.div(&mut file, d, rhs, pc, rem_sat),
+            Neg => file.alu(d, rhs, |x, _| x.saturating_neg()),
+            LshImm | LshReg => file.alu(d, rhs, shl_sat),
+            RshImm | RshReg => file.alu(d, rhs, shr_arith),
+            Exit => return Scored { r0: file.kinds[0], faulted: faults.any },
             Ja | JeqImm | JeqReg | JneImm | JneReg | JltImm | JltReg | JleImm | JleReg | JgtImm
             | JgtReg | JgeImm | JgeReg | LdMap | StMap => {
-                unreachable!("vector path requires a straight-line, map-free program")
+                unreachable!("the column engine requires a straight-line, map-free program")
             }
         }
     }
     unreachable!("verified program ended without an Exit");
 }
 
-/// Decode row `r`'s result after [`run_vector`].
-#[inline]
-fn vector_row_result(scratch: &BatchScratch, plan: BatchPlan, r: usize) -> Result<i64, VmError> {
-    if plan.may_divide && scratch.fault[r] != 0 {
-        Err(VmError::DivByZero { pc: scratch.fault[r] as usize - 1 })
-    } else {
-        Ok(scratch.regs[r])
+/// Hand the recorded faults of rows `..rows` to `read`, then restore the
+/// scratch's all-zero fault buffer. Cold: only a faulting call gets here.
+#[cold]
+fn take_faults<R>(scratch: &mut BatchScratch, rows: usize, read: impl FnOnce(&[u32]) -> R) -> R {
+    let recorded = &mut scratch.fault[..rows];
+    let out = read(recorded);
+    recorded.fill(0);
+    out
+}
+
+fn div_by_zero(recorded: u32) -> VmError {
+    VmError::DivByZero { pc: recorded as usize - 1 }
+}
+
+fn score_rows(
+    prog: &Program,
+    plan: BatchPlan,
+    src: Source<'_>,
+    scratch: &mut BatchScratch,
+    map: &mut [i64],
+    out: &mut Vec<Result<i64, VmError>>,
+) {
+    let rows = src.rows();
+    out.reserve(rows);
+    if !plan.vectorizable {
+        for r in 0..rows {
+            src.gather_row(r, &mut scratch.row);
+            out.push(execute_verified(prog, &scratch.row, map));
+        }
+        return;
     }
+    let Scored { r0, faulted } = execute_columns(prog, plan, src, scratch);
+    let first = out.len();
+    match r0 {
+        Reg::Uniform(v) => out.extend(std::iter::repeat_n(Ok(v), rows)),
+        Reg::Lent(col) => out.extend(col.iter().map(|&v| Ok(v))),
+        Reg::Own => out.extend(scratch.regs[..rows].iter().map(|&v| Ok(v))),
+    }
+    if faulted {
+        take_faults(scratch, rows, |recorded| {
+            for (slot, &f) in out[first..].iter_mut().zip(recorded) {
+                if f != 0 {
+                    *slot = Err(div_by_zero(f));
+                }
+            }
+        });
+    }
+}
+
+/// Index of the best score, ties to the lowest row. The running best is
+/// carried in registers and replaced by select, not by branch: which row
+/// wins is data the branch predictor cannot learn.
+#[inline]
+fn arg_best(scores: &[i64], better: impl Fn(i64, i64) -> bool) -> usize {
+    let mut best = 0usize;
+    let mut best_v = scores[0];
+    for (r, &v) in scores.iter().enumerate().skip(1) {
+        let take = better(best_v, v);
+        best = if take { r } else { best };
+        best_v = if take { v } else { best_v };
+    }
+    best
+}
+
+fn fused_reduce(
+    prog: &Program,
+    plan: BatchPlan,
+    src: Source<'_>,
+    scratch: &mut BatchScratch,
+    map: &mut [i64],
+    better: impl Fn(i64, i64) -> bool,
+) -> Result<usize, BatchFault> {
+    let rows = src.rows();
+    assert!(rows > 0, "fused reduction over an empty batch");
+    if !plan.vectorizable {
+        let mut best = 0usize;
+        let mut best_score = 0;
+        for r in 0..rows {
+            src.gather_row(r, &mut scratch.row);
+            let v = execute_verified(prog, &scratch.row, map)
+                .map_err(|fault| BatchFault { row: r, fault })?;
+            if r == 0 || better(best_score, v) {
+                best = r;
+                best_score = v;
+            }
+        }
+        return Ok(best);
+    }
+    let Scored { r0, faulted } = execute_columns(prog, plan, src, scratch);
+    if faulted {
+        return Err(take_faults(scratch, rows, |recorded| {
+            let row = recorded.iter().position(|&f| f != 0).expect("a fault was recorded");
+            BatchFault { row, fault: div_by_zero(recorded[row]) }
+        }));
+    }
+    Ok(match r0 {
+        // every row ties: the lowest one wins
+        Reg::Uniform(_) => 0,
+        Reg::Lent(col) => arg_best(col, better),
+        Reg::Own => arg_best(&scratch.regs[..rows], better),
+    })
 }
 
 /// Score every row of `batch`, appending one result per row to `out`.
@@ -428,18 +675,25 @@ pub fn run_batch(
     map: &mut [i64],
     out: &mut Vec<Result<i64, VmError>>,
 ) {
-    let rows = batch.rows();
-    out.reserve(rows);
-    if plan.vectorizable {
-        run_vector(prog, batch, scratch, plan);
-        out.extend((0..rows).map(|r| vector_row_result(scratch, plan, r)));
-    } else {
-        for r in 0..rows {
-            let BatchScratch { row, .. } = scratch;
-            batch.gather_row(r, row);
-            out.push(execute_verified(prog, row, map));
-        }
-    }
+    score_rows(prog, plan, Source::Owned(batch), scratch, map, out)
+}
+
+/// [`run_batch`] over lent columns: `cols[k]` is ctx slot `k` for all
+/// `rows` rows.
+///
+/// # Panics
+/// As [`run_batch`], and when a [`Column::Rows`] the program loads holds
+/// fewer than `rows` values.
+pub fn run_columns(
+    prog: &Program,
+    plan: BatchPlan,
+    cols: &[Column<'_>],
+    rows: usize,
+    scratch: &mut BatchScratch,
+    map: &mut [i64],
+    out: &mut Vec<Result<i64, VmError>>,
+) {
+    score_rows(prog, plan, Source::Lent { cols, rows }, scratch, map, out)
 }
 
 /// Score every row and return the index of the **minimum** score without
@@ -456,7 +710,7 @@ pub fn run_batch_argmin(
     scratch: &mut BatchScratch,
     map: &mut [i64],
 ) -> Result<usize, BatchFault> {
-    fused_reduce(prog, plan, batch, scratch, map, |best, cand| cand < best)
+    fused_reduce(prog, plan, Source::Owned(batch), scratch, map, |best, cand| cand < best)
 }
 
 /// [`run_batch_argmin`]'s mirror: index of the **maximum** score, ties to
@@ -471,56 +725,39 @@ pub fn run_batch_argmax(
     scratch: &mut BatchScratch,
     map: &mut [i64],
 ) -> Result<usize, BatchFault> {
-    fused_reduce(prog, plan, batch, scratch, map, |best, cand| cand > best)
+    fused_reduce(prog, plan, Source::Owned(batch), scratch, map, |best, cand| cand > best)
 }
 
-fn fused_reduce(
+/// [`run_batch_argmin`] over lent columns.
+///
+/// # Panics
+/// On `rows == 0`, and under the contract violations of
+/// [`run_columns`].
+pub fn run_columns_argmin(
     prog: &Program,
     plan: BatchPlan,
-    batch: &BatchCtx,
+    cols: &[Column<'_>],
+    rows: usize,
     scratch: &mut BatchScratch,
     map: &mut [i64],
-    better: impl Fn(i64, i64) -> bool,
 ) -> Result<usize, BatchFault> {
-    let rows = batch.rows();
-    assert!(rows > 0, "fused reduction over an empty batch");
-    if plan.vectorizable {
-        run_vector(prog, batch, scratch, plan);
-        if plan.may_divide {
-            if let Some(r) = scratch.fault[..rows].iter().position(|&f| f != 0) {
-                return Err(BatchFault {
-                    row: r,
-                    fault: VmError::DivByZero { pc: scratch.fault[r] as usize - 1 },
-                });
-            }
-        }
-        let scores = &scratch.regs[..rows];
-        let mut best = 0usize;
-        for (r, &v) in scores.iter().enumerate().skip(1) {
-            if better(scores[best], v) {
-                best = r;
-            }
-        }
-        Ok(best)
-    } else {
-        let mut best = 0usize;
-        let mut best_score = {
-            let BatchScratch { row, .. } = &mut *scratch;
-            batch.gather_row(0, row);
-            execute_verified(prog, row, map).map_err(|fault| BatchFault { row: 0, fault })?
-        };
-        for r in 1..rows {
-            let BatchScratch { row, .. } = &mut *scratch;
-            batch.gather_row(r, row);
-            let v =
-                execute_verified(prog, row, map).map_err(|fault| BatchFault { row: r, fault })?;
-            if better(best_score, v) {
-                best = r;
-                best_score = v;
-            }
-        }
-        Ok(best)
-    }
+    fused_reduce(prog, plan, Source::Lent { cols, rows }, scratch, map, |best, cand| cand < best)
+}
+
+/// [`run_batch_argmax`] over lent columns.
+///
+/// # Panics
+/// On `rows == 0`, and under the contract violations of
+/// [`run_columns`].
+pub fn run_columns_argmax(
+    prog: &Program,
+    plan: BatchPlan,
+    cols: &[Column<'_>],
+    rows: usize,
+    scratch: &mut BatchScratch,
+    map: &mut [i64],
+) -> Result<usize, BatchFault> {
+    fused_reduce(prog, plan, Source::Lent { cols, rows }, scratch, map, |best, cand| cand > best)
 }
 
 #[cfg(test)]

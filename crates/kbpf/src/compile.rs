@@ -35,7 +35,7 @@
 //! structural obligations (bounds, initialization, termination) still hold
 //! for compiler-emitted code, and the VM re-checks them defensively anyway.
 
-use crate::batch::{self, BatchCtx, BatchFault, BatchPlan, BatchScratch};
+use crate::batch::{self, BatchCtx, BatchFault, BatchPlan, BatchScratch, Column};
 use crate::isa::Program;
 use crate::lower::{self, LowerError, SPILL_SLOTS};
 use crate::verifier::{verify, Interval, VerifyEnv, VerifyError};
@@ -365,6 +365,50 @@ impl CompiledPolicy {
         map: &mut [i64],
     ) -> Result<usize, BatchFault> {
         batch::run_batch_argmax(&self.program, self.batch_plan, batch, scratch, map)
+    }
+
+    /// [`run_batch`](Self::run_batch) over columns the host **lends**
+    /// instead of filling: `cols[k]` is ctx slot `k` for all `rows` rows,
+    /// either a value per row ([`Column::Rows`], read in place) or one value
+    /// every row shares ([`Column::Uniform`], never widened — instructions
+    /// that combine only such values run once, not per row). Same engine,
+    /// same per-row contract as the [`BatchCtx`] entry.
+    ///
+    /// `cols` must cover [`CtxLayout::len`] slots and every `Rows` column
+    /// must hold at least `rows` values.
+    pub fn run_columns(
+        &self,
+        cols: &[Column<'_>],
+        rows: usize,
+        scratch: &mut BatchScratch,
+        map: &mut [i64],
+        out: &mut Vec<Result<i64, VmError>>,
+    ) {
+        batch::run_columns(&self.program, self.batch_plan, cols, rows, scratch, map, out)
+    }
+
+    /// [`run_batch_argmin`](Self::run_batch_argmin) over lent columns (see
+    /// [`run_columns`](Self::run_columns)). Panics on `rows == 0`.
+    pub fn run_columns_argmin(
+        &self,
+        cols: &[Column<'_>],
+        rows: usize,
+        scratch: &mut BatchScratch,
+        map: &mut [i64],
+    ) -> Result<usize, BatchFault> {
+        batch::run_columns_argmin(&self.program, self.batch_plan, cols, rows, scratch, map)
+    }
+
+    /// [`run_batch_argmax`](Self::run_batch_argmax) over lent columns (see
+    /// [`run_columns`](Self::run_columns)). Panics on `rows == 0`.
+    pub fn run_columns_argmax(
+        &self,
+        cols: &[Column<'_>],
+        rows: usize,
+        scratch: &mut BatchScratch,
+        map: &mut [i64],
+    ) -> Result<usize, BatchFault> {
+        batch::run_columns_argmax(&self.program, self.batch_plan, cols, rows, scratch, map)
     }
 }
 

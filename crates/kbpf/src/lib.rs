@@ -19,10 +19,11 @@
 //!   backward jump (so accepted programs provably terminate);
 //! * [`vm`] — the interpreter, bit-for-bit equivalent to the DSL
 //!   interpreter on verified programs;
-//! * [`batch`] — structure-of-arrays batched evaluation
-//!   ([`BatchCtx`] + `CompiledPolicy::run_batch` and fused
-//!   argmin/argmax), spec'd by the scalar VM per row and
-//!   differential-tested against it;
+//! * [`batch`] — structure-of-arrays batched evaluation over columns the
+//!   host fills ([`BatchCtx`] + `CompiledPolicy::run_batch` and fused
+//!   argmin/argmax) or lends ([`Column`] + `CompiledPolicy::run_columns*`;
+//!   row-invariant values stay scalars), spec'd by the scalar VM per row
+//!   and differential-tested against it;
 //! * [`lower`] — the DSL → kbpf compiler, parameterized by a context
 //!   layout so any template's features lower;
 //! * [`compile`] — the host-facing API: [`CtxLayout`] (per-candidate
@@ -50,7 +51,7 @@ pub mod range;
 pub mod verifier;
 pub mod vm;
 
-pub use batch::{BatchCtx, BatchFault, BatchPlan, BatchScratch};
+pub use batch::{BatchCtx, BatchFault, BatchPlan, BatchScratch, Column};
 pub use compile::{
     mode_budgets, CompileError, CompiledPolicy, CtxLayout, RuntimeFault, Verification,
     KERNEL_MAX_DEPTH, KERNEL_MAX_SIZE,

@@ -16,10 +16,23 @@
 //!    to the lowest row index** (strict `<`/`>` against the running best),
 //!    and a faulting row aborts the reduction with the **lowest** faulting
 //!    row — exactly the first fault a scalar scan would hit.
+//! 3. **Lent columns.** The same two properties for `run_columns*` under a
+//!    random `Uniform`/`Rows` assignment per ctx slot, against the scalar
+//!    VM on the *materialised* row (a `Uniform(v)` slot reads `v` on every
+//!    row) — for compiled expressions of every mode, and for random
+//!    straight-line programs built instruction by instruction, which reach
+//!    what the lowerer never emits: `dst == src` operands, a register
+//!    reloaded or overwritten mid-program, a row-invariant zero divisor, a
+//!    row-invariant `r0`. Every case first poisons its scratch with a call
+//!    that faults on every row: nothing of it may show.
 
 use policysmith_dsl::env::MapEnv;
 use policysmith_dsl::{Expr, Feature, Mode};
-use policysmith_kbpf::{BatchCtx, BatchScratch, CompiledPolicy, VmError, SPILL_SLOTS};
+use policysmith_kbpf::batch::{self, BatchPlan};
+use policysmith_kbpf::{
+    execute_verified, BatchCtx, BatchScratch, Column, CompiledPolicy, Insn, Op, Program, VmError,
+    SPILL_SLOTS,
+};
 use proptest::prelude::*;
 
 fn kernel_features() -> Vec<Feature> {
@@ -163,11 +176,19 @@ fn naive_reduce(
     ctxs: &[Vec<i64>],
     better: impl Fn(i64, i64) -> bool,
 ) -> Result<usize, (usize, VmError)> {
+    naive_reduce_program(policy.program(), ctxs, better)
+}
+
+fn naive_reduce_program(
+    prog: &Program,
+    ctxs: &[Vec<i64>],
+    better: impl Fn(i64, i64) -> bool,
+) -> Result<usize, (usize, VmError)> {
     let mut map = vec![0i64; SPILL_SLOTS];
     let mut best = 0usize;
-    let mut best_score = policy.run(&ctxs[0], &mut map).map_err(|e| (0, e))?;
+    let mut best_score = execute_verified(prog, &ctxs[0], &mut map).map_err(|e| (0, e))?;
     for (r, ctx) in ctxs.iter().enumerate().skip(1) {
-        let v = policy.run(ctx, &mut map).map_err(|e| (r, e))?;
+        let v = execute_verified(prog, ctx, &mut map).map_err(|e| (r, e))?;
         if better(best_score, v) {
             best_score = v;
             best = r;
@@ -176,8 +197,15 @@ fn naive_reduce(
     Ok(best)
 }
 
-/// The shared differential check for one `(expr, rows, mode)` case.
-fn assert_batch_matches_scalar(e: &Expr, envs: &[MapEnv], mode: Mode) -> TestCaseResult {
+/// The shared differential check for one `(expr, rows, mode)` case;
+/// `uniform` says which ctx slots the lent-columns half passes as
+/// `Column::Uniform`.
+fn assert_batch_matches_scalar(
+    e: &Expr,
+    envs: &[MapEnv],
+    mode: Mode,
+    uniform: &[bool],
+) -> TestCaseResult {
     let policy = match CompiledPolicy::compile(e, mode) {
         Ok(p) => p,
         // budget/verification rejections discard the candidate upstream
@@ -232,7 +260,158 @@ fn assert_batch_matches_scalar(e: &Expr, envs: &[MapEnv], mode: Mode) -> TestCas
         "argmax diverged from the naive scan:\n{}",
         policy.program()
     );
+
+    // 3. the same, lending the columns: slots flagged in `uniform` (cycled
+    //    over the layout) hold row 0's value on every row
+    let flags: Vec<bool> = (0..layout.len()).map(|c| uniform[c % uniform.len()]).collect();
+    assert_lent_matches_scalar(policy.program(), policy.batch_plan(), &ctxs, &flags)
+}
+
+/// A scratch whose previous call faulted on every one of 8 rows, at two
+/// different `pc`s — what every lent-columns case starts from.
+fn poisoned_scratch() -> BatchScratch {
+    let every_row_faults = Program {
+        insns: vec![
+            Insn::new(Op::LdCtx, 0, 0, 0),
+            Insn::new(Op::DivReg, 0, 0, 0),
+            Insn::new(Op::RemImm, 0, 0, 0),
+            Insn::new(Op::Exit, 0, 0, 0),
+        ],
+    };
+    let plan = BatchPlan::for_program(&every_row_faults);
+    let mut scratch = BatchScratch::new();
+    let zeros = [0i64, 0, 0, 0, 1, 0, 0, 0];
+    let err = batch::run_columns_argmin(
+        &every_row_faults,
+        plan,
+        &[Column::Rows(&zeros)],
+        zeros.len(),
+        &mut scratch,
+        &mut [],
+    )
+    .unwrap_err();
+    assert_eq!((err.row, err.fault), (0, VmError::DivByZero { pc: 1 }));
+    scratch
+}
+
+/// Lend `rows` to the engine — slot `c` as `Uniform(rows[0][c])` where
+/// `uniform[c]`, as a `Rows` column otherwise — and hold every entry point
+/// to the scalar VM on the materialised rows.
+fn assert_lent_matches_scalar(
+    prog: &Program,
+    plan: BatchPlan,
+    rows: &[Vec<i64>],
+    uniform: &[bool],
+) -> TestCaseResult {
+    let materialised: Vec<Vec<i64>> = rows
+        .iter()
+        .map(|row| {
+            row.iter().enumerate().map(|(c, &v)| if uniform[c] { rows[0][c] } else { v }).collect()
+        })
+        .collect();
+    let columns: Vec<Vec<i64>> =
+        (0..uniform.len()).map(|c| rows.iter().map(|row| row[c]).collect()).collect();
+    let lent: Vec<Column<'_>> = columns
+        .iter()
+        .zip(uniform)
+        .map(|(col, &u)| if u { Column::Uniform(col[0]) } else { Column::Rows(col) })
+        .collect();
+    let mut scratch = poisoned_scratch();
+
+    let mut bmap = vec![0i64; SPILL_SLOTS];
+    let mut out = Vec::new();
+    batch::run_columns(prog, plan, &lent, rows.len(), &mut scratch, &mut bmap, &mut out);
+    prop_assert_eq!(out.len(), rows.len(), "one result per row");
+    let mut smap = vec![0i64; SPILL_SLOTS];
+    for (r, ctx) in materialised.iter().enumerate() {
+        prop_assert_eq!(
+            &out[r],
+            &execute_verified(prog, ctx, &mut smap),
+            "row {} diverged lending {:?}:\n{}",
+            r,
+            &lent,
+            prog
+        );
+    }
+    prop_assert_eq!(&bmap, &smap, "shared scratch maps diverged:\n{}", prog);
+
+    // twice on one scratch: the first call's faults (if any) must be gone
+    for _ in 0..2 {
+        let mut map = vec![0i64; SPILL_SLOTS];
+        let fused =
+            batch::run_columns_argmin(prog, plan, &lent, rows.len(), &mut scratch, &mut map)
+                .map_err(|f| (f.row, f.fault));
+        prop_assert_eq!(
+            &fused,
+            &naive_reduce_program(prog, &materialised, |best, v| v < best),
+            "argmin diverged lending {:?}:\n{}",
+            &lent,
+            prog
+        );
+        let mut map = vec![0i64; SPILL_SLOTS];
+        let fused =
+            batch::run_columns_argmax(prog, plan, &lent, rows.len(), &mut scratch, &mut map)
+                .map_err(|f| (f.row, f.fault));
+        prop_assert_eq!(
+            &fused,
+            &naive_reduce_program(prog, &materialised, |best, v| v > best),
+            "argmax diverged lending {:?}:\n{}",
+            &lent,
+            prog
+        );
+    }
     Ok(())
+}
+
+/// How many ctx slots and live registers a random program works with.
+const RAW_SLOTS: usize = 3;
+const RAW_REGS: u8 = 4;
+
+/// A random straight-line, map-free program, valid by construction: a
+/// prologue writes every register it will ever name (three ctx loads and an
+/// immediate), then any ALU op may hit any pair of them — `dst == src`
+/// included — and `LdCtx`/`MovImm`/`MovReg` may replace what a register
+/// holds at any point.
+fn arb_program() -> impl Strategy<Value = Program> {
+    use Op::*;
+    let ops = vec![
+        MovImm, MovReg, LdCtx, Neg, AddImm, AddReg, SubImm, SubReg, MulImm, MulReg, DivImm, DivReg,
+        RemImm, RemReg, LshImm, LshReg, RshImm, RshReg,
+    ];
+    let imm =
+        prop_oneof![-4i64..5, proptest::sample::select(vec![63, 64, 1_000, i64::MAX, i64::MIN]),];
+    let insn = (proptest::sample::select(ops), 0..RAW_REGS, 0..RAW_REGS, imm).prop_map(
+        |(op, dst, src, imm)| {
+            let imm = if op == LdCtx { imm.rem_euclid(RAW_SLOTS as i64) } else { imm };
+            Insn::new(op, dst, src, imm)
+        },
+    );
+    proptest::collection::vec(insn, 0..12).prop_map(|body| {
+        let mut insns = vec![
+            Insn::new(LdCtx, 0, 0, 0),
+            Insn::new(LdCtx, 1, 0, 1),
+            Insn::new(LdCtx, 2, 0, 2),
+            Insn::new(MovImm, 3, 0, 6),
+        ];
+        insns.extend(body);
+        insns.push(Insn::new(Exit, 0, 0, 0));
+        Program { insns }
+    })
+}
+
+/// 1–8 rows of ctx values that make zero divisors, saturation and ties
+/// likely.
+fn arb_raw_rows() -> impl Strategy<Value = Vec<Vec<i64>>> {
+    let cell = prop_oneof![
+        -3i64..4,
+        -3i64..4,
+        proptest::sample::select(vec![100, -100, i64::MAX, i64::MIN]),
+    ];
+    proptest::collection::vec(proptest::collection::vec(cell, RAW_SLOTS..RAW_SLOTS + 1), 1..9)
+}
+
+fn arb_uniform_flags() -> impl Strategy<Value = Vec<bool>> {
+    proptest::collection::vec(any::<bool>(), RAW_SLOTS..RAW_SLOTS + 1)
 }
 
 proptest! {
@@ -242,32 +421,98 @@ proptest! {
     fn kernel_batch_matches_scalar_per_row(
         e in arb_expr(kernel_features()),
         envs in arb_rows(kernel_features()),
+        uniform in arb_uniform_flags(),
     ) {
-        assert_batch_matches_scalar(&e, &envs, Mode::Kernel)?;
+        assert_batch_matches_scalar(&e, &envs, Mode::Kernel, &uniform)?;
     }
 
     #[test]
     fn cache_batch_matches_scalar_per_row(
         e in arb_expr(cache_features()),
         envs in arb_rows(cache_features()),
+        uniform in arb_uniform_flags(),
     ) {
-        assert_batch_matches_scalar(&e, &envs, Mode::Cache)?;
+        assert_batch_matches_scalar(&e, &envs, Mode::Cache, &uniform)?;
     }
 
     #[test]
     fn lb_batch_matches_scalar_per_row(
         e in arb_expr(lb_features()),
         envs in arb_rows(lb_features()),
+        uniform in arb_uniform_flags(),
     ) {
-        assert_batch_matches_scalar(&e, &envs, Mode::Lb)?;
+        assert_batch_matches_scalar(&e, &envs, Mode::Lb, &uniform)?;
     }
 
     #[test]
     fn aqm_batch_matches_scalar_per_row(
         e in arb_expr(aqm_features()),
         envs in arb_rows(aqm_features()),
+        uniform in arb_uniform_flags(),
     ) {
-        assert_batch_matches_scalar(&e, &envs, Mode::Aqm)?;
+        assert_batch_matches_scalar(&e, &envs, Mode::Aqm, &uniform)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn lent_columns_match_scalar_on_random_programs(
+        prog in arb_program(),
+        rows in arb_raw_rows(),
+        uniform in arb_uniform_flags(),
+    ) {
+        let plan = BatchPlan::for_program(&prog);
+        prop_assert!(plan.vectorizable, "random programs are straight-line and map-free");
+        assert_lent_matches_scalar(&prog, plan, &rows, &uniform)?;
+    }
+}
+
+/// A row-invariant zero divisor faults **every** row at that `pc` — the
+/// per-row guard is not skipped because the divisor never had a column.
+#[test]
+fn uniform_zero_divisor_faults_every_row_at_that_pc() {
+    let e = policysmith_dsl::parse("server.queue_len + 1000 / req.size").unwrap();
+    let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
+    let slot = |f| policy.layout().slot(f).unwrap() as usize;
+    let queue_len = [3i64, 1, 2];
+    let mut cols = [Column::Uniform(0); 2];
+    cols[slot(Feature::ServerQueueLen)] = Column::Rows(&queue_len);
+    cols[slot(Feature::ReqSize)] = Column::Uniform(0);
+    let div_pc = policy.program().insns.iter().position(|i| i.op == Op::DivReg).unwrap();
+
+    let mut scratch = BatchScratch::new();
+    let mut map = vec![0i64; SPILL_SLOTS];
+    let mut out = Vec::new();
+    policy.run_columns(&cols, 3, &mut scratch, &mut map, &mut out);
+    assert_eq!(out, vec![Err(VmError::DivByZero { pc: div_pc }); 3]);
+    let err = policy.run_columns_argmin(&cols, 3, &mut scratch, &mut map).unwrap_err();
+    assert_eq!((err.row, err.fault), (0, VmError::DivByZero { pc: div_pc }));
+
+    // the same scratch, a clean call: nothing of the faults is left
+    cols[slot(Feature::ReqSize)] = Column::Uniform(500);
+    assert_eq!(policy.run_columns_argmin(&cols, 3, &mut scratch, &mut map), Ok(1));
+    assert_eq!(policy.run_columns_argmax(&cols, 3, &mut scratch, &mut map), Ok(0));
+}
+
+/// A score that no row can move (`req.size`, a constant) ties everywhere:
+/// both reductions return row 0 and no score column is ever built.
+#[test]
+fn uniform_r0_reduces_to_row_zero() {
+    for src in ["req.size * 3 + 1", "7"] {
+        let e = policysmith_dsl::parse(src).unwrap();
+        let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
+        let cols = [Column::Uniform(11)];
+        let cols = &cols[..policy.layout().len()];
+        let mut scratch = BatchScratch::new();
+        let mut map = vec![0i64; SPILL_SLOTS];
+        assert_eq!(policy.run_columns_argmin(cols, 5, &mut scratch, &mut map), Ok(0), "{src}");
+        assert_eq!(policy.run_columns_argmax(cols, 5, &mut scratch, &mut map), Ok(0), "{src}");
+        let mut out = Vec::new();
+        policy.run_columns(cols, 5, &mut scratch, &mut map, &mut out);
+        let want = policy.run(&[11][..policy.layout().len()], &mut map);
+        assert_eq!(out, vec![want; 5], "{src}");
     }
 }
 

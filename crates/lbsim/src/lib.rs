@@ -12,15 +12,19 @@
 //! * [`workload`] — Poisson, bursty (MMPP on/off), and diurnal
 //!   (day/night square wave) arrival processes × bounded-Pareto sizes,
 //!   all pure functions of a seed;
-//! * [`dispatch`] — the [`Dispatcher`] trait plus the classical baselines:
+//! * [`dispatch`] — the [`Dispatcher`] trait, what it reads (a
+//!   [`DispatchView`]: the fleet as one `i64` column per feature, lent for
+//!   one decision; [`ServerView`] is a single row of it by value,
+//!   [`FleetColumns`] the owned form) plus the classical baselines:
 //!   round-robin, random, JSQ, least-loaded, power-of-two-choices;
 //! * [`policy`] — the PolicySmith **template host**: a synthesized DSL
 //!   expression scores the fleet at dispatch time and the request goes
 //!   to the argmin (runtime faults are latched, as in the cache host).
-//!   Three scan engines share the rule: the default **batched**
-//!   structure-of-arrays full scan (one fused `run_batch_argmin` call
-//!   per pick) and two sublinear modes — **power-of-d** sampling and an
-//!   incremental **argmin tree** driven by the engine's dirty marks;
+//!   Three scan engines share the rule: the default **batched** full scan
+//!   — one fused `run_columns_argmin` call per pick over the view's own
+//!   columns, lent as they are, with `now`/`req.size` passed as uniforms —
+//!   and two sublinear modes — **power-of-d** sampling and an incremental
+//!   **argmin tree** driven by the engine's dirty marks;
 //! * [`scenario`] — seven presets (uniform fleet, two-tier fleet, flash
 //!   crowd, slow-node degradation, correlated failures, diurnal load,
 //!   slow-node onset) with documented load factors, plus the
@@ -28,10 +32,16 @@
 //! * [`sim`] — the event loop ([`LbEngine`], incremental) and the metrics
 //!   the study scores (mean slowdown, drops, utilization); [`run_phased`]
 //!   plays a phase sequence through one live fleet for the
-//!   drift-triggered re-synthesis story. The engine tracks which servers'
-//!   event-driven state changed between picks and hands the indices to
-//!   dispatchers as [`DispatchView::dirty`] — the hook behind the
-//!   argmin-tree's sublinear rescoring.
+//!   drift-triggered re-synthesis story. The engine keeps the
+//!   dispatcher-visible state as columns, one cell written per admission,
+//!   completion or reconfigure, so an offer does no O(fleet) work of its
+//!   own; `server.work_left` costs no upkeep at all because
+//!   `work_left(now) = max(drain_at − now, 0)` exactly, where `drain_at` is
+//!   set to `now + service` by an idle admit, grows by `service` on a
+//!   queued one and is left alone by everything else. The servers whose
+//!   cells were written between two picks reach dispatchers as
+//!   [`DispatchView::dirty`] — the hook behind the argmin-tree's sublinear
+//!   rescoring; what derives from the clock moves without a mark.
 //!
 //! Everything is integer-microsecond virtual time; a run is a pure
 //! function of `(scenario, dispatcher)` — bit-for-bit reproducible.
@@ -51,7 +61,9 @@ pub mod scenario;
 pub mod sim;
 pub mod workload;
 
-pub use dispatch::{by_name, lb_baseline_names, DispatchView, Dispatcher, ServerView};
+pub use dispatch::{
+    by_name, lb_baseline_names, DispatchView, Dispatcher, FleetColumns, ServerView,
+};
 pub use model::{LbRequest, ServerCfg};
 pub use policy::ExprDispatcher;
 pub use scenario::Scenario;

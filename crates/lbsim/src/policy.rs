@@ -6,14 +6,19 @@
 //! image of the cache host's highest-priority-stays rule. Three scan
 //! engines implement that rule at different points on the cost curve:
 //!
-//! * **Batched** (the default, [`ExprDispatcher::new`]) — fills one
-//!   structure-of-arrays [`BatchCtx`] column per feature slot and makes a
-//!   single [`CompiledPolicy::run_batch_argmin`] call per pick: no per-row
-//!   fill plan, no per-server VM call, a column-major inner loop the
-//!   compiler can vectorize.
+//! * **Batched** (the default, [`ExprDispatcher::new`]) — one fused
+//!   [`CompiledPolicy::run_columns_argmin`] call per pick over columns the
+//!   host **lends, not fills**: each event-driven feature slot is the
+//!   [`DispatchView`]'s own column, passed as it is; `now` and `req.size`
+//!   are passed as [`Column::Uniform`], so whatever the policy computes
+//!   from them alone runs once per pick, not once per server; and
+//!   `server.work_left` — the one column that moves with the clock — is
+//!   derived in one pass (`max(drain_at − now, 0)`) only when the layout
+//!   reads it. No per-row fill, no per-server VM call, no copy.
 //! * **Power-of-d** ([`ExprDispatcher::power_of_d`]) — score only `d`
 //!   seeded distinct samples per pick: O(d) instead of O(fleet), the
-//!   classical sampling tradeoff, batched under the hood.
+//!   classical sampling tradeoff. The sampled cells are gathered out of
+//!   the same columns and scored by the same executor.
 //! * **Argmin tree** ([`ExprDispatcher::argmin_tree`]) — cache every
 //!   server's score in a tournament tree and rescore only the servers the
 //!   engine marked dirty ([`DispatchView::dirty`]) since the last pick:
@@ -35,12 +40,15 @@
 //! falls back to round-robin so the simulation still completes with exact
 //! accounting, and the study scores the candidate as a hard failure. The
 //! batched argmin aborts at the lowest faulting row — the fault a
-//! server-by-server scan would meet first — so the latched fault and the
-//! fallback sequence are engine-independent.
+//! server-by-server scan would meet first — so the latched fault, the
+//! fallback sequence and the count of servers scored up to it are
+//! engine-independent.
 
-use crate::dispatch::{DispatchView, Dispatcher, ServerView};
+use crate::dispatch::{DispatchView, Dispatcher};
 use policysmith_dsl::{eval, Expr, Feature, FeatureEnv, Mode};
-use policysmith_kbpf::{BatchCtx, BatchScratch, CompiledPolicy, RuntimeFault, SPILL_SLOTS};
+use policysmith_kbpf::{
+    BatchCtx, BatchFault, BatchScratch, Column, CompiledPolicy, RuntimeFault, SPILL_SLOTS,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -57,26 +65,23 @@ pub struct ExprDispatcher {
 }
 
 enum Engine {
-    /// The production path: one structure-of-arrays batch per pick, one
-    /// fused argmin call over the whole fleet.
+    /// The production path: one fused argmin call over the whole fleet, on
+    /// the view's own columns.
     Batched {
         policy: CompiledPolicy,
-        batch: BatchCtx,
         scratch: BatchScratch,
         map: Vec<i64>,
-        /// Per-request invariant slots, broadcast once per pick.
-        invariant_slots: FillPlan<InvariantField>,
-        /// Per-server feature slots, filled column-major.
-        server_slots: FillPlan<ServerField>,
+        /// `server.work_left` at this pick's `now`, derived only when the
+        /// layout reads it.
+        work_left: Vec<i64>,
     },
     /// Power-of-d sampling: score `d` seeded distinct servers, batched.
     PowerOfD {
         policy: CompiledPolicy,
-        batch: BatchCtx,
+        /// The sampled servers' cells, one column per per-server slot.
+        gathered: BatchCtx,
         scratch: BatchScratch,
         map: Vec<i64>,
-        invariant_slots: FillPlan<InvariantField>,
-        server_slots: FillPlan<ServerField>,
         d: usize,
         rng: StdRng,
         /// Sampled indices, ascending (so the batched argmin's lowest-row
@@ -90,7 +95,6 @@ enum Engine {
         policy: CompiledPolicy,
         ctx: Vec<i64>,
         map: Vec<i64>,
-        server_slots: FillPlan<ServerField>,
         scores: Vec<i64>,
         tree: ArgminTree,
         /// False until the first full rescore (and again after a faulting
@@ -103,68 +107,63 @@ enum Engine {
     Interpreted { expr: Expr },
 }
 
-/// `(ctx slot, field to write there)` pairs, precomputed per layout.
-type FillPlan<F> = Vec<(usize, F)>;
+/// How many slots a `Mode::Lb` layout can have: one per lb feature.
+const LB_SLOTS: usize = 7;
 
-#[derive(Clone, Copy)]
-enum InvariantField {
-    Now,
-    ReqSize,
-}
-
-#[derive(Clone, Copy)]
-enum ServerField {
-    QueueLen,
-    Inflight,
-    Speed,
-    EwmaLatency,
-    WorkLeft,
-}
-
-/// Split a layout into the two fill plans.
-fn fill_plans(policy: &CompiledPolicy) -> (FillPlan<InvariantField>, FillPlan<ServerField>) {
-    let mut invariant = Vec::new();
-    let mut server = Vec::new();
-    for (slot, f) in policy.layout().features().iter().enumerate() {
-        match f {
-            Feature::Now => invariant.push((slot, InvariantField::Now)),
-            Feature::ReqSize => invariant.push((slot, InvariantField::ReqSize)),
-            Feature::ServerQueueLen => server.push((slot, ServerField::QueueLen)),
-            Feature::ServerInflight => server.push((slot, ServerField::Inflight)),
-            Feature::ServerSpeed => server.push((slot, ServerField::Speed)),
-            Feature::ServerEwmaLatency => server.push((slot, ServerField::EwmaLatency)),
-            Feature::ServerWorkLeft => server.push((slot, ServerField::WorkLeft)),
-            // non-lb features cannot survive the Mode::Lb check
-            _ => unreachable!("non-lb feature in a Mode::Lb layout"),
-        }
-    }
-    (invariant, server)
-}
-
-fn invariant_value(field: InvariantField, view: &DispatchView<'_>) -> i64 {
-    match field {
-        InvariantField::Now => view.now_us as i64,
-        InvariantField::ReqSize => view.req_size as i64,
-    }
-}
-
-fn server_value(field: ServerField, s: &ServerView) -> i64 {
-    match field {
-        ServerField::QueueLen => s.queue_len as i64,
-        ServerField::Inflight => s.inflight as i64,
-        ServerField::Speed => s.speed as i64,
-        ServerField::EwmaLatency => s.ewma_latency_us as i64,
-        ServerField::WorkLeft => s.work_left_us as i64,
-    }
-}
-
-/// Is the policy's feature surface purely event-driven? Queue length,
-/// inflight, speed and EWMA latency change only at admissions,
-/// completions, and reconfigures — exactly the events [`LbEngine`] marks
-/// dirty. `now`/`req.size` change per request and `work_left` drains with
-/// wall time, so any of them invalidates score caching.
+/// The view's column for an event-driven per-server feature: the four
+/// that change only at admissions, completions and reconfigures — exactly
+/// the events [`LbEngine`] marks dirty.
 ///
 /// [`LbEngine`]: crate::sim::LbEngine
+fn event_column<'a>(view: &DispatchView<'a>, f: Feature) -> Option<&'a [i64]> {
+    match f {
+        Feature::ServerQueueLen => Some(view.queue_len),
+        Feature::ServerInflight => Some(view.inflight),
+        Feature::ServerSpeed => Some(view.speed),
+        Feature::ServerEwmaLatency => Some(view.ewma_latency_us),
+        _ => None,
+    }
+}
+
+/// `f`'s value when it is the same for every server of one decision.
+fn uniform(view: &DispatchView<'_>, f: Feature) -> Option<i64> {
+    match f {
+        Feature::Now => Some(view.now_us as i64),
+        Feature::ReqSize => Some(view.req_size as i64),
+        _ => None,
+    }
+}
+
+/// `f` for server `six` — the one feature map every engine reads through
+/// (the batched one column-wise, via the two functions above).
+fn feature_at(view: &DispatchView<'_>, f: Feature, six: usize) -> i64 {
+    match f {
+        Feature::ServerWorkLeft => view.work_left_us(six) as i64,
+        // non-lb features cannot survive the Mode::Lb check; be total
+        _ => uniform(view, f).or_else(|| event_column(view, f).map(|col| col[six])).unwrap_or(0),
+    }
+}
+
+/// One decision as the batch executor takes it: `now`/`req.size` stay
+/// uniforms, every other slot is the column `per_server` names for it.
+fn lend<'a>(
+    view: &DispatchView<'_>,
+    features: &[Feature],
+    per_server: impl Fn(usize, Feature) -> &'a [i64],
+) -> [Column<'a>; LB_SLOTS] {
+    let mut cols = [Column::Uniform(0); LB_SLOTS];
+    for (slot, (col, &f)) in cols.iter_mut().zip(features).enumerate() {
+        *col = match uniform(view, f) {
+            Some(v) => Column::Uniform(v),
+            None => Column::Rows(per_server(slot, f)),
+        };
+    }
+    cols
+}
+
+/// Is the policy's feature surface purely event-driven (every slot an
+/// [`event_column`])? `now`/`req.size` change per request and `work_left`
+/// drains with wall time, so any of them invalidates score caching.
 fn tree_eligible(policy: &CompiledPolicy) -> bool {
     policy.layout().features().iter().all(|f| {
         matches!(
@@ -245,16 +244,13 @@ impl ExprDispatcher {
     /// opt-in.
     pub fn new(name: &str, policy: CompiledPolicy) -> Self {
         debug_assert_eq!(policy.mode(), Mode::Lb, "lb host needs a Mode::Lb policy");
-        let (invariant_slots, server_slots) = fill_plans(&policy);
         ExprDispatcher {
             name: name.to_string(),
             engine: Engine::Batched {
-                batch: BatchCtx::new(policy.layout().len()),
                 scratch: BatchScratch::new(),
                 map: vec![0; SPILL_SLOTS],
+                work_left: Vec::new(),
                 policy,
-                invariant_slots,
-                server_slots,
             },
             first_error: None,
             fallback_next: 0,
@@ -274,16 +270,13 @@ impl ExprDispatcher {
     pub fn power_of_d(name: &str, policy: CompiledPolicy, d: usize, seed: u64) -> Self {
         assert!(d > 0, "power-of-d needs at least one sample");
         debug_assert_eq!(policy.mode(), Mode::Lb, "lb host needs a Mode::Lb policy");
-        let (invariant_slots, server_slots) = fill_plans(&policy);
         ExprDispatcher {
             name: name.to_string(),
             engine: Engine::PowerOfD {
-                batch: BatchCtx::new(policy.layout().len()),
+                gathered: BatchCtx::new(policy.layout().len()),
                 scratch: BatchScratch::new(),
                 map: vec![0; SPILL_SLOTS],
                 policy,
-                invariant_slots,
-                server_slots,
                 d,
                 rng: StdRng::seed_from_u64(seed),
                 sample: Vec::with_capacity(d),
@@ -308,16 +301,12 @@ impl ExprDispatcher {
         if !tree_eligible(&policy) {
             return Self::new(name, policy);
         }
-        let (invariant_slots, server_slots) = fill_plans(&policy);
-        debug_assert!(invariant_slots.is_empty(), "eligible layouts have no invariant slots");
-        let _ = invariant_slots;
         ExprDispatcher {
             name: name.to_string(),
             engine: Engine::Tree {
                 ctx: vec![0; policy.layout().len()],
                 map: vec![0; SPILL_SLOTS],
                 policy,
-                server_slots,
                 scores: Vec::new(),
                 tree: ArgminTree::new(),
                 ready: false,
@@ -398,48 +387,29 @@ impl Dispatcher for ExprDispatcher {
     }
 
     fn pick(&mut self, view: &DispatchView<'_>) -> usize {
-        let n = view.servers.len();
+        let n = view.len();
         self.picks += 1;
         if self.first_error.is_some() {
             // latched failure: degrade to round-robin, keep the run exact
             return self.fallback(n);
         }
-        let mut best = 0usize;
         let mut scored = 0u64;
-        let fault = match &mut self.engine {
-            Engine::Batched { policy, batch, scratch, map, invariant_slots, server_slots } => {
-                batch.set_rows(n);
-                for &(slot, field) in invariant_slots.iter() {
-                    batch.broadcast(slot, invariant_value(field, view));
+        let picked = match &mut self.engine {
+            Engine::Batched { policy, scratch, map, work_left } => {
+                let features = policy.layout().features();
+                if features.contains(&Feature::ServerWorkLeft) {
+                    let now = view.now_us as i64;
+                    work_left.clear();
+                    work_left.extend(view.drain_at_us.iter().map(|&at| (at - now).max(0)));
                 }
-                for &(slot, field) in server_slots.iter() {
-                    let col = batch.column_mut(slot);
-                    for (ix, s) in view.servers.iter().enumerate() {
-                        col[ix] = server_value(field, s);
-                    }
-                }
-                scored = n as u64;
-                match policy.run_batch_argmin(batch, scratch, map) {
-                    Ok(ix) => {
-                        best = ix;
-                        None
-                    }
-                    // the fused argmin aborts at the lowest faulting row —
-                    // the fault a server-by-server scan would latch first
-                    Err(bf) => Some(RuntimeFault::Vm(bf.fault)),
-                }
+                // the view's own slices, as they are; what is not stored of
+                // the per-server lb surface is server.work_left
+                let cols = lend(view, features, |_, f| event_column(view, f).unwrap_or(work_left));
+                let row = policy.run_columns_argmin(&cols[..features.len()], n, scratch, map);
+                scored = rows_scored(&row, n);
+                row.map_err(|bf| RuntimeFault::Vm(bf.fault))
             }
-            Engine::PowerOfD {
-                policy,
-                batch,
-                scratch,
-                map,
-                invariant_slots,
-                server_slots,
-                d,
-                rng,
-                sample,
-            } => {
+            Engine::PowerOfD { policy, gathered, scratch, map, d, rng, sample } => {
                 let k = (*d).min(n);
                 sample.clear();
                 if k == n {
@@ -456,139 +426,106 @@ impl Dispatcher for ExprDispatcher {
                     // the lowest server index of the sample
                     sample.sort_unstable();
                 }
-                batch.set_rows(k);
-                for &(slot, field) in invariant_slots.iter() {
-                    batch.broadcast(slot, invariant_value(field, view));
-                }
-                for &(slot, field) in server_slots.iter() {
-                    let col = batch.column_mut(slot);
-                    for (row, &six) in sample.iter().enumerate() {
-                        col[row] = server_value(field, &view.servers[six]);
+                let features = policy.layout().features();
+                gathered.set_rows(k);
+                for (slot, &f) in features.iter().enumerate() {
+                    if uniform(view, f).is_none() {
+                        for (cell, &six) in gathered.column_mut(slot).iter_mut().zip(sample.iter())
+                        {
+                            *cell = feature_at(view, f, six);
+                        }
                     }
                 }
-                scored = k as u64;
-                match policy.run_batch_argmin(batch, scratch, map) {
-                    Ok(row) => {
-                        best = sample[row];
-                        None
-                    }
-                    Err(bf) => Some(RuntimeFault::Vm(bf.fault)),
-                }
+                let cols = lend(view, features, |slot, _| gathered.column(slot));
+                let row = policy.run_columns_argmin(&cols[..features.len()], k, scratch, map);
+                scored = rows_scored(&row, k);
+                row.map(|row| sample[row]).map_err(|bf| RuntimeFault::Vm(bf.fault))
             }
-            Engine::Tree { policy, ctx, map, server_slots, scores, tree, ready } => {
+            Engine::Tree { policy, ctx, map, scores, tree, ready } => {
+                let features = policy.layout().features();
+                let mut score = |six: usize| {
+                    for (cell, &f) in ctx.iter_mut().zip(features) {
+                        *cell = feature_at(view, f, six);
+                    }
+                    scored += 1;
+                    policy.run(ctx, map).map_err(RuntimeFault::Vm)
+                };
                 // full rescore when the cache can't be trusted: first pick,
                 // fleet resize, or a view without dirty provenance
-                let full = !*ready || scores.len() != n || view.dirty.is_none();
-                let mut fault = None;
-                if full {
-                    scores.clear();
-                    for s in view.servers.iter() {
-                        for &(slot, field) in server_slots.iter() {
-                            ctx[slot] = server_value(field, s);
-                        }
-                        scored += 1;
-                        match policy.run(ctx, map) {
-                            Ok(v) => scores.push(v),
-                            Err(e) => {
-                                fault = Some(RuntimeFault::Vm(e));
-                                break;
-                            }
-                        }
+                let rescored = match view.dirty {
+                    Some(dirty) if *ready && scores.len() == n => {
+                        dirty.iter().try_for_each(|&six| {
+                            let v = score(six)?;
+                            scores[six] = v;
+                            tree.update(six, v);
+                            Ok(())
+                        })
                     }
-                    if fault.is_none() {
-                        tree.rebuild(scores);
-                        *ready = true;
-                    } else {
-                        *ready = false;
+                    _ => {
+                        scores.clear();
+                        (0..n)
+                            .try_for_each(|six| score(six).map(|v| scores.push(v)))
+                            .map(|()| tree.rebuild(scores))
                     }
-                } else {
-                    for &six in view.dirty.unwrap_or(&[]) {
-                        let s = &view.servers[six];
-                        for &(slot, field) in server_slots.iter() {
-                            ctx[slot] = server_value(field, s);
-                        }
-                        scored += 1;
-                        match policy.run(ctx, map) {
-                            Ok(v) => {
-                                scores[six] = v;
-                                tree.update(six, v);
-                            }
-                            Err(e) => {
-                                fault = Some(RuntimeFault::Vm(e));
-                                *ready = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if fault.is_none() {
-                    best = tree.best();
-                }
-                fault
+                };
+                *ready = rescored.is_ok();
+                rescored.map(|()| tree.best())
             }
             Engine::Interpreted { expr } => {
-                let mut best_score = i64::MAX;
-                let mut fault = None;
-                for (ix, s) in view.servers.iter().enumerate() {
-                    let env = OracleEnv { now_us: view.now_us, req_size: view.req_size, server: s };
-                    scored += 1;
-                    match eval(expr, &env) {
-                        Ok(score) => {
-                            if score < best_score {
-                                best_score = score;
-                                best = ix;
-                            }
+                let mut best = (0usize, i64::MAX);
+                (0..n)
+                    .try_for_each(|six| {
+                        scored += 1;
+                        let score = eval(expr, &OracleEnv { view, six })?;
+                        if score < best.1 {
+                            best = (six, score);
                         }
-                        Err(e) => {
-                            fault = Some(RuntimeFault::Interp(e));
-                            break;
-                        }
-                    }
-                }
-                fault
+                        Ok(())
+                    })
+                    .map(|()| best.0)
+                    .map_err(RuntimeFault::Interp)
             }
         };
         self.score_calls += scored;
-        match fault {
-            None => best,
-            Some(f) => {
-                self.first_error = Some(f);
+        match picked {
+            Ok(best) => best,
+            Err(fault) => {
+                self.first_error = Some(fault);
                 self.fallback(n)
             }
         }
     }
 }
 
-/// The oracle's per-`(dispatch, server)` feature environment: plain field
-/// reads off the borrowed views — no hash map, no per-pick allocation —
-/// the same dense treatment the compiled engine's fill plans get, so the
-/// interpreter-vs-VM comparison measures the engines, not the plumbing.
-struct OracleEnv<'a> {
-    now_us: u64,
-    req_size: u64,
-    server: &'a ServerView,
+/// How many rows a fused argmin over `rows` rows scored: all of them, or —
+/// the scan being spec'd as row by row, aborting at the lowest faulting
+/// row, the fault a server-by-server scan would latch first — those up to
+/// and including that one.
+fn rows_scored(picked: &Result<usize, BatchFault>, rows: usize) -> u64 {
+    match picked {
+        Ok(_) => rows as u64,
+        Err(bf) => bf.row as u64 + 1,
+    }
 }
 
-impl FeatureEnv for OracleEnv<'_> {
+/// The oracle's per-`(dispatch, server)` feature environment: plain cell
+/// reads off the borrowed view — no hash map, no per-pick allocation — so
+/// the interpreter-vs-VM comparison measures the engines, not the plumbing.
+struct OracleEnv<'v, 'a> {
+    view: &'v DispatchView<'a>,
+    six: usize,
+}
+
+impl FeatureEnv for OracleEnv<'_, '_> {
     fn feature(&self, f: Feature) -> i64 {
-        match f {
-            Feature::Now => self.now_us as i64,
-            Feature::ReqSize => self.req_size as i64,
-            Feature::ServerQueueLen => self.server.queue_len as i64,
-            Feature::ServerInflight => self.server.inflight as i64,
-            Feature::ServerSpeed => self.server.speed as i64,
-            Feature::ServerEwmaLatency => self.server.ewma_latency_us as i64,
-            Feature::ServerWorkLeft => self.server.work_left_us as i64,
-            // non-lb features cannot survive the Mode::Lb check; be total
-            _ => 0,
-        }
+        feature_at(self.view, f, self.six)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::ServerView;
+    use crate::dispatch::{FleetColumns, ServerView};
     use policysmith_dsl::parse;
 
     fn sv(queue_len: usize, inflight: usize, speed: u32, ewma: u64) -> ServerView {
@@ -601,8 +538,10 @@ mod tests {
         ExprDispatcher::new("test", policy)
     }
 
-    fn view<'a>(servers: &'a [ServerView]) -> DispatchView<'a> {
-        DispatchView { now_us: 0, req_size: 10, servers, dirty: None }
+    /// One decision of `d` over `servers` (a size-10 request at t = 0, no
+    /// dirty provenance).
+    fn pick_on(d: &mut ExprDispatcher, servers: &[ServerView]) -> usize {
+        d.pick(&FleetColumns::from_rows(servers, 0).view(0, 10, None))
     }
 
     #[test]
@@ -611,7 +550,7 @@ mod tests {
         let mut d = host("server.queue_len");
         assert!(d.is_compiled(), "study candidates must run compiled");
         assert_eq!(d.scan_kind(), "batched", "the default host is the batched scan");
-        assert_eq!(d.pick(&view(&servers)), 1);
+        assert_eq!(pick_on(&mut d, &servers), 1);
         assert_eq!((d.picks(), d.score_calls()), (1, 3));
     }
 
@@ -619,7 +558,7 @@ mod tests {
     fn speed_normalized_score_prefers_fast_servers() {
         // equal backlog, unequal speed → normalized load picks the fast one
         let servers = [sv(3, 4, 1, 0), sv(3, 4, 8, 0)];
-        assert_eq!(host("server.inflight * 1000 / server.speed").pick(&view(&servers)), 1);
+        assert_eq!(pick_on(&mut host("server.inflight * 1000 / server.speed"), &servers), 1);
     }
 
     #[test]
@@ -629,14 +568,14 @@ mod tests {
         let mut b = sv(3, 4, 4, 0);
         b.work_left_us = 2_000; // more requests but less actual work
         let servers = [a, b];
-        assert_eq!(host("server.work_left").pick(&view(&servers)), 1);
-        assert_eq!(host("server.queue_len").pick(&view(&servers)), 0);
+        assert_eq!(pick_on(&mut host("server.work_left"), &servers), 1);
+        assert_eq!(pick_on(&mut host("server.queue_len"), &servers), 0);
     }
 
     #[test]
     fn ties_break_to_the_lower_index() {
         let servers = [sv(2, 2, 4, 0), sv(2, 2, 4, 0)];
-        assert_eq!(host("server.queue_len").pick(&view(&servers)), 0);
+        assert_eq!(pick_on(&mut host("server.queue_len"), &servers), 0);
     }
 
     #[test]
@@ -646,7 +585,7 @@ mod tests {
         let mut pd = ExprDispatcher::power_of_d("pd", policy, 16, 7);
         assert_eq!(pd.scan_kind(), "power-of-d");
         let servers = [sv(4, 5, 4, 0), sv(1, 2, 4, 0), sv(2, 3, 4, 0)];
-        assert_eq!(pd.pick(&view(&servers)), 1, "d ≥ fleet degenerates to argmin");
+        assert_eq!(pick_on(&mut pd, &servers), 1, "d ≥ fleet degenerates to argmin");
     }
 
     #[test]
@@ -668,10 +607,10 @@ mod tests {
         let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
         let mut d = ExprDispatcher::argmin_tree("t", policy);
         let a = [sv(4, 5, 4, 0), sv(1, 2, 4, 0)];
-        assert_eq!(d.pick(&view(&a)), 1);
+        assert_eq!(pick_on(&mut d, &a), 1);
         // state changed behind its back; dirty: None must force a rescore
         let b = [sv(0, 0, 4, 0), sv(1, 2, 4, 0)];
-        assert_eq!(d.pick(&view(&b)), 0);
+        assert_eq!(pick_on(&mut d, &b), 0);
     }
 
     #[test]
@@ -681,9 +620,41 @@ mod tests {
         let servers = [sv(0, 0, 4, 0), sv(0, 0, 4, 0)];
         let mut d = host("1000 / server.queue_len");
         assert!(d.first_error().is_none());
-        let picks: Vec<usize> = (0..4).map(|_| d.pick(&view(&servers))).collect();
+        let picks: Vec<usize> = (0..4).map(|_| pick_on(&mut d, &servers)).collect();
         assert!(d.first_error().is_some(), "fault must latch");
         assert_eq!(picks, vec![0, 1, 0, 1], "fallback is round-robin");
+    }
+
+    #[test]
+    fn lent_column_arrays_cover_the_lb_surface() {
+        assert_eq!(LB_SLOTS, Feature::catalog(Mode::Lb).len());
+    }
+
+    #[test]
+    fn score_calls_count_rows_actually_scored() {
+        // server 1 is the lowest faulting row: a server-by-server scan
+        // scores two servers and stops, and so must every engine report
+        let servers = [sv(2, 3, 4, 0), sv(0, 0, 4, 0), sv(3, 4, 4, 0), sv(0, 0, 4, 0)];
+        let e = parse("1000 / server.queue_len").unwrap();
+        let policy = || CompiledPolicy::compile(&e, Mode::Lb).unwrap();
+        for mut d in [
+            ExprDispatcher::new("batched", policy()),
+            ExprDispatcher::power_of_d("whole-fleet sample", policy(), 4, 7),
+            ExprDispatcher::argmin_tree("tree", policy()),
+            ExprDispatcher::interpreted("oracle", e.clone()),
+        ] {
+            pick_on(&mut d, &servers);
+            assert!(d.first_error().is_some(), "{} must latch the fault", d.name());
+            assert_eq!(d.score_calls(), 2, "{} scored past (or short of) the abort", d.name());
+            // latched: fallback picks score nothing
+            pick_on(&mut d, &servers);
+            assert_eq!((d.picks(), d.score_calls()), (2, 2), "{}", d.name());
+        }
+
+        // and a clean pick scores every row it was given
+        let mut d = ExprDispatcher::new("batched", policy());
+        pick_on(&mut d, &[sv(2, 3, 4, 0), sv(1, 2, 4, 0), sv(3, 4, 4, 0)]);
+        assert_eq!((d.first_error(), d.score_calls()), (None, 3));
     }
 
     #[test]

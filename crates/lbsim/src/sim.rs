@@ -6,6 +6,19 @@
 //! up-to-date queues; ties inside the heap break on server index.
 //! A run is a pure function of `(servers, requests, dispatcher)`.
 //!
+//! What a dispatcher reads — queue length, inflight, speed, EWMA latency
+//! and the drain instant behind `work_left` — the engine keeps as
+//! [`FleetColumns`], one cell updated per event, and **lends** per
+//! decision ([`DispatchView`](crate::dispatch::DispatchView)): an offer
+//! does no O(fleet) work of its own.
+//! `work_left` needs no per-decision upkeep because of an exact identity,
+//! `work_left(now) = max(drain_at − now, 0)`, where `drain_at` is the
+//! instant the server runs out of admitted work: admitting to an idle
+//! server sets it to `now + service`, admitting to a busy one adds
+//! `service`, and a completion leaves it alone (the promoted request's
+//! service time was already counted); a drop admits nothing, and a
+//! reconfigure never rewrites admitted work.
+//!
 //! Three entry points share one engine:
 //!
 //! * [`run`] — the one-shot batch API: offer a whole request stream, drain,
@@ -19,7 +32,7 @@
 //!   that need to stream arrivals in windows and observe a live quality
 //!   signal between them (the drift-monitor loop of the adaptation story).
 
-use crate::dispatch::{DispatchView, Dispatcher, ServerView};
+use crate::dispatch::{Dispatcher, FleetColumns};
 use crate::model::{LbRequest, ServerCfg};
 use crate::scenario::Scenario;
 use std::cmp::Reverse;
@@ -160,30 +173,22 @@ struct Admitted {
     ideal_us: u64,
 }
 
+/// What the engine needs of a server beyond the dispatcher-visible
+/// [`FleetColumns`] cells (the EWMA latency lives only there).
 struct ServerState {
     cfg: ServerCfg,
     /// Waiting requests, FIFO.
     queue: VecDeque<Admitted>,
     /// In-service request and its finish time, µs.
     in_service: Option<(Admitted, u64)>,
-    /// Sum of the queued requests' service times, µs (excludes in-service).
-    queued_work_us: u64,
-    ewma_latency_us: u64,
 }
 
 impl ServerState {
-    fn view(&self, now: u64) -> ServerView {
-        // residual work: what remains of the in-service request at `now`
-        // (completions ≤ now have already been applied) plus the queue
-        let in_service_left =
-            self.in_service.map(|(_, finish)| finish.saturating_sub(now)).unwrap_or(0);
-        ServerView {
-            queue_len: self.queue.len(),
-            inflight: self.queue.len() + usize::from(self.in_service.is_some()),
-            speed: self.cfg.speed,
-            ewma_latency_us: self.ewma_latency_us,
-            work_left_us: self.queued_work_us + in_service_left,
-        }
+    /// Write this server's request counts into its column cells — called
+    /// at the two events that move them (admission, completion).
+    fn publish_counts(&self, six: usize, cols: &mut FleetColumns) {
+        cols.queue_len[six] = self.queue.len() as i64;
+        cols.inflight[six] = (self.queue.len() + usize::from(self.in_service.is_some())) as i64;
     }
 }
 
@@ -202,6 +207,10 @@ impl ServerState {
 /// stay comparable across phases of a reconfigured run.
 pub struct LbEngine {
     fleet: Vec<ServerState>,
+    /// The dispatcher-visible state, one cell per (feature, server), kept
+    /// current by the events that change it (see the module docs) and lent
+    /// to every pick as it is.
+    cols: FleetColumns,
     /// Completion agenda: (finish time, server index).
     completions: BinaryHeap<Reverse<(u64, usize)>>,
     /// The slowdown reference server (fastest initial speed, unbounded
@@ -212,12 +221,13 @@ pub struct LbEngine {
     mark: LbMetrics,
     /// Deepest queue seen since the last interval mark.
     interval_max_queue: usize,
-    views: Vec<ServerView>,
     last_arrival: u64,
-    /// Servers whose event-driven state changed since the previous pick —
+    /// Servers with a column cell written since the previous pick —
     /// handed to the dispatcher as [`DispatchView::dirty`] so incremental
     /// dispatchers rescore only what moved. Deduplicated via
     /// `dirty_flags`; cleared after every pick.
+    ///
+    /// [`DispatchView::dirty`]: crate::dispatch::DispatchView::dirty
     dirty: Vec<usize>,
     dirty_flags: Vec<bool>,
 }
@@ -230,20 +240,20 @@ impl LbEngine {
         LbEngine {
             fleet: servers
                 .iter()
-                .map(|&cfg| ServerState {
-                    cfg,
-                    queue: VecDeque::new(),
-                    in_service: None,
-                    queued_work_us: 0,
-                    ewma_latency_us: 0,
-                })
+                .map(|&cfg| ServerState { cfg, queue: VecDeque::new(), in_service: None })
                 .collect(),
+            cols: FleetColumns {
+                queue_len: vec![0; servers.len()],
+                inflight: vec![0; servers.len()],
+                speed: servers.iter().map(|s| i64::from(s.speed)).collect(),
+                ewma_latency_us: vec![0; servers.len()],
+                drain_at_us: vec![0; servers.len()],
+            },
             completions: BinaryHeap::new(),
             ideal: ServerCfg::new(vmax, usize::MAX >> 1),
             m: LbMetrics::zero(servers.len()),
             mark: LbMetrics::zero(servers.len()),
             interval_max_queue: 0,
-            views: Vec::with_capacity(servers.len()),
             last_arrival: 0,
             dirty: Vec::with_capacity(servers.len()),
             dirty_flags: vec![false; servers.len()],
@@ -285,17 +295,21 @@ impl LbEngine {
             self.m.sum_response_us += response;
             self.m.sum_slowdown += response as f64 / req.ideal_us as f64;
             self.m.duration_us = self.m.duration_us.max(finish);
-            s.ewma_latency_us = if s.ewma_latency_us == 0 {
-                response
+            let ewma = &mut self.cols.ewma_latency_us[six];
+            *ewma = if *ewma == 0 {
+                response as i64
             } else {
-                s.ewma_latency_us - (s.ewma_latency_us >> EWMA_SHIFT) + (response >> EWMA_SHIFT)
+                *ewma - (*ewma >> EWMA_SHIFT) + (response >> EWMA_SHIFT) as i64
             };
             if let Some(next) = s.queue.pop_front() {
-                s.queued_work_us -= next.service_us;
+                // the drain instant already counts `next` (it was added
+                // when `next` queued up) and its service starts exactly
+                // where this one ended, so `drain_at` does not move
                 s.in_service = Some((next, finish + next.service_us));
                 self.m.busy_us[six] += next.service_us;
                 self.completions.push(Reverse((finish + next.service_us, six)));
             }
+            s.publish_counts(six, &mut self.cols);
         }
     }
 
@@ -311,14 +325,9 @@ impl LbEngine {
         self.m.offered += 1;
         self.m.duration_us = self.m.duration_us.max(req.arrival_us);
 
-        self.views.clear();
-        self.views.extend(self.fleet.iter().map(|s| s.view(req.arrival_us)));
-        let view = DispatchView {
-            now_us: req.arrival_us,
-            req_size: req.size,
-            servers: &self.views,
-            dirty: Some(&self.dirty),
-        };
+        #[cfg(debug_assertions)]
+        self.assert_columns_current();
+        let view = self.cols.view(req.arrival_us, req.size, Some(&self.dirty));
         let six = dispatcher.pick(&view);
         assert!(six < self.fleet.len(), "dispatcher returned server {six} of {}", self.fleet.len());
 
@@ -339,12 +348,15 @@ impl LbEngine {
             s.in_service = Some((admitted, finish));
             self.m.busy_us[six] += admitted.service_us;
             self.completions.push(Reverse((finish, six)));
+            self.cols.drain_at_us[six] = finish as i64;
+            s.publish_counts(six, &mut self.cols);
             Self::mark_dirty(&mut self.dirty, &mut self.dirty_flags, six);
         } else if s.queue.len() < s.cfg.queue_cap {
             s.queue.push_back(admitted);
-            s.queued_work_us += admitted.service_us;
             self.m.max_queue_seen = self.m.max_queue_seen.max(s.queue.len());
             self.interval_max_queue = self.interval_max_queue.max(s.queue.len());
+            self.cols.drain_at_us[six] += admitted.service_us as i64;
+            s.publish_counts(six, &mut self.cols);
             Self::mark_dirty(&mut self.dirty, &mut self.dirty_flags, six);
         } else {
             // a drop observes the queue at capacity: record the depth even
@@ -377,8 +389,36 @@ impl LbEngine {
         );
         for (six, (state, &cfg)) in self.fleet.iter_mut().zip(servers).enumerate() {
             state.cfg = cfg;
+            self.cols.speed[six] = i64::from(cfg.speed);
             // a speed/cap change moves every score built on it
             Self::mark_dirty(&mut self.dirty, &mut self.dirty_flags, six);
+        }
+    }
+
+    /// Every column cell against a from-scratch recomputation from the
+    /// per-server state, as of the engine's clock — the event-maintenance
+    /// invariant. The EWMA cell is itself the state, so it has nothing to
+    /// disagree with. [`offer`](Self::offer) runs this on every arrival in
+    /// builds with debug assertions (tier-1's included).
+    #[cfg(any(test, debug_assertions))]
+    fn assert_columns_current(&self) {
+        let now = self.last_arrival;
+        for (six, s) in self.fleet.iter().enumerate() {
+            let view = self.cols.view(now, 0, None).server(six);
+            let queued_work_us: u64 = s.queue.iter().map(|a| a.service_us).sum();
+            let in_service_left = s.in_service.map_or(0, |(_, finish)| finish.saturating_sub(now));
+            assert_eq!(view.queue_len, s.queue.len(), "queue_len[{six}] at {now}");
+            assert_eq!(
+                view.inflight,
+                s.queue.len() + usize::from(s.in_service.is_some()),
+                "inflight[{six}] at {now}"
+            );
+            assert_eq!(view.speed, s.cfg.speed, "speed[{six}] at {now}");
+            assert_eq!(
+                view.work_left_us,
+                queued_work_us + in_service_left,
+                "max(drain_at - now, 0) on server {six} at {now}"
+            );
         }
     }
 
@@ -547,7 +587,7 @@ pub fn run_phased_windowed<D: Dispatcher>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{Jsq, LeastLoaded, Random, RoundRobin};
+    use crate::dispatch::{DispatchView, Jsq, LeastLoaded, Random, RoundRobin};
     use crate::model::LbRequest;
 
     fn uniform_servers(n: usize, speed: u32, cap: usize) -> Vec<ServerCfg> {
@@ -671,7 +711,7 @@ mod tests {
                 "recorder"
             }
             fn pick(&mut self, v: &DispatchView<'_>) -> usize {
-                self.0.push(v.servers[0].work_left_us);
+                self.0.push(v.work_left_us(0));
                 0
             }
         }
@@ -698,7 +738,7 @@ mod tests {
                 "probe"
             }
             fn pick(&mut self, v: &DispatchView<'_>) -> usize {
-                self.last = v.servers[0].work_left_us;
+                self.last = v.work_left_us(0);
                 0
             }
         }
@@ -882,6 +922,68 @@ mod tests {
         for six in 0..3 {
             assert!(last.contains(&six), "reconfigure must dirty server {six}");
         }
+    }
+
+    /// Offer `requests` (arrivals shifted by `offset`) one **event** at a
+    /// time — each due completion instant applied on its own, then the
+    /// arrival — holding the column invariant after every one of them.
+    fn offer_event_by_event(
+        engine: &mut LbEngine,
+        requests: &[LbRequest],
+        offset: u64,
+        d: &mut dyn Dispatcher,
+    ) {
+        for req in requests {
+            let arrival_us = offset + req.arrival_us;
+            while let Some(&Reverse((finish, _))) = engine.completions.peek() {
+                if finish > arrival_us {
+                    break;
+                }
+                engine.complete_until(finish);
+                engine.assert_columns_current();
+            }
+            engine.offer(&LbRequest { arrival_us, size: req.size }, d);
+            engine.assert_columns_current();
+        }
+    }
+
+    #[test]
+    fn columns_equal_a_from_scratch_recomputation_after_every_event() {
+        // a speed-blind baseline, a count-based one, and the policy that
+        // reads the derived work_left column
+        let expr = policysmith_dsl::parse("server.work_left + req.size * 1000 / server.speed");
+        let policy =
+            policysmith_kbpf::CompiledPolicy::compile(&expr.unwrap(), policysmith_dsl::Mode::Lb);
+        let mut dispatchers: Vec<Box<dyn Dispatcher>> = vec![
+            Box::new(RoundRobin::new()),
+            Box::new(Jsq::new()),
+            Box::new(crate::policy::ExprDispatcher::new("lwl", policy.unwrap())),
+        ];
+        let mut dropped = 0;
+        for d in dispatchers.iter_mut() {
+            for sc in crate::scenario::all_presets() {
+                let mut engine = LbEngine::new(&sc.servers);
+                engine.assert_columns_current();
+                offer_event_by_event(&mut engine, &sc.requests(), 0, d);
+                engine.drain();
+                engine.assert_columns_current();
+                assert!(engine.cols.inflight.iter().all(|&n| n == 0), "drained on {}", sc.name);
+                dropped += engine.m.dropped;
+            }
+
+            // the phased run: a reconfigure between two live phases
+            let phases = crate::scenario::slow_node_onset_phases();
+            let mut engine = LbEngine::new(&phases[0].servers);
+            let first = phases[0].requests();
+            offer_event_by_event(&mut engine, &first, 0, d);
+            engine.reconfigure(&phases[1].servers);
+            engine.assert_columns_current();
+            let offset = first.last().unwrap().arrival_us;
+            offer_event_by_event(&mut engine, &phases[1].requests(), offset, d);
+            engine.drain();
+            engine.assert_columns_current();
+        }
+        assert!(dropped > 0, "the presets must exercise the drop path too");
     }
 
     #[test]
