@@ -2,9 +2,9 @@
 //! scenario preset, sweep every preset with every baseline and every
 //! synthesized policy, and report the cross-scenario improvement matrix
 //! (the load-balancing analogue of Figure 2 / Table 2). A second section
-//! sweeps fleet sizes into the hundreds of servers and records
-//! per-dispatch decision latency alongside quality — the scaling axis the
-//! serving runtime (`exp_serve`) builds on.
+//! sweeps fleet sizes into the hundreds of servers and records quality
+//! and scoring work per pick (per-pick time at 256 servers is the
+//! benchmark's `decide-lb` workload, `lbsim.pick_ns`).
 //!
 //! Usage: `exp_lb [--fast] [--seed N]`
 
@@ -14,10 +14,8 @@ use policysmith_core::studies::lb::LbStudy;
 use policysmith_gen::{GenConfig, MockLlm};
 use policysmith_lbsim::workload::{ArrivalProcess, BoundedPareto, WorkloadCfg};
 use policysmith_lbsim::{
-    lb_baseline_names, scenario, sim, DispatchView, Dispatcher, ExprDispatcher, Scenario, ServerCfg,
+    lb_baseline_names, scenario, sim, Dispatcher, ExprDispatcher, LbMetrics, Scenario, ServerCfg,
 };
-use policysmith_obs::LatencyHistogram;
-use std::time::Instant;
 
 fn main() {
     let opts = ExpOpts::from_args();
@@ -98,36 +96,15 @@ fn main() {
     );
 }
 
-/// Per-pick timing wrapper: the per-dispatch decision latency includes
-/// everything a policy does per decision (for scoring policies, one VM
-/// execution per server — O(fleet) by construction).
-struct Timed<D> {
-    inner: D,
-    hist: LatencyHistogram,
-}
-
-impl<D: Dispatcher> Dispatcher for Timed<D> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn pick(&mut self, view: &DispatchView<'_>) -> usize {
-        let t0 = Instant::now();
-        let p = self.inner.pick(view);
-        self.hist.record(t0.elapsed().as_nanos() as u64);
-        p
-    }
-}
-
 /// Sweep uniform fleets of 16/64/256 servers at ~72% offered load and
-/// measure both quality (mean slowdown vs round-robin) and per-dispatch
-/// decision latency for every classical baseline plus the canonical
-/// compiled scoring policy. Closes the ROADMAP's "fleet sizes into the
-/// hundreds of servers" bullet and gives `exp_serve` its baseline column.
+/// record quality (mean slowdown vs round-robin) and score calls per pick
+/// for every classical baseline plus the canonical compiled scoring
+/// policy.
 fn fleet_size_sweep(opts: &ExpOpts) -> Vec<serde_json::Value> {
     const WORK_LEFT: &str = "server.work_left + req.size * 1000 / server.speed";
     let n_requests = if opts.fast { 10_000 } else { 30_000 };
     let mut out = Vec::new();
-    println!("\n=== fleet-size sweep: per-dispatch latency at scale ===");
+    println!("\n=== fleet-size sweep: quality and scoring work at scale ===");
     for &n_servers in &[16usize, 64, 256] {
         // ~72% load: rate = 0.72 × (n × speed 4 × 1000 work-units/s) /
         // mean request size (≈ 5.9, bounded-Pareto web default)
@@ -148,27 +125,16 @@ fn fleet_size_sweep(opts: &ExpOpts) -> Vec<serde_json::Value> {
         println!("  {n_servers} servers (rr mean slowdown {rr_slowdown:.3}):");
 
         let mut policies = Vec::new();
-        let mut measure = |name: &str, d: &mut dyn Dispatcher, score_calls_per_pick: f64| {
-            let mut timed = Timed { inner: d, hist: LatencyHistogram::new() };
-            let m = sim::run(&sc.servers, &requests, &mut timed);
-            let h = &timed.hist;
+        let mut record = |name: &str, m: &LbMetrics, score_calls_per_pick: f64| {
+            let slowdown = m.mean_slowdown();
             println!(
-                "    {name:>14}: slowdown {:>8.3}  mean {:>6.0} ns  p50 {:>6} ns  p99 {:>7} ns",
-                m.mean_slowdown(),
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.99)
+                "    {name:>14}: slowdown {slowdown:>8.3}  {score_calls_per_pick:>6.1} score-calls/pick"
             );
             policies.push(serde_json::json!({
                 "name": name,
-                "mean_slowdown": m.mean_slowdown(),
-                "improvement_over_rr": (rr_slowdown - m.mean_slowdown()) / rr_slowdown.max(1e-9),
-                "picks": h.count(),
-                "mean_ns": h.mean(),
-                "p50_ns": h.quantile(0.50),
-                "p99_ns": h.quantile(0.99),
-                "p999_ns": h.quantile(0.999),
-                "picks_per_sec": if h.mean() > 0.0 { 1e9 / h.mean() } else { 0.0 },
+                "mean_slowdown": slowdown,
+                "improvement_over_rr": (rr_slowdown - slowdown) / rr_slowdown.max(1e-9),
+                "picks": m.offered,
                 "score_calls_per_pick": score_calls_per_pick,
             }));
         };
@@ -181,19 +147,15 @@ fn fleet_size_sweep(opts: &ExpOpts) -> Vec<serde_json::Value> {
                 _ => n_servers as f64,
             };
             let mut d = policysmith_lbsim::by_name(name).unwrap();
-            measure(name, &mut d, scored);
+            let m = sim::run(&sc.servers, &requests, &mut d);
+            record(name, &m, scored);
         }
+        // the expression host counts its actual VM executions
         let expr = policysmith_dsl::parse(WORK_LEFT).unwrap();
         let mut compiled = ExprDispatcher::from_expr("PS-work-left", &expr);
-        measure("PS-work-left", &mut compiled, 0.0);
-        // the expression host counts its actual VM executions — overwrite
-        // the placeholder with the measured ratio
+        let m = sim::run(&sc.servers, &requests, &mut compiled);
         let measured = compiled.score_calls() as f64 / compiled.picks().max(1) as f64;
-        if let Some(serde_json::Value::Object(row)) = policies.last_mut() {
-            if let Some(slot) = row.iter_mut().find(|(k, _)| k == "score_calls_per_pick") {
-                slot.1 = serde_json::json!(measured);
-            }
-        }
+        record(compiled.name(), &m, measured);
 
         out.push(serde_json::json!({
             "servers": n_servers,

@@ -1,21 +1,15 @@
-//! Serve: the online-serving experiment — sustained decision throughput
-//! vs worker count, decision-latency percentiles, policy-adoption pause
-//! distribution, and the drift-injection timeline showing a background
-//! re-synthesis swapping a better policy in **without stopping serving**.
+//! Serve: the drift-injection experiment — a mid-run slow-node onset
+//! under a stale, speed-blind deployed policy (JSQ), answered by the
+//! telemetry → monitor → library → `run_search` → guard → publish loop in
+//! the background, **without stopping serving**.
 //!
-//! Three sections land in `results/serve.json`:
-//!
-//! * `throughput` — open-loop lb dispatch decisions/sec at 1..=N workers
-//!   (thread-confined fleets, one shared hot-swap cell), with p50/p99/p999
-//!   decision latency from the HDR-style histogram;
-//! * `drift` — a mid-run slow-node onset under a stale, speed-blind
-//!   deployed policy (JSQ): the telemetry → monitor → library →
-//!   `run_search` → guard → publish loop answers it in the background; the
-//!   section records the full window timeline, the swap log, guard
-//!   rejections, the adoption pauses, and the post-swap quality vs a
-//!   freshly-searched offline policy;
-//! * `no_drift_differential` — the serve-equals-batch check re-run in the
-//!   bench harness (the proptest version lives in `crates/serve/tests`).
+//! `results/serve.json` records the full window timeline, the swap log,
+//! guard rejections, the adoption pauses, and the post-swap quality vs a
+//! freshly-searched offline policy; the binary exits non-zero unless the
+//! drift is answered with no decision dropped and (full run) the post-swap
+//! tail lands within 5 % of the offline policy's. Decision throughput and
+//! latency are the benchmark's `serve-steady` / `serve-drift` workloads;
+//! serve ≡ batch is `crates/serve/tests/differential.rs`.
 //!
 //! Usage: `exp_serve [--quick] [--seed N]`
 
@@ -26,116 +20,21 @@ use policysmith_core::studies::lb::LbStudy;
 use policysmith_dsl::{parse, Mode};
 use policysmith_gen::{GenConfig, MockLlm};
 use policysmith_kbpf::CompiledPolicy;
-use policysmith_lbsim::{scenario, sim, ExprDispatcher, Scenario};
-use policysmith_obs::LatencyHistogram;
+use policysmith_lbsim::{sim, ExprDispatcher};
 use policysmith_serve::runtime::Resynth;
 use policysmith_serve::{loadgen, serve_lb, ServeConfig, ServeReport};
-
-/// The canonical compiled dispatch policy (exact least-work-left plus the
-/// request's own demand) — a realistic hosted candidate for throughput
-/// numbers.
-const SERVE_POLICY: &str = "server.work_left + req.size * 1000 / server.speed";
 
 fn compiled(src: &str) -> CompiledPolicy {
     CompiledPolicy::compile(&parse(src).unwrap(), Mode::Lb).unwrap()
 }
 
-fn no_resynth() -> Option<Resynth<LbStudy>> {
-    None
-}
-
-/// Repeat a scenario `k` times with derived seeds: an arbitrarily long
-/// open-loop stream of the same statistical context.
-fn repeated(sc: &Scenario, k: usize, salt: u64) -> Vec<Scenario> {
-    (0..k)
-        .map(|i| {
-            if i == 0 {
-                sc.clone()
-            } else {
-                sc.clone().with_seed(loadgen::mix(sc.seed, salt.wrapping_add(i as u64)))
-            }
-        })
-        .collect()
-}
-
-fn hist_json(h: &LatencyHistogram) -> serde_json::Value {
-    let qs = h.quantiles(&[0.50, 0.99, 0.999]);
-    serde_json::json!({
-        "samples": h.count(),
-        "mean_ns": h.mean(),
-        "p50_ns": qs[0],
-        "p99_ns": qs[1],
-        "p999_ns": qs[2],
-        "max_ns": h.max(),
-    })
-}
+/// Serving threads of the drift run: the CI box's two hardware threads,
+/// shared with the background search.
+const DRIFT_WORKERS: usize = 2;
 
 fn main() {
     let opts = ExpOpts::from_args();
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-
-    // ---- section 1: throughput vs worker count --------------------------
-    // sweep past the hardware threads a bit: oversubscription is part of
-    // the scaling story (flat or declining there is the expected shape)
-    let mut worker_counts: Vec<usize> =
-        [1usize, 2, 4, 8, 16].into_iter().filter(|&w| w <= hw.max(4)).collect();
-    if opts.fast {
-        worker_counts = vec![1, worker_counts.into_iter().max().unwrap_or(1).min(4)];
-        worker_counts.dedup();
-    }
-    // per-worker stream length: enough to dominate thread start/stop costs
-    let reps = if opts.fast { 4 } else { 40 };
-    let base = scenario::uniform_fleet();
-    let policy = compiled(SERVE_POLICY);
-
-    // best-of-N: these runs are short enough that scheduler noise swamps
-    // a single sample
-    let rounds = if opts.fast { 2 } else { 3 };
-    println!("== serve throughput ({reps} × 30k decisions per worker, best of {rounds}) ==");
-    let mut throughput = Vec::new();
-    let mut best: Option<(usize, f64)> = None;
-    let mut best_metrics: Option<serde_json::Value> = None;
-    for &workers in &worker_counts {
-        let run = || {
-            let phases = repeated(&base, reps, opts.seed);
-            let shards = loadgen::lb_shards(&phases, workers);
-            let cfg = ServeConfig {
-                workers,
-                window: 1_000,
-                latency_sample_every: 8,
-                ..ServeConfig::default()
-            };
-            serve_lb(&shards, policy.clone(), &cfg, no_resynth())
-        };
-        let report = (0..rounds)
-            .map(|_| run())
-            .max_by(|a, b| a.decisions_per_sec().total_cmp(&b.decisions_per_sec()))
-            .expect("at least one round");
-        let dps = report.decisions_per_sec();
-        let lat = report.latency();
-        let lq = report.latency_quantiles(&[0.50, 0.99, 0.999]);
-        println!(
-            "  {workers:>2} workers: {dps:>10.0} decisions/s  \
-             p50 {:>6} ns  p99 {:>6} ns  p999 {:>7} ns",
-            lq[0], lq[1], lq[2]
-        );
-        if best.is_none_or(|(_, b)| dps > b) {
-            best = Some((workers, dps));
-            best_metrics = Some(serde_json::to_value(&report.metrics));
-        }
-        throughput.push(serde_json::json!({
-            "workers": workers,
-            "decisions": report.total_decisions(),
-            "wall_seconds": report.wall_seconds,
-            "decisions_per_sec": dps,
-            "latency": hist_json(&lat),
-        }));
-    }
-    let (best_workers, best_dps) = best.unwrap();
-    println!("  best: {best_workers} workers at {best_dps:.0} decisions/s");
-
-    // ---- section 2: drift injection + background re-synthesis ----------
-    println!("\n== drift injection (slow-node onset under a healthy-fleet policy) ==");
+    println!("== drift injection (slow-node onset under a healthy-fleet policy) ==");
     let drift_phases = loadgen::lb_drift_phases();
     let (healthy, onset) = (&drift_phases[0], &drift_phases[1]);
     let search_cfg = if opts.fast {
@@ -182,12 +81,14 @@ fn main() {
     // OUTLAST the search (open-loop serving runs at millions of
     // decisions/sec; the search needs O(seconds) of background CPU)
     let onset_reps = if opts.fast { 120 } else { 250 };
-    let mut spec = vec![healthy.clone()];
-    spec.extend(repeated(onset, onset_reps, opts.seed ^ 0xD41F7));
-    let drift_workers = if opts.fast { 2 } else { best_workers.clamp(2, 8) };
-    let shards = loadgen::lb_shards(&spec, drift_workers);
+    let mut spec = vec![healthy.clone(), onset.clone()];
+    spec.extend((1..onset_reps).map(|i| {
+        let salt = (opts.seed ^ 0xD41F7).wrapping_add(i);
+        onset.clone().with_seed(loadgen::mix(onset.seed, salt))
+    }));
+    let shards = loadgen::lb_shards(&spec, DRIFT_WORKERS);
     let cfg = ServeConfig {
-        workers: drift_workers,
+        workers: DRIFT_WORKERS,
         window: 500,
         latency_sample_every: 8,
         // wider + calmer than the detection minimum: the post-swap signal
@@ -209,54 +110,21 @@ fn main() {
     // the like-for-like yardstick: the offline policy serving the SAME
     // sharded streams from the start (no drift response needed), scored
     // with the same tail statistic
-    let offline_report = serve_lb(&shards, compiled(&offline.source), &cfg, no_resynth());
+    let offline_report =
+        serve_lb(&shards, compiled(&offline.source), &cfg, None::<Resynth<LbStudy>>);
     let offline_tail = tail_quality(&offline_report, 0);
-    summarize_drift(&report, offline_tail, offline_batch_slowdown, offline.score, opts.fast);
+    summarize_drift(&report, offline_tail, opts.fast);
 
-    // ---- section 3: serve-equals-batch (bench-side re-check) -----------
-    let diff_ok = no_drift_differential(&base);
-    println!(
-        "\n== no-drift differential: serve == batch → {} ==",
-        if diff_ok { "ok" } else { "MISMATCH" }
-    );
-    assert!(diff_ok, "no-drift serve run must equal the batch simulator");
-
-    let drift_json =
-        drift_section_json(&report, offline_tail, offline_batch_slowdown, offline.score);
     write_json(
         "serve",
         &serde_json::json!({
-            "policy": SERVE_POLICY,
-            "scenario": base.name,
-            "hardware_threads": hw,
             "quick": opts.fast,
-            "throughput": throughput,
-            "best": { "workers": best_workers, "decisions_per_sec": best_dps },
-            "telemetry": {
-                "transport": "sharded-spsc",
-                "sharded_best_decisions_per_sec": best_dps,
-                "metrics": best_metrics.unwrap(),
-            },
-            "drift": drift_json,
-            "no_drift_differential": { "ok": diff_ok },
+            "drift": drift_section_json(&report, offline_tail, offline_batch_slowdown, offline.score),
         }),
     );
-
-    if !opts.fast {
-        assert!(
-            best_dps >= 1_000_000.0,
-            "acceptance: sustained aggregate throughput must reach 1M decisions/s (got {best_dps:.0})"
-        );
-    }
 }
 
-fn summarize_drift(
-    report: &ServeReport,
-    offline_tail: f64,
-    offline_batch_slowdown: f64,
-    offline_score: f64,
-    quick: bool,
-) {
+fn summarize_drift(report: &ServeReport, offline_tail: f64, quick: bool) {
     let offered: u64 = report.workers.iter().map(|w| w.lb_metrics.as_ref().unwrap().offered).sum();
     assert_eq!(report.total_decisions(), offered, "zero dropped/blocked decision requests");
     println!(
@@ -301,11 +169,6 @@ fn summarize_drift(
         tail,
         offline_tail,
         (tail / offline_tail - 1.0) * 100.0
-    );
-    println!(
-        "  (offline fresh search: {:+.2}% over RR, batch mean slowdown {:.4})",
-        offline_score * 100.0,
-        offline_batch_slowdown
     );
     if !quick {
         assert!(
@@ -414,18 +277,4 @@ fn drift_section_json(
         "timeline_fields": ["worker", "seq", "phase", "decisions", "signal", "generation", "at_micros"],
         "timeline": timeline,
     })
-}
-
-/// Single worker, no publishes: serve must equal the batch simulator.
-fn no_drift_differential(sc: &Scenario) -> bool {
-    let cfg = ServeConfig { workers: 1, record_decisions: true, ..ServeConfig::default() };
-    let shards = loadgen::lb_shards(std::slice::from_ref(sc), 1);
-    let report = serve_lb(&shards, compiled(SERVE_POLICY), &cfg, no_resynth());
-    let batch = sim::run(
-        &sc.servers,
-        &sc.requests(),
-        &mut ExprDispatcher::new("batch", compiled(SERVE_POLICY)),
-    );
-    report.workers[0].lb_metrics.as_ref().unwrap() == &batch
-        && report.workers[0].decisions == batch.offered
 }

@@ -90,36 +90,41 @@ pub struct ExpOpts {
 }
 
 impl ExpOpts {
-    /// Parse from `std::env::args` (supports `--fast` / its `--quick`
-    /// alias, `--requests N`, `--seed N`).
+    /// Parse `std::env::args`; on an unknown flag or a missing or
+    /// malformed value, print usage to stderr and exit 2.
     pub fn from_args() -> ExpOpts {
         let args: Vec<String> = std::env::args().collect();
+        ExpOpts::parse(&args[1..]).unwrap_or_else(|why| {
+            eprintln!("{0}: {why}\nusage: {0} [--fast|--quick] [--requests N] [--seed N]", args[0]);
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse the flags after the program name (`--fast` / its `--quick`
+    /// alias, `--requests N`, `--seed N`).
+    fn parse(args: &[String]) -> Result<ExpOpts, String> {
         let mut opts = ExpOpts {
             requests: DEFAULT_REQUESTS,
             fast: false,
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             seed: 42,
         };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--fast" | "--quick" => {
                     opts.fast = true;
                     opts.requests = opts.requests.min(20_000);
                 }
                 "--requests" => {
-                    i += 1;
-                    opts.requests = args[i].parse().expect("--requests N");
+                    opts.requests = value()?.parse().map_err(|e| format!("--requests: {e}"))?;
                 }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args[i].parse().expect("--seed N");
-                }
-                _ => {}
+                "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+                _ => return Err(format!("unknown flag {flag}")),
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// Search configuration scaled to the opts.
@@ -322,6 +327,25 @@ mod tests {
         // synth beats base on trace 0 only → 50%
         assert!((m.beats_all_fraction(1, &[0]) - 0.5).abs() < 1e-12);
         assert_eq!(m.oracle(&[0, 1]), vec![0.2, 0.3]);
+    }
+
+    fn parse(args: &[&str]) -> Result<ExpOpts, String> {
+        ExpOpts::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn opts_parse_known_flags() {
+        let opts = parse(&["--quick", "--seed", "7", "--requests", "500"]).unwrap();
+        assert!(opts.fast);
+        assert_eq!((opts.seed, opts.requests), (7, 500));
+        assert!(!parse(&[]).unwrap().fast);
+    }
+
+    #[test]
+    fn opts_reject_typos_and_missing_values() {
+        assert_eq!(parse(&["--qiuck"]).unwrap_err(), "unknown flag --qiuck");
+        assert_eq!(parse(&["--fast", "--requests"]).unwrap_err(), "--requests needs a value");
+        assert!(parse(&["--seed", "x"]).unwrap_err().starts_with("--seed: "));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! [`SearchOutcome`] — the equivalence the tests pin down. Scores are
 //! written lock-free into per-round slots (indexed atomic stores, no
 //! result mutex), and because [`Study::evaluate`] is pure by contract, a
-//! cross-candidate **score memo** ([`SearchConfig::score_memo`]) skips
-//! re-simulating sources the search has already scored.
+//! cross-candidate **score memo** skips re-simulating sources the search
+//! has already scored (`CostLedger::memo_hits` counts the skips).
 //!
 //! ## Tracing
 //!
@@ -84,10 +84,6 @@ pub struct SearchConfig {
     /// rounds); pipelined execution needs ≥ 1. A sequential run with the
     /// same lag reproduces the pipelined outcome exactly.
     pub exemplar_lag: usize,
-    /// Memoize scores across identical sources. Sound because
-    /// [`Study::evaluate`] is pure by contract; changes only the cost
-    /// ledger (`memo_hits`), never the outcome.
-    pub score_memo: bool,
 }
 
 impl SearchConfig {
@@ -101,7 +97,6 @@ impl SearchConfig {
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             pipeline: false,
             exemplar_lag: 0,
-            score_memo: true,
         }
     }
 
@@ -115,7 +110,6 @@ impl SearchConfig {
             threads: 2,
             pipeline: false,
             exemplar_lag: 0,
-            score_memo: true,
         }
     }
 
@@ -342,15 +336,12 @@ struct EvalPlan {
     uniq: Vec<usize>,
 }
 
-fn plan_round(sources: &[String], memo: &HashMap<String, f64>, use_memo: bool) -> EvalPlan {
+fn plan_round(sources: &[String], memo: &HashMap<String, f64>) -> EvalPlan {
     let mut slots = Vec::with_capacity(sources.len());
     let mut uniq = Vec::new();
     let mut local: HashMap<&str, usize> = HashMap::new();
     for (i, src) in sources.iter().enumerate() {
-        if !use_memo {
-            slots.push(Ok(uniq.len()));
-            uniq.push(i);
-        } else if let Some(&score) = memo.get(src) {
+        if let Some(&score) = memo.get(src) {
             slots.push(Err(score));
         } else if let Some(&slot) = local.get(src.as_str()) {
             slots.push(Ok(slot));
@@ -372,7 +363,6 @@ fn finish_round(
     plan: &EvalPlan,
     uniq_scores: &[f64],
     memo: &mut HashMap<String, f64>,
-    use_memo: bool,
     all: &mut Vec<Scored>,
     rounds: &mut Vec<RoundStats>,
     cost: &mut CostLedger,
@@ -385,7 +375,7 @@ fn finish_round(
             Ok(u) => uniq_scores[u],
             Err(memoized) => memoized,
         };
-        if use_memo && !memo.contains_key(source) {
+        if !memo.contains_key(source) {
             memo.insert(source.clone(), score);
         }
         round_best = round_best.max(score);
@@ -453,7 +443,7 @@ fn run_sequential<S: Study>(
         let batch = generate_and_check(study, generator, cfg, &all, round)
             .map_err(SearchError::Generator)?;
         cost.gen_seconds += batch.gen_seconds;
-        let plan = plan_round(&batch.sources, &memo, cfg.score_memo);
+        let plan = plan_round(&batch.sources, &memo);
         let to_eval: Vec<&S::Artifact> = plan.uniq.iter().map(|&i| &batch.artifacts[i]).collect();
         let t0 = Instant::now();
         let (uniq_scores, cpu) = evaluate_parallel(study, &to_eval, cfg.threads);
@@ -465,7 +455,6 @@ fn run_sequential<S: Study>(
             &plan,
             &uniq_scores,
             &mut memo,
-            cfg.score_memo,
             &mut all,
             &mut rounds,
             &mut cost,
@@ -625,7 +614,7 @@ fn run_pipelined<S: Study>(
         for round in 0..cfg.rounds {
             let Some(mut batch) = next.take() else { break };
             cost.gen_seconds += batch.gen_seconds;
-            let plan = plan_round(&batch.sources, &memo, cfg.score_memo);
+            let plan = plan_round(&batch.sources, &memo);
             let n_tasks = plan.uniq.len();
             let t0 = Instant::now();
             shared.submit(
@@ -658,7 +647,6 @@ fn run_pipelined<S: Study>(
                 &plan,
                 &uniq_scores,
                 &mut memo,
-                cfg.score_memo,
                 &mut all,
                 &mut rounds,
                 &mut cost,
@@ -752,6 +740,32 @@ mod tests {
         }
     }
 
+    /// [`MockLlm`] with `try_generate` (the surface the search calls)
+    /// replaced by a closure over the inner generator — how these tests
+    /// shape, fail or observe the candidate stream.
+    struct HookGen<F> {
+        inner: MockLlm,
+        hook: F,
+    }
+
+    impl<F> Generator for HookGen<F>
+    where
+        F: FnMut(&mut MockLlm, &Prompt, usize) -> Result<Vec<String>, GenError>,
+    {
+        fn generate(&mut self, prompt: &Prompt, n: usize) -> Vec<String> {
+            self.inner.generate(prompt, n)
+        }
+        fn try_generate(&mut self, prompt: &Prompt, n: usize) -> Result<Vec<String>, GenError> {
+            (self.hook)(&mut self.inner, prompt, n)
+        }
+        fn repair(&mut self, prompt: &Prompt, source: &str, stderr: &str) -> Option<String> {
+            self.inner.repair(prompt, source, stderr)
+        }
+        fn ledger(&self) -> &TokenLedger {
+            self.inner.ledger()
+        }
+    }
+
     #[test]
     fn search_improves_over_rounds() {
         let mut llm = MockLlm::new(GenConfig::cache_defaults(11));
@@ -842,29 +856,26 @@ mod tests {
     /// scores in the same order, same round statistics, same token bill.
     #[test]
     fn pipelined_matches_sequential_exactly() {
-        for memo in [true, false] {
-            let base = SearchConfig {
-                rounds: 6,
-                candidates_per_round: 10,
-                exemplar_lag: 1,
-                score_memo: memo,
-                threads: 3,
-                ..SearchConfig::quick()
-            };
-            let run = |cfg: SearchConfig| {
-                let mut llm = MockLlm::new(GenConfig::cache_defaults(9));
-                run_search(&ToyStudy, &mut llm, &cfg)
-            };
-            let seq = run(base);
-            let pipe = run(SearchConfig { pipeline: true, ..base });
-            assert_eq!(seq.best, pipe.best, "memo={memo}");
-            assert_eq!(seq.all, pipe.all, "memo={memo}");
-            assert_eq!(seq.rounds, pipe.rounds, "memo={memo}");
-            assert_eq!(
-                seq.cost.tokens.input_tokens, pipe.cost.tokens.input_tokens,
-                "prompt streams must match (memo={memo})"
-            );
-        }
+        let base = SearchConfig {
+            rounds: 6,
+            candidates_per_round: 10,
+            exemplar_lag: 1,
+            threads: 3,
+            ..SearchConfig::quick()
+        };
+        let run = |cfg: SearchConfig| {
+            let mut llm = MockLlm::new(GenConfig::cache_defaults(9));
+            run_search(&ToyStudy, &mut llm, &cfg)
+        };
+        let seq = run(base);
+        let pipe = run(SearchConfig { pipeline: true, ..base });
+        assert_eq!(seq.best, pipe.best);
+        assert_eq!(seq.all, pipe.all);
+        assert_eq!(seq.rounds, pipe.rounds);
+        assert_eq!(
+            seq.cost.tokens.input_tokens, pipe.cost.tokens.input_tokens,
+            "prompt streams must match"
+        );
     }
 
     #[test]
@@ -880,50 +891,128 @@ mod tests {
         assert_eq!(a.rounds, b.rounds);
     }
 
-    /// The memo only skips redundant simulations; it must never change
-    /// what the search returns.
+    /// [`ToyStudy`] that counts evaluations per source.
+    struct CountingStudy {
+        evaluations: Mutex<HashMap<String, usize>>,
+    }
+
+    impl Study for CountingStudy {
+        type Artifact = (String, Expr);
+        fn mode(&self) -> Mode {
+            Mode::Cache
+        }
+        fn check(&self, source: &str) -> Result<(String, Expr), String> {
+            Ok((source.to_string(), ToyStudy.check(source)?))
+        }
+        fn evaluate(&self, (source, e): &(String, Expr)) -> f64 {
+            *self.evaluations.lock().unwrap().entry(source.clone()).or_default() += 1;
+            ToyStudy.evaluate(e)
+        }
+    }
+
+    /// The memo only skips redundant simulations: every distinct source is
+    /// evaluated exactly once, and every reported score — memoized or not
+    /// — is what a direct evaluation of that source returns.
     #[test]
-    fn score_memo_changes_cost_not_outcome() {
+    fn memo_evaluates_each_distinct_source_once() {
+        let study = CountingStudy { evaluations: Mutex::new(HashMap::new()) };
+        let mut llm = MockLlm::new(GenConfig::cache_defaults(11));
         let cfg = SearchConfig { rounds: 6, candidates_per_round: 12, ..SearchConfig::quick() };
-        let run = |memo: bool| {
-            let mut llm = MockLlm::new(GenConfig::cache_defaults(11));
-            run_search(&ToyStudy, &mut llm, &SearchConfig { score_memo: memo, ..cfg })
-        };
-        let with = run(true);
-        let without = run(false);
-        assert_eq!(with.best, without.best);
-        assert_eq!(with.all, without.all);
-        assert!(with.cost.memo_hits > 0, "exemplar-fed rounds should repeat sources");
-        assert_eq!(without.cost.memo_hits, 0);
+        let outcome = run_search(&study, &mut llm, &cfg);
+        let evaluations = study.evaluations.into_inner().unwrap();
+        assert!(evaluations.values().all(|&n| n == 1), "a source was re-simulated");
+        assert_eq!(evaluations.len() as u64, outcome.cost.candidates_evaluated);
+        for s in &outcome.all {
+            assert!(evaluations.contains_key(&s.source));
+            assert_eq!(s.score, ToyStudy.evaluate(&ToyStudy.check(&s.source).unwrap()));
+        }
+        assert!(outcome.cost.memo_hits > 0, "exemplar-fed rounds should repeat sources");
         assert_eq!(
-            with.cost.candidates_evaluated + with.cost.memo_hits,
-            without.cost.candidates_evaluated
+            outcome.cost.candidates_evaluated + outcome.cost.memo_hits,
+            outcome.all.len() as u64
         );
+    }
+
+    /// How many `try_generate` calls have been entered, with a condvar so
+    /// an evaluator can wait for the next one.
+    #[derive(Default)]
+    struct GenerationsEntered {
+        count: Mutex<usize>,
+        changed: Condvar,
+    }
+
+    /// Stamps each artifact with the round that checked it; evaluating a
+    /// round-N artifact blocks until generation N+1 has been entered.
+    struct OverlapStudy<'a> {
+        rounds: usize,
+        entered: &'a GenerationsEntered,
+        waited: AtomicUsize,
+    }
+
+    impl Study for OverlapStudy<'_> {
+        type Artifact = (usize, Expr);
+        fn mode(&self) -> Mode {
+            Mode::Cache
+        }
+        fn check(&self, source: &str) -> Result<(usize, Expr), String> {
+            // runs on the generator thread, inside generation `count - 1`
+            let round = *self.entered.count.lock().unwrap() - 1;
+            Ok((round, ToyStudy.check(source)?))
+        }
+        fn evaluate(&self, (round, e): &(usize, Expr)) -> f64 {
+            if round + 1 < self.rounds {
+                let (count, timeout) = self
+                    .entered
+                    .changed
+                    .wait_timeout_while(
+                        self.entered.count.lock().unwrap(),
+                        std::time::Duration::from_secs(10),
+                        |count| *count < round + 2,
+                    )
+                    .unwrap();
+                drop(count);
+                assert!(
+                    !timeout.timed_out(),
+                    "round {round} was evaluated without generation {} running beside it",
+                    round + 1
+                );
+                self.waited.fetch_add(1, Ordering::Relaxed);
+            }
+            ToyStudy.evaluate(e)
+        }
+    }
+
+    /// The overlap the pipelined executor exists for, witnessed without a
+    /// clock: round N's evaluation cannot finish until round N+1's
+    /// generation has started, so the search completes only if the two
+    /// really run side by side.
+    #[test]
+    fn pipelined_generates_next_round_during_evaluation() {
+        let entered = GenerationsEntered::default();
+        let study = OverlapStudy { rounds: 4, entered: &entered, waited: AtomicUsize::new(0) };
+        let mut gen = HookGen {
+            inner: MockLlm::new(GenConfig::cache_defaults(9)),
+            hook: |llm: &mut MockLlm, prompt: &Prompt, n| {
+                *entered.count.lock().unwrap() += 1;
+                entered.changed.notify_all();
+                Ok(llm.generate(prompt, n))
+            },
+        };
+        let cfg = SearchConfig { rounds: study.rounds, ..SearchConfig::quick() }.pipelined();
+        let outcome = run_search(&study, &mut gen, &cfg);
+        assert_eq!(outcome.rounds.len(), study.rounds);
+        assert!(study.waited.load(Ordering::Relaxed) > 0, "no evaluation witnessed an overlap");
     }
 
     /// A generator that returns fewer candidates than asked for — the
     /// batch length, not the configured `candidates_per_round`, must land
     /// in `RoundStats.generated` or compile rates are inflated.
-    struct StingyGen {
-        inner: MockLlm,
-        cap: usize,
-    }
-
-    impl Generator for StingyGen {
-        fn generate(&mut self, prompt: &Prompt, n: usize) -> Vec<String> {
-            self.inner.generate(prompt, n.min(self.cap))
-        }
-        fn repair(&mut self, prompt: &Prompt, source: &str, stderr: &str) -> Option<String> {
-            self.inner.repair(prompt, source, stderr)
-        }
-        fn ledger(&self) -> &TokenLedger {
-            self.inner.ledger()
-        }
-    }
-
     #[test]
     fn round_stats_report_actual_batch_length() {
-        let mut gen = StingyGen { inner: MockLlm::new(GenConfig::cache_defaults(3)), cap: 5 };
+        let mut gen = HookGen {
+            inner: MockLlm::new(GenConfig::cache_defaults(3)),
+            hook: |llm: &mut MockLlm, prompt: &Prompt, n: usize| Ok(llm.generate(prompt, n.min(5))),
+        };
         let cfg = SearchConfig { rounds: 3, candidates_per_round: 20, ..SearchConfig::quick() };
         let outcome = run_search(&ToyStudy, &mut gen, &cfg);
         for r in &outcome.rounds {
@@ -961,40 +1050,21 @@ mod tests {
         assert_eq!(msg, "evaluator bug");
     }
 
-    /// Fails every `try_generate` call after the first `ok_calls`.
-    struct DyingGen {
-        inner: MockLlm,
-        ok_calls: usize,
-        calls: usize,
-    }
-
-    impl Generator for DyingGen {
-        fn generate(&mut self, prompt: &Prompt, n: usize) -> Vec<String> {
-            self.inner.generate(prompt, n)
-        }
-        fn try_generate(&mut self, prompt: &Prompt, n: usize) -> Result<Vec<String>, GenError> {
-            self.calls += 1;
-            if self.calls > self.ok_calls {
-                Err(GenError::Unavailable("backend died".into()))
-            } else {
-                Ok(self.inner.generate(prompt, n))
-            }
-        }
-        fn repair(&mut self, prompt: &Prompt, source: &str, stderr: &str) -> Option<String> {
-            self.inner.repair(prompt, source, stderr)
-        }
-        fn ledger(&self) -> &TokenLedger {
-            self.inner.ledger()
-        }
-    }
-
     #[test]
     fn try_run_search_surfaces_generator_errors_in_both_executors() {
         for pipeline in [false, true] {
-            let mut gen = DyingGen {
+            // the backend dies after two good batches
+            let mut calls = 0;
+            let mut gen = HookGen {
                 inner: MockLlm::new(GenConfig::cache_defaults(6)),
-                ok_calls: 2,
-                calls: 0,
+                hook: |llm: &mut MockLlm, prompt: &Prompt, n| {
+                    calls += 1;
+                    if calls > 2 {
+                        Err(GenError::Unavailable("backend died".into()))
+                    } else {
+                        Ok(llm.generate(prompt, n))
+                    }
+                },
             };
             let cfg = SearchConfig {
                 rounds: 5,

@@ -58,8 +58,9 @@ pub struct ExprDispatcher {
     engine: Engine,
     first_error: Option<RuntimeFault>,
     fallback_next: usize,
-    /// Policy score evaluations performed so far — the denominator of the
-    /// "score-calls per pick" sublinearity statistic `exp_batch` reports.
+    /// Policy score evaluations performed so far — the numerator of the
+    /// "score-calls per pick" sublinearity statistic (`exp_lb`, the
+    /// benchmark's `lbsim.score_calls_per_pick`).
     score_calls: u64,
     picks: u64,
 }

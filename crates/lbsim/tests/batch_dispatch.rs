@@ -7,9 +7,10 @@
 //! presets**:
 //!
 //! * the **argmin tree** is an exact engine — it must replay every preset
-//!   decision-for-decision against the batched full scan, because dirty
-//!   provenance from [`LbEngine`] plus tree eligibility (event-driven
-//!   features only) make incremental rescoring lossless;
+//!   (and a 300-server fleet, wider than any preset and not a power of
+//!   two) decision-for-decision against the batched full scan, because
+//!   dirty provenance from [`LbEngine`] plus tree eligibility
+//!   (event-driven features only) make incremental rescoring lossless;
 //! * **power-of-d** is an approximate engine — it must be bit-for-bit
 //!   seed-deterministic, collapse to the full scan when `d >= n`, and land
 //!   within a bounded slowdown band of native JSQ when sampling d=4.
@@ -17,7 +18,10 @@
 use policysmith_dsl::{parse, Mode};
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::dispatch::Jsq;
-use policysmith_lbsim::{scenario, simulate, DispatchView, Dispatcher, ExprDispatcher};
+use policysmith_lbsim::workload::{ArrivalProcess, BoundedPareto, WorkloadCfg};
+use policysmith_lbsim::{
+    scenario, simulate, DispatchView, Dispatcher, ExprDispatcher, Scenario, ServerCfg,
+};
 
 /// Wraps any dispatcher and records its pick sequence.
 struct Recording<D> {
@@ -54,25 +58,48 @@ const TREE_EXPRS: &[&str] = &[
     "server.ewma_latency / 100 + server.queue_len * 10",
 ];
 
+/// The tree's pick log and metrics equal the batched full scan's on `sc`,
+/// for every tree-eligible rule.
+fn assert_tree_replays_full_scan(sc: &Scenario) {
+    for src in TREE_EXPRS {
+        let mut full = Recording::new(ExprDispatcher::new("ps-full", lb_policy(src)));
+        let mut tree = Recording::new(ExprDispatcher::argmin_tree("ps-tree", lb_policy(src)));
+        assert_eq!(tree.inner.scan_kind(), "argmin-tree", "{src} must be tree-eligible");
+        let mf = simulate(sc, &mut full);
+        let mt = simulate(sc, &mut tree);
+        assert_eq!(
+            full.picks, tree.picks,
+            "argmin tree diverged from the full scan on {} with `{}`",
+            sc.name, src
+        );
+        assert_eq!(mf, mt, "metrics diverged on {} with `{}`", sc.name, src);
+        assert!(tree.inner.first_error().is_none(), "no runtime faults expected");
+    }
+}
+
 #[test]
 fn argmin_tree_replays_every_preset_decision_for_decision() {
     for sc in scenario::all_presets() {
-        for src in TREE_EXPRS {
-            let mut full = Recording::new(ExprDispatcher::new("ps-full", lb_policy(src)));
-            let mut tree = Recording::new(ExprDispatcher::argmin_tree("ps-tree", lb_policy(src)));
-            assert_eq!(tree.inner.scan_kind(), "argmin-tree", "{src} must be tree-eligible");
-            let mf = simulate(&sc, &mut full);
-            let mt = simulate(&sc, &mut tree);
-            assert_eq!(
-                full.picks, tree.picks,
-                "argmin tree diverged from the full scan on {} with `{}`",
-                sc.name, src
-            );
-            assert_eq!(mf.mean_slowdown().to_bits(), mt.mean_slowdown().to_bits());
-            assert_eq!(mf.drop_fraction().to_bits(), mt.drop_fraction().to_bits());
-            assert!(tree.inner.first_error().is_none(), "no runtime faults expected");
-        }
+        assert_tree_replays_full_scan(&sc);
     }
+}
+
+/// 300 leaves pad to 512: whole subtrees of the tournament are padding,
+/// which no preset (6–10 servers) reaches.
+#[test]
+fn argmin_tree_replays_a_300_server_fleet_decision_for_decision() {
+    let n = 300;
+    assert_tree_replays_full_scan(&Scenario {
+        name: format!("lb/uniform-{n}"),
+        servers: vec![ServerCfg::new(4, 32); n],
+        workload: WorkloadCfg {
+            // ~72% offered load on speed-4 servers
+            arrivals: ArrivalProcess::Poisson { rate_per_sec: 488.0 * n as f64 },
+            sizes: BoundedPareto::web_default(),
+            n: 8_000,
+        },
+        seed: 0xF1EE7,
+    });
 }
 
 #[test]

@@ -113,10 +113,6 @@ pub struct ServeConfig {
     pub min_reuse_score: f64,
     /// Record every decision (the differential tests; costs memory).
     pub record_decisions: bool,
-    /// Guarded publication: screen every adaptation candidate against the
-    /// incumbent before publishing. `None` disables the guard (candidates
-    /// publish as long as they compile).
-    pub guard: Option<PolicyGuard>,
     /// Retry/backoff + watchdog for background re-synthesis.
     pub retry: RetryPolicy,
     /// Deterministic fault injection (tests and the chaos harness).
@@ -141,7 +137,6 @@ impl Default for ServeConfig {
             monitor_tolerance: 1.35,
             min_reuse_score: 0.0,
             record_decisions: false,
-            guard: Some(PolicyGuard::default()),
             retry: RetryPolicy::serving(),
             chaos: None,
             instrument: true,
@@ -327,12 +322,6 @@ impl ServeReport {
             self.workers.iter().flat_map(|w| w.swap_pauses_ns.iter().copied()).collect();
         v.sort_unstable();
         v
-    }
-
-    /// Batch quantile lookup over the fleet-wide latency histogram (one
-    /// merge + one cumulative sweep for all requested quantiles).
-    pub fn latency_quantiles(&self, qs: &[f64]) -> Vec<u64> {
-        self.latency().quantiles(qs)
     }
 }
 
@@ -976,37 +965,35 @@ fn process_window<S: Study>(
     }
     // guarded publication: re-score the candidate and shadow-replay the
     // incumbent in the drifted context before anything goes live
-    if let Some(guard) = cfg.guard {
-        match guard.screen(&r.study, &source, &to_source(live_expr)) {
-            GuardVerdict::Admit { candidate_score, incumbent_score } => {
-                policysmith_obs::emit(TraceKind::GuardAdmit {
-                    context: r.context.clone(),
-                    candidate_score,
-                    incumbent_score,
-                });
+    match PolicyGuard::default().screen(&r.study, &source, &to_source(live_expr)) {
+        GuardVerdict::Admit { candidate_score, incumbent_score } => {
+            policysmith_obs::emit(TraceKind::GuardAdmit {
+                context: r.context.clone(),
+                candidate_score,
+                incumbent_score,
+            });
+        }
+        GuardVerdict::Reject { reason, candidate_score, incumbent_score } => {
+            if matches!(reason, RejectReason::RuntimeFault) {
+                // a candidate that faults in shadow evaluation would
+                // fault in production: quarantine it preemptively
+                controller.poison(&source);
             }
-            GuardVerdict::Reject { reason, candidate_score, incumbent_score } => {
-                if matches!(reason, RejectReason::RuntimeFault) {
-                    // a candidate that faults in shadow evaluation would
-                    // fault in production: quarantine it preemptively
-                    controller.poison(&source);
-                }
-                policysmith_obs::emit(TraceKind::GuardReject {
-                    context: r.context.clone(),
-                    reason: reason.describe(),
-                    candidate_score,
-                    incumbent_score,
-                });
-                report.rejections.push(RejectedAdaptation {
-                    context: r.context.clone(),
-                    source,
-                    reason: reason.describe(),
-                    candidate_score,
-                    incumbent_score,
-                    rejection_micros: t0.elapsed().as_micros() as u64,
-                });
-                return;
-            }
+            policysmith_obs::emit(TraceKind::GuardReject {
+                context: r.context.clone(),
+                reason: reason.describe(),
+                candidate_score,
+                incumbent_score,
+            });
+            report.rejections.push(RejectedAdaptation {
+                context: r.context.clone(),
+                source,
+                reason: reason.describe(),
+                candidate_score,
+                incumbent_score,
+                rejection_micros: t0.elapsed().as_micros() as u64,
+            });
+            return;
         }
     }
     let Ok(policy) = CompiledPolicy::compile(&expr, mode) else {
