@@ -52,7 +52,7 @@ fn bench_dispatch(c: &mut Criterion) {
         })
         .collect();
     let fleet = FleetColumns::from_rows(&servers, 1_000);
-    let view = fleet.view(1_000, 7, None);
+    let view = fleet.view(1_000, 7);
     let mut g = c.benchmark_group("lb-dispatch");
     g.bench_function("pick/compiled", |b| {
         let mut host = ExprDispatcher::new("bench", policy.clone());

@@ -9,7 +9,16 @@
 //! pass itself."
 //!
 //! Usage: `exp_cc_compile [--seed N]` (generates 100 kernel candidates and
-//! 100 cache candidates).
+//! 100 cache candidates; a pure function of the seed).
+//!
+//! Exit status doubles as the CI guard: non-zero unless the kernel
+//! first-pass rate is within 10 points of the paper's 63 %, stderr repair
+//! recovers at least 10 more points, the cache template's first-pass rate
+//! is at least 20 points above the kernel's ("substantially lower than …
+//! caching"), and both of the paper's named failure causes occur — `check`
+//! (floating point) and `verify` (unguarded division). One documented
+//! deviation: the mock's repair rules recover 27 points where GPT-4o-mini
+//! recovered 19, so the total lands at 89 % where the paper's is 82 %.
 
 use policysmith_bench::{write_json, ExpOpts};
 use policysmith_cc::check_candidate;
@@ -66,6 +75,24 @@ fn main() {
         .count();
     println!("\ncache-template first-pass compile rate: {cache_first}%   (paper: 92%)");
 
+    let mut violations: Vec<String> = Vec::new();
+    if !(53..=73).contains(&first_pass) {
+        violations.push(format!("kernel first-pass {first_pass} %; need 63 ± 10"));
+    }
+    if after_repair < 10 {
+        violations.push(format!("stderr repair recovered {after_repair} points; need ≥ 10"));
+    }
+    if cache_first < first_pass + 20 {
+        violations.push(format!(
+            "cache first-pass {cache_first} % vs kernel {first_pass} %; need ≥ 20 points above"
+        ));
+    }
+    for stage in ["check", "verify"] {
+        if !failures_by_stage.contains_key(stage) {
+            violations.push(format!("no candidate failed at `{stage}`: {failures_by_stage:?}"));
+        }
+    }
+
     write_json(
         "cc_compile",
         &serde_json::json!({
@@ -76,6 +103,21 @@ fn main() {
             "kernel_failure_stages": failures_by_stage,
             "cache_first_pass_pct": cache_first,
             "paper": { "kernel_first": 63, "kernel_repair": 19, "cache_first": 92 },
+            "deviation": format!(
+                "MockLlm's repair rules recover {after_repair} points where GPT-4o-mini \
+                 recovered 19, so the total is {} % where the paper's is 82 %",
+                first_pass + after_repair
+            ),
+            "violations": violations,
         }),
     );
+
+    if !violations.is_empty() {
+        eprintln!("\nREGRESSION GUARD FAILED:");
+        for v in &violations {
+            eprintln!("  - {v}");
+        }
+        std::process::exit(1);
+    }
+    println!("\nthe compile rates tell the paper's story");
 }

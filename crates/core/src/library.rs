@@ -149,6 +149,21 @@ impl HeuristicLibrary {
     }
 }
 
+/// Score `source` under `study`: `check`, then `evaluate`. Anything
+/// unscorable — a source that no longer checks, a degenerate (NaN) metric —
+/// is `-∞`, the score of a run that faulted: it ranks below every real
+/// score and fails every `is_finite` gate. The one way the reuse poll, the
+/// serving guard's shadow replay and the recovery chain re-score a stored
+/// policy in a context it was not searched for.
+pub fn rescore<S: Study>(study: &S, source: &str) -> f64 {
+    let score = study.check(source).map_or(f64::NAN, |artifact| study.evaluate(&artifact));
+    if score.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        score
+    }
+}
+
 /// A guardrail-style drift detector over a streaming quality signal (miss
 /// ratio, loss rate, …): triggers when the rolling mean degrades past
 /// `tolerance ×` the baseline established at deployment (§3.1.2's
@@ -447,10 +462,7 @@ impl AdaptiveController {
     pub fn try_reuse<S: Study>(&mut self, study: &S) -> Result<Adaptation, SearchNeeded> {
         let best = self
             .library
-            .best_for(|e| match study.check(&e.source) {
-                Ok(artifact) => study.evaluate(&artifact),
-                Err(_) => f64::NEG_INFINITY,
-            })
+            .best_for(|e| rescore(study, &e.source))
             .map(|(entry, score)| (entry.clone(), score));
 
         match best {

@@ -28,7 +28,8 @@ pub enum ParseError {
     IntOutOfRange { pos: Pos, text: String },
     /// History index / percentile parameter outside its legal range.
     BadParam { pos: Pos, name: String },
-    /// Expression nests deeper than the parser allows.
+    /// Expression nests deeper, or chains more binary operators, than the
+    /// parser allows.
     TooDeep { pos: Pos },
 }
 

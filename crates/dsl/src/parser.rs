@@ -20,6 +20,11 @@
 //!
 //! Feature names resolve eagerly: `obj.count`, `ages.p75`, `hist_rtt[3]`, …
 //! Unknown identifiers are parse errors (the "hallucinated API" fault class).
+//!
+//! The seven binary levels (`or` … `mul`) are one operator table and one
+//! loop. What `parse` accepts is safe to walk recursively: nesting is
+//! bounded by [`MAX_PARSE_DEPTH`] and the binary chains, which nest the
+//! *tree* without nesting the parser, by a per-source link budget.
 
 use crate::ast::{BinOp, CmpOp, Expr};
 use crate::error::ParseError;
@@ -30,10 +35,22 @@ use crate::lexer::{lex, Token, TokenKind};
 /// stack overflow and pathological generated candidates.
 pub const MAX_PARSE_DEPTH: usize = 64;
 
+/// Maximum binary-operator links (`a + b` is one) in one source. A
+/// left-associative chain is built by a loop, so [`MAX_PARSE_DEPTH`] never
+/// sees it, yet every link is one more level of tree for `check`, `Drop`,
+/// `to_source` and the lowerer to recurse through — 40 000 of them overflow
+/// a 2 MiB stack, which aborts the process. Far above any compile budget
+/// (≤ 512 nodes), so what this rejects `check` was going to reject.
+const MAX_PARSE_LINKS: usize = 2_048;
+
 /// Parse a complete heuristic expression. The whole input must be consumed.
+///
+/// Every `Ok(e)` has `e.depth() <= MAX_PARSE_DEPTH + 2_048`: each node on a
+/// root-to-leaf path is either made by its own nested `expr`/`unary` call
+/// or is one of the source's binary links, and both are budgeted.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, i: 0, depth: 0 };
+    let mut p = Parser { tokens, i: 0, depth: 0, links: 0 };
     let e = p.expr()?;
     if let Some(t) = p.peek() {
         return Err(ParseError::UnexpectedToken {
@@ -49,6 +66,38 @@ struct Parser {
     tokens: Vec<Token>,
     i: usize,
     depth: usize,
+    /// Binary links built so far, over the whole source.
+    links: usize,
+}
+
+/// The node a binary operator token builds.
+enum Infix {
+    Bin(BinOp),
+    Cmp(CmpOp),
+}
+
+/// A binary operator token: its grammar level (1 = `or` … 7 = `mul`) and
+/// its node.
+fn infix(kind: &TokenKind) -> Option<(u8, Infix)> {
+    use Infix::{Bin, Cmp};
+    Some(match kind {
+        TokenKind::OrOr => (1, Bin(BinOp::Or)),
+        TokenKind::AndAnd => (2, Bin(BinOp::And)),
+        TokenKind::EqEq => (3, Cmp(CmpOp::Eq)),
+        TokenKind::Ne => (3, Cmp(CmpOp::Ne)),
+        TokenKind::Lt => (4, Cmp(CmpOp::Lt)),
+        TokenKind::Le => (4, Cmp(CmpOp::Le)),
+        TokenKind::Gt => (4, Cmp(CmpOp::Gt)),
+        TokenKind::Ge => (4, Cmp(CmpOp::Ge)),
+        TokenKind::Shl => (5, Bin(BinOp::Shl)),
+        TokenKind::Shr => (5, Bin(BinOp::Shr)),
+        TokenKind::Plus => (6, Bin(BinOp::Add)),
+        TokenKind::Minus => (6, Bin(BinOp::Sub)),
+        TokenKind::Star => (7, Bin(BinOp::Mul)),
+        TokenKind::Slash => (7, Bin(BinOp::Div)),
+        TokenKind::Percent => (7, Bin(BinOp::Rem)),
+        _ => return None,
+    })
 }
 
 impl Parser {
@@ -100,7 +149,7 @@ impl Parser {
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
         self.enter()?;
-        let cond = self.or()?;
+        let cond = self.binary(1)?;
         let r = if self.eat(&TokenKind::Question) {
             let then = self.expr()?;
             self.expect(TokenKind::Colon, "`:`")?;
@@ -113,98 +162,23 @@ impl Parser {
         Ok(r)
     }
 
-    fn or(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.and()?;
-        while self.eat(&TokenKind::OrOr) {
-            let rhs = self.and()?;
-            e = Expr::bin(BinOp::Or, e, rhs);
-        }
-        Ok(e)
-    }
-
-    fn and(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.equality()?;
-        while self.eat(&TokenKind::AndAnd) {
-            let rhs = self.equality()?;
-            e = Expr::bin(BinOp::And, e, rhs);
-        }
-        Ok(e)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.relational()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::EqEq) => CmpOp::Eq,
-                Some(TokenKind::Ne) => CmpOp::Ne,
-                _ => break,
-            };
-            self.i += 1;
-            let rhs = self.relational()?;
-            e = Expr::cmp(op, e, rhs);
-        }
-        Ok(e)
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.shift()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Lt) => CmpOp::Lt,
-                Some(TokenKind::Le) => CmpOp::Le,
-                Some(TokenKind::Gt) => CmpOp::Gt,
-                Some(TokenKind::Ge) => CmpOp::Ge,
-                _ => break,
-            };
-            self.i += 1;
-            let rhs = self.shift()?;
-            e = Expr::cmp(op, e, rhs);
-        }
-        Ok(e)
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.additive()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Shl) => BinOp::Shl,
-                Some(TokenKind::Shr) => BinOp::Shr,
-                _ => break,
-            };
-            self.i += 1;
-            let rhs = self.additive()?;
-            e = Expr::bin(op, e, rhs);
-        }
-        Ok(e)
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.multiplicative()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Plus) => BinOp::Add,
-                Some(TokenKind::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.i += 1;
-            let rhs = self.multiplicative()?;
-            e = Expr::bin(op, e, rhs);
-        }
-        Ok(e)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
+    /// Levels `or` … `mul`: a left-associative chain of every operator at
+    /// `level` or tighter, each right operand one level tighter still.
+    fn binary(&mut self, level: u8) -> Result<Expr, ParseError> {
         let mut e = self.unary()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Star) => BinOp::Mul,
-                Some(TokenKind::Slash) => BinOp::Div,
-                Some(TokenKind::Percent) => BinOp::Rem,
-                _ => break,
-            };
+        while let Some((at, op)) =
+            self.peek().and_then(|t| infix(&t.kind)).filter(|&(at, _)| at >= level)
+        {
+            self.links += 1;
+            if self.links > MAX_PARSE_LINKS {
+                return Err(ParseError::TooDeep { pos: self.tokens[self.i].pos });
+            }
             self.i += 1;
-            let rhs = self.unary()?;
-            e = Expr::bin(op, e, rhs);
+            let rhs = self.binary(at + 1)?;
+            e = match op {
+                Infix::Bin(op) => Expr::bin(op, e, rhs),
+                Infix::Cmp(op) => Expr::cmp(op, e, rhs),
+            };
         }
         Ok(e)
     }
@@ -430,6 +404,7 @@ mod tests {
     use super::*;
     use crate::ast::{BinOp, CmpOp, Expr};
     use crate::feature::Feature;
+    use proptest::prelude::*;
 
     #[test]
     fn precedence_mul_over_add() {
@@ -547,6 +522,63 @@ mod tests {
     fn depth_limit() {
         let src = format!("{}1{}", "(".repeat(200), ")".repeat(200));
         assert!(matches!(parse(&src), Err(ParseError::TooDeep { .. })));
+    }
+
+    /// One operator per binary level of the grammar, loosest first.
+    const LEVEL_OPS: [&str; 7] = ["||", "&&", "==", "<", "<<", "+", "*"];
+
+    fn chain(op: &str, links: usize) -> String {
+        format!("obj.count{}", format!(" {op} 1").repeat(links))
+    }
+
+    #[test]
+    fn an_input_long_chain_is_an_error_not_a_stack_overflow() {
+        // 80 KB of `+ 1` on the stack every spawned thread gets. Before
+        // the link budget this parsed, and the first recursive walk of the
+        // 40 000-deep tree (here `check`, else its `Drop`) aborted the
+        // process: an abort, which no `catch_unwind` contains.
+        let src = chain("+", 40_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&src).map(|e| crate::check::check(&e, crate::Mode::Cache)))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(matches!(parsed, Err(ParseError::TooDeep { .. })), "{parsed:?}");
+    }
+
+    #[test]
+    fn every_binary_level_charges_its_links() {
+        for op in LEVEL_OPS {
+            let e = parse(&chain(op, MAX_PARSE_LINKS)).unwrap_or_else(|e| panic!("`{op}`: {e}"));
+            assert_eq!(e.depth(), MAX_PARSE_LINKS + 1, "`{op}` chains lean left");
+            let over = parse(&chain(op, MAX_PARSE_LINKS + 1));
+            assert!(matches!(over, Err(ParseError::TooDeep { .. })), "`{op}`: {over:?}");
+        }
+    }
+
+    proptest! {
+        /// The contract on `parse`: whatever it accepts is shallow enough
+        /// to walk recursively. Chains of every level, stacked on one left
+        /// spine or wrapped and nested, far past the budget.
+        #[test]
+        fn accepted_trees_are_never_deeper_than_the_bound(
+            segments in proptest::collection::vec(
+                (proptest::sample::select(LEVEL_OPS.to_vec()), 0usize..1_500, any::<bool>()),
+                1..6,
+            ),
+        ) {
+            let mut src = String::from("1");
+            for (op, links, wrap) in segments {
+                if wrap {
+                    src = format!("-({src})");
+                }
+                src.push_str(&format!(" {op} 1").repeat(links));
+            }
+            if let Ok(e) = parse(&src) {
+                prop_assert!(e.depth() <= MAX_PARSE_DEPTH + MAX_PARSE_LINKS, "{}", e.depth());
+            }
+        }
     }
 
     #[test]

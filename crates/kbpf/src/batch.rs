@@ -58,7 +58,7 @@
 //!   at a time into a scratch buffer and calls [`execute_verified`], making
 //!   the contract hold structurally.
 //!
-//! The fused reductions ([`run_batch_argmin`] / [`run_batch_argmax`]) never
+//! The fused reductions ([`run_batch_argmin`] / [`run_columns_argmin`]) never
 //! materialize the score vector for the caller and pin two edge contracts:
 //! **ties break to the lowest row index**, and a fault aborts the reduction
 //! with the lowest faulting row (what a scalar scan would hit first).
@@ -604,15 +604,15 @@ fn score_rows(
     }
 }
 
-/// Index of the best score, ties to the lowest row. The running best is
+/// Index of the lowest score, ties to the lowest row. The running best is
 /// carried in registers and replaced by select, not by branch: which row
 /// wins is data the branch predictor cannot learn.
 #[inline]
-fn arg_best(scores: &[i64], better: impl Fn(i64, i64) -> bool) -> usize {
+fn arg_min(scores: &[i64]) -> usize {
     let mut best = 0usize;
     let mut best_v = scores[0];
     for (r, &v) in scores.iter().enumerate().skip(1) {
-        let take = better(best_v, v);
+        let take = v < best_v;
         best = if take { r } else { best };
         best_v = if take { v } else { best_v };
     }
@@ -625,7 +625,6 @@ fn fused_reduce(
     src: Source<'_>,
     scratch: &mut BatchScratch,
     map: &mut [i64],
-    better: impl Fn(i64, i64) -> bool,
 ) -> Result<usize, BatchFault> {
     let rows = src.rows();
     assert!(rows > 0, "fused reduction over an empty batch");
@@ -636,7 +635,7 @@ fn fused_reduce(
             src.gather_row(r, &mut scratch.row);
             let v = execute_verified(prog, &scratch.row, map)
                 .map_err(|fault| BatchFault { row: r, fault })?;
-            if r == 0 || better(best_score, v) {
+            if r == 0 || v < best_score {
                 best = r;
                 best_score = v;
             }
@@ -653,8 +652,8 @@ fn fused_reduce(
     Ok(match r0 {
         // every row ties: the lowest one wins
         Reg::Uniform(_) => 0,
-        Reg::Lent(col) => arg_best(col, better),
-        Reg::Own => arg_best(&scratch.regs[..rows], better),
+        Reg::Lent(col) => arg_min(col),
+        Reg::Own => arg_min(&scratch.regs[..rows]),
     })
 }
 
@@ -710,22 +709,7 @@ pub fn run_batch_argmin(
     scratch: &mut BatchScratch,
     map: &mut [i64],
 ) -> Result<usize, BatchFault> {
-    fused_reduce(prog, plan, Source::Owned(batch), scratch, map, |best, cand| cand < best)
-}
-
-/// [`run_batch_argmin`]'s mirror: index of the **maximum** score, ties to
-/// the lowest row index, fault-abort at the lowest faulting row.
-///
-/// # Panics
-/// On an empty batch, and under the contract violations of [`run_batch`].
-pub fn run_batch_argmax(
-    prog: &Program,
-    plan: BatchPlan,
-    batch: &BatchCtx,
-    scratch: &mut BatchScratch,
-    map: &mut [i64],
-) -> Result<usize, BatchFault> {
-    fused_reduce(prog, plan, Source::Owned(batch), scratch, map, |best, cand| cand > best)
+    fused_reduce(prog, plan, Source::Owned(batch), scratch, map)
 }
 
 /// [`run_batch_argmin`] over lent columns.
@@ -741,23 +725,7 @@ pub fn run_columns_argmin(
     scratch: &mut BatchScratch,
     map: &mut [i64],
 ) -> Result<usize, BatchFault> {
-    fused_reduce(prog, plan, Source::Lent { cols, rows }, scratch, map, |best, cand| cand < best)
-}
-
-/// [`run_batch_argmax`] over lent columns.
-///
-/// # Panics
-/// On `rows == 0`, and under the contract violations of
-/// [`run_columns`].
-pub fn run_columns_argmax(
-    prog: &Program,
-    plan: BatchPlan,
-    cols: &[Column<'_>],
-    rows: usize,
-    scratch: &mut BatchScratch,
-    map: &mut [i64],
-) -> Result<usize, BatchFault> {
-    fused_reduce(prog, plan, Source::Lent { cols, rows }, scratch, map, |best, cand| cand > best)
+    fused_reduce(prog, plan, Source::Lent { cols, rows }, scratch, map)
 }
 
 #[cfg(test)]
@@ -857,17 +825,6 @@ mod tests {
         let mut map = [0i64; 4];
         let got = run_batch_argmin(&p, plan, &b, &mut scratch, &mut map).unwrap();
         assert_eq!(got, 1, "equal minima must pick the lowest row");
-    }
-
-    #[test]
-    fn argmax_ties_break_to_lowest_row() {
-        let p = affine_prog();
-        let b = batch_of(&[[1, 1], [5, 0], [5, 0], [0, 0]]);
-        let plan = BatchPlan::for_program(&p);
-        let mut scratch = BatchScratch::new();
-        let mut map = [0i64; 4];
-        let got = run_batch_argmax(&p, plan, &b, &mut scratch, &mut map).unwrap();
-        assert_eq!(got, 1);
     }
 
     #[test]

@@ -356,17 +356,6 @@ impl CompiledPolicy {
         batch::run_batch_argmin(&self.program, self.batch_plan, batch, scratch, map)
     }
 
-    /// [`run_batch_argmin`](Self::run_batch_argmin)'s mirror for
-    /// maximum-score hosts (cache eviction picks the *worst* object).
-    pub fn run_batch_argmax(
-        &self,
-        batch: &BatchCtx,
-        scratch: &mut BatchScratch,
-        map: &mut [i64],
-    ) -> Result<usize, BatchFault> {
-        batch::run_batch_argmax(&self.program, self.batch_plan, batch, scratch, map)
-    }
-
     /// [`run_batch`](Self::run_batch) over columns the host **lends**
     /// instead of filling: `cols[k]` is ctx slot `k` for all `rows` rows,
     /// either a value per row ([`Column::Rows`], read in place) or one value
@@ -397,18 +386,6 @@ impl CompiledPolicy {
         map: &mut [i64],
     ) -> Result<usize, BatchFault> {
         batch::run_columns_argmin(&self.program, self.batch_plan, cols, rows, scratch, map)
-    }
-
-    /// [`run_batch_argmax`](Self::run_batch_argmax) over lent columns (see
-    /// [`run_columns`](Self::run_columns)). Panics on `rows == 0`.
-    pub fn run_columns_argmax(
-        &self,
-        cols: &[Column<'_>],
-        rows: usize,
-        scratch: &mut BatchScratch,
-        map: &mut [i64],
-    ) -> Result<usize, BatchFault> {
-        batch::run_columns_argmax(&self.program, self.batch_plan, cols, rows, scratch, map)
     }
 }
 

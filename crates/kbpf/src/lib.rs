@@ -20,8 +20,8 @@
 //! * [`vm`] — the interpreter, bit-for-bit equivalent to the DSL
 //!   interpreter on verified programs;
 //! * [`batch`] — structure-of-arrays batched evaluation over columns the
-//!   host fills ([`BatchCtx`] + `CompiledPolicy::run_batch` and fused
-//!   argmin/argmax) or lends ([`Column`] + `CompiledPolicy::run_columns*`;
+//!   host fills ([`BatchCtx`] + `CompiledPolicy::run_batch` and the fused
+//!   argmin) or lends ([`Column`] + `CompiledPolicy::run_columns*`;
 //!   row-invariant values stay scalars), spec'd by the scalar VM per row
 //!   and differential-tested against it;
 //! * [`lower`] — the DSL → kbpf compiler, parameterized by a context

@@ -11,9 +11,9 @@
 //!    row order sharing the map — fault rows included (same
 //!    `VmError::DivByZero` at the same `pc`), and the shared scratch maps
 //!    must end bit-identical.
-//! 2. **Fused argmin/argmax.** `run_batch_argmin` must match a naive
-//!    scalar scan, including the two pinned edge contracts: **ties break
-//!    to the lowest row index** (strict `<`/`>` against the running best),
+//! 2. **Fused argmin.** `run_batch_argmin` must match a naive scalar
+//!    scan, including the two pinned edge contracts: **ties break to the
+//!    lowest row index** (strict `<` against the running best),
 //!    and a faulting row aborts the reduction with the **lowest** faulting
 //!    row — exactly the first fault a scalar scan would hit.
 //! 3. **Lent columns.** The same two properties for `run_columns*` under a
@@ -169,27 +169,15 @@ fn arb_rows(features: Vec<Feature>) -> impl Strategy<Value = Vec<MapEnv>> {
 }
 
 /// The naive reference reduction the fused one is pinned against: scalar
-/// `run` per row in ascending order, strict comparison against the running
-/// best (→ lowest index on ties), abort at the first faulting row.
-fn naive_reduce(
-    policy: &CompiledPolicy,
-    ctxs: &[Vec<i64>],
-    better: impl Fn(i64, i64) -> bool,
-) -> Result<usize, (usize, VmError)> {
-    naive_reduce_program(policy.program(), ctxs, better)
-}
-
-fn naive_reduce_program(
-    prog: &Program,
-    ctxs: &[Vec<i64>],
-    better: impl Fn(i64, i64) -> bool,
-) -> Result<usize, (usize, VmError)> {
+/// `run` per row in ascending order, strict `<` against the running best
+/// (→ lowest index on ties), abort at the first faulting row.
+fn naive_argmin(prog: &Program, ctxs: &[Vec<i64>]) -> Result<usize, (usize, VmError)> {
     let mut map = vec![0i64; SPILL_SLOTS];
     let mut best = 0usize;
     let mut best_score = execute_verified(prog, &ctxs[0], &mut map).map_err(|e| (0, e))?;
     for (r, ctx) in ctxs.iter().enumerate().skip(1) {
         let v = execute_verified(prog, ctx, &mut map).map_err(|e| (r, e))?;
-        if better(best_score, v) {
+        if v < best_score {
             best_score = v;
             best = r;
         }
@@ -241,23 +229,14 @@ fn assert_batch_matches_scalar(
     }
     prop_assert_eq!(&bmap, &smap, "shared scratch maps diverged:\n{}", policy.program());
 
-    // 2. fused argmin/argmax ≡ the naive scalar scan (fresh maps per side)
+    // 2. fused argmin ≡ the naive scalar scan (fresh maps per side)
     let mut map = vec![0i64; SPILL_SLOTS];
-    let fused_min =
+    let fused =
         policy.run_batch_argmin(&batch, &mut scratch, &mut map).map_err(|f| (f.row, f.fault));
     prop_assert_eq!(
-        &fused_min,
-        &naive_reduce(&policy, &ctxs, |best, v| v < best),
+        &fused,
+        &naive_argmin(policy.program(), &ctxs),
         "argmin diverged from the naive scan:\n{}",
-        policy.program()
-    );
-    let mut map = vec![0i64; SPILL_SLOTS];
-    let fused_max =
-        policy.run_batch_argmax(&batch, &mut scratch, &mut map).map_err(|f| (f.row, f.fault));
-    prop_assert_eq!(
-        &fused_max,
-        &naive_reduce(&policy, &ctxs, |best, v| v > best),
-        "argmax diverged from the naive scan:\n{}",
         policy.program()
     );
 
@@ -343,19 +322,8 @@ fn assert_lent_matches_scalar(
                 .map_err(|f| (f.row, f.fault));
         prop_assert_eq!(
             &fused,
-            &naive_reduce_program(prog, &materialised, |best, v| v < best),
+            &naive_argmin(prog, &materialised),
             "argmin diverged lending {:?}:\n{}",
-            &lent,
-            prog
-        );
-        let mut map = vec![0i64; SPILL_SLOTS];
-        let fused =
-            batch::run_columns_argmax(prog, plan, &lent, rows.len(), &mut scratch, &mut map)
-                .map_err(|f| (f.row, f.fault));
-        prop_assert_eq!(
-            &fused,
-            &naive_reduce_program(prog, &materialised, |best, v| v > best),
-            "argmax diverged lending {:?}:\n{}",
             &lent,
             prog
         );
@@ -493,11 +461,10 @@ fn uniform_zero_divisor_faults_every_row_at_that_pc() {
     // the same scratch, a clean call: nothing of the faults is left
     cols[slot(Feature::ReqSize)] = Column::Uniform(500);
     assert_eq!(policy.run_columns_argmin(&cols, 3, &mut scratch, &mut map), Ok(1));
-    assert_eq!(policy.run_columns_argmax(&cols, 3, &mut scratch, &mut map), Ok(0));
 }
 
 /// A score that no row can move (`req.size`, a constant) ties everywhere:
-/// both reductions return row 0 and no score column is ever built.
+/// the reduction returns row 0 and no score column is ever built.
 #[test]
 fn uniform_r0_reduces_to_row_zero() {
     for src in ["req.size * 3 + 1", "7"] {
@@ -508,7 +475,6 @@ fn uniform_r0_reduces_to_row_zero() {
         let mut scratch = BatchScratch::new();
         let mut map = vec![0i64; SPILL_SLOTS];
         assert_eq!(policy.run_columns_argmin(cols, 5, &mut scratch, &mut map), Ok(0), "{src}");
-        assert_eq!(policy.run_columns_argmax(cols, 5, &mut scratch, &mut map), Ok(0), "{src}");
         let mut out = Vec::new();
         policy.run_columns(cols, 5, &mut scratch, &mut map, &mut out);
         let want = policy.run(&[11][..policy.layout().len()], &mut map);
@@ -531,7 +497,6 @@ fn argmin_tie_break_is_lowest_row_index() {
     let mut scratch = BatchScratch::new();
     let mut map = vec![0i64; SPILL_SLOTS];
     assert_eq!(policy.run_batch_argmin(&batch, &mut scratch, &mut map), Ok(1));
-    assert_eq!(policy.run_batch_argmax(&batch, &mut scratch, &mut map), Ok(0));
 }
 
 /// Deterministic pin of the fault-order contract: the fused reduction

@@ -80,12 +80,7 @@ impl FleetColumns {
 
     /// Lend the columns for one decision at `now_us` about a request of
     /// `req_size` work units.
-    pub fn view<'a>(
-        &'a self,
-        now_us: u64,
-        req_size: u64,
-        dirty: Option<&'a [usize]>,
-    ) -> DispatchView<'a> {
+    pub fn view(&self, now_us: u64, req_size: u64) -> DispatchView<'_> {
         DispatchView {
             now_us,
             req_size,
@@ -94,13 +89,13 @@ impl FleetColumns {
             speed: &self.speed,
             ewma_latency_us: &self.ewma_latency_us,
             drain_at_us: &self.drain_at_us,
-            dirty,
         }
     }
 }
 
-/// Everything a dispatcher may read for one decision. The five columns
-/// are index-aligned with the fleet and equally long.
+/// Everything a dispatcher may read for one decision: the arrival's two
+/// scalars and the fleet's five columns, index-aligned with the fleet and
+/// equally long.
 #[derive(Debug, Clone, Copy)]
 pub struct DispatchView<'a> {
     /// Virtual time of the arrival, µs.
@@ -121,14 +116,6 @@ pub struct DispatchView<'a> {
     /// time; at or before `now_us` on an idle server. Read it through
     /// [`work_left_us`](Self::work_left_us).
     pub drain_at_us: &'a [i64],
-    /// Indices whose *stored* cells (queue length, inflight, speed, EWMA
-    /// latency, drain instant) changed since the previous `pick` — the hook
-    /// that lets incremental dispatchers rescore only what moved. `None`
-    /// means "unknown, rescore everything" and is always safe; views built
-    /// outside [`LbEngine`](crate::sim::LbEngine) may simply pass `None`.
-    /// What is derived from the clock (`now_us`, and so `work_left` on
-    /// every busy server) and `req_size` move without appearing here.
-    pub dirty: Option<&'a [usize]>,
 }
 
 impl DispatchView<'_> {
@@ -356,7 +343,7 @@ mod tests {
 
     /// One decision of `d` over `servers` (a size-10 request at t = 0).
     fn pick_on(d: &mut impl Dispatcher, servers: &[ServerView]) -> usize {
-        d.pick(&FleetColumns::from_rows(servers, 0).view(0, 10, None))
+        d.pick(&FleetColumns::from_rows(servers, 0).view(0, 10))
     }
 
     fn sv(queue_len: usize, inflight: usize, speed: u32) -> ServerView {
@@ -376,14 +363,14 @@ mod tests {
             sv(0, 0, 1),
         ];
         let fleet = FleetColumns::from_rows(&rows, 5_000);
-        let view = fleet.view(5_000, 10, None);
+        let view = fleet.view(5_000, 10);
         assert_eq!(view.len(), 2);
         assert_eq!([view.server(0), view.server(1)], rows);
         // the clock moves, the stored drain instant does not: work_left
         // drains with it and stops at zero
-        assert_eq!(fleet.view(9_000, 10, None).work_left_us(0), 3_000);
-        assert_eq!(fleet.view(12_000, 10, None).work_left_us(0), 0);
-        assert_eq!(fleet.view(u64::MAX, 10, None).server(1), rows[1]);
+        assert_eq!(fleet.view(9_000, 10).work_left_us(0), 3_000);
+        assert_eq!(fleet.view(12_000, 10).work_left_us(0), 0);
+        assert_eq!(fleet.view(u64::MAX, 10).server(1), rows[1]);
     }
 
     #[test]

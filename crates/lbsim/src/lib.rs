@@ -20,11 +20,11 @@
 //! * [`policy`] — the PolicySmith **template host**: a synthesized DSL
 //!   expression scores the fleet at dispatch time and the request goes
 //!   to the argmin (runtime faults are latched, as in the cache host).
-//!   Three scan engines share the rule: the default **batched** full scan
-//!   — one fused `run_columns_argmin` call per pick over the view's own
-//!   columns, lent as they are, with `now`/`req.size` passed as uniforms —
-//!   and two sublinear modes — **power-of-d** sampling and an incremental
-//!   **argmin tree** driven by the engine's dirty marks;
+//!   Two engines share the rule, as in the cache and aqm hosts: the
+//!   **batched** full scan every caller runs — one fused
+//!   `run_columns_argmin` call per pick over the view's own columns, lent
+//!   as they are, with `now`/`req.size` passed as uniforms — and the
+//!   **interpreted** oracle it is tested against;
 //! * [`scenario`] — seven presets (uniform fleet, two-tier fleet, flash
 //!   crowd, slow-node degradation, correlated failures, diurnal load,
 //!   slow-node onset) with documented load factors, plus the
@@ -38,10 +38,7 @@
 //!   own; `server.work_left` costs no upkeep at all because
 //!   `work_left(now) = max(drain_at − now, 0)` exactly, where `drain_at` is
 //!   set to `now + service` by an idle admit, grows by `service` on a
-//!   queued one and is left alone by everything else. The servers whose
-//!   cells were written between two picks reach dispatchers as
-//!   [`DispatchView::dirty`] — the hook behind the argmin-tree's sublinear
-//!   rescoring; what derives from the clock moves without a mark.
+//!   queued one and is left alone by everything else.
 //!
 //! Everything is integer-microsecond virtual time; a run is a pure
 //! function of `(scenario, dispatcher)` — bit-for-bit reproducible.

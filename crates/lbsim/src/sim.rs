@@ -222,14 +222,6 @@ pub struct LbEngine {
     /// Deepest queue seen since the last interval mark.
     interval_max_queue: usize,
     last_arrival: u64,
-    /// Servers with a column cell written since the previous pick —
-    /// handed to the dispatcher as [`DispatchView::dirty`] so incremental
-    /// dispatchers rescore only what moved. Deduplicated via
-    /// `dirty_flags`; cleared after every pick.
-    ///
-    /// [`DispatchView::dirty`]: crate::dispatch::DispatchView::dirty
-    dirty: Vec<usize>,
-    dirty_flags: Vec<bool>,
 }
 
 impl LbEngine {
@@ -255,18 +247,6 @@ impl LbEngine {
             mark: LbMetrics::zero(servers.len()),
             interval_max_queue: 0,
             last_arrival: 0,
-            dirty: Vec::with_capacity(servers.len()),
-            dirty_flags: vec![false; servers.len()],
-        }
-    }
-
-    /// Record that server `six`'s event-driven state changed (free
-    /// function over the split fields so callers holding a fleet borrow
-    /// can still mark).
-    fn mark_dirty(dirty: &mut Vec<usize>, flags: &mut [bool], six: usize) {
-        if !flags[six] {
-            flags[six] = true;
-            dirty.push(six);
         }
     }
 
@@ -285,9 +265,6 @@ impl LbEngine {
                 break;
             }
             self.completions.pop();
-            // a completion changes queue_len/inflight/EWMA (and may promote
-            // a queued request) — the picked-next-time scores must move
-            Self::mark_dirty(&mut self.dirty, &mut self.dirty_flags, six);
             let s = &mut self.fleet[six];
             let (req, _) = s.in_service.take().expect("completion without service");
             let response = finish - req.arrival_us;
@@ -327,15 +304,8 @@ impl LbEngine {
 
         #[cfg(debug_assertions)]
         self.assert_columns_current();
-        let view = self.cols.view(req.arrival_us, req.size, Some(&self.dirty));
-        let six = dispatcher.pick(&view);
+        let six = dispatcher.pick(&self.cols.view(req.arrival_us, req.size));
         assert!(six < self.fleet.len(), "dispatcher returned server {six} of {}", self.fleet.len());
-
-        // the dispatcher has now observed (or rescored) everything marked —
-        // start accumulating changes for the *next* pick
-        for ix in self.dirty.drain(..) {
-            self.dirty_flags[ix] = false;
-        }
 
         let s = &mut self.fleet[six];
         let admitted = Admitted {
@@ -350,14 +320,12 @@ impl LbEngine {
             self.completions.push(Reverse((finish, six)));
             self.cols.drain_at_us[six] = finish as i64;
             s.publish_counts(six, &mut self.cols);
-            Self::mark_dirty(&mut self.dirty, &mut self.dirty_flags, six);
         } else if s.queue.len() < s.cfg.queue_cap {
             s.queue.push_back(admitted);
             self.m.max_queue_seen = self.m.max_queue_seen.max(s.queue.len());
             self.interval_max_queue = self.interval_max_queue.max(s.queue.len());
             self.cols.drain_at_us[six] += admitted.service_us as i64;
             s.publish_counts(six, &mut self.cols);
-            Self::mark_dirty(&mut self.dirty, &mut self.dirty_flags, six);
         } else {
             // a drop observes the queue at capacity: record the depth even
             // though nothing was pushed, so an interval whose queues were
@@ -390,8 +358,6 @@ impl LbEngine {
         for (six, (state, &cfg)) in self.fleet.iter_mut().zip(servers).enumerate() {
             state.cfg = cfg;
             self.cols.speed[six] = i64::from(cfg.speed);
-            // a speed/cap change moves every score built on it
-            Self::mark_dirty(&mut self.dirty, &mut self.dirty_flags, six);
         }
     }
 
@@ -404,7 +370,7 @@ impl LbEngine {
     fn assert_columns_current(&self) {
         let now = self.last_arrival;
         for (six, s) in self.fleet.iter().enumerate() {
-            let view = self.cols.view(now, 0, None).server(six);
+            let view = self.cols.view(now, 0).server(six);
             let queued_work_us: u64 = s.queue.iter().map(|a| a.service_us).sum();
             let in_service_left = s.in_service.map_or(0, |(_, finish)| finish.saturating_sub(now));
             assert_eq!(view.queue_len, s.queue.len(), "queue_len[{six}] at {now}");
@@ -889,39 +855,6 @@ mod tests {
             assert_eq!(offered, p.offered, "phase {i}");
         }
         assert_eq!(windows.iter().filter(|(w, _)| *w == 0).count(), 20, "10k pre arrivals / 500");
-    }
-
-    #[test]
-    fn dirty_marks_admissions_completions_and_reconfigures() {
-        struct Probe(Vec<Vec<usize>>);
-        impl Dispatcher for Probe {
-            fn name(&self) -> &str {
-                "probe"
-            }
-            fn pick(&mut self, v: &DispatchView<'_>) -> usize {
-                self.0.push(v.dirty.expect("engine views carry dirty").to_vec());
-                0
-            }
-        }
-        let mut engine = LbEngine::new(&uniform_servers(3, 1, 16));
-        let mut p = Probe(Vec::new());
-        // t=1ms: nothing has happened yet
-        engine.offer(&LbRequest { arrival_us: 1_000, size: 2 }, &mut p);
-        // t=2ms: only the admission to server 0 (service runs to 3ms)
-        engine.offer(&LbRequest { arrival_us: 2_000, size: 2 }, &mut p);
-        // t=10ms: both queued-then-served requests completed on server 0
-        engine.offer(&LbRequest { arrival_us: 10_000, size: 2 }, &mut p);
-        // immediately again: only the previous admission
-        engine.offer(&LbRequest { arrival_us: 10_000, size: 2 }, &mut p);
-        assert_eq!(p.0, vec![vec![], vec![0], vec![0], vec![0]]);
-
-        // a reconfigure invalidates every cached score
-        engine.reconfigure(&uniform_servers(3, 2, 16));
-        engine.offer(&LbRequest { arrival_us: 20_000, size: 2 }, &mut p);
-        let last = p.0.last().unwrap();
-        for six in 0..3 {
-            assert!(last.contains(&six), "reconfigure must dirty server {six}");
-        }
     }
 
     /// Offer `requests` (arrivals shifted by `offset`) one **event** at a

@@ -16,7 +16,7 @@
 //!   LRU for caching, CoDel-style for AQM). The chain always terminates:
 //!   the baseline needs no library and no score.
 
-use policysmith_core::library::{HeuristicLibrary, LibraryEntry};
+use policysmith_core::library::{rescore, HeuristicLibrary, LibraryEntry};
 use policysmith_core::search::Study;
 
 /// Why the guard refused to publish a candidate.
@@ -101,7 +101,7 @@ impl PolicyGuard {
                 }
             }
         };
-        let incumbent_score = shadow_score(study, incumbent);
+        let incumbent_score = rescore(study, incumbent);
         // every serving study scores a fault-latched run -∞; NaN is a
         // degenerate metric — both mean "this must never go live"
         if candidate_score == f64::NEG_INFINITY || candidate_score.is_nan() {
@@ -119,22 +119,6 @@ impl PolicyGuard {
             };
         }
         GuardVerdict::Admit { candidate_score, incumbent_score }
-    }
-}
-
-/// Shadow-replay a source under the study; anything that fails to check
-/// or score scores `-∞` (it cannot win a comparison).
-fn shadow_score<S: Study>(study: &S, source: &str) -> f64 {
-    match study.check(source) {
-        Ok(artifact) => {
-            let s = study.evaluate(&artifact);
-            if s.is_nan() {
-                f64::NEG_INFINITY
-            } else {
-                s
-            }
-        }
-        Err(_) => f64::NEG_INFINITY,
     }
 }
 
@@ -157,11 +141,7 @@ pub enum Recovery {
 /// function can never select a policy known to fault, and it always
 /// terminates with a deployable answer.
 pub fn resolve_recovery<S: Study>(library: &HeuristicLibrary, study: &S) -> Recovery {
-    let best = library.best_for(|e| match study.check(&e.source) {
-        Ok(artifact) => study.evaluate(&artifact),
-        Err(_) => f64::NEG_INFINITY,
-    });
-    match best {
+    match library.best_for(|e| rescore(study, &e.source)) {
         Some((entry, score)) if score.is_finite() => {
             Recovery::Library { entry: entry.clone(), score }
         }
