@@ -235,9 +235,7 @@ mod tests {
     }
 
     fn host(src: &str) -> ExprAqm {
-        let e = parse(src).unwrap();
-        let policy = CompiledPolicy::compile(&e, Mode::Aqm).unwrap();
-        ExprAqm::new("test", policy)
+        ExprAqm::new("test", CompiledPolicy::from_source(src, Mode::Aqm).unwrap())
     }
 
     #[test]

@@ -23,8 +23,8 @@
 
 use policysmith_aqmsim::{aqm_baseline_names, metrics, scenario, ExprAqm};
 use policysmith_bench::{write_json, ExpOpts, ImprovementMatrix};
-use policysmith_core::library::{HeuristicLibrary, LibraryEntry};
-use policysmith_core::search::{run_search, SearchConfig, Study};
+use policysmith_core::library::{rescore, HeuristicLibrary, LibraryEntry};
+use policysmith_core::search::{run_search, SearchConfig};
 use policysmith_core::studies::aqm::AqmStudy;
 use policysmith_gen::{GenConfig, MockLlm};
 
@@ -137,12 +137,8 @@ fn main() {
     let mut oracle: Vec<f64> = Vec::new();
     let mut deployed: Vec<String> = Vec::new();
     for study in &studies {
-        let (best, score) = library
-            .best_for(|e| match study.check(&e.source) {
-                Ok(a) => study.evaluate(&a),
-                Err(_) => f64::NEG_INFINITY,
-            })
-            .expect("library is non-empty");
+        let (best, score) =
+            library.best_for(|e| rescore(study, &e.source)).expect("library is non-empty");
         oracle.push(score);
         deployed.push(best.context.clone());
     }

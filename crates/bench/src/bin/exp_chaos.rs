@@ -17,9 +17,11 @@
 //!   within the recovery budget;
 //! * **quality floor** — the settled tail of every plan stays within 15%
 //!   of a run serving nothing but the domain's man-made baseline
-//!   (JSQ / LRU): misbehavior may cost polish, never safety;
-//! * **no-fault transparency** — an all-zero chaos spec is
-//!   decision-for-decision identical to the plain serve path.
+//!   (JSQ / LRU): misbehavior may cost polish, never safety.
+//!
+//! (No-fault transparency — an all-zero chaos spec is the plain serve
+//! path, decision for decision — is tier-1's:
+//! `serve/tests/faults.rs::no_fault_chaos_spec_is_decision_identical_to_plain_serve`.)
 //!
 //! Everything lands in `results/chaos.json`.
 //!
@@ -29,10 +31,9 @@ use policysmith_bench::{write_json, ExpOpts};
 use policysmith_core::library::{HeuristicLibrary, LibraryEntry, RetryPolicy};
 use policysmith_core::search::SearchConfig;
 use policysmith_core::studies::lb::LbStudy;
-use policysmith_dsl::{parse, Mode};
+use policysmith_dsl::Mode;
 use policysmith_gen::{FlakyConfig, FlakyGen, GenConfig, MockLlm};
 use policysmith_kbpf::CompiledPolicy;
-use policysmith_lbsim::scenario;
 use policysmith_serve::chaos::{baseline_source, faulting_source};
 use policysmith_serve::runtime::Resynth;
 use policysmith_serve::{
@@ -75,7 +76,7 @@ impl Plan {
 }
 
 fn compiled(src: &str, mode: Mode) -> CompiledPolicy {
-    CompiledPolicy::compile(&parse(src).unwrap(), mode).unwrap()
+    CompiledPolicy::from_source(src, mode).unwrap()
 }
 
 fn no_resynth() -> Option<Resynth<LbStudy>> {
@@ -422,36 +423,12 @@ fn check_plan(
     }
 }
 
-/// All-zero chaos spec == the plain serve path, decision for decision.
-fn decision_identity(seed: u64) -> bool {
-    let sc = scenario::two_tier_fleet();
-    let shards = loadgen::lb_shards(std::slice::from_ref(&sc), 1);
-    let src = STORED_GOOD;
-    let run = |chaos: Option<ChaosSpec>| {
-        let cfg =
-            ServeConfig { workers: 1, record_decisions: true, chaos, ..ServeConfig::default() };
-        serve_lb(&shards, compiled(src, Mode::Lb), &cfg, no_resynth())
-    };
-    let plain = run(None);
-    let chaotic = run(Some(ChaosSpec { seed, ..ChaosSpec::default() }));
-    plain.workers[0].decisions_log == chaotic.workers[0].decisions_log
-        && plain.workers[0].lb_metrics == chaotic.workers[0].lb_metrics
-}
-
 fn main() {
     let opts = ExpOpts::from_args();
     let workers = 2usize;
 
-    // ---- no-fault transparency --------------------------------------
-    let identity_ok = decision_identity(opts.seed ^ 0x1D);
-    println!(
-        "== no-fault chaos spec == plain serve path → {} ==",
-        if identity_ok { "ok" } else { "MISMATCH" }
-    );
-    assert!(identity_ok, "an all-zero chaos spec must serve identical decisions");
-
     // ---- lb battery --------------------------------------------------
-    println!("\n== lb serving under fault plans ==");
+    println!("== lb serving under fault plans ==");
     let drift = loadgen::lb_drift_phases();
     let (healthy, onset) = (&drift[0], &drift[1]);
     let onset_reps = if opts.fast { 10 } else { 30 };
@@ -482,7 +459,7 @@ fn main() {
             window: 500,
             min_reuse_score: plan.min_reuse_score,
             retry: plan.retry,
-            chaos: Some(plan.fault.spec.clone()),
+            chaos: plan.fault.spec.clone(),
             ..ServeConfig::default()
         };
         let generator: Box<dyn policysmith_gen::Generator + Send> = match &plan.fault.flaky_gen {
@@ -547,7 +524,7 @@ fn main() {
             let cfg = ServeConfig {
                 workers,
                 window: 256,
-                chaos: Some(plan.fault.spec.clone()),
+                chaos: plan.fault.spec.clone(),
                 ..ServeConfig::default()
             };
             let report = serve_cache(
@@ -582,7 +559,6 @@ fn main() {
             "seed": opts.seed,
             "recovery_budget_micros": RECOVERY_BUDGET_MICROS,
             "quality_floor": QUALITY_FLOOR,
-            "no_fault_decision_identity": { "ok": identity_ok },
             "plans": rows,
         }),
     );

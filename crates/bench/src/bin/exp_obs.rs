@@ -19,7 +19,7 @@ use policysmith_bench::{write_json, ExpOpts};
 use policysmith_core::library::HeuristicLibrary;
 use policysmith_core::search::SearchConfig;
 use policysmith_core::studies::lb::LbStudy;
-use policysmith_dsl::{parse, Mode};
+use policysmith_dsl::Mode;
 use policysmith_gen::{GenConfig, MockLlm};
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::scenario;
@@ -31,7 +31,7 @@ use policysmith_serve::{loadgen, serve_lb, ServeConfig};
 const SERVE_POLICY: &str = "server.work_left + req.size * 1000 / server.speed";
 
 fn compiled(src: &str) -> CompiledPolicy {
-    CompiledPolicy::compile(&parse(src).unwrap(), Mode::Lb).unwrap()
+    CompiledPolicy::from_source(src, Mode::Lb).unwrap()
 }
 
 fn main() {

@@ -25,7 +25,7 @@ use policysmith_serve::runtime::Resynth;
 use policysmith_serve::{loadgen, serve_lb, ServeConfig, ServeReport};
 
 fn compiled(src: &str) -> CompiledPolicy {
-    CompiledPolicy::compile(&parse(src).unwrap(), Mode::Lb).unwrap()
+    CompiledPolicy::from_source(src, Mode::Lb).unwrap()
 }
 
 /// Serving threads of the drift run: the CI box's two hardware threads,

@@ -290,6 +290,12 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
             pairs.push(("obs".to_string(), policysmith_obs::export::ambient_value()));
         }
     }
+    let overwritten = policysmith_obs::trace::global().dropped();
+    if overwritten > 0 {
+        eprintln!(
+            "warn: {path}: the trace ring overwrote {overwritten} events (obs.trace_overwritten)"
+        );
+    }
     match serde_json::to_string_pretty(&tree) {
         Ok(s) => {
             if let Err(e) = std::fs::write(&path, s) {

@@ -25,7 +25,7 @@ obj.count * 20 \
 /// Build Heuristic A as a runnable policy.
 pub fn paper_heuristic_a() -> PriorityPolicy {
     PriorityPolicy::from_source("PS-A(paper)", LISTING1_SOURCE)
-        .expect("Listing 1 translation parses")
+        .expect("Listing 1 translation compiles")
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use crate::engine::{CacheView, ObjId, Policy};
 use crate::features::{AggregateTracker, EvictionHistory, EvictionRecord, Tables};
 use crate::rank::{EvictionRank, HeapRank};
 use policysmith_dsl::{eval, Expr, Feature, FeatureEnv, Mode};
-use policysmith_kbpf::{CompiledPolicy, RuntimeFault, SPILL_SLOTS};
+use policysmith_kbpf::{CompileError, CompiledPolicy, RuntimeFault, SPILL_SLOTS};
 
 /// Eviction-history length (entries).
 const DEFAULT_HISTORY: usize = 1024;
@@ -178,12 +178,11 @@ impl PriorityPolicy {
         self.first_error = None;
     }
 
-    /// Parse `src` and host it. Returns the parse error on bad source.
-    pub fn from_source(
-        name: impl Into<String>,
-        src: &str,
-    ) -> Result<Self, policysmith_dsl::ParseError> {
-        Ok(PriorityPolicy::from_expr(name, &policysmith_dsl::parse(src)?))
+    /// Compile `src` for `Mode::Cache` and host it. Returns the stage that
+    /// refused it on bad source (no interpreter fallback: text that does
+    /// not compile is not hosted).
+    pub fn from_source(name: impl Into<String>, src: &str) -> Result<Self, CompileError> {
+        Ok(PriorityPolicy::new(name, CompiledPolicy::from_source(src, Mode::Cache)?))
     }
 
     /// First runtime fault observed, if any.
@@ -460,8 +459,8 @@ mod tests {
         c.request(&req(1, 1));
         c.request(&req(2, 2));
         c.request(&req(3, 3));
-        let anti = policysmith_dsl::parse("0 - obj.last_access").unwrap();
-        c.policy.swap_policy(CompiledPolicy::compile(&anti, Mode::Cache).unwrap());
+        let anti = CompiledPolicy::from_source("0 - obj.last_access", Mode::Cache).unwrap();
+        c.policy.swap_policy(anti);
         // re-touch in the same order: scores update on access (§4.1.2)
         c.request(&req(4, 1));
         c.request(&req(5, 2));
@@ -518,11 +517,9 @@ mod tests {
     #[should_panic(expected = "reads a percentile table the tracker was never keeping")]
     fn swap_policy_refuses_a_reader_of_an_unkept_table() {
         // the host reads sizes.*, so its tracker keeps sizes only
-        let sizes = policysmith_dsl::parse("obj.count - (obj.size > sizes.p50)").unwrap();
-        let mut host =
-            PriorityPolicy::new("sizes", CompiledPolicy::compile(&sizes, Mode::Cache).unwrap());
-        let counts = policysmith_dsl::parse("obj.count - counts.p50").unwrap();
-        host.swap_policy(CompiledPolicy::compile(&counts, Mode::Cache).unwrap());
+        let compiled = |src| CompiledPolicy::from_source(src, Mode::Cache).unwrap();
+        let mut host = PriorityPolicy::new("sizes", compiled("obj.count - (obj.size > sizes.p50)"));
+        host.swap_policy(compiled("obj.count - counts.p50"));
     }
 
     #[test]

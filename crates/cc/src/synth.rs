@@ -20,7 +20,7 @@
 //! live [`CcView`] into a reusable slab and executes the program in the
 //! VM; `r0` is the new cwnd.
 
-use policysmith_dsl::{parse, Expr, Feature, FeatureEnv, Mode};
+use policysmith_dsl::{Expr, Feature, FeatureEnv, Mode};
 use policysmith_kbpf::{
     CompileError, CompiledPolicy, Interval, LowerError, Program, VerifyError, SPILL_SLOTS,
 };
@@ -53,6 +53,7 @@ impl PipelineError {
 impl From<CompileError> for PipelineError {
     fn from(e: CompileError) -> Self {
         match e {
+            CompileError::Parse(e) => PipelineError::Parse(e),
             CompileError::Check(report) => PipelineError::Check(report.errors),
             CompileError::Lower(e) => PipelineError::Lower(e),
             CompileError::Verify(e) => PipelineError::Verify(e),
@@ -106,8 +107,7 @@ impl VerifiedCandidate {
 
 /// Run the full pipeline on candidate source.
 pub fn check_candidate(src: &str) -> Result<VerifiedCandidate, PipelineError> {
-    let expr = parse(src).map_err(PipelineError::Parse)?;
-    let policy = CompiledPolicy::compile(&expr, Mode::Kernel)?;
+    let policy = CompiledPolicy::from_source(src, Mode::Kernel)?;
     debug_assert!(!policy.may_fault(), "kernel mode never defers faults");
     Ok(VerifiedCandidate { source: src.to_string(), policy })
 }

@@ -48,7 +48,7 @@ pub mod studies;
 
 pub use library::{
     run_search_with_retry, Adaptation, AdaptiveController, ContextMonitor, GiveUp,
-    HeuristicLibrary, LibraryEntry, RetriedSearch, RetryPolicy, SearchAttempt, SearchNeeded,
+    HeuristicLibrary, LibraryEntry, RetriedSearch, RetryPolicy, SearchNeeded,
 };
 pub use search::{
     run_search, try_run_search, CostLedger, RoundStats, Scored, SearchConfig, SearchError,

@@ -18,8 +18,21 @@
 //! * [`AdaptiveController`] — monitor + library + re-synthesis fallback,
 //!   generic over [`Study`]: the same controller hosts the cache, lb, and
 //!   cc workloads, because "score a stored entry in the new context" is
-//!   just `check` + `evaluate` and "no stored policy fits" is just
-//!   [`run_search`].
+//!   just [`rescore`] and "no stored policy fits" is just [`run_search`].
+//!
+//! ## One ladder
+//!
+//! "Which stored policy fits this context?" is answered in one place —
+//! the best non-poisoned entry whose [`rescore`] is a real number — and
+//! every trigger walks the same rungs, cheapest first, starting where its
+//! cause puts it:
+//!
+//! | rung | drift ([`try_reuse`](AdaptiveController::try_reuse) → [`finish_search`](AdaptiveController::finish_search)) | quarantine ([`recover`](AdaptiveController::recover)) |
+//! |---|---|---|
+//! | best stored entry at or over the reuse bar | deploy it | — (the live policy just faulted: any clean entry beats it) |
+//! | fresh search ([`run_search_with_retry`] in a serving host) | deploy the better of its winner and the best stored entry | — (a faulting policy is replaced now, not after a search) |
+//! | best stored entry at all | deploy it when the search gave up | deploy it |
+//! | floor | the incumbent stays live | the host's man-made baseline |
 
 use crate::search::{run_search, try_run_search, Scored, SearchConfig, SearchOutcome, Study};
 use policysmith_gen::Generator;
@@ -152,9 +165,9 @@ impl HeuristicLibrary {
 /// Score `source` under `study`: `check`, then `evaluate`. Anything
 /// unscorable — a source that no longer checks, a degenerate (NaN) metric —
 /// is `-∞`, the score of a run that faulted: it ranks below every real
-/// score and fails every `is_finite` gate. The one way the reuse poll, the
-/// serving guard's shadow replay and the recovery chain re-score a stored
-/// policy in a context it was not searched for.
+/// score and fails every `is_finite` gate. The one way the controller's
+/// ladder and the serving guard's shadow replay re-score a stored policy in
+/// a context it was not searched for.
 pub fn rescore<S: Study>(study: &S, source: &str) -> f64 {
     let score = study.check(source).map_or(f64::NAN, |artifact| study.evaluate(&artifact));
     if score.is_nan() {
@@ -302,12 +315,13 @@ impl Adaptation {
 /// [`AdaptiveController::try_reuse`] when no stored policy clears the
 /// reuse threshold. It records the best stored entry re-scored in the
 /// drifted context, so [`AdaptiveController::finish_search`] can later
-/// decide between the externally-run search winner and what the library
+/// decide between the externally-run search's result and what the library
 /// already held — without re-scoring anything.
 #[derive(Debug)]
 pub struct SearchNeeded {
     /// Best stored entry and its score in the drifted context (`None` on
-    /// an empty library, or when nothing compiled under the study).
+    /// an empty library, or when nothing scored a real number under the
+    /// study).
     best_stored: Option<(LibraryEntry, f64)>,
 }
 
@@ -345,9 +359,11 @@ impl SearchNeeded {
 /// answers immediately when a stored policy fits, and hands back a
 /// [`SearchNeeded`] ticket otherwise; the host runs [`run_search`] on its
 /// own background thread while decisions keep flowing, then folds the
-/// winner in with [`finish_search`](Self::finish_search). `adapt` is
-/// exactly `try_reuse` + `run_search` + `finish_search` in one blocking
-/// call.
+/// result in with [`finish_search`](Self::finish_search) — `None` when the
+/// search gave up. `adapt` is exactly `try_reuse` + `run_search` +
+/// `finish_search` in one blocking call. A host whose live policy faulted
+/// calls [`recover`](Self::recover) instead (see the [module docs](self)
+/// for the rungs each trigger walks).
 #[derive(Debug)]
 pub struct AdaptiveController {
     monitor: ContextMonitor,
@@ -443,9 +459,28 @@ impl AdaptiveController {
             Ok(adaptation) => adaptation,
             Err(needed) => {
                 let outcome = run_search(study, generator, cfg);
-                self.finish_search(context, needed, outcome.best)
+                self.finish_search(context, needed, Some(outcome.best))
+                    .expect("a search winner always deploys something")
             }
         }
+    }
+
+    /// The one place the library is consulted for a context: the best
+    /// non-poisoned entry by [`rescore`] under `study`, if that score is a
+    /// real number (`-∞` — does not check, faults, NaN — fits nothing).
+    fn best_stored<S: Study>(&self, study: &S) -> Option<(LibraryEntry, f64)> {
+        self.library
+            .best_for(|e| rescore(study, &e.source))
+            .filter(|(_, score)| score.is_finite())
+            .map(|(entry, score)| (entry.clone(), score))
+    }
+
+    /// Make `adaptation` the controller's answer: the one place an entry
+    /// becomes `deployed` and joins the adaptation trail.
+    fn record(&mut self, adaptation: Adaptation) -> Adaptation {
+        self.deployed = Some(adaptation.entry().clone());
+        self.adaptations.push(adaptation.clone());
+        adaptation
     }
 
     /// The poll half of the non-blocking API: re-score every stored entry
@@ -460,76 +495,66 @@ impl AdaptiveController {
     /// controller*; re-scoring the library still costs one `check` +
     /// `evaluate` per stored entry.
     pub fn try_reuse<S: Study>(&mut self, study: &S) -> Result<Adaptation, SearchNeeded> {
-        let best = self
-            .library
-            .best_for(|e| rescore(study, &e.source))
-            .map(|(entry, score)| (entry.clone(), score));
-
-        match best {
+        match self.best_stored(study) {
             Some((entry, score)) if score >= self.min_reuse_score => {
-                self.deployed = Some(entry.clone());
-                let adaptation = Adaptation::FromLibrary { entry, score };
-                self.adaptations.push(adaptation.clone());
-                Ok(adaptation)
+                Ok(self.record(Adaptation::FromLibrary { entry, score }))
             }
             best_stored => Err(SearchNeeded { best_stored }),
         }
     }
 
-    /// Complete an adaptation begun by [`try_reuse`](Self::try_reuse):
-    /// fold the externally-run search `winner` into the library and deploy
-    /// the better of it and the ticket's best stored entry (a small search
-    /// budget can lose to a stored policy that merely missed the reuse
-    /// bar — the controller never deploys a policy worse than the best one
-    /// it already knows). `winner.score` must be the winner's score in the
-    /// drifted context — which is what [`run_search`] on the drifted
-    /// study's `best` reports.
+    /// Complete an adaptation begun by [`try_reuse`](Self::try_reuse) with
+    /// the result of the externally-run search. `Some(winner)` joins the
+    /// library, and the better of it and the ticket's best stored entry is
+    /// deployed (a small search budget can lose to a stored policy that
+    /// merely missed the reuse bar — the controller never deploys a policy
+    /// worse than the best one it already knows); `winner.score` must be
+    /// its score in the drifted context, which is what [`run_search`] on
+    /// the drifted study's `best` reports. `None` means the search gave up
+    /// (generator outage past the retry budget): instead of blocking
+    /// adaptation forever, the ticket's best stored entry is deployed.
+    ///
+    /// A stored entry poisoned after the ticket was issued (a quarantine
+    /// raced the search) is never deployed. Returns `None` only when there
+    /// is no winner and nothing stored is deployable: the incumbent stays.
     pub fn finish_search(
         &mut self,
         context: &str,
         needed: SearchNeeded,
-        winner: Scored,
-    ) -> Adaptation {
-        let entry = LibraryEntry {
+        winner: Option<Scored>,
+    ) -> Option<Adaptation> {
+        let stored = needed.best_stored.filter(|(e, _)| !self.library.is_poisoned(&e.source));
+        let fresh = winner.map(|w| LibraryEntry {
             context: context.to_string(),
-            source: winner.source,
-            score: winner.score,
-        };
-        self.library.add(entry.clone());
-        let adaptation = match needed.best_stored {
-            // a stored entry poisoned after the ticket was issued (a
-            // quarantine raced the search) must not win the comparison
-            Some((stored, score))
-                if score >= entry.score && !self.library.is_poisoned(&stored.source) =>
-            {
-                self.deployed = Some(stored.clone());
-                Adaptation::FromLibrary { entry: stored, score }
+            source: w.source,
+            score: w.score,
+        });
+        if let Some(entry) = &fresh {
+            self.library.add(entry.clone());
+        }
+        let adaptation = match (stored, fresh) {
+            (Some((entry, score)), fresh) if fresh.as_ref().is_none_or(|f| score >= f.score) => {
+                Adaptation::FromLibrary { entry, score }
             }
-            _ => {
-                self.deployed = Some(entry.clone());
-                Adaptation::Resynthesized { entry }
-            }
+            (_, Some(entry)) => Adaptation::Resynthesized { entry },
+            (_, None) => return None,
         };
-        self.adaptations.push(adaptation.clone());
-        adaptation
+        Some(self.record(adaptation))
     }
 
-    /// Abandon an adaptation begun by [`try_reuse`](Self::try_reuse)
-    /// whose search could not be completed (generator outage past the
-    /// retry budget): instead of blocking adaptation forever, deploy the
-    /// ticket's best stored entry — the least-bad policy the library
-    /// already holds — provided it scored a real number in the drifted
-    /// context and has not been poisoned since. Returns `None` when
-    /// nothing stored is deployable; the incumbent simply stays live.
-    pub fn abandon_search(&mut self, needed: SearchNeeded) -> Option<Adaptation> {
-        let (entry, score) = needed.best_stored?;
-        if !score.is_finite() || self.library.is_poisoned(&entry.source) {
-            return None;
+    /// The quarantine rung: the live policy faulted and was poisoned, so
+    /// any clean entry beats it — deploy the best stored entry that scores
+    /// a real number under `study`. `None` means the host must fall to its
+    /// man-made baseline; `deployed` is cleared, so the controller never
+    /// reports a poisoned source as live.
+    pub fn recover<S: Study>(&mut self, study: &S) -> Option<Adaptation> {
+        match self.best_stored(study) {
+            Some((entry, score)) => Some(self.record(Adaptation::FromLibrary { entry, score })),
+            None => {
+                self.deployed = None;
+                None
+            }
         }
-        self.deployed = Some(entry.clone());
-        let adaptation = Adaptation::FromLibrary { entry, score };
-        self.adaptations.push(adaptation.clone());
-        Some(adaptation)
     }
 }
 
@@ -537,7 +562,7 @@ impl AdaptiveController {
 /// re-synthesis: how many times a failed search attempt is retried, how
 /// long to wait between attempts, and the deadline past which the
 /// controller gives up and falls back to the library
-/// ([`AdaptiveController::abandon_search`]).
+/// ([`AdaptiveController::finish_search`] with no winner).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (minimum 1).
@@ -563,17 +588,6 @@ impl RetryPolicy {
         }
     }
 
-    /// One attempt, no retries — [`run_search_with_retry`] behaves like a
-    /// fallible [`run_search`].
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-            deadline_ms: u64::MAX,
-        }
-    }
-
     /// Backoff sleep before the retry following failed attempt `attempt`
     /// (0-based).
     fn backoff_ms(&self, attempt: u32) -> u64 {
@@ -586,19 +600,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::serving()
     }
-}
-
-/// One failed search attempt inside [`run_search_with_retry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchAttempt {
-    /// 0-based attempt index.
-    pub attempt: u32,
-    /// The rendered [`crate::search::SearchError`].
-    pub error: String,
-    /// Backoff slept after this failure (0 for the final attempt).
-    pub backoff_ms: u64,
-    /// How long the attempt itself ran.
-    pub elapsed_ms: u64,
 }
 
 /// Why [`run_search_with_retry`] stopped without an outcome.
@@ -619,16 +620,14 @@ impl std::fmt::Display for GiveUp {
     }
 }
 
-/// The result of a retried search: either an outcome (with the failures
-/// that preceded it) or a give-up verdict.
+/// The result of a retried search.
 #[derive(Debug)]
 pub struct RetriedSearch {
-    /// The successful attempt's outcome, if any attempt succeeded.
-    pub outcome: Option<SearchOutcome>,
-    /// Every failed attempt, in order.
-    pub failures: Vec<SearchAttempt>,
-    /// Why the search gave up (`None` iff `outcome` is `Some`).
-    pub gave_up: Option<GiveUp>,
+    /// The first successful attempt's outcome, or why the search gave up.
+    pub result: Result<SearchOutcome, GiveUp>,
+    /// The rendered [`crate::search::SearchError`] of every failed
+    /// attempt, in order (`TraceKind::RetryAttempt` carries the backoffs).
+    pub failures: Vec<String>,
 }
 
 /// Run [`try_run_search`] under a [`RetryPolicy`]: failed attempts are
@@ -645,54 +644,39 @@ pub fn run_search_with_retry<S: Study>(
     let started = Instant::now();
     let max_attempts = retry.max_attempts.max(1);
     let mut failures = Vec::new();
+    let mut gave_up = GiveUp::AttemptsExhausted;
     for attempt in 0..max_attempts {
-        let t0 = Instant::now();
-        match try_run_search(study, generator, cfg) {
-            Ok(outcome) => {
-                return RetriedSearch { outcome: Some(outcome), failures, gave_up: None }
-            }
-            Err(e) => {
-                let last = attempt + 1 == max_attempts;
-                let backoff_ms = if last { 0 } else { retry.backoff_ms(attempt) };
-                policysmith_obs::emit(policysmith_obs::TraceKind::RetryAttempt {
-                    attempt: attempt + 1,
-                    error: e.to_string(),
-                    backoff_ms,
-                });
-                failures.push(SearchAttempt {
-                    attempt,
-                    error: e.to_string(),
-                    backoff_ms,
-                    elapsed_ms: t0.elapsed().as_millis() as u64,
-                });
-                if last {
-                    break;
-                }
-                // the watchdog bounds total wall-clock: if the next sleep
-                // would land past the deadline, give up now
-                let elapsed_ms = started.elapsed().as_millis() as u64;
-                if elapsed_ms.saturating_add(backoff_ms) >= retry.deadline_ms {
-                    policysmith_obs::emit(policysmith_obs::TraceKind::RetryGaveUp {
-                        attempts: attempt + 1,
-                        why: GiveUp::DeadlineExceeded.to_string(),
-                    });
-                    return RetriedSearch {
-                        outcome: None,
-                        failures,
-                        gave_up: Some(GiveUp::DeadlineExceeded),
-                    };
-                }
-                if backoff_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(backoff_ms));
-                }
-            }
+        let error = match try_run_search(study, generator, cfg) {
+            Ok(outcome) => return RetriedSearch { result: Ok(outcome), failures },
+            Err(e) => e.to_string(),
+        };
+        let last = attempt + 1 == max_attempts;
+        let backoff_ms = if last { 0 } else { retry.backoff_ms(attempt) };
+        policysmith_obs::emit(policysmith_obs::TraceKind::RetryAttempt {
+            attempt: attempt + 1,
+            error: error.clone(),
+            backoff_ms,
+        });
+        failures.push(error);
+        if last {
+            break;
+        }
+        // the watchdog bounds total wall-clock: if the next sleep would
+        // land past the deadline, give up now
+        let elapsed_ms = started.elapsed().as_millis() as u64;
+        if elapsed_ms.saturating_add(backoff_ms) >= retry.deadline_ms {
+            gave_up = GiveUp::DeadlineExceeded;
+            break;
+        }
+        if backoff_ms > 0 {
+            std::thread::sleep(Duration::from_millis(backoff_ms));
         }
     }
     policysmith_obs::emit(policysmith_obs::TraceKind::RetryGaveUp {
-        attempts: max_attempts,
-        why: GiveUp::AttemptsExhausted.to_string(),
+        attempts: failures.len() as u32,
+        why: gave_up.to_string(),
     });
-    RetriedSearch { outcome: None, failures, gave_up: Some(GiveUp::AttemptsExhausted) }
+    RetriedSearch { result: Err(gave_up), failures }
 }
 
 #[cfg(test)]
@@ -900,7 +884,8 @@ mod tests {
     use policysmith_dsl::Mode;
     use policysmith_gen::{Prompt, TokenLedger};
 
-    /// Accepts anything not containing "bad"; scores by source length.
+    /// Accepts anything not containing "bad"; scores by source length,
+    /// except that a source containing "fault" faults when run (`-∞`).
     struct ToyStudy;
     impl Study for ToyStudy {
         type Artifact = String;
@@ -915,6 +900,9 @@ mod tests {
             }
         }
         fn evaluate(&self, artifact: &String) -> f64 {
+            if artifact.contains("fault") {
+                return f64::NEG_INFINITY;
+            }
             artifact.len() as f64 / 100.0
         }
     }
@@ -1064,9 +1052,9 @@ mod tests {
             // the "external search": same generator, same config, run by the caller
             let mut gen2 = FixedGen { batch: vec![fresh.clone()], ledger: TokenLedger::default() };
             let outcome = run_search(&ToyStudy, &mut gen2, &tiny_cfg());
-            let b = split.finish_search("shifted", ticket, outcome.best);
+            let b = split.finish_search("shifted", ticket, Some(outcome.best));
 
-            assert_eq!(a, b, "stored_len={stored_len}");
+            assert_eq!(Some(a), b, "stored_len={stored_len}");
             assert_eq!(blocking.deployed(), split.deployed());
             assert_eq!(blocking.library().entries(), split.library().entries());
             assert_eq!(blocking.adaptations(), split.adaptations());
@@ -1079,7 +1067,7 @@ mod tests {
         let ticket = ctrl.try_reuse(&ToyStudy).expect_err("empty library cannot reuse");
         assert!(ticket.best_stored().is_none());
         let winner = Scored { source: "w".repeat(30), score: 0.30, round: 0 };
-        let a = ctrl.finish_search("ctx", ticket, winner);
+        let a = ctrl.finish_search("ctx", ticket, Some(winner)).unwrap();
         assert!(a.resynthesized());
         assert_eq!(ctrl.library().len(), 1);
         assert_eq!(ctrl.deployed().unwrap().source, "w".repeat(30));
@@ -1161,7 +1149,7 @@ mod tests {
         // a quarantine lands while the search is running
         ctrl.poison(&stored);
         let winner = Scored { source: "w".repeat(10), score: 0.10, round: 0 };
-        let a = ctrl.finish_search("shifted", ticket, winner);
+        let a = ctrl.finish_search("shifted", ticket, Some(winner)).unwrap();
         assert!(a.resynthesized(), "the poisoned stored entry must not win the comparison");
         assert_eq!(ctrl.deployed().unwrap().source, "w".repeat(10));
     }
@@ -1214,9 +1202,8 @@ mod tests {
             deadline_ms: u64::MAX,
         };
         let r = run_search_with_retry(&ToyStudy, &mut gen, &tiny_cfg(), &retry);
-        assert!(r.gave_up.is_none());
         assert_eq!(r.failures.len(), 2, "two failed attempts precede the success");
-        assert_eq!(r.outcome.unwrap().best.source, "okokok");
+        assert_eq!(r.result.unwrap().best.source, "okokok");
     }
 
     #[test]
@@ -1234,10 +1221,9 @@ mod tests {
             deadline_ms: u64::MAX,
         };
         let r = run_search_with_retry(&ToyStudy, &mut gen, &tiny_cfg(), &retry);
-        assert_eq!(r.gave_up, Some(GiveUp::AttemptsExhausted));
+        assert_eq!(r.result.err(), Some(GiveUp::AttemptsExhausted));
         assert_eq!(r.failures.len(), 3);
-        assert!(r.outcome.is_none());
-        assert!(r.failures[0].error.contains("unavailable"), "{}", r.failures[0].error);
+        assert!(r.failures[0].contains("unavailable"), "{}", r.failures[0]);
     }
 
     #[test]
@@ -1258,7 +1244,7 @@ mod tests {
         };
         let t0 = std::time::Instant::now();
         let r = run_search_with_retry(&ToyStudy, &mut gen, &tiny_cfg(), &retry);
-        assert_eq!(r.gave_up, Some(GiveUp::DeadlineExceeded));
+        assert_eq!(r.result.err(), Some(GiveUp::DeadlineExceeded));
         assert_eq!(r.failures.len(), 1);
         assert!(t0.elapsed() < Duration::from_secs(5), "the watchdog must not sleep the backoff");
     }
@@ -1279,12 +1265,13 @@ mod tests {
     }
 
     #[test]
-    fn abandon_search_falls_back_to_the_ticketed_best_stored_entry() {
+    fn a_search_that_gave_up_falls_back_to_the_ticketed_best_stored_entry() {
         let mut ctrl = AdaptiveController::new(ContextMonitor::new(2, 1.2), 0.9);
         let stored = "s".repeat(40);
         ctrl.deploy(entry(&stored, 0.6));
         let ticket = ctrl.try_reuse(&ToyStudy).expect_err("0.9 bar is out of reach");
-        let a = ctrl.abandon_search(ticket).expect("the stored entry is deployable");
+        let a =
+            ctrl.finish_search("shifted", ticket, None).expect("the stored entry is deployable");
         assert_eq!(a.entry().source, stored);
         assert!(!a.resynthesized());
         assert_eq!(ctrl.deployed().unwrap().source, stored);
@@ -1292,11 +1279,11 @@ mod tests {
     }
 
     #[test]
-    fn abandon_search_refuses_poisoned_or_unusable_fallbacks() {
+    fn a_search_that_gave_up_refuses_poisoned_or_unusable_fallbacks() {
         // empty library: nothing to fall back to
         let mut ctrl = AdaptiveController::new(ContextMonitor::new(2, 1.2), 0.9);
         let ticket = ctrl.try_reuse(&ToyStudy).expect_err("empty library");
-        assert!(ctrl.abandon_search(ticket).is_none());
+        assert!(ctrl.finish_search("shifted", ticket, None).is_none());
         assert!(ctrl.adaptations().is_empty());
 
         // the only stored entry was poisoned while the search was failing
@@ -1304,13 +1291,62 @@ mod tests {
         ctrl.deploy(entry(&stored, 0.6));
         let ticket = ctrl.try_reuse(&ToyStudy).expect_err("0.9 bar is out of reach");
         ctrl.poison(&stored);
-        assert!(ctrl.abandon_search(ticket).is_none(), "a poisoned fallback must stay dead");
+        assert!(
+            ctrl.finish_search("shifted", ticket, None).is_none(),
+            "a poisoned fallback must stay dead"
+        );
         assert_eq!(ctrl.deployed().unwrap().source, stored, "the incumbent simply stays live");
 
         // a -∞-scoring entry (does not compile here) is not a fallback
         let mut ctrl = AdaptiveController::new(ContextMonitor::new(2, 1.2), 0.9);
         ctrl.deploy(entry("bad cross-template source", 0.9));
         let ticket = ctrl.try_reuse(&ToyStudy).expect_err("-inf misses any bar");
-        assert!(ctrl.abandon_search(ticket).is_none());
+        assert!(ctrl.finish_search("shifted", ticket, None).is_none());
+    }
+
+    // -- the quarantine rung --
+
+    fn controller_holding(sources: &[&str]) -> AdaptiveController {
+        let mut lib = HeuristicLibrary::new();
+        for source in sources {
+            lib.add(entry(source, 0.0));
+        }
+        AdaptiveController::new(ContextMonitor::new(2, 1.2), 0.0).with_library(lib)
+    }
+
+    #[test]
+    fn recovery_prefers_the_best_clean_library_entry() {
+        let mut ctrl = controller_holding(&["aaa", "aaaaaa"]);
+        match ctrl.recover(&ToyStudy) {
+            Some(Adaptation::FromLibrary { entry, score }) => {
+                assert_eq!(entry.source, "aaaaaa");
+                assert!((score - 0.06).abs() < 1e-12);
+            }
+            other => panic!("clean entries exist, got {other:?}"),
+        }
+        // the recovery is on the controller's trail like any adaptation
+        assert_eq!(ctrl.deployed().unwrap().source, "aaaaaa");
+        assert_eq!(ctrl.adaptations().len(), 1);
+    }
+
+    #[test]
+    fn recovery_skips_poisoned_and_faulting_entries() {
+        let mut ctrl = controller_holding(&["fault-prone", "bad-here"]);
+        // the live policy is the one that just faulted and was poisoned
+        ctrl.deploy(entry("aaaaaaaaaa", 0.0));
+        ctrl.poison("aaaaaaaaaa");
+        // best clean entry faults (-∞), next fails check (-∞), the only
+        // good one is poisoned: the chain must land on the baseline
+        if let Some(a) = ctrl.recover(&ToyStudy) {
+            panic!("must not deploy {} after quarantine", a.entry().source);
+        }
+        assert_eq!(ctrl.deployed(), None, "a poisoned source must not be reported as live");
+        assert!(ctrl.adaptations().is_empty());
+    }
+
+    #[test]
+    fn recovery_on_an_empty_library_is_the_baseline() {
+        let mut ctrl = controller_holding(&[]);
+        assert_eq!(ctrl.recover(&ToyStudy), None);
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::search::Study;
 use policysmith_aqmsim::{metrics, AqmScenario, ExprAqm};
-use policysmith_dsl::{parse, Mode};
+use policysmith_dsl::Mode;
 use policysmith_kbpf::CompiledPolicy;
 
 /// One AQM context: scenario + drop-tail reference point.
@@ -64,8 +64,7 @@ impl Study for AqmStudy {
     }
 
     fn check(&self, source: &str) -> Result<CompiledPolicy, String> {
-        let expr = parse(source).map_err(|e| e.to_string())?;
-        CompiledPolicy::compile(&expr, Mode::Aqm).map_err(|e| e.to_string())
+        CompiledPolicy::from_source(source, Mode::Aqm).map_err(|e| e.to_string())
     }
 
     fn evaluate(&self, policy: &CompiledPolicy) -> f64 {

@@ -12,7 +12,7 @@
 
 use crate::search::Study;
 use policysmith_cachesim::{Cache, PriorityPolicy};
-use policysmith_dsl::{parse, Mode};
+use policysmith_dsl::Mode;
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_traces::Trace;
 
@@ -66,8 +66,7 @@ impl Study for CacheStudy {
     }
 
     fn check(&self, source: &str) -> Result<CompiledPolicy, String> {
-        let expr = parse(source).map_err(|e| e.to_string())?;
-        CompiledPolicy::compile(&expr, Mode::Cache).map_err(|e| e.to_string())
+        CompiledPolicy::from_source(source, Mode::Cache).map_err(|e| e.to_string())
     }
 
     fn evaluate(&self, policy: &CompiledPolicy) -> f64 {

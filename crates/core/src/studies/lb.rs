@@ -15,7 +15,7 @@
 //! writes a heuristic at all.
 
 use crate::search::Study;
-use policysmith_dsl::{parse, Mode};
+use policysmith_dsl::Mode;
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::{sim, Dispatcher, ExprDispatcher, LbRequest, Scenario};
 
@@ -71,8 +71,7 @@ impl Study for LbStudy {
     }
 
     fn check(&self, source: &str) -> Result<CompiledPolicy, String> {
-        let expr = parse(source).map_err(|e| e.to_string())?;
-        CompiledPolicy::compile(&expr, Mode::Lb).map_err(|e| e.to_string())
+        CompiledPolicy::from_source(source, Mode::Lb).map_err(|e| e.to_string())
     }
 
     fn evaluate(&self, policy: &CompiledPolicy) -> f64 {

@@ -345,12 +345,11 @@ fn render_kern_section(w: &mut String, features: &[Feature], ident: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use policysmith_dsl::{parse, Mode};
+    use policysmith_dsl::Mode;
     use policysmith_kbpf::CompiledPolicy;
 
     fn render(src: &str, name: &str) -> String {
-        let e = parse(src).unwrap();
-        let p = CompiledPolicy::compile(&e, Mode::Kernel).unwrap();
+        let p = CompiledPolicy::from_source(src, Mode::Kernel).unwrap();
         render_struct_ops(p.program(), p.layout().features(), name)
     }
 

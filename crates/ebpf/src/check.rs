@@ -489,12 +489,11 @@ mod tests {
     use super::*;
     use crate::emit::emit;
     use crate::isa::EbpfInsn;
-    use policysmith_dsl::{parse, Mode};
+    use policysmith_dsl::Mode;
     use policysmith_kbpf::CompiledPolicy;
 
     fn checked(src: &str) -> CheckStats {
-        let e = parse(src).unwrap();
-        let p = CompiledPolicy::compile(&e, Mode::Kernel).unwrap();
+        let p = CompiledPolicy::from_source(src, Mode::Kernel).unwrap();
         let prog = emit(p.program(), &p.layout().verify_env()).unwrap();
         model_check(&prog).unwrap_or_else(|err| panic!("{src}: {err}\n{prog}"))
     }

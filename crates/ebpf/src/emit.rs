@@ -477,12 +477,11 @@ fn cond_op(op: Op) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use policysmith_dsl::{parse, Mode};
+    use policysmith_dsl::Mode;
     use policysmith_kbpf::CompiledPolicy;
 
     fn emit_source(src: &str) -> Result<EbpfProgram, EmitError> {
-        let e = parse(src).unwrap();
-        let p = CompiledPolicy::compile(&e, Mode::Kernel).unwrap();
+        let p = CompiledPolicy::from_source(src, Mode::Kernel).unwrap();
         emit(p.program(), &p.layout().verify_env())
     }
 

@@ -263,14 +263,13 @@ mod tests {
     use super::*;
     use crate::emit::emit;
     use crate::isa::EbpfInsn;
-    use policysmith_dsl::{parse, Mode};
+    use policysmith_dsl::Mode;
     use policysmith_kbpf::CompiledPolicy;
 
     /// Emit a policy and check the eBPF interpreter agrees with the kbpf
     /// VM slot-for-slot over a grid of context values.
     fn assert_agrees(src: &str, grid: &[i64]) {
-        let e = parse(src).unwrap();
-        let p = CompiledPolicy::compile(&e, Mode::Kernel).unwrap();
+        let p = CompiledPolicy::from_source(src, Mode::Kernel).unwrap();
         let prog = emit(p.program(), &p.layout().verify_env()).unwrap();
         let n = p.layout().verify_env().ctx_ranges.len();
         let mut map = vec![0i64; policysmith_kbpf::SPILL_SLOTS];

@@ -41,7 +41,9 @@ use crate::lower::{self, LowerError, SPILL_SLOTS};
 use crate::verifier::{verify, Interval, VerifyEnv, VerifyError};
 use crate::vm::{execute_verified, VmError};
 use policysmith_dsl::check::{CheckReport, DEFAULT_MAX_DEPTH, DEFAULT_MAX_SIZE};
-use policysmith_dsl::{check_with_warnings, EvalError, Expr, Feature, FeatureEnv, Mode};
+use policysmith_dsl::{
+    check_with_warnings, parse, EvalError, Expr, Feature, FeatureEnv, Mode, ParseError,
+};
 use std::fmt;
 
 /// Node-count budget for kernel candidates (tighter than the userspace
@@ -140,6 +142,8 @@ pub enum Verification {
 /// Where in the compile-once pipeline a candidate died.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
+    /// The source text is not a DSL expression ([`CompiledPolicy::from_source`] only).
+    Parse(ParseError),
     /// Template rule violations (floats, cross-mode features, budgets).
     Check(CheckReport),
     /// DSL → bytecode lowering failure (float literals).
@@ -152,6 +156,7 @@ impl CompileError {
     /// Stage name for compile-rate accounting (§5.0.3).
     pub fn stage(&self) -> &'static str {
         match self {
+            CompileError::Parse(_) => "parse",
             CompileError::Check(_) => "check",
             CompileError::Lower(_) => "lower",
             CompileError::Verify(_) => "verify",
@@ -162,6 +167,7 @@ impl CompileError {
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CompileError::Parse(e) => write!(f, "{e}"),
             CompileError::Check(report) => write!(f, "{}", report.stderr().trim_end()),
             CompileError::Lower(e) => write!(f, "{e}"),
             CompileError::Verify(e) => write!(f, "{e}"),
@@ -238,6 +244,12 @@ impl CompiledPolicy {
         };
         let batch_plan = BatchPlan::for_program(&program);
         Ok(CompiledPolicy { expr: e.clone(), layout, program, verification, batch_plan })
+    }
+
+    /// The front door from generator text to artifact: [`parse`], then
+    /// [`compile`](Self::compile).
+    pub fn from_source(source: &str, mode: Mode) -> Result<CompiledPolicy, CompileError> {
+        CompiledPolicy::compile(&parse(source).map_err(CompileError::Parse)?, mode)
     }
 
     /// The template mode this policy was compiled for.
@@ -393,7 +405,7 @@ impl CompiledPolicy {
 mod tests {
     use super::*;
     use policysmith_dsl::env::MapEnv;
-    use policysmith_dsl::{eval, parse};
+    use policysmith_dsl::eval;
 
     fn cc_env() -> MapEnv {
         MapEnv::new()
@@ -407,30 +419,41 @@ mod tests {
 
     #[test]
     fn kernel_pipeline_is_strict() {
-        let ok = parse("if(loss, max(cwnd >> 1, 2), cwnd + 1)").unwrap();
-        let p = CompiledPolicy::compile(&ok, Mode::Kernel).unwrap();
+        let ok = "if(loss, max(cwnd >> 1, 2), cwnd + 1)";
+        let p = CompiledPolicy::from_source(ok, Mode::Kernel).unwrap();
         assert!(!p.may_fault());
         assert!(p.r0_bounds().is_some());
 
         // unguarded division: rejected at compile time, stage = verify
-        let bad = parse("cwnd / inflight").unwrap();
-        let err = CompiledPolicy::compile(&bad, Mode::Kernel).unwrap_err();
+        let err = CompiledPolicy::from_source("cwnd / inflight", Mode::Kernel).unwrap_err();
         assert_eq!(err.stage(), "verify");
         assert!(err.to_string().contains("divisor"), "{err}");
 
         // cross-mode feature: stage = check
-        let err = CompiledPolicy::compile(&parse("obj.count").unwrap(), Mode::Kernel).unwrap_err();
+        let err = CompiledPolicy::from_source("obj.count", Mode::Kernel).unwrap_err();
         assert_eq!(err.stage(), "check");
 
         // float: caught by the checker before lowering
-        let err = CompiledPolicy::compile(&parse("cwnd * 1.5").unwrap(), Mode::Kernel).unwrap_err();
+        let err = CompiledPolicy::from_source("cwnd * 1.5", Mode::Kernel).unwrap_err();
         assert_eq!(err.stage(), "check");
     }
 
     #[test]
+    fn from_source_is_parse_then_compile() {
+        let err = CompiledPolicy::from_source("not a ( policy", Mode::Lb).unwrap_err();
+        assert_eq!(err.stage(), "parse");
+        assert_eq!(err.to_string(), parse("not a ( policy").unwrap_err().to_string());
+        let src = "server.work_left + req.size * 1000 / server.speed";
+        assert_eq!(
+            CompiledPolicy::from_source(src, Mode::Lb),
+            CompiledPolicy::compile(&parse(src).unwrap(), Mode::Lb)
+        );
+    }
+
+    #[test]
     fn userspace_defers_division_faults_to_the_host() {
-        let e = parse("1000 / server.queue_len").unwrap(); // may be zero
-        let p = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
+        // the queue may be empty
+        let p = CompiledPolicy::from_source("1000 / server.queue_len", Mode::Lb).unwrap();
         assert!(p.may_fault());
         assert!(p.r0_bounds().is_none());
         let env = MapEnv::new().with(Feature::ServerQueueLen, 0);
@@ -484,8 +507,7 @@ mod tests {
 
     #[test]
     fn r0_bounds_are_sound() {
-        let e = parse("clamp(cwnd * 2, 2, 1024)").unwrap();
-        let p = CompiledPolicy::compile(&e, Mode::Kernel).unwrap();
+        let p = CompiledPolicy::from_source("clamp(cwnd * 2, 2, 1024)", Mode::Kernel).unwrap();
         let r0 = p.r0_bounds().unwrap();
         assert!(r0.lo >= 2 && r0.hi <= 1024, "{r0:?}");
         let got = p.eval_once(&cc_env()).unwrap();

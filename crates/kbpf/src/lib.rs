@@ -33,10 +33,10 @@
 //!
 //! ```
 //! use policysmith_kbpf::CompiledPolicy;
-//! use policysmith_dsl::{parse, env::MapEnv, Feature, Mode};
+//! use policysmith_dsl::{env::MapEnv, Feature, Mode};
 //!
-//! let expr = parse("if(loss, max(cwnd >> 1, 2), cwnd + 1)").unwrap();
-//! let policy = CompiledPolicy::compile(&expr, Mode::Kernel).unwrap();
+//! let source = "if(loss, max(cwnd >> 1, 2), cwnd + 1)";
+//! let policy = CompiledPolicy::from_source(source, Mode::Kernel).unwrap();
 //! assert!(!policy.may_fault()); // fully verified: faults are impossible
 //!
 //! let env = MapEnv::new().with(Feature::Cwnd, 10).with(Feature::LossEvent, 1);

@@ -441,8 +441,8 @@ proptest! {
 /// per-row guard is not skipped because the divisor never had a column.
 #[test]
 fn uniform_zero_divisor_faults_every_row_at_that_pc() {
-    let e = policysmith_dsl::parse("server.queue_len + 1000 / req.size").unwrap();
-    let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
+    let policy =
+        CompiledPolicy::from_source("server.queue_len + 1000 / req.size", Mode::Lb).unwrap();
     let slot = |f| policy.layout().slot(f).unwrap() as usize;
     let queue_len = [3i64, 1, 2];
     let mut cols = [Column::Uniform(0); 2];
@@ -468,8 +468,7 @@ fn uniform_zero_divisor_faults_every_row_at_that_pc() {
 #[test]
 fn uniform_r0_reduces_to_row_zero() {
     for src in ["req.size * 3 + 1", "7"] {
-        let e = policysmith_dsl::parse(src).unwrap();
-        let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
+        let policy = CompiledPolicy::from_source(src, Mode::Lb).unwrap();
         let cols = [Column::Uniform(11)];
         let cols = &cols[..policy.layout().len()];
         let mut scratch = BatchScratch::new();
@@ -487,8 +486,7 @@ fn uniform_r0_reduces_to_row_zero() {
 /// row index.
 #[test]
 fn argmin_tie_break_is_lowest_row_index() {
-    let e = policysmith_dsl::parse("server.queue_len * 10").unwrap();
-    let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
+    let policy = CompiledPolicy::from_source("server.queue_len * 10", Mode::Lb).unwrap();
     // rows 1, 2 and 4 tie at the minimum score 10
     let mut batch = BatchCtx::with_rows(policy.layout().len(), 5);
     for (row, q) in [7i64, 1, 1, 3, 1].into_iter().enumerate() {
@@ -504,8 +502,7 @@ fn argmin_tie_break_is_lowest_row_index() {
 /// row overall.
 #[test]
 fn argmin_fault_abort_reports_the_lowest_faulting_row() {
-    let e = policysmith_dsl::parse("1000 / server.queue_len").unwrap();
-    let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
+    let policy = CompiledPolicy::from_source("1000 / server.queue_len", Mode::Lb).unwrap();
     assert!(policy.may_fault(), "unprovable division must defer to the runtime guard");
     let mut batch = BatchCtx::with_rows(policy.layout().len(), 4);
     for (row, q) in [5i64, 0, 2, 0].into_iter().enumerate() {

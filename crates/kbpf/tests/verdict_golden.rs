@@ -53,8 +53,8 @@ fn sources(mode: Mode) -> Vec<String> {
 
 /// The verdict letter, and the proved `r0` bounds when there are any.
 fn verdict(mode: Mode, src: &str) -> (char, Option<(i64, i64)>) {
-    let Ok(expr) = parse(src) else { return ('p', None) };
-    match CompiledPolicy::compile(&expr, mode) {
+    match CompiledPolicy::from_source(src, mode) {
+        Err(CompileError::Parse(_)) => ('p', None),
         Err(CompileError::Check(_)) => ('c', None),
         Err(CompileError::Lower(_)) => ('l', None),
         Err(CompileError::Verify(_)) => ('r', None),

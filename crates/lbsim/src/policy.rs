@@ -289,9 +289,7 @@ mod tests {
     }
 
     fn host(src: &str) -> ExprDispatcher {
-        let e = parse(src).unwrap();
-        let policy = CompiledPolicy::compile(&e, Mode::Lb).unwrap();
-        ExprDispatcher::new("test", policy)
+        ExprDispatcher::new("test", CompiledPolicy::from_source(src, Mode::Lb).unwrap())
     }
 
     /// One decision of `d` over `servers` (a size-10 request at t = 0).

@@ -17,9 +17,9 @@
 //! * **worker stalls** — periodic decision-path pauses ([`WorkerStall`]).
 //!
 //! The injection points are wired into `runtime::serve` behind
-//! `ServeConfig::chaos`; a spec of all-zero probabilities is *exactly* the
-//! plain serve path (the chaos bench asserts decision-identity for that
-//! configuration). The harness (`exp_chaos`) runs lb and cache serving
+//! `ServeConfig::chaos`; the default spec of all-zero probabilities is
+//! *exactly* the plain serve path (`tests/faults.rs` pins that it is
+//! decision-identical whatever its seed). The harness (`exp_chaos`) runs lb and cache serving
 //! under every mix and enforces the invariants — zero dropped decisions,
 //! quality floor vs. the man-made baseline, bounded time-to-recover,
 //! monotonic generations — by exit code.
@@ -206,8 +206,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The control arm: no injections anywhere. Runs through every chaos
-    /// code path with zero probabilities — asserted decision-identical to
-    /// the plain serve path by the harness.
+    /// code path with zero probabilities.
     pub fn none(seed: u64) -> FaultPlan {
         FaultPlan {
             name: "no-fault".into(),

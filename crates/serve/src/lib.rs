@@ -28,21 +28,23 @@
 //!   [`MetricsRegistry`](policysmith_obs::MetricsRegistry) instead — and a
 //!   background adaptation thread running the
 //!   [`AdaptiveController`](policysmith_core::library::AdaptiveController)'s
-//!   non-blocking split: consult the heuristic library on drift, fall
-//!   back to a full pipelined [`run_search`](policysmith_core::run_search),
-//!   publish the winner through the cell.
+//!   one ladder: on drift, a stored heuristic over the reuse bar, else a
+//!   full pipelined [`run_search`](policysmith_core::run_search), else
+//!   the best stored heuristic at all; on a quarantine, the best stored
+//!   heuristic at all, else the man-made baseline. Whatever a rung yields
+//!   goes live in exactly one place on that thread.
 //!
 //! Two more layers make the runtime survive misbehaving inputs:
 //!
-//! * [`guard`] — guarded publication ([`PolicyGuard`]: every adaptation
-//!   candidate is re-scored in the drifted context and shadow-replayed
-//!   against the incumbent before `publish`; regressions and
-//!   runtime-faulting candidates are rejected with a logged reason) and
-//!   the safe-fallback chain ([`guard::resolve_recovery`]: deployed →
-//!   best non-poisoned library entry → man-made baseline). A worker whose
-//!   host trips its fault latch demotes to the baseline *locally* without
-//!   dropping a decision, reports the quarantine, and the offending
-//!   policy is poisoned in the library.
+//! * [`guard`] — guarded publication ([`PolicyGuard`]: every drift answer
+//!   is re-scored in the drifted context and shadow-replayed against the
+//!   incumbent before it goes live; regressions and runtime-faulting
+//!   candidates are rejected with a logged reason). A worker whose host
+//!   trips its fault latch demotes to the baseline *locally* without
+//!   dropping a decision and reports the quarantine; the offending policy
+//!   is poisoned in the library and the ladder's quarantine rungs
+//!   ([`AdaptiveController::recover`](policysmith_core::library::AdaptiveController::recover))
+//!   pick the recovery.
 //! * [`chaos`] — deterministic fault injection ([`ChaosSpec`]: telemetry
 //!   drops/duplicates/reordering, worker stalls, external faulting
 //!   publishes; [`FaultPlan`] bundles them with flaky-generator configs
@@ -65,7 +67,7 @@ pub mod swap;
 pub mod telemetry;
 
 pub use chaos::{ChaosSpec, ChaosStats, ExternalPublish, FaultPlan, TelemetryChaos, WorkerStall};
-pub use guard::{GuardVerdict, PolicyGuard, Recovery, RejectReason};
+pub use guard::{GuardVerdict, PolicyGuard, RejectReason};
 pub use runtime::{
     serve_cache, serve_lb, AdaptationEvent, QuarantineReport, RejectedAdaptation, Resynth,
     ServeConfig, ServeReport, WorkerStats,

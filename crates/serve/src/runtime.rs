@@ -28,35 +28,42 @@
 //! shards written with plain stores, merged lock-free into
 //! [`ServeReport::metrics`].
 //!
-//! The adaptation thread drains the rings and feeds each signal into the
-//! `AdaptiveController`'s
-//! [`ContextMonitor`]; on drift it runs the controller's non-blocking
-//! split — `try_reuse` against the heuristic library, then a full
-//! retried search ([`run_search_with_retry`]) when nothing stored fits —
-//! and publishes the winner through the cell. Serving continues at full
-//! rate throughout; the only cost any worker ever pays is its own
-//! adoption pause (microseconds, measured).
+//! The adaptation thread (one private `Adapter`) drains the rings into the
+//! `AdaptiveController`'s [`ContextMonitor`]; every trigger then walks the
+//! controller's one ladder ([`policysmith_core::library`]) from the rung
+//! its cause puts it on:
+//!
+//! * **drift** — best stored entry at or over the reuse bar (`try_reuse`)
+//!   → a full retried search ([`run_search_with_retry`]) → best stored
+//!   entry at all when the search gave up (`finish_search`) → the
+//!   incumbent stays live;
+//! * **quarantine** — best stored entry at all (`recover`) → the domain's
+//!   man-made baseline.
+//!
+//! Whatever the ladder yields goes live in exactly one place,
+//! `Adapter::go_live` — the only `publish` on this thread and the only
+//! writer of [`ServeReport::published`]. The thread keeps no copy of "what
+//! is live": it reads the cell back through its own reader slot. Serving
+//! continues at full rate throughout; the only cost any worker ever pays
+//! is its own adoption pause (microseconds, measured).
 //!
 //! ## Fault path (the part production cares about)
 //!
 //! Three failure classes are survived, not assumed away:
 //!
-//! * **Bad candidates.** Every adaptation winner passes the
-//!   [`PolicyGuard`] before publication: re-scored in the drifted
-//!   context, shadow-replayed against the incumbent. Regressions,
-//!   check failures, and runtime-faulting candidates become
-//!   [`RejectedAdaptation`] records instead of live policies.
+//! * **Bad candidates.** A drift answer is compiled once and passes the
+//!   [`PolicyGuard`] before `go_live`: re-scored in the drifted context,
+//!   shadow-replayed against the incumbent. Regressions, check failures,
+//!   and runtime-faulting candidates become [`RejectedAdaptation`]
+//!   records instead of live policies.
 //! * **Faulting live policies.** A worker whose host trips its fault
 //!   latch mid-serve demotes *locally* to the domain's man-made baseline
 //!   (JSQ / LRU) without dropping a decision, and reports a
-//!   [`QuarantineReport`] to the adaptation thread — which poisons the
-//!   source in the library and publishes a recovery through the
-//!   safe-fallback chain ([`resolve_recovery`]: best non-poisoned
-//!   library entry, else the baseline).
+//!   [`QuarantineReport`]; the adaptation thread poisons the source in the
+//!   library and publishes what the quarantine rungs yield.
 //! * **Broken generators.** Background re-synthesis runs under a
 //!   [`RetryPolicy`] (bounded exponential backoff + watchdog deadline);
-//!   when the generator stays down, the controller falls back to the best
-//!   stored entry instead of blocking adaptation forever.
+//!   past it the next rung answers instead of adaptation blocking forever.
 //!
 //! A dead telemetry receiver never panics a worker: the worker keeps
 //! serving without telemetry and the drops are counted in
@@ -64,7 +71,7 @@
 //! reported in [`ServeReport::failures`] rather than propagated.
 
 use crate::chaos::{ChaosSpec, ChaosStats, TelemetryInjector};
-use crate::guard::{resolve_recovery, GuardVerdict, PolicyGuard, Recovery, RejectReason};
+use crate::guard::{GuardVerdict, PolicyGuard, RejectReason};
 use crate::swap::{PolicyCell, ReaderHandle, SwapRecord};
 use crate::telemetry::WindowSample;
 use policysmith_cachesim::{Cache, PriorityPolicy, SimResult};
@@ -115,10 +122,9 @@ pub struct ServeConfig {
     pub record_decisions: bool,
     /// Retry/backoff + watchdog for background re-synthesis.
     pub retry: RetryPolicy,
-    /// Deterministic fault injection (tests and the chaos harness).
-    /// `None` — and equivalently a default all-zero spec — is the plain
-    /// serve path.
-    pub chaos: Option<ChaosSpec>,
+    /// Deterministic fault injection (tests and the chaos harness). The
+    /// default all-zero spec is the plain serve path.
+    pub chaos: ChaosSpec,
     /// Hot-path instrumentation: decision/latency/pause metrics into the
     /// sharded registry. `false` turns every hot-path metric write (and
     /// latency sampling) off — the `exp_obs` overhead experiment's
@@ -138,7 +144,7 @@ impl Default for ServeConfig {
             min_reuse_score: 0.0,
             record_decisions: false,
             retry: RetryPolicy::serving(),
-            chaos: None,
+            chaos: ChaosSpec::default(),
             instrument: true,
         }
     }
@@ -510,9 +516,8 @@ struct BackgroundReport {
 /// [`crate::chaos::baseline_source`]) — static sources, so the expects
 /// are unreachable by construction.
 fn compile_baseline(mode: Mode) -> CompiledPolicy {
-    let src = crate::chaos::baseline_source(mode);
-    let expr = policysmith_dsl::parse(src).expect("man-made baselines parse");
-    CompiledPolicy::compile(&expr, mode).expect("man-made baselines compile")
+    CompiledPolicy::from_source(crate::chaos::baseline_source(mode), mode)
+        .expect("man-made baselines compile")
 }
 
 /// Serve lb dispatch decisions: worker `w` plays `shards[w]` (a phase
@@ -571,9 +576,8 @@ fn serve<S: Study + Send, ShardInput: Sync>(
     shards: &[ShardInput],
     worker_fn: impl Fn(&ShardInput, ServeWorker<'_, '_>, CompiledPolicy) -> WorkerStats + Sync,
 ) -> ServeReport {
-    let mode = initial.mode();
-    debug_assert_eq!(baseline.mode(), mode);
-    let initial_expr = initial.expr().clone();
+    debug_assert_eq!(baseline.mode(), initial.mode());
+    // one reader slot per worker, one for the adaptation thread
     let cell = PolicyCell::new(initial, shards.len() + 1);
     let metrics = ServeMetrics::new(shards.len());
     // control plane: quarantine reports keep the one shared mpsc
@@ -617,28 +621,21 @@ fn serve<S: Study + Send, ShardInput: Sync>(
                     in_fallback: false,
                     quarantines: 0,
                     dropped: 0,
-                    stall: cfg.chaos.as_ref().and_then(|c| c.worker_stall),
+                    stall: cfg.chaos.worker_stall,
                 };
                 worker_fn(shard, shell, initial)
             }));
         }
         drop(ctl_tx); // the adaptation loop ends when the last worker hangs up
-        let ctrl = &mut controller;
-        let cellref = &cell;
-        let base = &baseline;
-        let background = scope.spawn(move || {
-            adaptation_loop(
-                ctl_rx,
-                window_rx,
-                ctrl,
-                resynth,
-                cellref,
-                mode,
-                initial_expr,
-                base,
-                cfg,
-            )
-        });
+        let adapter = Adapter {
+            controller: &mut controller,
+            resynth,
+            live: cell.register(),
+            baseline: &baseline,
+            cfg,
+            report: BackgroundReport::default(),
+        };
+        let background = scope.spawn(move || adapter.run(ctl_rx, window_rx));
         // graceful joins: a panicked worker loses its stats, not the run
         let mut stats = Vec::new();
         for (w, join) in joins.into_iter().enumerate() {
@@ -675,361 +672,281 @@ fn serve<S: Study + Send, ShardInput: Sync>(
     }
 }
 
-/// The background §3.1 loop: drain telemetry, detect drift, answer it
-/// without ever pausing the workers — now with guarded publication,
-/// quarantine handling, and a retried/watchdogged search.
-///
-/// Two lanes feed it: the per-worker window rings (polled, lock-free) and
-/// the control-plane quarantine mpsc (blocked on with a short timeout
-/// when the rings are idle, so quarantines are answered promptly without
-/// busy-spinning). It exits once the control channel has disconnected —
-/// every worker returned — and the window lanes are fully drained, so no
-/// window a worker delivered is ever lost.
-#[allow(clippy::too_many_arguments)]
-fn adaptation_loop<S: Study>(
-    control: mpsc::Receiver<QuarantineReport>,
-    mut windows: WindowRx,
-    controller: &mut AdaptiveController,
-    mut resynth: Option<Resynth<S>>,
-    cell: &PolicyCell<CompiledPolicy>,
-    mode: Mode,
-    initial_expr: policysmith_dsl::Expr,
-    baseline: &CompiledPolicy,
-    cfg: &ServeConfig,
-) -> BackgroundReport {
-    let mut report = BackgroundReport::default();
-    let mut live_expr = initial_expr;
-    let chaos = cfg.chaos.clone().unwrap_or_default();
-    let mut injector = TelemetryInjector::new(chaos.telemetry, chaos.seed);
-    let mut pending_external = chaos.external_publish;
-    let mut arrivals = 0u64;
-    let mut deliveries: Vec<WindowSample> = Vec::new();
-    let mut control_done = false;
+/// The adaptation thread's state: the background §3.1 loop — drain
+/// telemetry, detect drift, answer it without ever pausing the workers —
+/// with guarded publication, quarantine handling, and a retried,
+/// watchdogged search.
+struct Adapter<'a, S: Study> {
+    controller: &'a mut AdaptiveController,
+    resynth: Option<Resynth<S>>,
+    /// This thread's reader slot. The cell is the only record of what is
+    /// live; the incumbent is read back from it, never remembered.
+    live: ReaderHandle<'a, CompiledPolicy>,
+    baseline: &'a CompiledPolicy,
+    cfg: &'a ServeConfig,
+    report: BackgroundReport,
+}
 
-    loop {
-        // window lane: drain everything queued right now
-        let mut drained_any = false;
-        while let Some(sample) = windows.pop() {
-            drained_any = true;
-            arrivals += 1;
+impl<S: Study> Adapter<'_, S> {
+    /// Two lanes feed the loop: the per-worker window rings (polled,
+    /// lock-free) and the control-plane quarantine mpsc (blocked on with a
+    /// short timeout when the rings are idle, so quarantines are answered
+    /// promptly without busy-spinning). It exits once the control channel
+    /// has disconnected — every worker returned — and the window lanes are
+    /// fully drained, so no window a worker delivered is ever lost.
+    fn run(
+        mut self,
+        control: mpsc::Receiver<QuarantineReport>,
+        mut windows: WindowRx,
+    ) -> BackgroundReport {
+        let chaos = &self.cfg.chaos;
+        let mut injector = TelemetryInjector::new(chaos.telemetry, chaos.seed);
+        let mut pending_external = chaos.external_publish.as_ref();
+        let mut arrivals = 0u64;
+        let mut deliveries: Vec<WindowSample> = Vec::new();
+        let mut control_done = false;
 
-            // chaos: an operator pushes a policy straight past the guard
-            if let Some(ext) = pending_external.as_ref() {
-                if arrivals >= ext.after_windows {
-                    if let Ok(expr) = policysmith_dsl::parse(&ext.source) {
-                        if let Ok(policy) = CompiledPolicy::compile(&expr, mode) {
-                            let generation = cell.publish(
-                                policy,
-                                format!("external publish (chaos): {}", ext.source),
-                            );
-                            report.published.push((generation, ext.source.clone()));
-                            report.chaos.external_publishes += 1;
-                            live_expr = expr;
-                        }
-                    }
-                    pending_external = None;
-                }
-            }
-
-            deliveries.clear();
-            injector.apply(sample, &mut deliveries);
-            for sample in deliveries.drain(..) {
-                process_window(
-                    sample,
-                    controller,
-                    &mut resynth,
-                    cell,
-                    mode,
-                    &mut live_expr,
-                    cfg,
-                    &mut report,
-                );
-            }
-        }
-
-        // control lane: quarantines (and worker-completion tracking)
         loop {
-            match control.try_recv() {
-                Ok(q) => handle_quarantine(
-                    q,
-                    controller,
-                    &resynth,
-                    cell,
-                    mode,
-                    baseline,
-                    &mut live_expr,
-                    &mut report,
-                ),
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    control_done = true;
-                    break;
+            // window lane: drain everything queued right now
+            let mut drained_any = false;
+            while let Some(sample) = windows.pop() {
+                drained_any = true;
+                arrivals += 1;
+
+                // chaos: an operator pushes a policy straight past the guard
+                if let Some(ext) = pending_external.filter(|e| arrivals >= e.after_windows) {
+                    pending_external = None;
+                    if let Ok(policy) =
+                        CompiledPolicy::from_source(&ext.source, self.baseline.mode())
+                    {
+                        self.go_live(policy, format!("external publish (chaos): {}", ext.source));
+                        self.report.chaos.external_publishes += 1;
+                    }
+                }
+
+                injector.apply(sample, &mut deliveries);
+                for sample in deliveries.drain(..) {
+                    self.window(sample);
+                }
+            }
+
+            // control lane: quarantines (and worker-completion tracking)
+            loop {
+                match control.try_recv() {
+                    Ok(q) => self.quarantine(q),
+                    Err(mpsc::TryRecvError::Empty) => break,
+                    Err(mpsc::TryRecvError::Disconnected) => {
+                        control_done = true;
+                        break;
+                    }
+                }
+            }
+
+            if control_done && windows.finished() {
+                break;
+            }
+            if !drained_any {
+                if control_done {
+                    // workers are gone but a final backlog flush may still be
+                    // in flight on a ring; yield briefly and re-drain
+                    std::thread::sleep(Duration::from_micros(50));
+                } else {
+                    match control.recv_timeout(Duration::from_micros(200)) {
+                        Ok(q) => self.quarantine(q),
+                        Err(mpsc::RecvTimeoutError::Timeout) => {}
+                        Err(mpsc::RecvTimeoutError::Disconnected) => control_done = true,
+                    }
                 }
             }
         }
-
-        if control_done && windows.finished() {
-            break;
+        injector.flush(&mut deliveries);
+        for sample in deliveries.drain(..) {
+            self.window(sample);
         }
-        if !drained_any {
-            if control_done {
-                // workers are gone but a final backlog flush may still be
-                // in flight on a ring; yield briefly and re-drain
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                match control.recv_timeout(Duration::from_micros(200)) {
-                    Ok(q) => handle_quarantine(
-                        q,
-                        controller,
-                        &resynth,
-                        cell,
-                        mode,
-                        baseline,
-                        &mut live_expr,
-                        &mut report,
-                    ),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => control_done = true,
-                }
-            }
-        }
+        self.report.chaos = ChaosStats {
+            external_publishes: self.report.chaos.external_publishes,
+            ..injector.stats()
+        };
+        self.report
     }
-    deliveries.clear();
-    injector.flush(&mut deliveries);
-    for sample in deliveries.drain(..) {
-        process_window(
-            sample,
-            controller,
-            &mut resynth,
-            cell,
-            mode,
-            &mut live_expr,
-            cfg,
-            &mut report,
-        );
-    }
-    let ext = report.chaos.external_publishes;
-    report.chaos = injector.stats();
-    report.chaos.external_publishes = ext;
-    report
-}
 
-/// One quarantine: poison the offender, and if it is still live, publish
-/// a recovery through the safe-fallback chain (best non-poisoned library
-/// entry → man-made baseline).
-#[allow(clippy::too_many_arguments)]
-fn handle_quarantine<S: Study>(
-    q: QuarantineReport,
-    controller: &mut AdaptiveController,
-    resynth: &Option<Resynth<S>>,
-    cell: &PolicyCell<CompiledPolicy>,
-    mode: Mode,
-    baseline: &CompiledPolicy,
-    live_expr: &mut policysmith_dsl::Expr,
-    report: &mut BackgroundReport,
-) {
-    controller.poison(&q.source);
-    let still_live = cell.generation() == q.generation;
-    report.quarantines.push(q.clone());
-    if !still_live {
-        // a newer publish already superseded the faulting policy (another
-        // worker's quarantine was answered, or an adaptation landed);
-        // poisoning it is all that is left to do
-        return;
+    /// The one way a policy becomes live on this thread: publish it and
+    /// log it in the audit trail. Returns the generation it was installed
+    /// as.
+    fn go_live(&mut self, policy: CompiledPolicy, why: String) -> u64 {
+        let source = to_source(policy.expr());
+        let generation = self.live.cell().publish(policy, why);
+        self.report.published.push((generation, source));
+        generation
     }
-    let recovery = match resynth.as_ref() {
-        Some(r) => resolve_recovery(controller.library(), &r.study),
-        None => Recovery::Baseline,
-    };
-    let (policy, source, kind) = match recovery {
-        Recovery::Library { entry, .. } => {
-            match policysmith_dsl::parse(&entry.source)
-                .ok()
-                .and_then(|e| CompiledPolicy::compile(&e, mode).ok().map(|p| (e, p)))
-            {
-                Some((_, policy)) => (policy, entry.source.clone(), "library entry"),
-                // a stored entry that no longer compiles: bottom of the chain
-                None => (baseline.clone(), to_source(baseline.expr()), "baseline"),
-            }
-        }
-        Recovery::Baseline => (baseline.clone(), to_source(baseline.expr()), "baseline"),
-    };
-    let generation = cell.publish(
-        policy,
-        format!(
-            "quarantine recovery ({kind}) after worker {} faulted gen {}: {}",
-            q.worker, q.generation, q.fault
-        ),
-    );
-    report.published.push((generation, source.clone()));
-    if let Ok(expr) = policysmith_dsl::parse(&source) {
-        *live_expr = expr;
-    }
-}
 
-/// One (possibly chaos-perturbed) telemetry window through the drift →
-/// reuse-or-search → guard → publish pipeline.
-#[allow(clippy::too_many_arguments)]
-fn process_window<S: Study>(
-    sample: WindowSample,
-    controller: &mut AdaptiveController,
-    resynth: &mut Option<Resynth<S>>,
-    cell: &PolicyCell<CompiledPolicy>,
-    mode: Mode,
-    live_expr: &mut policysmith_dsl::Expr,
-    cfg: &ServeConfig,
-    report: &mut BackgroundReport,
-) {
-    // Only observe windows served by the live generation: samples that
-    // were in flight while a search ran describe the deposed policy,
-    // and re-triggering on them would answer drift that is already
-    // answered.
-    let stale = sample.generation < cell.generation();
-    let signal = sample.signal;
-    report.windows.push(sample);
-    if stale || !controller.observe(signal) {
-        return;
+    /// One quarantine: poison the offender, and if it is still live, walk
+    /// the ladder's quarantine rungs — best stored entry at all, else the
+    /// man-made baseline.
+    fn quarantine(&mut self, q: QuarantineReport) {
+        self.controller.poison(&q.source);
+        let still_live = self.live.cell().generation() == q.generation;
+        let after = format!("after worker {} faulted gen {}: {}", q.worker, q.generation, q.fault);
+        self.report.quarantines.push(q);
+        if !still_live {
+            // a newer publish already superseded the faulting policy (another
+            // worker's quarantine was answered, or an adaptation landed);
+            // poisoning it is all that is left to do
+            return;
+        }
+        let stored = self.resynth.as_ref().and_then(|r| self.controller.recover(&r.study));
+        // a stored entry the serving mode cannot compile is no recovery
+        let (policy, rung) = match stored
+            .and_then(|a| CompiledPolicy::from_source(&a.entry().source, self.baseline.mode()).ok())
+        {
+            Some(policy) => (policy, "library entry"),
+            None => (self.baseline.clone(), "baseline"),
+        };
+        self.go_live(policy, format!("quarantine recovery ({rung}) {after}"));
     }
-    let Some(r) = resynth.as_mut() else { return };
-    let t0 = Instant::now();
-    let mut retries = 0u32;
-    let adaptation = match controller.try_reuse(&r.study) {
-        Ok(a) => Some(a),
-        Err(ticket) => {
-            // The blocking part runs HERE, on the adaptation thread —
-            // workers keep serving decisions against the old policy
-            // until the publish below. The search itself runs under the
-            // retry policy: transient generator failures back off and
-            // retry; a persistent outage trips the watchdog.
-            let retried =
-                run_search_with_retry(&r.study, r.generator.as_mut(), &r.search, &cfg.retry);
-            retries = retried.failures.len() as u32;
-            match retried.outcome {
-                Some(outcome) => Some(controller.finish_search(&r.context, ticket, outcome.best)),
-                None => {
-                    // the watchdog gave up: fall back to the best stored
-                    // entry instead of blocking adaptation forever
-                    let why = retried
-                        .gave_up
-                        .map(|g| g.to_string())
-                        .unwrap_or_else(|| "gave up".to_string());
-                    let last_err = retried
-                        .failures
-                        .last()
-                        .map(|f| f.error.clone())
-                        .unwrap_or_else(|| "no attempts ran".to_string());
-                    let fallback = controller.abandon_search(ticket);
-                    let note = if fallback.is_some() {
+
+    /// One (possibly chaos-perturbed) telemetry window through the drift →
+    /// ladder → compile → guard → `go_live` pipeline.
+    fn window(&mut self, sample: WindowSample) {
+        // Only observe windows served by the live generation: samples that
+        // were in flight while a search ran describe the deposed policy,
+        // and re-triggering on them would answer drift that is already
+        // answered.
+        let stale = sample.generation < self.live.cell().generation();
+        let signal = sample.signal;
+        self.report.windows.push(sample);
+        if stale || !self.controller.observe(signal) {
+            return;
+        }
+        let Some(r) = self.resynth.as_mut() else { return };
+        let t0 = Instant::now();
+        let context = &r.context;
+        // the one record of a trigger that did not change the live policy
+        let reject = |source, reason, candidate_score, incumbent_score| RejectedAdaptation {
+            context: context.clone(),
+            source,
+            reason,
+            candidate_score,
+            incumbent_score,
+            rejection_micros: t0.elapsed().as_micros() as u64,
+        };
+        let mut retries = 0u32;
+        let adaptation = match self.controller.try_reuse(&r.study) {
+            Ok(adaptation) => adaptation,
+            Err(ticket) => {
+                // The blocking part runs HERE, on the adaptation thread —
+                // workers keep serving decisions against the old policy
+                // until `go_live` below. The search itself runs under the
+                // retry policy: transient generator failures back off and
+                // retry; a persistent outage trips the watchdog.
+                let retried = run_search_with_retry(
+                    &r.study,
+                    r.generator.as_mut(),
+                    &r.search,
+                    &self.cfg.retry,
+                );
+                retries = retried.failures.len() as u32;
+                let gave_up = retried.result.as_ref().err().copied();
+                let winner = retried.result.ok().map(|outcome| outcome.best);
+                let answer = self.controller.finish_search(context, ticket, winner);
+                if let Some(why) = gave_up {
+                    // the next rung down answers (or nothing does); either
+                    // way the give-up is on the record
+                    let last_err = retried.failures.last().map_or("", String::as_str);
+                    let note = if answer.is_some() {
                         "falling back to the best stored entry"
                     } else {
                         "nothing stored is deployable; the incumbent stays live"
                     };
-                    report.rejections.push(RejectedAdaptation {
-                        context: r.context.clone(),
-                        source: String::new(),
-                        reason: format!(
-                            "re-synthesis gave up after {retries} failed attempts ({why}; last: {last_err}); {note}"
-                        ),
-                        candidate_score: f64::NEG_INFINITY,
-                        incumbent_score: f64::NEG_INFINITY,
-                        rejection_micros: t0.elapsed().as_micros() as u64,
-                    });
-                    fallback
+                    let reason = format!(
+                        "re-synthesis gave up after {retries} failed attempts ({why}; last: {last_err}); {note}"
+                    );
+                    self.report.rejections.push(reject(
+                        String::new(),
+                        reason,
+                        f64::NEG_INFINITY,
+                        f64::NEG_INFINITY,
+                    ));
                 }
+                let Some(adaptation) = answer else { return };
+                adaptation
             }
-        }
-    };
-    let Some(adaptation) = adaptation else { return };
-    let source = adaptation.entry().source.clone();
-    let Ok(expr) = policysmith_dsl::parse(&source) else {
-        // a library source that does not parse cannot go live — reject
-        // with reason rather than panicking the adaptation thread
-        report.rejections.push(RejectedAdaptation {
-            context: r.context.clone(),
-            source,
-            reason: "check failed: stored source does not parse".to_string(),
-            candidate_score: f64::NEG_INFINITY,
-            incumbent_score: f64::NAN,
-            rejection_micros: t0.elapsed().as_micros() as u64,
-        });
-        return;
-    };
-    if expr == *live_expr {
-        // the controller re-selected what is already serving — the
-        // initially-deployed policy included (the comparison is
-        // structural, so formatting differences don't defeat it): a
-        // noisy signal re-fired the monitor, and publishing again
-        // would only churn generations for a policy nobody replaces
-        report.suppressed += 1;
-        return;
-    }
-    // guarded publication: re-score the candidate and shadow-replay the
-    // incumbent in the drifted context before anything goes live
-    match PolicyGuard::default().screen(&r.study, &source, &to_source(live_expr)) {
-        GuardVerdict::Admit { candidate_score, incumbent_score } => {
-            policysmith_obs::emit(TraceKind::GuardAdmit {
-                context: r.context.clone(),
-                candidate_score,
-                incumbent_score,
-            });
-        }
-        GuardVerdict::Reject { reason, candidate_score, incumbent_score } => {
-            if matches!(reason, RejectReason::RuntimeFault) {
-                // a candidate that faults in shadow evaluation would
-                // fault in production: quarantine it preemptively
-                controller.poison(&source);
+        };
+        let source = adaptation.entry().source.clone();
+        let policy = match CompiledPolicy::from_source(&source, self.baseline.mode()) {
+            Ok(policy) => policy,
+            // a library source the serving mode cannot compile cannot go
+            // live — reject with reason rather than panicking the thread
+            Err(e) => {
+                let reason = format!("check failed: {e}");
+                self.report.rejections.push(reject(source, reason, f64::NEG_INFINITY, f64::NAN));
+                return;
             }
-            policysmith_obs::emit(TraceKind::GuardReject {
-                context: r.context.clone(),
-                reason: reason.describe(),
-                candidate_score,
-                incumbent_score,
-            });
-            report.rejections.push(RejectedAdaptation {
-                context: r.context.clone(),
-                source,
-                reason: reason.describe(),
-                candidate_score,
-                incumbent_score,
-                rejection_micros: t0.elapsed().as_micros() as u64,
-            });
+        };
+        let incumbent = self.live.pin().expr().clone();
+        if *policy.expr() == incumbent {
+            // the controller re-selected what is already serving — the
+            // initially-deployed policy included (the comparison is
+            // structural, so formatting differences don't defeat it): a
+            // noisy signal re-fired the monitor, and publishing again
+            // would only churn generations for a policy nobody replaces
+            self.report.suppressed += 1;
             return;
         }
-    }
-    let Ok(policy) = CompiledPolicy::compile(&expr, mode) else {
-        report.rejections.push(RejectedAdaptation {
-            context: r.context.clone(),
+        // guarded publication: re-score the candidate and shadow-replay the
+        // incumbent in the drifted context before anything goes live
+        match PolicyGuard.screen(&r.study, &source, &to_source(&incumbent)) {
+            GuardVerdict::Admit { candidate_score, incumbent_score } => {
+                policysmith_obs::emit(TraceKind::GuardAdmit {
+                    context: context.clone(),
+                    candidate_score,
+                    incumbent_score,
+                });
+            }
+            GuardVerdict::Reject { reason, candidate_score, incumbent_score } => {
+                if matches!(reason, RejectReason::RuntimeFault) {
+                    // a candidate that faults in shadow evaluation would
+                    // fault in production: quarantine it preemptively
+                    self.controller.poison(&source);
+                }
+                let reason = reason.describe();
+                policysmith_obs::emit(TraceKind::GuardReject {
+                    context: context.clone(),
+                    reason: reason.clone(),
+                    candidate_score,
+                    incumbent_score,
+                });
+                self.report.rejections.push(reject(
+                    source,
+                    reason,
+                    candidate_score,
+                    incumbent_score,
+                ));
+                return;
+            }
+        }
+        let (verb, score) = match &adaptation {
+            Adaptation::FromLibrary { score, .. } => ("reused", *score),
+            Adaptation::Resynthesized { entry } => ("resynthesized", entry.score),
+        };
+        let context = context.clone();
+        let generation = self.go_live(
+            policy,
+            format!(
+                "adaptation #{}: {verb} for {context} ({score:+.4})",
+                self.report.adaptations.len() + 1
+            ),
+        );
+        self.report.adaptations.push(AdaptationEvent {
+            generation,
+            context,
+            resynthesized: adaptation.resynthesized(),
+            score,
             source,
-            reason: "check failed: does not compile for the serving mode".to_string(),
-            candidate_score: f64::NEG_INFINITY,
-            incumbent_score: f64::NAN,
-            rejection_micros: t0.elapsed().as_micros() as u64,
+            resynthesis_micros: t0.elapsed().as_micros() as u64,
+            retries,
         });
-        return;
-    };
-    let (verb, score) = match &adaptation {
-        Adaptation::FromLibrary { score, .. } => ("reused", *score),
-        Adaptation::Resynthesized { entry } => ("resynthesized", entry.score),
-    };
-    let generation = cell.publish(
-        policy,
-        format!(
-            "adaptation #{}: {verb} for {} ({score:+.4})",
-            report.adaptations.len() + 1,
-            r.context
-        ),
-    );
-    report.published.push((generation, source.clone()));
-    report.adaptations.push(AdaptationEvent {
-        generation,
-        context: r.context.clone(),
-        resynthesized: adaptation.resynthesized(),
-        score,
-        source,
-        resynthesis_micros: t0.elapsed().as_micros() as u64,
-        retries,
-    });
-    *live_expr = expr;
+    }
 }
 
 /// The two things that differ per domain inside the per-decision shell:

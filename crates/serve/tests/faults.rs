@@ -3,7 +3,9 @@
 //! layer's transparency contract — all end-to-end through `serve_lb` /
 //! `serve_cache`, not unit mocks.
 
-use policysmith_core::library::{HeuristicLibrary, LibraryEntry, RetryPolicy};
+use policysmith_core::library::{
+    Adaptation, AdaptiveController, ContextMonitor, HeuristicLibrary, LibraryEntry, RetryPolicy,
+};
 use policysmith_core::search::{SearchConfig, Study};
 use policysmith_core::studies::lb::LbStudy;
 use policysmith_dsl::Mode;
@@ -11,10 +13,9 @@ use policysmith_gen::{FlakyConfig, FlakyGen, GenConfig, Generator, MockLlm, Prom
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::{scenario, Scenario};
 use policysmith_serve::chaos::{baseline_source, faulting_source};
-use policysmith_serve::guard::resolve_recovery;
 use policysmith_serve::runtime::Resynth;
 use policysmith_serve::{
-    loadgen, serve_cache, serve_lb, ChaosSpec, ExternalPublish, Recovery, ServeConfig, ServeReport,
+    loadgen, serve_cache, serve_lb, ChaosSpec, ExternalPublish, ServeConfig, ServeReport,
     TelemetryChaos, WorkerStall,
 };
 use proptest::prelude::*;
@@ -104,11 +105,11 @@ fn externally_published_faulting_policy_is_quarantined_and_recovered_lb() {
     let cfg = ServeConfig {
         workers: 2,
         window: 200,
-        chaos: Some(ChaosSpec {
+        chaos: ChaosSpec {
             seed: 7,
             external_publish: Some(ExternalPublish { after_windows: 2, source: bad.into() }),
             ..ChaosSpec::default()
-        }),
+        },
         ..ServeConfig::default()
     };
     let report = serve_lb(&shards, compiled("server.queue_len", Mode::Lb), &cfg, no_resynth());
@@ -140,6 +141,52 @@ fn externally_published_faulting_policy_is_quarantined_and_recovered_lb() {
 }
 
 #[test]
+fn quarantine_is_answered_from_the_library_before_the_baseline() {
+    let spec = long_drift_phases();
+    let shards = loadgen::lb_shards(&spec, 2);
+    let bad = faulting_source(Mode::Lb);
+    let stored = "server.inflight * 1000 / server.speed + server.queue_len * 50";
+    let mut library = HeuristicLibrary::new();
+    library.add(LibraryEntry { context: "lb/two-tier".into(), source: stored.into(), score: 0.0 });
+    let cfg = ServeConfig {
+        workers: 2,
+        window: 200,
+        // no drift trigger: the quarantine is the only thing that walks the
+        // ladder, so the controller's trail ends at the recovery
+        monitor_tolerance: 1e9,
+        chaos: ChaosSpec {
+            seed: 7,
+            external_publish: Some(ExternalPublish { after_windows: 2, source: bad.into() }),
+            ..ChaosSpec::default()
+        },
+        ..ServeConfig::default()
+    };
+    let onset = scenario::slow_node_onset();
+    let resynth = Resynth {
+        context: onset.name.clone(),
+        study: LbStudy::new(&onset),
+        generator: Box::new(FixedGen { source: "req.size", ledger: TokenLedger::default() }),
+        search: SearchConfig::quick(),
+        library,
+    };
+    let report = serve_lb(&shards, compiled("server.queue_len", Mode::Lb), &cfg, Some(resynth));
+
+    assert_zero_dropped(&report, offered(&shards));
+    assert!(!report.quarantines.is_empty(), "the faulting policy must be caught mid-serve");
+    assert!(report.controller.library().is_poisoned(bad));
+    let recovery = report
+        .swaps
+        .iter()
+        .find(|s| s.provenance.contains("quarantine recovery"))
+        .expect("a recovery publish must land");
+    assert!(recovery.provenance.contains("library entry"), "{}", recovery.provenance);
+    assert!(report.published.contains(&(recovery.generation, stored.to_string())));
+    // the controller's trail names what is live, never the poisoned source
+    assert_eq!(report.controller.deployed().map(|e| e.source.as_str()), Some(stored));
+    assert_eq!(report.controller.adaptations().len(), 1);
+}
+
+#[test]
 fn externally_published_faulting_policy_is_quarantined_and_recovered_cache() {
     let Some(replay) = loadgen::CacheReplay::new("cloudphysics", 10, 20_000) else {
         eprintln!("cloudphysics trace unavailable; skipping");
@@ -151,12 +198,12 @@ fn externally_published_faulting_policy_is_quarantined_and_recovered_cache() {
     let cfg = ServeConfig {
         workers: 2,
         window: 256,
-        chaos: Some(ChaosSpec {
+        chaos: ChaosSpec {
             seed: 11,
             external_publish: Some(ExternalPublish { after_windows: 2, source: bad.into() }),
             worker_stall: Some(WorkerStall { every_decisions: 4_000, stall_micros: 100 }),
             ..ChaosSpec::default()
-        }),
+        },
         ..ServeConfig::default()
     };
     let shards = replay.shards(2);
@@ -183,11 +230,11 @@ fn telemetry_chaos_never_drops_decisions_and_generations_stay_monotonic() {
     let cfg = ServeConfig {
         workers: 2,
         window: 200,
-        chaos: Some(ChaosSpec {
+        chaos: ChaosSpec {
             seed: 3,
             telemetry: TelemetryChaos { p_drop: 0.25, p_duplicate: 0.25, p_reorder: 0.25 },
             ..ChaosSpec::default()
-        }),
+        },
         ..ServeConfig::default()
     };
     let onset = scenario::slow_node_onset();
@@ -224,13 +271,13 @@ fn no_fault_chaos_spec_is_decision_identical_to_plain_serve() {
     let sc = scenario::two_tier_fleet();
     let shards = loadgen::lb_shards(std::slice::from_ref(&sc), 1);
     let src = "server.inflight * 1000 / server.speed + server.queue_len * 50";
-    let run = |chaos: Option<ChaosSpec>| {
+    let run = |chaos: ChaosSpec| {
         let cfg =
             ServeConfig { workers: 1, record_decisions: true, chaos, ..ServeConfig::default() };
         serve_lb(&shards, compiled(src, Mode::Lb), &cfg, no_resynth())
     };
-    let plain = run(None);
-    let chaotic = run(Some(ChaosSpec { seed: 42, ..ChaosSpec::default() }));
+    let plain = run(ChaosSpec::default());
+    let chaotic = run(ChaosSpec { seed: 42, ..ChaosSpec::default() });
     assert_eq!(
         plain.workers[0].decisions_log, chaotic.workers[0].decisions_log,
         "an all-zero chaos spec must be exactly the plain serve path"
@@ -336,9 +383,9 @@ proptest! {
 
     /// The safe-fallback chain always terminates at a deployable policy:
     /// whatever mix of good, faulting, unparseable, and poisoned entries
-    /// the library holds, `resolve_recovery` yields either a clean finite-
-    /// scoring non-poisoned entry or the man-made baseline — never a
-    /// poisoned or faulting policy, and never nothing.
+    /// the library holds, the quarantine rung (`recover`) yields either a
+    /// clean finite-scoring non-poisoned entry or the man-made baseline —
+    /// never a poisoned or faulting policy, and never nothing.
     #[test]
     fn fallback_chain_always_terminates_at_a_safe_policy(
         entries in proptest::collection::vec((0usize..CHAIN_SOURCES.len(), any::<bool>()), 0..10),
@@ -352,14 +399,17 @@ proptest! {
                 lib.poison(source);
             }
         }
-        match resolve_recovery(&lib, &study) {
-            Recovery::Library { entry, score } => {
+        let mut controller =
+            AdaptiveController::new(ContextMonitor::new(2, 1.2), 0.0).with_library(lib.clone());
+        match controller.recover(&study) {
+            Some(Adaptation::FromLibrary { entry, score }) => {
                 prop_assert!(score.is_finite());
                 prop_assert!(!lib.is_poisoned(&entry.source));
                 prop_assert!(study.check(&entry.source).is_ok());
                 prop_assert!(entry.source != CHAIN_SOURCES[3] && entry.source != CHAIN_SOURCES[4]);
             }
-            Recovery::Baseline => {
+            Some(other) => prop_assert!(false, "recovery never searches: {other:?}"),
+            None => {
                 // the terminal link itself must always be deployable
                 let b = baseline_source(Mode::Lb);
                 prop_assert!(study.check(b).is_ok());
