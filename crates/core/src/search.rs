@@ -11,36 +11,34 @@
 //!
 //! ## Throughput
 //!
-//! Two executors share the round logic. The **sequential** executor is the
-//! paper's loop: generate → check → evaluate, barrier per round. The
-//! **pipelined** executor ([`SearchConfig::pipeline`]) keeps the cores
-//! busy: persistent evaluation workers drain a task queue while the main
-//! thread — which owns the generator — speculatively generates and checks
-//! round N+1 against the exemplar set frozen when round N's evaluation
-//! started. That freeze is expressed as [`SearchConfig::exemplar_lag`]:
-//! round N's prompt ranks candidates from rounds `< N - lag`, so a
-//! sequential run with the same lag produces a bit-identical
-//! [`SearchOutcome`] — the equivalence the tests pin down. Scores are
-//! written lock-free into per-round slots (indexed atomic stores, no
-//! result mutex), and because [`Study::evaluate`] is pure by contract, a
-//! cross-candidate **score memo** skips re-simulating sources the search
-//! has already scored (`CostLedger::memo_hits` counts the skips).
+//! There is one round loop ([`try_run_search`]). Each round is scored on
+//! per-round scoped workers, and whenever the exemplar schedule allows it
+//! — [`SearchConfig::exemplar_lag`] ≥ 1, so round N+1's prompt ranks only
+//! rounds `< N` — the calling thread, which owns the generator, generates
+//! and checks round N+1 beside round N's evaluation. Generation only
+//! *reads* the scored candidates and nothing is folded until the workers
+//! are joined, so the overlap changes when a round is generated and never
+//! what from: thread count and overlap cannot move a [`SearchOutcome`]
+//! (`tests/search_golden.rs` pins it per lag × threads). At lag 0 with
+//! one thread there is nothing to run beside, and the evaluations stay a
+//! plain loop on the caller. Because [`Study::evaluate`] is pure by
+//! contract, a cross-candidate **score memo** skips re-simulating sources
+//! the search has already scored (`CostLedger::memo_hits` counts the
+//! skips).
 //!
 //! ## Tracing
 //!
-//! Both executors emit lifecycle span events to the global
-//! [`policysmith_obs`] trace log: `search_round_start` when a round begins
-//! generating, `search_round_end` with that round's `CostLedger` deltas
-//! when it folds, and `search_done` with the final totals. Emission is
-//! outcome-neutral — it writes to a side log and never touches scores, so
-//! the pipelined ≡ sequential bit-identity is untouched.
+//! The loop emits lifecycle span events to the global [`policysmith_obs`]
+//! trace log: `search_round_start` when a round begins generating,
+//! `search_round_end` with that round's `CostLedger` deltas when it folds,
+//! and `search_done` with the final totals. Emission is outcome-neutral —
+//! it writes to a side log and never touches scores.
 
 use policysmith_dsl::Mode;
 use policysmith_gen::{Exemplar, GenError, Generator, Prompt, TokenLedger};
 use policysmith_obs::{emit, TraceKind};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One case-study instantiation: the Checker + Evaluator pair of §3.
@@ -74,15 +72,10 @@ pub struct SearchConfig {
     pub repair: bool,
     /// Evaluation threads (1 = serial).
     pub threads: usize,
-    /// Overlap round N+1's generation + checking with round N's
-    /// evaluation. Forces `exemplar_lag >= 1` at run time (the generator
-    /// can only be prompted with rounds whose scores exist when generation
-    /// starts). Same seed → identical outcome, round order preserved.
-    pub pipeline: bool,
     /// Exemplar staleness, in rounds: round N's prompt ranks candidates
     /// from rounds `< N - lag`. 0 is the paper's schedule (all previous
-    /// rounds); pipelined execution needs ≥ 1. A sequential run with the
-    /// same lag reproduces the pipelined outcome exactly.
+    /// rounds). At ≥ 1 every score round N+1's prompt needs exists when
+    /// round N starts evaluating, so the loop generates N+1 beside it.
     pub exemplar_lag: usize,
 }
 
@@ -95,7 +88,6 @@ impl SearchConfig {
             exemplars: 2,
             repair: true,
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            pipeline: false,
             exemplar_lag: 0,
         }
     }
@@ -108,15 +100,13 @@ impl SearchConfig {
             exemplars: 2,
             repair: true,
             threads: 2,
-            pipeline: false,
             exemplar_lag: 0,
         }
     }
 
-    /// Switch on the pipelined executor (and the ≥1-round exemplar lag it
-    /// requires).
+    /// Lag the exemplars (at least) one round, so each round is generated
+    /// beside the previous round's evaluation.
     pub fn pipelined(mut self) -> SearchConfig {
-        self.pipeline = true;
         self.exemplar_lag = self.exemplar_lag.max(1);
         self
     }
@@ -146,8 +136,8 @@ pub struct RoundStats {
 /// Cost accounting in the units of §4.2.6.
 ///
 /// Generation-thread and evaluation-worker time are attributed
-/// separately, so the ledger stays honest when the two overlap under the
-/// pipelined executor: evaluation CPU is *measured* per candidate, never
+/// separately, so the ledger stays honest when the two overlap (at
+/// `exemplar_lag ≥ 1`): evaluation CPU is *measured* per candidate, never
 /// estimated from wall time × thread count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CostLedger {
@@ -155,9 +145,10 @@ pub struct CostLedger {
     /// Wall-clock seconds on the generation thread: prompting, generation,
     /// checking, repair.
     pub gen_seconds: f64,
-    /// Wall-clock seconds with candidate evaluations outstanding. Under
-    /// pipelining this overlaps `gen_seconds`; it is how long the search
-    /// waited on simulations, not how much work they did.
+    /// Wall-clock seconds with candidate evaluations outstanding. When the
+    /// next round is generated beside them this overlaps `gen_seconds`; it
+    /// is how long the search waited on simulations, not how much work
+    /// they did.
     pub eval_seconds: f64,
     /// CPU-seconds measured inside [`Study::evaluate`] across all workers.
     pub eval_cpu_seconds: f64,
@@ -173,7 +164,7 @@ impl CostLedger {
     }
 
     /// Total CPU-seconds attributed to the search: generation thread plus
-    /// measured evaluation work. No double counting under pipelining —
+    /// measured evaluation work. No double counting under overlap —
     /// overlapped wall time appears in at most one term.
     pub fn cpu_seconds(&self) -> f64 {
         self.gen_seconds + self.eval_cpu_seconds
@@ -216,8 +207,7 @@ impl std::fmt::Display for SearchError {
 
 impl std::error::Error for SearchError {}
 
-/// Run the search loop (sequential or pipelined per
-/// [`SearchConfig::pipeline`]).
+/// Run the search loop.
 ///
 /// # Panics
 /// If no candidate in the entire search passes the Checker (with the
@@ -239,20 +229,38 @@ pub fn run_search<S: Study>(
 /// Fallible [`run_search`]: generator transport errors and
 /// zero-valid-candidate searches surface as [`SearchError`] instead of
 /// panicking, so a retry/backoff layer can wrap the whole attempt.
+///
+/// This is the one round loop; with `exemplar_lag ≥ 1` it generates round
+/// N+1 beside round N's evaluation (see the module docs).
 pub fn try_run_search<S: Study>(
     study: &S,
     generator: &mut dyn Generator,
     cfg: &SearchConfig,
 ) -> Result<SearchOutcome, SearchError> {
-    if cfg.pipeline {
-        run_pipelined(
-            study,
-            generator,
-            &SearchConfig { exemplar_lag: cfg.exemplar_lag.max(1), ..*cfg },
-        )
-    } else {
-        run_sequential(study, generator, cfg)
+    let mut progress = Progress::default();
+    // The round generated beside the previous round's evaluation. An error
+    // it hit surfaces here, after the round it ran beside has been folded.
+    let mut ahead = None;
+    for round in 0..cfg.rounds {
+        let batch = ahead
+            .take()
+            .unwrap_or_else(|| generate_and_check(study, generator, cfg, &progress.all, round))
+            .map_err(SearchError::Generator)?;
+        let plan = plan_round(&batch.sources, &progress.memo);
+        let to_eval: Vec<&S::Artifact> = plan.uniq.iter().map(|&i| &batch.artifacts[i]).collect();
+        // At lag ≥ 1 the next prompt needs rounds ≤ N−1 only, all folded
+        // already. The job reads `progress.all` and nothing folds until the
+        // workers are joined, so overlap never changes what it generates from.
+        let beside = (cfg.exemplar_lag >= 1 && round + 1 < cfg.rounds).then_some(|| {
+            ahead = Some(generate_and_check(study, generator, cfg, &progress.all, round + 1))
+        });
+        let t0 = Instant::now();
+        let (uniq_scores, cpu) = evaluate_round(study, &to_eval, cfg.threads, beside);
+        progress.cost.eval_seconds += t0.elapsed().as_secs_f64();
+        progress.cost.eval_cpu_seconds += cpu;
+        progress.fold(round, &batch, &plan, &uniq_scores);
     }
+    progress.seal(generator)
 }
 
 /// A generated-and-checked round, not yet evaluated. `sources[i]` is the
@@ -291,7 +299,10 @@ fn generate_and_check<S: Study>(
     emit(TraceKind::SearchRoundStart { round });
     let t0 = Instant::now();
     let prompt = Prompt::new(study.mode()).with_exemplars(exemplars_for(all, round, cfg));
-    let batch = generator.try_generate(&prompt, cfg.candidates_per_round)?;
+    let mut batch = generator.try_generate(&prompt, cfg.candidates_per_round)?;
+    // The backend was asked for `n`; whatever it sends beyond that is
+    // outside the per-round check + evaluation budget (§4.2.6).
+    batch.truncate(cfg.candidates_per_round);
     let generated = batch.len();
     let mut passed_first = 0;
     let mut passed_after_repair = 0;
@@ -328,7 +339,7 @@ fn generate_and_check<S: Study>(
 
 /// How each accepted candidate of a round gets its score: from the memo,
 /// or from evaluation slot `uniq[i]` (within-round duplicates share one
-/// slot). Built identically by both executors so they stay equivalent.
+/// slot).
 struct EvalPlan {
     /// Per candidate: `Err(score)` = memoized, `Ok(slot)` = uniq slot.
     slots: Vec<Result<usize, f64>>,
@@ -354,311 +365,84 @@ fn plan_round(sources: &[String], memo: &HashMap<String, f64>) -> EvalPlan {
     EvalPlan { slots, uniq }
 }
 
-/// Fold one evaluated round into the outcome accumulators. `uniq_scores`
-/// is index-aligned with `plan.uniq`.
-#[allow(clippy::too_many_arguments)]
-fn finish_round(
-    round: usize,
-    batch: &CheckedBatch<impl Sized>,
-    plan: &EvalPlan,
-    uniq_scores: &[f64],
-    memo: &mut HashMap<String, f64>,
-    all: &mut Vec<Scored>,
-    rounds: &mut Vec<RoundStats>,
-    cost: &mut CostLedger,
-) {
-    cost.candidates_evaluated += uniq_scores.len() as u64;
-    cost.memo_hits += (batch.sources.len() - uniq_scores.len()) as u64;
-    let mut round_best = f64::NEG_INFINITY;
-    for (source, slot) in batch.sources.iter().zip(&plan.slots) {
-        let score = match *slot {
-            Ok(u) => uniq_scores[u],
-            Err(memoized) => memoized,
-        };
-        if !memo.contains_key(source) {
-            memo.insert(source.clone(), score);
-        }
-        round_best = round_best.max(score);
-        all.push(Scored { source: source.clone(), score, round });
-    }
-    let best_so_far = all.iter().map(|s| s.score).fold(f64::NEG_INFINITY, f64::max);
-    emit(TraceKind::SearchRoundEnd {
-        round,
-        generated: batch.generated,
-        accepted: batch.sources.len(),
-        evaluated: uniq_scores.len(),
-        memo_hits: batch.sources.len() - uniq_scores.len(),
-        gen_seconds: batch.gen_seconds,
-        round_best,
-        best_so_far,
-    });
-    rounds.push(RoundStats {
-        round,
-        generated: batch.generated,
-        passed_first: batch.passed_first,
-        passed_after_repair: batch.passed_after_repair,
-        best_score_so_far: best_so_far,
-        round_best,
-    });
-}
-
-fn seal_outcome(
-    generator: &dyn Generator,
+/// What the rounds folded so far have produced: the score memo and the
+/// growing [`SearchOutcome`] fields.
+#[derive(Default)]
+struct Progress {
+    memo: HashMap<String, f64>,
     all: Vec<Scored>,
     rounds: Vec<RoundStats>,
-    mut cost: CostLedger,
-) -> Result<SearchOutcome, SearchError> {
-    cost.tokens = *generator.ledger();
-    let best = all
-        .iter()
-        .max_by(|a, b| nan_is_worst(a.score).total_cmp(&nan_is_worst(b.score)))
-        .cloned()
-        .ok_or(SearchError::NoValidCandidate)?;
-    emit(TraceKind::SearchDone {
-        rounds: rounds.len(),
-        candidates_evaluated: cost.candidates_evaluated as usize,
-        memo_hits: cost.memo_hits as usize,
-        tokens_in: cost.tokens.input_tokens,
-        tokens_out: cost.tokens.output_tokens,
-        gen_seconds: cost.gen_seconds,
-        eval_seconds: cost.eval_seconds,
-        eval_cpu_seconds: cost.eval_cpu_seconds,
-        best_score: best.score,
-    });
-    Ok(SearchOutcome { best, rounds, all, cost })
+    cost: CostLedger,
 }
 
-/// The paper's loop: generate → check → evaluate with a barrier per round.
-fn run_sequential<S: Study>(
-    study: &S,
-    generator: &mut dyn Generator,
-    cfg: &SearchConfig,
-) -> Result<SearchOutcome, SearchError> {
-    let mut all = Vec::new();
-    let mut rounds = Vec::new();
-    let mut cost = CostLedger::default();
-    let mut memo: HashMap<String, f64> = HashMap::new();
-
-    for round in 0..cfg.rounds {
-        let batch = generate_and_check(study, generator, cfg, &all, round)
-            .map_err(SearchError::Generator)?;
-        cost.gen_seconds += batch.gen_seconds;
-        let plan = plan_round(&batch.sources, &memo);
-        let to_eval: Vec<&S::Artifact> = plan.uniq.iter().map(|&i| &batch.artifacts[i]).collect();
-        let t0 = Instant::now();
-        let (uniq_scores, cpu) = evaluate_parallel(study, &to_eval, cfg.threads);
-        cost.eval_seconds += t0.elapsed().as_secs_f64();
-        cost.eval_cpu_seconds += cpu;
-        finish_round(
+impl Progress {
+    /// Fold one evaluated round in. `uniq_scores` is index-aligned with
+    /// `plan.uniq`.
+    fn fold(
+        &mut self,
+        round: usize,
+        batch: &CheckedBatch<impl Sized>,
+        plan: &EvalPlan,
+        uniq_scores: &[f64],
+    ) {
+        let memo_hits = batch.sources.len() - uniq_scores.len();
+        self.cost.gen_seconds += batch.gen_seconds;
+        self.cost.candidates_evaluated += uniq_scores.len() as u64;
+        self.cost.memo_hits += memo_hits as u64;
+        let mut round_best = f64::NEG_INFINITY;
+        for (source, slot) in batch.sources.iter().zip(&plan.slots) {
+            let score = match *slot {
+                Ok(u) => uniq_scores[u],
+                Err(memoized) => memoized,
+            };
+            if !self.memo.contains_key(source) {
+                self.memo.insert(source.clone(), score);
+            }
+            round_best = round_best.max(score);
+            self.all.push(Scored { source: source.clone(), score, round });
+        }
+        let best_so_far = self.all.iter().map(|s| s.score).fold(f64::NEG_INFINITY, f64::max);
+        emit(TraceKind::SearchRoundEnd {
             round,
-            &batch,
-            &plan,
-            &uniq_scores,
-            &mut memo,
-            &mut all,
-            &mut rounds,
-            &mut cost,
-        );
-    }
-    seal_outcome(generator, all, rounds, cost)
-}
-
-/// One round's evaluation state, shared with the workers. Scores land in
-/// `results` as indexed lock-free `f64`-bit stores.
-struct RoundSlot<A> {
-    artifacts: Vec<A>,
-    /// Artifact index evaluated by each task (the plan's uniq list).
-    tasks: Vec<usize>,
-    results: Vec<AtomicU64>,
-    pending: AtomicUsize,
-}
-
-/// Worker-shared search state for the pipelined executor.
-struct PipelineShared<A> {
-    slots: Vec<OnceLock<RoundSlot<A>>>,
-    queue: Mutex<VecDeque<(usize, usize)>>,
-    work_cv: Condvar,
-    stop: AtomicBool,
-    done_m: Mutex<()>,
-    done_cv: Condvar,
-    /// Nanoseconds spent inside `Study::evaluate`, summed over workers.
-    eval_nanos: AtomicU64,
-    /// First payload of a panicking `Study::evaluate`, re-thrown on the
-    /// main thread so the pipelined executor fails like the sequential one
-    /// instead of deadlocking `wait` on a pending count that never drains.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl<A> PipelineShared<A> {
-    fn new(rounds: usize) -> Self {
-        PipelineShared {
-            slots: (0..rounds).map(|_| OnceLock::new()).collect(),
-            queue: Mutex::new(VecDeque::new()),
-            work_cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            done_m: Mutex::new(()),
-            done_cv: Condvar::new(),
-            eval_nanos: AtomicU64::new(0),
-            panic: Mutex::new(None),
-        }
+            generated: batch.generated,
+            accepted: batch.sources.len(),
+            evaluated: uniq_scores.len(),
+            memo_hits,
+            gen_seconds: batch.gen_seconds,
+            round_best,
+            best_so_far,
+        });
+        self.rounds.push(RoundStats {
+            round,
+            generated: batch.generated,
+            passed_first: batch.passed_first,
+            passed_after_repair: batch.passed_after_repair,
+            best_score_so_far: best_so_far,
+            round_best,
+        });
     }
 
-    /// Publish a round and enqueue its evaluation tasks.
-    fn submit(&self, round: usize, slot: RoundSlot<A>) {
-        let n = slot.tasks.len();
-        self.slots[round].set(slot).unwrap_or_else(|_| panic!("round {round} submitted twice"));
-        let mut q = self.queue.lock().unwrap();
-        q.extend((0..n).map(|t| (round, t)));
-        drop(q);
-        self.work_cv.notify_all();
+    fn seal(self, generator: &dyn Generator) -> Result<SearchOutcome, SearchError> {
+        let Progress { all, rounds, mut cost, .. } = self;
+        cost.tokens = *generator.ledger();
+        let best = all
+            .iter()
+            .max_by(|a, b| nan_is_worst(a.score).total_cmp(&nan_is_worst(b.score)))
+            .cloned()
+            .ok_or(SearchError::NoValidCandidate)?;
+        emit(TraceKind::SearchDone {
+            rounds: rounds.len(),
+            candidates_evaluated: cost.candidates_evaluated as usize,
+            memo_hits: cost.memo_hits as usize,
+            tokens_in: cost.tokens.input_tokens,
+            tokens_out: cost.tokens.output_tokens,
+            gen_seconds: cost.gen_seconds,
+            eval_seconds: cost.eval_seconds,
+            eval_cpu_seconds: cost.eval_cpu_seconds,
+            best_score: best.score,
+        });
+        Ok(SearchOutcome { best, rounds, all, cost })
     }
-
-    /// Block until every task of `round` has a score; return them in task
-    /// order. Re-throws an evaluator panic caught on a worker (after
-    /// releasing the workers, so the thread scope can join).
-    fn wait(&self, round: usize) -> Vec<f64> {
-        let slot = self.slots[round].get().expect("waiting on an unsubmitted round");
-        let mut guard = self.done_m.lock().unwrap();
-        while slot.pending.load(Ordering::Acquire) != 0 {
-            guard = self.done_cv.wait(guard).unwrap();
-        }
-        drop(guard);
-        if let Some(payload) = self.panic.lock().unwrap().take() {
-            self.shutdown();
-            std::panic::resume_unwind(payload);
-        }
-        slot.results.iter().map(|bits| f64::from_bits(bits.load(Ordering::Relaxed))).collect()
-    }
-
-    fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.work_cv.notify_all();
-    }
-
-    fn worker<S: Study<Artifact = A>>(&self, study: &S) {
-        loop {
-            let task = {
-                let mut q = self.queue.lock().unwrap();
-                loop {
-                    if let Some(t) = q.pop_front() {
-                        break Some(t);
-                    }
-                    if self.stop.load(Ordering::Acquire) {
-                        break None;
-                    }
-                    q = self.work_cv.wait(q).unwrap();
-                }
-            };
-            let Some((round, task_ix)) = task else { return };
-            let slot = self.slots[round].get().expect("task for an unsubmitted round");
-            let t0 = Instant::now();
-            // A panicking evaluator must still decrement `pending`, or the
-            // main thread waits forever; catch it here, re-throw in `wait`.
-            let score = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                study.evaluate(&slot.artifacts[slot.tasks[task_ix]])
-            })) {
-                Ok(score) => score,
-                Err(payload) => {
-                    let mut first = self.panic.lock().unwrap();
-                    first.get_or_insert(payload);
-                    f64::NEG_INFINITY
-                }
-            };
-            self.eval_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            slot.results[task_ix].store(score.to_bits(), Ordering::Relaxed);
-            // Release pairs with the Acquire in `wait`: a pending count of
-            // zero implies every score store is visible.
-            if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _guard = self.done_m.lock().unwrap();
-                self.done_cv.notify_all();
-            }
-        }
-    }
-}
-
-/// The pipelined executor: evaluation workers drain a shared queue while
-/// the main thread (which owns the generator) generates and checks the
-/// next round. With `exemplar_lag ≥ 1` the prompt for round N+1 only needs
-/// rounds ≤ N−1, all of which are complete when round N starts evaluating
-/// — so speculation never waits and never changes the outcome.
-fn run_pipelined<S: Study>(
-    study: &S,
-    generator: &mut dyn Generator,
-    cfg: &SearchConfig,
-) -> Result<SearchOutcome, SearchError> {
-    debug_assert!(cfg.exemplar_lag >= 1);
-    let mut all = Vec::new();
-    let mut rounds = Vec::new();
-    let mut cost = CostLedger::default();
-    let mut memo: HashMap<String, f64> = HashMap::new();
-    let shared = PipelineShared::<S::Artifact>::new(cfg.rounds);
-    // A generator error aborts the attempt, but only after the current
-    // round's evaluation drains and the workers shut down cleanly.
-    let mut gen_err: Option<GenError> = None;
-
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.threads.max(1) {
-            scope.spawn(|| shared.worker(study));
-        }
-        let mut next = if cfg.rounds > 0 {
-            match generate_and_check(study, generator, cfg, &all, 0) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    gen_err = Some(e);
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        for round in 0..cfg.rounds {
-            let Some(mut batch) = next.take() else { break };
-            cost.gen_seconds += batch.gen_seconds;
-            let plan = plan_round(&batch.sources, &memo);
-            let n_tasks = plan.uniq.len();
-            let t0 = Instant::now();
-            shared.submit(
-                round,
-                RoundSlot {
-                    artifacts: std::mem::take(&mut batch.artifacts),
-                    tasks: plan.uniq.clone(),
-                    results: (0..n_tasks).map(|_| AtomicU64::new(0)).collect(),
-                    pending: AtomicUsize::new(n_tasks),
-                },
-            );
-            // Speculative generation: round N+1, prompted with the
-            // exemplar set frozen at round N's start, runs here while the
-            // workers evaluate round N. A transport error here still lets
-            // round N's evaluation finish before the attempt aborts.
-            if round + 1 < cfg.rounds {
-                match generate_and_check(study, generator, cfg, &all, round + 1) {
-                    Ok(b) => next = Some(b),
-                    Err(e) => {
-                        gen_err = Some(e);
-                        next = None;
-                    }
-                }
-            }
-            let uniq_scores = shared.wait(round);
-            cost.eval_seconds += t0.elapsed().as_secs_f64();
-            finish_round(
-                round,
-                &batch,
-                &plan,
-                &uniq_scores,
-                &mut memo,
-                &mut all,
-                &mut rounds,
-                &mut cost,
-            );
-        }
-        shared.shutdown();
-    });
-    if let Some(e) = gen_err {
-        return Err(SearchError::Generator(e));
-    }
-    cost.eval_cpu_seconds = shared.eval_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-    seal_outcome(generator, all, rounds, cost)
 }
 
 /// Score key for ranking. Evaluators are supposed to return real numbers,
@@ -673,21 +457,25 @@ fn nan_is_worst(score: f64) -> f64 {
     }
 }
 
-/// Score artifacts on `threads` worker threads (work-stealing via an
-/// atomic cursor; results land by index as lock-free `f64`-bit stores, in
-/// input order). Returns the scores and the CPU-seconds measured inside
-/// [`Study::evaluate`].
-fn evaluate_parallel<S: Study>(
+/// Score one round's artifacts on `threads` scoped workers (work-stealing
+/// via an atomic cursor; results land by index as lock-free `f64`-bit
+/// stores, in input order) while the calling thread runs `beside` — the
+/// next round's generation, when there is one. Returns the scores and the
+/// CPU-seconds measured inside [`Study::evaluate`]. Workers are joined by
+/// handle, so an evaluator panic re-throws here with its own payload.
+///
+/// With one thread and nothing to run beside, the evaluations are a plain
+/// loop on the caller: spawning, the shared cursor and the atomic stores
+/// cost the one-thread searches 4–5 % when they were routed through them.
+fn evaluate_round<S: Study>(
     study: &S,
     artifacts: &[&S::Artifact],
     threads: usize,
+    beside: Option<impl FnOnce()>,
 ) -> (Vec<f64>, f64) {
     let n = artifacts.len();
-    if n == 0 {
-        return (Vec::new(), 0.0);
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
+    let workers = threads.max(1).min(n);
+    if beside.is_none() && workers <= 1 {
         let t0 = Instant::now();
         let scores = artifacts.iter().map(|a| study.evaluate(a)).collect();
         return (scores, t0.elapsed().as_secs_f64());
@@ -696,17 +484,29 @@ fn evaluate_parallel<S: Study>(
     let results: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let nanos = AtomicU64::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let t0 = Instant::now();
-                let score = study.evaluate(artifacts[i]);
-                nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                results[i].store(score.to_bits(), Ordering::Relaxed);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let t0 = Instant::now();
+                    let score = study.evaluate(artifacts[i]);
+                    nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    results[i].store(score.to_bits(), Ordering::Relaxed);
+                })
+            })
+            .collect();
+        if let Some(job) = beside {
+            job();
+        }
+        // `join` synchronizes with everything the worker did, so the
+        // Relaxed stores above are visible once every handle is joined.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     let scores = results.iter().map(|bits| f64::from_bits(bits.load(Ordering::Relaxed))).collect();
@@ -718,6 +518,7 @@ mod tests {
     use super::*;
     use policysmith_dsl::{check, parse, Expr};
     use policysmith_gen::{GenConfig, MockLlm};
+    use std::sync::{Condvar, Mutex};
 
     /// A toy study with a known optimum: score favors expressions that
     /// reference `obj.count` and are small.
@@ -846,36 +647,50 @@ mod tests {
         let artifacts: Vec<Expr> =
             ["obj.count", "obj.size + 1", "now"].iter().map(|s| parse(s).unwrap()).collect();
         let refs: Vec<&Expr> = artifacts.iter().collect();
-        let (serial, _) = evaluate_parallel(&ToyStudy, &refs, 1);
-        let (parallel, _) = evaluate_parallel(&ToyStudy, &refs, 3);
+        let (serial, _) = evaluate_round(&ToyStudy, &refs, 1, None::<fn()>);
+        let (parallel, _) = evaluate_round(&ToyStudy, &refs, 3, None::<fn()>);
+        let mut ran = false;
+        let (beside, _) = evaluate_round(&ToyStudy, &refs, 1, Some(|| ran = true));
         assert_eq!(serial, parallel);
+        assert_eq!(serial, beside);
+        assert!(ran);
     }
 
-    /// Same seed, same lag: the pipelined executor must return an outcome
-    /// identical to the sequential one — same best, same per-candidate
-    /// scores in the same order, same round statistics, same token bill.
+    /// Same seed, same lag: neither the thread count nor generating round
+    /// N+1 beside round N's evaluation moves the outcome — same best, same
+    /// per-candidate scores in the same order, same round statistics, same
+    /// token bill as a reference that does one thing at a time on this
+    /// thread (generate, then evaluate candidate by candidate).
     #[test]
-    fn pipelined_matches_sequential_exactly() {
+    fn thread_count_and_overlap_never_change_the_outcome() {
         let base = SearchConfig {
             rounds: 6,
             candidates_per_round: 10,
             exemplar_lag: 1,
-            threads: 3,
             ..SearchConfig::quick()
         };
-        let run = |cfg: SearchConfig| {
+        let mut llm = MockLlm::new(GenConfig::cache_defaults(9));
+        let mut progress = Progress::default();
+        for round in 0..base.rounds {
+            let batch =
+                generate_and_check(&ToyStudy, &mut llm, &base, &progress.all, round).unwrap();
+            let plan = plan_round(&batch.sources, &progress.memo);
+            let scores: Vec<f64> =
+                plan.uniq.iter().map(|&i| ToyStudy.evaluate(&batch.artifacts[i])).collect();
+            progress.fold(round, &batch, &plan, &scores);
+        }
+        let reference = progress.seal(&llm).unwrap();
+        for threads in [1, 3] {
             let mut llm = MockLlm::new(GenConfig::cache_defaults(9));
-            run_search(&ToyStudy, &mut llm, &cfg)
-        };
-        let seq = run(base);
-        let pipe = run(SearchConfig { pipeline: true, ..base });
-        assert_eq!(seq.best, pipe.best);
-        assert_eq!(seq.all, pipe.all);
-        assert_eq!(seq.rounds, pipe.rounds);
-        assert_eq!(
-            seq.cost.tokens.input_tokens, pipe.cost.tokens.input_tokens,
-            "prompt streams must match"
-        );
+            let overlapped = run_search(&ToyStudy, &mut llm, &SearchConfig { threads, ..base });
+            assert_eq!(reference.best, overlapped.best);
+            assert_eq!(reference.all, overlapped.all);
+            assert_eq!(reference.rounds, overlapped.rounds);
+            assert_eq!(
+                reference.cost.tokens.input_tokens, overlapped.cost.tokens.input_tokens,
+                "prompt streams must match"
+            );
+        }
     }
 
     #[test]
@@ -982,7 +797,7 @@ mod tests {
         }
     }
 
-    /// The overlap the pipelined executor exists for, witnessed without a
+    /// The overlap a one-round exemplar lag buys, witnessed without a
     /// clock: round N's evaluation cannot finish until round N+1's
     /// generation has started, so the search completes only if the two
     /// really run side by side.
@@ -1021,9 +836,26 @@ mod tests {
         }
     }
 
-    /// An evaluator that panics must fail a pipelined search the same way
-    /// it fails a sequential one — by propagating — never by deadlocking
-    /// the round-completion wait.
+    /// A backend that answers `n` with `3n` candidates: the surplus is
+    /// dropped before it is counted, checked or evaluated, so a round never
+    /// exceeds the budget it was configured with.
+    #[test]
+    fn an_oversized_batch_is_cut_to_the_round_budget() {
+        let mut gen = HookGen {
+            inner: MockLlm::new(GenConfig::cache_defaults(3)),
+            hook: |llm: &mut MockLlm, prompt: &Prompt, n: usize| Ok(llm.generate(prompt, 3 * n)),
+        };
+        let cfg = SearchConfig { rounds: 3, candidates_per_round: 6, ..SearchConfig::quick() };
+        let outcome = run_search(&ToyStudy, &mut gen, &cfg);
+        for r in &outcome.rounds {
+            assert_eq!(r.generated, 6, "generated must stop at the configured batch size");
+        }
+        assert!(outcome.all.len() <= 3 * 6);
+    }
+
+    /// An evaluator that panics on a worker must fail the search the way it
+    /// would on the caller — by propagating its own payload — never by
+    /// hanging the round or surfacing as "a scoped thread panicked".
     struct PanickyStudy;
 
     impl Study for PanickyStudy {
@@ -1050,9 +882,11 @@ mod tests {
         assert_eq!(msg, "evaluator bug");
     }
 
+    /// At lag 1 the failing call is a generate-ahead beside round 1's
+    /// evaluation; at lag 0 it is round 2's own. Both abort the attempt.
     #[test]
-    fn try_run_search_surfaces_generator_errors_in_both_executors() {
-        for pipeline in [false, true] {
+    fn try_run_search_surfaces_generator_errors_at_lag_0_and_lag_1() {
+        for exemplar_lag in [0, 1] {
             // the backend dies after two good batches
             let mut calls = 0;
             let mut gen = HookGen {
@@ -1069,7 +903,7 @@ mod tests {
             let cfg = SearchConfig {
                 rounds: 5,
                 candidates_per_round: 8,
-                pipeline,
+                exemplar_lag,
                 ..SearchConfig::quick()
             };
             let err = try_run_search(&ToyStudy, &mut gen, &cfg)
@@ -1077,8 +911,9 @@ mod tests {
             assert_eq!(
                 err,
                 SearchError::Generator(GenError::Unavailable("backend died".into())),
-                "pipeline={pipeline}"
+                "exemplar_lag={exemplar_lag}"
             );
+            assert_eq!(calls, 3, "no generation may follow the failed one");
         }
     }
 

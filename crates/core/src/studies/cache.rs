@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn an_oversized_generator_reply_is_a_rejection_not_an_abort() {
         // 80 KB of `+ 1`, checked on the 2 MiB stack spawned threads get
-        // (serve's adaptation thread, the pipelined eval workers): it used
+        // (serve's adaptation thread, the search's eval workers): it used
         // to parse, and compiling the 40 000-deep tree overflowed the
         // stack — an abort no `catch_unwind` contains
         let reply = format!("obj.count{}", " + 1".repeat(40_000));

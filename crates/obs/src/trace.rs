@@ -24,8 +24,8 @@ use std::time::Instant;
 /// crate: emitters translate their own types at the call site.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
-    /// A search round began generating candidates (pipelined executors
-    /// may open round `n+1` before round `n`'s end event).
+    /// A search round began generating candidates (with lagged exemplars
+    /// the search opens round `n+1` before round `n`'s end event).
     SearchRoundStart {
         /// Round index within its search.
         round: usize,

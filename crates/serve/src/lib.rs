@@ -29,7 +29,7 @@
 //!   background adaptation thread running the
 //!   [`AdaptiveController`](policysmith_core::library::AdaptiveController)'s
 //!   one ladder: on drift, a stored heuristic over the reuse bar, else a
-//!   full pipelined [`run_search`](policysmith_core::run_search), else
+//!   full [`run_search`](policysmith_core::run_search), else
 //!   the best stored heuristic at all; on a quarantine, the best stored
 //!   heuristic at all, else the man-made baseline. Whatever a rung yields
 //!   goes live in exactly one place on that thread.

@@ -162,7 +162,8 @@ pub struct Resynth<S: Study> {
     /// Generator the background search drives.
     pub generator: Box<dyn Generator + Send>,
     /// Search budget. Use [`SearchConfig::pipelined`] — the search runs on
-    /// the adaptation thread and should keep its eval workers busy.
+    /// the adaptation thread, and with lagged exemplars that thread
+    /// generates the next round while the eval workers score this one.
     pub search: SearchConfig,
     /// Library entries available before the run starts (earlier
     /// deployments; possibly with poisoned sources carried over).
@@ -959,8 +960,8 @@ trait ServeHost {
 }
 
 /// Scoring goes through `ExprDispatcher::new`'s default engine: the
-/// batched structure-of-arrays scan, one fused `run_batch_argmin` call
-/// per pick.
+/// batched scan over the fleet columns the engine lends it, one fused
+/// `run_columns_argmin` call per pick.
 impl ServeHost for ExprDispatcher {
     fn adopt(&mut self, policy: CompiledPolicy) {
         *self = ExprDispatcher::new("serve", policy);

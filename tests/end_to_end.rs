@@ -12,23 +12,24 @@ fn quick_cfg() -> SearchConfig {
     SearchConfig { rounds: 5, candidates_per_round: 10, ..SearchConfig::quick() }
 }
 
-/// The cross-crate version of the pipelined-equivalence guarantee: on a
-/// real cache study (compiled artifacts, trace replay in the evaluator),
-/// the pipelined executor returns exactly the sequential outcome.
+/// The cross-crate version of the one-loop guarantee: on a real cache
+/// study (compiled artifacts, trace replay in the evaluator), generating
+/// round N+1 beside round N's evaluation gives the same outcome whether one
+/// worker or three score the round. (`crates/core/tests/search_golden.rs`
+/// holds the same study to the outcomes captured from the old sequential
+/// executor.)
 #[test]
-fn pipelined_cache_search_matches_sequential() {
+fn overlapped_cache_search_is_independent_of_thread_count() {
     let trace = policysmith::traces::cloudphysics().trace(10, 15_000);
     let study = CacheStudy::new(&trace);
-    let base = SearchConfig { exemplar_lag: 1, threads: 3, ..quick_cfg() };
-    let run = |cfg: SearchConfig| {
+    let run = |threads: usize| {
         let mut llm = MockLlm::new(GenConfig::cache_defaults(7));
-        run_search(&study, &mut llm, &cfg)
+        run_search(&study, &mut llm, &SearchConfig { threads, ..quick_cfg() }.pipelined())
     };
-    let seq = run(base);
-    let pipe = run(SearchConfig { pipeline: true, ..base });
-    assert_eq!(seq.best, pipe.best);
-    assert_eq!(seq.all, pipe.all);
-    assert_eq!(seq.rounds, pipe.rounds);
+    let (one, three) = (run(1), run(3));
+    assert_eq!(one.best, three.best);
+    assert_eq!(one.all, three.all);
+    assert_eq!(one.rounds, three.rounds);
 }
 
 #[test]
