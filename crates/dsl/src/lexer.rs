@@ -7,20 +7,31 @@
 
 use crate::error::{ParseError, Pos};
 
-/// A single token with its starting byte offset.
-#[derive(Debug, Clone, PartialEq)]
+/// A single token: its kind and the byte span `pos..end` of its text in
+/// the source it was lexed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     pub kind: TokenKind,
     pub pos: Pos,
+    pub end: Pos,
 }
 
-/// Token kinds. Numeric literals keep their source text so the parser can
-/// report out-of-range values faithfully.
-#[derive(Debug, Clone, PartialEq)]
+impl Token {
+    /// The token's text in `src`, the source it was lexed from. It is also
+    /// how diagnostics render the token.
+    pub fn text(self, src: &str) -> &str {
+        &src[self.pos..self.end]
+    }
+}
+
+/// Token kinds. Literals and identifiers carry no payload: their text is
+/// the token's span, so the parser can report out-of-range values
+/// faithfully without the lexer allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    Int(String),
-    Float(String),
-    Ident(String),
+    Int,
+    Float,
+    Ident,
     Plus,
     Minus,
     Star,
@@ -47,280 +58,139 @@ pub enum TokenKind {
     Shr,
 }
 
-impl TokenKind {
-    /// Human-readable rendering for diagnostics.
-    pub fn describe(&self) -> String {
-        match self {
-            TokenKind::Int(s) | TokenKind::Float(s) | TokenKind::Ident(s) => s.clone(),
-            TokenKind::Plus => "+".into(),
-            TokenKind::Minus => "-".into(),
-            TokenKind::Star => "*".into(),
-            TokenKind::Slash => "/".into(),
-            TokenKind::Percent => "%".into(),
-            TokenKind::LParen => "(".into(),
-            TokenKind::RParen => ")".into(),
-            TokenKind::LBracket => "[".into(),
-            TokenKind::RBracket => "]".into(),
-            TokenKind::Comma => ",".into(),
-            TokenKind::Dot => ".".into(),
-            TokenKind::Question => "?".into(),
-            TokenKind::Colon => ":".into(),
-            TokenKind::Bang => "!".into(),
-            TokenKind::Lt => "<".into(),
-            TokenKind::Le => "<=".into(),
-            TokenKind::Gt => ">".into(),
-            TokenKind::Ge => ">=".into(),
-            TokenKind::EqEq => "==".into(),
-            TokenKind::Ne => "!=".into(),
-            TokenKind::AndAnd => "&&".into(),
-            TokenKind::OrOr => "||".into(),
-            TokenKind::Shl => "<<".into(),
-            TokenKind::Shr => ">>".into(),
-        }
-    }
-}
-
 /// Tokenize `src`. Whitespace (including newlines) separates tokens and is
 /// otherwise ignored; `//` comments run to end of line.
 pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
+    use TokenKind::*;
     let bytes = src.as_bytes();
+    let at = |i: usize| bytes.get(i).copied();
+    let run_end = |mut i: usize, f: fn(&u8) -> bool| {
+        while bytes.get(i).is_some_and(f) {
+            i += 1;
+        }
+        i
+    };
     let mut out = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i] as char;
         let pos = i;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
+        let next = at(i + 1);
+        let (kind, len) = match bytes[i] {
+            b' ' | b'\t' | b'\r' | b'\n' => {
                 i += 1;
+                continue;
             }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
+            b'/' if next == Some(b'/') => {
+                i = run_end(i, |&b| b != b'\n');
+                continue;
             }
-            '0'..='9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let mut is_float = false;
+            b'0'..=b'9' => {
+                let end = run_end(i, u8::is_ascii_digit);
                 // A '.' is part of the number only when followed by a digit,
                 // so `counts.p50` style paths never collide with floats.
-                if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
-                    is_float = true;
-                    i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                let text = src[start..i].to_string();
-                out.push(Token {
-                    kind: if is_float { TokenKind::Float(text) } else { TokenKind::Int(text) },
-                    pos,
-                });
-            }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                out.push(Token { kind: TokenKind::Ident(src[start..i].to_string()), pos });
-            }
-            '+' => {
-                out.push(Token { kind: TokenKind::Plus, pos });
-                i += 1;
-            }
-            '-' => {
-                out.push(Token { kind: TokenKind::Minus, pos });
-                i += 1;
-            }
-            '*' => {
-                out.push(Token { kind: TokenKind::Star, pos });
-                i += 1;
-            }
-            '/' => {
-                out.push(Token { kind: TokenKind::Slash, pos });
-                i += 1;
-            }
-            '%' => {
-                out.push(Token { kind: TokenKind::Percent, pos });
-                i += 1;
-            }
-            '(' => {
-                out.push(Token { kind: TokenKind::LParen, pos });
-                i += 1;
-            }
-            ')' => {
-                out.push(Token { kind: TokenKind::RParen, pos });
-                i += 1;
-            }
-            '[' => {
-                out.push(Token { kind: TokenKind::LBracket, pos });
-                i += 1;
-            }
-            ']' => {
-                out.push(Token { kind: TokenKind::RBracket, pos });
-                i += 1;
-            }
-            ',' => {
-                out.push(Token { kind: TokenKind::Comma, pos });
-                i += 1;
-            }
-            '.' => {
-                out.push(Token { kind: TokenKind::Dot, pos });
-                i += 1;
-            }
-            '?' => {
-                out.push(Token { kind: TokenKind::Question, pos });
-                i += 1;
-            }
-            ':' => {
-                out.push(Token { kind: TokenKind::Colon, pos });
-                i += 1;
-            }
-            '!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token { kind: TokenKind::Ne, pos });
-                    i += 2;
+                if at(end) == Some(b'.') && at(end + 1).is_some_and(|b| b.is_ascii_digit()) {
+                    (Float, run_end(end + 1, u8::is_ascii_digit) - i)
                 } else {
-                    out.push(Token { kind: TokenKind::Bang, pos });
-                    i += 1;
+                    (Int, end - i)
                 }
             }
-            '<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token { kind: TokenKind::Le, pos });
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'<' {
-                    out.push(Token { kind: TokenKind::Shl, pos });
-                    i += 2;
-                } else {
-                    out.push(Token { kind: TokenKind::Lt, pos });
-                    i += 1;
-                }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                (Ident, run_end(i, |&b| b.is_ascii_alphanumeric() || b == b'_') - i)
             }
-            '>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token { kind: TokenKind::Ge, pos });
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    out.push(Token { kind: TokenKind::Shr, pos });
-                    i += 2;
-                } else {
-                    out.push(Token { kind: TokenKind::Gt, pos });
-                    i += 1;
-                }
-            }
-            '=' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token { kind: TokenKind::EqEq, pos });
-                    i += 2;
-                } else {
-                    return Err(ParseError::UnexpectedChar { pos, ch: '=' });
-                }
-            }
-            '&' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'&' {
-                    out.push(Token { kind: TokenKind::AndAnd, pos });
-                    i += 2;
-                } else {
-                    return Err(ParseError::UnexpectedChar { pos, ch: '&' });
-                }
-            }
-            '|' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'|' {
-                    out.push(Token { kind: TokenKind::OrOr, pos });
-                    i += 2;
-                } else {
-                    return Err(ParseError::UnexpectedChar { pos, ch: '|' });
-                }
-            }
-            other => return Err(ParseError::UnexpectedChar { pos, ch: other }),
-        }
+            b'+' => (Plus, 1),
+            b'-' => (Minus, 1),
+            b'*' => (Star, 1),
+            b'/' => (Slash, 1),
+            b'%' => (Percent, 1),
+            b'(' => (LParen, 1),
+            b')' => (RParen, 1),
+            b'[' => (LBracket, 1),
+            b']' => (RBracket, 1),
+            b',' => (Comma, 1),
+            b'.' => (Dot, 1),
+            b'?' => (Question, 1),
+            b':' => (Colon, 1),
+            b'!' if next == Some(b'=') => (Ne, 2),
+            b'!' => (Bang, 1),
+            b'<' if next == Some(b'=') => (Le, 2),
+            b'<' if next == Some(b'<') => (Shl, 2),
+            b'<' => (Lt, 1),
+            b'>' if next == Some(b'=') => (Ge, 2),
+            b'>' if next == Some(b'>') => (Shr, 2),
+            b'>' => (Gt, 1),
+            b'=' if next == Some(b'=') => (EqEq, 2),
+            b'&' if next == Some(b'&') => (AndAnd, 2),
+            b'|' if next == Some(b'|') => (OrOr, 2),
+            other => return Err(ParseError::UnexpectedChar { pos, ch: other as char }),
+        };
+        i += len;
+        out.push(Token { kind, pos, end: i });
     }
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::TokenKind::*;
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+    /// Each token's kind and text.
+    fn toks(src: &str) -> Vec<(TokenKind, &str)> {
+        lex(src).unwrap().into_iter().map(|t| (t.kind, t.text(src))).collect()
     }
 
     #[test]
     fn basic_expression() {
         assert_eq!(
-            kinds("obj.count * 20"),
-            vec![
-                TokenKind::Ident("obj".into()),
-                TokenKind::Dot,
-                TokenKind::Ident("count".into()),
-                TokenKind::Star,
-                TokenKind::Int("20".into()),
-            ]
+            toks("obj.count * 20"),
+            vec![(Ident, "obj"), (Dot, "."), (Ident, "count"), (Star, "*"), (Int, "20")]
         );
     }
 
     #[test]
     fn float_vs_dotted_path() {
-        assert_eq!(kinds("0.75"), vec![TokenKind::Float("0.75".into())]);
-        assert_eq!(
-            kinds("ages.p75"),
-            vec![TokenKind::Ident("ages".into()), TokenKind::Dot, TokenKind::Ident("p75".into()),]
-        );
+        assert_eq!(toks("0.75"), vec![(Float, "0.75")]);
+        assert_eq!(toks("ages.p75"), vec![(Ident, "ages"), (Dot, "."), (Ident, "p75")]);
         // digit-dot-ident: '.' is punctuation, not a float
-        assert_eq!(
-            kinds("1.x"),
-            vec![TokenKind::Int("1".into()), TokenKind::Dot, TokenKind::Ident("x".into()),]
-        );
+        assert_eq!(toks("1.x"), vec![(Int, "1"), (Dot, "."), (Ident, "x")]);
     }
 
     #[test]
     fn two_char_operators() {
         assert_eq!(
-            kinds("a <= b >= c == d != e && f || g << 1 >> 2"),
+            toks("a <= b >= c == d != e && f || g << 1 >> 2"),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Le,
-                TokenKind::Ident("b".into()),
-                TokenKind::Ge,
-                TokenKind::Ident("c".into()),
-                TokenKind::EqEq,
-                TokenKind::Ident("d".into()),
-                TokenKind::Ne,
-                TokenKind::Ident("e".into()),
-                TokenKind::AndAnd,
-                TokenKind::Ident("f".into()),
-                TokenKind::OrOr,
-                TokenKind::Ident("g".into()),
-                TokenKind::Shl,
-                TokenKind::Int("1".into()),
-                TokenKind::Shr,
-                TokenKind::Int("2".into()),
+                (Ident, "a"),
+                (Le, "<="),
+                (Ident, "b"),
+                (Ge, ">="),
+                (Ident, "c"),
+                (EqEq, "=="),
+                (Ident, "d"),
+                (Ne, "!="),
+                (Ident, "e"),
+                (AndAnd, "&&"),
+                (Ident, "f"),
+                (OrOr, "||"),
+                (Ident, "g"),
+                (Shl, "<<"),
+                (Int, "1"),
+                (Shr, ">>"),
+                (Int, "2"),
             ]
         );
     }
 
     #[test]
     fn comments_and_whitespace() {
-        assert_eq!(
-            kinds("1 + // trailing noise\n 2"),
-            vec![TokenKind::Int("1".into()), TokenKind::Plus, TokenKind::Int("2".into())]
-        );
+        assert_eq!(toks("1 + // trailing noise\n 2"), vec![(Int, "1"), (Plus, "+"), (Int, "2")]);
     }
 
     #[test]
     fn history_indexing() {
         assert_eq!(
-            kinds("hist_rtt[3]"),
-            vec![
-                TokenKind::Ident("hist_rtt".into()),
-                TokenKind::LBracket,
-                TokenKind::Int("3".into()),
-                TokenKind::RBracket,
-            ]
+            toks("hist_rtt[3]"),
+            vec![(Ident, "hist_rtt"), (LBracket, "["), (Int, "3"), (RBracket, "]")]
         );
     }
 
@@ -334,8 +204,9 @@ mod tests {
     #[test]
     fn positions_are_byte_offsets() {
         let toks = lex("ab + cd").unwrap();
-        assert_eq!(toks[0].pos, 0);
-        assert_eq!(toks[1].pos, 3);
-        assert_eq!(toks[2].pos, 5);
+        assert_eq!(
+            toks.iter().map(|t| (t.pos, t.end)).collect::<Vec<_>>(),
+            [(0, 2), (3, 4), (5, 7)]
+        );
     }
 }

@@ -50,19 +50,18 @@ const MAX_PARSE_LINKS: usize = 2_048;
 /// or is one of the source's binary links, and both are budgeted.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, i: 0, depth: 0, links: 0 };
+    let mut p = Parser { src, tokens, i: 0, depth: 0, links: 0 };
     let e = p.expr()?;
     if let Some(t) = p.peek() {
-        return Err(ParseError::UnexpectedToken {
-            pos: t.pos,
-            found: t.kind.describe(),
-            expected: "end of input",
-        });
+        return Err(p.unexpected(t, "end of input"));
     }
     Ok(e)
 }
 
-struct Parser {
+/// The parser borrows the source: tokens are spans into it, and only an
+/// error or an out-of-range literal copies text out.
+struct Parser<'s> {
+    src: &'s str,
     tokens: Vec<Token>,
     i: usize,
     depth: usize,
@@ -78,7 +77,7 @@ enum Infix {
 
 /// A binary operator token: its grammar level (1 = `or` … 7 = `mul`) and
 /// its node.
-fn infix(kind: &TokenKind) -> Option<(u8, Infix)> {
+fn infix(kind: TokenKind) -> Option<(u8, Infix)> {
     use Infix::{Bin, Cmp};
     Some(match kind {
         TokenKind::OrOr => (1, Bin(BinOp::Or)),
@@ -100,36 +99,43 @@ fn infix(kind: &TokenKind) -> Option<(u8, Infix)> {
     })
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.i)
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Option<Token> {
+        self.tokens.get(self.i).copied()
+    }
+
+    fn peek_is(&self, kind: TokenKind) -> bool {
+        self.peek().is_some_and(|t| t.kind == kind)
     }
 
     fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.i).cloned();
+        let t = self.peek();
         if t.is_some() {
             self.i += 1;
         }
         t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.peek().map(|t| &t.kind) == Some(kind) {
+    fn eat(&mut self, kind: TokenKind) -> bool {
+        let hit = self.peek_is(kind);
+        if hit {
             self.i += 1;
-            true
-        } else {
-            false
         }
+        hit
+    }
+
+    fn text(&self, t: Token) -> &'s str {
+        t.text(self.src)
+    }
+
+    fn unexpected(&self, t: Token, expected: &'static str) -> ParseError {
+        ParseError::UnexpectedToken { pos: t.pos, found: self.text(t).to_string(), expected }
     }
 
     fn expect(&mut self, kind: TokenKind, what: &'static str) -> Result<Token, ParseError> {
         match self.bump() {
             Some(t) if t.kind == kind => Ok(t),
-            Some(t) => Err(ParseError::UnexpectedToken {
-                pos: t.pos,
-                found: t.kind.describe(),
-                expected: what,
-            }),
+            Some(t) => Err(self.unexpected(t, what)),
             None => Err(ParseError::UnexpectedEof { expected: what }),
         }
     }
@@ -150,7 +156,7 @@ impl Parser {
     fn expr(&mut self) -> Result<Expr, ParseError> {
         self.enter()?;
         let cond = self.binary(1)?;
-        let r = if self.eat(&TokenKind::Question) {
+        let r = if self.eat(TokenKind::Question) {
             let then = self.expr()?;
             self.expect(TokenKind::Colon, "`:`")?;
             let els = self.expr()?;
@@ -167,7 +173,7 @@ impl Parser {
     fn binary(&mut self, level: u8) -> Result<Expr, ParseError> {
         let mut e = self.unary()?;
         while let Some((at, op)) =
-            self.peek().and_then(|t| infix(&t.kind)).filter(|&(at, _)| at >= level)
+            self.peek().and_then(|t| infix(t.kind)).filter(|&(at, _)| at >= level)
         {
             self.links += 1;
             if self.links > MAX_PARSE_LINKS {
@@ -185,7 +191,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         self.enter()?;
-        let r = if self.eat(&TokenKind::Minus) {
+        let r = if self.eat(TokenKind::Minus) {
             // `-5` folds to a literal so the generator's constant mutations
             // see negative constants as single nodes.
             match self.unary()? {
@@ -193,7 +199,7 @@ impl Parser {
                 Expr::Float(v) => Ok(Expr::Float(-v)),
                 e => Ok(Expr::Neg(Box::new(e))),
             }
-        } else if self.eat(&TokenKind::Bang) {
+        } else if self.eat(TokenKind::Bang) {
             Ok(Expr::Not(Box::new(self.unary()?)))
         } else {
             self.primary()
@@ -203,50 +209,44 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        let t = match self.bump() {
-            Some(t) => t,
-            None => return Err(ParseError::UnexpectedEof { expected: "an expression" }),
+        let Some(t) = self.bump() else {
+            return Err(ParseError::UnexpectedEof { expected: "an expression" });
         };
+        let text = self.text(t);
         match t.kind {
-            TokenKind::Int(text) => text
+            TokenKind::Int => text
                 .parse::<i64>()
                 .map(Expr::Int)
-                .map_err(|_| ParseError::IntOutOfRange { pos: t.pos, text }),
-            TokenKind::Float(text) => {
-                // f64 parse of digits.digits cannot fail
-                Ok(Expr::Float(text.parse::<f64>().unwrap()))
-            }
+                .map_err(|_| ParseError::IntOutOfRange { pos: t.pos, text: text.to_string() }),
+            // f64 parse of digits.digits cannot fail
+            TokenKind::Float => Ok(Expr::Float(text.parse::<f64>().unwrap())),
             TokenKind::LParen => {
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
-            TokenKind::Ident(first) => self.ident_tail(t.pos, first),
-            other => Err(ParseError::UnexpectedToken {
-                pos: t.pos,
-                found: other.describe(),
-                expected: "an expression",
-            }),
+            TokenKind::Ident => self.ident_tail(t.pos, text),
+            _ => Err(self.unexpected(t, "an expression")),
         }
     }
 
     /// Parse what follows an initial identifier: an intrinsic call, an
     /// indexed history feature, or a dotted feature path.
-    fn ident_tail(&mut self, pos: usize, first: String) -> Result<Expr, ParseError> {
+    fn ident_tail(&mut self, pos: usize, first: &'s str) -> Result<Expr, ParseError> {
         // Intrinsic call?
-        if self.peek().map(|t| &t.kind) == Some(&TokenKind::LParen) {
-            let arity = match first.as_str() {
+        if self.peek_is(TokenKind::LParen) {
+            let arity = match first {
                 "abs" => 1,
                 "min" | "max" => 2,
                 "clamp" | "if" => 3,
                 _ => return Err(ParseError::UnknownIdentifier { pos, name: format!("{first}()") }),
             };
             self.i += 1; // consume '('
-            let mut args = Vec::new();
-            if self.peek().map(|t| &t.kind) != Some(&TokenKind::RParen) {
+            let mut args = Vec::with_capacity(arity);
+            if !self.peek_is(TokenKind::RParen) {
                 loop {
                     args.push(self.expr()?);
-                    if !self.eat(&TokenKind::Comma) {
+                    if !self.eat(TokenKind::Comma) {
                         break;
                     }
                 }
@@ -255,13 +255,13 @@ impl Parser {
             if args.len() != arity {
                 return Err(ParseError::BadArity {
                     pos,
-                    func: first,
+                    func: first.to_string(),
                     expected: arity,
                     got: args.len(),
                 });
             }
             let mut it = args.into_iter();
-            return Ok(match first.as_str() {
+            return Ok(match first {
                 "abs" => Expr::Abs(Box::new(it.next().unwrap())),
                 "min" => Expr::bin(BinOp::Min, it.next().unwrap(), it.next().unwrap()),
                 "max" => Expr::bin(BinOp::Max, it.next().unwrap(), it.next().unwrap()),
@@ -278,23 +278,17 @@ impl Parser {
         }
 
         // Indexed history feature?
-        if self.peek().map(|t| &t.kind) == Some(&TokenKind::LBracket) {
-            self.i += 1;
+        if self.eat(TokenKind::LBracket) {
             let idx_tok = self.bump().ok_or(ParseError::UnexpectedEof { expected: "an index" })?;
-            let idx = match &idx_tok.kind {
-                TokenKind::Int(s) => s
-                    .parse::<u8>()
-                    .map_err(|_| ParseError::BadParam { pos: idx_tok.pos, name: first.clone() })?,
-                other => {
-                    return Err(ParseError::UnexpectedToken {
-                        pos: idx_tok.pos,
-                        found: other.describe(),
-                        expected: "an integer index",
-                    })
-                }
-            };
+            if idx_tok.kind != TokenKind::Int {
+                return Err(self.unexpected(idx_tok, "an integer index"));
+            }
+            let idx = self
+                .text(idx_tok)
+                .parse::<u8>()
+                .map_err(|_| ParseError::BadParam { pos: idx_tok.pos, name: first.to_string() })?;
             self.expect(TokenKind::RBracket, "`]`")?;
-            let feat = match first.as_str() {
+            let feat = match first {
                 "hist_rtt" => Feature::HistRtt(idx),
                 "hist_delivered" => Feature::HistDelivered(idx),
                 "hist_loss" => Feature::HistLoss(idx),
@@ -310,41 +304,43 @@ impl Parser {
             return Ok(Expr::Feat(feat));
         }
 
-        // Dotted path.
-        let mut path = vec![first];
-        while self.eat(&TokenKind::Dot) {
+        // Dotted path. Segments past `MAX_PATH_SEGMENTS` are still read,
+        // so a malformed tail is reported first, but name no feature.
+        let start = self.i - 1;
+        let mut segs = [first; MAX_PATH_SEGMENTS];
+        let mut n = 1;
+        while self.eat(TokenKind::Dot) {
             match self.bump() {
-                Some(Token { kind: TokenKind::Ident(seg), .. }) => path.push(seg),
-                Some(t) => {
-                    return Err(ParseError::UnexpectedToken {
-                        pos: t.pos,
-                        found: t.kind.describe(),
-                        expected: "an identifier after `.`",
-                    })
+                Some(t) if t.kind == TokenKind::Ident => {
+                    if let Some(seg) = segs.get_mut(n) {
+                        *seg = self.text(t);
+                    }
+                    n += 1;
                 }
+                Some(t) => return Err(self.unexpected(t, "an identifier after `.`")),
                 None => {
                     return Err(ParseError::UnexpectedEof { expected: "an identifier after `.`" })
                 }
             }
         }
-        let joined = path.join(".");
-        match resolve_path(&path) {
-            Some(f) => {
-                if !f.param_in_range() {
-                    return Err(ParseError::BadParam { pos, name: joined });
-                }
-                Ok(Expr::Feat(f))
-            }
-            None => Err(ParseError::UnknownIdentifier { pos, name: joined }),
+        // `a.b.c`: the path's tokens, dots included, back to back
+        let joined = || self.tokens[start..self.i].iter().map(|&t| self.text(t)).collect();
+        match segs.get(..n).and_then(resolve_path) {
+            Some(f) if f.param_in_range() => Ok(Expr::Feat(f)),
+            Some(_) => Err(ParseError::BadParam { pos, name: joined() }),
+            None => Err(ParseError::UnknownIdentifier { pos, name: joined() }),
         }
     }
 }
 
-/// Resolve a dotted path to a feature, if any.
-fn resolve_path(path: &[String]) -> Option<Feature> {
+/// The most segments a feature path has (`obj.count`, `ages.p75`).
+const MAX_PATH_SEGMENTS: usize = 2;
+
+/// Resolve a dotted path to a feature, if any. No arm may be longer than
+/// [`MAX_PATH_SEGMENTS`]: the parser never asks about a longer path.
+fn resolve_path(path: &[&str]) -> Option<Feature> {
     use Feature::*;
-    let segs: Vec<&str> = path.iter().map(|s| s.as_str()).collect();
-    Some(match segs.as_slice() {
+    Some(match path {
         ["now"] => Now,
         ["obj", "count"] => ObjCount,
         ["obj", "last_access"] => ObjLastAccess,

@@ -17,9 +17,11 @@
 //!    on both edges (e.g. after `if r1 >= r2` the taken edge knows
 //!    `r1.lo ≥ r2.lo`), which is exactly what lets `x / max(y, 1)` verify
 //!    while `x / y` is rejected — the error pattern the paper reports
-//!    dominating kernel candidates. Scratch-map slots are tracked too
-//!    (initialized to ⊤ since the map persists across invocations, narrowed
-//!    by `StMap`), so spill/reload sequences lose no precision.
+//!    dominating kernel candidates. Scratch-map slots are tracked too (⊤
+//!    until stored to, since the map persists across invocations; narrowed
+//!    by `StMap`), so spill/reload sequences lose no precision. A state
+//!    materializes its slots only from its first store on: see
+//!    [`AbsState`].
 //! 3. **Obligations.** No read of ⊥; every `div`/`rem` divisor interval
 //!    must exclude 0; `r0` must be initialized at every `exit`.
 //!
@@ -166,9 +168,14 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Abstract machine state at one program point: one optional interval per
-/// register (⊥ = `None`) plus one interval per scratch-map slot (maps start
-/// at ⊤ — their contents persist across invocations, so nothing can be
-/// assumed about a slot before the program's first store to it).
+/// register (⊥ = `None`) plus the scratch-map slots.
+///
+/// The map persists across invocations, so a slot is ⊤ until the program
+/// stores to it. Most programs never touch the map, and copying ⊤ for every
+/// slot at every instruction is most of what a state costs, so `maps` is
+/// either empty — every slot ⊤ — or holds one interval per slot. It is
+/// empty until the first `StMap` on a path, and after a join with a state
+/// that has not stored: that side's ⊤ absorbs whatever the other stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbsState {
     pub regs: [Option<Interval>; REG_COUNT as usize],
@@ -176,8 +183,19 @@ pub struct AbsState {
 }
 
 impl AbsState {
-    fn entry(map_slots: usize) -> AbsState {
-        AbsState { regs: Default::default(), maps: vec![Interval::TOP; map_slots] }
+    fn entry() -> AbsState {
+        AbsState { regs: Default::default(), maps: Vec::new() }
+    }
+
+    fn load(&self, slot: usize) -> Interval {
+        self.maps.get(slot).copied().unwrap_or(Interval::TOP)
+    }
+
+    fn store(&mut self, slot: usize, v: Interval, map_slots: usize) {
+        if self.maps.is_empty() {
+            self.maps = vec![Interval::TOP; map_slots];
+        }
+        self.maps[slot] = v;
     }
 
     fn join_with(&mut self, other: &AbsState) {
@@ -188,6 +206,9 @@ impl AbsState {
                 // join: reading it later must be rejected.
                 _ => None,
             };
+        }
+        if other.maps.is_empty() {
+            self.maps = Vec::new();
         }
         for (a, b) in self.maps.iter_mut().zip(other.maps.iter()) {
             *a = a.join(*b);
@@ -221,7 +242,7 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
     let n = prog.insns.len();
     // in_state[pc]: join over all edges into pc; None = not yet reached.
     let mut in_state: Vec<Option<AbsState>> = vec![None; n];
-    in_state[0] = Some(AbsState::entry(env.map_slots));
+    in_state[0] = Some(AbsState::entry());
     let mut r0_at_exit: Option<Interval> = None;
 
     for pc in 0..n {
@@ -248,19 +269,19 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
             }
             Ja => {
                 let target = pc + 1 + insn.off as usize;
-                propagate(&mut in_state, target, &next);
+                propagate(&mut in_state, target, next);
                 continue;
             }
             JeqImm | JneImm | JltImm | JleImm | JgtImm | JgeImm => {
                 let d = read_reg(&next, insn.dst)?;
                 let o = Interval::exact(insn.imm);
-                branch(pc, insn, d, o, &next, &mut in_state, true);
+                branch(pc, insn, d, o, next, &mut in_state, true);
                 continue;
             }
             JeqReg | JneReg | JltReg | JleReg | JgtReg | JgeReg => {
                 let d = read_reg(&next, insn.dst)?;
                 let o = read_reg(&next, insn.src)?;
-                branch(pc, insn, d, o, &next, &mut in_state, false);
+                branch(pc, insn, d, o, next, &mut in_state, false);
                 continue;
             }
             _ => {}
@@ -311,10 +332,10 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
                 let (lo, hi) = env.ctx_ranges[insn.imm as usize];
                 Some(Interval::new(lo.min(hi), hi.max(lo)))
             }
-            LdMap => Some(next.maps[insn.imm as usize]),
+            LdMap => Some(next.load(insn.imm as usize)),
             StMap => {
                 let v = read_reg(&next, insn.src)?;
-                next.maps[insn.imm as usize] = v;
+                next.store(insn.imm as usize, v, env.map_slots);
                 None
             }
             _ => unreachable!("jumps handled above"),
@@ -323,18 +344,19 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
         if let Some(v) = result {
             next.regs[insn.dst as usize] = Some(v);
         }
-        propagate(&mut in_state, pc + 1, &next);
+        propagate(&mut in_state, pc + 1, next);
     }
 
     let r0 = r0_at_exit.ok_or(VerifyError::R0NotSet { pc: n - 1 })?;
     Ok(Analysis { in_states: in_state, r0 })
 }
 
-/// Merge `state` into the in-state of `target`.
-fn propagate(in_state: &mut [Option<AbsState>], target: usize, state: &AbsState) {
+/// Merge `state` into the in-state of `target`; the first edge to reach it
+/// moves in.
+fn propagate(in_state: &mut [Option<AbsState>], target: usize, state: AbsState) {
     match &mut in_state[target] {
-        Some(existing) => existing.join_with(state),
-        slot @ None => *slot = Some(state.clone()),
+        Some(existing) => existing.join_with(&state),
+        slot @ None => *slot = Some(state),
     }
 }
 
@@ -345,7 +367,7 @@ fn branch(
     insn: Insn,
     d: Interval,
     o: Interval,
-    state: &AbsState,
+    state: AbsState,
     in_state: &mut [Option<AbsState>],
     imm_form: bool,
 ) {
@@ -363,21 +385,21 @@ fn branch(
         _ => unreachable!(),
     };
 
-    if let Some((rd, ro)) = taken {
-        let mut st = state.clone();
+    let refined = |mut st: AbsState, (rd, ro): (Interval, Interval)| {
         st.regs[insn.dst as usize] = Some(rd);
         if !imm_form {
             st.regs[insn.src as usize] = Some(ro);
         }
-        propagate(in_state, taken_target, &st);
-    }
-    if let Some((rd, ro)) = fall {
-        let mut st = state.clone();
-        st.regs[insn.dst as usize] = Some(rd);
-        if !imm_form {
-            st.regs[insn.src as usize] = Some(ro);
+        st
+    };
+    match (taken, fall) {
+        (Some(t), Some(f)) => {
+            propagate(in_state, taken_target, refined(state.clone(), t));
+            propagate(in_state, pc + 1, refined(state, f));
         }
-        propagate(in_state, pc + 1, &st);
+        (Some(t), None) => propagate(in_state, taken_target, refined(state, t)),
+        (None, Some(f)) => propagate(in_state, pc + 1, refined(state, f)),
+        (None, None) => {}
     }
 }
 
@@ -638,6 +660,72 @@ mod tests {
             i(Op::Exit, 0, 0, 0),
         ]);
         assert_eq!(verify(&p, &env2()).unwrap(), Interval::new(1, 9));
+    }
+
+    // The next three store *before* the merge, where a path that never
+    // stored meets one that did. Each side of the join gets a turn as the
+    // state already at the merge point: a join that kept the stored side's
+    // slots, either way round, reloads `exact(5)` and fails here.
+
+    #[test]
+    fn map_store_on_the_later_branch_only_is_top_after_the_merge() {
+        // the taken edge reaches the merge first, with nothing stored
+        let p = prog(vec![
+            i(Op::LdCtx, 1, 0, 0),
+            j(Op::JeqImm, 1, 0, 0, 2), // if ctx==0 skip the store
+            i(Op::MovImm, 2, 0, 5),
+            i(Op::StMap, 0, 2, 0),
+            i(Op::LdMap, 0, 0, 0), // merge
+            i(Op::Exit, 0, 0, 0),
+        ]);
+        assert_eq!(verify(&p, &env2()).unwrap(), Interval::TOP);
+    }
+
+    #[test]
+    fn map_store_on_the_earlier_branch_only_is_top_after_the_merge() {
+        // the storing path reaches the merge first, the other joins it
+        let p = prog(vec![
+            i(Op::LdCtx, 1, 0, 0),
+            i(Op::MovImm, 2, 0, 5),
+            j(Op::JeqImm, 1, 0, 0, 2), // if ctx==0 skip the store
+            i(Op::StMap, 0, 2, 0),
+            j(Op::Ja, 0, 0, 0, 1),
+            i(Op::MovImm, 3, 0, 1),
+            i(Op::LdMap, 0, 0, 0), // merge
+            i(Op::Exit, 0, 0, 0),
+        ]);
+        assert_eq!(verify(&p, &env2()).unwrap(), Interval::TOP);
+    }
+
+    #[test]
+    fn map_stores_on_both_branches_join() {
+        let p = prog(vec![
+            i(Op::LdCtx, 1, 0, 0),
+            j(Op::JeqImm, 1, 0, 0, 3), // if ctx==0 store 9
+            i(Op::MovImm, 2, 0, 1),
+            i(Op::StMap, 0, 2, 0),
+            j(Op::Ja, 0, 0, 0, 2),
+            i(Op::MovImm, 2, 0, 9),
+            i(Op::StMap, 0, 2, 0),
+            i(Op::LdMap, 0, 0, 0), // merge
+            i(Op::Exit, 0, 0, 0),
+        ]);
+        assert_eq!(verify(&p, &env2()).unwrap(), Interval::new(1, 9));
+    }
+
+    #[test]
+    fn map_store_that_is_unreachable_leaves_the_slot_top() {
+        let p = prog(vec![
+            i(Op::MovImm, 1, 0, 5),
+            j(Op::JeqImm, 1, 0, 5, 2), // always taken
+            i(Op::MovImm, 2, 0, 7),
+            i(Op::StMap, 0, 2, 0), // dead
+            i(Op::LdMap, 0, 0, 0),
+            i(Op::Exit, 0, 0, 0),
+        ]);
+        let a = analyze(&p, &env2()).unwrap();
+        assert!(a.in_states[3].is_none());
+        assert_eq!(a.r0, Interval::TOP);
     }
 
     #[test]
