@@ -85,38 +85,64 @@ pub fn check(e: &Expr, mode: Mode) -> Result<(), CheckError> {
 /// Full check with explicit budgets, collecting *all* errors and warnings
 /// (the generator repairs one fault class at a time, so it wants the
 /// complete list, like a real compiler's stderr).
+///
+/// One pre-order walk finds the size, the depth and every per-node fault;
+/// the budget errors (`TooLarge`, then `TooDeep`) still come first.
 pub fn check_with_warnings(e: &Expr, mode: Mode, max_size: usize, max_depth: usize) -> CheckReport {
-    let mut report = CheckReport::default();
+    let mut walk = Walk { mode, size: 0, depth: 0, report: CheckReport::default() };
+    walk.node(e, 1);
+    let Walk { size, depth, mut report, .. } = walk;
+    let budgets = [
+        (size > max_size).then_some(CheckError::TooLarge { size, limit: max_size }),
+        (depth > max_depth).then_some(CheckError::TooDeep { depth, limit: max_depth }),
+    ];
+    report.errors.splice(0..0, budgets.into_iter().flatten());
+    report
+}
 
-    let size = e.size();
-    if size > max_size {
-        report.errors.push(CheckError::TooLarge { size, limit: max_size });
-    }
-    let depth = e.depth();
-    if depth > max_depth {
-        report.errors.push(CheckError::TooDeep { depth, limit: max_depth });
-    }
+/// The state of [`check_with_warnings`]'s walk: nodes seen so far (the
+/// next node's pre-order index), the deepest level reached, and the
+/// per-node diagnostics.
+struct Walk {
+    mode: Mode,
+    size: usize,
+    depth: usize,
+    report: CheckReport,
+}
 
-    let mut idx = 0usize;
-    e.visit(&mut |node| {
-        match node {
-            Expr::Float(v) => report.errors.push(CheckError::FloatLiteral { value: *v }),
+impl Walk {
+    fn node(&mut self, e: &Expr, level: usize) {
+        self.depth = self.depth.max(level);
+        let errors = &mut self.report.errors;
+        match e {
+            Expr::Float(v) => errors.push(CheckError::FloatLiteral { value: *v }),
             Expr::Feat(f) => {
                 if !f.param_in_range() {
-                    report.errors.push(CheckError::FeatureParamOutOfRange { feature: *f });
-                } else if !f.available_in(mode) {
-                    report.errors.push(CheckError::FeatureUnavailable { feature: *f, mode });
+                    errors.push(CheckError::FeatureParamOutOfRange { feature: *f });
+                } else if !f.available_in(self.mode) {
+                    errors.push(CheckError::FeatureUnavailable { feature: *f, mode: self.mode });
                 }
             }
             Expr::Bin(BinOp::Div | BinOp::Rem, _, divisor) if !divisor_nonzero(divisor) => {
-                report.warnings.push(Warning::DivisorMayBeZero { node_idx: idx });
+                self.report.warnings.push(Warning::DivisorMayBeZero { node_idx: self.size });
             }
             _ => {}
         }
-        idx += 1;
-    });
-
-    report
+        self.size += 1;
+        match e {
+            Expr::Int(_) | Expr::Float(_) | Expr::Feat(_) => {}
+            Expr::Neg(a) | Expr::Not(a) | Expr::Abs(a) => self.node(a, level + 1),
+            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => {
+                self.node(a, level + 1);
+                self.node(b, level + 1);
+            }
+            Expr::If(a, b, c) | Expr::Clamp(a, b, c) => {
+                self.node(a, level + 1);
+                self.node(b, level + 1);
+                self.node(c, level + 1);
+            }
+        }
+    }
 }
 
 /// Syntactic proof that an expression can never evaluate to zero.
@@ -183,6 +209,7 @@ fn provably_nonneg(e: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feature::Feature;
     use crate::parser::parse;
 
     fn report(src: &str, mode: Mode) -> CheckReport {
@@ -275,6 +302,32 @@ mod tests {
         let deep = format!("{}1{}", "abs(".repeat(25), ")".repeat(25));
         let r = check_with_warnings(&parse(&deep).unwrap(), Mode::Cache, DEFAULT_MAX_SIZE, 10);
         assert!(matches!(r.errors[0], CheckError::TooDeep { .. }));
+    }
+
+    #[test]
+    fn budget_errors_come_first_then_nodes_in_pre_order() {
+        let r = check_with_warnings(
+            &parse("abs(cwnd / inflight + obj.count * 0.5) + abs(abs(1 % loss))").unwrap(),
+            Mode::Kernel,
+            4,
+            3,
+        );
+        assert_eq!(
+            r.errors,
+            vec![
+                CheckError::TooLarge { size: 14, limit: 4 },
+                CheckError::TooDeep { depth: 5, limit: 3 },
+                CheckError::FeatureUnavailable { feature: Feature::ObjCount, mode: Mode::Kernel },
+                CheckError::FloatLiteral { value: 0.5 },
+            ]
+        );
+        assert_eq!(
+            r.warnings,
+            vec![
+                Warning::DivisorMayBeZero { node_idx: 3 },
+                Warning::DivisorMayBeZero { node_idx: 11 }
+            ]
+        );
     }
 
     #[test]
