@@ -121,7 +121,12 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
             b'=' if next == Some(b'=') => (EqEq, 2),
             b'&' if next == Some(b'&') => (AndAnd, 2),
             b'|' if next == Some(b'|') => (OrOr, 2),
-            other => return Err(ParseError::UnexpectedChar { pos, ch: other as char }),
+            _ => {
+                // Tokens, whitespace and comments all end on ASCII bytes, so
+                // `pos` starts a char: report that char, not its first byte.
+                let ch = src[pos..].chars().next().expect("pos < src.len() is a char boundary");
+                return Err(ParseError::UnexpectedChar { pos, ch });
+            }
         };
         i += len;
         out.push(Token { kind, pos, end: i });
@@ -199,6 +204,14 @@ mod tests {
         assert!(matches!(lex("a $ b"), Err(ParseError::UnexpectedChar { ch: '$', .. })));
         assert!(matches!(lex("a = b"), Err(ParseError::UnexpectedChar { ch: '=', .. })));
         assert!(matches!(lex("a & b"), Err(ParseError::UnexpectedChar { ch: '&', .. })));
+    }
+
+    #[test]
+    fn a_stray_non_ascii_character_is_reported_whole() {
+        let err = lex("obj.count é 2").unwrap_err();
+        assert_eq!(err, ParseError::UnexpectedChar { pos: 10, ch: 'é' });
+        assert_eq!(err.to_string(), "error: unexpected character `é` at byte 10");
+        assert_eq!(lex("// µs\n😀"), Err(ParseError::UnexpectedChar { pos: 7, ch: '😀' }));
     }
 
     #[test]
