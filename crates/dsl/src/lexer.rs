@@ -4,6 +4,12 @@
 //! (pseudo-)C, and the mock generator emits the same surface syntax so that
 //! the parse-error fault class ("plausible yet non-conforming code", §3)
 //! is realistic.
+//!
+//! Every candidate passes through here, so the lexer allocates nothing but
+//! the token vector: a token is a kind and a byte span, and the parser
+//! reads a literal's or identifier's text from the source it borrows.
+//! Generator output is hostile bytes; a character no token starts with is
+//! reported whole, multibyte or not, at its byte offset.
 
 use crate::error::{ParseError, Pos};
 

@@ -306,7 +306,7 @@ impl<'s> Parser<'s> {
 
         // Dotted path. Segments past `MAX_PATH_SEGMENTS` are still read,
         // so a malformed tail is reported first, but name no feature.
-        let start = self.i - 1;
+        let start = self.i - 1; // the token `first` is the text of
         let mut segs = [first; MAX_PATH_SEGMENTS];
         let mut n = 1;
         while self.eat(TokenKind::Dot) {
