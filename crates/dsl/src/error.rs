@@ -26,6 +26,8 @@ pub enum ParseError {
     BadArity { pos: Pos, func: String, expected: usize, got: usize },
     /// Integer literal out of `i64` range.
     IntOutOfRange { pos: Pos, text: String },
+    /// Float literal too large for a finite `f64`.
+    FloatOutOfRange { pos: Pos, text: String },
     /// History index / percentile parameter outside its legal range.
     BadParam { pos: Pos, name: String },
     /// Expression nests deeper, or chains more binary operators, than the
@@ -53,6 +55,9 @@ impl fmt::Display for ParseError {
             }
             ParseError::IntOutOfRange { pos, text } => {
                 write!(f, "error: integer literal `{text}` out of range at byte {pos}")
+            }
+            ParseError::FloatOutOfRange { pos, text } => {
+                write!(f, "error: float literal `{text}` out of range at byte {pos}")
             }
             ParseError::BadParam { pos, name } => {
                 write!(f, "error: parameter out of range in `{name}` at byte {pos}")

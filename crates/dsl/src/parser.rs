@@ -218,8 +218,11 @@ impl<'s> Parser<'s> {
                 .parse::<i64>()
                 .map(Expr::Int)
                 .map_err(|_| ParseError::IntOutOfRange { pos: t.pos, text: text.to_string() }),
-            // f64 parse of digits.digits cannot fail
-            TokenKind::Float => Ok(Expr::Float(text.parse::<f64>().unwrap())),
+            // f64 parse of digits.digits cannot fail, but overflows to inf
+            TokenKind::Float => match text.parse::<f64>().unwrap() {
+                v if v.is_finite() => Ok(Expr::Float(v)),
+                _ => Err(ParseError::FloatOutOfRange { pos: t.pos, text: text.to_string() }),
+            },
             TokenKind::LParen => {
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen, "`)`")?;
@@ -483,6 +486,19 @@ mod tests {
     fn float_literal_parses_but_is_float_node() {
         assert_eq!(parse("0.75").unwrap(), Expr::Float(0.75));
         assert!(parse("ages.p75 * 0.5").unwrap().contains_float());
+        assert_eq!(
+            parse("1 - -0.5").unwrap(),
+            Expr::bin(BinOp::Sub, Expr::Int(1), Expr::Float(-0.5))
+        );
+    }
+
+    #[test]
+    fn non_finite_float_literal_is_error() {
+        let huge = format!("{}.0", "9".repeat(400));
+        assert_eq!(
+            parse(&format!("1 + {huge}")),
+            Err(ParseError::FloatOutOfRange { pos: 4, text: huge })
+        );
     }
 
     #[test]

@@ -110,18 +110,23 @@ fn write_expr(e: &Expr, min_prec: u8, out: &mut String) {
 }
 
 /// Format a float so the lexer can read it back (`digits.digits`, no
-/// exponent). Fault-injected floats are simple values like `0.75`.
+/// exponent). A negative value prints as `-` and its magnitude, which the
+/// parser folds back into one literal, as it does for `-5`.
 fn fmt_float(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') && !s.contains('e') && !s.contains('E') && !s.starts_with('-') {
-        s
-    } else if v.is_finite() && v >= 0.0 {
-        format!("{v:.1}")
-    } else {
-        // negative/non-finite floats cannot be re-lexed as a literal; emit a
-        // positive stand-in (these never occur in practice: the injector
-        // uses a fixed positive set).
+    if !v.is_finite() {
+        // the parser rejects a non-finite literal, so no parsed tree holds
+        // one; a hand-built tree gets a finite stand-in
         "0.5".to_string()
+    } else if v.is_sign_negative() {
+        format!("-{}", fmt_float(-v))
+    } else {
+        // `f64`'s `Display` never uses an exponent
+        let s = format!("{v}");
+        if s.contains('.') {
+            s
+        } else {
+            format!("{v:.1}")
+        }
     }
 }
 
@@ -161,6 +166,8 @@ mod tests {
             "obj.age % 7",
             "2 - (3 - 4)",
             "100 >> (cwnd > 10)",
+            "obj.count * -0.5",
+            "obj.count - -0.5",
         ] {
             roundtrip(src);
         }

@@ -122,6 +122,11 @@ pub fn inject(kind: FaultKind, expr: &Expr, mode: Mode, rng: &mut StdRng) -> Str
                 let ix = rng.random_range(0..n);
                 if let Some(Expr::Int(v)) = expr.get_subexpr(ix) {
                     let f = *v as f64 + [0.5, 0.25, 0.75][rng.random_range(0..3usize)];
+                    // a negative result becomes `0.5`, the text the mock has
+                    // always emitted for it (the printer used to write every
+                    // negative float so); every golden and artifact built on
+                    // the mock's candidate stream pins that text
+                    let f = if f < 0.0 { 0.5 } else { f };
                     let mutated = expr.replace_subexpr(ix, &Expr::Float(f));
                     return policysmith_dsl::to_source(&mutated);
                 }

@@ -195,6 +195,9 @@ fn fixed() -> Vec<String> {
         "obj.count.p50.x".into(),
         "99999999999999999999".into(),
         "hist_rtt[300]".into(),
+        "obj.count * -0.5".into(),
+        "obj.count - -0.5".into(),
+        format!("{}.0", "9".repeat(400)),
     ]
 }
 
