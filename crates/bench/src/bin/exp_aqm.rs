@@ -13,28 +13,23 @@
 //!    and deploys the winner (the PS-Oracle row of the cache study's
 //!    Table 2, §4.2.4).
 //!
-//! Exit status doubles as the CI guard: non-zero unless the library's
-//! best stored policy beats the best man-made baseline on at least 3
-//! presets (1 in `--fast`/`--quick` mode — the short search is weaker).
+//! Exit status doubles as the CI guard: 1 unless the library's best
+//! stored policy beats the best man-made baseline on at least 3 presets
+//! (1 in `--fast`/`--quick` mode — the short search is weaker).
 //!
 //! Usage: `exp_aqm [--fast|--quick] [--seed N]`
 //!
 //! Writes `results/aqm.json` (schema in `results/README.md`).
 
 use policysmith_aqmsim::{aqm_baseline_names, metrics, scenario, ExprAqm};
-use policysmith_bench::{write_json, ExpOpts, ImprovementMatrix};
+use policysmith_bench::{exit_on_violations, synthesize, write_json, ExpOpts, ImprovementMatrix};
 use policysmith_core::library::{rescore, HeuristicLibrary, LibraryEntry};
-use policysmith_core::search::{run_search, SearchConfig};
 use policysmith_core::studies::aqm::AqmStudy;
-use policysmith_gen::{GenConfig, MockLlm};
+use policysmith_gen::GenConfig;
 
 fn main() {
     let opts = ExpOpts::from_args();
-    let cfg = if opts.fast {
-        SearchConfig { rounds: 5, candidates_per_round: 10, ..SearchConfig::paper_cache() }
-    } else {
-        SearchConfig { rounds: 12, candidates_per_round: 20, ..SearchConfig::paper_cache() }
-    };
+    let cfg = opts.preset_search_cfg();
 
     let presets = scenario::all_presets();
     let studies: Vec<AqmStudy> = presets.iter().map(AqmStudy::new).collect();
@@ -68,66 +63,43 @@ fn main() {
     }
 
     // -- 2: synthesize one policy per home context --
-    let mut synthesized: Vec<(String, String, f64)> = Vec::new(); // (label, source, home score)
-    for (i, study) in studies.iter().enumerate() {
-        let label = format!("AQM-{}", (b'A' + i as u8) as char);
-        let mut llm = MockLlm::new(GenConfig::aqm_defaults(
-            opts.seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15),
-        ));
-        let outcome = run_search(study, &mut llm, &cfg);
+    let outcomes = synthesize(studies.iter().enumerate(), GenConfig::aqm_defaults, &cfg, opts.seed);
+    let synthesized: Vec<(String, String, f64)> = outcomes // (label, source, home score)
+        .iter()
+        .enumerate()
+        .map(|(i, o)| {
+            (format!("AQM-{}", (b'A' + i as u8) as char), o.best.source.clone(), o.best.score)
+        })
+        .collect();
+    for ((label, source, home), study) in synthesized.iter().zip(&studies) {
         println!(
-            "\n{label} (home {}): {:+.4} over drop-tail   act(pkt, q) = {}",
-            study.scenario().name,
-            outcome.best.score,
-            outcome.best.source
+            "\n{label} (home {}): {home:+.4} over drop-tail   act(pkt, q) = {source}",
+            study.scenario().name
         );
-        synthesized.push((label, outcome.best.source.clone(), outcome.best.score));
     }
 
     // -- the scenario × scenario matrix: every policy on every context --
-    let mut policy_names: Vec<String> =
-        aqm_baseline_names().iter().map(|s| s.to_string()).collect();
-    policy_names.extend(synthesized.iter().map(|(l, _, _)| l.clone()));
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    for name in aqm_baseline_names() {
-        rows.push(studies.iter().map(|s| s.baseline_improvement(name)).collect());
-    }
-    for (label, source, _) in &synthesized {
-        let expr = policysmith_dsl::parse(source).expect("stored source parses");
-        rows.push(
-            studies
-                .iter()
-                .map(|s| s.improvement(Box::new(ExprAqm::from_expr(label, &expr))))
-                .collect(),
-        );
-    }
-
-    let matrix = ImprovementMatrix {
-        dataset: "aqmsim".into(),
-        trace_names: presets.iter().map(|s| s.name.clone()).collect(),
-        policies: policy_names.clone(),
-        rows,
-    };
-
-    println!("\n=== power improvement over drop-tail, policy × scenario ===");
-    print!("{:12}", "policy");
-    for sc in &presets {
-        print!("{:>16}", sc.name.trim_start_matches("aqm/"));
-    }
-    println!("{:>8}", "mean");
-    for (p, name) in matrix.policies.iter().enumerate() {
-        print!("{name:12}");
-        for v in &matrix.rows[p] {
-            print!("{:>15.1}%", v * 100.0);
-        }
-        println!("{:>7.1}%", matrix.mean(p) * 100.0);
-    }
+    let exprs: Vec<_> = synthesized
+        .iter()
+        .map(|(_, source, _)| policysmith_dsl::parse(source).expect("stored source parses"))
+        .collect();
+    let names = aqm_baseline_names().iter().map(|s| s.to_string());
+    let names = names.chain(synthesized.iter().map(|(l, _, _)| l.clone())).collect();
+    let matrix = ImprovementMatrix::sweep("aqmsim", names, studies.len(), opts.threads, |t| {
+        let s = &studies[t];
+        let baselines = aqm_baseline_names().iter().map(|name| s.baseline_improvement(name));
+        let synthesized = synthesized
+            .iter()
+            .zip(&exprs)
+            .map(|((label, ..), e)| s.improvement(Box::new(ExprAqm::from_expr(label, e))));
+        (s.scenario().name.clone(), baselines.chain(synthesized).collect())
+    });
+    matrix.print_table("power improvement over drop-tail");
 
     // -- 3: the library slice — re-score every stored policy per preset,
     //       deploy the winner (the §4.2.4 oracle-adaptation model) --
     let mut library = HeuristicLibrary::new();
-    for ((label, source, home), sc) in synthesized.iter().zip(&presets) {
-        let _ = label;
+    for ((_, source, home), sc) in synthesized.iter().zip(&presets) {
         library.add(LibraryEntry {
             context: sc.name.clone(),
             source: source.clone(),
@@ -185,11 +157,9 @@ fn main() {
     );
 
     if beaten < need {
-        eprintln!(
-            "GUARD FAILED: library beat the best man-made baseline on only \
-             {beaten}/{} presets (need ≥ {need})",
+        exit_on_violations(&[format!(
+            "library beat the best man-made baseline on only {beaten}/{} presets (need ≥ {need})",
             presets.len()
-        );
-        std::process::exit(2);
+        )]);
     }
 }

@@ -20,13 +20,12 @@
 //!    translation unit (`results/ebpf_best_policy.c`) — CI build-checks
 //!    it with the container's C compiler when one is present.
 //!
-//! Exit status doubles as the CI guard: non-zero if any library policy
-//! fails to emit, fails the model verifier, or ever disagrees with the
-//! VM.
+//! Exit status doubles as the CI guard: 1 if any library policy fails to
+//! emit, fails the model verifier, or ever disagrees with the VM.
 //!
 //! Usage: `exp_ebpf [--fast|--quick] [--seed N]`
 
-use policysmith_bench::{write_json, ExpOpts};
+use policysmith_bench::{exit_on_violations, write_json, ExpOpts};
 use policysmith_cc::{
     check_candidate, evaluate_with, CcView, CongestionControl, EbpfCc, KbpfCc, LinkCfg, SimConfig,
 };
@@ -144,14 +143,13 @@ fn main() {
 
     // 2+3. Emit, model-check, and differentially execute every policy.
     let mut rows: Vec<Row> = Vec::new();
-    let mut failures = 0usize;
+    let mut violations: Vec<String> = Vec::new();
     for (label, src) in &library {
         let candidate = match check_candidate(src) {
             Ok(c) => c,
             Err(e) => {
                 // outcome.all only contains checker-approved sources
-                eprintln!("FAIL {label}: searched policy no longer verifies: {e}");
-                failures += 1;
+                violations.push(format!("{label}: searched policy no longer verifies: {e}"));
                 continue;
             }
         };
@@ -159,8 +157,7 @@ fn main() {
         let ebpf = match EbpfCc::new(candidate.clone()) {
             Ok(cc) => cc,
             Err(e) => {
-                eprintln!("FAIL {label}: offload refused: {e}  [{src}]");
-                failures += 1;
+                violations.push(format!("{label}: offload refused: {e}  [{src}]"));
                 continue;
             }
         };
@@ -189,10 +186,9 @@ fn main() {
             faults += c.2;
         }
         if divergences > 0 || faults > 0 {
-            eprintln!(
-                "FAIL {label}: {divergences}/{decisions} divergences, {faults} faults  [{src}]"
-            );
-            failures += 1;
+            violations.push(format!(
+                "{label}: {divergences}/{decisions} divergences, {faults} faults  [{src}]"
+            ));
         }
         rows.push(Row {
             label: label.clone(),
@@ -263,14 +259,11 @@ fn main() {
             })).collect::<Vec<_>>(),
             "best": { "source": outcome.best.source, "score": outcome.best.score },
             "c_artifact": c_path,
-            "all_agree": failures == 0,
+            "all_agree": violations.is_empty(),
         }),
     );
 
-    if failures > 0 {
-        eprintln!("REGRESSION: {failures} policies failed offload or diverged from the VM");
-        std::process::exit(2);
-    }
+    exit_on_violations(&violations);
     println!(
         "\nall {} policies emit, model-check, and agree with the kbpf VM decision-for-decision",
         rows.len()

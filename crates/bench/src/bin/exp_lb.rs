@@ -1,17 +1,22 @@
-//! LB: the third-workload experiment — synthesize a dispatch policy per
-//! scenario preset, sweep every preset with every baseline and every
-//! synthesized policy, and report the cross-scenario improvement matrix
-//! (the load-balancing analogue of Figure 2 / Table 2). A second section
-//! sweeps fleet sizes into the hundreds of servers and records quality
-//! and scoring work per pick (per-pick time at 256 servers is the
-//! benchmark's `decide-lb` workload, `lbsim.pick_ns`).
+//! LB: the third-workload experiment — the load-balancing analogue of
+//! Figure 2 / Table 2. One dispatch policy is synthesized per scenario
+//! preset (its *home* context), then every baseline and every synthesized
+//! policy is evaluated on every preset: the cross-scenario improvement
+//! matrix. Its Table-2 statistics answer the §3.1 question for this
+//! domain: how far does a context-specialized heuristic travel, and how
+//! much does the library of all of them (the PS-Oracle row) buy an
+//! adaptation system? A second section sweeps fleet sizes into the
+//! hundreds of servers and records quality and scoring work per pick
+//! (per-pick time at 256 servers is the benchmark's `decide-lb` workload,
+//! `lbsim.pick_ns`).
 //!
-//! Usage: `exp_lb [--fast] [--seed N]`
+//! Usage: `exp_lb [--fast|--quick] [--seed N]`
+//!
+//! Writes `results/lb.json` (schema in `results/README.md`).
 
-use policysmith_bench::{write_json, ExpOpts};
-use policysmith_core::search::{run_search, SearchConfig};
+use policysmith_bench::{synthesize, write_json, ExpOpts, ImprovementMatrix};
 use policysmith_core::studies::lb::LbStudy;
-use policysmith_gen::{GenConfig, MockLlm};
+use policysmith_gen::GenConfig;
 use policysmith_lbsim::workload::{ArrivalProcess, BoundedPareto, WorkloadCfg};
 use policysmith_lbsim::{
     lb_baseline_names, scenario, sim, Dispatcher, ExprDispatcher, LbMetrics, Scenario, ServerCfg,
@@ -19,78 +24,85 @@ use policysmith_lbsim::{
 
 fn main() {
     let opts = ExpOpts::from_args();
-    let cfg = if opts.fast {
-        SearchConfig { rounds: 5, candidates_per_round: 10, ..SearchConfig::paper_cache() }
-    } else {
-        SearchConfig { rounds: 12, candidates_per_round: 20, ..SearchConfig::paper_cache() }
-    };
+    let cfg = opts.preset_search_cfg();
+    let studies: Vec<LbStudy> = scenario::all_presets().iter().map(LbStudy::new).collect();
+    let n_base = lb_baseline_names().len();
 
-    let presets = scenario::all_presets();
-    let studies: Vec<LbStudy> = presets.iter().map(LbStudy::new).collect();
-
-    // -- synthesize one policy per context --
-    let mut synthesized: Vec<(String, String, f64)> = Vec::new(); // (label, source, home score)
-    for (i, study) in studies.iter().enumerate() {
-        let label = format!("LB-{}", (b'A' + i as u8) as char);
-        let mut llm = MockLlm::new(GenConfig::lb_defaults(
-            opts.seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15),
-        ));
-        let outcome = run_search(study, &mut llm, &cfg);
+    // -- synthesize one policy per home context --
+    let outcomes = synthesize(studies.iter().enumerate(), GenConfig::lb_defaults, &cfg, opts.seed);
+    let synthesized: Vec<(String, String, f64)> = outcomes // (label, source, home score)
+        .iter()
+        .enumerate()
+        .map(|(i, o)| {
+            (format!("LB-{}", (b'A' + i as u8) as char), o.best.source.clone(), o.best.score)
+        })
+        .collect();
+    for ((label, source, home), study) in synthesized.iter().zip(&studies) {
         println!(
-            "{label} ({}): home improvement {:+.4}  [{} candidates]",
-            study.scenario().name,
-            outcome.best.score,
-            outcome.all.len()
-        );
-        println!("     score(server, req) = {}", outcome.best.source);
-        synthesized.push((label, outcome.best.source.clone(), outcome.best.score));
-    }
-
-    // -- improvement matrix: policies × scenarios --
-    let mut policy_names: Vec<String> = lb_baseline_names().iter().map(|s| s.to_string()).collect();
-    policy_names.extend(synthesized.iter().map(|(l, _, _)| l.clone()));
-
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    for name in lb_baseline_names() {
-        rows.push(studies.iter().map(|s| s.baseline_improvement(name)).collect());
-    }
-    for (label, source, _) in &synthesized {
-        let expr = policysmith_dsl::parse(source).expect("stored source parses");
-        rows.push(
-            studies
-                .iter()
-                .map(|s| {
-                    let mut host = ExprDispatcher::from_expr(label, &expr);
-                    s.improvement(&mut host)
-                })
-                .collect(),
+            "{label} (home {}): {home:+.4} over RR   score(server, req) = {source}",
+            study.scenario().name
         );
     }
 
-    println!("\n=== improvement over round-robin, per scenario ===");
-    print!("{:16}", "policy");
-    for sc in &presets {
-        print!("{:>18}", sc.name.trim_start_matches("lb/"));
+    // -- the scenario × scenario matrix: every policy on every context --
+    let exprs: Vec<_> = synthesized
+        .iter()
+        .map(|(_, source, _)| policysmith_dsl::parse(source).expect("stored source parses"))
+        .collect();
+    let names = lb_baseline_names().iter().map(|s| s.to_string());
+    let names = names.chain(synthesized.iter().map(|(l, _, _)| l.clone())).collect();
+    let matrix = ImprovementMatrix::sweep("lbsim", names, studies.len(), opts.threads, |t| {
+        let s = &studies[t];
+        let baselines = lb_baseline_names().iter().map(|name| s.baseline_improvement(name));
+        let synthesized = synthesized
+            .iter()
+            .zip(&exprs)
+            .map(|((label, ..), e)| s.improvement(&mut ExprDispatcher::from_expr(label, e)));
+        (s.scenario().name.clone(), baselines.chain(synthesized).collect())
+    });
+    matrix.print_table("improvement over round-robin");
+
+    // -- Table-2 statistics --
+    let base_ixs: Vec<usize> = (0..n_base).collect();
+    let synth_ixs: Vec<usize> = (n_base..matrix.policies.len()).collect();
+    println!("\n=== generalization (Table-2 statistic) ===");
+    let mut beats_all: Vec<(String, f64)> = Vec::new();
+    for (i, (label, _, home)) in synthesized.iter().enumerate() {
+        let p = n_base + i;
+        let frac = matrix.beats_all_fraction(p, &base_ixs);
+        let away: f64 =
+            matrix.rows[p].iter().enumerate().filter(|&(t, _)| t != i).map(|(_, v)| v).sum::<f64>()
+                / (studies.len() - 1) as f64;
+        println!(
+            "{label}: home {:+.1}%  mean-away {:+.1}%  beats all {} baselines on {:.0}% of scenarios",
+            home * 100.0,
+            away * 100.0,
+            n_base,
+            frac * 100.0
+        );
+        beats_all.push((label.clone(), frac));
     }
-    println!();
-    for (p, name) in policy_names.iter().enumerate() {
-        print!("{name:16}");
-        for v in &rows[p] {
-            print!("{:>17.1}%", v * 100.0);
-        }
-        println!();
-    }
+    let oracle = matrix.oracle(&synth_ixs);
+    let oracle_mean: f64 = oracle.iter().sum::<f64>() / oracle.len() as f64;
+    println!(
+        "PS-Oracle (best stored policy per scenario — the library's value): mean {:+.1}%",
+        oracle_mean * 100.0
+    );
 
     let fleet_sweep = fleet_size_sweep(&opts);
 
     write_json(
         "lb",
         &serde_json::json!({
-            "scenarios": presets.iter().map(|s| s.name.clone()).collect::<Vec<_>>(),
+            "scenarios": matrix.trace_names,
             "rr_mean_slowdown": studies.iter().map(|s| s.rr_slowdown()).collect::<Vec<_>>(),
-            "policies": policy_names,
-            "rows": rows,
+            "policies": matrix.policies,
+            "rows": matrix.rows,
             "synthesized": synthesized,
+            "beats_all_fraction": beats_all,
+            "oracle": oracle,
+            "search": { "rounds": cfg.rounds, "candidates_per_round": cfg.candidates_per_round,
+                        "seed": opts.seed, "fast": opts.fast },
             "fleet_sweep": fleet_sweep,
         }),
     );

@@ -1,11 +1,8 @@
 //! Shared machinery for the experiment binaries that regenerate every
 //! table and figure of the paper (see DESIGN.md §3 for the index).
 
-use policysmith_cachesim::policies;
-use policysmith_core::search::{run_search, SearchConfig, SearchOutcome};
-use policysmith_core::studies::cache::CacheStudy;
+use policysmith_core::search::{run_search, SearchConfig, SearchOutcome, Study};
 use policysmith_gen::{GenConfig, MockLlm};
-use policysmith_traces::DatasetSpec;
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -135,64 +132,93 @@ impl ExpOpts {
             SearchConfig::paper_cache()
         }
     }
+
+    /// The budget of one search per scenario preset (lb, aqm): 5 rounds
+    /// of 10 candidates with `--fast`, else 12 of 20.
+    pub fn preset_search_cfg(&self) -> SearchConfig {
+        let (rounds, candidates_per_round) = if self.fast { (5, 10) } else { (12, 20) };
+        SearchConfig { rounds, candidates_per_round, ..SearchConfig::paper_cache() }
+    }
 }
 
-/// A synthesized heuristic with provenance (one per search context).
-#[derive(Debug, Clone, Serialize)]
-pub struct SynthesizedHeuristic {
-    /// Label in the paper's convention (A–D for CloudPhysics, W–Z for MSR).
-    pub label: String,
-    /// Context trace name (e.g. `cloudphysics/w89`).
-    pub context: String,
-    pub source: String,
-    /// Score (improvement over FIFO) in the home context.
-    pub home_score: f64,
+/// Print `violations` under `REGRESSION GUARD FAILED:` and exit 1; return
+/// if there are none. Exit 1 is every experiment's failed guard; exit 2 is
+/// a usage error ([`ExpOpts::from_args`]).
+pub fn exit_on_violations(violations: &[String]) {
+    if violations.is_empty() {
+        return;
+    }
+    eprintln!("\nREGRESSION GUARD FAILED:");
+    for v in violations {
+        eprintln!("  - {v}");
+    }
+    std::process::exit(1);
 }
 
-/// Run the §4.2.1 search on `contexts` of a dataset, producing labelled
-/// heuristics (A–D / W–Z).
-pub fn synthesize_for_dataset(
-    ds: &DatasetSpec,
-    contexts: &[usize],
-    labels: &[&str],
-    opts: &ExpOpts,
-) -> Vec<(SynthesizedHeuristic, SearchOutcome)> {
-    assert_eq!(contexts.len(), labels.len());
+/// Run one search per context with its own [`MockLlm`], seeded
+/// `seed ^ key·0x9e3779b97f4a7c15`. `key` names the context: the dataset
+/// trace index for cache, the preset position for lb and aqm.
+pub fn synthesize<'a, S: Study + 'a>(
+    contexts: impl IntoIterator<Item = (usize, &'a S)>,
+    defaults: fn(u64) -> GenConfig,
+    cfg: &SearchConfig,
+    seed: u64,
+) -> Vec<SearchOutcome> {
     contexts
-        .iter()
-        .zip(labels)
-        .map(|(&idx, &label)| {
-            let trace = ds.trace(idx, opts.requests);
-            let study = CacheStudy::new(&trace);
-            let mut llm = MockLlm::new(GenConfig::cache_defaults(
-                opts.seed ^ (idx as u64).wrapping_mul(0x9e3779b97f4a7c15),
-            ));
-            let outcome = run_search(&study, &mut llm, &opts.search_cfg());
-            (
-                SynthesizedHeuristic {
-                    label: label.to_string(),
-                    context: trace.name.clone(),
-                    source: outcome.best.source.clone(),
-                    home_score: outcome.best.score,
-                },
-                outcome,
-            )
+        .into_iter()
+        .map(|(key, study)| {
+            let mut llm =
+                MockLlm::new(defaults(seed ^ (key as u64).wrapping_mul(0x9e3779b97f4a7c15)));
+            run_search(study, &mut llm, cfg)
         })
         .collect()
 }
 
-/// Improvement matrix: for every trace of the dataset, the miss-ratio
-/// improvement over FIFO of each named policy (baselines + synthesized).
+/// Improvement matrix: for every context, the improvement over the
+/// study's reference baseline of each named policy (baselines +
+/// synthesized).
 #[derive(Debug, Clone, Serialize)]
 pub struct ImprovementMatrix {
     pub dataset: String,
     pub trace_names: Vec<String>,
     pub policies: Vec<String>,
-    /// `rows[p][t]` = improvement of policy `p` on trace `t`.
+    /// `rows[p][t]` = improvement of policy `p` on context `t`.
     pub rows: Vec<Vec<f64>>,
 }
 
 impl ImprovementMatrix {
+    /// Build the matrix one context at a time: `column(t)` names context
+    /// `t` and scores every policy on it, in `policies` order. `threads`
+    /// workers claim columns from one shared cursor, so a slow context
+    /// idles no one, and the matrix does not depend on the thread count.
+    pub fn sweep(
+        dataset: &str,
+        policies: Vec<String>,
+        contexts: usize,
+        threads: usize,
+        column: impl Fn(usize) -> (String, Vec<f64>) + Sync,
+    ) -> ImprovementMatrix {
+        let done = Mutex::new(vec![None; contexts]);
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..threads.clamp(1, contexts.max(1)) {
+                scope.spawn(|| loop {
+                    let t = cursor.fetch_add(1, Ordering::Relaxed);
+                    if t >= contexts {
+                        break;
+                    }
+                    let col = column(t);
+                    done.lock().expect("no worker panics holding the lock")[t] = Some(col);
+                });
+            }
+        });
+        let done = done.into_inner().expect("no worker panics holding the lock");
+        let (trace_names, cols): (Vec<String>, Vec<Vec<f64>>) =
+            done.into_iter().map(|c| c.expect("every column swept")).unzip();
+        let rows = (0..policies.len()).map(|p| cols.iter().map(|c| c[p]).collect()).collect();
+        ImprovementMatrix { dataset: dataset.to_string(), trace_names, policies, rows }
+    }
+
     /// Mean improvement of policy `p`.
     pub fn mean(&self, p: usize) -> f64 {
         self.rows[p].iter().sum::<f64>() / self.rows[p].len() as f64
@@ -215,62 +241,30 @@ impl ImprovementMatrix {
             .map(|t| ixs.iter().map(|&p| self.rows[p][t]).fold(f64::MIN, f64::max))
             .collect()
     }
-}
 
-/// Compute the improvement matrix for a dataset: the paper's 14 baselines
-/// plus every synthesized heuristic. Parallel over traces.
-pub fn improvement_matrix(
-    ds: &DatasetSpec,
-    synthesized: &[SynthesizedHeuristic],
-    opts: &ExpOpts,
-) -> ImprovementMatrix {
-    let baseline_names: Vec<String> =
-        policies::paper_baseline_names().iter().map(|s| s.to_string()).collect();
-    let mut policy_names = baseline_names.clone();
-    for h in synthesized {
-        policy_names.push(h.label.clone());
-    }
-
-    let trace_ixs: Vec<usize> = ds.indices().collect();
-    let n_traces = trace_ixs.len();
-    let results = Mutex::new(vec![vec![0.0f64; n_traces]; policy_names.len()]);
-    let names = Mutex::new(vec![String::new(); n_traces]);
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..opts.threads.clamp(1, n_traces) {
-            scope.spawn(|| loop {
-                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                if t >= n_traces {
-                    break;
-                }
-                let trace = ds.trace(trace_ixs[t], opts.requests);
-                let study = CacheStudy::new(&trace);
-                let mut col = Vec::with_capacity(policy_names.len());
-                for name in &baseline_names {
-                    let p = policies::by_name(name).expect("known baseline");
-                    col.push(study.improvement(p));
-                }
-                for h in synthesized {
-                    let expr = policysmith_dsl::parse(&h.source).expect("stored source parses");
-                    col.push(study.improvement(policysmith_cachesim::PriorityPolicy::from_expr(
-                        &h.label, &expr,
-                    )));
-                }
-                let mut rows = results.lock().unwrap();
-                for (p, v) in col.into_iter().enumerate() {
-                    rows[p][t] = v;
-                }
-                names.lock().unwrap()[t] = trace.name;
-            });
+    /// Print the matrix as a policy × context table of percentages with a
+    /// mean column; a context prints without its `dataset/` prefix.
+    pub fn print_table(&self, title: &str) {
+        let contexts: Vec<&str> = self
+            .trace_names
+            .iter()
+            .map(|n| n.split_once('/').map_or(n.as_str(), |(_, c)| c))
+            .collect();
+        let name_w = self.policies.iter().map(String::len).max().unwrap_or(0).max(6) + 2;
+        let col_w = contexts.iter().map(|c| c.len()).max().unwrap_or(0).max(6) + 2;
+        println!("\n=== {title}, policy × scenario ===");
+        print!("{:name_w$}", "policy");
+        for c in &contexts {
+            print!("{c:>col_w$}");
         }
-    });
-
-    ImprovementMatrix {
-        dataset: ds.name.to_string(),
-        trace_names: names.into_inner().unwrap(),
-        policies: policy_names,
-        rows: results.into_inner().unwrap(),
+        println!("{:>8}", "mean");
+        for (p, name) in self.policies.iter().enumerate() {
+            print!("{name:name_w$}");
+            for v in &self.rows[p] {
+                print!("{:>w$.1}%", v * 100.0, w = col_w - 1);
+            }
+            println!("{:>7.1}%", self.mean(p) * 100.0);
+        }
     }
 }
 
@@ -333,6 +327,23 @@ mod tests {
         // synth beats base on trace 0 only → 50%
         assert!((m.beats_all_fraction(1, &[0]) - 0.5).abs() < 1e-12);
         assert_eq!(m.oracle(&[0, 1]), vec![0.2, 0.3]);
+    }
+
+    #[test]
+    fn sweep_is_independent_of_thread_count() {
+        let column = |t: usize| {
+            (format!("toy/c{t}"), vec![t as f64 / 7.0, (t as f64).sqrt(), -(t as f64) * 0.1])
+        };
+        let policies = || vec!["p0".to_string(), "p1".into(), "p2".into()];
+        let one = ImprovementMatrix::sweep("toy", policies(), 8, 1, column);
+        let three = ImprovementMatrix::sweep("toy", policies(), 8, 3, column);
+        let bits = |m: &ImprovementMatrix| -> Vec<Vec<u64>> {
+            m.rows.iter().map(|r| r.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&one), bits(&three));
+        assert_eq!(one.trace_names, (0..8).map(|t| format!("toy/c{t}")).collect::<Vec<_>>());
+        assert_eq!(three.trace_names, one.trace_names);
+        assert_eq!(one.rows[1][4], 2.0);
     }
 
     fn parse(args: &[&str]) -> Result<ExpOpts, String> {

@@ -39,7 +39,8 @@ pub enum PipelineError {
 }
 
 impl PipelineError {
-    /// Stage name for compile-rate accounting (exp_cc_compile).
+    /// Stage name for compile-rate accounting (`exp_paper`'s §5.0.3
+    /// compile-rate section).
     pub fn stage(&self) -> &'static str {
         match self {
             PipelineError::Parse(_) => "parse",
