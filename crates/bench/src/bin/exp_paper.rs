@@ -358,10 +358,11 @@ fn cost(searches: &[Search], events: &[policysmith_obs::TraceEvent]) -> Vec<Stri
     violations
 }
 
-/// ABL: ablations of the search-design choices DESIGN.md calls out, on
-/// the w89 context: exemplar feedback on/off (is the evolutionary loop
-/// earning its keep?), stderr repair on/off (how much does the +19%-style
-/// recovery matter?), and a round-count sweep (search-budget scaling).
+/// ABL: ablations of the search-design choices §6 of the paper leaves
+/// open, on the w89 context: exemplar feedback on/off (is the evolutionary
+/// loop earning its keep?), stderr repair on/off (how much does the
+/// +19%-style recovery matter?), and a round-count sweep (search-budget
+/// scaling).
 fn ablation(study: &CacheStudy, opts: &ExpOpts) {
     let base = if opts.fast {
         SearchConfig { rounds: 6, candidates_per_round: 10, ..SearchConfig::paper_cache() }

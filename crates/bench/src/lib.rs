@@ -1,5 +1,6 @@
 //! Shared machinery for the experiment binaries that regenerate every
-//! table and figure of the paper (see DESIGN.md §3 for the index).
+//! table and figure of the paper (`results/README.md` indexes what each
+//! one writes).
 
 use policysmith_core::search::{run_search, SearchConfig, SearchOutcome, Study};
 use policysmith_gen::{GenConfig, MockLlm};
@@ -9,73 +10,6 @@ use std::sync::Mutex;
 
 /// Default requests per trace in experiments (CLI-overridable).
 pub const DEFAULT_REQUESTS: usize = 60_000;
-
-/// A tiny slice-backed [`FeatureEnv`](policysmith_dsl::FeatureEnv) for the
-/// interpreter-vs-VM benchmarks: feature reads cost one short linear scan,
-/// matching how the real hosts resolve features (a `match`, not a
-/// hash map), so neither engine is handicapped by the test harness.
-pub struct SliceEnv<'a>(pub &'a [(policysmith_dsl::Feature, i64)]);
-
-impl policysmith_dsl::FeatureEnv for SliceEnv<'_> {
-    fn feature(&self, f: policysmith_dsl::Feature) -> i64 {
-        self.0.iter().find(|(g, _)| *g == f).map(|(_, v)| *v).unwrap_or(0)
-    }
-}
-
-/// One interpreter-vs-VM benchmark workload: `(name, mode, source,
-/// feature values)`.
-pub type VmWorkload =
-    (&'static str, policysmith_dsl::Mode, &'static str, &'static [(policysmith_dsl::Feature, i64)]);
-
-/// The per-mode workloads of the `dsl_vm` criterion bench.
-pub fn vm_workloads() -> [VmWorkload; 3] {
-    use policysmith_dsl::{Feature, Mode};
-    [
-        (
-            "cc",
-            Mode::Kernel,
-            "if(loss, max(cwnd >> 1, 2), \
-             if(srtt > min_rtt + 10000, max(cwnd - 1, 2), \
-                cwnd + max(acked / max(mss, 1), 1)))",
-            &[
-                (Feature::Cwnd, 40),
-                (Feature::SrttUs, 50_000),
-                (Feature::MinRttUs, 40_000),
-                (Feature::AckedBytes, 1_500),
-                (Feature::Mss, 1_500),
-                (Feature::LossEvent, 0),
-            ],
-        ),
-        (
-            "cache",
-            Mode::Cache,
-            "if(hist.contains, hist.count * 20 + 100, 0) \
-             + obj.count * 30 - obj.age / 300 - obj.size / 500 \
-             + if(obj.size > sizes.p75, 0 - 50, 10)",
-            &[
-                (Feature::HistContains, 1),
-                (Feature::HistCount, 4),
-                (Feature::ObjCount, 7),
-                (Feature::ObjAge, 12_000),
-                (Feature::ObjSize, 900),
-                (Feature::SizesPct(75), 700),
-            ],
-        ),
-        (
-            "lb",
-            Mode::Lb,
-            "server.inflight * 1000 / server.speed + server.queue_len * 50 \
-             + server.work_left / 100 + req.size * 1000 / server.speed",
-            &[
-                (Feature::ServerInflight, 5),
-                (Feature::ServerSpeed, 4),
-                (Feature::ServerQueueLen, 3),
-                (Feature::ServerWorkLeft, 12_000),
-                (Feature::ReqSize, 7),
-            ],
-        ),
-    ]
-}
 
 /// Common CLI flags shared by the experiment binaries.
 #[derive(Debug, Clone, Copy)]

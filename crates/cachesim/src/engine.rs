@@ -138,16 +138,6 @@ impl SimResult {
             self.misses as f64 / self.requests as f64
         }
     }
-
-    /// Byte miss ratio.
-    pub fn byte_miss_ratio(&self) -> f64 {
-        let total = self.hit_bytes + self.miss_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.miss_bytes as f64 / total as f64
-        }
-    }
 }
 
 /// The cache engine.

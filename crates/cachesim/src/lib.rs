@@ -1,9 +1,9 @@
 //! # policysmith-cachesim — the web-cache simulation substrate
 //!
-//! A from-scratch, libCacheSim-style cache simulator (substitution S3 in
-//! DESIGN.md): the paper's §4 prototype evaluates candidate heuristics by
-//! replaying block-I/O traces through an event-driven cache, comparing
-//! against fourteen baseline eviction algorithms.
+//! A from-scratch, libCacheSim-style cache simulator, substituted for the
+//! libCacheSim the paper's §4 prototype uses: it evaluates candidate
+//! heuristics by replaying block-I/O traces through an event-driven cache,
+//! comparing against fourteen baseline eviction algorithms.
 //!
 //! * [`engine`] — residency + byte accounting + the [`Policy`] trait; one
 //!   simulation is a pure function of `(trace, capacity, policy)`. Object

@@ -211,11 +211,6 @@ impl Cacheus {
         }
     }
 
-    /// Current SR-LFU weight (test/diagnostic hook).
-    pub fn weight_sr(&self) -> f64 {
-        self.w_sr
-    }
-
     fn next_unit(&mut self) -> f64 {
         let mut x = self.rng_state;
         x ^= x >> 12;

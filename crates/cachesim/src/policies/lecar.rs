@@ -61,11 +61,6 @@ impl Lecar {
         }
     }
 
-    /// Current LRU-expert weight (test/diagnostic hook).
-    pub fn weight_lru(&self) -> f64 {
-        self.w_lru
-    }
-
     fn next_unit(&mut self) -> f64 {
         let mut x = self.rng_state;
         x ^= x >> 12;

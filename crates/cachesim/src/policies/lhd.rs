@@ -13,9 +13,9 @@
 //! * evict the minimum-density object among `SAMPLE` randomly-sampled
 //!   residents (O(1) instead of a full priority structure).
 //!
-//! Simplifications vs. the original (documented per DESIGN.md): age is in
-//! requests rather than a tuned "coarsened" clock, and the class function
-//! is `min(log2(freq), 3)` rather than the paper's app-id × reuse classes.
+//! Simplifications vs. the original: age is in requests rather than a
+//! tuned "coarsened" clock, and the class function is `min(log2(freq), 3)`
+//! rather than the paper's app-id × reuse classes.
 
 use crate::engine::{CacheView, ObjId, Policy};
 use std::collections::HashMap;

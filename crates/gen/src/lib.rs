@@ -1,9 +1,9 @@
 //! # policysmith-gen — the mock-LLM candidate generator
 //!
-//! Substitution S1 in DESIGN.md: the paper drives its search with GPT-4o
-//! mini; this crate provides an offline, deterministic stand-in exposing
-//! the same interface a real LLM client would implement — the framework's
-//! `Generator` role (§3 of the paper).
+//! The paper drives its search with GPT-4o mini; this crate substitutes an
+//! offline, deterministic mock LLM for it, exposing the same interface a
+//! real LLM client would implement — the framework's `Generator` role (§3
+//! of the paper).
 //!
 //! What makes it "LLM-like" rather than a plain mutation engine:
 //!

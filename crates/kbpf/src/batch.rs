@@ -125,17 +125,6 @@ impl BatchCtx {
         self.cols
     }
 
-    /// Resize to `rows` rows, keeping the column count.
-    ///
-    /// Cell values are unspecified afterwards (the column-major layout
-    /// re-maps wholesale); callers are expected to refill every column they
-    /// use. No allocation happens when shrinking or when a previous larger
-    /// size already reserved capacity.
-    pub fn set_rows(&mut self, rows: usize) {
-        self.rows = rows;
-        self.data.resize(self.cols * rows, 0);
-    }
-
     /// Read-only view of column `col`.
     pub fn column(&self, col: usize) -> &[i64] {
         &self.data[col * self.rows..(col + 1) * self.rows]

@@ -388,12 +388,6 @@ impl LbEngine {
         }
     }
 
-    /// Number of servers in the fleet (fixed for the engine's lifetime;
-    /// [`reconfigure`](Self::reconfigure) preserves it).
-    pub fn fleet_size(&self) -> usize {
-        self.fleet.len()
-    }
-
     /// Cumulative metrics since construction.
     pub fn metrics(&self) -> &LbMetrics {
         &self.m

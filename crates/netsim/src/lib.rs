@@ -2,8 +2,8 @@
 //!
 //! The congestion-control case study (§5 of the paper) evaluates candidates
 //! "on a 12 Mbps, 20 ms delay emulated link" built with Mahimahi \[42\]. This
-//! crate rebuilds that substrate (substitution S4b in DESIGN.md) as a
-//! discrete-event simulator:
+//! crate substitutes a deterministic discrete-event simulator for Mahimahi's
+//! real-time emulation:
 //!
 //! * [`link`] — a bottleneck with a serialization rate, one-way propagation
 //!   delay, and a drop-tail byte-bounded queue (`mm-link` + `mm-delay`

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! This is the bridge to the *real* CloudPhysics/MSR datasets: users who
-//! have them can convert to this CSV and point every experiment binary at a
-//! directory of files instead of the synthetic datasets.
+//! have them can convert a trace to this CSV, load it with
+//! [`read_csv_file`], and hand the [`Trace`] to a study in place of a
+//! synthetic one. No experiment binary reads CSV itself.
 
 use crate::model::{OpKind, Request, Trace};
 use std::fmt::Write as _;
@@ -120,6 +121,12 @@ pub fn read_csv(name: &str, reader: impl Read) -> Result<Trace, TraceIoError> {
                 })
             }
         };
+        if parts.next().is_some() {
+            return Err(TraceIoError::Parse {
+                line: i + 1,
+                reason: "more than four fields".into(),
+            });
+        }
         if time_us < prev_time {
             return Err(TraceIoError::Parse {
                 line: i + 1,
@@ -166,6 +173,8 @@ mod tests {
         assert!(err.to_string().contains("op must be r/w"));
         let err = read_csv("x", "time_us,obj,size,op\n1,1,2\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("missing field"));
+        let err = read_csv("x", "time_us,obj,size,op\n1,2,3,r,junk\n".as_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "trace parse error at line 2: more than four fields");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper evaluates on two real block-I/O datasets: **CloudPhysics**
 //! (105 week-long VM traces, \[61\]) and **MSR Cambridge** (14 production
 //! server traces, \[40\]). Neither ships with this repository, so this crate
-//! provides (substitution S2 in DESIGN.md):
+//! substitutes seeded synthetic traces for them:
 //!
 //! * [`synth`] — a parameterized workload generator reproducing the
 //!   structural axes that discriminate between eviction policies: Zipfian
