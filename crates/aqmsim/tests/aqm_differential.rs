@@ -125,9 +125,9 @@ mod proptest_differential {
 
     fn arb_expr() -> impl Strategy<Value = Expr> {
         let leaf = prop_oneof![
-            (-4i64..8).prop_map(Expr::Int),
-            (0i64..40_000).prop_map(Expr::Int),
-            proptest::sample::select(aqm_features()).prop_map(Expr::Feat),
+            (-4i64..8).prop_map(Expr::int),
+            (0i64..40_000).prop_map(Expr::int),
+            proptest::sample::select(aqm_features()).prop_map(Expr::feat),
         ];
         leaf.prop_recursive(4, 24, 3, |inner| {
             prop_oneof![

@@ -171,8 +171,8 @@ mod proptest_differential {
 
     fn arb_expr() -> impl Strategy<Value = Expr> {
         let leaf = prop_oneof![
-            (-1_000i64..1_000).prop_map(Expr::Int),
-            proptest::sample::select(kernel_features()).prop_map(Expr::Feat),
+            (-1_000i64..1_000).prop_map(Expr::int),
+            proptest::sample::select(kernel_features()).prop_map(Expr::feat),
         ];
         leaf.prop_recursive(4, 32, 3, |inner| {
             prop_oneof![

@@ -14,7 +14,7 @@
 //! but the generator uses them to learn the `x / max(y, 1)` idiom the paper
 //! describes kernel developers (and the verifier) forcing upon it.
 
-use crate::ast::{BinOp, Expr};
+use crate::ast::{BinOp, Expr, ExprKind, ExprRef};
 use crate::error::CheckError;
 use crate::feature::Mode;
 
@@ -86,63 +86,56 @@ pub fn check(e: &Expr, mode: Mode) -> Result<(), CheckError> {
 /// (the generator repairs one fault class at a time, so it wants the
 /// complete list, like a real compiler's stderr).
 ///
-/// One pre-order walk finds the size, the depth and every per-node fault;
-/// the budget errors (`TooLarge`, then `TooDeep`) still come first.
+/// One loop over the tree's nodes finds the size, the depth and every
+/// per-node fault, however deep the tree is (only [`divisor_nonzero`]
+/// recurses, into a division's divisor); the budget errors (`TooLarge`,
+/// then `TooDeep`) come first, the rest in pre-order.
 pub fn check_with_warnings(e: &Expr, mode: Mode, max_size: usize, max_depth: usize) -> CheckReport {
-    let mut walk = Walk { mode, size: 0, depth: 0, report: CheckReport::default() };
-    walk.node(e, 1);
-    let Walk { size, depth, mut report, .. } = walk;
+    let mut report = CheckReport::default();
+    let mut divisions = Vec::new();
+    let mut depth = 0;
+    // Backwards through the postorder subtrees, every node comes after its
+    // ancestors. `open` holds where each ancestor's subtree starts: a node
+    // has one ancestor per start at or before it, and its pre-order index
+    // is its own subtree's start plus that many. A tree within the default
+    // depth budget never grows it.
+    let mut open: Vec<usize> = Vec::with_capacity(DEFAULT_MAX_DEPTH);
+    for (end, sub) in e.view().subtrees().enumerate().rev() {
+        while open.last().is_some_and(|&start| start > end) {
+            open.pop();
+        }
+        depth = depth.max(open.len() + 1);
+        let start = end + 1 - sub.size();
+        match sub.kind() {
+            ExprKind::Float(value) => report.errors.push(CheckError::FloatLiteral { value }),
+            ExprKind::Feat(feature) => {
+                if !feature.param_in_range() {
+                    report.errors.push(CheckError::FeatureParamOutOfRange { feature });
+                } else if !feature.available_in(mode) {
+                    report.errors.push(CheckError::FeatureUnavailable { feature, mode });
+                }
+            }
+            ExprKind::Bin(BinOp::Div | BinOp::Rem, _, divisor) if !divisor_nonzero(divisor) => {
+                divisions.push(start + open.len());
+            }
+            _ => {}
+        }
+        if sub.size() > 1 {
+            open.push(start);
+        }
+    }
+    // only leaves have errors, met in reverse pre-order
+    report.errors.reverse();
+    divisions.sort_unstable();
+    report.warnings =
+        divisions.into_iter().map(|node_idx| Warning::DivisorMayBeZero { node_idx }).collect();
+    let size = e.size();
     let budgets = [
         (size > max_size).then_some(CheckError::TooLarge { size, limit: max_size }),
         (depth > max_depth).then_some(CheckError::TooDeep { depth, limit: max_depth }),
     ];
     report.errors.splice(0..0, budgets.into_iter().flatten());
     report
-}
-
-/// The state of [`check_with_warnings`]'s walk: nodes seen so far (the
-/// next node's pre-order index), the deepest level reached, and the
-/// per-node diagnostics.
-struct Walk {
-    mode: Mode,
-    size: usize,
-    depth: usize,
-    report: CheckReport,
-}
-
-impl Walk {
-    fn node(&mut self, e: &Expr, level: usize) {
-        self.depth = self.depth.max(level);
-        let errors = &mut self.report.errors;
-        match e {
-            Expr::Float(v) => errors.push(CheckError::FloatLiteral { value: *v }),
-            Expr::Feat(f) => {
-                if !f.param_in_range() {
-                    errors.push(CheckError::FeatureParamOutOfRange { feature: *f });
-                } else if !f.available_in(self.mode) {
-                    errors.push(CheckError::FeatureUnavailable { feature: *f, mode: self.mode });
-                }
-            }
-            Expr::Bin(BinOp::Div | BinOp::Rem, _, divisor) if !divisor_nonzero(divisor) => {
-                self.report.warnings.push(Warning::DivisorMayBeZero { node_idx: self.size });
-            }
-            _ => {}
-        }
-        self.size += 1;
-        match e {
-            Expr::Int(_) | Expr::Float(_) | Expr::Feat(_) => {}
-            Expr::Neg(a) | Expr::Not(a) | Expr::Abs(a) => self.node(a, level + 1),
-            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => {
-                self.node(a, level + 1);
-                self.node(b, level + 1);
-            }
-            Expr::If(a, b, c) | Expr::Clamp(a, b, c) => {
-                self.node(a, level + 1);
-                self.node(b, level + 1);
-                self.node(c, level + 1);
-            }
-        }
-    }
 }
 
 /// Syntactic proof that an expression can never evaluate to zero.
@@ -159,49 +152,49 @@ impl Walk {
 /// * `clamp(x, lo, hi)` where `lo` is provably positive,
 /// * `abs(x) + k`, `k > 0`,
 /// * `1 << n` shapes (shl of a positive literal saturates, never zero).
-pub fn divisor_nonzero(e: &Expr) -> bool {
-    provably_positive(e) || provably_negative(e) || matches!(e, Expr::Int(v) if *v != 0)
+pub fn divisor_nonzero(e: ExprRef<'_>) -> bool {
+    provably_positive(e) || provably_negative(e) || matches!(e.kind(), ExprKind::Int(v) if v != 0)
 }
 
-fn provably_positive(e: &Expr) -> bool {
-    match e {
-        Expr::Int(v) => *v > 0,
-        Expr::Feat(f) => f.range().0 > 0,
-        Expr::Bin(BinOp::Max, a, b) => provably_positive(a) || provably_positive(b),
-        Expr::Bin(BinOp::Min, a, b) => provably_positive(a) && provably_positive(b),
-        Expr::Bin(BinOp::Add, a, b) => {
+fn provably_positive(e: ExprRef<'_>) -> bool {
+    match e.kind() {
+        ExprKind::Int(v) => v > 0,
+        ExprKind::Feat(f) => f.range().0 > 0,
+        ExprKind::Bin(BinOp::Max, a, b) => provably_positive(a) || provably_positive(b),
+        ExprKind::Bin(BinOp::Min, a, b) => provably_positive(a) && provably_positive(b),
+        ExprKind::Bin(BinOp::Add, a, b) => {
             (provably_positive(a) && provably_nonneg(b))
                 || (provably_nonneg(a) && provably_positive(b))
         }
-        Expr::Bin(BinOp::Mul, a, b) => provably_positive(a) && provably_positive(b),
-        Expr::Bin(BinOp::Shl, a, b) => provably_positive(a) && provably_nonneg(b),
-        Expr::Clamp(_, lo, _) => provably_positive(lo),
-        Expr::Abs(_) => false, // abs(0) == 0
+        ExprKind::Bin(BinOp::Mul, a, b) => provably_positive(a) && provably_positive(b),
+        ExprKind::Bin(BinOp::Shl, a, b) => provably_positive(a) && provably_nonneg(b),
+        ExprKind::Clamp(_, lo, _) => provably_positive(lo),
+        ExprKind::Abs(_) => false, // abs(0) == 0
         _ => false,
     }
 }
 
-fn provably_negative(e: &Expr) -> bool {
-    match e {
-        Expr::Int(v) => *v < 0,
-        Expr::Neg(a) => provably_positive(a),
-        Expr::Bin(BinOp::Min, a, b) => provably_negative(a) || provably_negative(b),
-        Expr::Bin(BinOp::Max, a, b) => provably_negative(a) && provably_negative(b),
+fn provably_negative(e: ExprRef<'_>) -> bool {
+    match e.kind() {
+        ExprKind::Int(v) => v < 0,
+        ExprKind::Neg(a) => provably_positive(a),
+        ExprKind::Bin(BinOp::Min, a, b) => provably_negative(a) || provably_negative(b),
+        ExprKind::Bin(BinOp::Max, a, b) => provably_negative(a) && provably_negative(b),
         _ => false,
     }
 }
 
-fn provably_nonneg(e: &Expr) -> bool {
-    match e {
-        Expr::Int(v) => *v >= 0,
-        Expr::Feat(f) => f.range().0 >= 0,
-        Expr::Abs(_) => true,
-        Expr::Cmp(..) | Expr::Not(_) => true,          // 0/1
-        Expr::Bin(BinOp::And | BinOp::Or, ..) => true, // 0/1
-        Expr::Bin(BinOp::Add | BinOp::Mul, a, b) => provably_nonneg(a) && provably_nonneg(b),
-        Expr::Bin(BinOp::Max, a, b) => provably_nonneg(a) || provably_nonneg(b),
-        Expr::Bin(BinOp::Min, a, b) => provably_nonneg(a) && provably_nonneg(b),
-        Expr::Clamp(_, lo, _) => provably_nonneg(lo),
+fn provably_nonneg(e: ExprRef<'_>) -> bool {
+    match e.kind() {
+        ExprKind::Int(v) => v >= 0,
+        ExprKind::Feat(f) => f.range().0 >= 0,
+        ExprKind::Abs(_) => true,
+        ExprKind::Cmp(..) | ExprKind::Not(_) => true, // 0/1
+        ExprKind::Bin(BinOp::And | BinOp::Or, ..) => true, // 0/1
+        ExprKind::Bin(BinOp::Add | BinOp::Mul, a, b) => provably_nonneg(a) && provably_nonneg(b),
+        ExprKind::Bin(BinOp::Max, a, b) => provably_nonneg(a) || provably_nonneg(b),
+        ExprKind::Bin(BinOp::Min, a, b) => provably_nonneg(a) && provably_nonneg(b),
+        ExprKind::Clamp(_, lo, _) => provably_nonneg(lo),
         _ => provably_positive(e),
     }
 }
@@ -278,16 +271,17 @@ mod tests {
 
     #[test]
     fn guard_analysis_shapes() {
-        assert!(divisor_nonzero(&parse("3").unwrap()));
-        assert!(divisor_nonzero(&parse("-3").unwrap()));
-        assert!(!divisor_nonzero(&parse("0").unwrap()));
-        assert!(divisor_nonzero(&parse("max(loss, 1)").unwrap()));
-        assert!(divisor_nonzero(&parse("1 + abs(cwnd - prev_cwnd)").unwrap()));
-        assert!(divisor_nonzero(&parse("clamp(srtt, 1, 1000)").unwrap()));
-        assert!(divisor_nonzero(&parse("mss * 2").unwrap()));
-        assert!(!divisor_nonzero(&parse("loss").unwrap()));
-        assert!(!divisor_nonzero(&parse("abs(loss)").unwrap()));
-        assert!(!divisor_nonzero(&parse("min(mss, loss)").unwrap()));
+        let nonzero = |src| divisor_nonzero(parse(src).unwrap().view());
+        assert!(nonzero("3"));
+        assert!(nonzero("-3"));
+        assert!(!nonzero("0"));
+        assert!(nonzero("max(loss, 1)"));
+        assert!(nonzero("1 + abs(cwnd - prev_cwnd)"));
+        assert!(nonzero("clamp(srtt, 1, 1000)"));
+        assert!(nonzero("mss * 2"));
+        assert!(!nonzero("loss"));
+        assert!(!nonzero("abs(loss)"));
+        assert!(!nonzero("min(mss, loss)"));
     }
 
     #[test]

@@ -17,32 +17,36 @@
 //!   interpreter truncates it (documented, deterministic) so that even
 //!   unchecked candidates cannot crash the host.
 
-use crate::ast::{BinOp, Expr};
+use crate::ast::{BinOp, Expr, ExprKind, ExprRef};
 use crate::env::FeatureEnv;
 use crate::error::EvalError;
 
 /// Evaluate `e` against `env`.
 pub fn eval(e: &Expr, env: &impl FeatureEnv) -> Result<i64, EvalError> {
-    match e {
-        Expr::Int(v) => Ok(*v),
-        Expr::Float(v) => Ok(*v as i64),
-        Expr::Feat(f) => Ok(env.feature(*f)),
-        Expr::Neg(a) => Ok(eval(a, env)?.saturating_neg()),
-        Expr::Not(a) => Ok((eval(a, env)? == 0) as i64),
-        Expr::Abs(a) => Ok(eval(a, env)?.saturating_abs()),
-        Expr::Bin(op, a, b) => bin(*op, a, b, env),
-        Expr::Cmp(op, a, b) => Ok(op.apply(eval(a, env)?, eval(b, env)?)),
-        Expr::If(c, t, f) => {
-            if eval(c, env)? != 0 {
-                eval(t, env)
+    go(e.view(), env)
+}
+
+fn go(e: ExprRef<'_>, env: &impl FeatureEnv) -> Result<i64, EvalError> {
+    match e.kind() {
+        ExprKind::Int(v) => Ok(v),
+        ExprKind::Float(v) => Ok(v as i64),
+        ExprKind::Feat(f) => Ok(env.feature(f)),
+        ExprKind::Neg(a) => Ok(go(a, env)?.saturating_neg()),
+        ExprKind::Not(a) => Ok((go(a, env)? == 0) as i64),
+        ExprKind::Abs(a) => Ok(go(a, env)?.saturating_abs()),
+        ExprKind::Bin(op, a, b) => bin(op, a, b, env),
+        ExprKind::Cmp(op, a, b) => Ok(op.apply(go(a, env)?, go(b, env)?)),
+        ExprKind::If(c, t, f) => {
+            if go(c, env)? != 0 {
+                go(t, env)
             } else {
-                eval(f, env)
+                go(f, env)
             }
         }
-        Expr::Clamp(x, lo, hi) => {
-            let x = eval(x, env)?;
-            let lo = eval(lo, env)?;
-            let hi = eval(hi, env)?;
+        ExprKind::Clamp(x, lo, hi) => {
+            let x = go(x, env)?;
+            let lo = go(lo, env)?;
+            let hi = go(hi, env)?;
             Ok(clamp(x, lo, hi))
         }
     }
@@ -89,19 +93,19 @@ pub fn rem_sat(a: i64, b: i64) -> i64 {
     }
 }
 
-fn bin(op: BinOp, a: &Expr, b: &Expr, env: &impl FeatureEnv) -> Result<i64, EvalError> {
+fn bin(op: BinOp, a: ExprRef<'_>, b: ExprRef<'_>, env: &impl FeatureEnv) -> Result<i64, EvalError> {
     // Short-circuit logic first.
     match op {
         BinOp::And => {
-            return Ok(if eval(a, env)? == 0 { 0 } else { (eval(b, env)? != 0) as i64 });
+            return Ok(if go(a, env)? == 0 { 0 } else { (go(b, env)? != 0) as i64 });
         }
         BinOp::Or => {
-            return Ok(if eval(a, env)? != 0 { 1 } else { (eval(b, env)? != 0) as i64 });
+            return Ok(if go(a, env)? != 0 { 1 } else { (go(b, env)? != 0) as i64 });
         }
         _ => {}
     }
-    let x = eval(a, env)?;
-    let y = eval(b, env)?;
+    let x = go(a, env)?;
+    let y = go(b, env)?;
     Ok(match op {
         BinOp::Add => x.saturating_add(y),
         BinOp::Sub => x.saturating_sub(y),
@@ -151,21 +155,15 @@ mod tests {
         assert_eq!(run("9223372036854775807 + 1").unwrap(), i64::MAX);
         assert_eq!(run("-9223372036854775807 - 2").unwrap(), i64::MIN);
         assert_eq!(run("9223372036854775807 * 2").unwrap(), i64::MAX);
-        assert_eq!(
-            eval(&Expr::Neg(Box::new(Expr::Int(i64::MIN))), &MapEnv::new()).unwrap(),
-            i64::MAX
-        );
-        assert_eq!(
-            eval(&Expr::Abs(Box::new(Expr::Int(i64::MIN))), &MapEnv::new()).unwrap(),
-            i64::MAX
-        );
+        assert_eq!(eval(&-Expr::int(i64::MIN), &MapEnv::new()).unwrap(), i64::MAX);
+        assert_eq!(eval(&Expr::abs(Expr::int(i64::MIN)), &MapEnv::new()).unwrap(), i64::MAX);
     }
 
     #[test]
     fn min_div_minus_one_saturates() {
-        let e = Expr::bin(BinOp::Div, Expr::Int(i64::MIN), Expr::Int(-1));
+        let e = Expr::bin(BinOp::Div, Expr::int(i64::MIN), Expr::int(-1));
         assert_eq!(eval(&e, &MapEnv::new()).unwrap(), i64::MAX);
-        let e = Expr::bin(BinOp::Rem, Expr::Int(i64::MIN), Expr::Int(-1));
+        let e = Expr::bin(BinOp::Rem, Expr::int(i64::MIN), Expr::int(-1));
         assert_eq!(eval(&e, &MapEnv::new()).unwrap(), 0);
     }
 

@@ -6,8 +6,9 @@
 //! is realistic.
 //!
 //! Every candidate passes through here, so the lexer allocates nothing but
-//! the token vector: a token is a kind and a byte span, and the parser
-//! reads a literal's or identifier's text from the source it borrows.
+//! the token vector, reserved once from the source length: a token is a
+//! kind and a byte span, and the parser reads a literal's or identifier's
+//! text from the source it borrows.
 //! Generator output is hostile bytes; a character no token starts with is
 //! reported whole, multibyte or not, at its byte offset.
 
@@ -76,7 +77,9 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
         }
         i
     };
-    let mut out = Vec::new();
+    // a token per two bytes: spaced source (`x * y`) never regrows the
+    // vector, and source with a token in every byte regrows it once
+    let mut out = Vec::with_capacity(src.len() / 2 + 1);
     let mut i = 0;
     while i < bytes.len() {
         let pos = i;

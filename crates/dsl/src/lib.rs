@@ -42,7 +42,7 @@
 //! same choice end-to-end: all programs compute over `i64` with saturating
 //! arithmetic, so the DSL interpreter and the kbpf VM agree bit-for-bit.
 //! Float *literals* are still lexable and parseable — they become
-//! [`Expr::Float`] nodes which the [typechecker](check()) rejects — because the
+//! [`ExprKind::Float`] nodes which the [typechecker](check()) rejects — because the
 //! fault-injection path of the mock generator must be able to produce the
 //! same non-conforming programs a real LLM does.
 //!
@@ -76,7 +76,7 @@ pub mod parser;
 pub mod printer;
 pub mod simplify;
 
-pub use ast::{BinOp, CmpOp, Expr};
+pub use ast::{BinOp, CmpOp, Expr, ExprKind, ExprRef};
 pub use check::{check, check_with_warnings, CheckReport, Warning};
 pub use env::FeatureEnv;
 pub use error::{CheckError, EvalError, ParseError};

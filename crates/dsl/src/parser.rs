@@ -26,7 +26,7 @@
 //! bounded by [`MAX_PARSE_DEPTH`] and the binary chains, which nest the
 //! *tree* without nesting the parser, by a per-source link budget.
 
-use crate::ast::{BinOp, CmpOp, Expr};
+use crate::ast::{BinOp, Builder, CmpOp, Expr};
 use crate::error::ParseError;
 use crate::feature::Feature;
 use crate::lexer::{lex, Token, TokenKind};
@@ -37,10 +37,12 @@ pub const MAX_PARSE_DEPTH: usize = 64;
 
 /// Maximum binary-operator links (`a + b` is one) in one source. A
 /// left-associative chain is built by a loop, so [`MAX_PARSE_DEPTH`] never
-/// sees it, yet every link is one more level of tree for `check`, `Drop`,
-/// `to_source` and the lowerer to recurse through — 40 000 of them overflow
-/// a 2 MiB stack, which aborts the process. Far above any compile budget
-/// (≤ 512 nodes), so what this rejects `check` was going to reject.
+/// sees it, yet every link is one more level of tree for the recursive
+/// walks — `to_source`, `simplify`, `eval`, the lowerer — and 40 000 of
+/// them overflow a 2 MiB stack, which aborts the process. (Dropping a tree
+/// does not recurse, and `check` loops over the tree's node buffer; only
+/// its divisor analysis recurses, into a divisor.) Far above any compile
+/// budget (≤ 512 nodes), so what this rejects `check` was going to reject.
 const MAX_PARSE_LINKS: usize = 2_048;
 
 /// Parse a complete heuristic expression. The whole input must be consumed.
@@ -50,16 +52,19 @@ const MAX_PARSE_LINKS: usize = 2_048;
 /// or is one of the source's binary links, and both are budgeted.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { src, tokens, i: 0, depth: 0, links: 0 };
-    let e = p.expr()?;
+    // every node but a folded `-literal`'s consumes a token of its own
+    let tree = Builder::with_capacity(tokens.len());
+    let mut p = Parser { src, tokens, i: 0, depth: 0, links: 0, tree };
+    p.expr()?;
     if let Some(t) = p.peek() {
         return Err(p.unexpected(t, "end of input"));
     }
-    Ok(e)
+    Ok(p.tree.finish())
 }
 
 /// The parser borrows the source: tokens are spans into it, and only an
-/// error or an out-of-range literal copies text out.
+/// error or an out-of-range literal copies text out. Each rule appends its
+/// subtree to `tree`, operands before their operator.
 struct Parser<'s> {
     src: &'s str,
     tokens: Vec<Token>,
@@ -67,6 +72,7 @@ struct Parser<'s> {
     depth: usize,
     /// Binary links built so far, over the whole source.
     links: usize,
+    tree: Builder,
 }
 
 /// The node a binary operator token builds.
@@ -153,25 +159,25 @@ impl<'s> Parser<'s> {
         self.depth -= 1;
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<(), ParseError> {
         self.enter()?;
-        let cond = self.binary(1)?;
-        let r = if self.eat(TokenKind::Question) {
-            let then = self.expr()?;
+        let start = self.tree.mark();
+        self.binary(1)?;
+        if self.eat(TokenKind::Question) {
+            self.expr()?;
             self.expect(TokenKind::Colon, "`:`")?;
-            let els = self.expr()?;
-            Expr::ite(cond, then, els)
-        } else {
-            cond
-        };
+            self.expr()?;
+            self.tree.ite(start);
+        }
         self.leave();
-        Ok(r)
+        Ok(())
     }
 
     /// Levels `or` … `mul`: a left-associative chain of every operator at
     /// `level` or tighter, each right operand one level tighter still.
-    fn binary(&mut self, level: u8) -> Result<Expr, ParseError> {
-        let mut e = self.unary()?;
+    fn binary(&mut self, level: u8) -> Result<(), ParseError> {
+        let start = self.tree.mark();
+        self.unary()?;
         while let Some((at, op)) =
             self.peek().and_then(|t| infix(t.kind)).filter(|&(at, _)| at >= level)
         {
@@ -180,62 +186,64 @@ impl<'s> Parser<'s> {
                 return Err(ParseError::TooDeep { pos: self.tokens[self.i].pos });
             }
             self.i += 1;
-            let rhs = self.binary(at + 1)?;
-            e = match op {
-                Infix::Bin(op) => Expr::bin(op, e, rhs),
-                Infix::Cmp(op) => Expr::cmp(op, e, rhs),
-            };
-        }
-        Ok(e)
-    }
-
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        self.enter()?;
-        let r = if self.eat(TokenKind::Minus) {
-            // `-5` folds to a literal so the generator's constant mutations
-            // see negative constants as single nodes.
-            match self.unary()? {
-                Expr::Int(v) => Ok(Expr::Int(v.checked_neg().unwrap_or(i64::MAX))),
-                Expr::Float(v) => Ok(Expr::Float(-v)),
-                e => Ok(Expr::Neg(Box::new(e))),
+            self.binary(at + 1)?;
+            match op {
+                Infix::Bin(op) => self.tree.bin(op, start),
+                Infix::Cmp(op) => self.tree.cmp(op, start),
             }
-        } else if self.eat(TokenKind::Bang) {
-            Ok(Expr::Not(Box::new(self.unary()?)))
-        } else {
-            self.primary()
-        };
-        self.leave();
-        r
+        }
+        Ok(())
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<(), ParseError> {
+        self.enter()?;
+        let start = self.tree.mark();
+        if self.eat(TokenKind::Minus) {
+            self.unary()?;
+            self.tree.negate(start);
+        } else if self.eat(TokenKind::Bang) {
+            self.unary()?;
+            self.tree.not(start);
+        } else {
+            self.primary()?;
+        }
+        self.leave();
+        Ok(())
+    }
+
+    fn primary(&mut self) -> Result<(), ParseError> {
         let Some(t) = self.bump() else {
             return Err(ParseError::UnexpectedEof { expected: "an expression" });
         };
         let text = self.text(t);
         match t.kind {
-            TokenKind::Int => text
-                .parse::<i64>()
-                .map(Expr::Int)
-                .map_err(|_| ParseError::IntOutOfRange { pos: t.pos, text: text.to_string() }),
+            TokenKind::Int => {
+                let v = text.parse::<i64>().map_err(|_| ParseError::IntOutOfRange {
+                    pos: t.pos,
+                    text: text.to_string(),
+                })?;
+                self.tree.int(v);
+            }
             // f64 parse of digits.digits cannot fail, but overflows to inf
             TokenKind::Float => match text.parse::<f64>().unwrap() {
-                v if v.is_finite() => Ok(Expr::Float(v)),
-                _ => Err(ParseError::FloatOutOfRange { pos: t.pos, text: text.to_string() }),
+                v if v.is_finite() => self.tree.float(v),
+                _ => {
+                    return Err(ParseError::FloatOutOfRange { pos: t.pos, text: text.to_string() })
+                }
             },
             TokenKind::LParen => {
-                let e = self.expr()?;
+                self.expr()?;
                 self.expect(TokenKind::RParen, "`)`")?;
-                Ok(e)
             }
-            TokenKind::Ident => self.ident_tail(t.pos, text),
-            _ => Err(self.unexpected(t, "an expression")),
+            TokenKind::Ident => self.ident_tail(t.pos, text)?,
+            _ => return Err(self.unexpected(t, "an expression")),
         }
+        Ok(())
     }
 
     /// Parse what follows an initial identifier: an intrinsic call, an
     /// indexed history feature, or a dotted feature path.
-    fn ident_tail(&mut self, pos: usize, first: &'s str) -> Result<Expr, ParseError> {
+    fn ident_tail(&mut self, pos: usize, first: &'s str) -> Result<(), ParseError> {
         // Intrinsic call?
         if self.peek_is(TokenKind::LParen) {
             let arity = match first {
@@ -245,39 +253,35 @@ impl<'s> Parser<'s> {
                 _ => return Err(ParseError::UnknownIdentifier { pos, name: format!("{first}()") }),
             };
             self.i += 1; // consume '('
-            let mut args = Vec::with_capacity(arity);
+            let start = self.tree.mark();
+            let mut args = 0;
             if !self.peek_is(TokenKind::RParen) {
                 loop {
-                    args.push(self.expr()?);
+                    self.expr()?;
+                    args += 1;
                     if !self.eat(TokenKind::Comma) {
                         break;
                     }
                 }
             }
             self.expect(TokenKind::RParen, "`)`")?;
-            if args.len() != arity {
+            if args != arity {
                 return Err(ParseError::BadArity {
                     pos,
                     func: first.to_string(),
                     expected: arity,
-                    got: args.len(),
+                    got: args,
                 });
             }
-            let mut it = args.into_iter();
-            return Ok(match first {
-                "abs" => Expr::Abs(Box::new(it.next().unwrap())),
-                "min" => Expr::bin(BinOp::Min, it.next().unwrap(), it.next().unwrap()),
-                "max" => Expr::bin(BinOp::Max, it.next().unwrap(), it.next().unwrap()),
-                "clamp" => {
-                    let (a, b, c) = (it.next().unwrap(), it.next().unwrap(), it.next().unwrap());
-                    Expr::Clamp(Box::new(a), Box::new(b), Box::new(c))
-                }
-                "if" => {
-                    let (a, b, c) = (it.next().unwrap(), it.next().unwrap(), it.next().unwrap());
-                    Expr::ite(a, b, c)
-                }
-                _ => unreachable!(),
-            });
+            match first {
+                "abs" => self.tree.abs(start),
+                "min" => self.tree.bin(BinOp::Min, start),
+                "max" => self.tree.bin(BinOp::Max, start),
+                "clamp" => self.tree.clamp(start),
+                "if" => self.tree.ite(start),
+                _ => unreachable!("`arity` admits only the intrinsics"),
+            }
+            return Ok(());
         }
 
         // Indexed history feature?
@@ -304,7 +308,8 @@ impl<'s> Parser<'s> {
             if !feat.param_in_range() {
                 return Err(ParseError::BadParam { pos, name: feat.name() });
             }
-            return Ok(Expr::Feat(feat));
+            self.tree.feat(feat);
+            return Ok(());
         }
 
         // Dotted path. Segments past `MAX_PATH_SEGMENTS` are still read,
@@ -329,7 +334,10 @@ impl<'s> Parser<'s> {
         // `a.b.c`: the path's tokens, dots included, back to back
         let joined = || self.tokens[start..self.i].iter().map(|&t| self.text(t)).collect();
         match segs.get(..n).and_then(resolve_path) {
-            Some(f) if f.param_in_range() => Ok(Expr::Feat(f)),
+            Some(f) if f.param_in_range() => {
+                self.tree.feat(f);
+                Ok(())
+            }
             Some(_) => Err(ParseError::BadParam { pos, name: joined() }),
             None => Err(ParseError::UnknownIdentifier { pos, name: joined() }),
         }
@@ -410,7 +418,7 @@ mod tests {
         let e = parse("1 + 2 * 3").unwrap();
         assert_eq!(
             e,
-            Expr::bin(BinOp::Add, Expr::Int(1), Expr::bin(BinOp::Mul, Expr::Int(2), Expr::Int(3)))
+            Expr::bin(BinOp::Add, Expr::int(1), Expr::bin(BinOp::Mul, Expr::int(2), Expr::int(3)))
         );
     }
 
@@ -420,13 +428,13 @@ mod tests {
         let e = parse("1 << 2 + 3").unwrap();
         assert_eq!(
             e,
-            Expr::bin(BinOp::Shl, Expr::Int(1), Expr::bin(BinOp::Add, Expr::Int(2), Expr::Int(3)))
+            Expr::bin(BinOp::Shl, Expr::int(1), Expr::bin(BinOp::Add, Expr::int(2), Expr::int(3)))
         );
         // and a << b < c parses as (a << b) < c
         let e = parse("1 << 2 < 3").unwrap();
         assert_eq!(
             e,
-            Expr::cmp(CmpOp::Lt, Expr::bin(BinOp::Shl, Expr::Int(1), Expr::Int(2)), Expr::Int(3))
+            Expr::cmp(CmpOp::Lt, Expr::bin(BinOp::Shl, Expr::int(1), Expr::int(2)), Expr::int(3))
         );
     }
 
@@ -436,9 +444,9 @@ mod tests {
         assert_eq!(
             e,
             Expr::ite(
-                Expr::Int(1),
-                Expr::Int(2),
-                Expr::ite(Expr::Int(3), Expr::Int(4), Expr::Int(5))
+                Expr::int(1),
+                Expr::int(2),
+                Expr::ite(Expr::int(3), Expr::int(4), Expr::int(5))
             )
         );
     }
@@ -460,35 +468,31 @@ mod tests {
 
     #[test]
     fn intrinsics() {
-        assert_eq!(parse("min(1, 2)").unwrap(), Expr::bin(BinOp::Min, Expr::Int(1), Expr::Int(2)));
+        assert_eq!(parse("min(1, 2)").unwrap(), Expr::bin(BinOp::Min, Expr::int(1), Expr::int(2)));
         assert_eq!(
             parse("clamp(cwnd, 2, 100)").unwrap(),
-            Expr::Clamp(
-                Box::new(Expr::feat(Feature::Cwnd)),
-                Box::new(Expr::Int(2)),
-                Box::new(Expr::Int(100))
-            )
+            Expr::clamp(Expr::feat(Feature::Cwnd), Expr::int(2), Expr::int(100))
         );
         assert_eq!(
             parse("if(1, 2, 3)").unwrap(),
-            Expr::ite(Expr::Int(1), Expr::Int(2), Expr::Int(3))
+            Expr::ite(Expr::int(1), Expr::int(2), Expr::int(3))
         );
-        assert_eq!(parse("abs(-4)").unwrap(), Expr::Abs(Box::new(Expr::Int(-4))));
+        assert_eq!(parse("abs(-4)").unwrap(), Expr::abs(Expr::int(-4)));
     }
 
     #[test]
     fn negative_literal_folds() {
-        assert_eq!(parse("-42").unwrap(), Expr::Int(-42));
-        assert_eq!(parse("1 - -2").unwrap(), Expr::bin(BinOp::Sub, Expr::Int(1), Expr::Int(-2)));
+        assert_eq!(parse("-42").unwrap(), Expr::int(-42));
+        assert_eq!(parse("1 - -2").unwrap(), Expr::bin(BinOp::Sub, Expr::int(1), Expr::int(-2)));
     }
 
     #[test]
     fn float_literal_parses_but_is_float_node() {
-        assert_eq!(parse("0.75").unwrap(), Expr::Float(0.75));
+        assert_eq!(parse("0.75").unwrap(), Expr::float(0.75));
         assert!(parse("ages.p75 * 0.5").unwrap().contains_float());
         assert_eq!(
             parse("1 - -0.5").unwrap(),
-            Expr::bin(BinOp::Sub, Expr::Int(1), Expr::Float(-0.5))
+            Expr::bin(BinOp::Sub, Expr::int(1), Expr::float(-0.5))
         );
     }
 
@@ -545,14 +549,14 @@ mod tests {
 
     #[test]
     fn an_input_long_chain_is_an_error_not_a_stack_overflow() {
-        // 80 KB of `+ 1` on the stack every spawned thread gets. Before
-        // the link budget this parsed, and the first recursive walk of the
-        // 40 000-deep tree (here `check`, else its `Drop`) aborted the
-        // process: an abort, which no `catch_unwind` contains.
+        // 80 KB of `+ 1` on the stack every spawned thread gets. Without
+        // the link budget this parses, and the first recursive walk of the
+        // 40 000-deep tree (here `to_source`) aborts the process: an abort,
+        // which no `catch_unwind` contains.
         let src = chain("+", 40_000);
         let parsed = std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(move || parse(&src).map(|e| crate::check::check(&e, crate::Mode::Cache)))
+            .spawn(move || parse(&src).map(|e| crate::printer::to_source(&e).len()))
             .unwrap()
             .join()
             .unwrap();

@@ -7,62 +7,63 @@
 //! using the same precedence table the parser uses, so printed heuristics
 //! look like the paper's Listing 1 rather than a LISP dump.
 
-use crate::ast::{BinOp, CmpOp, Expr};
+use crate::ast::{BinOp, CmpOp, Expr, ExprKind, ExprRef};
 
 /// Render `e` as parseable heuristic source.
 pub fn to_source(e: &Expr) -> String {
     let mut s = String::new();
-    write_expr(e, 0, &mut s);
+    write_expr(e.view(), 0, &mut s);
     s
 }
 
 /// Precedence levels, matching the parser (higher binds tighter).
-fn prec_of(e: &Expr) -> u8 {
+fn prec_of(e: ExprKind<'_>) -> u8 {
     match e {
-        Expr::If(..) => 0, // printed as if(...) call — atom — but ternary level kept for safety
-        Expr::Bin(BinOp::Or, ..) => 1,
-        Expr::Bin(BinOp::And, ..) => 2,
-        Expr::Cmp(CmpOp::Eq | CmpOp::Ne, ..) => 3,
-        Expr::Cmp(..) => 4,
-        Expr::Bin(BinOp::Shl | BinOp::Shr, ..) => 5,
-        Expr::Bin(BinOp::Add | BinOp::Sub, ..) => 6,
-        Expr::Bin(BinOp::Mul | BinOp::Div | BinOp::Rem, ..) => 7,
-        Expr::Neg(_) | Expr::Not(_) => 8,
+        ExprKind::If(..) => 0, // printed as if(...) call — atom — but ternary level kept for safety
+        ExprKind::Bin(BinOp::Or, ..) => 1,
+        ExprKind::Bin(BinOp::And, ..) => 2,
+        ExprKind::Cmp(CmpOp::Eq | CmpOp::Ne, ..) => 3,
+        ExprKind::Cmp(..) => 4,
+        ExprKind::Bin(BinOp::Shl | BinOp::Shr, ..) => 5,
+        ExprKind::Bin(BinOp::Add | BinOp::Sub, ..) => 6,
+        ExprKind::Bin(BinOp::Mul | BinOp::Div | BinOp::Rem, ..) => 7,
+        ExprKind::Neg(_) | ExprKind::Not(_) => 8,
         _ => 9, // atoms and call-syntax nodes
     }
 }
 
-fn write_expr(e: &Expr, min_prec: u8, out: &mut String) {
-    let p = prec_of(e);
+fn write_expr(e: ExprRef<'_>, min_prec: u8, out: &mut String) {
+    let kind = e.kind();
+    let p = prec_of(kind);
     let parens = p < min_prec;
     if parens {
         out.push('(');
     }
-    match e {
-        Expr::Int(v) => {
-            if *v == i64::MIN {
+    match kind {
+        ExprKind::Int(v) => {
+            if v == i64::MIN {
                 // `-9223372036854775808` does not survive unary-minus parsing.
                 out.push_str("(-9223372036854775807 - 1)");
             } else {
                 out.push_str(&v.to_string());
             }
         }
-        Expr::Float(v) => out.push_str(&fmt_float(*v)),
-        Expr::Feat(f) => out.push_str(&f.name()),
-        Expr::Neg(a) => {
+        ExprKind::Float(v) => out.push_str(&fmt_float(v)),
+        ExprKind::Feat(f) => out.push_str(&f.name()),
+        ExprKind::Neg(a) => {
             out.push('-');
             write_expr(a, 8, out);
         }
-        Expr::Not(a) => {
+        ExprKind::Not(a) => {
             out.push('!');
             write_expr(a, 8, out);
         }
-        Expr::Abs(a) => {
+        ExprKind::Abs(a) => {
             out.push_str("abs(");
             write_expr(a, 0, out);
             out.push(')');
         }
-        Expr::Bin(op @ (BinOp::Min | BinOp::Max), a, b) => {
+        ExprKind::Bin(op @ (BinOp::Min | BinOp::Max), a, b) => {
             out.push_str(op.symbol());
             out.push('(');
             write_expr(a, 0, out);
@@ -70,7 +71,7 @@ fn write_expr(e: &Expr, min_prec: u8, out: &mut String) {
             write_expr(b, 0, out);
             out.push(')');
         }
-        Expr::Bin(op, a, b) => {
+        ExprKind::Bin(op, a, b) => {
             // left-associative: right child needs one level tighter
             write_expr(a, p, out);
             out.push(' ');
@@ -78,14 +79,14 @@ fn write_expr(e: &Expr, min_prec: u8, out: &mut String) {
             out.push(' ');
             write_expr(b, p + 1, out);
         }
-        Expr::Cmp(op, a, b) => {
+        ExprKind::Cmp(op, a, b) => {
             write_expr(a, p, out);
             out.push(' ');
             out.push_str(op.symbol());
             out.push(' ');
             write_expr(b, p + 1, out);
         }
-        Expr::If(c, t, f) => {
+        ExprKind::If(c, t, f) => {
             out.push_str("if(");
             write_expr(c, 0, out);
             out.push_str(", ");
@@ -94,7 +95,7 @@ fn write_expr(e: &Expr, min_prec: u8, out: &mut String) {
             write_expr(f, 0, out);
             out.push(')');
         }
-        Expr::Clamp(x, lo, hi) => {
+        ExprKind::Clamp(x, lo, hi) => {
             out.push_str("clamp(");
             write_expr(x, 0, out);
             out.push_str(", ");
@@ -190,7 +191,7 @@ mod tests {
     fn neg_int_semantic_roundtrip() {
         // Neg(Int(5)) prints as "-5" which reparses to Int(-5): not
         // structurally identical but semantically equal.
-        let e = Expr::Neg(Box::new(Expr::Int(5)));
+        let e = -Expr::int(5);
         let r = parse(&to_source(&e)).unwrap();
         let env = MapEnv::new();
         assert_eq!(eval(&e, &env), eval(&r, &env));
@@ -198,7 +199,7 @@ mod tests {
 
     #[test]
     fn min_int_prints_parseable() {
-        let e = Expr::Int(i64::MIN);
+        let e = Expr::int(i64::MIN);
         let r = parse(&to_source(&e)).unwrap();
         assert_eq!(eval(&r, &MapEnv::new()).unwrap(), i64::MIN);
     }
@@ -206,16 +207,16 @@ mod tests {
     #[test]
     fn float_prints_parseable() {
         for v in [0.5, 0.75, 1.5, 2.0, 10.25] {
-            let printed = to_source(&Expr::Float(v));
-            assert_eq!(parse(&printed).unwrap(), Expr::Float(v), "{printed}");
+            let printed = to_source(&Expr::float(v));
+            assert_eq!(parse(&printed).unwrap(), Expr::float(v), "{printed}");
         }
     }
 
     #[test]
     fn feature_names_roundtrip() {
         for f in crate::feature::Mode::ALL.iter().flat_map(|&m| Feature::catalog(m)) {
-            let printed = to_source(&Expr::Feat(f));
-            assert_eq!(parse(&printed).unwrap(), Expr::Feat(f), "{printed}");
+            let printed = to_source(&Expr::feat(f));
+            assert_eq!(parse(&printed).unwrap(), Expr::feat(f), "{printed}");
         }
     }
 }

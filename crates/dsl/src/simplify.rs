@@ -10,142 +10,163 @@
 //! folding uses the interpreter's own saturating operations, and faulting
 //! subexpressions (`1 / 0`) are left untouched rather than folded.
 
-use crate::ast::{BinOp, Expr};
+//!
+//! Every rewrite removes nodes, so a pass in which none fires gives its
+//! input back; such a pass builds nothing, and the last pass of every
+//! `simplify` is one.
+
+use crate::ast::{BinOp, Expr, ExprKind, ExprRef};
 use crate::eval::{clamp, div_sat, rem_sat, shl_sat, shr_arith};
 
 /// Simplify `e` bottom-up until a fixed point (at most a few passes).
 pub fn simplify(e: &Expr) -> Expr {
     let mut cur = e.clone();
     for _ in 0..4 {
-        let next = pass(&cur);
-        if next == cur {
-            break;
+        match pass(cur.view()) {
+            Some(next) => cur = next,
+            None => break,
         }
-        cur = next;
     }
     cur
 }
 
-fn pass(e: &Expr) -> Expr {
-    match e {
-        Expr::Int(_) | Expr::Float(_) | Expr::Feat(_) => e.clone(),
-        Expr::Neg(a) => {
-            let a = pass(a);
-            match a {
-                Expr::Int(v) => Expr::Int(v.saturating_neg()),
-                Expr::Neg(inner) => *inner,
-                other => Expr::Neg(Box::new(other)),
+/// An operand after its own pass: the rewritten subtree, if a rule fired
+/// in it, else the subtree as it was.
+struct Operand<'a> {
+    was: ExprRef<'a>,
+    now: Option<Expr>,
+}
+
+impl<'a> Operand<'a> {
+    fn of(e: ExprRef<'a>) -> Operand<'a> {
+        Operand { was: e, now: pass(e) }
+    }
+
+    fn view(&self) -> ExprRef<'_> {
+        self.now.as_ref().map_or(self.was, Expr::view)
+    }
+
+    fn into_expr(self) -> Expr {
+        self.now.unwrap_or_else(|| self.was.to_expr())
+    }
+}
+
+/// The node `node` builds over `operands` if any of them changed; `None`
+/// if none did, and the node stays as it was.
+fn rebuilt<const N: usize>(
+    operands: [Operand<'_>; N],
+    node: impl FnOnce([Expr; N]) -> Expr,
+) -> Option<Expr> {
+    operands.iter().any(|o| o.now.is_some()).then(|| node(operands.map(Operand::into_expr)))
+}
+
+/// One bottom-up pass over `e`; `None` when no rule fires anywhere in it.
+fn pass(e: ExprRef<'_>) -> Option<Expr> {
+    match e.kind() {
+        ExprKind::Int(_) | ExprKind::Float(_) | ExprKind::Feat(_) => None,
+        ExprKind::Neg(a) => {
+            let a = Operand::of(a);
+            match a.view().kind() {
+                ExprKind::Int(v) => Some(Expr::int(v.saturating_neg())),
+                ExprKind::Neg(inner) => Some(inner.to_expr()),
+                _ => rebuilt([a], |[a]| -a),
             }
         }
-        Expr::Not(a) => {
-            let a = pass(a);
-            match a {
-                Expr::Int(v) => Expr::Int((v == 0) as i64),
-                Expr::Not(inner) if is_boolean(&inner) => *inner,
-                other => Expr::Not(Box::new(other)),
+        ExprKind::Not(a) => {
+            let a = Operand::of(a);
+            match a.view().kind() {
+                ExprKind::Int(v) => Some(Expr::int((v == 0) as i64)),
+                ExprKind::Not(inner) if is_boolean(inner) => Some(inner.to_expr()),
+                _ => rebuilt([a], |[a]| !a),
             }
         }
-        Expr::Abs(a) => {
-            let a = pass(a);
-            match a {
-                Expr::Int(v) => Expr::Int(v.saturating_abs()),
-                Expr::Abs(inner) => Expr::Abs(inner),
-                other => Expr::Abs(Box::new(other)),
+        ExprKind::Abs(a) => {
+            let a = Operand::of(a);
+            match a.view().kind() {
+                ExprKind::Int(v) => Some(Expr::int(v.saturating_abs())),
+                ExprKind::Abs(_) => Some(a.into_expr()),
+                _ => rebuilt([a], |[a]| Expr::abs(a)),
             }
         }
-        Expr::Bin(op, a, b) => {
-            let a = pass(a);
-            let b = pass(b);
-            fold_bin(*op, a, b)
-        }
-        Expr::Cmp(op, a, b) => {
-            let a = pass(a);
-            let b = pass(b);
-            if let (Expr::Int(x), Expr::Int(y)) = (&a, &b) {
-                return Expr::Int(op.apply(*x, *y));
+        ExprKind::Bin(op, a, b) => fold_bin(op, Operand::of(a), Operand::of(b)),
+        ExprKind::Cmp(op, a, b) => {
+            let (a, b) = (Operand::of(a), Operand::of(b));
+            if let (ExprKind::Int(x), ExprKind::Int(y)) = (a.view().kind(), b.view().kind()) {
+                return Some(Expr::int(op.apply(x, y)));
             }
-            Expr::cmp(*op, a, b)
+            rebuilt([a, b], |[a, b]| Expr::cmp(op, a, b))
         }
-        Expr::If(c, t, f) => {
-            let c = pass(c);
-            let t = pass(t);
-            let f = pass(f);
-            match c {
-                Expr::Int(v) => {
-                    if v != 0 {
-                        t
-                    } else {
-                        f
-                    }
-                }
-                c => {
-                    // Pruning identical branches drops the evaluation of `c`,
-                    // which is only legal if `c` cannot fault.
-                    if t == f && !c.contains_div() {
-                        t
-                    } else {
-                        Expr::ite(c, t, f)
-                    }
-                }
+        ExprKind::If(c, t, f) => {
+            let (c, t, f) = (Operand::of(c), Operand::of(t), Operand::of(f));
+            match c.view().kind() {
+                ExprKind::Int(v) => Some(if v != 0 { t.into_expr() } else { f.into_expr() }),
+                // Pruning identical branches drops the evaluation of `c`,
+                // which is only legal if `c` cannot fault.
+                _ if t.view() == f.view() && !c.view().contains_div() => Some(t.into_expr()),
+                _ => rebuilt([c, t, f], |[c, t, f]| Expr::ite(c, t, f)),
             }
         }
-        Expr::Clamp(x, lo, hi) => {
-            let x = pass(x);
-            let lo = pass(lo);
-            let hi = pass(hi);
-            if let (Expr::Int(a), Expr::Int(l), Expr::Int(h)) = (&x, &lo, &hi) {
-                return Expr::Int(clamp(*a, *l, *h));
+        ExprKind::Clamp(x, lo, hi) => {
+            let (x, lo, hi) = (Operand::of(x), Operand::of(lo), Operand::of(hi));
+            if let (ExprKind::Int(a), ExprKind::Int(l), ExprKind::Int(h)) =
+                (x.view().kind(), lo.view().kind(), hi.view().kind())
+            {
+                return Some(Expr::int(clamp(a, l, h)));
             }
-            Expr::Clamp(Box::new(x), Box::new(lo), Box::new(hi))
+            rebuilt([x, lo, hi], |[x, lo, hi]| Expr::clamp(x, lo, hi))
         }
     }
 }
 
 /// Is the expression guaranteed to evaluate to 0 or 1?
-fn is_boolean(e: &Expr) -> bool {
-    matches!(e, Expr::Cmp(..) | Expr::Not(_) | Expr::Bin(BinOp::And | BinOp::Or, ..))
-        || matches!(e, Expr::Int(0) | Expr::Int(1))
+fn is_boolean(e: ExprRef<'_>) -> bool {
+    matches!(
+        e.kind(),
+        ExprKind::Cmp(..)
+            | ExprKind::Not(_)
+            | ExprKind::Bin(BinOp::And | BinOp::Or, ..)
+            | ExprKind::Int(0 | 1)
+    )
 }
 
-fn fold_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+fn fold_bin(op: BinOp, a: Operand<'_>, b: Operand<'_>) -> Option<Expr> {
     use BinOp::*;
     // Full constant folding (guarding faults).
-    if let (Expr::Int(x), Expr::Int(y)) = (&a, &b) {
+    if let (ExprKind::Int(x), ExprKind::Int(y)) = (a.view().kind(), b.view().kind()) {
         let folded = match op {
-            Add => Some(x.saturating_add(*y)),
-            Sub => Some(x.saturating_sub(*y)),
-            Mul => Some(x.saturating_mul(*y)),
-            Div if *y != 0 => Some(div_sat(*x, *y)),
-            Rem if *y != 0 => Some(rem_sat(*x, *y)),
-            Min => Some((*x).min(*y)),
-            Max => Some((*x).max(*y)),
-            And => Some(((*x != 0) && (*y != 0)) as i64),
-            Or => Some(((*x != 0) || (*y != 0)) as i64),
-            Shl => Some(shl_sat(*x, *y)),
-            Shr => Some(shr_arith(*x, *y)),
+            Add => Some(x.saturating_add(y)),
+            Sub => Some(x.saturating_sub(y)),
+            Mul => Some(x.saturating_mul(y)),
+            Div if y != 0 => Some(div_sat(x, y)),
+            Rem if y != 0 => Some(rem_sat(x, y)),
+            Min => Some(x.min(y)),
+            Max => Some(x.max(y)),
+            And => Some(((x != 0) && (y != 0)) as i64),
+            Or => Some(((x != 0) || (y != 0)) as i64),
+            Shl => Some(shl_sat(x, y)),
+            Shr => Some(shr_arith(x, y)),
             _ => None,
         };
         if let Some(v) = folded {
-            return Expr::Int(v);
+            return Some(Expr::int(v));
         }
     }
     // Identities. Only fault-free rewrites: dropping a subtree is legal
     // because subtrees cannot fault unless they contain `/`/`%`, which we
     // conservatively keep.
-    match (op, &a, &b) {
-        (Add, Expr::Int(0), _) => return b,
-        (Add, _, Expr::Int(0)) => return a,
-        (Sub, _, Expr::Int(0)) => return a,
-        (Mul, _, Expr::Int(1)) => return a,
-        (Mul, Expr::Int(1), _) => return b,
-        (Mul, Expr::Int(0), rhs) if !rhs.contains_div() => return Expr::Int(0),
-        (Mul, lhs, Expr::Int(0)) if !lhs.contains_div() => return Expr::Int(0),
-        (Div, _, Expr::Int(1)) => return a,
-        (Shl | Shr, _, Expr::Int(0)) => return a,
-        (Min | Max, x, y) if x == y => return a,
-        _ => {}
+    match (op, a.view().kind(), b.view().kind()) {
+        (Add, ExprKind::Int(0), _) => Some(b.into_expr()),
+        (Add, _, ExprKind::Int(0)) => Some(a.into_expr()),
+        (Sub, _, ExprKind::Int(0)) => Some(a.into_expr()),
+        (Mul, _, ExprKind::Int(1)) => Some(a.into_expr()),
+        (Mul, ExprKind::Int(1), _) => Some(b.into_expr()),
+        (Mul, ExprKind::Int(0), _) if !b.view().contains_div() => Some(Expr::int(0)),
+        (Mul, _, ExprKind::Int(0)) if !a.view().contains_div() => Some(Expr::int(0)),
+        (Div, _, ExprKind::Int(1)) => Some(a.into_expr()),
+        (Shl | Shr, _, ExprKind::Int(0)) => Some(a.into_expr()),
+        (Min | Max, ..) if a.view() == b.view() => Some(a.into_expr()),
+        _ => rebuilt([a, b], |[a, b]| Expr::bin(op, a, b)),
     }
-    Expr::bin(op, a, b)
 }
 
 #[cfg(test)]

@@ -79,22 +79,18 @@ fn arb_cmpop() -> impl Strategy<Value = CmpOp> {
 /// fault-injection path, exercised separately in unit tests.
 fn arb_expr(features: Vec<Feature>) -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        (-1000i64..1000).prop_map(Expr::Int),
-        proptest::sample::select(features).prop_map(Expr::Feat),
+        (-1000i64..1000).prop_map(Expr::int),
+        proptest::sample::select(features).prop_map(Expr::feat),
     ];
     leaf.prop_recursive(5, 64, 3, |inner| {
         prop_oneof![
             (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             (arb_cmpop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::cmp(op, a, b)),
-            inner.clone().prop_map(|a| Expr::Neg(Box::new(a))),
-            inner.clone().prop_map(|a| Expr::Not(Box::new(a))),
-            inner.clone().prop_map(|a| Expr::Abs(Box::new(a))),
+            inner.clone().prop_map(|a| -a),
+            inner.clone().prop_map(|a| !a),
+            inner.clone().prop_map(Expr::abs),
             (inner.clone(), inner.clone(), inner.clone()).prop_map(|(a, b, c)| Expr::ite(a, b, c)),
-            (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| Expr::Clamp(
-                Box::new(a),
-                Box::new(b),
-                Box::new(c)
-            )),
+            (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| Expr::clamp(a, b, c)),
         ]
     })
 }
@@ -170,5 +166,21 @@ proptest! {
     #[test]
     fn eval_is_deterministic(e in arb_expr(cache_features()), env in arb_env()) {
         prop_assert_eq!(eval(&e, &env), eval(&e, &env));
+    }
+
+    #[test]
+    fn every_subtree_can_be_read_and_replaced(
+        e in arb_expr(cache_features()),
+        donor in arb_expr(cache_features()),
+    ) {
+        for i in 0..e.size() {
+            let sub = e.get_subexpr(i).unwrap();
+            let grafted = e.replace_subexpr(i, &donor);
+            prop_assert_eq!(grafted.size(), e.size() - sub.size() + donor.size());
+            prop_assert_eq!(grafted.get_subexpr(i).map(|s| s.to_expr()), Some(donor.clone()));
+            // putting the old subtree back restores the tree
+            prop_assert_eq!(grafted.replace_subexpr(i, &sub.to_expr()), e.clone());
+        }
+        prop_assert!(e.get_subexpr(e.size()).is_none());
     }
 }

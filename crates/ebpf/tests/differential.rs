@@ -72,22 +72,18 @@ fn arb_cmpop() -> impl Strategy<Value = CmpOp> {
 
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        (-1_000i64..1_000).prop_map(Expr::Int),
-        proptest::sample::select(kernel_features()).prop_map(Expr::Feat),
+        (-1_000i64..1_000).prop_map(Expr::int),
+        proptest::sample::select(kernel_features()).prop_map(Expr::feat),
     ];
     leaf.prop_recursive(5, 48, 3, |inner| {
         prop_oneof![
             (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             (arb_cmpop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::cmp(op, a, b)),
-            inner.clone().prop_map(|a| Expr::Neg(Box::new(a))),
-            inner.clone().prop_map(|a| Expr::Not(Box::new(a))),
-            inner.clone().prop_map(|a| Expr::Abs(Box::new(a))),
+            inner.clone().prop_map(|a| -a),
+            inner.clone().prop_map(|a| !a),
+            inner.clone().prop_map(Expr::abs),
             (inner.clone(), inner.clone(), inner.clone()).prop_map(|(a, b, c)| Expr::ite(a, b, c)),
-            (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| Expr::Clamp(
-                Box::new(a),
-                Box::new(b),
-                Box::new(c)
-            )),
+            (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| Expr::clamp(a, b, c)),
         ]
     })
 }

@@ -8,7 +8,7 @@
 //! dominant causes. This module reproduces those fault classes; the
 //! per-study rates live in [`crate::generator::GenConfig`].
 
-use policysmith_dsl::{BinOp, Expr, Feature, Mode};
+use policysmith_dsl::{BinOp, Expr, ExprKind, ExprRef, Feature, Mode};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -120,18 +120,18 @@ pub fn inject(kind: FaultKind, expr: &Expr, mode: Mode, rng: &mut StdRng) -> Str
             let n = expr.size();
             for _ in 0..8 {
                 let ix = rng.random_range(0..n);
-                if let Some(Expr::Int(v)) = expr.get_subexpr(ix) {
-                    let f = *v as f64 + [0.5, 0.25, 0.75][rng.random_range(0..3usize)];
+                if let Some(ExprKind::Int(v)) = expr.get_subexpr(ix).map(ExprRef::kind) {
+                    let f = v as f64 + [0.5, 0.25, 0.75][rng.random_range(0..3usize)];
                     // a negative result becomes `0.5`, the text the mock has
                     // always emitted for it (the printer used to write every
                     // negative float so); every golden and artifact built on
                     // the mock's candidate stream pins that text
                     let f = if f < 0.0 { 0.5 } else { f };
-                    let mutated = expr.replace_subexpr(ix, &Expr::Float(f));
+                    let mutated = expr.replace_subexpr(ix, &Expr::float(f));
                     return policysmith_dsl::to_source(&mutated);
                 }
             }
-            let scaled = Expr::bin(BinOp::Mul, expr.clone(), Expr::Float(1.5));
+            let scaled = Expr::bin(BinOp::Mul, expr.clone(), Expr::float(1.5));
             policysmith_dsl::to_source(&scaled)
         }
         FaultKind::UnguardedDiv => {
@@ -139,8 +139,8 @@ pub fn inject(kind: FaultKind, expr: &Expr, mode: Mode, rng: &mut StdRng) -> Str
             let d = divisors[rng.random_range(0..divisors.len())];
             let n = expr.size();
             let ix = rng.random_range(0..n);
-            let victim = expr.get_subexpr(ix).cloned().unwrap_or(Expr::Int(1));
-            let divided = Expr::bin(BinOp::Div, victim, Expr::Feat(d));
+            let victim = expr.get_subexpr(ix).map_or(Expr::int(1), ExprRef::to_expr);
+            let divided = Expr::bin(BinOp::Div, victim, Expr::feat(d));
             policysmith_dsl::to_source(&expr.replace_subexpr(ix, &divided))
         }
         FaultKind::UnknownIdent => {

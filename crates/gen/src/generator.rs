@@ -14,7 +14,7 @@ use crate::faults::{inject, FaultMix};
 use crate::motifs;
 use crate::prompt::Prompt;
 use crate::tokens::TokenLedger;
-use policysmith_dsl::{parse, simplify, to_source, BinOp, Expr, Feature, Mode};
+use policysmith_dsl::{parse, simplify, to_source, BinOp, Expr, ExprKind, ExprRef, Feature, Mode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -175,13 +175,10 @@ impl MockLlm {
                     growth = Expr::ite(feat_gate(&mut self.rng), growth, g2);
                 }
                 let backoff = motifs::cc_backoff(&mut self.rng);
-                let body = Expr::ite(Expr::Feat(Feature::LossEvent), backoff, growth);
+                let body = Expr::ite(Expr::feat(Feature::LossEvent), backoff, growth);
                 if self.rng.random_bool(0.25) {
-                    Expr::Clamp(
-                        Box::new(body),
-                        Box::new(Expr::Int(2)),
-                        Box::new(Expr::Int(self.rng.random_range(128..4_096))),
-                    )
+                    let hi = Expr::int(self.rng.random_range(128..4_096));
+                    Expr::clamp(body, Expr::int(2), hi)
                 } else {
                     body
                 }
@@ -195,23 +192,23 @@ impl MockLlm {
         match self.rng.random_range(0..4u8) {
             0 => {
                 // constant perturbation
-                if let Some(Expr::Int(v)) = base.get_subexpr(ix) {
+                if let Some(ExprKind::Int(v)) = base.get_subexpr(ix).map(ExprRef::kind) {
                     let nv = match self.rng.random_range(0..4u8) {
                         0 => v.saturating_mul(2),
                         1 => v / 2,
                         2 => v.saturating_add(self.rng.random_range(1..10)),
                         _ => v.saturating_sub(self.rng.random_range(1..10)),
                     };
-                    return base.replace_subexpr(ix, &Expr::Int(nv));
+                    return base.replace_subexpr(ix, &Expr::int(nv));
                 }
                 self.mutate_fallback(base, mode)
             }
             1 => {
                 // feature swap within the mode's catalog
-                if let Some(Expr::Feat(_)) = base.get_subexpr(ix) {
+                if let Some(ExprKind::Feat(_)) = base.get_subexpr(ix).map(ExprRef::kind) {
                     let cat = Feature::catalog(mode);
                     let f = cat[self.rng.random_range(0..cat.len())];
-                    return base.replace_subexpr(ix, &Expr::Feat(f));
+                    return base.replace_subexpr(ix, &Expr::feat(f));
                 }
                 self.mutate_fallback(base, mode)
             }
@@ -259,13 +256,13 @@ impl MockLlm {
         let ix = self.rng.random_range(0..n);
         let cat = Feature::catalog(mode);
         let f = cat[self.rng.random_range(0..cat.len())];
-        base.replace_subexpr(ix, &Expr::Feat(f))
+        base.replace_subexpr(ix, &Expr::feat(f))
     }
 
     fn crossover(&mut self, a: &Expr, b: &Expr) -> Expr {
         let ia = self.rng.random_range(0..a.size());
         let ib = self.rng.random_range(0..b.size());
-        let donor = b.get_subexpr(ib).cloned().unwrap_or(Expr::Int(1));
+        let donor = b.get_subexpr(ib).map_or(Expr::int(1), ExprRef::to_expr);
         a.replace_subexpr(ia, &donor)
     }
 
@@ -282,17 +279,17 @@ fn feat_gate(rng: &mut StdRng) -> Expr {
     {
         use policysmith_dsl::CmpOp;
         match rng.random_range(0..3u8) {
-            0 => Expr::cmp(CmpOp::Lt, Expr::Feat(Feature::Cwnd), Expr::Feat(Feature::Ssthresh)),
+            0 => Expr::cmp(CmpOp::Lt, Expr::feat(Feature::Cwnd), Expr::feat(Feature::Ssthresh)),
             1 => Expr::cmp(
                 CmpOp::Gt,
-                Expr::Feat(Feature::SrttUs),
+                Expr::feat(Feature::SrttUs),
                 Expr::bin(
                     BinOp::Add,
-                    Expr::Feat(Feature::MinRttUs),
-                    Expr::Int(rng.random_range(2_000..20_000)),
+                    Expr::feat(Feature::MinRttUs),
+                    Expr::int(rng.random_range(2_000..20_000)),
                 ),
             ),
-            _ => Expr::cmp(CmpOp::Gt, Expr::Feat(Feature::HistLoss(0)), Expr::Int(0)),
+            _ => Expr::cmp(CmpOp::Gt, Expr::feat(Feature::HistLoss(0)), Expr::int(0)),
         }
     }
 }
@@ -371,51 +368,34 @@ impl Generator for MockLlm {
 /// Parse while tolerating float literals, then round them to integers.
 fn parse_with_floats_rounded(src: &str) -> Option<String> {
     let e = parse(src).ok()?;
-    fn round(e: &Expr) -> Expr {
-        match e {
-            Expr::Float(v) => Expr::Int((*v).round().max(1.0) as i64),
-            Expr::Int(_) | Expr::Feat(_) => e.clone(),
-            Expr::Neg(a) => Expr::Neg(Box::new(round(a))),
-            Expr::Not(a) => Expr::Not(Box::new(round(a))),
-            Expr::Abs(a) => Expr::Abs(Box::new(round(a))),
-            Expr::Bin(op, a, b) => Expr::bin(*op, round(a), round(b)),
-            Expr::Cmp(op, a, b) => Expr::cmp(*op, round(a), round(b)),
-            Expr::If(a, b, c) => Expr::ite(round(a), round(b), round(c)),
-            Expr::Clamp(a, b, c) => {
-                Expr::Clamp(Box::new(round(a)), Box::new(round(b)), Box::new(round(c)))
-            }
+    fn round(e: ExprRef<'_>) -> Expr {
+        match e.kind() {
+            ExprKind::Float(v) => Expr::int(v.round().max(1.0) as i64),
+            kind => kind.map(round),
         }
     }
-    Some(to_source(&round(&e)))
+    Some(to_source(&round(e.view())))
 }
 
 /// Wrap every not-provably-nonzero divisor in `max(.., 1)` — the idiom the
 /// verifier's diagnostics teach (§5.0.3).
 pub fn guard_divisions(e: &Expr) -> Expr {
-    match e {
-        Expr::Int(_) | Expr::Float(_) | Expr::Feat(_) => e.clone(),
-        Expr::Neg(a) => Expr::Neg(Box::new(guard_divisions(a))),
-        Expr::Not(a) => Expr::Not(Box::new(guard_divisions(a))),
-        Expr::Abs(a) => Expr::Abs(Box::new(guard_divisions(a))),
-        Expr::Bin(op @ (BinOp::Div | BinOp::Rem), a, b) => {
-            let a = guard_divisions(a);
-            let b = guard_divisions(b);
-            let b = if policysmith_dsl::check::divisor_nonzero(&b) {
-                b
-            } else {
-                Expr::bin(BinOp::Max, b, Expr::Int(1))
-            };
-            Expr::bin(*op, a, b)
+    fn guard(e: ExprRef<'_>) -> Expr {
+        match e.kind() {
+            ExprKind::Bin(op @ (BinOp::Div | BinOp::Rem), a, b) => {
+                let a = guard(a);
+                let b = guard(b);
+                let b = if policysmith_dsl::check::divisor_nonzero(b.view()) {
+                    b
+                } else {
+                    Expr::bin(BinOp::Max, b, Expr::int(1))
+                };
+                Expr::bin(op, a, b)
+            }
+            kind => kind.map(guard),
         }
-        Expr::Bin(op, a, b) => Expr::bin(*op, guard_divisions(a), guard_divisions(b)),
-        Expr::Cmp(op, a, b) => Expr::cmp(*op, guard_divisions(a), guard_divisions(b)),
-        Expr::If(a, b, c) => Expr::ite(guard_divisions(a), guard_divisions(b), guard_divisions(c)),
-        Expr::Clamp(a, b, c) => Expr::Clamp(
-            Box::new(guard_divisions(a)),
-            Box::new(guard_divisions(b)),
-            Box::new(guard_divisions(c)),
-        ),
     }
+    guard(e.view())
 }
 
 fn replace_unknown_ident(src: &str, mode: Mode, rng: &mut StdRng) -> Option<String> {

@@ -11,11 +11,11 @@ use policysmith_dsl::{BinOp, CmpOp, Expr, Feature};
 use rand::RngExt;
 
 fn int(v: i64) -> Expr {
-    Expr::Int(v)
+    Expr::int(v)
 }
 
 fn feat(f: Feature) -> Expr {
-    Expr::Feat(f)
+    Expr::feat(f)
 }
 
 /// A constant drawn log-uniformly from `[lo, hi]`.
@@ -31,11 +31,7 @@ pub fn cache_recency(rng: &mut impl RngExt) -> Expr {
     if rng.random_bool(0.5) {
         feat(Feature::ObjLastAccess)
     } else {
-        Expr::Neg(Box::new(Expr::bin(
-            BinOp::Div,
-            feat(Feature::ObjAge),
-            int(scale(rng, 10, 2_000)),
-        )))
+        -Expr::bin(BinOp::Div, feat(Feature::ObjAge), int(scale(rng, 10, 2_000)))
     }
 }
 
@@ -56,7 +52,7 @@ pub fn cache_gdsf_ratio(rng: &mut impl RngExt) -> Expr {
 
 /// Size penalty: big objects cost more to keep.
 pub fn cache_size_penalty(rng: &mut impl RngExt) -> Expr {
-    Expr::Neg(Box::new(Expr::bin(BinOp::Div, feat(Feature::ObjSize), int(scale(rng, 50, 5_000)))))
+    -Expr::bin(BinOp::Div, feat(Feature::ObjSize), int(scale(rng, 50, 5_000)))
 }
 
 /// History boost: objects we regretted evicting get protected (Table 1's
@@ -69,7 +65,7 @@ pub fn cache_history_boost(rng: &mut impl RngExt) -> Expr {
             Expr::bin(BinOp::Mul, feat(Feature::HistCount), int(scale(rng, 2, 50))),
             int(scale(rng, 1, 100)),
         ),
-        Expr::Neg(Box::new(int(scale(rng, 5, 100)))),
+        -int(scale(rng, 5, 100)),
     )
 }
 
@@ -77,7 +73,7 @@ pub fn cache_history_boost(rng: &mut impl RngExt) -> Expr {
 pub fn cache_percentile_gate(rng: &mut impl RngExt) -> Expr {
     let p = *[25u8, 50, 70, 75, 90].get(rng.random_range(0..5usize)).unwrap();
     let bonus = int(scale(rng, 5, 80));
-    let malus = Expr::Neg(Box::new(int(scale(rng, 5, 80))));
+    let malus = -int(scale(rng, 5, 80));
     match rng.random_range(0..3u8) {
         0 => Expr::ite(
             Expr::cmp(CmpOp::Gt, feat(Feature::ObjSize), feat(Feature::SizesPct(p))),
@@ -110,7 +106,7 @@ pub fn cache_fresh_bonus(rng: &mut impl RngExt) -> Expr {
 pub fn cache_cold_penalty(rng: &mut impl RngExt) -> Expr {
     Expr::ite(
         Expr::cmp(CmpOp::Lt, feat(Feature::ObjCount), int(rng.random_range(2..6))),
-        Expr::Neg(Box::new(int(scale(rng, 5, 60)))),
+        -int(scale(rng, 5, 60)),
         int(0),
     )
 }
@@ -284,7 +280,7 @@ pub fn lb_latency_signal(rng: &mut impl RngExt) -> Expr {
 pub fn lb_inflight_penalty(rng: &mut impl RngExt) -> Expr {
     Expr::ite(
         Expr::cmp(CmpOp::Eq, feat(Feature::ServerInflight), int(0)),
-        Expr::Neg(Box::new(int(scale(rng, 10, 500)))),
+        -int(scale(rng, 10, 500)),
         Expr::bin(BinOp::Mul, feat(Feature::ServerInflight), int(scale(rng, 5, 500))),
     )
 }
@@ -388,7 +384,7 @@ pub fn aqm_ewma_gate(rng: &mut impl RngExt) -> Expr {
 pub fn aqm_spacing_guard(rng: &mut impl RngExt) -> Expr {
     Expr::ite(
         Expr::cmp(CmpOp::Lt, feat(Feature::SinceLastDropUs), int(scale(rng, 10_000, 200_000))),
-        Expr::Neg(Box::new(int(rng.random_range(2..=4)))),
+        -int(rng.random_range(2..=4)),
         int(0),
     )
 }
@@ -397,7 +393,7 @@ pub fn aqm_spacing_guard(rng: &mut impl RngExt) -> Expr {
 pub fn aqm_short_queue_guard(rng: &mut impl RngExt) -> Expr {
     Expr::ite(
         Expr::cmp(CmpOp::Lt, feat(Feature::QueuePkts), int(rng.random_range(2..6))),
-        Expr::Neg(Box::new(int(rng.random_range(3..=6)))),
+        -int(rng.random_range(3..=6)),
         int(0),
     )
 }

@@ -518,7 +518,7 @@ mod tests {
     fn kernel_budgets_are_tighter() {
         // balanced sum of 200 ones: 399 nodes, shallow — inside the cache
         // budget (512) but over the kernel budget (256)
-        let mut leaves: Vec<Expr> = (0..200).map(|_| Expr::Int(1)).collect();
+        let mut leaves: Vec<Expr> = (0..200).map(|_| Expr::int(1)).collect();
         while leaves.len() > 1 {
             leaves = leaves
                 .chunks(2)

@@ -34,7 +34,7 @@
 
 use crate::compile::CtxLayout;
 use crate::isa::{Insn, Op, Program, MAX_INSNS};
-use policysmith_dsl::{BinOp, CmpOp, Expr, Feature};
+use policysmith_dsl::{BinOp, CmpOp, Expr, ExprKind, ExprRef, Feature};
 use std::fmt;
 
 /// Number of expression-stack slots held directly in registers (`r0..r8`).
@@ -86,7 +86,7 @@ impl std::error::Error for LowerError {}
 pub fn compile(e: &Expr, layout: &CtxLayout) -> Result<Program, LowerError> {
     let mut c = Compiler { insns: Vec::new(), else_jumps: Vec::new(), layout };
     // slot 0 is r0: the root's value is already where `exit` reads it
-    c.expr(e, 0)?;
+    c.expr(e.view(), 0)?;
     c.push(Insn::new(Op::Exit, 0, 0, 0));
     if c.insns.len() > MAX_INSNS {
         return Err(LowerError::TooComplex);
@@ -219,23 +219,23 @@ impl Compiler<'_> {
     }
 
     /// Compile `e`, leaving its value in stack slot `k`.
-    fn expr(&mut self, e: &Expr, k: usize) -> Result<(), LowerError> {
+    fn expr(&mut self, e: ExprRef<'_>, k: usize) -> Result<(), LowerError> {
         if k >= STACK_REGS + SPILL_SLOTS {
             return Err(LowerError::TooComplex);
         }
-        match e {
-            Expr::Int(v) => self.set(k, Op::MovImm, *v),
-            Expr::Float(v) => return Err(LowerError::FloatLiteral { value: *v }),
-            Expr::Feat(f) => {
+        match e.kind() {
+            ExprKind::Int(v) => self.set(k, Op::MovImm, v),
+            ExprKind::Float(value) => return Err(LowerError::FloatLiteral { value }),
+            ExprKind::Feat(feature) => {
                 let slot =
-                    self.layout.slot(*f).ok_or(LowerError::UnsupportedFeature { feature: *f })?;
+                    self.layout.slot(feature).ok_or(LowerError::UnsupportedFeature { feature })?;
                 self.set(k, Op::LdCtx, slot as i64);
             }
-            Expr::Neg(a) => {
+            ExprKind::Neg(a) => {
                 self.expr(a, k)?;
                 self.in_place(k, Op::Neg, 0);
             }
-            Expr::Not(a) => {
+            ExprKind::Not(a) => {
                 self.expr(a, k)?;
                 let r = self.load(k, SCRATCH_A);
                 // r = (r == 0)
@@ -247,7 +247,7 @@ impl Compiler<'_> {
                 self.patch(jend);
                 self.store(k, r);
             }
-            Expr::Abs(a) => {
+            ExprKind::Abs(a) => {
                 self.expr(a, k)?;
                 let r = self.load(k, SCRATCH_A);
                 let skip = self.jump(Op::JgeImm, r, 0, 0);
@@ -256,7 +256,7 @@ impl Compiler<'_> {
                 self.store(k, r);
             }
             // a condition used as a value: the branch, around 1 and 0
-            Expr::Bin(BinOp::And, ..) | Expr::Cmp(..) => {
+            ExprKind::Bin(BinOp::And, ..) | ExprKind::Cmp(..) => {
                 let mark = self.else_jumps.len();
                 self.branch_unless(e, k)?;
                 self.set(k, Op::MovImm, 1);
@@ -265,7 +265,7 @@ impl Compiler<'_> {
                 self.set(k, Op::MovImm, 0);
                 self.patch(jend);
             }
-            Expr::Bin(BinOp::Or, a, b) => {
+            ExprKind::Bin(BinOp::Or, a, b) => {
                 self.expr(a, k)?;
                 let ra = self.load(k, SCRATCH_A);
                 let jt1 = self.jump(Op::JneImm, ra, 0, 0);
@@ -279,19 +279,19 @@ impl Compiler<'_> {
                 self.set(k, Op::MovImm, 1);
                 self.patch(jend);
             }
-            Expr::Bin(BinOp::Min, a, b) => self.min_max(a, b, k, CmpOp::Le)?,
-            Expr::Bin(BinOp::Max, a, b) => self.min_max(a, b, k, CmpOp::Ge)?,
-            Expr::Bin(op, a, b) => {
-                let (reg_op, imm_op) = alu_ops(*op);
-                match (&**a, &**b) {
-                    (_, Expr::Int(v)) => {
+            ExprKind::Bin(BinOp::Min, a, b) => self.min_max(a, b, k, CmpOp::Le)?,
+            ExprKind::Bin(BinOp::Max, a, b) => self.min_max(a, b, k, CmpOp::Ge)?,
+            ExprKind::Bin(op, a, b) => {
+                let (reg_op, imm_op) = alu_ops(op);
+                match (a.kind(), b.kind()) {
+                    (_, ExprKind::Int(v)) => {
                         self.expr(a, k)?;
-                        self.in_place(k, imm_op, *v);
+                        self.in_place(k, imm_op, v);
                     }
                     // saturating + and * commute; nothing else here does
-                    (Expr::Int(v), _) if matches!(op, BinOp::Add | BinOp::Mul) => {
+                    (ExprKind::Int(v), _) if matches!(op, BinOp::Add | BinOp::Mul) => {
                         self.expr(b, k)?;
-                        self.in_place(k, imm_op, *v);
+                        self.in_place(k, imm_op, v);
                     }
                     _ => {
                         self.expr(a, k)?;
@@ -303,7 +303,7 @@ impl Compiler<'_> {
                     }
                 }
             }
-            Expr::If(c, t, f) => {
+            ExprKind::If(c, t, f) => {
                 let mark = self.else_jumps.len();
                 self.branch_unless(c, k)?;
                 self.expr(t, k)?;
@@ -312,7 +312,7 @@ impl Compiler<'_> {
                 self.expr(f, k)?;
                 self.patch(jend);
             }
-            Expr::Clamp(x, lo, hi) => {
+            ExprKind::Clamp(x, lo, hi) => {
                 // max(lo, min(x, hi)) — same fault class (division inside a
                 // subexpression) regardless of evaluation order.
                 self.expr(lo, k)?;
@@ -328,16 +328,16 @@ impl Compiler<'_> {
     /// jumps to take when it does not. `&&` chains and comparisons branch
     /// directly (one inverted compare per comparison); anything else is
     /// evaluated and tested against zero.
-    fn branch_unless(&mut self, c: &Expr, k: usize) -> Result<(), LowerError> {
-        let jump = match c {
-            Expr::Bin(BinOp::And, a, b) => {
+    fn branch_unless(&mut self, c: ExprRef<'_>, k: usize) -> Result<(), LowerError> {
+        let jump = match c.kind() {
+            ExprKind::Bin(BinOp::And, a, b) => {
                 self.branch_unless(a, k)?;
                 return self.branch_unless(b, k);
             }
-            Expr::Cmp(op, a, b) => {
-                let (reg_op, imm_op) = jump_ops(inverted(*op));
+            ExprKind::Cmp(op, a, b) => {
+                let (reg_op, imm_op) = jump_ops(inverted(op));
                 self.expr(a, k)?;
-                if let Expr::Int(v) = **b {
+                if let ExprKind::Int(v) = b.kind() {
                     let ra = self.load(k, SCRATCH_A);
                     self.jump(imm_op, ra, 0, v)
                 } else {
@@ -358,9 +358,15 @@ impl Compiler<'_> {
     }
 
     /// `min`/`max` into slot `k`: keep `a` when `a keep b` holds, else `b`.
-    fn min_max(&mut self, a: &Expr, b: &Expr, k: usize, keep: CmpOp) -> Result<(), LowerError> {
+    fn min_max(
+        &mut self,
+        a: ExprRef<'_>,
+        b: ExprRef<'_>,
+        k: usize,
+        keep: CmpOp,
+    ) -> Result<(), LowerError> {
         self.expr(a, k)?;
-        if let Expr::Int(v) = *b {
+        if let ExprKind::Int(v) = b.kind() {
             let ra = self.load(k, SCRATCH_A);
             let kept = self.jump(jump_ops(keep).1, ra, 0, v);
             self.push(Insn::new(Op::MovImm, ra, 0, v));

@@ -108,8 +108,8 @@ fn arb_binop() -> impl Strategy<Value = policysmith_dsl::BinOp> {
 
 fn arb_expr(features: Vec<Feature>) -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        (-1_000i64..1_000).prop_map(Expr::Int),
-        proptest::sample::select(features).prop_map(Expr::Feat),
+        (-1_000i64..1_000).prop_map(Expr::int),
+        proptest::sample::select(features).prop_map(Expr::feat),
     ];
     leaf.prop_recursive(4, 32, 3, |inner| {
         // literal right operands (immediate forms keep a program
@@ -120,7 +120,7 @@ fn arb_expr(features: Vec<Feature>) -> impl Strategy<Value = Expr> {
                 -1_000i64..1_000,
                 proptest::sample::select(vec![0, 1, -1, 63, 64, i64::MAX, i64::MIN]),
             ]
-            .prop_map(Expr::Int)
+            .prop_map(Expr::int)
         };
         let cmp = |inner: BoxedStrategy<Expr>| {
             (0usize..6, inner, literal()).prop_map(|(op, a, b)| {
@@ -136,8 +136,8 @@ fn arb_expr(features: Vec<Feature>) -> impl Strategy<Value = Expr> {
                     Expr::ite(Expr::bin(policysmith_dsl::BinOp::And, c1, c2), t, f)
                 }),
             (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
-            inner.clone().prop_map(|a| Expr::Neg(Box::new(a))),
-            inner.clone().prop_map(|a| Expr::Abs(Box::new(a))),
+            inner.clone().prop_map(|a| -a),
+            inner.clone().prop_map(Expr::abs),
             (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| Expr::ite(a, b, c)),
         ]
     })

@@ -111,13 +111,13 @@ fn arb_literal() -> impl Strategy<Value = Expr> {
         -1_000i64..1_000,
         proptest::sample::select(vec![0, 1, -1, 2, 63, 64, -64, i64::MAX, i64::MIN]),
     ]
-    .prop_map(Expr::Int)
+    .prop_map(Expr::int)
 }
 
 fn arb_expr(features: Vec<Feature>) -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        (-1_000i64..1_000).prop_map(Expr::Int),
-        proptest::sample::select(features).prop_map(Expr::Feat),
+        (-1_000i64..1_000).prop_map(Expr::int),
+        proptest::sample::select(features).prop_map(Expr::feat),
     ];
     leaf.prop_recursive(5, 48, 3, |inner| {
         // what the lowerer selects instructions for: `x op Int` (and the
@@ -131,24 +131,17 @@ fn arb_expr(features: Vec<Feature>) -> impl Strategy<Value = Expr> {
             (arb_binop(), inner.clone(), arb_literal()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             (arb_binop(), arb_literal(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             cmp(inner.clone().boxed()),
-            (inner.clone(), arb_literal(), arb_literal()).prop_map(|(x, lo, hi)| Expr::Clamp(
-                Box::new(x),
-                Box::new(lo),
-                Box::new(hi)
-            )),
+            (inner.clone(), arb_literal(), arb_literal())
+                .prop_map(|(x, lo, hi)| Expr::clamp(x, lo, hi)),
             (cmp(inner.clone().boxed()), cmp(inner.clone().boxed()), inner.clone(), inner.clone())
                 .prop_map(|(c1, c2, t, f)| Expr::ite(Expr::bin(BinOp::And, c1, c2), t, f)),
             (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             (arb_cmpop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::cmp(op, a, b)),
-            inner.clone().prop_map(|a| Expr::Neg(Box::new(a))),
-            inner.clone().prop_map(|a| Expr::Not(Box::new(a))),
-            inner.clone().prop_map(|a| Expr::Abs(Box::new(a))),
+            inner.clone().prop_map(|a| -a),
+            inner.clone().prop_map(|a| !a),
+            inner.clone().prop_map(Expr::abs),
             (inner.clone(), inner.clone(), inner.clone()).prop_map(|(a, b, c)| Expr::ite(a, b, c)),
-            (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| Expr::Clamp(
-                Box::new(a),
-                Box::new(b),
-                Box::new(c)
-            )),
+            (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| Expr::clamp(a, b, c)),
         ]
     })
 }

@@ -86,7 +86,8 @@ fn tree_ops(src: &str, rng: &mut Rng, donor: &mut Expr) -> String {
     );
     for _ in 0..3 {
         let i = rng.below(e.size());
-        let sub = to_source(e.get_subexpr(i).expect("a pre-order index below size"));
+        let sub = e.get_subexpr(i).expect("a pre-order index below size").to_expr();
+        let sub = to_source(&sub);
         let replaced = to_source(&e.replace_subexpr(i, donor));
         write!(row, " {i}:{}:{}", hash32(&sub), hash32(&replaced)).unwrap();
     }
