@@ -9,11 +9,10 @@
 //! The rewrite is semantics-preserving with respect to [`crate::eval`](crate::eval()):
 //! folding uses the interpreter's own saturating operations, and faulting
 //! subexpressions (`1 / 0`) are left untouched rather than folded.
-
 //!
 //! Every rewrite removes nodes, so a pass in which none fires gives its
-//! input back; such a pass builds nothing, and the last pass of every
-//! `simplify` is one.
+//! input back; such a pass builds nothing, and every `simplify` that
+//! reaches its fixed point ends with one.
 
 use crate::ast::{BinOp, Expr, ExprKind, ExprRef};
 use crate::eval::{clamp, div_sat, rem_sat, shl_sat, shr_arith};
