@@ -1,13 +1,9 @@
-//! Deterministic chaos: seed-driven fault plans for the serving runtime.
+//! Deterministic chaos: seed-driven fault injection for the serving
+//! runtime.
 //!
-//! Every misbehavior the fault-tolerance layer defends against is
-//! injectable from here, keyed off a single plan seed so a failing run
-//! reproduces exactly:
+//! The misbehaviors that happen inside a serve run are injectable from
+//! here, keyed off a single spec seed so a failing run reproduces exactly:
 //!
-//! * **generator failures** — via `policysmith_gen::FlakyGen` wrapped
-//!   around the re-synthesis generator (errors, garbage batches, stalls);
-//! * **poisoned candidates** slipped into the `HeuristicLibrary` before
-//!   the run starts;
 //! * **faulting policies published externally** — an operator pushing a
 //!   compiled-but-runtime-faulting policy straight past the guard
 //!   ([`ExternalPublish`]), which the worker-side fallback chain must
@@ -16,18 +12,22 @@
 //!   worker → adaptation-thread channel ([`TelemetryInjector`]);
 //! * **worker stalls** — periodic decision-path pauses ([`WorkerStall`]).
 //!
+//! The other two come from outside the run: generator failures are
+//! `policysmith_gen::FlakyGen` wrapped around the re-synthesis generator,
+//! and poisoned candidates are entries poisoned in the `HeuristicLibrary`
+//! before serving starts.
+//!
 //! The injection points are wired into `runtime::serve` behind
 //! `ServeConfig::chaos`; the default spec of all-zero probabilities is
 //! *exactly* the plain serve path (`tests/faults.rs` pins that it is
-//! decision-identical whatever its seed). The harness (`exp_chaos`) runs lb and cache serving
-//! under every mix and enforces the invariants — zero dropped decisions,
-//! quality floor vs. the man-made baseline, bounded time-to-recover,
-//! monotonic generations — by exit code.
+//! decision-identical whatever its seed). The `exp_serve` bench binary's
+//! fault-plan section runs lb and cache serving under every mix and
+//! enforces the invariants — zero dropped decisions, quality floor vs.
+//! the man-made baseline, bounded time-to-recover, monotonic generations —
+//! by exit code.
 
 use crate::telemetry::WindowSample;
-use policysmith_core::library::LibraryEntry;
 use policysmith_dsl::Mode;
-use policysmith_gen::FlakyConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -185,35 +185,6 @@ pub fn faulting_source(mode: Mode) -> &'static str {
         Mode::Cache => "obj.size / obj.age",
         Mode::Aqm => "q.bytes / q.pkts",
         Mode::Kernel => "cwnd / inflight",
-    }
-}
-
-/// One named chaos configuration: what misbehaves, where, and what the
-/// library looks like at start. Everything downstream of the plan is a
-/// deterministic function of `(plan, workload seed)` up to thread timing.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    /// Plan name (keys the results JSON).
-    pub name: String,
-    /// Runtime-side injections (telemetry, stalls, external publishes).
-    pub spec: ChaosSpec,
-    /// Wrap the re-synthesis generator in `FlakyGen` with this config.
-    pub flaky_gen: Option<FlakyConfig>,
-    /// Library entries present before serving starts, with a poisoned
-    /// flag (a quarantine verdict carried over from an earlier run).
-    pub seed_library: Vec<(LibraryEntry, bool)>,
-}
-
-impl FaultPlan {
-    /// The control arm: no injections anywhere. Runs through every chaos
-    /// code path with zero probabilities.
-    pub fn none(seed: u64) -> FaultPlan {
-        FaultPlan {
-            name: "no-fault".into(),
-            spec: ChaosSpec { seed, ..ChaosSpec::default() },
-            flaky_gen: None,
-            seed_library: Vec::new(),
-        }
     }
 }
 

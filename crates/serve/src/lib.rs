@@ -47,17 +47,18 @@
 //!   pick the recovery.
 //! * [`chaos`] — deterministic fault injection ([`ChaosSpec`]: telemetry
 //!   drops/duplicates/reordering, worker stalls, external faulting
-//!   publishes; [`FaultPlan`] bundles them with flaky-generator configs
-//!   and pre-poisoned libraries) for the `exp_chaos` harness
-//!   (`results/chaos.json`), which enforces the fault-tolerance
-//!   invariants by exit code.
+//!   publishes), which the `exp_serve` bench binary's fault plans combine
+//!   with flaky generators and pre-poisoned libraries to enforce the
+//!   fault-tolerance invariants by exit code (`results/chaos.json`).
 //!
 //! The no-drift contract is differential: a single-worker serve run with
 //! no publishes is **decision-for-decision identical** to the equivalent
 //! batch simulator run (`tests/differential.rs` pins this, pick sequences
-//! included). Throughput, decision-latency percentiles, adoption-pause
-//! distribution, and the drift-recovery timeline are measured by the
-//! `exp_serve` bench bin (`results/serve.json`).
+//! included). The drift-recovery timeline, the adoption-pause
+//! distribution and the trace of the same run are recorded by `exp_serve`
+//! (`results/serve.json`, `results/obs_timeline.json`); throughput and
+//! decision latency are the benchmark's `serve-steady` / `serve-drift`
+//! workloads.
 
 pub mod chaos;
 pub mod guard;
@@ -66,7 +67,7 @@ pub mod runtime;
 pub mod swap;
 pub mod telemetry;
 
-pub use chaos::{ChaosSpec, ChaosStats, ExternalPublish, FaultPlan, TelemetryChaos, WorkerStall};
+pub use chaos::{ChaosSpec, ChaosStats, ExternalPublish, TelemetryChaos, WorkerStall};
 pub use guard::{GuardVerdict, PolicyGuard, RejectReason};
 pub use runtime::{
     serve_cache, serve_lb, AdaptationEvent, QuarantineReport, RejectedAdaptation, Resynth,

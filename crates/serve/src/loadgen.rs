@@ -34,19 +34,6 @@ pub fn mix(seed: u64, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Look up an lb scenario preset by its short name (`"flash-crowd"`) or
-/// full name (`"lb/flash-crowd"`).
-pub fn lb_preset(name: &str) -> Option<Scenario> {
-    scenario::all_presets()
-        .into_iter()
-        .find(|s| s.name == name || s.name.trim_start_matches("lb/") == name)
-}
-
-/// Names of all lb presets the generator can serve.
-pub fn lb_preset_names() -> Vec<String> {
-    scenario::all_presets().into_iter().map(|s| s.name).collect()
-}
-
 /// The built-in drift injection: the slow-node-onset phase pair (healthy
 /// fleet, then the same tier with server 5 degraded to speed 1).
 pub fn lb_drift_phases() -> Vec<Scenario> {
@@ -115,18 +102,6 @@ impl CacheReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn presets_resolve_by_short_and_full_name() {
-        assert_eq!(lb_preset_names().len(), 7);
-        for name in lb_preset_names() {
-            let sc = lb_preset(&name).expect("full name resolves");
-            assert_eq!(sc.name, name);
-            let short = name.trim_start_matches("lb/");
-            assert_eq!(lb_preset(short).expect("short name resolves").name, name);
-        }
-        assert!(lb_preset("nope").is_none());
-    }
 
     #[test]
     fn shards_are_deterministic_and_worker0_is_verbatim() {

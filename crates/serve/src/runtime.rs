@@ -127,8 +127,8 @@ pub struct ServeConfig {
     pub chaos: ChaosSpec,
     /// Hot-path instrumentation: decision/latency/pause metrics into the
     /// sharded registry. `false` turns every hot-path metric write (and
-    /// latency sampling) off — the `exp_obs` overhead experiment's
-    /// control arm. Telemetry *windows* still flow either way: the
+    /// latency sampling) off — the control arm of `exp_serve`'s overhead
+    /// section. Telemetry *windows* still flow either way: the
     /// adaptation loop needs them.
     pub instrument: bool,
 }
@@ -364,8 +364,9 @@ impl ServeMetrics {
 }
 
 /// One worker's writer half of [`ServeMetrics`]: plain unsynchronized
-/// stores into the worker's own shard. `enabled = false` (the `exp_obs`
-/// control arm) turns every write into a predictable no-op branch.
+/// stores into the worker's own shard. `enabled = false` (the control arm
+/// of `exp_serve`'s overhead section) turns every write into a
+/// predictable no-op branch.
 #[derive(Clone, Copy)]
 struct ShardMetrics<'a> {
     m: &'a ServeMetrics,

@@ -188,10 +188,8 @@ fn quarantine_is_answered_from_the_library_before_the_baseline() {
 
 #[test]
 fn externally_published_faulting_policy_is_quarantined_and_recovered_cache() {
-    let Some(replay) = loadgen::CacheReplay::new("cloudphysics", 10, 20_000) else {
-        eprintln!("cloudphysics trace unavailable; skipping");
-        return;
-    };
+    let replay = loadgen::CacheReplay::new("cloudphysics", 10, 20_000)
+        .expect("the cloudphysics dataset has 105 traces");
     let trace = replay.trace();
     let capacity = (policysmith_traces::footprint_bytes(&trace) / 10).max(1);
     let bad = faulting_source(Mode::Cache);

@@ -1,13 +1,11 @@
-//! Trace analysis: footprint, working set, reuse behaviour.
+//! Trace analysis: the footprint.
 //!
 //! The paper's evaluator fixes the cache size at **10% of the trace
 //! footprint** (§4.1.4); [`footprint_bytes`] is the measurement that
-//! definition depends on. The rest of this module provides the summary
-//! statistics the experiment binaries print alongside results and that
-//! tests use to validate the generators.
+//! definition depends on.
 
 use crate::model::Trace;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Total bytes of all *distinct* objects in the trace — the cache size that
 /// would make every request after first touch a hit.
@@ -20,73 +18,6 @@ pub fn footprint_bytes(trace: &Trace) -> u64 {
         }
     }
     total
-}
-
-/// Number of distinct objects referenced.
-pub fn unique_objects(trace: &Trace) -> usize {
-    trace.requests.iter().map(|r| r.obj).collect::<HashSet<_>>().len()
-}
-
-/// Summary statistics for reporting and generator validation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceStats {
-    pub requests: usize,
-    pub unique_objects: usize,
-    pub footprint_bytes: u64,
-    /// Fraction of requests that re-reference an already-seen object.
-    pub reuse_fraction: f64,
-    /// Fraction of requests whose previous access to the same object was
-    /// within the last 256 requests (short-range locality).
-    pub short_reuse_fraction: f64,
-    /// Mean object size over distinct objects, bytes.
-    pub mean_object_bytes: f64,
-    /// Duration in microseconds.
-    pub duration_us: u64,
-}
-
-impl TraceStats {
-    /// Compute all statistics in one pass.
-    pub fn compute(trace: &Trace) -> TraceStats {
-        let mut last_seen: HashMap<u64, usize> = HashMap::new();
-        let mut reuses = 0usize;
-        let mut short_reuses = 0usize;
-        let mut footprint = 0u64;
-        for (i, r) in trace.requests.iter().enumerate() {
-            match last_seen.get(&r.obj) {
-                Some(&j) => {
-                    reuses += 1;
-                    if i - j <= 256 {
-                        short_reuses += 1;
-                    }
-                }
-                None => footprint += r.size as u64,
-            }
-            last_seen.insert(r.obj, i);
-        }
-        let n = trace.len().max(1);
-        let uniq = last_seen.len().max(1);
-        TraceStats {
-            requests: trace.len(),
-            unique_objects: last_seen.len(),
-            footprint_bytes: footprint,
-            reuse_fraction: reuses as f64 / n as f64,
-            short_reuse_fraction: short_reuses as f64 / n as f64,
-            mean_object_bytes: footprint as f64 / uniq as f64,
-            duration_us: trace.duration_us(),
-        }
-    }
-}
-
-/// Distinct objects per fixed-size request window ("working set" curve).
-/// Returns one sample per full window.
-pub fn working_set_curve(trace: &Trace, window: usize) -> Vec<usize> {
-    assert!(window > 0, "window must be positive");
-    trace
-        .requests
-        .chunks(window)
-        .filter(|c| c.len() == window)
-        .map(|c| c.iter().map(|r| r.obj).collect::<HashSet<_>>().len())
-        .collect()
 }
 
 #[cfg(test)]
@@ -103,37 +34,6 @@ mod tests {
     fn footprint_counts_distinct_only() {
         let t = Trace::new("t", vec![req(0, 1, 100), req(1, 2, 200), req(2, 1, 100)]);
         assert_eq!(footprint_bytes(&t), 300);
-        assert_eq!(unique_objects(&t), 2);
-    }
-
-    #[test]
-    fn stats_reuse_fractions() {
-        let t = Trace::new(
-            "t",
-            vec![req(0, 1, 10), req(1, 2, 10), req(2, 1, 10), req(3, 3, 10), req(4, 1, 10)],
-        );
-        let s = TraceStats::compute(&t);
-        assert_eq!(s.requests, 5);
-        assert_eq!(s.unique_objects, 3);
-        assert_eq!(s.footprint_bytes, 30);
-        assert!((s.reuse_fraction - 0.4).abs() < 1e-9);
-        assert!((s.short_reuse_fraction - 0.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn working_set_curve_shape() {
-        let t = generate("t", &WorkloadParams::default(), 11, 10_000);
-        let ws = working_set_curve(&t, 1_000);
-        assert_eq!(ws.len(), 10);
-        for &w in &ws {
-            assert!(w > 10 && w <= 1_000);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn working_set_zero_window_panics() {
-        working_set_curve(&Trace::new("t", vec![]), 0);
     }
 
     #[test]
@@ -141,9 +41,11 @@ mod tests {
         // The evaluator's 10%-of-footprint cache only makes sense if traces
         // actually re-reference objects.
         let t = generate("t", &WorkloadParams::default(), 12, 30_000);
-        let s = TraceStats::compute(&t);
-        assert!(s.reuse_fraction > 0.5, "reuse fraction {}", s.reuse_fraction);
-        assert!(s.footprint_bytes > 0);
-        assert!(s.mean_object_bytes >= 512.0);
+        let mut seen = HashSet::new();
+        let reuses = t.requests.iter().filter(|r| !seen.insert(r.obj)).count();
+        let reuse_fraction = reuses as f64 / t.len() as f64;
+        assert!(reuse_fraction > 0.5, "reuse fraction {reuse_fraction}");
+        let footprint = footprint_bytes(&t);
+        assert!(footprint as f64 / seen.len() as f64 >= 512.0, "mean object bytes");
     }
 }

@@ -15,8 +15,8 @@
 //!   per-dataset meta-distribution (traces within a dataset share
 //!   structure, which is what makes the paper's Table 2 cross-trace
 //!   generalization meaningful);
-//! * [`analysis`] — footprint and working-set measurement (the evaluator
-//!   sizes each cache at 10% of the trace footprint, §4.1.4);
+//! * [`analysis`] — footprint measurement (the evaluator sizes each cache
+//!   at 10% of the trace footprint, §4.1.4);
 //! * [`io`] — CSV import/export so users can run the framework on real
 //!   traces.
 //!
@@ -30,7 +30,7 @@ pub mod model;
 pub mod synth;
 pub mod zipf;
 
-pub use analysis::{footprint_bytes, unique_objects, TraceStats};
+pub use analysis::footprint_bytes;
 pub use datasets::{cloudphysics, msr, DatasetSpec};
 pub use model::{OpKind, Request, Trace};
 pub use synth::{generate, WorkloadParams};
