@@ -37,7 +37,7 @@ use policysmith_bench::{
     exit_on_violations, summarize, synthesize, write_json, ExpOpts, ImprovementMatrix,
 };
 use policysmith_cachesim::{paper_heuristic_a, policies, PriorityPolicy, LISTING1_SOURCE};
-use policysmith_cc::{baselines, check_candidate, evaluate, KbpfCc};
+use policysmith_cc::{baselines, check_candidate, evaluate, repair_stderr, KbpfCc};
 use policysmith_core::search::{run_search, SearchConfig, SearchOutcome, Study};
 use policysmith_core::studies::cache::CacheStudy;
 use policysmith_dsl::Mode;
@@ -436,7 +436,7 @@ fn cc_compile(opts: &ExpOpts) -> Vec<String> {
             Ok(_) => first_pass += 1,
             Err(e) => {
                 *failures_by_stage.entry(e.stage()).or_default() += 1;
-                if let Some(fixed) = llm.repair(&prompt, src, &e.to_string()) {
+                if let Some(fixed) = llm.repair(&prompt, src, &repair_stderr(&e)) {
                     if check_candidate(&fixed).is_ok() {
                         after_repair += 1;
                     }

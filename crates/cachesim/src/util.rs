@@ -225,12 +225,6 @@ impl LinkedQueue {
         self.nodes[i].prev.map(|p| self.nodes[p].key)
     }
 
-    /// Neighbour of `key` toward the back.
-    pub fn next_of(&self, key: u64) -> Option<u64> {
-        let i = *self.index.get(&key)?;
-        self.nodes[i].next.map(|nx| self.nodes[nx].key)
-    }
-
     /// Iterate keys front → back.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         LinkedQueueIter { q: self, cur: self.head }
@@ -344,9 +338,7 @@ mod tests {
             q.push_back(k);
         }
         assert_eq!(q.prev_of(20), Some(10));
-        assert_eq!(q.next_of(20), Some(30));
         assert_eq!(q.prev_of(10), None);
-        assert_eq!(q.next_of(30), None);
         assert_eq!(q.prev_of(99), None);
     }
 

@@ -13,8 +13,9 @@
 //! two must agree decision for decision — the differential suite in
 //! `tests/ebpf_differential.rs` holds them to exactly that.
 
-use crate::synth::{check_candidate, host_name, CcEnv, PipelineError, VerifiedCandidate};
+use crate::synth::{check_candidate, host_name, CcEnv, VerifiedCandidate};
 use policysmith_ebpf::{emit_policy, model_check, CheckError, CheckStats, EbpfProgram, EmitError};
+use policysmith_kbpf::CompileError;
 use policysmith_netsim::{CcView, CongestionControl};
 use std::fmt;
 
@@ -22,7 +23,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum OffloadError {
     /// The candidate never passed the kbpf pipeline.
-    Pipeline(PipelineError),
+    Pipeline(CompileError),
     /// Emission refused (e.g. the saturation gate could not prove
     /// wrap/saturate equivalence).
     Emit(EmitError),

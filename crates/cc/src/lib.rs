@@ -31,7 +31,7 @@ pub mod synth;
 pub use ebpf_host::{EbpfCc, OffloadError};
 pub use harness::{evaluate, evaluate_with, CcMetrics};
 pub use netsim_reexport::*;
-pub use synth::{check_candidate, KbpfCc, PipelineError, VerifiedCandidate};
+pub use synth::{check_candidate, repair_stderr, KbpfCc, VerifiedCandidate};
 
 mod netsim_reexport {
     // SimConfig/LinkCfg ride along because `evaluate_with` takes them:

@@ -21,64 +21,10 @@
 //! VM; `r0` is the new cwnd.
 
 use policysmith_dsl::{Expr, Feature, FeatureEnv, Mode};
-use policysmith_kbpf::{
-    CompileError, CompiledPolicy, Interval, LowerError, Program, VerifyError, SPILL_SLOTS,
-};
+use policysmith_kbpf::{CompileError, CompiledPolicy, Interval, Program, SPILL_SLOTS};
 use policysmith_netsim::{CcView, CongestionControl, HIST_LEN};
-use std::fmt;
 
 pub use policysmith_kbpf::{KERNEL_MAX_DEPTH, KERNEL_MAX_SIZE};
-
-/// Where in the pipeline a candidate died.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PipelineError {
-    Parse(policysmith_dsl::ParseError),
-    Check(Vec<policysmith_dsl::CheckError>),
-    Lower(LowerError),
-    Verify(VerifyError),
-}
-
-impl PipelineError {
-    /// Stage name for compile-rate accounting (`exp_paper`'s §5.0.3
-    /// compile-rate section).
-    pub fn stage(&self) -> &'static str {
-        match self {
-            PipelineError::Parse(_) => "parse",
-            PipelineError::Check(_) => "check",
-            PipelineError::Lower(_) => "lower",
-            PipelineError::Verify(_) => "verify",
-        }
-    }
-}
-
-impl From<CompileError> for PipelineError {
-    fn from(e: CompileError) -> Self {
-        match e {
-            CompileError::Parse(e) => PipelineError::Parse(e),
-            CompileError::Check(report) => PipelineError::Check(report.errors),
-            CompileError::Lower(e) => PipelineError::Lower(e),
-            CompileError::Verify(e) => PipelineError::Verify(e),
-        }
-    }
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::Parse(e) => write!(f, "{e}"),
-            PipelineError::Check(es) => {
-                for e in es {
-                    writeln!(f, "{e}")?;
-                }
-                Ok(())
-            }
-            PipelineError::Lower(e) => write!(f, "{e}"),
-            PipelineError::Verify(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {}
 
 /// A candidate that passed all four stages: the source plus its compiled,
 /// fully verified policy.
@@ -106,11 +52,24 @@ impl VerifiedCandidate {
     }
 }
 
-/// Run the full pipeline on candidate source.
-pub fn check_candidate(src: &str) -> Result<VerifiedCandidate, PipelineError> {
+/// Run the full pipeline on candidate source. [`CompileError::stage`]
+/// names where a rejected candidate died.
+pub fn check_candidate(src: &str) -> Result<VerifiedCandidate, CompileError> {
     let policy = CompiledPolicy::from_source(src, Mode::Kernel)?;
     debug_assert!(!policy.may_fault(), "kernel mode never defers faults");
     Ok(VerifiedCandidate { source: src.to_string(), policy })
+}
+
+/// The stderr a repair prompt shows for a rejected candidate: a check
+/// failure as one line per error with a trailing newline and no warnings,
+/// any other stage as its error's text. `CcStudy::check` and `exp_paper`'s
+/// §5.0.3 loop both call it, so what the generator repairs — and
+/// `results/cc_compile.json` — depend on it byte for byte.
+pub fn repair_stderr(e: &CompileError) -> String {
+    match e {
+        CompileError::Check(report) => report.errors.iter().map(|e| format!("{e}\n")).collect(),
+        e => e.to_string(),
+    }
 }
 
 /// Adapter exposing a live [`CcView`] (plus the loss flag) as the DSL
@@ -190,7 +149,7 @@ impl KbpfCc {
     }
 
     /// Pipeline + wrap in one step.
-    pub fn from_source(src: &str) -> Result<Self, PipelineError> {
+    pub fn from_source(src: &str) -> Result<Self, CompileError> {
         Ok(Self::new(check_candidate(src)?))
     }
 
@@ -254,6 +213,21 @@ mod tests {
         assert!(err.to_string().contains("divisor"), "{err}");
         let err = check_candidate("cwnd * 0.5").unwrap_err();
         assert!(err.to_string().to_lowercase().contains("float"), "{err}");
+    }
+
+    #[test]
+    fn repair_stderr_lists_check_errors_without_warnings() {
+        // a float (an error) beside an unguarded divisor (a warning)
+        let err = check_candidate("cwnd * 0.5 + cwnd / inflight").unwrap_err();
+        let CompileError::Check(report) = &err else { panic!("not a check failure: {err}") };
+        let (n_errors, warning) = (report.errors.len(), report.warnings[0].to_string());
+        let stderr = repair_stderr(&err);
+        assert_eq!(stderr.lines().count(), n_errors, "{stderr}");
+        assert!(stderr.ends_with('\n') && !stderr.contains(&warning), "{stderr}");
+        assert!(err.to_string().contains(&warning), "Display keeps the warnings");
+        // every other stage renders as the error itself
+        let err = check_candidate("delivered / inflight").unwrap_err();
+        assert_eq!(repair_stderr(&err), err.to_string());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! ablation bench.
 
 use crate::search::Study;
-use policysmith_cc::{check_candidate, evaluate_with, KbpfCc, SimConfig, VerifiedCandidate};
+use policysmith_cc::{
+    check_candidate, evaluate_with, repair_stderr, KbpfCc, SimConfig, VerifiedCandidate,
+};
 use policysmith_dsl::Mode;
 
 /// Weight of the queuing-delay penalty in the score.
@@ -78,7 +80,7 @@ impl Study for CcStudy {
     }
 
     fn check(&self, source: &str) -> Result<VerifiedCandidate, String> {
-        check_candidate(source).map_err(|e| e.to_string())
+        check_candidate(source).map_err(|e| repair_stderr(&e))
     }
 
     fn evaluate(&self, candidate: &VerifiedCandidate) -> f64 {

@@ -203,7 +203,7 @@ impl std::error::Error for RuntimeFault {}
 /// verified, ready for zero-allocation execution.
 ///
 /// A `CompiledPolicy` is immutable owned data (`Send + Sync + Clone`): a
-/// serving runtime may publish one through a lock-free handle and let any
+/// serving runtime may publish one through a shared `Arc` and let any
 /// number of threads execute it concurrently — [`run`](Self::run) takes
 /// `&self` and keeps all mutable state in caller-owned buffers. The
 /// assertion below makes that contract a compile-time fact, not a habit.

@@ -128,14 +128,6 @@ impl LbMetrics {
         (self.sum_slowdown + self.dropped as f64 * DROP_SLOWDOWN_PENALTY) / resolved as f64
     }
 
-    /// Mean response time over completed requests, µs.
-    pub fn mean_response_us(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.sum_response_us as f64 / self.completed as f64
-    }
-
     /// Fraction of offered requests dropped.
     pub fn drop_fraction(&self) -> f64 {
         if self.offered == 0 {
@@ -596,7 +588,7 @@ mod tests {
         assert_eq!(a, b, "simulation must be deterministic");
         assert_eq!(a.completed + a.dropped, a.offered);
         assert!(a.utilization() > 0.0 && a.utilization() <= 1.0);
-        assert!(a.mean_response_us() > 0.0);
+        assert!(a.sum_response_us > 0);
     }
 
     #[test]

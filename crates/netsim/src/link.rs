@@ -252,12 +252,6 @@ impl Bottleneck {
         self.queue.len() as u64
     }
 
-    /// Sojourn time of the head-of-line packet at `now`, µs (`None` when
-    /// the queue is empty) — the per-packet delay signal AQMs key on.
-    pub fn head_sojourn_us(&self, now: u64) -> Option<u64> {
-        self.queue.front().map(|p| now.saturating_sub(p.enq_us))
-    }
-
     /// EWMA-smoothed packet sojourn time over forwarded packets, µs.
     pub fn ewma_sojourn_us(&self) -> u64 {
         self.ewma_sojourn_us
@@ -386,19 +380,13 @@ mod tests {
     fn occupancy_and_sojourn_accessors() {
         let mut b = Bottleneck::new(LinkCfg::paper_link());
         assert_eq!(b.backlog_pkts(), 0);
-        assert_eq!(b.head_sojourn_us(0), None, "empty queue has no head");
         b.enqueue(pkt(1, 1500, 100));
         b.enqueue(pkt(2, 500, 300));
         assert_eq!(b.backlog_pkts(), 2);
         assert_eq!(b.backlog_bytes(), 2_000);
-        // head is packet 1, enqueued at 100
-        assert_eq!(b.head_sojourn_us(100), Some(0));
-        assert_eq!(b.head_sojourn_us(2_600), Some(2_500));
         b.start_tx(2_600).unwrap();
         b.tx_done(3_600);
-        // head is now packet 2, enqueued at 300
         assert_eq!(b.backlog_pkts(), 1);
-        assert_eq!(b.head_sojourn_us(3_600), Some(3_300));
     }
 
     #[test]

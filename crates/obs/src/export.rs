@@ -41,8 +41,6 @@ pub struct MetricsSnapshot {
     pub shards: usize,
     /// `(name, merged_total, per_shard)` per counter.
     pub counters: Vec<(String, u64, Vec<u64>)>,
-    /// `(name, per_shard)` per gauge.
-    pub gauges: Vec<(String, Vec<f64>)>,
     /// `(name, merged_histogram)` per histogram.
     pub histograms: Vec<(String, LatencyHistogram)>,
 }
@@ -52,7 +50,6 @@ impl MetricsSnapshot {
         MetricsSnapshot {
             shards: reg.shards(),
             counters: reg.counter_entries().map(|(n, t, v)| (n.to_string(), t, v)).collect(),
-            gauges: reg.gauge_entries().map(|(n, v)| (n.to_string(), v)).collect(),
             histograms: reg.hist_entries().map(|(n, h)| (n.to_string(), h)).collect(),
         }
     }
@@ -80,16 +77,6 @@ impl MetricsSnapshot {
                 ])
             })
             .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(name, per_shard)| {
-                obj(vec![
-                    ("name", s(name)),
-                    ("per_shard", Value::Array(per_shard.iter().map(|&v| num(v)).collect())),
-                ])
-            })
-            .collect();
         let histograms = self
             .histograms
             .iter()
@@ -103,7 +90,6 @@ impl MetricsSnapshot {
             ("schema", s(METRICS_SCHEMA)),
             ("shards", num(self.shards as f64)),
             ("counters", Value::Array(counters)),
-            ("gauges", Value::Array(gauges)),
             ("histograms", Value::Array(histograms)),
         ])
     }

@@ -4,12 +4,12 @@
 //! production*; trust needs continuous observable evidence, not one-shot
 //! validation. This crate is that evidence layer, in three pillars:
 //!
-//! * [`metrics`] — a sharded [`MetricsRegistry`]: counters, gauges, and
-//!   the log-linear [`LatencyHistogram`], one cache-line-padded slot per
+//! * [`metrics`] — a sharded [`MetricsRegistry`]: counters and the
+//!   log-linear [`LatencyHistogram`], one cache-line-padded slot per
 //!   worker shard. Workers write their own shard with plain
 //!   unsynchronized stores; a reader merges shards lock-free on demand.
-//!   [`ring`] adds the bounded SPSC lane that carries per-window samples
-//!   to the adaptation thread, one lane per worker.
+//!   ([`ring`], a bounded SPSC ring, is kept only for the benchmark probe
+//!   that times it.)
 //! * [`trace`] — policy-lifecycle tracing: a bounded ring-buffer event
 //!   log ([`TraceLog`], process-global via [`trace::global`]) with spans
 //!   over the whole §3.1 loop: search rounds with `CostLedger` deltas,
@@ -31,5 +31,5 @@ pub mod trace;
 
 pub use export::MetricsSnapshot;
 pub use hist::{AtomicHistogram, LatencyHistogram};
-pub use metrics::{CounterId, GaugeId, HistId, MetricsRegistry, Shard};
+pub use metrics::{CounterId, HistId, MetricsRegistry, Shard};
 pub use trace::{emit, TraceEvent, TraceKind, TraceLog};

@@ -1,5 +1,5 @@
-//! The sharded metrics registry: per-worker shards of counters, gauges,
-//! and [`AtomicHistogram`]s.
+//! The sharded metrics registry: per-worker shards of counters and
+//! [`AtomicHistogram`]s.
 //!
 //! Layout and contract:
 //!
@@ -22,11 +22,6 @@ use crate::MetricsSnapshot;
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
-
-/// Handle to a registered gauge (an `f64` stored as bits; last write per
-/// shard wins).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +46,6 @@ pub struct MetricsRegistry {
     shards: usize,
     counter_names: Vec<String>,
     counters: Vec<Box<[Padded]>>,
-    gauge_names: Vec<String>,
-    gauges: Vec<Box<[Padded]>>,
     hist_names: Vec<String>,
     hists: Vec<Box<[AtomicHistogram]>>,
 }
@@ -64,8 +57,6 @@ impl MetricsRegistry {
             shards: shards.max(1),
             counter_names: Vec::new(),
             counters: Vec::new(),
-            gauge_names: Vec::new(),
-            gauges: Vec::new(),
             hist_names: Vec::new(),
             hists: Vec::new(),
         }
@@ -81,13 +72,6 @@ impl MetricsRegistry {
         self.counter_names.push(name.to_string());
         self.counters.push(shard_row(self.shards));
         CounterId(self.counters.len() - 1)
-    }
-
-    /// Register a gauge.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        self.gauge_names.push(name.to_string());
-        self.gauges.push(shard_row(self.shards));
-        GaugeId(self.gauges.len() - 1)
     }
 
     /// Register a latency histogram.
@@ -116,11 +100,6 @@ impl MetricsRegistry {
         self.counters[id.0].iter().map(|p| p.0.load(Ordering::Relaxed)).collect()
     }
 
-    /// Per-shard gauge values.
-    pub fn gauge_shards(&self, id: GaugeId) -> Vec<f64> {
-        self.gauges[id.0].iter().map(|p| f64::from_bits(p.0.load(Ordering::Relaxed))).collect()
-    }
-
     /// All shards of a histogram merged into one owned histogram.
     pub fn hist_merged(&self, id: HistId) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
@@ -144,13 +123,6 @@ impl MetricsRegistry {
         self.counter_names.iter().enumerate().map(|(i, n)| {
             (n.as_str(), self.counter_total(CounterId(i)), self.counter_shards(CounterId(i)))
         })
-    }
-
-    pub(crate) fn gauge_entries(&self) -> impl Iterator<Item = (&str, Vec<f64>)> {
-        self.gauge_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), self.gauge_shards(GaugeId(i))))
     }
 
     pub(crate) fn hist_entries(&self) -> impl Iterator<Item = (&str, LatencyHistogram)> {
@@ -178,12 +150,6 @@ impl Shard<'_> {
         c.store(c.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
     }
 
-    /// Set a gauge.
-    #[inline]
-    pub fn set(&self, id: GaugeId, value: f64) {
-        self.reg.gauges[id.0][self.shard].0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
     /// Record into a histogram.
     #[inline]
     pub fn record(&self, id: HistId, nanos: u64) {
@@ -207,16 +173,6 @@ mod tests {
         }
         assert_eq!(reg.counter_total(c), 10 + 20 + 30 + 40);
         assert_eq!(reg.counter_shards(c), vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn gauges_are_per_shard_last_write_wins() {
-        let mut reg = MetricsRegistry::new(2);
-        let g = reg.gauge("signal");
-        reg.shard(0).set(g, 1.5);
-        reg.shard(0).set(g, 2.5);
-        reg.shard(1).set(g, -1.0);
-        assert_eq!(reg.gauge_shards(g), vec![2.5, -1.0]);
     }
 
     #[test]

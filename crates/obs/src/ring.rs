@@ -1,20 +1,18 @@
-//! A bounded lock-free SPSC ring: the per-worker window-sample lane into
-//! the adaptation thread.
+//! A bounded lock-free SPSC ring.
 //!
-//! One producer (the serving worker), one consumer (the adaptation
-//! thread). `push` is two `Relaxed`/`Acquire` loads and a `Release` store
-//! on success — no locks, no allocation, no syscalls — and reports a full
-//! ring by returning the value, so the caller decides the backpressure
-//! policy (serving workers keep an unbounded local backlog rather than
-//! ever stalling the decision path; see `serve::runtime`).
+//! No serving path uses it: the serve runtime's window samples ride a std
+//! `mpsc` channel. It survives for one caller, the benchmark's
+//! `obs.ring_roundtrip_ns` probe, and holds only what that probe calls —
+//! [`spsc`], [`SpscSender::push`] and [`SpscReceiver::pop`]. It is the
+//! workspace's only `unsafe` code.
 //!
-//! Both endpoints raise a `closed` flag on drop, so the consumer can
-//! distinguish "empty for now" from "producer finished", and a producer
-//! flushing its backlog can bail out if the consumer died.
+//! One producer, one consumer. `push` is two `Relaxed`/`Acquire` loads and
+//! a `Release` store on success — no locks, no allocation, no syscalls —
+//! and reports a full ring by returning the value.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 struct Inner<T> {
@@ -23,8 +21,6 @@ struct Inner<T> {
     head: AtomicUsize,
     /// Next index to push (owned by the producer).
     tail: AtomicUsize,
-    tx_closed: AtomicBool,
-    rx_closed: AtomicBool,
 }
 
 // The UnsafeCell slots are only touched by the single producer (writes at
@@ -52,8 +48,6 @@ pub fn spsc<T: Send>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
         buf: (0..cap).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect(),
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
-        tx_closed: AtomicBool::new(false),
-        rx_closed: AtomicBool::new(false),
     });
     (SpscSender { inner: inner.clone() }, SpscReceiver { inner })
 }
@@ -76,18 +70,6 @@ impl<T: Send> SpscSender<T> {
         inner.tail.store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
     }
-
-    /// True once the consumer endpoint has been dropped (flushing a
-    /// backlog into a dead ring is pointless).
-    pub fn receiver_closed(&self) -> bool {
-        self.inner.rx_closed.load(Ordering::Acquire)
-    }
-}
-
-impl<T: Send> Drop for SpscSender<T> {
-    fn drop(&mut self) {
-        self.inner.tx_closed.store(true, Ordering::Release);
-    }
 }
 
 /// The consuming endpoint. `!Clone`: exactly one consumer.
@@ -108,23 +90,6 @@ impl<T: Send> SpscReceiver<T> {
         inner.head.store(head.wrapping_add(1), Ordering::Release);
         Some(value)
     }
-
-    /// True once the producer has been dropped **and** the ring is
-    /// drained — nothing more will ever arrive.
-    pub fn finished(&self) -> bool {
-        // Order matters: check closed before empty, so a push racing the
-        // producer's final drop is never missed.
-        let closed = self.inner.tx_closed.load(Ordering::Acquire);
-        let head = self.inner.head.load(Ordering::Relaxed);
-        let tail = self.inner.tail.load(Ordering::Acquire);
-        closed && head == tail
-    }
-}
-
-impl<T: Send> Drop for SpscReceiver<T> {
-    fn drop(&mut self) {
-        self.inner.rx_closed.store(true, Ordering::Release);
-    }
 }
 
 #[cfg(test)]
@@ -143,17 +108,6 @@ mod tests {
         assert_eq!((1..4).map(|_| rx.pop().unwrap()).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(rx.pop(), Some(99));
         assert_eq!(rx.pop(), None);
-        assert!(!rx.finished());
-        drop(tx);
-        assert!(rx.finished());
-    }
-
-    #[test]
-    fn close_flags_propagate_both_ways() {
-        let (tx, rx) = spsc::<u8>(2);
-        assert!(!tx.receiver_closed());
-        drop(rx);
-        assert!(tx.receiver_closed());
     }
 
     #[test]

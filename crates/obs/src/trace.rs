@@ -97,7 +97,8 @@ pub enum TraceKind {
         generation: u64,
         /// Provenance string recorded in the swap log.
         provenance: String,
-        /// Deposed policies awaiting epoch reclamation at publish time.
+        /// Deposed policies a live reader guard still held at publish
+        /// time.
         retire_backlog: usize,
     },
     /// A worker's fault latch tripped: local demotion to the baseline.

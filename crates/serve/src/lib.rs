@@ -8,12 +8,13 @@
 //!
 //! Three layers:
 //!
-//! * [`swap`] — the lock-free hot-swap handle: a [`PolicyCell`] publishes
-//!   a new [`CompiledPolicy`](policysmith_kbpf::CompiledPolicy) with one
-//!   atomic pointer swap; in-flight decisions never observe a torn value,
-//!   and deposed policies are reclaimed by a small epoch-based scheme
-//!   once no reader can still hold them. Every publish lands in the serve
-//!   log with generation, provenance, and timestamp.
+//! * [`swap`] — the hot-swap handle: a [`PolicyCell`] publishes a new
+//!   [`CompiledPolicy`](policysmith_kbpf::CompiledPolicy) by swapping an
+//!   `Arc` under a mutex that only adoptions take; the per-decision check
+//!   is one relaxed load of its generation. In-flight decisions never
+//!   observe a torn value, and a deposed policy is freed when its last
+//!   reader's guard drops. Every publish lands in the serve log with
+//!   generation, provenance, and timestamp.
 //! * [`loadgen`] — the deterministic open-loop load generator: the seven
 //!   lb scenario presets (single- or multi-phase; a phase boundary is the
 //!   drift injection) and cache trace replay via `crates/traces`, sharded
@@ -22,7 +23,7 @@
 //! * [`runtime`] — N serving workers (lb dispatch picks off an
 //!   [`LbEngine`](policysmith_lbsim::LbEngine) fleet, cache admit/evict
 //!   priority decisions off a [`Cache`](policysmith_cachesim::Cache)),
-//!   per-worker SPSC telemetry rings feeding window samples into the
+//!   one `mpsc` channel carrying every worker's window samples into the
 //!   [`ContextMonitor`](policysmith_core::library::ContextMonitor) —
 //!   hot-path counters and latency samples go through a sharded
 //!   [`MetricsRegistry`](policysmith_obs::MetricsRegistry) instead — and a

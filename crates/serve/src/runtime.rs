@@ -2,36 +2,32 @@
 //! thread-confined simulator engines, one hot-swap [`PolicyCell`], and a
 //! background adaptation thread running the §3.1 loop continuously.
 //!
-//! ## Decision path (per worker, lock-free)
+//! ## Decision path (per worker)
 //!
 //! A worker owns its backing engine (a [`policysmith_lbsim::LbEngine`] fleet or a
 //! [`Cache`]) and a host built from the policy generation it last
 //! adopted. Per decision it (1) checks [`PolicyCell::generation`] — one
-//! relaxed atomic load; (2) on change, pins an epoch guard, clones the
-//! new policy out of the cell, rebuilds its host, and records the
-//! adoption pause; (3) runs the decision through the host. Decisions are
-//! never dropped and never block on a lock: a publish lands *between*
-//! two decisions, never inside one.
+//! relaxed atomic load; (2) on change, pins a guard, clones the new
+//! policy out of the cell, rebuilds its host, and records the adoption
+//! pause; (3) runs the decision through the host. Decisions are never
+//! dropped, and only an adoption (a few per run) takes the cell's lock: a
+//! publish lands *between* two decisions, never inside one.
 //!
 //! ## Adaptation path (background, never stops serving)
 //!
-//! Workers stream per-window [`WindowSample`]s (window quality signal,
-//! decision counts, serving generation) over **per-worker lock-free SPSC
-//! rings** ([`policysmith_obs::ring`]): a push is two atomic loads and a
-//! store into the worker's own lane, never a shared mutex. A momentarily
-//! full ring overflows into an unbounded worker-local backlog (flushed on
-//! the next window) rather than ever stalling the decision path. The one
-//! shared `mpsc` channel that remains carries only control-plane events
-//! (quarantine reports). Decision latency, adoption pauses, decision and
-//! quarantine counts flow through a sharded
-//! [`MetricsRegistry`] — per-worker
-//! shards written with plain stores, merged lock-free into
-//! [`ServeReport::metrics`].
+//! Workers send one [`WindowSample`] per window (window quality signal,
+//! decision counts, serving generation) down one unbounded `mpsc`
+//! channel: a send never blocks and never drops a sample while the
+//! adaptation thread lives. A second `mpsc` channel carries control-plane
+//! events (quarantine reports). Decision latency, adoption pauses,
+//! decision and quarantine counts flow through a sharded
+//! [`MetricsRegistry`] — per-worker shards written with plain stores,
+//! merged into [`ServeReport::metrics`].
 //!
-//! The adaptation thread (one private `Adapter`) drains the rings into the
-//! `AdaptiveController`'s [`ContextMonitor`]; every trigger then walks the
-//! controller's one ladder ([`policysmith_core::library`]) from the rung
-//! its cause puts it on:
+//! The adaptation thread (one private `Adapter`) drains the window channel
+//! into the `AdaptiveController`'s [`ContextMonitor`]; every trigger then
+//! walks the controller's one ladder ([`policysmith_core::library`]) from
+//! the rung its cause puts it on:
 //!
 //! * **drift** — best stored entry at or over the reuse bar (`try_reuse`)
 //!   → a full retried search ([`run_search_with_retry`]) → best stored
@@ -43,7 +39,7 @@
 //! Whatever the ladder yields goes live in exactly one place,
 //! `Adapter::go_live` — the only `publish` on this thread and the only
 //! writer of [`ServeReport::published`]. The thread keeps no copy of "what
-//! is live": it reads the cell back through its own reader slot. Serving
+//! is live": it reads the cell back through its own reader handle. Serving
 //! continues at full rate throughout; the only cost any worker ever pays
 //! is its own adoption pause (microseconds, measured).
 //!
@@ -86,21 +82,13 @@ use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::{
     run_phased_windowed, DispatchView, Dispatcher, ExprDispatcher, LbMetrics, Scenario,
 };
-use policysmith_obs::ring::{spsc, SpscReceiver, SpscSender};
 use policysmith_obs::{
     CounterId, HistId, LatencyHistogram, MetricsRegistry, MetricsSnapshot, TraceKind,
 };
 use policysmith_traces::Trace;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// Per-worker window-sample ring capacity. Windows arrive at
-/// decisions/window rate (thousands per second, not millions); 8192 slots
-/// absorb multi-second adaptation stalls before the worker-local backlog
-/// kicks in.
-const WINDOW_RING_CAPACITY: usize = 8192;
 
 /// Runtime knobs.
 #[derive(Debug, Clone)]
@@ -338,7 +326,6 @@ struct ServeMetrics {
     registry: MetricsRegistry,
     decisions: CounterId,
     windows: CounterId,
-    window_backlogged: CounterId,
     quarantines: CounterId,
     latency: HistId,
     pause: HistId,
@@ -350,7 +337,6 @@ impl ServeMetrics {
         ServeMetrics {
             decisions: registry.counter("serve.decisions"),
             windows: registry.counter("serve.windows"),
-            window_backlogged: registry.counter("serve.windows_backlogged"),
             quarantines: registry.counter("serve.quarantines"),
             latency: registry.histogram("serve.decision_latency_ns"),
             pause: registry.histogram("serve.adoption_pause_ns"),
@@ -407,98 +393,10 @@ impl ShardMetrics<'_> {
         }
     }
 
-    fn on_backlogged(&self, n: u64) {
-        if self.enabled && n > 0 {
-            self.m.registry.shard(self.worker).add(self.m.window_backlogged, n);
-        }
-    }
-
     /// This worker's decision-latency histogram, snapshotted out of its
     /// shard (empty when instrumentation is off).
     fn latency_hist(&self) -> LatencyHistogram {
         self.m.registry.hist_shard(self.m.latency, self.worker)
-    }
-}
-
-/// A worker's window-sample lane to the adaptation thread: a bounded
-/// lock-free SPSC ring plus an unbounded worker-local overflow backlog —
-/// `send` never blocks and never loses a sample while the consumer is
-/// alive.
-struct WindowTx {
-    tx: SpscSender<WindowSample>,
-    backlog: VecDeque<WindowSample>,
-    /// Samples that transited the backlog (ring momentarily full).
-    backlogged: u64,
-}
-
-impl WindowTx {
-    /// Deliver a sample without ever blocking the decision path. Returns
-    /// `false` when the receiver is gone (the worker keeps serving
-    /// without telemetry; the caller counts the degradation).
-    fn send(&mut self, sample: WindowSample) -> bool {
-        if self.tx.receiver_closed() {
-            return false;
-        }
-        // FIFO: older backlogged samples go first
-        while let Some(front) = self.backlog.pop_front() {
-            if let Err(back) = self.tx.push(front) {
-                self.backlog.push_front(back);
-                break;
-            }
-        }
-        if self.backlog.is_empty() {
-            if let Err(full) = self.tx.push(sample) {
-                self.backlog.push_back(full);
-                self.backlogged += 1;
-            }
-        } else {
-            self.backlog.push_back(sample);
-            self.backlogged += 1;
-        }
-        true
-    }
-
-    /// End of stream: flush any backlog into the ring (yield-looping while
-    /// the consumer drains — the worker is done serving, so this costs no
-    /// decisions). Returns `(undelivered, backlogged)`.
-    fn finish(mut self) -> (u64, u64) {
-        while let Some(front) = self.backlog.pop_front() {
-            if self.tx.receiver_closed() {
-                // consumer died: these samples are undeliverable
-                return (self.backlog.len() as u64 + 1, self.backlogged);
-            }
-            if let Err(back) = self.tx.push(front) {
-                self.backlog.push_front(back);
-                std::thread::yield_now();
-            }
-        }
-        (0, self.backlogged)
-    }
-}
-
-/// The adaptation thread's consuming half of the window lanes.
-struct WindowRx {
-    rings: Vec<SpscReceiver<WindowSample>>,
-    /// Rotating scan start, so no worker's lane is structurally favored.
-    next: usize,
-}
-
-impl WindowRx {
-    fn pop(&mut self) -> Option<WindowSample> {
-        let n = self.rings.len();
-        for i in 0..n {
-            let at = (self.next + i) % n;
-            if let Some(s) = self.rings[at].pop() {
-                self.next = (at + 1) % n;
-                return Some(s);
-            }
-        }
-        None
-    }
-
-    /// Nothing queued and nothing can ever arrive again.
-    fn finished(&self) -> bool {
-        self.rings.iter().all(|r| r.finished())
     }
 }
 
@@ -579,15 +477,11 @@ fn serve<S: Study + Send, ShardInput: Sync>(
     worker_fn: impl Fn(&ShardInput, ServeWorker<'_, '_>, CompiledPolicy) -> WorkerStats + Sync,
 ) -> ServeReport {
     debug_assert_eq!(baseline.mode(), initial.mode());
-    // one reader slot per worker, one for the adaptation thread
+    // one reader per worker, one for the adaptation thread
     let cell = PolicyCell::new(initial, shards.len() + 1);
     let metrics = ServeMetrics::new(shards.len());
-    // control plane: quarantine reports keep the one shared mpsc
     let (ctl_tx, ctl_rx) = mpsc::channel::<QuarantineReport>();
-    // data plane: window samples ride per-worker SPSC rings
-    let (window_txs, rings): (Vec<_>, Vec<_>) =
-        (0..shards.len()).map(|_| spsc::<WindowSample>(WINDOW_RING_CAPACITY)).unzip();
-    let window_rx = WindowRx { rings, next: 0 };
+    let (window_tx, window_rx) = mpsc::channel::<WindowSample>();
     let monitor = ContextMonitor::new(cfg.monitor_window, cfg.monitor_tolerance);
     let seed_library = resynth.as_ref().map(|r| r.library.clone()).unwrap_or_default();
     let mut controller =
@@ -597,9 +491,9 @@ fn serve<S: Study + Send, ShardInput: Sync>(
     let mut failures = Vec::new();
     let (stats, background) = std::thread::scope(|scope| {
         let mut joins = Vec::with_capacity(shards.len());
-        for (w, (shard, tx)) in shards.iter().zip(window_txs).enumerate() {
+        for (w, shard) in shards.iter().enumerate() {
             let mut handle = cell.register();
-            let control = ctl_tx.clone();
+            let (windows, control) = (window_tx.clone(), ctl_tx.clone());
             let (metrics, worker_fn, baseline) = (&metrics, &worker_fn, &baseline);
             joins.push(scope.spawn(move || {
                 let generation = handle.cell().generation();
@@ -615,7 +509,7 @@ fn serve<S: Study + Send, ShardInput: Sync>(
                     sample_every: cfg.latency_sample_every,
                     decisions: 0,
                     log: cfg.record_decisions.then(Vec::new),
-                    windows: WindowTx { tx, backlog: VecDeque::new(), backlogged: 0 },
+                    windows,
                     seq: 0,
                     control,
                     baseline: baseline.clone(),
@@ -628,7 +522,8 @@ fn serve<S: Study + Send, ShardInput: Sync>(
                 worker_fn(shard, shell, initial)
             }));
         }
-        drop(ctl_tx); // the adaptation loop ends when the last worker hangs up
+        // the adaptation loop ends when the last worker hangs up
+        drop((window_tx, ctl_tx));
         let adapter = Adapter {
             controller: &mut controller,
             resynth,
@@ -681,7 +576,7 @@ fn serve<S: Study + Send, ShardInput: Sync>(
 struct Adapter<'a, S: Study> {
     controller: &'a mut AdaptiveController,
     resynth: Option<Resynth<S>>,
-    /// This thread's reader slot. The cell is the only record of what is
+    /// This thread's reader handle. The cell is the only record of what is
     /// live; the incumbent is read back from it, never remembered.
     live: ReaderHandle<'a, CompiledPolicy>,
     baseline: &'a CompiledPolicy,
@@ -690,28 +585,35 @@ struct Adapter<'a, S: Study> {
 }
 
 impl<S: Study> Adapter<'_, S> {
-    /// Two lanes feed the loop: the per-worker window rings (polled,
-    /// lock-free) and the control-plane quarantine mpsc (blocked on with a
-    /// short timeout when the rings are idle, so quarantines are answered
-    /// promptly without busy-spinning). It exits once the control channel
-    /// has disconnected — every worker returned — and the window lanes are
-    /// fully drained, so no window a worker delivered is ever lost.
+    /// Two channels feed the loop: window samples (polled) and quarantine
+    /// reports (blocked on with a short timeout when no window is queued,
+    /// so quarantines are answered promptly without busy-spinning). It
+    /// exits once both channels have disconnected — every worker returned
+    /// — and are drained, so no window a worker sent is ever lost.
     fn run(
         mut self,
         control: mpsc::Receiver<QuarantineReport>,
-        mut windows: WindowRx,
+        windows: mpsc::Receiver<WindowSample>,
     ) -> BackgroundReport {
         let chaos = &self.cfg.chaos;
         let mut injector = TelemetryInjector::new(chaos.telemetry, chaos.seed);
         let mut pending_external = chaos.external_publish.as_ref();
         let mut arrivals = 0u64;
         let mut deliveries: Vec<WindowSample> = Vec::new();
-        let mut control_done = false;
+        let (mut control_done, mut windows_done) = (false, false);
 
         loop {
-            // window lane: drain everything queued right now
+            // window channel: drain everything queued right now
             let mut drained_any = false;
-            while let Some(sample) = windows.pop() {
+            loop {
+                let sample = match windows.try_recv() {
+                    Ok(sample) => sample,
+                    Err(mpsc::TryRecvError::Empty) => break,
+                    Err(mpsc::TryRecvError::Disconnected) => {
+                        windows_done = true;
+                        break;
+                    }
+                };
                 drained_any = true;
                 arrivals += 1;
 
@@ -732,7 +634,7 @@ impl<S: Study> Adapter<'_, S> {
                 }
             }
 
-            // control lane: quarantines (and worker-completion tracking)
+            // control channel: quarantines (and worker-completion tracking)
             loop {
                 match control.try_recv() {
                     Ok(q) => self.quarantine(q),
@@ -744,13 +646,13 @@ impl<S: Study> Adapter<'_, S> {
                 }
             }
 
-            if control_done && windows.finished() {
+            if control_done && windows_done {
                 break;
             }
             if !drained_any {
                 if control_done {
-                    // workers are gone but a final backlog flush may still be
-                    // in flight on a ring; yield briefly and re-drain
+                    // the last worker hung up between the two polls above;
+                    // wait briefly and re-drain the window channel
                     std::thread::sleep(Duration::from_micros(50));
                 } else {
                     match control.recv_timeout(Duration::from_micros(200)) {
@@ -991,7 +893,7 @@ impl ServeHost for Cache<PriorityPolicy> {
 /// recording it, (3) checks the host's fault latch — a tripped latch
 /// demotes this worker to the man-made baseline on the spot (the host
 /// already degraded that decision internally; none is dropped) and
-/// reports the quarantine. It also owns the worker's window lane and
+/// reports the quarantine. It also owns the worker's window sender and
 /// assembles its [`WorkerStats`].
 struct ServeWorker<'c, 'm> {
     worker: usize,
@@ -1007,7 +909,7 @@ struct ServeWorker<'c, 'm> {
     sample_every: u64,
     decisions: u64,
     log: Option<Vec<u32>>,
-    windows: WindowTx,
+    windows: mpsc::Sender<WindowSample>,
     seq: u64,
     // -- fault path --
     control: mpsc::Sender<QuarantineReport>,
@@ -1101,7 +1003,7 @@ impl ServeWorker<'_, '_> {
         };
         // a dead receiver must not panic a serving worker: keep serving
         // without telemetry, count the degradation
-        if self.windows.send(sample) {
+        if self.windows.send(sample).is_ok() {
             self.metrics.on_window();
         } else {
             self.dropped += 1;
@@ -1114,8 +1016,6 @@ impl ServeWorker<'_, '_> {
         lb_metrics: Option<LbMetrics>,
         cache_result: Option<SimResult>,
     ) -> WorkerStats {
-        let (undelivered, backlogged) = self.windows.finish();
-        self.metrics.on_backlogged(backlogged);
         WorkerStats {
             worker: self.worker,
             decisions: self.decisions,
@@ -1125,7 +1025,7 @@ impl ServeWorker<'_, '_> {
             lb_metrics,
             cache_result,
             decisions_log: self.log,
-            telemetry_dropped: self.dropped + undelivered,
+            telemetry_dropped: self.dropped,
             quarantines: self.quarantines,
         }
     }

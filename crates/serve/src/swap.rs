@@ -1,38 +1,28 @@
-//! The lock-free hot-swap handle: an arc-swap-style publication cell with
-//! epoch-based reclamation.
+//! The hot-swap handle: a publication cell that hands out the live policy
+//! as an [`Arc`].
 //!
 //! A [`PolicyCell`] owns the live policy. Writer side: the background
-//! adaptation thread [`publish`](PolicyCell::publish)es a replacement with
-//! one atomic pointer swap — in-flight readers never observe a torn value,
-//! because the swap replaces a *pointer*, never mutates the pointee.
-//! Reader side: each serving worker [`register`](PolicyCell::register)s
-//! once and then [`pin`](ReaderHandle::pin)s an epoch guard around every
-//! access; the guard's borrow is valid for as long as it is held, no
-//! matter how many publishes land meanwhile.
+//! adaptation thread [`publish`](PolicyCell::publish)es a replacement by
+//! swapping the cell's `Arc` under a mutex — in-flight readers never
+//! observe a torn value, because the swap replaces the `Arc`, never
+//! mutates the pointee. Reader side: each serving worker
+//! [`register`](PolicyCell::register)s once and [`pin`](ReaderHandle::pin)s
+//! a [`Guard`] that owns a clone of the `Arc`; the value stays valid for as
+//! long as the guard is held, no matter how many publishes land meanwhile.
 //!
-//! Deposed policies are retired, not freed: a retired value is reclaimed
-//! only once every registered reader has advanced past the epoch of its
-//! retirement (or is quiescent). The scheme is the classic epoch-based
-//! reclamation argument, kept deliberately small:
-//!
-//! * the cell holds a global epoch counter, bumped **after** each pointer
-//!   swap;
-//! * a reader pins by loading the global epoch into its own slot *before*
-//!   loading the pointer (both `SeqCst`). If the slot holds epoch `e ≥ r`
-//!   (the bump of some retirement `r`), the reader's pointer load is after
-//!   the swap in the `SeqCst` total order — it cannot hold the value
-//!   retired at `r`;
-//! * the writer therefore frees a retirement `r` once
-//!   `min(active reader epochs) ≥ r`; quiescent readers (slot =
-//!   `u64::MAX`) hold nothing and never block reclamation.
+//! The per-decision check never takes the mutex:
+//! [`generation`](PolicyCell::generation) is one relaxed load, and a
+//! worker pins only when it moves — a few times per run. A deposed value is freed when its
+//! last `Arc` drops: at the publish itself when no guard holds it, else
+//! when the last such guard is released.
 //!
 //! Every publish is recorded in the serve log ([`SwapRecord`]): generation
 //! counter, provenance string, swap timestamp, and the retire backlog at
 //! that instant — the audit trail the `exp_serve` drift timeline renders.
 
 use std::ops::Deref;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
 /// Metadata of one [`PolicyCell::publish`] — the serve log entry.
@@ -45,44 +35,43 @@ pub struct SwapRecord {
     pub provenance: String,
     /// Microseconds since the cell was created.
     pub at_micros: u64,
-    /// Retired-but-unreclaimed values immediately after this publish
-    /// (readers still pinned in older epochs keep them alive).
+    /// Deposed values a live guard still held immediately after this
+    /// publish.
     pub retire_backlog: usize,
 }
 
-/// A lock-free publication cell for `Send + Sync` values (compiled
-/// policies, in this crate), with epoch-based reclamation of deposed
-/// values. See the [module docs](self) for the safety argument.
-pub struct PolicyCell<T: Send + Sync> {
-    /// The live value. Only ever swapped whole; pointees are immutable.
-    current: AtomicPtr<T>,
-    /// Global epoch == number of publishes so far. Doubles as the cheap
-    /// per-decision "did anything change?" generation counter.
-    epoch: AtomicU64,
-    /// Per-reader pinned epochs; `u64::MAX` = quiescent.
-    readers: Box<[AtomicU64]>,
+/// A publication cell for values shared across serving threads (compiled
+/// policies, in this crate). See the [module docs](self).
+pub struct PolicyCell<T> {
+    /// The live value. Only ever replaced whole; pointees are immutable.
+    current: Mutex<Arc<T>>,
+    /// Number of publishes so far, bumped under `current`'s lock: the
+    /// cheap per-decision "did anything change?" check.
+    generation: AtomicU64,
+    max_readers: usize,
     registered: AtomicUsize,
-    /// Retired values: `(retire_epoch, ptr)`, reclaimed on later publishes
-    /// and on drop.
-    retired: Mutex<Vec<(u64, *mut T)>>,
+    /// Deposed values, held weakly; dead entries are pruned at each
+    /// publish.
+    retired: Mutex<Vec<Weak<T>>>,
     log: Mutex<Vec<SwapRecord>>,
     start: Instant,
 }
 
-// The raw pointers all came from `Box<T>` with `T: Send + Sync`; the cell
-// hands out only `&T` (via guards) and frees under the reclamation
-// protocol, so sharing the cell across threads is sound.
-unsafe impl<T: Send + Sync> Send for PolicyCell<T> {}
-unsafe impl<T: Send + Sync> Sync for PolicyCell<T> {}
+/// Every mutex in the cell guards a value that stays valid if its holder
+/// panics, so a poisoned lock is recovered rather than cascading the panic
+/// into every other serving thread that touches the cell.
+fn lock<U>(m: &Mutex<U>) -> MutexGuard<'_, U> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
-impl<T: Send + Sync> PolicyCell<T> {
+impl<T> PolicyCell<T> {
     /// A cell serving `initial` at generation 0, with capacity for
     /// `max_readers` registered reader handles.
     pub fn new(initial: T, max_readers: usize) -> PolicyCell<T> {
         PolicyCell {
-            current: AtomicPtr::new(Box::into_raw(Box::new(initial))),
-            epoch: AtomicU64::new(0),
-            readers: (0..max_readers).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            current: Mutex::new(Arc::new(initial)),
+            generation: AtomicU64::new(0),
+            max_readers,
             registered: AtomicUsize::new(0),
             retired: Mutex::new(Vec::new()),
             log: Mutex::new(Vec::new()),
@@ -91,41 +80,41 @@ impl<T: Send + Sync> PolicyCell<T> {
     }
 
     /// Register one reader (typically: one serving worker thread). Panics
-    /// once `max_readers` handles exist — reclamation scans exactly the
-    /// registered slots, so handles must never be minted ad hoc.
+    /// once `max_readers` handles exist: the capacity is the number of
+    /// readers the caller declared, and minting more is a bug there.
     pub fn register(&self) -> ReaderHandle<'_, T> {
-        let slot = self.registered.fetch_add(1, Ordering::SeqCst);
-        assert!(slot < self.readers.len(), "reader capacity exhausted ({})", self.readers.len());
-        ReaderHandle { cell: self, slot }
+        let slot = self.registered.fetch_add(1, Ordering::Relaxed);
+        assert!(slot < self.max_readers, "reader capacity exhausted ({})", self.max_readers);
+        ReaderHandle { cell: self }
     }
 
     /// The current generation — an atomic load, cheap enough for a
     /// serving worker to check on **every** decision. Workers compare it
     /// against the generation they last adopted and re-pin only on change;
-    /// a momentarily stale read just delays adoption by one decision.
+    /// a momentarily stale read just delays adoption by one decision. A
+    /// pin after reading generation `g` sees generation `g` or newer: the
+    /// bump happens under the lock the pin takes.
     pub fn generation(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.generation.load(Ordering::Relaxed)
     }
 
-    /// Publish a new value: one pointer swap (readers never see a torn
-    /// value — they see the old pointee or the new one, both intact),
-    /// retire the deposed value, reclaim whatever no reader can still
-    /// hold, and append to the serve log. Returns the new generation.
+    /// Publish a new value: swap the live `Arc` and bump the generation
+    /// under one lock (readers see the old value or the new one, both
+    /// intact), drop the cell's hold on the deposed value, and append to
+    /// the serve log. Returns the new generation.
     pub fn publish(&self, value: T, provenance: impl Into<String>) -> u64 {
         let provenance = provenance.into();
-        let fresh = Box::into_raw(Box::new(value));
-        let old = self.current.swap(fresh, Ordering::SeqCst);
-        // Bump AFTER the swap: a reader pinned at `>= generation` is
-        // guaranteed to load the fresh pointer (SeqCst total order).
-        let generation = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        // Both mutexes guard plain Vecs that stay structurally valid if a
-        // publisher panics mid-operation, so a poisoned lock is recovered
-        // (`into_inner`) rather than cascading the panic into every other
-        // serving thread that touches the cell.
+        let (generation, deposed) = {
+            let mut current = lock(&self.current);
+            let deposed = std::mem::replace(&mut *current, Arc::new(value));
+            (self.generation.fetch_add(1, Ordering::Relaxed) + 1, deposed)
+        };
         let backlog = {
-            let mut retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
-            retired.push((generation, old));
-            self.reclaim_locked(&mut retired);
+            let mut retired = lock(&self.retired);
+            retired.push(Arc::downgrade(&deposed));
+            // frees the deposed value unless a guard still holds it
+            drop(deposed);
+            retired.retain(|w| w.strong_count() > 0);
             retired.len()
         };
         policysmith_obs::emit(policysmith_obs::TraceKind::Publish {
@@ -133,7 +122,7 @@ impl<T: Send + Sync> PolicyCell<T> {
             provenance: provenance.clone(),
             retire_backlog: backlog,
         });
-        self.log.lock().unwrap_or_else(|e| e.into_inner()).push(SwapRecord {
+        lock(&self.log).push(SwapRecord {
             generation,
             provenance,
             at_micros: self.start.elapsed().as_micros() as u64,
@@ -142,71 +131,31 @@ impl<T: Send + Sync> PolicyCell<T> {
         generation
     }
 
-    /// Free every retirement no reader can still hold. Caller holds the
-    /// retire lock.
-    fn reclaim_locked(&self, retired: &mut Vec<(u64, *mut T)>) {
-        let n = self.registered.load(Ordering::SeqCst).min(self.readers.len());
-        let min_active =
-            self.readers[..n].iter().map(|r| r.load(Ordering::SeqCst)).min().unwrap_or(u64::MAX);
-        retired.retain(|&(retire_epoch, ptr)| {
-            if retire_epoch <= min_active {
-                // Safety: every registered reader is either quiescent or
-                // pinned at an epoch ≥ the retire epoch, i.e. it loaded
-                // the pointer after this value was deposed.
-                drop(unsafe { Box::from_raw(ptr) });
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Retired values not yet reclaimed (observability; bounded by the
-    /// number of publishes that landed while some reader stayed pinned).
+    /// Deposed values a live guard still holds (observability; bounded by
+    /// the number of publishes that landed while some reader held a
+    /// guard).
     pub fn retire_backlog(&self) -> usize {
-        self.retired.lock().unwrap_or_else(|e| e.into_inner()).len()
+        lock(&self.retired).iter().filter(|w| w.strong_count() > 0).count()
     }
 
     /// The serve log: one [`SwapRecord`] per publish, in order.
     pub fn swap_log(&self) -> Vec<SwapRecord> {
-        self.log.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        lock(&self.log).clone()
     }
 }
 
-impl<T: Send + Sync> Drop for PolicyCell<T> {
-    fn drop(&mut self) {
-        // `&mut self`: no guards can be alive (they borrow the cell).
-        drop(unsafe { Box::from_raw(self.current.load(Ordering::SeqCst)) });
-        for (_, ptr) in self.retired.lock().unwrap_or_else(|e| e.into_inner()).drain(..) {
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-    }
-}
-
-/// One registered reader's identity. [`pin`](Self::pin) takes `&mut self`
-/// so a handle can hold at most one guard at a time — re-pinning under a
-/// live guard would overwrite the slot's epoch and could unpin the value
-/// the guard still borrows.
-pub struct ReaderHandle<'c, T: Send + Sync> {
+/// One registered reader's handle on the cell.
+pub struct ReaderHandle<'c, T> {
     cell: &'c PolicyCell<T>,
-    slot: usize,
 }
 
-impl<'c, T: Send + Sync> ReaderHandle<'c, T> {
-    /// Pin the current epoch and borrow the live value. The borrow stays
+impl<'c, T> ReaderHandle<'c, T> {
+    /// Clone the live value's `Arc` out of the cell. The value stays
     /// valid until the guard drops, regardless of concurrent publishes.
-    /// Hold guards briefly (one decision, one clone): a pinned reader
-    /// blocks reclamation of everything published since it pinned.
-    pub fn pin(&mut self) -> Guard<'_, 'c, T> {
-        let epoch = self.cell.epoch.load(Ordering::SeqCst);
-        self.cell.readers[self.slot].store(epoch, Ordering::SeqCst);
-        let ptr = self.cell.current.load(Ordering::SeqCst);
-        // Safety: the slot now advertises `epoch`; the reclamation rule
-        // frees only values retired at epochs ≤ every active slot, and the
-        // pointer loaded *after* the slot store (SeqCst order) is at least
-        // as new as any value retired at `epoch` — so it cannot be freed
-        // while this guard lives.
-        Guard { handle: self, value: unsafe { &*ptr } }
+    /// Hold guards briefly (one decision, one clone): a held guard keeps a
+    /// deposed value alive and counted in the retire backlog.
+    pub fn pin(&mut self) -> Guard<T> {
+        Guard(lock(&self.cell.current).clone())
     }
 
     /// The cell this handle reads from.
@@ -215,22 +164,13 @@ impl<'c, T: Send + Sync> ReaderHandle<'c, T> {
     }
 }
 
-/// An epoch-pinned borrow of the live value.
-pub struct Guard<'h, 'c, T: Send + Sync> {
-    handle: &'h ReaderHandle<'c, T>,
-    value: &'h T,
-}
+/// A reader's hold on one published value.
+pub struct Guard<T>(Arc<T>);
 
-impl<T: Send + Sync> Deref for Guard<'_, '_, T> {
+impl<T> Deref for Guard<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.value
-    }
-}
-
-impl<T: Send + Sync> Drop for Guard<'_, '_, T> {
-    fn drop(&mut self) {
-        self.handle.cell.readers[self.handle.slot].store(u64::MAX, Ordering::SeqCst);
+        &self.0
     }
 }
 
@@ -273,11 +213,11 @@ mod tests {
         assert_eq!(*guard, 10);
         cell.publish(20, "while pinned");
         // the deposed 10 is retired but must NOT be reclaimed: the guard
-        // still borrows it
+        // still holds it
         assert_eq!(cell.retire_backlog(), 1);
         assert_eq!(*guard, 10, "guard keeps the old value, untorn");
         drop(guard);
-        // next publish reclaims the backlog
+        // releasing the guard freed it: the next publish logs no backlog
         cell.publish(30, "after unpin");
         assert_eq!(cell.retire_backlog(), 0);
         assert_eq!(*h.pin(), 30);
@@ -332,5 +272,69 @@ mod tests {
             assert!(LIVE.load(Ordering::SeqCst) >= 1);
         }
         assert_eq!(LIVE.load(Ordering::SeqCst), 0, "every value dropped exactly once");
+    }
+
+    /// Counts its own live instances through a shared counter, so each
+    /// test owns its count.
+    struct Tracked(Arc<AtomicUsize>);
+
+    impl Tracked {
+        fn new(live: &Arc<AtomicUsize>) -> Tracked {
+            live.fetch_add(1, Ordering::SeqCst);
+            Tracked(live.clone())
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_deposed_value_drops_with_its_last_guard() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let cell = PolicyCell::new(Tracked::new(&live), 3);
+        let (mut a, mut b) = (cell.register(), cell.register());
+        let (ga, gb) = (a.pin(), b.pin());
+        cell.publish(Tracked::new(&live), "depose the initial value");
+        assert_eq!(live.load(Ordering::SeqCst), 2, "two guards hold the deposed value");
+        drop(ga);
+        assert_eq!(live.load(Ordering::SeqCst), 2, "one guard still holds it");
+        drop(gb);
+        assert_eq!(live.load(Ordering::SeqCst), 1, "freed on release, no publish needed");
+        // unguarded, a deposed value is freed by the publish itself
+        cell.publish(Tracked::new(&live), "depose generation 1");
+        assert_eq!(live.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn retire_backlog_counts_exactly_the_guarded_deposed_values() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let cell = PolicyCell::new(Tracked::new(&live), 4);
+        let mut readers: Vec<_> = (0..3).map(|_| cell.register()).collect();
+        let mut guards = Vec::new();
+        // generations 0, 1 and 2 each get a guard before they are deposed;
+        // generation 3 is deposed unguarded
+        for reader in &mut readers {
+            guards.push(reader.pin());
+            cell.publish(Tracked::new(&live), "guarded");
+        }
+        cell.publish(Tracked::new(&live), "unguarded");
+        let logged: Vec<usize> = cell.swap_log().iter().map(|s| s.retire_backlog).collect();
+        assert_eq!(logged, [1, 2, 3, 3]);
+        assert_eq!(cell.retire_backlog(), 3);
+        // a second guard on a deposed value does not count it twice
+        let extra = Guard(guards[0].0.clone());
+        assert_eq!(cell.retire_backlog(), 3);
+        guards.remove(1);
+        assert_eq!(cell.retire_backlog(), 2);
+        guards.clear();
+        assert_eq!(cell.retire_backlog(), 1, "the extra guard holds generation 0");
+        drop(extra);
+        assert_eq!(cell.retire_backlog(), 0);
+        cell.publish(Tracked::new(&live), "after release");
+        assert_eq!(cell.swap_log().last().map(|s| s.retire_backlog), Some(0));
+        assert_eq!(live.load(Ordering::SeqCst), 1, "only the live value remains");
     }
 }

@@ -1,9 +1,9 @@
-//! Concurrency stress tests for the epoch-reclamation hot-swap cell: many
-//! readers hammering `pin` while a writer publishes as fast as it can.
-//! These cannot *prove* the memory-ordering argument (that lives in the
-//! module docs), but they make the two failure modes a broken cell would
-//! exhibit — torn reads and use-after-free — extremely loud under ASAN,
-//! MIRI, or plain debug runs.
+//! Concurrency stress tests for the hot-swap cell: many readers hammering
+//! `pin` while a writer publishes as fast as it can. The cell is built
+//! from std's `Mutex` and `Arc`, so it has no memory-ordering argument of
+//! its own to prove; these tests pin its contract — no torn or freed read,
+//! generations only move forward, and every published value is dropped
+//! exactly once.
 
 use policysmith_serve::PolicyCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
