@@ -18,8 +18,7 @@
 //! uses for age-based features; wall-clock microseconds from the trace are
 //! also available in [`ObjMeta`] for policies that want them.
 
-use crate::util::IdMap;
-use policysmith_traces::{Request, Trace};
+use policysmith_traces::{IdMap, Request, Trace};
 
 /// Object identifier (trace object id).
 pub type ObjId = u64;

@@ -13,8 +13,8 @@
 //! refreshes.
 
 use crate::engine::{CacheView, ObjId};
-use crate::util::IdMap;
 use policysmith_dsl::Feature;
+use policysmith_traces::IdMap;
 use std::collections::VecDeque;
 
 /// Maximum residents sampled per snapshot refresh.

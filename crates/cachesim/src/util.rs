@@ -6,49 +6,11 @@
 //!   of every recency-ordered baseline.
 //! * [`OrderedF64`] — total order for non-NaN floats, for priority-ordered
 //!   policies (GDSF, LHD).
-//! * [`IdMap`] — a `HashMap` with a fast deterministic hasher for object
-//!   ids, used on every per-request path.
+//!
+//! Object-id maps use [`policysmith_traces::IdMap`], the workspace's one
+//! id hasher.
 
-use std::collections::HashMap;
-
-/// splitmix64-finalizing hasher for `u64` object ids. The simulator hashes
-/// ids on every request (engine object table, the baselines' own indexes,
-/// the eviction-history tracker); the std SipHash is a measurable fraction
-/// of that hot path and its DoS resistance buys nothing against trace
-/// files. Deterministic across runs and platforms, so simulations stay
-/// reproducible. Only used with integer keys — the byte-stream fallback
-/// exists for trait completeness.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        let mut x = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = x ^ (x >> 31);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// `BuildHasher` for [`IdHasher`].
-pub type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
-
-/// A `HashMap` keyed by object ids with the fast deterministic hasher.
-pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
+use policysmith_traces::IdMap;
 
 /// Arena node.
 #[derive(Debug, Clone, Copy)]

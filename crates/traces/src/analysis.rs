@@ -4,13 +4,13 @@
 //! footprint** (§4.1.4); [`footprint_bytes`] is the measurement that
 //! definition depends on.
 
+use crate::idhash::IdSet;
 use crate::model::Trace;
-use std::collections::HashSet;
 
 /// Total bytes of all *distinct* objects in the trace — the cache size that
 /// would make every request after first touch a hit.
 pub fn footprint_bytes(trace: &Trace) -> u64 {
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen: IdSet<u64> = IdSet::default();
     let mut total = 0u64;
     for r in &trace.requests {
         if seen.insert(r.obj) {
@@ -25,6 +25,7 @@ mod tests {
     use super::*;
     use crate::model::{OpKind, Request, Trace};
     use crate::synth::{generate, WorkloadParams};
+    use std::collections::HashSet;
 
     fn req(t: u64, obj: u64, size: u32) -> Request {
         Request { time_us: t, obj, size, op: OpKind::Read }

@@ -18,13 +18,17 @@
 //! * [`analysis`] — footprint measurement (the evaluator sizes each cache
 //!   at 10% of the trace footprint, §4.1.4);
 //! * [`io`] — CSV import/export so users can run the framework on real
-//!   traces.
+//!   traces;
+//! * [`idhash`] — the workspace's one object-id hasher ([`IdHasher`], with
+//!   [`IdMap`] and [`IdSet`]): a splitmix64 finalizer instead of SipHash,
+//!   shared by the synthesizer, the footprint and the cache simulator.
 //!
 //! Everything is deterministic: the same `(dataset, index, request count)`
 //! triple always yields the identical trace, bit for bit.
 
 pub mod analysis;
 pub mod datasets;
+pub mod idhash;
 pub mod io;
 pub mod model;
 pub mod synth;
@@ -32,6 +36,7 @@ pub mod zipf;
 
 pub use analysis::footprint_bytes;
 pub use datasets::{cloudphysics, msr, DatasetSpec};
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use model::{OpKind, Request, Trace};
 pub use synth::{generate, WorkloadParams};
 pub use zipf::Zipf;

@@ -23,12 +23,34 @@
 //!   string.
 //!
 //! The generator is pure: `(params, seed, n)` fully determines the output.
+//!
+//! # Cost contract
+//!
+//! Stack draws and the recency bookkeeping read a stack of the 512 most
+//! recently referenced objects, kept in recency order and indexed by an
+//! [`IdSet`] of its members. Per request:
+//!
+//! * **an object off the stack** — every first reference, every scan step,
+//!   most popularity draws — costs one hash probe that finds it absent and
+//!   inserts it, a push, and, on a full stack, dropping the bottom entry
+//!   from the stack and the set;
+//! * **an object on the stack** — stack draws, hot popularity draws, loop
+//!   laps that fit — costs a scan to its depth and a shift of the entries
+//!   above it (the head costs nothing);
+//! * **no allocation** beyond the output `Vec`, the Zipf and rank tables,
+//!   and the stack with its index, all sized once up front.
+//!
+//! The rest is the RNG, the Zipf draw and [`object_size`]'s libm calls.
 
+use crate::idhash::{splitmix64, IdSet};
 use crate::model::{OpKind, Request, Trace};
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
+
+/// Depth of the recency stack that stack draws re-reference.
+const STACK_DEPTH: usize = 512;
 
 /// Knobs for one synthetic trace. See module docs for the effect of each.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,21 +122,13 @@ const MAX_SIZE: u32 = 4 << 20;
 /// Stable across traces so that re-appearing ids keep their size.
 pub fn object_size(obj: u64, log_mu: f64, log_sigma: f64) -> u32 {
     // SplitMix64 twice for two independent uniforms.
-    let u1 = splitmix(obj ^ 0x9e37_79b9_7f4a_7c15) as f64 / u64::MAX as f64;
-    let u2 = splitmix(obj.wrapping_mul(0xbf58_476d_1ce4_e5b9)) as f64 / u64::MAX as f64;
+    let u1 = splitmix64(obj ^ 0x9e37_79b9_7f4a_7c15) as f64 / u64::MAX as f64;
+    let u2 = splitmix64(obj.wrapping_mul(0xbf58_476d_1ce4_e5b9)) as f64 / u64::MAX as f64;
     // Box–Muller; clamp u1 away from 0.
     let u1 = u1.max(1e-12);
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     let bytes = (log_mu + log_sigma * z).exp();
     (bytes as u64).clamp(MIN_SIZE as u64, MAX_SIZE as u64) as u32
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Phase of the generator state machine.
@@ -125,16 +139,35 @@ enum Phase {
 }
 
 /// Generate `n` requests with the given parameters and seed.
+///
+/// # Panics
+///
+/// If `params.objects` is 0, or `scan_len`, `loop_len` or `loop_laps` is
+/// not a range `(min, max)` with `1 <= min <= max`: the state machine
+/// would index an empty universe, or count a phase down past zero.
 pub fn generate(name: &str, params: &WorkloadParams, seed: u64, n: usize) -> Trace {
+    assert!(params.objects >= 1, "WorkloadParams::objects must be at least 1");
+    for (field, (lo, hi)) in [
+        ("scan_len", params.scan_len),
+        ("loop_len", params.loop_len),
+        ("loop_laps", params.loop_laps),
+    ] {
+        assert!(1 <= lo && lo <= hi, "WorkloadParams::{field} must satisfy 1 <= min <= max");
+    }
     let mut rng = StdRng::seed_from_u64(seed);
-    let zipf = Zipf::new(params.objects.max(1), params.zipf_alpha);
+    let zipf = Zipf::new(params.objects, params.zipf_alpha);
 
     // rank -> object id mapping; churn replaces entries with fresh ids.
     let mut id_of_rank: Vec<u64> = (0..params.objects as u64).collect();
     let mut next_fresh: u64 = params.objects as u64;
 
-    // approximate LRU stack of recently referenced objects
-    let mut recent: VecDeque<u64> = VecDeque::with_capacity(512);
+    // approximate LRU stack of recently referenced objects, most recent
+    // first, and the set of its members. The set gets twice the stack's
+    // capacity so that the tombstones removals leave are swept by an
+    // in-place rehash, never by growing the table.
+    let mut recent: VecDeque<u64> = VecDeque::with_capacity(STACK_DEPTH);
+    let mut on_stack: IdSet<u64> =
+        IdSet::with_capacity_and_hasher(2 * STACK_DEPTH, Default::default());
 
     let mut phase = Phase::Normal;
     let mut now_us: u64 = 0;
@@ -208,13 +241,16 @@ pub fn generate(name: &str, params: &WorkloadParams, seed: u64, n: usize) -> Tra
 
         // -- maintain the recency stack (dedup head) --
         if recent.front() != Some(&obj) {
-            if let Some(ix) = recent.iter().position(|&o| o == obj) {
+            if on_stack.insert(obj) {
+                if recent.len() == STACK_DEPTH {
+                    let bottom = recent.pop_back().expect("a full stack has a bottom");
+                    on_stack.remove(&bottom);
+                }
+            } else {
+                let ix = recent.iter().position(|&o| o == obj).expect("members are on the stack");
                 recent.remove(ix);
             }
             recent.push_front(obj);
-            if recent.len() > 512 {
-                recent.pop_back();
-            }
         }
 
         // -- timestamp with diurnal modulation --
@@ -250,6 +286,36 @@ mod tests {
         assert_eq!(a, b);
         let c = generate("t", &p, 43, 5_000);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    #[should_panic(expected = "WorkloadParams::objects must be at least 1")]
+    fn empty_universe_is_rejected() {
+        generate("t", &WorkloadParams { objects: 0, ..WorkloadParams::default() }, 1, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "WorkloadParams::scan_len must satisfy 1 <= min <= max")]
+    fn zero_length_scans_are_rejected() {
+        generate("t", &WorkloadParams { scan_len: (0, 5), ..WorkloadParams::default() }, 1, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "WorkloadParams::loop_len must satisfy 1 <= min <= max")]
+    fn zero_length_loops_are_rejected() {
+        generate("t", &WorkloadParams { loop_len: (0, 0), ..WorkloadParams::default() }, 1, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "WorkloadParams::loop_laps must satisfy 1 <= min <= max")]
+    fn zero_lap_loops_are_rejected() {
+        generate("t", &WorkloadParams { loop_laps: (0, 3), ..WorkloadParams::default() }, 1, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "WorkloadParams::scan_len must satisfy 1 <= min <= max")]
+    fn inverted_ranges_are_rejected() {
+        generate("t", &WorkloadParams { scan_len: (9, 3), ..WorkloadParams::default() }, 1, 10);
     }
 
     #[test]
