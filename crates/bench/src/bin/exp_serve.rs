@@ -348,7 +348,7 @@ fn drift_json(
             "generation": s.generation,
             "provenance": s.provenance,
             "at_micros": s.at_micros,
-            "retire_backlog": s.retire_backlog,
+            "source": s.source,
         })).collect::<Vec<_>>(),
         "adaptations": report.adaptations.iter().map(|a| serde_json::json!({
             "generation": a.generation,
@@ -450,7 +450,7 @@ fn overhead(opts: &ExpOpts) -> Vec<String> {
 
     let mut violations = Vec::new();
     if enabled_metrics.counter("serve.decisions") == 0 {
-        violations.push("overhead: the enabled arm accounted no decisions in the registry".into());
+        violations.push("overhead: the enabled arm's metrics accounted no decisions".into());
     }
     let latency = enabled_metrics.histogram("serve.decision_latency_ns");
     if latency.is_none_or(|h| h.count() == 0) {
@@ -482,7 +482,7 @@ fn overhead(opts: &ExpOpts) -> Vec<String> {
 // ---- 3. fault plans ---------------------------------------------------
 
 /// Recovery budget: external faulting publish → quarantine → fallback
-/// publish, measured on the cell's clock.
+/// publish, measured on the run's clock.
 const RECOVERY_BUDGET_MICROS: u64 = 2_000_000;
 /// Quality floor: a plan's settled tail may be at most this factor worse
 /// than the all-baseline reference run.
@@ -694,20 +694,14 @@ fn generations_monotonic(report: &ServeReport) -> bool {
 
 /// The runtime never (re-)deploys a poisoned policy: pre-poisoned sources
 /// never reach the cell, and quarantined sources never appear in the
-/// publish trail after their first quarantine. Chaos-injected external
+/// publish log after their first quarantine. Chaos-injected external
 /// publishes are excluded — they ARE the injected fault (an operator
 /// bypassing the guard), not a runtime decision; what matters is that the
 /// runtime only ever answers them, never repeats them.
 fn no_poisoned_redeploy(report: &ServeReport, preseeded: &[&str]) -> bool {
-    let injected: std::collections::BTreeSet<u64> = report
-        .swaps
-        .iter()
-        .filter(|s| s.provenance.starts_with("external publish"))
-        .map(|s| s.generation)
-        .collect();
-    let runtime_pubs: Vec<&(u64, String)> =
-        report.published.iter().filter(|(g, _)| !injected.contains(g)).collect();
-    if runtime_pubs.iter().any(|(_, s)| preseeded.contains(&s.as_str())) {
+    let runtime_pubs: Vec<_> =
+        report.swaps.iter().filter(|s| !s.provenance.starts_with("external publish")).collect();
+    if runtime_pubs.iter().any(|s| preseeded.contains(&s.source.as_str())) {
         return false;
     }
     for q in &report.quarantines {
@@ -718,7 +712,7 @@ fn no_poisoned_redeploy(report: &ServeReport, preseeded: &[&str]) -> bool {
             .map(|x| x.generation)
             .min()
             .unwrap_or(q.generation);
-        if runtime_pubs.iter().any(|(g, s)| *s == q.source && *g > first) {
+        if runtime_pubs.iter().any(|s| s.source == q.source && s.generation > first) {
             return false;
         }
     }
@@ -726,7 +720,7 @@ fn no_poisoned_redeploy(report: &ServeReport, preseeded: &[&str]) -> bool {
 }
 
 /// Micros from the external faulting publish to the quarantine-recovery
-/// publish, on the cell's clock. `None` when the plan had no external
+/// publish, on the run's clock. `None` when the plan had no external
 /// publish, or when a newer generation superseded the fault before the
 /// quarantine was processed (nothing left to recover).
 fn recovery_micros(report: &ServeReport) -> Option<u64> {
@@ -776,7 +770,7 @@ fn judge(
         .collect();
     let unpoisoned = no_poisoned_redeploy(report, &preseeded);
     if !unpoisoned {
-        violate(format!("a poisoned policy reached the cell: {:?}", report.published));
+        violate(format!("a poisoned policy reached the cell: {:?}", report.swaps));
     }
 
     // 4. bounded recovery (only judged when the plan injects a live fault)
@@ -833,6 +827,7 @@ fn judge(
             "generation": s.generation,
             "provenance": s.provenance,
             "at_micros": s.at_micros,
+            "source": s.source,
         })).collect::<Vec<_>>(),
         "adaptations": report.adaptations.len(),
         "retries": report.adaptations.iter().map(|a| a.retries).sum::<u32>(),
@@ -846,7 +841,6 @@ fn judge(
             "source": q.source,
             "fault": q.fault,
         })).collect::<Vec<_>>(),
-        "published": report.published,
         "suppressed_triggers": report.suppressed_triggers,
         "telemetry_dropped": report.workers.iter().map(|w| w.telemetry_dropped).sum::<u64>(),
         "worker_quarantines": report.workers.iter().map(|w| w.quarantines).sum::<u64>(),

@@ -177,11 +177,9 @@ pub fn event_value(e: &TraceEvent) -> Value {
                 ("candidate_score", num(*candidate_score)),
                 ("incumbent_score", num(*incumbent_score)),
             ]),
-        TraceKind::Publish { generation, provenance, retire_backlog } => pairs.extend([
-            ("generation", num(*generation as f64)),
-            ("provenance", s(provenance)),
-            ("retire_backlog", num(*retire_backlog as f64)),
-        ]),
+        TraceKind::Publish { generation, provenance } => {
+            pairs.extend([("generation", num(*generation as f64)), ("provenance", s(provenance))])
+        }
         TraceKind::Demotion { worker, generation, fault } => pairs.extend([
             ("worker", num(*worker as f64)),
             ("generation", num(*generation as f64)),
@@ -261,13 +259,13 @@ mod tests {
     fn timeline_counts_kinds_and_keeps_order() {
         let log = TraceLog::new(8);
         log.emit(TraceKind::SearchRoundStart { round: 0 });
-        log.emit(TraceKind::Publish { generation: 1, provenance: "x".into(), retire_backlog: 2 });
+        log.emit(TraceKind::Publish { generation: 2, provenance: "x".into() });
         log.emit(TraceKind::SearchRoundStart { round: 1 });
         let v = timeline_value(&log.snapshot());
         let text = serde_json::to_string(&v).unwrap();
         assert!(text.contains(TIMELINE_SCHEMA));
         assert!(text.contains("\"search_round_start\":2"));
         assert!(text.contains("\"publish\":1"));
-        assert!(text.contains("\"retire_backlog\":2"));
+        assert!(text.contains("\"generation\":2"));
     }
 }

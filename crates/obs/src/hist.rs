@@ -1,7 +1,8 @@
 //! The fixed-footprint log-linear latency histogram (moved here from
 //! `serve::telemetry` so every crate can record/merge latencies), plus an
 //! atomic single-writer variant that backs a
-//! [`MetricsRegistry`](crate::MetricsRegistry) shard.
+//! [`MetricsRegistry`](crate::MetricsRegistry) shard — kept, like the
+//! registry, only for the benchmark probes that time them.
 //!
 //! The histogram is HDR-style log-linear: 16 linear sub-buckets per
 //! power-of-two octave (≈ 6% relative resolution), values below 16 ns

@@ -4,12 +4,13 @@
 //! production*; trust needs continuous observable evidence, not one-shot
 //! validation. This crate is that evidence layer, in three pillars:
 //!
-//! * [`metrics`] — a sharded [`MetricsRegistry`]: counters and the
-//!   log-linear [`LatencyHistogram`], one cache-line-padded slot per
-//!   worker shard. Workers write their own shard with plain
-//!   unsynchronized stores; a reader merges shards lock-free on demand.
-//!   ([`ring`], a bounded SPSC ring, is kept only for the benchmark probe
-//!   that times it.)
+//! * [`hist`] — the log-linear [`LatencyHistogram`] every crate records
+//!   and merges latencies with (serve workers each own one), and the
+//!   [`MetricsSnapshot`] a serve run reports its counts as.
+//!   [`metrics`], a sharded [`MetricsRegistry`] of cache-line-padded
+//!   per-worker slots backed by [`AtomicHistogram`]s, and [`ring`], a
+//!   bounded SPSC ring, are kept only for the benchmark probes that time
+//!   them.
 //! * [`trace`] — policy-lifecycle tracing: a bounded ring-buffer event
 //!   log ([`TraceLog`], process-global via [`trace::global`]) with spans
 //!   over the whole §3.1 loop: search rounds with `CostLedger` deltas,

@@ -97,9 +97,6 @@ pub enum TraceKind {
         generation: u64,
         /// Provenance string recorded in the swap log.
         provenance: String,
-        /// Deposed policies a live reader guard still held at publish
-        /// time.
-        retire_backlog: usize,
     },
     /// A worker's fault latch tripped: local demotion to the baseline.
     Demotion {
@@ -276,7 +273,7 @@ mod tests {
         let log = TraceLog::new(16);
         log.emit(TraceKind::SearchRoundStart { round: 0 });
         let mark = log.seq();
-        log.emit(TraceKind::Publish { generation: 1, provenance: "p".into(), retire_backlog: 0 });
+        log.emit(TraceKind::Publish { generation: 1, provenance: "p".into() });
         log.emit(TraceKind::RetryGaveUp { attempts: 4, why: "attempts exhausted".into() });
         let slice = log.events_since(mark);
         assert_eq!(slice.len(), 2);

@@ -13,8 +13,9 @@
 //!   `Arc` under a mutex that only adoptions take; the per-decision check
 //!   is one relaxed load of its generation. In-flight decisions never
 //!   observe a torn value, and a deposed policy is freed when its last
-//!   reader's guard drops. Every publish lands in the serve log with
-//!   generation, provenance, and timestamp.
+//!   reader's guard drops. The cell keeps no history: it emits a `publish`
+//!   trace event, and the runtime's one publisher logs the
+//!   [`SwapRecord`].
 //! * [`loadgen`] — the deterministic open-loop load generator: the seven
 //!   lb scenario presets (single- or multi-phase; a phase boundary is the
 //!   drift injection) and cache trace replay via `crates/traces`, sharded
@@ -25,15 +26,15 @@
 //!   priority decisions off a [`Cache`](policysmith_cachesim::Cache)),
 //!   one `mpsc` channel carrying every worker's window samples into the
 //!   [`ContextMonitor`](policysmith_core::library::ContextMonitor) —
-//!   hot-path counters and latency samples go through a sharded
-//!   [`MetricsRegistry`](policysmith_obs::MetricsRegistry) instead — and a
-//!   background adaptation thread running the
+//!   each worker keeps its own counts and sampled latencies, reported
+//!   once it joins — and a background adaptation thread running the
 //!   [`AdaptiveController`](policysmith_core::library::AdaptiveController)'s
 //!   one ladder: on drift, a stored heuristic over the reuse bar, else a
 //!   full [`run_search`](policysmith_core::run_search), else
 //!   the best stored heuristic at all; on a quarantine, the best stored
 //!   heuristic at all, else the man-made baseline. Whatever a rung yields
-//!   goes live in exactly one place on that thread.
+//!   goes live in exactly one place on that thread, which also writes the
+//!   run's publish log ([`ServeReport::swaps`]).
 //!
 //! Two more layers make the runtime survive misbehaving inputs:
 //!
@@ -72,7 +73,7 @@ pub use chaos::{ChaosSpec, ChaosStats, ExternalPublish, TelemetryChaos, WorkerSt
 pub use guard::{GuardVerdict, PolicyGuard, RejectReason};
 pub use runtime::{
     serve_cache, serve_lb, AdaptationEvent, QuarantineReport, RejectedAdaptation, Resynth,
-    ServeConfig, ServeReport, WorkerStats,
+    ServeConfig, ServeReport, SwapRecord, WorkerStats,
 };
-pub use swap::{Guard, PolicyCell, ReaderHandle, SwapRecord};
+pub use swap::{Guard, PolicyCell, ReaderHandle};
 pub use telemetry::WindowSample;

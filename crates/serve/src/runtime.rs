@@ -19,10 +19,10 @@
 //! decision counts, serving generation) down one unbounded `mpsc`
 //! channel: a send never blocks and never drops a sample while the
 //! adaptation thread lives. A second `mpsc` channel carries control-plane
-//! events (quarantine reports). Decision latency, adoption pauses,
-//! decision and quarantine counts flow through a sharded
-//! [`MetricsRegistry`] — per-worker shards written with plain stores,
-//! merged into [`ServeReport::metrics`].
+//! events (quarantine reports). Each worker keeps its own counts and its
+//! own sampled latency histogram in plain fields; nothing reads them until
+//! the worker has joined, when they become its [`WorkerStats`] and one
+//! shard of [`ServeReport::metrics`].
 //!
 //! The adaptation thread (one private `Adapter`) drains the window channel
 //! into the `AdaptiveController`'s [`ContextMonitor`]; every trigger then
@@ -38,8 +38,10 @@
 //!
 //! Whatever the ladder yields goes live in exactly one place,
 //! `Adapter::go_live` — the only `publish` on this thread and the only
-//! writer of [`ServeReport::published`]. The thread keeps no copy of "what
-//! is live": it reads the cell back through its own reader handle. Serving
+//! writer of the publish log, [`ServeReport::swaps`]. The thread keeps no
+//! copy of "what is live": it reads the cell back through its own reader
+//! handle. Every `at_micros` in a report (swaps, windows, quarantines)
+//! counts from the run's one start instant. Serving
 //! continues at full rate throughout; the only cost any worker ever pays
 //! is its own adoption pause (microseconds, measured).
 //!
@@ -68,7 +70,7 @@
 
 use crate::chaos::{ChaosSpec, ChaosStats, TelemetryInjector};
 use crate::guard::{GuardVerdict, PolicyGuard, RejectReason};
-use crate::swap::{PolicyCell, ReaderHandle, SwapRecord};
+use crate::swap::{PolicyCell, ReaderHandle};
 use crate::telemetry::WindowSample;
 use policysmith_cachesim::{Cache, PriorityPolicy, SimResult};
 use policysmith_core::library::{
@@ -82,9 +84,7 @@ use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::{
     run_phased_windowed, DispatchView, Dispatcher, ExprDispatcher, LbMetrics, Scenario,
 };
-use policysmith_obs::{
-    CounterId, HistId, LatencyHistogram, MetricsRegistry, MetricsSnapshot, TraceKind,
-};
+use policysmith_obs::{LatencyHistogram, MetricsSnapshot, TraceKind};
 use policysmith_traces::Trace;
 use std::cell::RefCell;
 use std::sync::mpsc;
@@ -93,9 +93,10 @@ use std::time::{Duration, Instant};
 /// Runtime knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker (serving) threads.
+    /// Worker (serving) threads: one per shard. A serve run panics unless
+    /// it equals the number of shards it is given.
     pub workers: usize,
-    /// Decisions per telemetry window.
+    /// Decisions per telemetry window (≥ 1).
     pub window: usize,
     /// Sample every k-th decision's latency (1 = all; >1 keeps the
     /// clock off the hot path at high decision rates).
@@ -113,10 +114,11 @@ pub struct ServeConfig {
     /// Deterministic fault injection (tests and the chaos harness). The
     /// default all-zero spec is the plain serve path.
     pub chaos: ChaosSpec,
-    /// Hot-path instrumentation: decision/latency/pause metrics into the
-    /// sharded registry. `false` turns every hot-path metric write (and
-    /// latency sampling) off — the control arm of `exp_serve`'s overhead
-    /// section. Telemetry *windows* still flow either way: the
+    /// Hot-path instrumentation: decision-latency sampling, and
+    /// [`ServeReport::metrics`]. `false` turns latency sampling off and
+    /// leaves the snapshot empty — the control arm of `exp_serve`'s
+    /// overhead section. Workers count decisions, windows, quarantines and
+    /// adoption pauses either way, and telemetry *windows* still flow: the
     /// adaptation loop needs them.
     pub instrument: bool,
 }
@@ -156,6 +158,20 @@ pub struct Resynth<S: Study> {
     /// Library entries available before the run starts (earlier
     /// deployments; possibly with poisoned sources carried over).
     pub library: HeuristicLibrary,
+}
+
+/// One publish, as the serve run's publish log records it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SwapRecord {
+    /// Generation installed by this publish (the initial value is
+    /// generation 0; the first publish installs generation 1).
+    pub generation: u64,
+    /// Who/why: e.g. `"adaptation #1: resynthesized for lb/slow-node-onset"`.
+    pub provenance: String,
+    /// Microseconds from the run's start to the publish.
+    pub at_micros: u64,
+    /// Source of the published policy.
+    pub source: String,
 }
 
 /// What one drift trigger did, for the report.
@@ -212,7 +228,7 @@ pub struct QuarantineReport {
     pub source: String,
     /// The latched runtime fault, rendered.
     pub fault: String,
-    /// Microseconds since the worker started when the latch tripped.
+    /// Microseconds from the run's start to the latch tripping.
     pub at_micros: u64,
 }
 
@@ -223,9 +239,10 @@ pub struct WorkerStats {
     /// Decisions served (every offered request was decided — the runtime
     /// never drops or blocks a decision).
     pub decisions: u64,
-    /// Wall-clock seconds spent serving.
+    /// Wall-clock seconds from the run's start to this worker's finish.
     pub wall_seconds: f64,
-    /// Sampled decision latencies, ns.
+    /// Sampled decision latencies, ns (empty when
+    /// [`ServeConfig::instrument`] is off).
     pub latency: LatencyHistogram,
     /// Policy-adoption pauses, ns (one entry per generation adopted after
     /// the first).
@@ -244,6 +261,8 @@ pub struct WorkerStats {
     pub telemetry_dropped: u64,
     /// Fault-latch demotions this worker performed (one per quarantine).
     pub quarantines: u64,
+    /// Telemetry windows this worker closed (one [`WindowSample`] each).
+    pub windows: u64,
 }
 
 /// Everything a finished serve run reports.
@@ -253,7 +272,9 @@ pub struct ServeReport {
     /// Every telemetry window, in controller-arrival order (after any
     /// chaos perturbation).
     pub windows: Vec<WindowSample>,
-    /// The serve log (one entry per publish).
+    /// The publish log: one entry per publish, in order — adaptations,
+    /// quarantine recoveries, and chaos-injected external publishes alike.
+    /// The audit trail for "no poisoned policy was ever re-deployed".
     pub swaps: Vec<SwapRecord>,
     /// Every background adaptation that changed the live policy, in order.
     pub adaptations: Vec<AdaptationEvent>,
@@ -269,21 +290,18 @@ pub struct ServeReport {
     /// Worker or background threads that panicked (their results are
     /// missing from the report; everything else is intact).
     pub failures: Vec<String>,
-    /// `(generation, source)` of every policy published during the run —
-    /// adaptations, quarantine recoveries, and chaos-injected external
-    /// publishes alike. The audit trail for "no poisoned policy was ever
-    /// re-deployed".
-    pub published: Vec<(u64, String)>,
     /// What the chaos layer injected (all zeros without a spec).
     pub chaos: ChaosStats,
     /// The controller after the run (library, monitor, adaptation trail).
     pub controller: AdaptiveController,
-    /// Wall-clock seconds from first worker start to last worker finish.
+    /// Wall-clock seconds from the run's start to the last worker's finish.
     pub wall_seconds: f64,
-    /// The sharded metric set, merged lock-free at the end of the run
-    /// (self-describing; embeds into results JSON via
-    /// [`MetricsSnapshot::to_value`]). Hot-path counters/histograms are
-    /// empty when [`ServeConfig::instrument`] is off.
+    /// The workers' counts as a self-describing metric set, one shard per
+    /// joined worker (embeds into results JSON via
+    /// [`MetricsSnapshot::to_value`]): counters `serve.decisions`,
+    /// `serve.windows`, `serve.quarantines`; histograms
+    /// `serve.decision_latency_ns`, `serve.adoption_pause_ns`. Empty when
+    /// [`ServeConfig::instrument`] is off.
     pub metrics: MetricsSnapshot,
 }
 
@@ -320,84 +338,33 @@ impl ServeReport {
     }
 }
 
-/// The serve runtime's sharded metric set: one registry, one shard per
-/// worker, fixed ids registered before any worker spawns.
-struct ServeMetrics {
-    registry: MetricsRegistry,
-    decisions: CounterId,
-    windows: CounterId,
-    quarantines: CounterId,
-    latency: HistId,
-    pause: HistId,
-}
-
-impl ServeMetrics {
-    fn new(shards: usize) -> ServeMetrics {
-        let mut registry = MetricsRegistry::new(shards);
-        ServeMetrics {
-            decisions: registry.counter("serve.decisions"),
-            windows: registry.counter("serve.windows"),
-            quarantines: registry.counter("serve.quarantines"),
-            latency: registry.histogram("serve.decision_latency_ns"),
-            pause: registry.histogram("serve.adoption_pause_ns"),
-            registry,
-        }
+/// [`ServeReport::metrics`], assembled from the joined workers' own
+/// counts: each worker is one shard, in worker order.
+fn metrics_snapshot(stats: &[WorkerStats], instrument: bool) -> MetricsSnapshot {
+    let mut snapshot =
+        MetricsSnapshot { shards: stats.len(), counters: Vec::new(), histograms: Vec::new() };
+    if !instrument {
+        return snapshot;
     }
-
-    fn shard(&self, worker: usize, instrument: bool) -> ShardMetrics<'_> {
-        ShardMetrics { m: self, worker, enabled: instrument }
+    let counter = |name: &str, count: fn(&WorkerStats) -> u64| {
+        let per_shard: Vec<u64> = stats.iter().map(count).collect();
+        (name.to_string(), per_shard.iter().sum(), per_shard)
+    };
+    snapshot.counters = vec![
+        counter("serve.decisions", |w| w.decisions),
+        counter("serve.windows", |w| w.windows),
+        counter("serve.quarantines", |w| w.quarantines),
+    ];
+    let (mut latency, mut pause) = (LatencyHistogram::new(), LatencyHistogram::new());
+    for w in stats {
+        latency.merge(&w.latency);
+        w.swap_pauses_ns.iter().for_each(|&ns| pause.record(ns));
     }
-}
-
-/// One worker's writer half of [`ServeMetrics`]: plain unsynchronized
-/// stores into the worker's own shard. `enabled = false` (the control arm
-/// of `exp_serve`'s overhead section) turns every write into a
-/// predictable no-op branch.
-#[derive(Clone, Copy)]
-struct ShardMetrics<'a> {
-    m: &'a ServeMetrics,
-    worker: usize,
-    enabled: bool,
-}
-
-impl ShardMetrics<'_> {
-    #[inline]
-    fn on_decision(&self) {
-        if self.enabled {
-            self.m.registry.shard(self.worker).add(self.m.decisions, 1);
-        }
-    }
-
-    #[inline]
-    fn record_latency(&self, ns: u64) {
-        if self.enabled {
-            self.m.registry.shard(self.worker).record(self.m.latency, ns);
-        }
-    }
-
-    fn on_window(&self) {
-        if self.enabled {
-            self.m.registry.shard(self.worker).add(self.m.windows, 1);
-        }
-    }
-
-    fn on_pause(&self, ns: u64) {
-        if self.enabled {
-            self.m.registry.shard(self.worker).record(self.m.pause, ns);
-        }
-    }
-
-    fn on_quarantine(&self) {
-        if self.enabled {
-            self.m.registry.shard(self.worker).add(self.m.quarantines, 1);
-        }
-    }
-
-    /// This worker's decision-latency histogram, snapshotted out of its
-    /// shard (empty when instrumentation is off).
-    fn latency_hist(&self) -> LatencyHistogram {
-        self.m.registry.hist_shard(self.m.latency, self.worker)
-    }
+    snapshot.histograms = vec![
+        ("serve.decision_latency_ns".to_string(), latency),
+        ("serve.adoption_pause_ns".to_string(), pause),
+    ];
+    snapshot
 }
 
 /// What the adaptation thread hands back when the last worker hangs up.
@@ -408,7 +375,7 @@ struct BackgroundReport {
     rejections: Vec<RejectedAdaptation>,
     quarantines: Vec<QuarantineReport>,
     suppressed: u64,
-    published: Vec<(u64, String)>,
+    swaps: Vec<SwapRecord>,
     chaos: ChaosStats,
 }
 
@@ -467,19 +434,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// The shared scaffold: spawn one worker per shard plus the adaptation
 /// thread, join everything (a panicking thread degrades the report, it
-/// does not take the run down), assemble the report.
+/// does not take the run down), assemble the report. Panics unless
+/// `cfg.workers` equals the number of shards and `cfg.window` is at least 1.
 fn serve<S: Study + Send, ShardInput: Sync>(
     cfg: &ServeConfig,
     initial: CompiledPolicy,
     baseline: CompiledPolicy,
     resynth: Option<Resynth<S>>,
     shards: &[ShardInput],
-    worker_fn: impl Fn(&ShardInput, ServeWorker<'_, '_>, CompiledPolicy) -> WorkerStats + Sync,
+    worker_fn: impl Fn(&ShardInput, ServeWorker<'_>, CompiledPolicy) -> WorkerStats + Sync,
 ) -> ServeReport {
+    assert_eq!(cfg.workers, shards.len(), "ServeConfig::workers must equal the number of shards");
+    assert!(cfg.window >= 1, "ServeConfig::window must be at least one decision");
     debug_assert_eq!(baseline.mode(), initial.mode());
     // one reader per worker, one for the adaptation thread
     let cell = PolicyCell::new(initial, shards.len() + 1);
-    let metrics = ServeMetrics::new(shards.len());
     let (ctl_tx, ctl_rx) = mpsc::channel::<QuarantineReport>();
     let (window_tx, window_rx) = mpsc::channel::<WindowSample>();
     let monitor = ContextMonitor::new(cfg.monitor_window, cfg.monitor_tolerance);
@@ -487,26 +456,28 @@ fn serve<S: Study + Send, ShardInput: Sync>(
     let mut controller =
         AdaptiveController::new(monitor, cfg.min_reuse_score).with_library(seed_library);
 
-    let t0 = Instant::now();
+    // the run's one clock: every `at_micros` in the report counts from here
+    let start = Instant::now();
     let mut failures = Vec::new();
     let (stats, background) = std::thread::scope(|scope| {
         let mut joins = Vec::with_capacity(shards.len());
         for (w, shard) in shards.iter().enumerate() {
             let mut handle = cell.register();
             let (windows, control) = (window_tx.clone(), ctl_tx.clone());
-            let (metrics, worker_fn, baseline) = (&metrics, &worker_fn, &baseline);
+            let (worker_fn, baseline) = (&worker_fn, &baseline);
             joins.push(scope.spawn(move || {
                 let generation = handle.cell().generation();
                 // initial adoption is deployment, not a swap: not a recorded pause
                 let initial = handle.pin().clone();
                 let shell = ServeWorker {
                     worker: w,
-                    started: Instant::now(),
+                    start,
                     handle,
                     generation,
                     pauses_ns: Vec::new(),
-                    metrics: metrics.shard(w, cfg.instrument),
-                    sample_every: cfg.latency_sample_every,
+                    latency: LatencyHistogram::new(),
+                    sample_every: cfg.latency_sample_every.max(1),
+                    next_sample: if cfg.instrument { 0 } else { u64::MAX },
                     decisions: 0,
                     log: cfg.record_decisions.then(Vec::new),
                     windows,
@@ -530,6 +501,7 @@ fn serve<S: Study + Send, ShardInput: Sync>(
             live: cell.register(),
             baseline: &baseline,
             cfg,
+            start,
             report: BackgroundReport::default(),
         };
         let background = scope.spawn(move || adapter.run(ctl_rx, window_rx));
@@ -550,22 +522,21 @@ fn serve<S: Study + Send, ShardInput: Sync>(
         };
         (stats, background)
     });
-    let wall_seconds = t0.elapsed().as_secs_f64();
+    let wall_seconds = start.elapsed().as_secs_f64();
 
     ServeReport {
+        metrics: metrics_snapshot(&stats, cfg.instrument),
         workers: stats,
         windows: background.windows,
-        swaps: cell.swap_log(),
+        swaps: background.swaps,
         adaptations: background.adaptations,
         rejections: background.rejections,
         quarantines: background.quarantines,
         suppressed_triggers: background.suppressed,
         failures,
-        published: background.published,
         chaos: background.chaos,
         controller,
         wall_seconds,
-        metrics: metrics.registry.snapshot(),
     }
 }
 
@@ -581,6 +552,8 @@ struct Adapter<'a, S: Study> {
     live: ReaderHandle<'a, CompiledPolicy>,
     baseline: &'a CompiledPolicy,
     cfg: &'a ServeConfig,
+    /// The run's start: the clock of [`SwapRecord::at_micros`].
+    start: Instant,
     report: BackgroundReport,
 }
 
@@ -675,12 +648,15 @@ impl<S: Study> Adapter<'_, S> {
     }
 
     /// The one way a policy becomes live on this thread: publish it and
-    /// log it in the audit trail. Returns the generation it was installed
-    /// as.
+    /// append it to the publish log. Returns the generation it was
+    /// installed as.
     fn go_live(&mut self, policy: CompiledPolicy, why: String) -> u64 {
         let source = to_source(policy.expr());
-        let generation = self.live.cell().publish(policy, why);
-        self.report.published.push((generation, source));
+        // stamped before the publish, so no worker can serve (and stamp a
+        // window with) the new generation before its swap's `at_micros`
+        let at_micros = self.start.elapsed().as_micros() as u64;
+        let generation = self.live.cell().publish(policy, why.clone());
+        self.report.swaps.push(SwapRecord { generation, provenance: why, at_micros, source });
         generation
     }
 
@@ -894,19 +870,22 @@ impl ServeHost for Cache<PriorityPolicy> {
 /// demotes this worker to the man-made baseline on the spot (the host
 /// already degraded that decision internally; none is dropped) and
 /// reports the quarantine. It also owns the worker's window sender and
-/// assembles its [`WorkerStats`].
-struct ServeWorker<'c, 'm> {
+/// its counts, which become its [`WorkerStats`].
+struct ServeWorker<'c> {
     worker: usize,
-    started: Instant,
+    /// The run's start: the clock of every `at_micros` this worker stamps.
+    start: Instant,
     handle: ReaderHandle<'c, CompiledPolicy>,
     /// Generation of the policy currently hosted; window samples report it.
     generation: u64,
     pauses_ns: Vec<u64>,
-    /// Writer half of this worker's metric shard (latency histogram,
-    /// decision/pause/quarantine counters — plain stores, merged
-    /// lock-free by the reader).
-    metrics: ShardMetrics<'m>,
+    /// Sampled decision latencies, ns.
+    latency: LatencyHistogram,
+    /// Time every `sample_every`-th decision: the next one timed is
+    /// decision `next_sample` (`u64::MAX`, never reached, with
+    /// instrumentation off). A compare per decision, not a division.
     sample_every: u64,
+    next_sample: u64,
     decisions: u64,
     log: Option<Vec<u32>>,
     windows: mpsc::Sender<WindowSample>,
@@ -925,7 +904,7 @@ struct ServeWorker<'c, 'm> {
     stall: Option<crate::chaos::WorkerStall>,
 }
 
-impl ServeWorker<'_, '_> {
+impl ServeWorker<'_> {
     #[inline]
     fn decide<H: ServeHost>(&mut self, host: &mut H, f: impl FnOnce(&mut H) -> u32) -> u32 {
         let now = self.handle.cell().generation();
@@ -936,9 +915,7 @@ impl ServeWorker<'_, '_> {
             host.adopt(policy);
             self.in_fallback = false;
             self.generation = now;
-            let pause = t0.elapsed().as_nanos() as u64;
-            self.pauses_ns.push(pause);
-            self.metrics.on_pause(pause);
+            self.pauses_ns.push(t0.elapsed().as_nanos() as u64);
         }
         // chaos: a periodic decision-path stall (deterministic in decision
         // count, so it needs no rng)
@@ -950,12 +927,13 @@ impl ServeWorker<'_, '_> {
                 std::thread::sleep(Duration::from_micros(st.stall_micros));
             }
         }
-        let sampled = self.metrics.enabled
-            && (self.sample_every <= 1 || self.decisions.is_multiple_of(self.sample_every));
-        let t0 = sampled.then(Instant::now);
+        let t0 = (self.decisions == self.next_sample).then(|| {
+            self.next_sample += self.sample_every;
+            Instant::now()
+        });
         let decision = f(host);
         if let Some(t0) = t0 {
-            self.metrics.record_latency(t0.elapsed().as_nanos() as u64);
+            self.latency.record(t0.elapsed().as_nanos() as u64);
         }
         // safe-fallback chain, local leg: the host latched a runtime fault
         // (it already degraded this decision internally — nothing was
@@ -972,7 +950,7 @@ impl ServeWorker<'_, '_> {
                     generation: self.generation,
                     source: self.current_source.clone(),
                     fault,
-                    at_micros: self.started.elapsed().as_micros() as u64,
+                    at_micros: self.start.elapsed().as_micros() as u64,
                 };
                 if self.control.send(q).is_err() {
                     self.dropped += 1;
@@ -980,14 +958,12 @@ impl ServeWorker<'_, '_> {
                 host.adopt(self.baseline.clone());
                 self.in_fallback = true;
                 self.quarantines += 1;
-                self.metrics.on_quarantine();
             }
         }
         if let Some(log) = self.log.as_mut() {
             log.push(decision);
         }
         self.decisions += 1;
-        self.metrics.on_decision();
         decision
     }
 
@@ -999,13 +975,11 @@ impl ServeWorker<'_, '_> {
             decisions,
             signal,
             generation: self.generation,
-            at_micros: self.started.elapsed().as_micros() as u64,
+            at_micros: self.start.elapsed().as_micros() as u64,
         };
         // a dead receiver must not panic a serving worker: keep serving
         // without telemetry, count the degradation
-        if self.windows.send(sample).is_ok() {
-            self.metrics.on_window();
-        } else {
+        if self.windows.send(sample).is_err() {
             self.dropped += 1;
         }
         self.seq += 1;
@@ -1019,14 +993,15 @@ impl ServeWorker<'_, '_> {
         WorkerStats {
             worker: self.worker,
             decisions: self.decisions,
-            wall_seconds: self.started.elapsed().as_secs_f64(),
-            latency: self.metrics.latency_hist(),
+            wall_seconds: self.start.elapsed().as_secs_f64(),
+            latency: self.latency,
             swap_pauses_ns: self.pauses_ns,
             lb_metrics,
             cache_result,
             decisions_log: self.log,
             telemetry_dropped: self.dropped,
             quarantines: self.quarantines,
+            windows: self.seq,
         }
     }
 }
@@ -1037,12 +1012,12 @@ impl ServeWorker<'_, '_> {
 /// guarantee is structural, not mirrored code. The shell sits in a
 /// `RefCell` because the driver holds the dispatcher and the window
 /// callback at once (worker-local, single-threaded).
-struct ServeLbHost<'s, 'c, 'm> {
-    shell: &'s RefCell<ServeWorker<'c, 'm>>,
+struct ServeLbHost<'s, 'c> {
+    shell: &'s RefCell<ServeWorker<'c>>,
     inner: ExprDispatcher,
 }
 
-impl Dispatcher for ServeLbHost<'_, '_, '_> {
+impl Dispatcher for ServeLbHost<'_, '_> {
     fn name(&self) -> &str {
         "serve"
     }
@@ -1054,7 +1029,7 @@ impl Dispatcher for ServeLbHost<'_, '_, '_> {
 
 fn run_lb_worker(
     phases: &[Scenario],
-    shell: ServeWorker<'_, '_>,
+    shell: ServeWorker<'_>,
     initial: CompiledPolicy,
     window: usize,
 ) -> WorkerStats {
@@ -1069,7 +1044,7 @@ fn run_lb_worker(
 fn run_cache_worker(
     trace: &Trace,
     capacity: u64,
-    mut shell: ServeWorker<'_, '_>,
+    mut shell: ServeWorker<'_>,
     initial: CompiledPolicy,
     window: usize,
 ) -> WorkerStats {

@@ -16,29 +16,13 @@
 //! last `Arc` drops: at the publish itself when no guard holds it, else
 //! when the last such guard is released.
 //!
-//! Every publish is recorded in the serve log ([`SwapRecord`]): generation
-//! counter, provenance string, swap timestamp, and the retire backlog at
-//! that instant — the audit trail the `exp_serve` drift timeline renders.
+//! The cell keeps no history. Every publish emits a `publish` trace event;
+//! the serve run's publish log ([`SwapRecord`](crate::SwapRecord)) is
+//! written by its one publisher, the runtime's adaptation thread.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
-use std::time::Instant;
-
-/// Metadata of one [`PolicyCell::publish`] — the serve log entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SwapRecord {
-    /// Generation installed by this publish (the initial value is
-    /// generation 0; the first publish installs generation 1).
-    pub generation: u64,
-    /// Who/why: e.g. `"adaptation #1: resynthesized for lb/slow-node-onset"`.
-    pub provenance: String,
-    /// Microseconds since the cell was created.
-    pub at_micros: u64,
-    /// Deposed values a live guard still held immediately after this
-    /// publish.
-    pub retire_backlog: usize,
-}
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A publication cell for values shared across serving threads (compiled
 /// policies, in this crate). See the [module docs](self).
@@ -50,16 +34,11 @@ pub struct PolicyCell<T> {
     generation: AtomicU64,
     max_readers: usize,
     registered: AtomicUsize,
-    /// Deposed values, held weakly; dead entries are pruned at each
-    /// publish.
-    retired: Mutex<Vec<Weak<T>>>,
-    log: Mutex<Vec<SwapRecord>>,
-    start: Instant,
 }
 
-/// Every mutex in the cell guards a value that stays valid if its holder
-/// panics, so a poisoned lock is recovered rather than cascading the panic
-/// into every other serving thread that touches the cell.
+/// `current` guards an `Arc` that stays valid if its holder panics, so a
+/// poisoned lock is recovered rather than cascading the panic into every
+/// other serving thread that touches the cell.
 fn lock<U>(m: &Mutex<U>) -> MutexGuard<'_, U> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -73,9 +52,6 @@ impl<T> PolicyCell<T> {
             generation: AtomicU64::new(0),
             max_readers,
             registered: AtomicUsize::new(0),
-            retired: Mutex::new(Vec::new()),
-            log: Mutex::new(Vec::new()),
-            start: Instant::now(),
         }
     }
 
@@ -100,47 +76,21 @@ impl<T> PolicyCell<T> {
 
     /// Publish a new value: swap the live `Arc` and bump the generation
     /// under one lock (readers see the old value or the new one, both
-    /// intact), drop the cell's hold on the deposed value, and append to
-    /// the serve log. Returns the new generation.
+    /// intact), drop the cell's hold on the deposed value, and emit the
+    /// `publish` trace event. Returns the new generation.
     pub fn publish(&self, value: T, provenance: impl Into<String>) -> u64 {
-        let provenance = provenance.into();
         let (generation, deposed) = {
             let mut current = lock(&self.current);
             let deposed = std::mem::replace(&mut *current, Arc::new(value));
             (self.generation.fetch_add(1, Ordering::Relaxed) + 1, deposed)
         };
-        let backlog = {
-            let mut retired = lock(&self.retired);
-            retired.push(Arc::downgrade(&deposed));
-            // frees the deposed value unless a guard still holds it
-            drop(deposed);
-            retired.retain(|w| w.strong_count() > 0);
-            retired.len()
-        };
+        // frees the deposed value unless a guard still holds it
+        drop(deposed);
         policysmith_obs::emit(policysmith_obs::TraceKind::Publish {
             generation,
-            provenance: provenance.clone(),
-            retire_backlog: backlog,
-        });
-        lock(&self.log).push(SwapRecord {
-            generation,
-            provenance,
-            at_micros: self.start.elapsed().as_micros() as u64,
-            retire_backlog: backlog,
+            provenance: provenance.into(),
         });
         generation
-    }
-
-    /// Deposed values a live guard still holds (observability; bounded by
-    /// the number of publishes that landed while some reader held a
-    /// guard).
-    pub fn retire_backlog(&self) -> usize {
-        lock(&self.retired).iter().filter(|w| w.strong_count() > 0).count()
-    }
-
-    /// The serve log: one [`SwapRecord`] per publish, in order.
-    pub fn swap_log(&self) -> Vec<SwapRecord> {
-        lock(&self.log).clone()
     }
 }
 
@@ -153,7 +103,7 @@ impl<'c, T> ReaderHandle<'c, T> {
     /// Clone the live value's `Arc` out of the cell. The value stays
     /// valid until the guard drops, regardless of concurrent publishes.
     /// Hold guards briefly (one decision, one clone): a held guard keeps a
-    /// deposed value alive and counted in the retire backlog.
+    /// deposed value alive.
     pub fn pin(&mut self) -> Guard<T> {
         Guard(lock(&self.cell.current).clone())
     }
@@ -177,6 +127,7 @@ impl<T> Deref for Guard<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use policysmith_obs::TraceKind;
 
     #[test]
     fn initial_value_is_served_at_generation_zero() {
@@ -184,25 +135,38 @@ mod tests {
         assert_eq!(cell.generation(), 0);
         let mut h = cell.register();
         assert_eq!(*h.pin(), 41);
-        assert!(cell.swap_log().is_empty());
     }
 
     #[test]
     fn publish_swaps_and_logs() {
         let cell = PolicyCell::new(1u64, 2);
         let mut h = cell.register();
-        assert_eq!(cell.publish(2, "first"), 1);
-        assert_eq!(cell.publish(3, "second"), 2);
+        // the global trace log is shared with tests running in parallel:
+        // find this test's publishes by their provenance
+        let mark = policysmith_obs::trace::global().seq();
+        assert_eq!(cell.publish(2, "publish_swaps_and_logs: first"), 1);
+        assert_eq!(cell.publish(3, "publish_swaps_and_logs: second"), 2);
         assert_eq!(*h.pin(), 3);
-        let log = cell.swap_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].generation, 1);
-        assert_eq!(log[0].provenance, "first");
-        assert_eq!(log[1].generation, 2);
-        assert!(log[0].at_micros <= log[1].at_micros);
-        // no reader was pinned across the publishes: both deposed values
-        // were reclaimed immediately
-        assert_eq!(cell.retire_backlog(), 0);
+        assert_eq!(cell.generation(), 2);
+        let logged: Vec<(u64, String)> = policysmith_obs::trace::global()
+            .events_since(mark)
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::Publish { generation, provenance }
+                    if provenance.starts_with("publish_swaps_and_logs") =>
+                {
+                    Some((generation, provenance))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            logged,
+            [
+                (1, "publish_swaps_and_logs: first".to_string()),
+                (2, "publish_swaps_and_logs: second".to_string())
+            ]
+        );
     }
 
     #[test]
@@ -212,14 +176,10 @@ mod tests {
         let guard = h.pin();
         assert_eq!(*guard, 10);
         cell.publish(20, "while pinned");
-        // the deposed 10 is retired but must NOT be reclaimed: the guard
-        // still holds it
-        assert_eq!(cell.retire_backlog(), 1);
+        cell.publish(30, "still pinned");
+        // the deposed 10 must NOT be reclaimed: the guard still holds it
         assert_eq!(*guard, 10, "guard keeps the old value, untorn");
         drop(guard);
-        // releasing the guard freed it: the next publish logs no backlog
-        cell.publish(30, "after unpin");
-        assert_eq!(cell.retire_backlog(), 0);
         assert_eq!(*h.pin(), 30);
     }
 
@@ -306,35 +266,5 @@ mod tests {
         // unguarded, a deposed value is freed by the publish itself
         cell.publish(Tracked::new(&live), "depose generation 1");
         assert_eq!(live.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn retire_backlog_counts_exactly_the_guarded_deposed_values() {
-        let live = Arc::new(AtomicUsize::new(0));
-        let cell = PolicyCell::new(Tracked::new(&live), 4);
-        let mut readers: Vec<_> = (0..3).map(|_| cell.register()).collect();
-        let mut guards = Vec::new();
-        // generations 0, 1 and 2 each get a guard before they are deposed;
-        // generation 3 is deposed unguarded
-        for reader in &mut readers {
-            guards.push(reader.pin());
-            cell.publish(Tracked::new(&live), "guarded");
-        }
-        cell.publish(Tracked::new(&live), "unguarded");
-        let logged: Vec<usize> = cell.swap_log().iter().map(|s| s.retire_backlog).collect();
-        assert_eq!(logged, [1, 2, 3, 3]);
-        assert_eq!(cell.retire_backlog(), 3);
-        // a second guard on a deposed value does not count it twice
-        let extra = Guard(guards[0].0.clone());
-        assert_eq!(cell.retire_backlog(), 3);
-        guards.remove(1);
-        assert_eq!(cell.retire_backlog(), 2);
-        guards.clear();
-        assert_eq!(cell.retire_backlog(), 1, "the extra guard holds generation 0");
-        drop(extra);
-        assert_eq!(cell.retire_backlog(), 0);
-        cell.publish(Tracked::new(&live), "after release");
-        assert_eq!(cell.swap_log().last().map(|s| s.retire_backlog), Some(0));
-        assert_eq!(live.load(Ordering::SeqCst), 1, "only the live value remains");
     }
 }

@@ -20,6 +20,6 @@ pub struct WindowSample {
     pub signal: f64,
     /// Policy generation that served the window's *last* decision.
     pub generation: u64,
-    /// Microseconds since the worker started serving.
+    /// Microseconds from the run's start to the window's close.
     pub at_micros: u64,
 }

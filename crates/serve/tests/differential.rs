@@ -12,8 +12,13 @@ use policysmith_dsl::{parse, Mode};
 use policysmith_gen::{GenConfig, MockLlm};
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_lbsim::{scenario, sim, DispatchView, Dispatcher, ExprDispatcher, Scenario};
+use policysmith_obs::LatencyHistogram;
+use policysmith_serve::chaos::faulting_source;
 use policysmith_serve::runtime::Resynth;
-use policysmith_serve::{loadgen, serve_cache, serve_lb, ServeConfig, ServeReport};
+use policysmith_serve::{
+    loadgen, serve_cache, serve_lb, ChaosSpec, ExternalPublish, ServeConfig, ServeReport,
+    WorkerStall,
+};
 use proptest::prelude::*;
 
 const POLICIES: &[&str] = &[
@@ -134,9 +139,10 @@ fn multi_worker_shards_each_match_their_own_batch_run() {
     assert_eq!(telemetry_decisions, report.total_decisions());
 }
 
-/// The sharded metrics registry is an *accounting view* over the same
-/// run: its merged counters must agree with the report's ground truth, on
-/// both drivers (they share one per-decision shell).
+/// The report's metric set is an *accounting view* over the same run: its
+/// counters and histograms must agree with the workers' ground truth, for
+/// lb and cache alike (they share one per-decision shell) — in a quiet run
+/// and in one that quarantines and adopts.
 #[test]
 fn sharded_metrics_account_for_every_decision_and_window() {
     fn check(driver: &str, run: impl Fn(&ServeConfig) -> ServeReport) {
@@ -169,6 +175,94 @@ fn sharded_metrics_account_for_every_decision_and_window() {
         let policy = compiled("obj.last_access", Mode::Cache);
         serve_cache(&replay.shards(cfg.workers), capacity, policy, cfg, no_resynth())
     });
+
+    // a run that quarantines and adopts: the counts are non-zero and agree
+    for (domain, hot) in faulted_runs() {
+        let m = &hot.metrics;
+        assert_eq!(m.counter("serve.decisions"), hot.total_decisions(), "{domain}");
+        assert_eq!(m.counter("serve.windows"), hot.windows.len() as u64, "{domain}");
+        assert!(m.counter("serve.quarantines") > 0, "{domain}: the fault was never caught");
+        let quarantines: Vec<u64> = hot.workers.iter().map(|w| w.quarantines).collect();
+        let counted = m.counters.iter().find(|(name, _, _)| name == "serve.quarantines");
+        assert_eq!(counted.map(|(_, _, per_shard)| per_shard), Some(&quarantines), "{domain}");
+        let pauses = hot.swap_pauses_ns();
+        let hist = m.histogram("serve.adoption_pause_ns").expect("pause histogram registered");
+        assert!(hist.count() > 0 && hist.count() == pauses.len() as u64, "{domain}");
+        let mut expected = LatencyHistogram::new();
+        pauses.iter().for_each(|&ns| expected.record(ns));
+        assert_eq!(hist.quantiles(&[0.0, 0.5, 1.0]), expected.quantiles(&[0.0, 0.5, 1.0]));
+    }
+}
+
+/// One run per domain that quarantines and adopts: an external faulting
+/// publish lands while both workers serve (periodic stalls keep them
+/// serving), their fault latches quarantine it, and both adopt the
+/// recovery publish.
+fn faulted_runs() -> [(&'static str, ServeReport); 2] {
+    let cfg = |mode| ServeConfig {
+        workers: 2,
+        window: 200,
+        chaos: ChaosSpec {
+            seed: 7,
+            external_publish: Some(ExternalPublish {
+                after_windows: 2,
+                source: faulting_source(mode).into(),
+            }),
+            worker_stall: Some(WorkerStall { every_decisions: 1_000, stall_micros: 100 }),
+            ..ChaosSpec::default()
+        },
+        ..ServeConfig::default()
+    };
+    let lb = loadgen::lb_shards(&loadgen::lb_drift_phases(), 2);
+    let replay = loadgen::CacheReplay::new("cloudphysics", 10, 20_000).unwrap();
+    let capacity = (policysmith_traces::footprint_bytes(&replay.trace()) / 10).max(1);
+    let cache = compiled("obj.last_access", Mode::Cache);
+    [
+        ("lb", serve_lb(&lb, compiled(POLICIES[0], Mode::Lb), &cfg(Mode::Lb), no_resynth())),
+        ("cache", serve_cache(&replay.shards(2), capacity, cache, &cfg(Mode::Cache), no_resynth())),
+    ]
+}
+
+/// One clock per report: a worker serves generation `g` only after `g`'s
+/// publish, so the first window it stamps with `g`, and any quarantine of
+/// `g`, is stamped no earlier than swap `g`.
+#[test]
+fn no_window_or_quarantine_predates_the_swap_it_reports() {
+    for (domain, report) in faulted_runs() {
+        assert!(report.windows.iter().any(|s| s.generation > 0), "{domain}: nothing adopted");
+        for swap in &report.swaps {
+            for w in 0..report.workers.len() {
+                let first = report
+                    .windows
+                    .iter()
+                    .filter(|s| s.worker == w && s.generation == swap.generation)
+                    .min_by_key(|s| s.seq);
+                let after = first.is_none_or(|s| s.at_micros >= swap.at_micros);
+                assert!(after, "{domain}: worker {w}'s {first:?} predates {swap:?}");
+            }
+        }
+        for q in &report.quarantines {
+            let swap = report.swaps.iter().find(|s| s.generation == q.generation);
+            let after = swap.is_some_and(|s| q.at_micros >= s.at_micros);
+            assert!(after, "{domain}: {q:?} predates {swap:?}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "ServeConfig::workers must equal the number of shards")]
+fn a_worker_count_other_than_the_shard_count_is_rejected() {
+    let shards = loadgen::lb_shards(&[scenario::uniform_fleet()], 2);
+    let cfg = ServeConfig { workers: 3, ..ServeConfig::default() };
+    serve_lb(&shards, compiled(POLICIES[0], Mode::Lb), &cfg, no_resynth());
+}
+
+#[test]
+#[should_panic(expected = "ServeConfig::window must be at least one decision")]
+fn an_empty_window_is_rejected() {
+    let shards = loadgen::lb_shards(&[scenario::uniform_fleet()], 1);
+    let cfg = ServeConfig { workers: 1, window: 0, ..ServeConfig::default() };
+    serve_lb(&shards, compiled(POLICIES[0], Mode::Lb), &cfg, no_resynth());
 }
 
 #[test]

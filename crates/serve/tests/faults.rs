@@ -132,11 +132,11 @@ fn externally_published_faulting_policy_is_quarantined_and_recovered_lb() {
         .expect("a recovery publish must land");
     assert!(recovery.provenance.contains("baseline"));
     // no poisoned policy is ever re-deployed: after the quarantine, the
-    // faulting source never appears in the publish audit trail again
+    // faulting source never appears in the publish log again
     assert!(
-        !report.published.iter().any(|(generation, src)| src == bad && *generation > q.generation),
+        !report.swaps.iter().any(|s| s.source == bad && s.generation > q.generation),
         "poisoned policy re-deployed: {:?}",
-        report.published
+        report.swaps
     );
 }
 
@@ -180,7 +180,7 @@ fn quarantine_is_answered_from_the_library_before_the_baseline() {
         .find(|s| s.provenance.contains("quarantine recovery"))
         .expect("a recovery publish must land");
     assert!(recovery.provenance.contains("library entry"), "{}", recovery.provenance);
-    assert!(report.published.contains(&(recovery.generation, stored.to_string())));
+    assert_eq!(recovery.source, stored);
     // the controller's trail names what is live, never the poisoned source
     assert_eq!(report.controller.deployed().map(|e| e.source.as_str()), Some(stored));
     assert_eq!(report.controller.adaptations().len(), 1);
