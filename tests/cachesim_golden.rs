@@ -7,7 +7,8 @@
 //! fault latch — for plain, `hist.*`, percentile, faulting and all-ties
 //! expressions, compiled and interpreted, at an eviction-heavy and an
 //! ordinary cache size — fails here with the first differing row. The
-//! baseline rows pin the engine for policies that address objects by id.
+//! baseline rows pin the engine for policies that address objects by id,
+//! and each of the sixteen built-in baselines' own bookkeeping.
 //!
 //! A fault is recorded by kind, not by text: the VM's message carries the
 //! faulting instruction's index, which belongs to the lowering.
@@ -42,7 +43,12 @@ const DRAWS: [usize; 3] = [7, 42, 89];
 const REQUESTS: usize = 20_000;
 /// Cache sizes as a share of the trace's footprint, in percent.
 const SIZES_PCT: [u64; 2] = [1, 10];
-const BASELINES: [&str; 4] = ["FIFO", "LRU", "S3-FIFO", "LIRS"];
+/// Every built-in baseline; the first four were pinned first, and the rest
+/// follow them so those rows keep their place.
+const BASELINES: [&str; 16] = [
+    "FIFO", "LRU", "S3-FIFO", "LIRS", "GDSF", "SIEVE", "LHD", "CACHEUS", "FIFO-Re", "LeCaR",
+    "SR-LFU", "CR-LRU", "MRU", "LFU", "ARC", "TwoQ",
+];
 
 fn fault_kind(fault: Option<&RuntimeFault>) -> &'static str {
     match fault {
