@@ -1,5 +1,6 @@
 //! Table-1 feature infrastructure for the template host: percentile
-//! aggregates over the resident set and the recent-eviction history.
+//! aggregates over the resident set and the recent-eviction history (the
+//! bounded eviction memory the baselines' ghost lists use too).
 //!
 //! §4.1.2 of the paper requires the `priority()` function to see
 //! "percentiles over access counts, ages, or sizes of all objects in
@@ -13,8 +14,10 @@
 //! refreshes.
 
 use crate::engine::{CacheView, ObjId};
+use crate::util::XorShiftStar;
 use policysmith_dsl::Feature;
 use policysmith_traces::IdMap;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Maximum residents sampled per snapshot refresh.
@@ -89,7 +92,7 @@ pub struct AggregateTracker {
     sampled: usize,
     accesses_since_refresh: u64,
     refresh_interval: u64,
-    rng_state: u64,
+    rng: XorShiftStar,
 }
 
 impl AggregateTracker {
@@ -99,7 +102,7 @@ impl AggregateTracker {
         AggregateTracker {
             tables,
             refresh_interval: refresh_interval.max(1),
-            rng_state: 0xa0761d6478bd642f,
+            rng: XorShiftStar::new(0xa0761d6478bd642f),
             ..Default::default()
         }
     }
@@ -117,15 +120,6 @@ impl AggregateTracker {
     /// Is the tracker empty?
     pub fn is_empty(&self) -> bool {
         self.residents.is_empty()
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
     /// Record an insertion into engine slot `slot`.
@@ -174,7 +168,7 @@ impl AggregateTracker {
         let n = self.residents.len();
         self.sampled = SNAPSHOT_SAMPLE.min(n);
         for _ in 0..self.sampled {
-            let r = self.next_rand();
+            let r = self.rng.next_u64();
             let m = view.meta_at(self.residents[(r % n as u64) as usize]);
             if self.tables.counts {
                 self.counts.push(m.access_count);
@@ -232,44 +226,157 @@ pub struct EvictionRecord {
     pub age_at_evict: u64,
 }
 
-/// Bounded history of recent evictions, keyed for `hist.contains` lookups.
+/// A bounded memory of evicted ids, each with a value: the template host's
+/// eviction history (`hist.*` features, values [`EvictionRecord`]s), and
+/// the baselines' ghost lists. Its rules, in one place:
+///
+/// * a new id goes to the back;
+/// * a present id keeps its place and takes the new value;
+/// * the oldest entries go first — past the count bound when
+///   [`record`](Self::record) trims, and through
+///   [`pop_oldest`](Self::pop_oldest) for budgets in bytes.
 #[derive(Debug, Clone)]
-pub struct EvictionHistory {
-    map: IdMap<ObjId, EvictionRecord>,
-    fifo: VecDeque<ObjId>,
+pub struct EvictionHistory<V = EvictionRecord> {
+    /// Present ids: value, and the stamp of their entry in `order`.
+    map: IdMap<ObjId, (V, u64)>,
+    /// Ids oldest first, each with the stamp it was recorded under. An
+    /// entry whose stamp is no longer its id's in `map` was taken, and is
+    /// skipped.
+    order: VecDeque<(ObjId, u64)>,
+    stamps: u64,
     capacity: usize,
 }
 
-impl EvictionHistory {
-    /// History remembering the last `capacity` evictions.
+/// No count bound: a byte-budgeted ghost trims itself with
+/// [`EvictionHistory::pop_oldest`].
+impl<V> Default for EvictionHistory<V> {
+    fn default() -> Self {
+        Self::new(usize::MAX)
+    }
+}
+
+impl<V> EvictionHistory<V> {
+    /// Memory of at most `capacity` ids.
     pub fn new(capacity: usize) -> Self {
-        EvictionHistory { map: IdMap::default(), fifo: VecDeque::new(), capacity: capacity.max(1) }
+        EvictionHistory {
+            map: IdMap::default(),
+            order: VecDeque::new(),
+            stamps: 0,
+            capacity: capacity.max(1),
+        }
     }
 
-    /// Record an eviction (most recent record wins for repeated ids).
-    pub fn record(&mut self, id: ObjId, rec: EvictionRecord) {
-        if self.map.insert(id, rec).is_none() {
-            self.fifo.push_back(id);
+    /// Change the count bound; the next [`record`](Self::record) trims to
+    /// it.
+    pub fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity.max(1);
+    }
+
+    /// Remember `value` for `id`, then forget the oldest ids past the count
+    /// bound. Returns the value `id` had.
+    pub fn record(&mut self, id: ObjId, value: V) -> Option<V> {
+        let old = match self.map.entry(id) {
+            Entry::Occupied(mut e) => Some(std::mem::replace(&mut e.get_mut().0, value)),
+            Entry::Vacant(e) => {
+                self.stamps += 1;
+                e.insert((value, self.stamps));
+                self.order.push_back((id, self.stamps));
+                None
+            }
+        };
+        while self.map.len() > self.capacity {
+            self.pop_oldest();
         }
-        while self.fifo.len() > self.capacity {
-            let old = self.fifo.pop_front().unwrap();
-            self.map.remove(&old);
-        }
+        old
     }
 
     /// Lookup by object id.
-    pub fn get(&self, id: ObjId) -> Option<&EvictionRecord> {
-        self.map.get(&id)
+    pub fn get(&self, id: ObjId) -> Option<&V> {
+        self.map.get(&id).map(|(value, _)| value)
     }
 
-    /// Number of remembered evictions.
+    /// Is `id` remembered?
+    pub fn contains(&self, id: ObjId) -> bool {
+        self.map.contains_key(&id)
+    }
+
+    /// Forget `id`, wherever it stands; returns its value.
+    pub fn take(&mut self, id: ObjId) -> Option<V> {
+        let (value, _) = self.map.remove(&id)?;
+        // Its `order` entry goes stale; sweep once stale ones dominate.
+        if self.order.len() > 2 * self.map.len() + 32 {
+            let map = &self.map;
+            self.order.retain(|(id, stamp)| map.get(id).is_some_and(|e| e.1 == *stamp));
+        }
+        Some(value)
+    }
+
+    /// Forget the oldest id; returns it with its value.
+    pub fn pop_oldest(&mut self) -> Option<(ObjId, V)> {
+        while let Some((id, stamp)) = self.order.pop_front() {
+            if let Entry::Occupied(e) = self.map.entry(id) {
+                if e.get().1 == stamp {
+                    return Some((id, e.remove().0));
+                }
+            }
+        }
+        None
+    }
+
+    /// Number of remembered ids.
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Is the history empty?
+    /// Is the memory empty?
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+}
+
+/// Evicted ids with their sizes, kept within a byte budget: ARC's ghost
+/// lists and 2Q's `A1out`. An [`EvictionHistory`] with no count bound, and
+/// the sum of the sizes it holds.
+#[derive(Debug, Default)]
+pub(crate) struct SizedGhosts {
+    ids: EvictionHistory<u32>,
+    bytes: u64,
+}
+
+impl SizedGhosts {
+    /// Remember `id`, then forget the oldest ghosts until the rest fit in
+    /// `limit` bytes.
+    pub(crate) fn push(&mut self, id: ObjId, size: u32, limit: u64) {
+        let old = self.ids.record(id, size).unwrap_or(0);
+        self.bytes = self.bytes + size as u64 - old as u64;
+        while self.bytes > limit {
+            let Some((_, sz)) = self.ids.pop_oldest() else { break };
+            self.bytes -= sz as u64;
+        }
+    }
+
+    /// Forget `id`; returns whether it was remembered.
+    pub(crate) fn take(&mut self, id: ObjId) -> bool {
+        let size = self.ids.take(id);
+        self.bytes -= size.unwrap_or(0) as u64;
+        size.is_some()
+    }
+
+    /// Is `id` remembered?
+    pub(crate) fn contains(&self, id: ObjId) -> bool {
+        self.ids.contains(id)
+    }
+
+    /// Sum of the remembered sizes.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Number of remembered ids.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
     }
 }
 
@@ -300,6 +407,50 @@ mod tests {
         h.record(4, EvictionRecord { evict_vtime: 99, access_count: 7, age_at_evict: 5 });
         assert_eq!(h.len(), 3);
         assert_eq!(h.get(4).unwrap().access_count, 7);
+        // ... and keeps its place: 2 and 3 are still older than 4
+        h.record(5, EvictionRecord { evict_vtime: 5, access_count: 1, age_at_evict: 0 });
+        assert!(h.get(2).is_none() && h.get(3).is_some() && h.get(4).is_some());
+
+        // take from the middle: the rest keep their order
+        let mut g: EvictionHistory<u32> = EvictionHistory::default();
+        for id in 0..5 {
+            assert_eq!(g.record(id, 100 + id as u32), None);
+        }
+        assert_eq!(g.take(2), Some(102));
+        assert_eq!(g.take(2), None);
+        assert!(!g.contains(2) && g.len() == 4);
+        // a taken id comes back at the back, not at its old place
+        g.record(2, 7);
+        assert_eq!(g.record(1, 50), Some(101));
+        // byte-budget trim: drop the oldest until the sizes fit
+        let mut bytes: u64 = [0, 1, 3, 4, 2].iter().map(|&id| *g.get(id).unwrap() as u64).sum();
+        let mut dropped = Vec::new();
+        while bytes > 200 {
+            let (id, size) = g.pop_oldest().unwrap();
+            bytes -= size as u64;
+            dropped.push(id);
+        }
+        assert_eq!(dropped, [0, 1, 3]);
+        assert_eq!((g.len(), bytes), (2, 104 + 7));
+        assert_eq!(g.pop_oldest(), Some((4, 104)));
+        assert_eq!(g.pop_oldest(), Some((2, 7)));
+        assert_eq!(g.pop_oldest(), None);
+    }
+
+    #[test]
+    fn history_takes_stay_bounded() {
+        // ghost-hit churn: every remembered id is taken again at once
+        let mut g: EvictionHistory<()> = EvictionHistory::new(8);
+        for id in 0..10_000 {
+            g.record(id, ());
+            g.take(id);
+        }
+        assert!(g.is_empty() && g.order.len() <= 32 + 1);
+        g.set_capacity(2);
+        for id in 0..3 {
+            g.record(id, ());
+        }
+        assert!(!g.contains(0) && g.contains(1) && g.contains(2));
     }
 
     #[test]

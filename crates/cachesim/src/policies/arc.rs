@@ -12,65 +12,17 @@
 //! worth of bytes each.
 
 use crate::engine::{CacheView, ObjId, Policy};
+use crate::features::SizedGhosts;
 use crate::util::LinkedQueue;
-use std::collections::{HashMap, VecDeque};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    T1,
-    T2,
-}
-
-#[derive(Debug, Default)]
-struct GhostList {
-    fifo: VecDeque<(ObjId, u32)>, // front = oldest
-    set: HashMap<ObjId, u32>,
-    bytes: u64,
-}
-
-impl GhostList {
-    fn push(&mut self, id: ObjId, size: u32, limit: u64) {
-        if self.set.insert(id, size).is_none() {
-            self.fifo.push_back((id, size));
-            self.bytes += size as u64;
-        }
-        while self.bytes > limit {
-            let Some((old, sz)) = self.fifo.pop_front() else { break };
-            // May be stale (removed on promotion); only uncount live ones.
-            if self.set.remove(&old).is_some() {
-                self.bytes -= sz as u64;
-            }
-        }
-    }
-
-    fn take(&mut self, id: ObjId) -> bool {
-        match self.set.remove(&id) {
-            Some(sz) => {
-                self.bytes -= sz as u64;
-                // lazy removal from the fifo (see push)
-                if let Some(pos) = self.fifo.iter().position(|(x, _)| *x == id) {
-                    self.fifo.remove(pos);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn contains(&self, id: ObjId) -> bool {
-        self.set.contains_key(&id)
-    }
-}
 
 /// ARC eviction policy.
 #[derive(Debug, Default)]
 pub struct Arc {
     t1: LinkedQueue, // front = MRU
     t2: LinkedQueue, // front = MRU
-    loc: HashMap<ObjId, Loc>,
     t1_bytes: u64,
-    b1: GhostList,
-    b2: GhostList,
+    b1: SizedGhosts,
+    b2: SizedGhosts,
     /// Adaptation target for T1, in bytes.
     p: u64,
     /// Where the pending insertion should land (decided in `on_miss`).
@@ -89,32 +41,26 @@ impl Policy for Arc {
     }
 
     fn on_hit(&mut self, id: ObjId, view: &CacheView<'_>) {
-        match self.loc.get(&id).copied() {
-            Some(Loc::T1) => {
-                // Second recent access: promote to frequency list.
-                let size = view.meta(id).map(|m| m.size as u64).unwrap_or(0);
-                self.t1.remove(id);
-                self.t1_bytes -= size;
-                self.t2.push_front(id);
-                self.loc.insert(id, Loc::T2);
-            }
-            Some(Loc::T2) => self.t2.move_to_front(id),
-            None => debug_assert!(false, "ARC hit on unknown {id}"),
+        if self.t1.remove(id) {
+            // Second recent access: promote to frequency list.
+            let size = view.meta(id).map(|m| m.size as u64).unwrap_or(0);
+            self.t1_bytes -= size;
+            self.t2.push_front(id);
+        } else {
+            self.t2.move_to_front(id);
         }
     }
 
     fn on_miss(&mut self, id: ObjId, view: &CacheView<'_>) {
         let c = view.capacity_bytes;
         let size = 1.max(c / 100); // adaptation step ~1% of capacity
-        if self.b1.contains(id) {
+        if self.b1.take(id) {
             // Recency ghost hit: grow T1's share.
             self.p = (self.p + size).min(c);
-            self.b1.take(id);
             self.insert_to_t2 = true;
-        } else if self.b2.contains(id) {
+        } else if self.b2.take(id) {
             // Frequency ghost hit: shrink T1's share.
             self.p = self.p.saturating_sub(size);
-            self.b2.take(id);
             self.insert_to_t2 = true;
         } else {
             self.insert_to_t2 = false;
@@ -136,17 +82,11 @@ impl Policy for Arc {
     fn on_evict(&mut self, id: ObjId, view: &CacheView<'_>) {
         let size = view.meta(id).map(|m| m.size).unwrap_or(0);
         let limit = view.capacity_bytes;
-        match self.loc.remove(&id) {
-            Some(Loc::T1) => {
-                self.t1.remove(id);
-                self.t1_bytes -= size as u64;
-                self.b1.push(id, size, limit);
-            }
-            Some(Loc::T2) => {
-                self.t2.remove(id);
-                self.b2.push(id, size, limit);
-            }
-            None => {}
+        if self.t1.remove(id) {
+            self.t1_bytes -= size as u64;
+            self.b1.push(id, size, limit);
+        } else if self.t2.remove(id) {
+            self.b2.push(id, size, limit);
         }
     }
 
@@ -154,11 +94,9 @@ impl Policy for Arc {
         let size = view.meta(id).map(|m| m.size as u64).unwrap_or(0);
         if self.insert_to_t2 {
             self.t2.push_front(id);
-            self.loc.insert(id, Loc::T2);
         } else {
             self.t1.push_front(id);
             self.t1_bytes += size;
-            self.loc.insert(id, Loc::T1);
         }
         self.insert_to_t2 = false;
     }
@@ -187,9 +125,9 @@ mod tests {
     fn second_access_promotes_to_t2() {
         let mut c = Cache::new(1_000, Arc::new());
         c.request(&req(1, 1));
-        assert_eq!(c.policy.loc.get(&1), Some(&Loc::T1));
+        assert!(c.policy.t1.contains(1) && !c.policy.t2.contains(1));
         c.request(&req(2, 1));
-        assert_eq!(c.policy.loc.get(&1), Some(&Loc::T2));
+        assert!(c.policy.t2.contains(1) && !c.policy.t1.contains(1));
     }
 
     #[test]
@@ -211,7 +149,7 @@ mod tests {
             .expect("B1 must remember a recent eviction");
         go(&mut c, g);
         assert!(c.policy.p > p_before, "B1 hit must grow p");
-        assert_eq!(c.policy.loc.get(&g), Some(&Loc::T2));
+        assert!(c.policy.t2.contains(g) && !c.policy.t1.contains(g));
     }
 
     #[test]

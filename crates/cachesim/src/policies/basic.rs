@@ -6,8 +6,7 @@
 //! over FIFO.
 
 use crate::engine::{CacheView, ObjId, Policy};
-use crate::util::LinkedQueue;
-use std::collections::{BTreeSet, HashMap};
+use crate::util::{LinkedQueue, Ranking};
 
 /// First-in first-out. Queue orientation: front = oldest.
 #[derive(Debug, Default)]
@@ -103,10 +102,8 @@ impl Policy for Mru {
 /// counts reset on eviction — "perfect LFU" would need unbounded history).
 #[derive(Debug, Default)]
 pub struct Lfu {
-    /// (count, insertion sequence, id) — min element is the victim.
-    ranking: BTreeSet<(u64, u64, ObjId)>,
-    entry: HashMap<ObjId, (u64, u64)>,
-    seq: u64,
+    /// Access counts; the minimum is the victim.
+    counts: Ranking<u64>,
 }
 
 impl Lfu {
@@ -120,23 +117,17 @@ impl Policy for Lfu {
         "LFU"
     }
     fn on_hit(&mut self, id: ObjId, _view: &CacheView<'_>) {
-        let (count, seq) = self.entry[&id];
-        self.ranking.remove(&(count, seq, id));
-        self.ranking.insert((count + 1, seq, id));
-        self.entry.insert(id, (count + 1, seq));
+        let count = self.counts.get(id).expect("LFU hit on unknown id");
+        self.counts.set(id, count + 1);
     }
     fn victim(&mut self, _view: &CacheView<'_>) -> ObjId {
-        self.ranking.first().expect("LFU victim from empty cache").2
+        self.counts.first().expect("LFU victim from empty cache")
     }
     fn on_evict(&mut self, id: ObjId, _view: &CacheView<'_>) {
-        if let Some((count, seq)) = self.entry.remove(&id) {
-            self.ranking.remove(&(count, seq, id));
-        }
+        self.counts.remove(id);
     }
     fn on_insert(&mut self, id: ObjId, _view: &CacheView<'_>) {
-        self.seq += 1;
-        self.entry.insert(id, (1, self.seq));
-        self.ranking.insert((1, self.seq, id));
+        self.counts.set(id, 1);
     }
 }
 

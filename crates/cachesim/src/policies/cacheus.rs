@@ -18,8 +18,9 @@
 //!   (rate grows while the loser keeps losing, resets on reversal).
 
 use crate::engine::{CacheView, ObjId, Policy};
-use crate::util::LinkedQueue;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use crate::features::EvictionHistory;
+use crate::util::{LinkedQueue, Ranking, XorShiftStar};
+use policysmith_traces::IdSet;
 
 /// Byte share of the probationary region in SR-LFU.
 const PROBATION_FRAC: f64 = 0.1;
@@ -31,9 +32,7 @@ pub struct SrLfu {
     probation: LinkedQueue,
     probation_bytes: u64,
     /// Protected frequency ranking.
-    rank: BTreeSet<(u64, u64, ObjId)>,
-    entry: HashMap<ObjId, (u64, u64)>,
-    seq: u64,
+    rank: Ranking<u64>,
 }
 
 impl SrLfu {
@@ -44,10 +43,8 @@ impl SrLfu {
     fn protect(&mut self, id: ObjId, size: u64) {
         self.probation.remove(id);
         self.probation_bytes -= size;
-        self.seq += 1;
         // graduates with its accumulated count of 2 (insert + this hit)
-        self.entry.insert(id, (2, self.seq));
-        self.rank.insert((2, self.seq, id));
+        self.rank.set(id, 2);
     }
 }
 
@@ -60,10 +57,8 @@ impl Policy for SrLfu {
         if self.probation.contains(id) {
             let size = view.meta(id).map(|m| m.size as u64).unwrap_or(0);
             self.protect(id, size);
-        } else if let Some(&(count, seq)) = self.entry.get(&id) {
-            self.rank.remove(&(count, seq, id));
-            self.rank.insert((count + 1, seq, id));
-            self.entry.insert(id, (count + 1, seq));
+        } else if let Some(count) = self.rank.get(id) {
+            self.rank.set(id, count + 1);
         }
     }
 
@@ -78,7 +73,7 @@ impl Policy for SrLfu {
             }
         }
         match self.rank.first() {
-            Some(&(_, _, id)) => id,
+            Some(id) => id,
             None => self.probation.front().expect("SR-LFU victim from empty cache"),
         }
     }
@@ -87,8 +82,8 @@ impl Policy for SrLfu {
         if self.probation.remove(id) {
             let size = view.meta(id).map(|m| m.size as u64).unwrap_or(0);
             self.probation_bytes -= size;
-        } else if let Some((count, seq)) = self.entry.remove(&id) {
-            self.rank.remove(&(count, seq, id));
+        } else {
+            self.rank.remove(id);
         }
     }
 
@@ -113,26 +108,14 @@ pub struct CrLru {
     /// front = MRU, back = LRU.
     queue: LinkedQueue,
     /// Objects currently holding a second chance.
-    second_chance: HashSet<ObjId>,
-    /// Ghost memory of recent evictions.
-    ghost_fifo: VecDeque<ObjId>,
-    ghost_set: HashSet<ObjId>,
+    second_chance: IdSet<ObjId>,
+    /// Ghost memory of recent evictions, twice the residents (≥ 32).
+    ghost: EvictionHistory<()>,
 }
 
 impl CrLru {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn remember(&mut self, id: ObjId, residents: usize) {
-        if self.ghost_set.insert(id) {
-            self.ghost_fifo.push_back(id);
-        }
-        let bound = (2 * residents).max(32);
-        while self.ghost_fifo.len() > bound {
-            let old = self.ghost_fifo.pop_front().unwrap();
-            self.ghost_set.remove(&old);
-        }
     }
 }
 
@@ -162,16 +145,14 @@ impl Policy for CrLru {
     fn on_evict(&mut self, id: ObjId, view: &CacheView<'_>) {
         self.queue.remove(id);
         self.second_chance.remove(&id);
-        self.remember(id, view.num_objects());
+        self.ghost.set_capacity((2 * view.num_objects()).max(32));
+        self.ghost.record(id, ());
     }
 
     fn on_insert(&mut self, id: ObjId, _view: &CacheView<'_>) {
         self.queue.push_front(id);
         // A returning ghost is churn evidence: shield it once.
-        if self.ghost_set.remove(&id) {
-            if let Some(pos) = self.ghost_fifo.iter().position(|&x| x == id) {
-                self.ghost_fifo.remove(pos);
-            }
+        if self.ghost.take(id).is_some() {
             self.second_chance.insert(id);
         }
     }
@@ -185,10 +166,10 @@ pub struct Cacheus {
     /// Adaptive learning rate (the CACHEUS paper's key addition to LeCaR).
     lr: f64,
     lr_direction: i8,
-    /// Ghost history: id -> which expert evicted it.
-    history: HashMap<ObjId, Which>,
-    history_fifo: VecDeque<ObjId>,
-    rng_state: u64,
+    /// Ghost history: id -> which expert evicted it, as many as residents
+    /// (≥ 32).
+    history: EvictionHistory<Which>,
+    rng: XorShiftStar,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,19 +186,9 @@ impl Cacheus {
             w_sr: 0.5,
             lr: 0.1,
             lr_direction: 0,
-            history: HashMap::new(),
-            history_fifo: VecDeque::new(),
-            rng_state: 0xda3e39cb94b95bdb,
+            history: EvictionHistory::default(),
+            rng: XorShiftStar::new(0xda3e39cb94b95bdb),
         }
-    }
-
-    fn next_unit(&mut self) -> f64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn update_weights(&mut self, losing: Which) {
@@ -261,16 +232,13 @@ impl Policy for Cacheus {
     fn on_miss(&mut self, id: ObjId, view: &CacheView<'_>) {
         self.sr.on_miss(id, view);
         self.cr.on_miss(id, view);
-        if let Some(which) = self.history.remove(&id) {
-            if let Some(pos) = self.history_fifo.iter().position(|&x| x == id) {
-                self.history_fifo.remove(pos);
-            }
+        if let Some(which) = self.history.take(id) {
             self.update_weights(which);
         }
     }
 
     fn victim(&mut self, view: &CacheView<'_>) -> ObjId {
-        if self.next_unit() < self.w_sr {
+        if self.rng.next_unit() < self.w_sr {
             self.sr.victim(view)
         } else {
             self.cr.victim(view)
@@ -283,7 +251,7 @@ impl Policy for Cacheus {
             // SR's victim is whatever its victim() would return, but we
             // avoid mutating: approximate by membership — probation front
             // or rank min.
-            self.sr.probation.front() == Some(id) || self.sr.rank.first().map(|e| e.2) == Some(id)
+            self.sr.probation.front() == Some(id) || self.sr.rank.first() == Some(id)
         };
         let cr_choice = self.cr.queue.back() == Some(id);
         let tag = match (sr_choice, cr_choice) {
@@ -294,14 +262,8 @@ impl Policy for Cacheus {
         self.sr.on_evict(id, view);
         self.cr.on_evict(id, view);
         if let Some(t) = tag {
-            if self.history.insert(id, t).is_none() {
-                self.history_fifo.push_back(id);
-            }
-            let bound = view.num_objects().max(32);
-            while self.history_fifo.len() > bound {
-                let old = self.history_fifo.pop_front().unwrap();
-                self.history.remove(&old);
-            }
+            self.history.set_capacity(view.num_objects().max(32));
+            self.history.record(id, t);
         }
     }
 

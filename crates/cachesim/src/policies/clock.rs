@@ -10,14 +10,14 @@
 
 use crate::engine::{CacheView, ObjId, Policy};
 use crate::util::LinkedQueue;
-use std::collections::HashSet;
+use policysmith_traces::IdSet;
 
 /// FIFO with reinsertion (Corbató's second-chance clock, §4.2.2's
 /// "FIFO-Re"). Queue orientation: front = oldest.
 #[derive(Debug, Default)]
 pub struct FifoReinsertion {
     queue: LinkedQueue,
-    visited: HashSet<ObjId>,
+    visited: IdSet<ObjId>,
 }
 
 impl FifoReinsertion {
@@ -60,7 +60,7 @@ impl Policy for FifoReinsertion {
 #[derive(Debug, Default)]
 pub struct Sieve {
     queue: LinkedQueue,
-    visited: HashSet<ObjId>,
+    visited: IdSet<ObjId>,
     /// Current hand position (an object id), or `None` = start from back.
     hand: Option<ObjId>,
 }

@@ -8,16 +8,16 @@
 //! policy that combines frequency *and* size.
 
 use crate::engine::{CacheView, ObjId, Policy};
-use crate::util::OrderedF64;
-use std::collections::{BTreeSet, HashMap};
+use crate::util::{OrderedF64, Ranking};
+use policysmith_traces::IdMap;
 
 /// GDSF eviction policy.
 #[derive(Debug, Default)]
 pub struct Gdsf {
-    /// (priority, id) ranking; min = victim.
-    ranking: BTreeSet<(OrderedF64, ObjId)>,
-    prio: HashMap<ObjId, f64>,
-    freq: HashMap<ObjId, u64>,
+    /// Priorities; min = victim. Ties go to the lower id, so the id is
+    /// part of the key.
+    ranking: Ranking<(OrderedF64, ObjId)>,
+    freq: IdMap<ObjId, u64>,
     /// Inflation clock L.
     clock: f64,
 }
@@ -29,12 +29,8 @@ impl Gdsf {
 
     fn reprioritize(&mut self, id: ObjId, size: u32) {
         let freq = *self.freq.get(&id).unwrap_or(&1);
-        if let Some(old) = self.prio.remove(&id) {
-            self.ranking.remove(&(OrderedF64::new(old), id));
-        }
         let h = self.clock + freq as f64 / size.max(1) as f64;
-        self.prio.insert(id, h);
-        self.ranking.insert((OrderedF64::new(h), id));
+        self.ranking.set(id, (OrderedF64::new(h), id));
     }
 }
 
@@ -50,14 +46,13 @@ impl Policy for Gdsf {
     }
 
     fn victim(&mut self, _view: &CacheView<'_>) -> ObjId {
-        self.ranking.first().expect("GDSF victim from empty cache").1
+        self.ranking.first().expect("GDSF victim from empty cache")
     }
 
     fn on_evict(&mut self, id: ObjId, _view: &CacheView<'_>) {
-        if let Some(h) = self.prio.remove(&id) {
+        if let Some((h, _)) = self.ranking.remove(id) {
             // The clock only moves forward.
-            self.clock = self.clock.max(h);
-            self.ranking.remove(&(OrderedF64::new(h), id));
+            self.clock = self.clock.max(h.get());
         }
         self.freq.remove(&id);
     }
@@ -134,6 +129,6 @@ mod tests {
             c.request(&req(i as u64, id, 50 + (id % 7) as u32 * 33));
         }
         assert_eq!(c.policy.ranking.len(), c.num_objects());
-        assert_eq!(c.policy.prio.len(), c.num_objects());
+        assert_eq!(c.policy.freq.len(), c.num_objects());
     }
 }

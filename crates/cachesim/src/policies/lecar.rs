@@ -9,8 +9,8 @@
 //! vs frequency) is currently losing the workload.
 
 use crate::engine::{CacheView, ObjId, Policy};
-use crate::util::LinkedQueue;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use crate::features::EvictionHistory;
+use crate::util::{LinkedQueue, Ranking, XorShiftStar};
 
 /// Learning rate of the multiplicative-weights update.
 const LEARNING_RATE: f64 = 0.45;
@@ -30,18 +30,15 @@ enum Expert {
 pub struct Lecar {
     // LRU expert ordering: front = MRU.
     lru: LinkedQueue,
-    // LFU expert ordering.
-    lfu_rank: BTreeSet<(u64, u64, ObjId)>,
-    lfu_entry: HashMap<ObjId, (u64, u64)>,
-    seq: u64,
+    // LFU expert ordering: access counts.
+    lfu: Ranking<u64>,
     // weights
     w_lru: f64,
     w_lfu: f64,
     // ghost history: id -> (expert, eviction vtime)
-    history: HashMap<ObjId, (Expert, u64)>,
-    history_fifo: VecDeque<ObjId>,
+    history: EvictionHistory<(Expert, u64)>,
     // deterministic expert sampling
-    rng_state: u64,
+    rng: XorShiftStar,
     requests: u64,
 }
 
@@ -49,25 +46,13 @@ impl Lecar {
     pub fn new() -> Self {
         Lecar {
             lru: LinkedQueue::new(),
-            lfu_rank: BTreeSet::new(),
-            lfu_entry: HashMap::new(),
-            seq: 0,
+            lfu: Ranking::new(),
             w_lru: 0.5,
             w_lfu: 0.5,
-            history: HashMap::new(),
-            history_fifo: VecDeque::new(),
-            rng_state: 0x853c49e6748fea9b,
+            history: EvictionHistory::default(),
+            rng: XorShiftStar::new(0x853c49e6748fea9b),
             requests: 0,
         }
-    }
-
-    fn next_unit(&mut self) -> f64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn normalize(&mut self) {
@@ -89,25 +74,6 @@ impl Lecar {
         }
         self.normalize();
     }
-
-    fn lfu_touch(&mut self, id: ObjId) {
-        if let Some(&(count, seq)) = self.lfu_entry.get(&id) {
-            self.lfu_rank.remove(&(count, seq, id));
-            self.lfu_rank.insert((count + 1, seq, id));
-            self.lfu_entry.insert(id, (count + 1, seq));
-        }
-    }
-
-    fn history_insert(&mut self, id: ObjId, expert: Expert, vtime: u64, residents: usize) {
-        if self.history.insert(id, (expert, vtime)).is_none() {
-            self.history_fifo.push_back(id);
-        }
-        let bound = (HISTORY_FACTOR * residents).max(32);
-        while self.history_fifo.len() > bound {
-            let old = self.history_fifo.pop_front().unwrap();
-            self.history.remove(&old);
-        }
-    }
 }
 
 impl Default for Lecar {
@@ -124,25 +90,24 @@ impl Policy for Lecar {
     fn on_hit(&mut self, id: ObjId, _view: &CacheView<'_>) {
         self.requests += 1;
         self.lru.move_to_front(id);
-        self.lfu_touch(id);
+        if let Some(count) = self.lfu.get(id) {
+            self.lfu.set(id, count + 1);
+        }
     }
 
     fn on_miss(&mut self, id: ObjId, view: &CacheView<'_>) {
         self.requests += 1;
-        if let Some((expert, evict_vtime)) = self.history.remove(&id) {
-            if let Some(pos) = self.history_fifo.iter().position(|&x| x == id) {
-                self.history_fifo.remove(pos);
-            }
+        if let Some((expert, evict_vtime)) = self.history.take(id) {
             self.regret(expert, evict_vtime, view.vtime);
         }
     }
 
     fn victim(&mut self, _view: &CacheView<'_>) -> ObjId {
-        let use_lru = self.next_unit() < self.w_lru;
+        let use_lru = self.rng.next_unit() < self.w_lru;
         let (primary, fallback) = if use_lru {
-            (self.lru.back(), self.lfu_rank.first().map(|e| e.2))
+            (self.lru.back(), self.lfu.first())
         } else {
-            (self.lfu_rank.first().map(|e| e.2), self.lru.back())
+            (self.lfu.first(), self.lru.back())
         };
         primary.or(fallback).expect("LeCaR victim from empty cache")
     }
@@ -153,26 +118,23 @@ impl Policy for Lecar {
         // (original LeCaR tags by the acting expert; we reconstruct it from
         // which ordering had the object at its victim position).
         let was_lru_choice = self.lru.back() == Some(id);
-        let was_lfu_choice = self.lfu_rank.first().map(|e| e.2) == Some(id);
+        let was_lfu_choice = self.lfu.first() == Some(id);
         let expert = match (was_lru_choice, was_lfu_choice) {
             (true, false) => Some(Expert::Lru),
             (false, true) => Some(Expert::Lfu),
             _ => None, // agreement (or neither): no learning signal
         };
         self.lru.remove(id);
-        if let Some((count, seq)) = self.lfu_entry.remove(&id) {
-            self.lfu_rank.remove(&(count, seq, id));
-        }
+        self.lfu.remove(id);
         if let Some(e) = expert {
-            self.history_insert(id, e, view.vtime, view.num_objects());
+            self.history.set_capacity((HISTORY_FACTOR * view.num_objects()).max(32));
+            self.history.record(id, (e, view.vtime));
         }
     }
 
     fn on_insert(&mut self, id: ObjId, _view: &CacheView<'_>) {
         self.lru.push_front(id);
-        self.seq += 1;
-        self.lfu_entry.insert(id, (1, self.seq));
-        self.lfu_rank.insert((1, self.seq, id));
+        self.lfu.set(id, 1);
     }
 }
 
@@ -208,8 +170,7 @@ mod tests {
         let ids: Vec<u64> = (0..10_000u64).map(|i| (i * 7) % 120).collect();
         let c = run(&ids, 1_500);
         assert_eq!(c.policy.lru.len(), c.num_objects());
-        assert_eq!(c.policy.lfu_rank.len(), c.num_objects());
-        assert_eq!(c.policy.lfu_entry.len(), c.num_objects());
+        assert_eq!(c.policy.lfu.len(), c.num_objects());
     }
 
     #[test]
@@ -245,6 +206,5 @@ mod tests {
         let ids: Vec<u64> = (0..30_000u64).collect(); // scan: heavy evictions
         let c = run(&ids, 1_000);
         assert!(c.policy.history.len() <= (c.num_objects()).max(32) + 1);
-        assert_eq!(c.policy.history.len(), c.policy.history_fifo.len());
     }
 }

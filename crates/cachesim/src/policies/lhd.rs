@@ -18,7 +18,8 @@
 //! rather than the paper's app-id × reuse classes.
 
 use crate::engine::{CacheView, ObjId, Policy};
-use std::collections::HashMap;
+use crate::util::XorShiftStar;
+use policysmith_traces::IdMap;
 
 /// Number of log-spaced age bins.
 const AGE_BINS: usize = 24;
@@ -48,9 +49,9 @@ pub struct Lhd {
     density: [[f64; AGE_BINS]; CLASSES],
     /// Swap-remove vector of residents + index for O(1) sampling.
     residents: Vec<ObjId>,
-    slot: HashMap<ObjId, usize>,
-    /// Deterministic sampling state (xorshift).
-    rng_state: u64,
+    slot: IdMap<ObjId, usize>,
+    /// Deterministic sampling.
+    rng: XorShiftStar,
     requests_seen: u64,
 }
 
@@ -61,22 +62,12 @@ impl Lhd {
             evictions: [[0.0; AGE_BINS]; CLASSES],
             density: [[0.0; AGE_BINS]; CLASSES],
             residents: Vec::new(),
-            slot: HashMap::new(),
-            rng_state: 0x9e3779b97f4a7c15,
+            slot: IdMap::default(),
+            rng: XorShiftStar::new(0x9e3779b97f4a7c15),
             requests_seen: 0,
         };
         lhd.reconfigure();
         lhd
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
     /// Recompute `density[c][a]` = expected hits at ages ≥ a divided by the
@@ -163,7 +154,7 @@ impl Policy for Lhd {
         let mut best: Option<(f64, ObjId)> = None;
         let n = self.residents.len();
         for _ in 0..SAMPLE.min(n) {
-            let r = self.next_rand();
+            let r = self.rng.next_u64();
             let id = self.residents[(r % n as u64) as usize];
             let m = match view.meta(id) {
                 Some(m) => m,

@@ -15,7 +15,8 @@
 
 use crate::engine::{CacheView, ObjId, Policy};
 use crate::util::LinkedQueue;
-use std::collections::{HashMap, VecDeque};
+use policysmith_traces::IdMap;
+use std::collections::VecDeque;
 
 /// Fraction of capacity reserved for the LIR set.
 const LIR_FRAC: f64 = 0.99;
@@ -35,9 +36,13 @@ pub struct Lirs {
     stack: LinkedQueue,
     /// Resident-HIR queue; front = oldest (victim end).
     queue: LinkedQueue,
-    status: HashMap<ObjId, Status>,
+    status: IdMap<ObjId, Status>,
     lir_bytes: u64,
-    /// Insertion-ordered ghost candidates for bounding (may be stale).
+    /// Insertion-ordered ghost candidates for bounding (may be stale). It
+    /// stays a plain FIFO rather than an `EvictionHistory`: a LIRS ghost
+    /// lives on the recency stack and leaves it by pruning too, so this
+    /// queue is bounded lazily — it is popped only while too many ghosts
+    /// remain, and a popped id counts only if it is still a ghost.
     ghost_fifo: VecDeque<ObjId>,
     ghost_count: usize,
 }
@@ -47,7 +52,7 @@ impl Lirs {
         Lirs {
             stack: LinkedQueue::new(),
             queue: LinkedQueue::new(),
-            status: HashMap::new(),
+            status: IdMap::default(),
             lir_bytes: 0,
             ghost_fifo: VecDeque::new(),
             ghost_count: 0,

@@ -9,31 +9,27 @@
 
 use crate::engine::{CacheView, ObjId, Policy};
 use crate::util::LinkedQueue;
-use std::collections::{HashMap, VecDeque};
+use policysmith_traces::IdMap;
+use std::collections::VecDeque;
 
 /// Fraction of capacity given to the small queue (paper's default).
 const SMALL_FRAC: f64 = 0.1;
 /// Frequency counter cap.
 const FREQ_MAX: u8 = 3;
 
-/// Which queue a resident object currently occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Small,
-    Main,
-}
-
 /// S3-FIFO eviction policy.
 #[derive(Debug)]
 pub struct S3Fifo {
     small: LinkedQueue, // front = oldest
     main: LinkedQueue,  // front = oldest
-    loc: HashMap<ObjId, Loc>,
-    freq: HashMap<ObjId, u8>,
+    freq: IdMap<ObjId, u8>,
     small_bytes: u64,
-    /// Ghost: ids evicted from small, bounded by main's object count.
+    /// Ghost: ids evicted from small, bounded by main's object count. It
+    /// stays a FIFO *multiset* rather than an `EvictionHistory`: an id
+    /// evicted twice is queued twice and forgotten only when its last copy
+    /// leaves, as in the S3-FIFO paper's ghost queue.
     ghost: VecDeque<ObjId>,
-    ghost_set: HashMap<ObjId, u32>, // id -> generation count in ghost deque
+    ghost_set: IdMap<ObjId, u32>, // id -> generation count in ghost deque
     /// Set when the current miss hit the ghost queue: insert to main.
     insert_to_main: bool,
 }
@@ -43,11 +39,10 @@ impl S3Fifo {
         S3Fifo {
             small: LinkedQueue::new(),
             main: LinkedQueue::new(),
-            loc: HashMap::new(),
-            freq: HashMap::new(),
+            freq: IdMap::default(),
             small_bytes: 0,
             ghost: VecDeque::new(),
-            ghost_set: HashMap::new(),
+            ghost_set: IdMap::default(),
             insert_to_main: false,
         }
     }
@@ -78,7 +73,6 @@ impl S3Fifo {
         self.small.remove(id);
         self.small_bytes -= size;
         self.main.push_back(id);
-        self.loc.insert(id, Loc::Main);
         self.freq.insert(id, 0);
     }
 }
@@ -137,19 +131,14 @@ impl Policy for S3Fifo {
     }
 
     fn on_evict(&mut self, id: ObjId, view: &CacheView<'_>) {
-        match self.loc.remove(&id) {
-            Some(Loc::Small) => {
-                let size = view.meta(id).map(|m| m.size as u64).unwrap_or(0);
-                self.small.remove(id);
-                self.small_bytes -= size;
-                // Only small-queue evictions enter ghost (the paper's
-                // design: ghost tracks "demoted too early" candidates).
-                self.ghost_push(id);
-            }
-            Some(Loc::Main) => {
-                self.main.remove(id);
-            }
-            None => {}
+        if self.small.remove(id) {
+            let size = view.meta(id).map(|m| m.size as u64).unwrap_or(0);
+            self.small_bytes -= size;
+            // Only small-queue evictions enter ghost (the paper's design:
+            // ghost tracks "demoted too early" candidates).
+            self.ghost_push(id);
+        } else {
+            self.main.remove(id);
         }
         self.freq.remove(&id);
     }
@@ -158,10 +147,8 @@ impl Policy for S3Fifo {
         let size = view.meta(id).map(|m| m.size as u64).unwrap_or(0);
         if self.insert_to_main {
             self.main.push_back(id);
-            self.loc.insert(id, Loc::Main);
         } else {
             self.small.push_back(id);
-            self.loc.insert(id, Loc::Small);
             self.small_bytes += size;
         }
         self.freq.insert(id, 0);
@@ -219,7 +206,7 @@ mod tests {
         // Re-request 50: ghost hit → goes straight to main.
         go(&mut c, 50);
         assert!(c.contains(50));
-        assert_eq!(c.policy.loc.get(&50), Some(&Loc::Main));
+        assert!(c.policy.main.contains(50) && !c.policy.small.contains(50));
     }
 
     #[test]

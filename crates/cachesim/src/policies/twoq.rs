@@ -8,31 +8,22 @@
 //! "quickly remove low-value objects" design for small caches.
 
 use crate::engine::{CacheView, ObjId, Policy};
+use crate::features::SizedGhosts;
 use crate::util::LinkedQueue;
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Byte share of capacity for the probationary `A1in` queue.
 const KIN_FRAC: f64 = 0.25;
 /// `A1out` remembers ids worth this share of capacity.
 const KOUT_FRAC: f64 = 0.5;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    A1In,
-    Am,
-}
-
 /// 2Q eviction policy.
 #[derive(Debug, Default)]
 pub struct TwoQ {
     a1in: LinkedQueue, // front = oldest
     am: LinkedQueue,   // front = MRU, back = LRU
-    loc: HashMap<ObjId, Loc>,
     a1in_bytes: u64,
     /// Ghost FIFO with byte accounting.
-    a1out: VecDeque<(ObjId, u32)>,
-    a1out_set: HashSet<ObjId>,
-    a1out_bytes: u64,
+    a1out: SizedGhosts,
     /// Set during `on_miss` when the id is remembered by `A1out`.
     insert_to_am: bool,
 }
@@ -40,19 +31,6 @@ pub struct TwoQ {
 impl TwoQ {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn a1out_push(&mut self, id: ObjId, size: u32, capacity: u64) {
-        if self.a1out_set.insert(id) {
-            self.a1out.push_back((id, size));
-            self.a1out_bytes += size as u64;
-        }
-        let limit = (capacity as f64 * KOUT_FRAC) as u64;
-        while self.a1out_bytes > limit {
-            let Some((old, sz)) = self.a1out.pop_front() else { break };
-            self.a1out_set.remove(&old);
-            self.a1out_bytes -= sz as u64;
-        }
     }
 }
 
@@ -62,17 +40,15 @@ impl Policy for TwoQ {
     }
 
     fn on_hit(&mut self, id: ObjId, _view: &CacheView<'_>) {
-        match self.loc.get(&id) {
-            // 2Q leaves A1in hits in place (a second access during
-            // probation is not yet proof of warmth).
-            Some(Loc::A1In) => {}
-            Some(Loc::Am) => self.am.move_to_front(id),
-            None => debug_assert!(false, "2Q hit on unknown {id}"),
+        // 2Q leaves A1in hits in place (a second access during probation
+        // is not yet proof of warmth).
+        if self.am.contains(id) {
+            self.am.move_to_front(id);
         }
     }
 
     fn on_miss(&mut self, id: ObjId, _view: &CacheView<'_>) {
-        self.insert_to_am = self.a1out_set.contains(&id);
+        self.insert_to_am = self.a1out.contains(id);
     }
 
     fn victim(&mut self, view: &CacheView<'_>) -> ObjId {
@@ -87,16 +63,12 @@ impl Policy for TwoQ {
 
     fn on_evict(&mut self, id: ObjId, view: &CacheView<'_>) {
         let size = view.meta(id).map(|m| m.size).unwrap_or(0);
-        match self.loc.remove(&id) {
-            Some(Loc::A1In) => {
-                self.a1in.remove(id);
-                self.a1in_bytes -= size as u64;
-                self.a1out_push(id, size, view.capacity_bytes);
-            }
-            Some(Loc::Am) => {
-                self.am.remove(id);
-            }
-            None => {}
+        if self.a1in.remove(id) {
+            self.a1in_bytes -= size as u64;
+            let limit = (view.capacity_bytes as f64 * KOUT_FRAC) as u64;
+            self.a1out.push(id, size, limit);
+        } else {
+            self.am.remove(id);
         }
     }
 
@@ -104,17 +76,11 @@ impl Policy for TwoQ {
         let size = view.meta(id).map(|m| m.size).unwrap_or(0);
         if self.insert_to_am {
             // Remembered by A1out: proven reuse → straight to Am.
-            self.a1out_set.remove(&id);
-            if let Some(pos) = self.a1out.iter().position(|(x, _)| *x == id) {
-                let (_, sz) = self.a1out.remove(pos).unwrap();
-                self.a1out_bytes -= sz as u64;
-            }
+            self.a1out.take(id);
             self.am.push_front(id);
-            self.loc.insert(id, Loc::Am);
         } else {
             self.a1in.push_back(id);
             self.a1in_bytes += size as u64;
-            self.loc.insert(id, Loc::A1In);
         }
         self.insert_to_am = false;
     }
@@ -155,7 +121,7 @@ mod tests {
         assert!(!c.contains(1));
         // 1 is remembered in A1out → re-insert goes to Am
         go(&mut c, 1);
-        assert_eq!(c.policy.loc.get(&1), Some(&Loc::Am));
+        assert!(c.policy.am.contains(1) && !c.policy.a1in.contains(1));
     }
 
     #[test]
@@ -180,7 +146,7 @@ mod tests {
                 go(&mut c, 1_000 + id * 100 + w);
             }
             go(&mut c, id); // ghost hit → Am
-            assert_eq!(c.policy.loc.get(&id), Some(&Loc::Am), "id {id}");
+            assert!(c.policy.am.contains(id) && !c.policy.a1in.contains(id), "id {id}");
         }
         // Touch 1 so 2 becomes Am-LRU; force Am evictions by filling A1in
         // under its share — victim comes from Am only when A1in is small,
@@ -232,7 +198,8 @@ mod tests {
     fn ghost_bytes_bounded() {
         let ids: Vec<u64> = (0..20_000u64).collect();
         let c = run(TwoQ::new(), &ids, 1_000);
-        assert!(c.policy.a1out_bytes <= 500);
-        assert_eq!(c.policy.a1out_set.len(), c.policy.a1out.len());
+        assert!(c.policy.a1out.bytes() <= 500);
+        // every remembered id is counted once, at its size
+        assert_eq!(c.policy.a1out.bytes(), 100 * c.policy.a1out.len() as u64);
     }
 }

@@ -1,16 +1,30 @@
-//! Shared policy building blocks.
+//! Shared policy building blocks — one copy of each piece of bookkeeping
+//! the baselines share:
 //!
 //! * [`LinkedQueue`] — an arena-backed intrusive doubly-linked list with a
 //!   key index: O(1) push/pop/remove/move at either end, plus neighbour
 //!   queries for hand-based policies (SIEVE, Clock). This is the workhorse
-//!   of every recency-ordered baseline.
+//!   of every recency-ordered baseline, and its index is how a policy with
+//!   several queues (ARC, 2Q, S3-FIFO) asks where a resident is.
+//! * [`Ranking`] — ids ordered by a key, ties oldest-first: the LFU
+//!   family's frequency order and GDSF's priority order.
 //! * [`OrderedF64`] — total order for non-NaN floats, for priority-ordered
-//!   policies (GDSF, LHD).
+//!   policies (GDSF).
+//! * [`XorShiftStar`] — the one xorshift64* generator: the sampling and
+//!   expert draws of LHD, LeCaR and CACHEUS, and the percentile tracker's
+//!   sample.
+//! * [`EvictionHistory`](crate::features::EvictionHistory) — the one
+//!   bounded memory of evicted ids (in `features`, where the template
+//!   host's `hist.*` features read it): the ghost lists of ARC, 2Q,
+//!   CR-LRU, CACHEUS and LeCaR (ARC's and 2Q's through
+//!   `features::SizedGhosts`, which adds their byte budget).
 //!
-//! Object-id maps use [`policysmith_traces::IdMap`], the workspace's one
-//! id hasher.
+//! Object-id maps and sets are [`policysmith_traces::IdMap`] and
+//! [`policysmith_traces::IdSet`], the workspace's one id hasher.
 
+use crate::engine::ObjId;
 use policysmith_traces::IdMap;
+use std::collections::BTreeMap;
 
 /// Arena node.
 #[derive(Debug, Clone, Copy)]
@@ -207,8 +221,102 @@ impl Iterator for LinkedQueueIter<'_> {
     }
 }
 
+/// Ids ordered by a key `K`, the minimum first. Equal keys go oldest-first:
+/// each id takes an arrival number when it enters, and keeps it when
+/// [`set`](Ranking::set) changes its key, until it is removed.
+#[derive(Debug, Clone)]
+pub struct Ranking<K> {
+    order: BTreeMap<(K, u64), ObjId>,
+    entry: IdMap<ObjId, (K, u64)>,
+    arrivals: u64,
+}
+
+impl<K> Default for Ranking<K> {
+    fn default() -> Self {
+        Ranking { order: BTreeMap::new(), entry: IdMap::default(), arrivals: 0 }
+    }
+}
+
+impl<K: Ord + Copy> Ranking<K> {
+    /// Empty ranking.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Give `id` the key `key`: a new id arrives behind every id already
+    /// present, a present one keeps its arrival.
+    pub fn set(&mut self, id: ObjId, key: K) {
+        let arrival = match self.entry.get(&id) {
+            Some(&(old, arrival)) => {
+                self.order.remove(&(old, arrival));
+                arrival
+            }
+            None => {
+                self.arrivals += 1;
+                self.arrivals
+            }
+        };
+        self.order.insert((key, arrival), id);
+        self.entry.insert(id, (key, arrival));
+    }
+
+    /// Key of `id`, if ranked.
+    pub fn get(&self, id: ObjId) -> Option<K> {
+        self.entry.get(&id).map(|&(key, _)| key)
+    }
+
+    /// Unrank `id`; returns its key.
+    pub fn remove(&mut self, id: ObjId) -> Option<K> {
+        let (key, arrival) = self.entry.remove(&id)?;
+        self.order.remove(&(key, arrival));
+        Some(key)
+    }
+
+    /// The id with the smallest key (the oldest among equals).
+    pub fn first(&self) -> Option<ObjId> {
+        self.order.first_key_value().map(|(_, &id)| id)
+    }
+
+    /// Number of ranked ids.
+    pub fn len(&self) -> usize {
+        self.entry.len()
+    }
+
+    /// Is the ranking empty?
+    pub fn is_empty(&self) -> bool {
+        self.entry.is_empty()
+    }
+}
+
+/// xorshift64* (Vigna): a small deterministic generator. A zero seed stays
+/// at zero.
+#[derive(Debug, Default, Clone)]
+pub struct XorShiftStar(u64);
+
+impl XorShiftStar {
+    /// Generator seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
+        XorShiftStar(seed)
+    }
+
+    /// Next 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545F4914F6CDD1D)
+    }
+
+    /// Next draw in `[0, 1)`, from the top 53 bits.
+    pub fn next_unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
 /// A totally-ordered `f64` (panics on NaN at construction). Lets priority
-/// policies keep `BTreeSet<(OrderedF64, ObjId)>` rankings.
+/// policies rank by a float ([`Ranking`]`<(OrderedF64, ObjId)>`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrderedF64(f64);
 
@@ -323,6 +431,41 @@ mod tests {
         let mut q = LinkedQueue::new();
         q.push_back(1);
         q.push_front(1);
+    }
+
+    #[test]
+    fn ranking_orders_by_key_then_arrival() {
+        let mut r = Ranking::new();
+        for id in [30, 10, 20] {
+            r.set(id, 1u64);
+        }
+        // equal keys: the first to arrive is the minimum, not the least id
+        assert_eq!(r.first(), Some(30));
+        r.set(30, 2);
+        assert_eq!(r.first(), Some(10));
+        // a re-keyed id keeps its arrival: back at key 1 it is first again
+        r.set(30, 1);
+        assert_eq!(r.first(), Some(30));
+        assert_eq!(r.remove(30), Some(1));
+        assert_eq!(r.remove(30), None);
+        // a removed id arrives anew, behind the others
+        r.set(30, 1);
+        assert_eq!((r.first(), r.get(30), r.len()), (Some(10), Some(1), 3));
+        r.set(10, 5);
+        r.set(20, 5);
+        r.set(30, 5);
+        assert_eq!(r.first(), Some(10));
+    }
+
+    #[test]
+    fn xorshift_star_is_the_reference_sequence() {
+        // Vigna's xorshift64*: shifts 12, 25, 27, then the odd multiplier
+        let mut g = XorShiftStar::new(0x9e3779b97f4a7c15);
+        let first: Vec<u64> = (0..3).map(|_| g.next_u64()).collect();
+        assert_eq!(first, [0xd83b3e29a21487a, 0x54c44c79f1fe9d67, 0xa845f342007a0e78]);
+        let u = g.next_unit();
+        assert!((0.0..1.0).contains(&u));
+        assert_eq!(XorShiftStar::default().next_u64(), 0);
     }
 
     #[test]

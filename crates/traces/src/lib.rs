@@ -17,8 +17,6 @@
 //!   generalization meaningful);
 //! * [`analysis`] — footprint measurement (the evaluator sizes each cache
 //!   at 10% of the trace footprint, §4.1.4);
-//! * [`io`] — CSV import/export so users can run the framework on real
-//!   traces;
 //! * [`idhash`] — the workspace's one object-id hasher ([`IdHasher`], with
 //!   [`IdMap`] and [`IdSet`]): a splitmix64 finalizer instead of SipHash,
 //!   shared by the synthesizer, the footprint and the cache simulator.
@@ -29,7 +27,6 @@
 pub mod analysis;
 pub mod datasets;
 pub mod idhash;
-pub mod io;
 pub mod model;
 pub mod synth;
 pub mod zipf;
