@@ -212,11 +212,52 @@ mod tests {
         }
     }
 
+    /// Every feature of every template — its catalog, then each of its
+    /// families at every in-range parameter — parses back from its name,
+    /// and `check` accepts it in its own template only. This is what holds
+    /// a feature's name and the parser's match on it together.
     #[test]
     fn feature_names_roundtrip() {
-        for f in crate::feature::Mode::ALL.iter().flat_map(|&m| Feature::catalog(m)) {
-            let printed = to_source(&Expr::feat(f));
-            assert_eq!(parse(&printed).unwrap(), Expr::feat(f), "{printed}");
+        use crate::check::check;
+        use crate::error::ParseError;
+        use crate::feature::Mode;
+        use Feature::*;
+        type Family = (Mode, fn(u8) -> Feature, std::ops::RangeInclusive<u8>);
+        let families: [Family; 8] = [
+            (Mode::Cache, CountsPct, 1..=99),
+            (Mode::Cache, AgesPct, 1..=99),
+            (Mode::Cache, SizesPct, 1..=99),
+            (Mode::Kernel, HistRtt, 0..=9),
+            (Mode::Kernel, HistDelivered, 0..=9),
+            (Mode::Kernel, HistLoss, 0..=9),
+            (Mode::Kernel, HistCwnd, 0..=9),
+            (Mode::Kernel, HistQdelay, 0..=9),
+        ];
+        let mut seen = 0;
+        for mode in Mode::ALL {
+            let members = families
+                .iter()
+                .filter(|(home, ..)| *home == mode)
+                .flat_map(|(_, family, params)| params.clone().map(family));
+            for f in Feature::catalog(mode).into_iter().chain(members) {
+                let printed = to_source(&Expr::feat(f));
+                assert_eq!(printed, f.name());
+                assert_eq!(parse(&printed), Ok(Expr::feat(f)), "{printed}");
+                for m in Mode::ALL {
+                    let own = m == mode || f == Now;
+                    assert_eq!(check(&Expr::feat(f), m).is_ok(), own, "{printed} in {m:?}");
+                }
+                seen += 1;
+            }
         }
+        assert!(seen > 3 * 99 + 5 * 10, "{seen} features");
+
+        for src in ["ages.p0", "ages.p100", "hist_rtt[10]", "hist_rtt[256]"] {
+            assert!(matches!(parse(src), Err(ParseError::BadParam { .. })), "{src}");
+        }
+        assert!(matches!(parse("ages.p256"), Err(ParseError::UnknownIdentifier { .. })));
+        assert_eq!(parse("counts.p075"), Ok(Expr::feat(CountsPct(75))));
+        assert_eq!(parse("hist_rtt[007]"), Ok(Expr::feat(HistRtt(7))));
+        assert_eq!(parse("obj . count"), Ok(Expr::feat(ObjCount)));
     }
 }
