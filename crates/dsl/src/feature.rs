@@ -7,10 +7,18 @@
 //! form of a dotted identifier in heuristic source (`obj.count`,
 //! `ages.p75`, `hist_rtt[3]`, …).
 //!
-//! Each feature carries:
-//! * a [`Mode`] availability (cache template vs. kernel template),
+//! Each feature has one row in this module's table, and every fact about
+//! it is read from there:
+//! * its [`Mode`] — the template it is legal in (`now` is in all of them);
+//! * its source name — for a family (`ages.p75`, `hist_rtt[3]`) the stem
+//!   and how a member's parameter is spelled and bounded;
 //! * a conservative value **range** used by the kbpf verifier's interval
 //!   analysis (e.g. `hist.contains ∈ [0,1]`, `mss ∈ [1, 65535]`).
+//!
+//! [`Feature::catalog`] is derived from the same table. The one other place
+//! a name is written is the parser's `resolve_path`, which stays a direct
+//! `match` because it is on the parse hot path; the exhaustive
+//! `printer::tests::feature_names_roundtrip` holds the two together.
 //!
 //! Context-array slots are *not* fixed here: the kbpf compiler assigns each
 //! expression a minimal per-candidate layout (`policysmith_kbpf::CtxLayout`)
@@ -18,6 +26,8 @@
 //! mirroring how the paper's eBPF probe reads features out of a BPF map
 //! written by the kernel-module scaffold, without hard-coding the map shape
 //! into the language.
+
+use std::fmt::Write;
 
 /// Which template a heuristic targets. Determines the legal feature set and
 /// how strict the checker is (§4.1.2 vs §5.0.1 of the paper).
@@ -196,220 +206,190 @@ pub enum Feature {
     AqmDrops,
 }
 
+/// How a family's members are numbered and spelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Param {
+    /// `ages.p75`: a percentile, `1..=99`.
+    Percentile,
+    /// `hist_rtt[3]`: an interval index, `0..CC_HISTORY_LEN`.
+    Interval,
+}
+
+impl Param {
+    fn in_range(self, p: u8) -> bool {
+        match self {
+            Param::Percentile => (1..=99).contains(&p),
+            Param::Interval => p < CC_HISTORY_LEN,
+        }
+    }
+
+    /// The members [`Feature::catalog`] advertises.
+    fn representatives(self) -> &'static [u8] {
+        match self {
+            Param::Percentile => &[10, 25, 50, 75, 90],
+            Param::Interval => &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+        }
+    }
+}
+
+/// One feature's facts.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// The template the feature belongs to; `None` for `now`, which every
+    /// template has.
+    mode: Option<Mode>,
+    /// The source name, or a family's stem.
+    name: &'static str,
+    /// Conservative `[min, max]` bound on the runtime value.
+    range: (i64, i64),
+    /// A family member's parameter.
+    param: Option<(Param, u8)>,
+}
+
+/// The rows, one line per feature: the variant (a family binds its
+/// parameter and names its [`Param`]), its template (`every` for `now`),
+/// its source name or stem, and its range. The one table yields
+/// `Feature::row`, a `match` — so `range`, which the cc host calls on every
+/// ACK, stays a table lookup — and `DECLARED`, every feature's constructor
+/// in table order, which is the order `catalog` lists them in.
+macro_rules! rows {
+    ($($feature:ident $(($p:ident) $param:ident)? : $mode:ident $name:literal $range:expr;)*) => {
+        impl Feature {
+            fn row(self) -> Row {
+                match self {
+                    $(Feature::$feature $(($p))? => Row {
+                        mode: rows!(@mode $mode),
+                        name: $name,
+                        range: $range,
+                        param: rows!(@param $($param $p)?),
+                    },)*
+                }
+            }
+        }
+
+        const DECLARED: &[fn(u8) -> Feature] = &[$(rows!(@make $feature $($p)?),)*];
+    };
+    (@mode every) => { None };
+    (@mode $mode:ident) => { Some(Mode::$mode) };
+    (@param) => { None };
+    (@param $param:ident $p:ident) => { Some((Param::$param, $p)) };
+    (@make $feature:ident) => { |_| Feature::$feature };
+    (@make $feature:ident $p:ident) => { Feature::$feature };
+}
+
+/// A generous virtual-time bound.
+const T: i64 = 1 << 50;
+
+rows! {
+    Now: every "now" (0, T);
+    ObjCount: Cache "obj.count" (0, 1 << 40);
+    ObjLastAccess: Cache "obj.last_access" (0, T);
+    ObjInsertTime: Cache "obj.insert_time" (0, T);
+    ObjSize: Cache "obj.size" (1, 1 << 40);
+    ObjAge: Cache "obj.age" (0, T);
+    ObjTimeInCache: Cache "obj.time_in_cache" (0, T);
+    CountsPct(p) Percentile: Cache "counts" (0, 1 << 40);
+    AgesPct(p) Percentile: Cache "ages" (0, T);
+    SizesPct(p) Percentile: Cache "sizes" (1, 1 << 40);
+    HistContains: Cache "hist.contains" (0, 1);
+    HistCount: Cache "hist.count" (0, 1 << 40);
+    HistAgeAtEvict: Cache "hist.age_at_evict" (0, T);
+    HistTimeSinceEvict: Cache "hist.time_since_evict" (0, T);
+    CacheObjects: Cache "cache.objects" (0, 1 << 40);
+    CacheUsedBytes: Cache "cache.used_bytes" (0, 1 << 50);
+    CacheCapacity: Cache "cache.capacity" (0, 1 << 50);
+    Cwnd: Kernel "cwnd" (1, 1 << 24);
+    PrevCwnd: Kernel "prev_cwnd" (1, 1 << 24);
+    MinRttUs: Kernel "min_rtt" (1, 1 << 32);
+    SrttUs: Kernel "srtt" (1, 1 << 32);
+    LastRttUs: Kernel "last_rtt" (1, 1 << 32);
+    InflightBytes: Kernel "inflight_bytes" (0, 1 << 50);
+    InflightPkts: Kernel "inflight" (0, 1 << 24);
+    Mss: Kernel "mss" (1, 65535);
+    DeliveredBytes: Kernel "delivered" (0, 1 << 50);
+    DeliveryRateBps: Kernel "delivery_rate" (0, 1 << 50);
+    LossEvent: Kernel "loss" (0, 1);
+    AckedBytes: Kernel "acked" (0, 1 << 32);
+    Ssthresh: Kernel "ssthresh" (1, 1 << 24);
+    HistRtt(i) Interval: Kernel "hist_rtt" (1, 1 << 32);
+    HistDelivered(i) Interval: Kernel "hist_delivered" (0, 1 << 50);
+    HistLoss(i) Interval: Kernel "hist_loss" (0, 1 << 20);
+    HistCwnd(i) Interval: Kernel "hist_cwnd" (1, 1 << 24);
+    HistQdelay(i) Interval: Kernel "hist_qdelay" (0, 1 << 32);
+    ServerQueueLen: Lb "server.queue_len" (0, 1 << 20);
+    ServerEwmaLatency: Lb "server.ewma_latency" (0, 1 << 32);
+    ServerSpeed: Lb "server.speed" (1, 1 << 16);
+    ServerInflight: Lb "server.inflight" (0, 1 << 20);
+    ServerWorkLeft: Lb "server.work_left" (0, 1 << 40);
+    ReqSize: Lb "req.size" (1, 1 << 32);
+    PktSojournUs: Aqm "pkt.sojourn" (0, 1 << 32);
+    PktSize: Aqm "pkt.size" (1, 1 << 16);
+    QueueBytes: Aqm "q.bytes" (0, 1 << 32);
+    QueuePkts: Aqm "q.pkts" (0, 1 << 20);
+    QueueCapacityBytes: Aqm "q.capacity" (1, 1 << 32);
+    DrainRateBps: Aqm "q.drain_rate" (1, 1 << 40);
+    SojournEwmaUs: Aqm "q.ewma_sojourn" (0, 1 << 32);
+    SinceLastDropUs: Aqm "aqm.since_drop" (0, T);
+    AqmDrops: Aqm "aqm.drops" (0, 1 << 40);
+}
+
 impl Feature {
     /// Is this feature legal in the given template mode?
     pub fn available_in(self, mode: Mode) -> bool {
-        use Feature::*;
-        match self {
-            Now => true,
-            ObjCount | ObjLastAccess | ObjInsertTime | ObjSize | ObjAge | ObjTimeInCache
-            | CountsPct(_) | AgesPct(_) | SizesPct(_) | HistContains | HistCount
-            | HistAgeAtEvict | HistTimeSinceEvict | CacheObjects | CacheUsedBytes
-            | CacheCapacity => mode == Mode::Cache,
-            Cwnd | PrevCwnd | MinRttUs | SrttUs | LastRttUs | InflightBytes | InflightPkts
-            | Mss | DeliveredBytes | DeliveryRateBps | LossEvent | AckedBytes | Ssthresh
-            | HistRtt(_) | HistDelivered(_) | HistLoss(_) | HistCwnd(_) | HistQdelay(_) => {
-                mode == Mode::Kernel
-            }
-            ServerQueueLen | ServerEwmaLatency | ServerSpeed | ServerInflight | ServerWorkLeft
-            | ReqSize => mode == Mode::Lb,
-            PktSojournUs | PktSize | QueueBytes | QueuePkts | QueueCapacityBytes | DrainRateBps
-            | SojournEwmaUs | SinceLastDropUs | AqmDrops => mode == Mode::Aqm,
-        }
+        self.row().mode.is_none_or(|home| home == mode)
     }
 
     /// Is the parameter (percentile percent or history index) in range?
     pub fn param_in_range(self) -> bool {
-        use Feature::*;
-        match self {
-            CountsPct(p) | AgesPct(p) | SizesPct(p) => (1..=99).contains(&p),
-            HistRtt(i) | HistDelivered(i) | HistLoss(i) | HistCwnd(i) | HistQdelay(i) => {
-                i < CC_HISTORY_LEN
-            }
-            _ => true,
-        }
+        self.row().param.is_none_or(|(param, p)| param.in_range(p))
     }
 
     /// Conservative `[min, max]` bound on the runtime value, used by the
     /// kbpf verifier's interval analysis and by the generator's guard
     /// heuristics (a divisor whose range excludes zero needs no guard).
     pub fn range(self) -> (i64, i64) {
-        use Feature::*;
-        const T: i64 = 1 << 50; // generous virtual-time bound
-        match self {
-            Now => (0, T),
-            ObjCount | HistCount => (0, 1 << 40),
-            ObjLastAccess | ObjInsertTime => (0, T),
-            ObjSize | SizesPct(_) => (1, 1 << 40),
-            ObjAge | ObjTimeInCache | AgesPct(_) | HistAgeAtEvict | HistTimeSinceEvict => (0, T),
-            CountsPct(_) => (0, 1 << 40),
-            HistContains | LossEvent => (0, 1),
-            CacheObjects => (0, 1 << 40),
-            CacheUsedBytes | CacheCapacity => (0, 1 << 50),
-            Cwnd | PrevCwnd | Ssthresh | HistCwnd(_) => (1, 1 << 24),
-            MinRttUs | SrttUs | LastRttUs | HistRtt(_) => (1, 1 << 32),
-            HistQdelay(_) => (0, 1 << 32),
-            InflightBytes | DeliveredBytes | HistDelivered(_) => (0, 1 << 50),
-            InflightPkts => (0, 1 << 24),
-            Mss => (1, 65535),
-            DeliveryRateBps => (0, 1 << 50),
-            AckedBytes => (0, 1 << 32),
-            HistLoss(_) => (0, 1 << 20),
-            ServerQueueLen | ServerInflight => (0, 1 << 20),
-            ServerEwmaLatency => (0, 1 << 32),
-            ServerWorkLeft => (0, 1 << 40),
-            ServerSpeed => (1, 1 << 16),
-            ReqSize => (1, 1 << 32),
-            PktSojournUs | SojournEwmaUs => (0, 1 << 32),
-            PktSize => (1, 1 << 16),
-            QueueBytes => (0, 1 << 32),
-            QueuePkts => (0, 1 << 20),
-            QueueCapacityBytes => (1, 1 << 32),
-            DrainRateBps => (1, 1 << 40),
-            SinceLastDropUs => (0, T),
-            AqmDrops => (0, 1 << 40),
-        }
+        self.row().range
     }
 
     /// Canonical source-syntax name of the feature.
     pub fn name(self) -> String {
-        use Feature::*;
-        match self {
-            Now => "now".into(),
-            ObjCount => "obj.count".into(),
-            ObjLastAccess => "obj.last_access".into(),
-            ObjInsertTime => "obj.insert_time".into(),
-            ObjSize => "obj.size".into(),
-            ObjAge => "obj.age".into(),
-            ObjTimeInCache => "obj.time_in_cache".into(),
-            CountsPct(p) => format!("counts.p{p}"),
-            AgesPct(p) => format!("ages.p{p}"),
-            SizesPct(p) => format!("sizes.p{p}"),
-            HistContains => "hist.contains".into(),
-            HistCount => "hist.count".into(),
-            HistAgeAtEvict => "hist.age_at_evict".into(),
-            HistTimeSinceEvict => "hist.time_since_evict".into(),
-            CacheObjects => "cache.objects".into(),
-            CacheUsedBytes => "cache.used_bytes".into(),
-            CacheCapacity => "cache.capacity".into(),
-            Cwnd => "cwnd".into(),
-            PrevCwnd => "prev_cwnd".into(),
-            MinRttUs => "min_rtt".into(),
-            SrttUs => "srtt".into(),
-            LastRttUs => "last_rtt".into(),
-            InflightBytes => "inflight_bytes".into(),
-            InflightPkts => "inflight".into(),
-            Mss => "mss".into(),
-            DeliveredBytes => "delivered".into(),
-            DeliveryRateBps => "delivery_rate".into(),
-            LossEvent => "loss".into(),
-            AckedBytes => "acked".into(),
-            Ssthresh => "ssthresh".into(),
-            HistRtt(i) => format!("hist_rtt[{i}]"),
-            HistDelivered(i) => format!("hist_delivered[{i}]"),
-            HistLoss(i) => format!("hist_loss[{i}]"),
-            HistCwnd(i) => format!("hist_cwnd[{i}]"),
-            HistQdelay(i) => format!("hist_qdelay[{i}]"),
-            ServerQueueLen => "server.queue_len".into(),
-            ServerEwmaLatency => "server.ewma_latency".into(),
-            ServerSpeed => "server.speed".into(),
-            ServerInflight => "server.inflight".into(),
-            ServerWorkLeft => "server.work_left".into(),
-            ReqSize => "req.size".into(),
-            PktSojournUs => "pkt.sojourn".into(),
-            PktSize => "pkt.size".into(),
-            QueueBytes => "q.bytes".into(),
-            QueuePkts => "q.pkts".into(),
-            QueueCapacityBytes => "q.capacity".into(),
-            DrainRateBps => "q.drain_rate".into(),
-            SojournEwmaUs => "q.ewma_sojourn".into(),
-            SinceLastDropUs => "aqm.since_drop".into(),
-            AqmDrops => "aqm.drops".into(),
-        }
+        let row = self.row();
+        // room for the longest parameter suffix, `.p99`
+        let mut name = String::with_capacity(row.name.len() + 4);
+        name.push_str(row.name);
+        // writing into a `String` cannot fail
+        let _ = match row.param {
+            None => Ok(()),
+            Some((Param::Percentile, p)) => write!(name, ".p{p}"),
+            Some((Param::Interval, i)) => write!(name, "[{i}]"),
+        };
+        name
     }
 
-    /// Every scalar (non-parameterized) feature legal in `mode`, plus a
-    /// small representative set of parameterized ones. Used by the mock
-    /// generator when it "recalls" the template's documented feature list.
+    /// Every scalar (non-parameterized) feature legal in `mode`, in
+    /// declaration order, then each of its families at a few representative
+    /// parameters. Used by the mock generator when it "recalls" the
+    /// template's documented feature list.
     pub fn catalog(mode: Mode) -> Vec<Feature> {
-        use Feature::*;
-        match mode {
-            Mode::Cache => {
-                let mut v = vec![
-                    Now,
-                    ObjCount,
-                    ObjLastAccess,
-                    ObjInsertTime,
-                    ObjSize,
-                    ObjAge,
-                    ObjTimeInCache,
-                    HistContains,
-                    HistCount,
-                    HistAgeAtEvict,
-                    HistTimeSinceEvict,
-                    CacheObjects,
-                    CacheUsedBytes,
-                    CacheCapacity,
-                ];
-                for p in [10u8, 25, 50, 75, 90] {
-                    v.push(CountsPct(p));
-                    v.push(AgesPct(p));
-                    v.push(SizesPct(p));
+        let mut scalars = Vec::with_capacity(DECLARED.len());
+        let mut families = Vec::new();
+        for make in DECLARED {
+            let f = make(0);
+            let row = f.row();
+            if row.mode.is_none_or(|home| home == mode) {
+                match row.param {
+                    None => scalars.push(f),
+                    Some((param, _)) => families.push((param, make)),
                 }
-                v
-            }
-            Mode::Kernel => {
-                let mut v = vec![
-                    Now,
-                    Cwnd,
-                    PrevCwnd,
-                    MinRttUs,
-                    SrttUs,
-                    LastRttUs,
-                    InflightBytes,
-                    InflightPkts,
-                    Mss,
-                    DeliveredBytes,
-                    DeliveryRateBps,
-                    LossEvent,
-                    AckedBytes,
-                    Ssthresh,
-                ];
-                for i in 0..CC_HISTORY_LEN {
-                    v.push(HistRtt(i));
-                    v.push(HistDelivered(i));
-                    v.push(HistLoss(i));
-                    v.push(HistCwnd(i));
-                    v.push(HistQdelay(i));
-                }
-                v
-            }
-            Mode::Lb => {
-                vec![
-                    Now,
-                    ServerQueueLen,
-                    ServerEwmaLatency,
-                    ServerSpeed,
-                    ServerInflight,
-                    ServerWorkLeft,
-                    ReqSize,
-                ]
-            }
-            Mode::Aqm => {
-                vec![
-                    Now,
-                    PktSojournUs,
-                    PktSize,
-                    QueueBytes,
-                    QueuePkts,
-                    QueueCapacityBytes,
-                    DrainRateBps,
-                    SojournEwmaUs,
-                    SinceLastDropUs,
-                    AqmDrops,
-                ]
             }
         }
+        for param in [Param::Percentile, Param::Interval] {
+            for &p in param.representatives() {
+                let members = families.iter().filter(|(of, _)| *of == param);
+                scalars.extend(members.map(|(_, make)| make(p)));
+            }
+        }
+        scalars
     }
 }
 

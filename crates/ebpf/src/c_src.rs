@@ -158,15 +158,10 @@ fn render_insn(insn: &Insn, pc: usize) -> String {
     let s = insn.src;
     let target = pc + 1 + insn.off as usize;
     // immediate vs register second operand, as C text
-    let o = match insn.op {
-        AddImm | SubImm | MulImm | DivImm | RemImm | LshImm | RshImm | JeqImm | JneImm | JltImm
-        | JleImm | JgtImm | JgeImm | MovImm => c_imm(insn.imm),
-        _ => format!("r{s}"),
-    };
+    let o = if insn.op.reads_src() { format!("r{s}") } else { c_imm(insn.imm) };
     let wrap = |op: char| format!("r{d} = (s64)((u64)r{d} {op} (u64)({o}));");
     match insn.op {
-        MovImm => format!("r{d} = {o};"),
-        MovReg => format!("r{d} = r{s};"),
+        MovImm | MovReg => format!("r{d} = {o};"),
         AddImm | AddReg => wrap('+'),
         SubImm | SubReg => wrap('-'),
         MulImm | MulReg => wrap('*'),

@@ -199,24 +199,17 @@ pub fn emit(prog: &Program, env: &VerifyEnv) -> Result<EbpfProgram, EmitError> {
 /// saturating execution identical for this instruction.
 fn gate(pc: usize, insn: Insn, st: &AbsState) -> Result<(), EmitError> {
     let reg = |r: u8| st.regs[r as usize].expect("verified program reads initialized registers");
+    let operand = if insn.op.reads_src() { reg(insn.src) } else { Interval::exact(insn.imm) };
     use Op::*;
     let result = match insn.op {
-        AddImm => reg(insn.dst).add(Interval::exact(insn.imm)),
-        AddReg => reg(insn.dst).add(reg(insn.src)),
-        SubImm => reg(insn.dst).sub(Interval::exact(insn.imm)),
-        SubReg => reg(insn.dst).sub(reg(insn.src)),
-        MulImm => reg(insn.dst).mul(Interval::exact(insn.imm)),
-        MulReg => reg(insn.dst).mul(reg(insn.src)),
+        AddImm | AddReg => reg(insn.dst).add(operand),
+        SubImm | SubReg => reg(insn.dst).sub(operand),
+        MulImm | MulReg => reg(insn.dst).mul(operand),
         Neg => reg(insn.dst).neg(),
-        LshImm => reg(insn.dst).shl(Interval::exact(insn.imm)),
-        LshReg => reg(insn.dst).shl(reg(insn.src)),
+        LshImm | LshReg => reg(insn.dst).shl(operand),
         DivImm | DivReg => {
             // div_sat saturates only for MIN / -1; check exactly that.
-            let divisor_may_be_neg1 = match insn.op {
-                DivImm => insn.imm == -1,
-                _ => reg(insn.src).contains(-1),
-            };
-            if reg(insn.dst).contains(i64::MIN) && divisor_may_be_neg1 {
+            if reg(insn.dst).contains(i64::MIN) && operand.contains(-1) {
                 return Err(EmitError::SdivOverflowPossible { pc, insn: insn.to_string() });
             }
             return Ok(());
@@ -277,13 +270,18 @@ impl Emitter {
         }
     }
 
-    /// Materialize a kbpf 64-bit immediate as an ALU operand: inline when
-    /// it fits the 32-bit `imm` field, else a `LDDW` into [`TEMP1`].
-    fn imm_operand(&mut self, imm: i64) -> Operand {
-        match i32::try_from(imm) {
+    /// Materialize an instruction's second operand: its `src` register
+    /// (reloaded into [`TEMP1`] if stacked) when the op reads one, else its
+    /// 64-bit immediate — inline when it fits the 32-bit `imm` field, else
+    /// a `LDDW` into [`TEMP1`].
+    fn operand(&mut self, insn: Insn) -> Operand {
+        if insn.op.reads_src() {
+            return Operand::Reg(self.read(insn.src, TEMP1));
+        }
+        match i32::try_from(insn.imm) {
             Ok(v) => Operand::Imm(v),
             Err(_) => {
-                self.push2(EbpfInsn::lddw(TEMP1, imm));
+                self.push2(EbpfInsn::lddw(TEMP1, insn.imm));
                 Operand::Reg(TEMP1)
             }
         }
@@ -359,45 +357,25 @@ impl Emitter {
                 let s = self.read(insn.src, TEMP0);
                 self.write_back(insn.dst, s);
             }
-            AddImm => {
-                let o = self.imm_operand(insn.imm);
+            AddImm | AddReg => {
+                let o = self.operand(insn);
                 self.alu(insn.dst, BPF_ADD, o, 0);
             }
-            AddReg => {
-                let s = Operand::Reg(self.read(insn.src, TEMP1));
-                self.alu(insn.dst, BPF_ADD, s, 0);
-            }
-            SubImm => {
-                let o = self.imm_operand(insn.imm);
+            SubImm | SubReg => {
+                let o = self.operand(insn);
                 self.alu(insn.dst, BPF_SUB, o, 0);
             }
-            SubReg => {
-                let s = Operand::Reg(self.read(insn.src, TEMP1));
-                self.alu(insn.dst, BPF_SUB, s, 0);
-            }
-            MulImm => {
-                let o = self.imm_operand(insn.imm);
+            MulImm | MulReg => {
+                let o = self.operand(insn);
                 self.alu(insn.dst, BPF_MUL, o, 0);
             }
-            MulReg => {
-                let s = Operand::Reg(self.read(insn.src, TEMP1));
-                self.alu(insn.dst, BPF_MUL, s, 0);
-            }
-            DivImm => {
-                let o = self.imm_operand(insn.imm);
+            DivImm | DivReg => {
+                let o = self.operand(insn);
                 self.alu(insn.dst, BPF_DIV, o, SIGNED_DIV_OFF);
             }
-            DivReg => {
-                let s = Operand::Reg(self.read(insn.src, TEMP1));
-                self.alu(insn.dst, BPF_DIV, s, SIGNED_DIV_OFF);
-            }
-            RemImm => {
-                let o = self.imm_operand(insn.imm);
+            RemImm | RemReg => {
+                let o = self.operand(insn);
                 self.alu(insn.dst, BPF_MOD, o, SIGNED_DIV_OFF);
-            }
-            RemReg => {
-                let s = Operand::Reg(self.read(insn.src, TEMP1));
-                self.alu(insn.dst, BPF_MOD, s, SIGNED_DIV_OFF);
             }
             Neg => {
                 let d = self.read(insn.dst, TEMP0);
@@ -419,15 +397,10 @@ impl Emitter {
                 self.fixups.push((self.out.len(), target()));
                 self.push(EbpfInsn::ja(0));
             }
-            JeqImm | JneImm | JltImm | JleImm | JgtImm | JgeImm => {
-                let op = cond_op(insn.op);
-                let o = self.imm_operand(insn.imm);
-                self.jump(op, insn.dst, o, target());
-            }
-            JeqReg | JneReg | JltReg | JleReg | JgtReg | JgeReg => {
-                let op = cond_op(insn.op);
-                let s = Operand::Reg(self.read(insn.src, TEMP1));
-                self.jump(op, insn.dst, s, target());
+            JeqImm | JeqReg | JneImm | JneReg | JltImm | JltReg | JleImm | JleReg | JgtImm
+            | JgtReg | JgeImm | JgeReg => {
+                let o = self.operand(insn);
+                self.jump(cond_op(insn.op), insn.dst, o, target());
             }
             LdCtx => {
                 let off = (insn.imm * 8) as i16;

@@ -80,7 +80,7 @@ impl FaultMix {
 }
 
 /// Plausible-but-wrong identifiers an LLM hallucinates per template.
-fn fake_idents(mode: Mode) -> &'static [&'static str] {
+pub(crate) fn fake_idents(mode: Mode) -> &'static [&'static str] {
     match mode {
         Mode::Cache => &["obj.frequency", "obj.weight", "cache.pressure", "hist.age", "obj.ttl"],
         Mode::Kernel => &["rtt_var", "bytes_acked", "queue_len", "cwnd_max", "pacing_rate"],

@@ -10,7 +10,7 @@
 //! the way a feedback-prompted LLM does, succeeding with class-dependent
 //! probability.
 
-use crate::faults::{inject, FaultMix};
+use crate::faults::{self, inject, FaultMix};
 use crate::motifs;
 use crate::prompt::Prompt;
 use crate::tokens::TokenLedger;
@@ -399,19 +399,10 @@ pub fn guard_divisions(e: &Expr) -> Expr {
 }
 
 fn replace_unknown_ident(src: &str, mode: Mode, rng: &mut StdRng) -> Option<String> {
-    // the fakes the injector uses, plus a couple of generic shapes
-    let fakes = [
-        "obj.frequency",
-        "obj.weight",
-        "cache.pressure",
-        "hist.age",
-        "obj.ttl",
-        "rtt_var",
-        "bytes_acked",
-        "queue_len",
-        "cwnd_max",
-        "pacing_rate",
-    ];
+    // the fakes the injector uses in the cache and kernel templates only:
+    // an lb or aqm fake is never repaired (ROADMAP, "Bugs found and left
+    // open")
+    let fakes = [Mode::Cache, Mode::Kernel].into_iter().flat_map(faults::fake_idents);
     let cat = Feature::catalog(mode);
     let replacement = cat[rng.random_range(0..cat.len())].name();
     for fake in fakes {

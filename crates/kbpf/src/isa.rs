@@ -205,37 +205,25 @@ impl fmt::Display for Insn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use Op::*;
         let (d, s, i, o) = (self.dst, self.src, self.imm, self.off);
+        // the second operand, in whichever form the op takes it
+        let b = if self.op.reads_src() { format!("r{s}") } else { i.to_string() };
         match self.op {
-            MovImm => write!(f, "r{d} = {i}"),
-            MovReg => write!(f, "r{d} = r{s}"),
-            AddImm => write!(f, "r{d} += {i}"),
-            AddReg => write!(f, "r{d} += r{s}"),
-            SubImm => write!(f, "r{d} -= {i}"),
-            SubReg => write!(f, "r{d} -= r{s}"),
-            MulImm => write!(f, "r{d} *= {i}"),
-            MulReg => write!(f, "r{d} *= r{s}"),
-            DivImm => write!(f, "r{d} /= {i}"),
-            DivReg => write!(f, "r{d} /= r{s}"),
-            RemImm => write!(f, "r{d} %= {i}"),
-            RemReg => write!(f, "r{d} %= r{s}"),
+            MovImm | MovReg => write!(f, "r{d} = {b}"),
+            AddImm | AddReg => write!(f, "r{d} += {b}"),
+            SubImm | SubReg => write!(f, "r{d} -= {b}"),
+            MulImm | MulReg => write!(f, "r{d} *= {b}"),
+            DivImm | DivReg => write!(f, "r{d} /= {b}"),
+            RemImm | RemReg => write!(f, "r{d} %= {b}"),
             Neg => write!(f, "r{d} = -r{d}"),
-            LshImm => write!(f, "r{d} <<= {i}"),
-            LshReg => write!(f, "r{d} <<= r{s}"),
-            RshImm => write!(f, "r{d} >>= {i}"),
-            RshReg => write!(f, "r{d} >>= r{s}"),
+            LshImm | LshReg => write!(f, "r{d} <<= {b}"),
+            RshImm | RshReg => write!(f, "r{d} >>= {b}"),
             Ja => write!(f, "goto +{o}"),
-            JeqImm => write!(f, "if r{d} == {i} goto +{o}"),
-            JeqReg => write!(f, "if r{d} == r{s} goto +{o}"),
-            JneImm => write!(f, "if r{d} != {i} goto +{o}"),
-            JneReg => write!(f, "if r{d} != r{s} goto +{o}"),
-            JltImm => write!(f, "if r{d} < {i} goto +{o}"),
-            JltReg => write!(f, "if r{d} < r{s} goto +{o}"),
-            JleImm => write!(f, "if r{d} <= {i} goto +{o}"),
-            JleReg => write!(f, "if r{d} <= r{s} goto +{o}"),
-            JgtImm => write!(f, "if r{d} > {i} goto +{o}"),
-            JgtReg => write!(f, "if r{d} > r{s} goto +{o}"),
-            JgeImm => write!(f, "if r{d} >= {i} goto +{o}"),
-            JgeReg => write!(f, "if r{d} >= r{s} goto +{o}"),
+            JeqImm | JeqReg => write!(f, "if r{d} == {b} goto +{o}"),
+            JneImm | JneReg => write!(f, "if r{d} != {b} goto +{o}"),
+            JltImm | JltReg => write!(f, "if r{d} < {b} goto +{o}"),
+            JleImm | JleReg => write!(f, "if r{d} <= {b} goto +{o}"),
+            JgtImm | JgtReg => write!(f, "if r{d} > {b} goto +{o}"),
+            JgeImm | JgeReg => write!(f, "if r{d} >= {b} goto +{o}"),
             LdCtx => write!(f, "r{d} = ctx[{i}]"),
             LdMap => write!(f, "r{d} = map[{i}]"),
             StMap => write!(f, "map[{i}] = r{s}"),
@@ -285,6 +273,11 @@ mod tests {
             Insn { op: Op::JeqImm, dst: 1, src: 0, imm: 0, off: 3 }.to_string(),
             "if r1 == 0 goto +3"
         );
+        assert_eq!(
+            Insn { op: Op::JgeReg, dst: 1, src: 2, imm: 9, off: 3 }.to_string(),
+            "if r1 >= r2 goto +3"
+        );
+        assert_eq!(Insn::new(Op::DivImm, 4, 5, -7).to_string(), "r4 /= -7");
         assert_eq!(Insn::new(Op::Exit, 0, 0, 0).to_string(), "exit");
     }
 

@@ -21,7 +21,10 @@
 //!    until stored to, since the map persists across invocations; narrowed
 //!    by `StMap`), so spill/reload sequences lose no precision. A state
 //!    materializes its slots only from its first store on: see
-//!    [`AbsState`].
+//!    [`AbsState`]. Each operation's transfer is written once: an
+//!    `*Imm`/`*Reg` pair shares one arm, whose second operand is `src`'s
+//!    interval when [`Op::reads_src`] says so and the exact immediate
+//!    otherwise — and only a register operand is refined on a branch.
 //! 3. **Obligations.** No read of ⊥; every `div`/`rem` divisor interval
 //!    must exclude 0; `r0` must be initialized at every `exit`.
 //!
@@ -256,6 +259,14 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
         let read_reg = |st: &AbsState, r: u8| -> Result<Interval, VerifyError> {
             st.regs[r as usize].ok_or(VerifyError::UninitRead { pc, reg: r })
         };
+        // The second operand, in whichever form the op takes it.
+        let operand = |st: &AbsState| -> Result<Interval, VerifyError> {
+            if insn.op.reads_src() {
+                read_reg(st, insn.src)
+            } else {
+                Ok(Interval::exact(insn.imm))
+            }
+        };
 
         use Op::*;
         match insn.op {
@@ -272,16 +283,11 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
                 propagate(&mut in_state, target, next);
                 continue;
             }
-            JeqImm | JneImm | JltImm | JleImm | JgtImm | JgeImm => {
+            JeqImm | JeqReg | JneImm | JneReg | JltImm | JltReg | JleImm | JleReg | JgtImm
+            | JgtReg | JgeImm | JgeReg => {
                 let d = read_reg(&next, insn.dst)?;
-                let o = Interval::exact(insn.imm);
-                branch(pc, insn, d, o, next, &mut in_state, true);
-                continue;
-            }
-            JeqReg | JneReg | JltReg | JleReg | JgtReg | JgeReg => {
-                let d = read_reg(&next, insn.dst)?;
-                let o = read_reg(&next, insn.src)?;
-                branch(pc, insn, d, o, next, &mut in_state, false);
+                let o = operand(&next)?;
+                branch(pc, insn, d, o, next, &mut in_state);
                 continue;
             }
             _ => {}
@@ -289,45 +295,30 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
 
         // Straight-line ALU / memory ops.
         let result: Option<Interval> = match insn.op {
-            MovImm => Some(Interval::exact(insn.imm)),
-            MovReg => Some(read_reg(&next, insn.src)?),
-            AddImm => Some(read_reg(&next, insn.dst)?.add(Interval::exact(insn.imm))),
-            AddReg => Some(read_reg(&next, insn.dst)?.add(read_reg(&next, insn.src)?)),
-            SubImm => Some(read_reg(&next, insn.dst)?.sub(Interval::exact(insn.imm))),
-            SubReg => Some(read_reg(&next, insn.dst)?.sub(read_reg(&next, insn.src)?)),
-            MulImm => Some(read_reg(&next, insn.dst)?.mul(Interval::exact(insn.imm))),
-            MulReg => Some(read_reg(&next, insn.dst)?.mul(read_reg(&next, insn.src)?)),
-            DivImm | RemImm => {
+            MovImm | MovReg => Some(operand(&next)?),
+            AddImm | AddReg => Some(read_reg(&next, insn.dst)?.add(operand(&next)?)),
+            SubImm | SubReg => Some(read_reg(&next, insn.dst)?.sub(operand(&next)?)),
+            MulImm | MulReg => Some(read_reg(&next, insn.dst)?.mul(operand(&next)?)),
+            DivImm | DivReg | RemImm | RemReg => {
                 let d = read_reg(&next, insn.dst)?;
-                let o = Interval::exact(insn.imm);
+                let o = operand(&next)?;
                 if o.contains(0) {
                     return Err(VerifyError::DivByZeroPossible {
                         pc,
-                        reg_desc: format!("imm {}", insn.imm),
+                        reg_desc: if insn.op.reads_src() {
+                            format!("R{}", insn.src)
+                        } else {
+                            format!("imm {}", insn.imm)
+                        },
                         lo: o.lo,
                         hi: o.hi,
                     });
                 }
-                Some(if insn.op == DivImm { d.div(o) } else { d.rem(o) })
-            }
-            DivReg | RemReg => {
-                let d = read_reg(&next, insn.dst)?;
-                let o = read_reg(&next, insn.src)?;
-                if o.contains(0) {
-                    return Err(VerifyError::DivByZeroPossible {
-                        pc,
-                        reg_desc: format!("R{}", insn.src),
-                        lo: o.lo,
-                        hi: o.hi,
-                    });
-                }
-                Some(if insn.op == DivReg { d.div(o) } else { d.rem(o) })
+                Some(if matches!(insn.op, DivImm | DivReg) { d.div(o) } else { d.rem(o) })
             }
             Neg => Some(read_reg(&next, insn.dst)?.neg()),
-            LshImm => Some(read_reg(&next, insn.dst)?.shl(Interval::exact(insn.imm))),
-            LshReg => Some(read_reg(&next, insn.dst)?.shl(read_reg(&next, insn.src)?)),
-            RshImm => Some(read_reg(&next, insn.dst)?.shr(Interval::exact(insn.imm))),
-            RshReg => Some(read_reg(&next, insn.dst)?.shr(read_reg(&next, insn.src)?)),
+            LshImm | LshReg => Some(read_reg(&next, insn.dst)?.shl(operand(&next)?)),
+            RshImm | RshReg => Some(read_reg(&next, insn.dst)?.shr(operand(&next)?)),
             LdCtx => {
                 let (lo, hi) = env.ctx_ranges[insn.imm as usize];
                 Some(Interval::new(lo.min(hi), hi.max(lo)))
@@ -361,7 +352,8 @@ fn propagate(in_state: &mut [Option<AbsState>], target: usize, state: AbsState) 
 }
 
 /// Handle a conditional jump: refine intervals on the taken and fallthrough
-/// edges, prune statically-dead edges.
+/// edges, prune statically-dead edges. An immediate operand has no register
+/// to refine.
 fn branch(
     pc: usize,
     insn: Insn,
@@ -369,7 +361,6 @@ fn branch(
     o: Interval,
     state: AbsState,
     in_state: &mut [Option<AbsState>],
-    imm_form: bool,
 ) {
     use Op::*;
     let taken_target = pc + 1 + insn.off as usize;
@@ -387,7 +378,7 @@ fn branch(
 
     let refined = |mut st: AbsState, (rd, ro): (Interval, Interval)| {
         st.regs[insn.dst as usize] = Some(rd);
-        if !imm_form {
+        if insn.op.reads_src() {
             st.regs[insn.src as usize] = Some(ro);
         }
         st

@@ -87,43 +87,30 @@ pub fn execute_with_fuel(
             return Err(VmError::BadRegister { pc, reg: insn.src });
         }
         let d = regs[insn.dst as usize];
-        let s = regs[insn.src as usize];
+        // the second operand, in whichever form the op takes it
+        let b = if insn.op.reads_src() { regs[insn.src as usize] } else { insn.imm };
         use Op::*;
         match insn.op {
-            MovImm => regs[insn.dst as usize] = insn.imm,
-            MovReg => regs[insn.dst as usize] = s,
-            AddImm => regs[insn.dst as usize] = d.saturating_add(insn.imm),
-            AddReg => regs[insn.dst as usize] = d.saturating_add(s),
-            SubImm => regs[insn.dst as usize] = d.saturating_sub(insn.imm),
-            SubReg => regs[insn.dst as usize] = d.saturating_sub(s),
-            MulImm => regs[insn.dst as usize] = d.saturating_mul(insn.imm),
-            MulReg => regs[insn.dst as usize] = d.saturating_mul(s),
-            DivImm | DivReg => {
-                let b = if insn.op == DivImm { insn.imm } else { s };
+            MovImm | MovReg => regs[insn.dst as usize] = b,
+            AddImm | AddReg => regs[insn.dst as usize] = d.saturating_add(b),
+            SubImm | SubReg => regs[insn.dst as usize] = d.saturating_sub(b),
+            MulImm | MulReg => regs[insn.dst as usize] = d.saturating_mul(b),
+            DivImm | DivReg | RemImm | RemReg => {
                 if b == 0 {
                     return Err(VmError::DivByZero { pc });
                 }
-                regs[insn.dst as usize] = div_sat(d, b);
-            }
-            RemImm | RemReg => {
-                let b = if insn.op == RemImm { insn.imm } else { s };
-                if b == 0 {
-                    return Err(VmError::DivByZero { pc });
-                }
-                regs[insn.dst as usize] = rem_sat(d, b);
+                regs[insn.dst as usize] =
+                    if matches!(insn.op, DivImm | DivReg) { div_sat(d, b) } else { rem_sat(d, b) };
             }
             Neg => regs[insn.dst as usize] = d.saturating_neg(),
-            LshImm => regs[insn.dst as usize] = shl_sat(d, insn.imm),
-            LshReg => regs[insn.dst as usize] = shl_sat(d, s),
-            RshImm => regs[insn.dst as usize] = shr_arith(d, insn.imm),
-            RshReg => regs[insn.dst as usize] = shr_arith(d, s),
+            LshImm | LshReg => regs[insn.dst as usize] = shl_sat(d, b),
+            RshImm | RshReg => regs[insn.dst as usize] = shr_arith(d, b),
             Ja => {
                 pc = jump_target(pc, insn.off);
                 continue;
             }
             JeqImm | JeqReg | JneImm | JneReg | JltImm | JltReg | JleImm | JleReg | JgtImm
             | JgtReg | JgeImm | JgeReg => {
-                let b = if op_is_imm(insn.op) { insn.imm } else { s };
                 let cond = match insn.op {
                     JeqImm | JeqReg => d == b,
                     JneImm | JneReg => d != b,
@@ -160,7 +147,7 @@ pub fn execute_with_fuel(
                     .ok()
                     .and_then(|idx| map.get_mut(idx))
                     .ok_or(VmError::MapOutOfBounds { pc, slot })?;
-                *cell = s;
+                *cell = b;
             }
             Exit => return Ok(regs[0]),
         }
@@ -278,11 +265,6 @@ pub fn execute_verified(prog: &Program, ctx: &[i64], map: &mut [i64]) -> Result<
     }
 }
 
-fn op_is_imm(op: Op) -> bool {
-    use Op::*;
-    matches!(op, JeqImm | JneImm | JltImm | JleImm | JgtImm | JgeImm)
-}
-
 fn jump_target(pc: usize, off: i32) -> usize {
     // Saturate rather than wrap: a bogus target is caught by the pc bounds
     // check on the next iteration.
@@ -341,6 +323,16 @@ mod tests {
         let r =
             run(vec![i(Op::MovImm, 0, 0, 5), i(Op::DivImm, 0, 0, 0), i(Op::Exit, 0, 0, 0)], &[]);
         assert_eq!(r, Err(VmError::DivByZero { pc: 1 }));
+    }
+
+    #[test]
+    fn immediate_forms_never_read_the_src_field() {
+        // an unverified program may carry any byte in a field its op ignores
+        let r = run(
+            vec![i(Op::MovImm, 0, 200, 7), j(Op::JeqImm, 0, 255, 7, 0), i(Op::Exit, 0, 99, 0)],
+            &[],
+        );
+        assert_eq!(r, Ok(7));
     }
 
     #[test]
