@@ -768,8 +768,8 @@ fn judge(
         .filter(|(_, poisoned)| *poisoned)
         .map(|(e, _)| e.source.as_str())
         .collect();
-    let unpoisoned = no_poisoned_redeploy(report, &preseeded);
-    if !unpoisoned {
+    let clean_redeploys = no_poisoned_redeploy(report, &preseeded);
+    if !clean_redeploys {
         violate(format!("a poisoned policy reached the cell: {:?}", report.swaps));
     }
 
@@ -856,7 +856,7 @@ fn judge(
         "invariants": {
             "zero_dropped_decisions": served == offered && report.failures.is_empty(),
             "monotonic_generations": monotonic,
-            "no_poisoned_redeploy": unpoisoned,
+            "no_poisoned_redeploy": clean_redeploys,
             "bounded_recovery": rec.map(|us| us <= RECOVERY_BUDGET_MICROS),
             "quality_floor": above_floor,
         },

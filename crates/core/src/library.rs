@@ -59,7 +59,7 @@ pub struct LibraryEntry {
 /// for runtime-faulting) is quarantined by *source text*, so the verdict
 /// survives the entry being re-added under a different context or score.
 /// Poisoned sources are invisible to [`best_for`](Self::best_for) — and
-/// therefore to `try_reuse` — until explicitly un-poisoned.
+/// therefore to `try_reuse` — for good: nothing lifts a quarantine.
 #[derive(Debug, Clone, Default)]
 pub struct HeuristicLibrary {
     entries: Vec<LibraryEntry>,
@@ -94,17 +94,11 @@ impl HeuristicLibrary {
     }
 
     /// Quarantine a source: every entry with this exact source text is
-    /// skipped by [`best_for`](Self::best_for) until
-    /// [`unpoison`](Self::unpoison)ed, even if re-added later. Returns
-    /// `true` if the source was not already poisoned.
+    /// skipped by [`best_for`](Self::best_for) from now on, even if
+    /// re-added later. Returns `true` if the source was not already
+    /// poisoned.
     pub fn poison(&mut self, source: &str) -> bool {
         self.poisoned.insert(source.to_string())
-    }
-
-    /// Lift a quarantine (the only way a poisoned source comes back).
-    /// Returns `true` if the source was poisoned.
-    pub fn unpoison(&mut self, source: &str) -> bool {
-        self.poisoned.remove(source)
     }
 
     /// Is this source quarantined?
@@ -323,13 +317,6 @@ pub struct SearchNeeded {
     /// an empty library, or when nothing scored a real number under the
     /// study).
     best_stored: Option<(LibraryEntry, f64)>,
-}
-
-impl SearchNeeded {
-    /// The best stored entry re-scored in the drifted context, if any.
-    pub fn best_stored(&self) -> Option<(&LibraryEntry, f64)> {
-        self.best_stored.as_ref().map(|(e, s)| (e, *s))
-    }
 }
 
 /// The §3.1 loop as a reusable component: monitor a rolling quality
@@ -1043,7 +1030,7 @@ mod tests {
             let mut split = build();
             let ticket = split.try_reuse(&ToyStudy).expect_err("0.9 bar is out of reach");
             assert!(
-                ticket.best_stored().is_some_and(|(e, s)| {
+                ticket.best_stored.as_ref().is_some_and(|(e, s)| {
                     e.source == "s".repeat(stored_len)
                         && (s - stored_len as f64 / 100.0).abs() < 1e-12
                 }),
@@ -1065,7 +1052,7 @@ mod tests {
     fn finish_search_on_an_empty_library_deploys_the_winner() {
         let mut ctrl = AdaptiveController::new(ContextMonitor::new(2, 1.2), 0.5);
         let ticket = ctrl.try_reuse(&ToyStudy).expect_err("empty library cannot reuse");
-        assert!(ticket.best_stored().is_none());
+        assert!(ticket.best_stored.is_none());
         let winner = Scored { source: "w".repeat(30), score: 0.30, round: 0 };
         let a = ctrl.finish_search("ctx", ticket, Some(winner)).unwrap();
         assert!(a.resynthesized());
@@ -1114,18 +1101,6 @@ mod tests {
         lib.add(LibraryEntry { context: "elsewhere".into(), source: "faulty".into(), score: 2.0 });
         assert!(lib.best_for(|e| e.score).is_none());
         assert_eq!(lib.len(), 2, "poisoning hides entries, it does not delete them");
-    }
-
-    #[test]
-    fn unpoison_is_the_only_way_back() {
-        let mut lib = HeuristicLibrary::new();
-        lib.add(entry("faulty", 0.9));
-        lib.poison("faulty");
-        assert!(lib.best_for(|e| e.score).is_none());
-        assert!(lib.unpoison("faulty"));
-        assert!(!lib.unpoison("faulty"), "second unpoison is a no-op");
-        let (best, _) = lib.best_for(|e| e.score).unwrap();
-        assert_eq!(best.source, "faulty");
     }
 
     #[test]

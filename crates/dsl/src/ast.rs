@@ -51,6 +51,21 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// Every binary operator, in declaration order.
+    pub const ALL: [BinOp; 11] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Shl,
+        BinOp::Shr,
+    ];
+
     /// Source token for this operator (`Min`/`Max` print as calls instead).
     pub fn symbol(self) -> &'static str {
         match self {
@@ -81,6 +96,9 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Every comparison, in declaration order.
+    pub const ALL: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+
     /// Source token for this comparison.
     pub fn symbol(self) -> &'static str {
         match self {

@@ -48,19 +48,6 @@ impl FeatureEnv for MapEnv {
     }
 }
 
-/// An environment that returns the midpoint of each feature's declared
-/// range: used by the generator to cheaply smoke-test candidates before
-/// paying for a full evaluation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MidpointEnv;
-
-impl FeatureEnv for MidpointEnv {
-    fn feature(&self, f: Feature) -> i64 {
-        let (lo, hi) = f.range();
-        lo + (hi - lo) / 2
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,14 +57,5 @@ mod tests {
         let env = MapEnv::new().with(Feature::ObjSize, 512);
         assert_eq!(env.feature(Feature::ObjSize), 512);
         assert_eq!(env.feature(Feature::ObjCount), 0);
-    }
-
-    #[test]
-    fn midpoint_env_within_range() {
-        for f in [Feature::Mss, Feature::ObjSize, Feature::HistContains, Feature::Cwnd] {
-            let (lo, hi) = f.range();
-            let v = MidpointEnv.feature(f);
-            assert!(v >= lo && v <= hi);
-        }
     }
 }

@@ -49,30 +49,11 @@ fn kernel_features() -> Vec<Feature> {
 }
 
 fn arb_binop() -> impl Strategy<Value = BinOp> {
-    prop_oneof![
-        Just(BinOp::Add),
-        Just(BinOp::Sub),
-        Just(BinOp::Mul),
-        Just(BinOp::Div),
-        Just(BinOp::Rem),
-        Just(BinOp::Min),
-        Just(BinOp::Max),
-        Just(BinOp::And),
-        Just(BinOp::Or),
-        Just(BinOp::Shl),
-        Just(BinOp::Shr),
-    ]
+    proptest::sample::select(BinOp::ALL.to_vec())
 }
 
 fn arb_cmpop() -> impl Strategy<Value = CmpOp> {
-    prop_oneof![
-        Just(CmpOp::Lt),
-        Just(CmpOp::Le),
-        Just(CmpOp::Gt),
-        Just(CmpOp::Ge),
-        Just(CmpOp::Eq),
-        Just(CmpOp::Ne),
-    ]
+    proptest::sample::select(CmpOp::ALL.to_vec())
 }
 
 /// Random expression over the given feature set. No floats: those are the
