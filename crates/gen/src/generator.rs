@@ -399,9 +399,8 @@ pub fn guard_divisions(e: &Expr) -> Expr {
 }
 
 fn replace_unknown_ident(src: &str, mode: Mode, rng: &mut StdRng) -> Option<String> {
-    // the fakes the injector uses in the cache and kernel templates only:
-    // an lb or aqm fake is never repaired (ROADMAP, "Bugs found and left
-    // open")
+    // the fakes the injector uses in the cache and kernel templates only
+    // (a known gap: an lb or aqm fake is never repaired)
     let fakes = [Mode::Cache, Mode::Kernel].into_iter().flat_map(faults::fake_idents);
     let cat = Feature::catalog(mode);
     let replacement = cat[rng.random_range(0..cat.len())].name();
