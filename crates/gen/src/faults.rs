@@ -5,10 +5,11 @@
 //! non-conforming or incorrect code." §5.0.3 quantifies it: only 63% of
 //! kernel candidates passed the verifier first-try (vs 92% compiling for
 //! caching), with float arithmetic and missing division-by-zero checks the
-//! dominant causes. This module reproduces those fault classes; the
-//! per-study rates live in [`crate::generator::GenConfig`].
+//! dominant causes. This module reproduces those fault classes; each
+//! template's rates and vocabulary live in its row (`crate::template`).
 
-use policysmith_dsl::{BinOp, Expr, ExprKind, ExprRef, Feature, Mode};
+use crate::template::template;
+use policysmith_dsl::{BinOp, Expr, ExprKind, ExprRef, Mode};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -37,30 +38,6 @@ pub struct FaultMix {
 }
 
 impl FaultMix {
-    /// Cache-study mix: mostly floats and hallucinated names (§4.1.3:
-    /// "most errors surface as build failures").
-    pub fn cache() -> FaultMix {
-        FaultMix { float: 0.4, unguarded_div: 0.05, unknown_ident: 0.35, syntax: 0.2 }
-    }
-
-    /// Kernel-study mix (§5.0.3: floats and missing div-zero checks are
-    /// "the most common causes").
-    pub fn kernel() -> FaultMix {
-        FaultMix { float: 0.45, unguarded_div: 0.40, unknown_ident: 0.10, syntax: 0.05 }
-    }
-
-    /// Load-balancing mix: userspace template, so like the cache mix, but
-    /// with more unguarded divisions — per-server rate math invites them.
-    pub fn lb() -> FaultMix {
-        FaultMix { float: 0.35, unguarded_div: 0.20, unknown_ident: 0.30, syntax: 0.15 }
-    }
-
-    /// AQM mix: userspace template like lb; delay-estimate rate math makes
-    /// unguarded divisions the second-most-common slip.
-    pub fn aqm() -> FaultMix {
-        FaultMix { float: 0.35, unguarded_div: 0.25, unknown_ident: 0.25, syntax: 0.15 }
-    }
-
     /// Draw a fault kind according to the weights.
     pub fn sample(&self, rng: &mut StdRng) -> FaultKind {
         let total = self.float + self.unguarded_div + self.unknown_ident + self.syntax;
@@ -76,37 +53,6 @@ impl FaultMix {
             x -= w;
         }
         FaultKind::Syntax
-    }
-}
-
-/// Plausible-but-wrong identifiers an LLM hallucinates per template.
-pub(crate) fn fake_idents(mode: Mode) -> &'static [&'static str] {
-    match mode {
-        Mode::Cache => &["obj.frequency", "obj.weight", "cache.pressure", "hist.age", "obj.ttl"],
-        Mode::Kernel => &["rtt_var", "bytes_acked", "queue_len", "cwnd_max", "pacing_rate"],
-        Mode::Lb => &["server.load", "server.cpu", "server.rtt", "req.priority", "fleet.size"],
-        Mode::Aqm => &["q.len", "q.delay", "pkt.priority", "aqm.prob", "link.rate"],
-    }
-}
-
-/// Possibly-zero divisors per template (what a careless candidate divides
-/// by).
-fn risky_divisors(mode: Mode) -> Vec<Feature> {
-    match mode {
-        Mode::Cache => vec![Feature::HistCount, Feature::ObjAge, Feature::CacheObjects],
-        Mode::Kernel => vec![
-            Feature::InflightPkts,
-            Feature::LossEvent,
-            Feature::HistLoss(0),
-            Feature::AckedBytes,
-            Feature::HistQdelay(0),
-        ],
-        Mode::Lb => {
-            vec![Feature::ServerQueueLen, Feature::ServerInflight, Feature::ServerEwmaLatency]
-        }
-        Mode::Aqm => {
-            vec![Feature::QueueBytes, Feature::QueuePkts, Feature::SojournEwmaUs, Feature::AqmDrops]
-        }
     }
 }
 
@@ -135,7 +81,7 @@ pub fn inject(kind: FaultKind, expr: &Expr, mode: Mode, rng: &mut StdRng) -> Str
             policysmith_dsl::to_source(&scaled)
         }
         FaultKind::UnguardedDiv => {
-            let divisors = risky_divisors(mode);
+            let divisors = template(mode).risky_divisors;
             let d = divisors[rng.random_range(0..divisors.len())];
             let n = expr.size();
             let ix = rng.random_range(0..n);
@@ -145,7 +91,7 @@ pub fn inject(kind: FaultKind, expr: &Expr, mode: Mode, rng: &mut StdRng) -> Str
         }
         FaultKind::UnknownIdent => {
             let src = policysmith_dsl::to_source(expr);
-            let fakes = fake_idents(mode);
+            let fakes = template(mode).fake_idents;
             let fake = fakes[rng.random_range(0..fakes.len())];
             // replace the first feature occurrence textually
             match expr.features().first() {
@@ -214,7 +160,7 @@ mod tests {
 
     #[test]
     fn mix_sampling_respects_weights() {
-        let mix = FaultMix::kernel();
+        let mix = template(Mode::Kernel).fault_mix;
         let mut rng = StdRng::seed_from_u64(9);
         let mut counts = [0usize; 4];
         for _ in 0..10_000 {

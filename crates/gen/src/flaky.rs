@@ -1,8 +1,8 @@
 //! A fault-injecting `Generator` wrapper — the *transport*-level analogue
-//! of [`crate::faults`].
+//! of the mock LLM's fault injection.
 //!
-//! `faults` models the LLM hallucinating inside an otherwise successful
-//! response; [`FlakyGen`] models the request itself misbehaving: the
+//! That injection models the LLM hallucinating inside an otherwise
+//! successful response; [`FlakyGen`] models the request itself misbehaving: the
 //! backend returning 5xx/rate-limit errors, stalling past the client
 //! deadline, or answering with garbage that is not even candidate-shaped.
 //! The serving runtime's retry/backoff + watchdog layer is written against

@@ -10,83 +10,42 @@
 //! the way a feedback-prompted LLM does, succeeding with class-dependent
 //! probability.
 
-use crate::faults::{self, inject, FaultMix};
-use crate::motifs;
+use crate::faults::inject;
 use crate::prompt::Prompt;
+use crate::template::{template, Shape, Template};
 use crate::tokens::TokenLedger;
 use policysmith_dsl::{parse, simplify, to_source, BinOp, Expr, ExprKind, ExprRef, Feature, Mode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Tunables of the mock LLM.
+/// Tunables of the mock LLM. Everything else it knows about a template is
+/// that template's row, read from the prompt's mode.
 #[derive(Debug, Clone, Copy)]
 pub struct GenConfig {
     pub seed: u64,
     /// Probability a candidate is corrupted by a fault.
     pub p_fault: f64,
-    /// Probability of a fresh motif remix even when exemplars exist
-    /// (exploration pressure).
-    pub p_explore: f64,
-    /// Max motifs combined into a fresh candidate.
-    pub max_motifs: usize,
-    /// Fault class weights.
-    pub fault_mix: FaultMix,
-    /// Per-class repair success probabilities (float, div, ident, syntax).
-    pub repair_skill: [f64; 4],
 }
 
 impl GenConfig {
-    /// Calibrated for the cache study (§4.1.3: 92% of candidates compiled
-    /// first-pass).
+    /// The cache template's calibrated fault rate.
     pub fn cache_defaults(seed: u64) -> GenConfig {
-        GenConfig {
-            seed,
-            p_fault: 0.08,
-            p_explore: 0.35,
-            max_motifs: 5,
-            fault_mix: FaultMix::cache(),
-            repair_skill: [0.9, 0.6, 0.6, 0.25],
-        }
+        GenConfig { seed, p_fault: template(Mode::Cache).p_fault }
     }
 
-    /// Calibrated for the kernel study (§5.0.3: 63% passed the verifier
-    /// first-try; +19% after stderr feedback).
+    /// The kernel template's calibrated fault rate.
     pub fn kernel_defaults(seed: u64) -> GenConfig {
-        GenConfig {
-            seed,
-            p_fault: 0.37,
-            p_explore: 0.4,
-            max_motifs: 3,
-            fault_mix: FaultMix::kernel(),
-            repair_skill: [0.85, 0.55, 0.5, 0.2],
-        }
+        GenConfig { seed, p_fault: template(Mode::Kernel).p_fault }
     }
 
-    /// Calibrated for the load-balancing study: a userspace template like
-    /// caching (no verifier), so fault rates mirror the cache mix.
+    /// The load-balancing template's calibrated fault rate.
     pub fn lb_defaults(seed: u64) -> GenConfig {
-        GenConfig {
-            seed,
-            p_fault: 0.10,
-            p_explore: 0.4,
-            max_motifs: 4,
-            fault_mix: FaultMix::lb(),
-            repair_skill: [0.9, 0.6, 0.6, 0.25],
-        }
+        GenConfig { seed, p_fault: template(Mode::Lb).p_fault }
     }
 
-    /// Calibrated for the AQM study: a userspace host inside the event
-    /// loop. Fault rates mirror the lb mix; candidates stay small (a
-    /// verdict is a sum of a few gates, not a deep formula).
+    /// The AQM template's calibrated fault rate.
     pub fn aqm_defaults(seed: u64) -> GenConfig {
-        GenConfig {
-            seed,
-            p_fault: 0.10,
-            p_explore: 0.4,
-            max_motifs: 4,
-            fault_mix: FaultMix::aqm(),
-            repair_skill: [0.9, 0.6, 0.6, 0.25],
-        }
+        GenConfig { seed, p_fault: template(Mode::Aqm).p_fault }
     }
 }
 
@@ -144,37 +103,31 @@ impl MockLlm {
         MockLlm { rng: StdRng::seed_from_u64(cfg.seed), cfg, ledger: TokenLedger::default() }
     }
 
-    /// Sum 2..=max_motifs draws from a motif library — the additive remix
-    /// shape shared by the userspace templates (cache priority, lb score).
-    fn additive_remix(&mut self, lib: &[fn(&mut StdRng) -> Expr]) -> Expr {
-        let k = self.rng.random_range(2..=self.cfg.max_motifs.max(2));
-        let mut expr: Option<Expr> = None;
-        for _ in 0..k {
-            let m = lib[self.rng.random_range(0..lib.len())](&mut self.rng);
-            expr = Some(match expr {
-                Some(acc) => Expr::bin(BinOp::Add, acc, m),
-                None => m,
-            });
-        }
-        expr.unwrap()
+    /// One draw from the template's motif library.
+    fn motif(&mut self, t: &Template) -> Expr {
+        t.motifs[self.rng.random_range(0..t.motifs.len())](&mut self.rng)
     }
 
     fn fresh_remix(&mut self, mode: Mode) -> Expr {
-        match mode {
-            Mode::Cache => self.additive_remix(&motifs::cache_motifs()),
-            Mode::Lb => self.additive_remix(&motifs::lb_motifs()),
-            Mode::Aqm => self.additive_remix(&motifs::aqm_motifs()),
-            Mode::Kernel => {
-                // canonical kernel shape: if(loss, backoff, growth-side)
-                let growth_lib = motifs::cc_motifs();
-                let mut growth =
-                    growth_lib[self.rng.random_range(0..growth_lib.len())](&mut self.rng);
+        let t = template(mode);
+        match t.shape {
+            Shape::Summed { max_motifs } => {
+                let k = self.rng.random_range(2..=max_motifs);
+                let mut expr = self.motif(t);
+                for _ in 1..k {
+                    let m = self.motif(t);
+                    expr = Expr::bin(BinOp::Add, expr, m);
+                }
+                expr
+            }
+            Shape::LossGated { backoff } => {
+                let mut growth = self.motif(t);
                 if self.rng.random_bool(0.3) {
                     // nest a second gate
-                    let g2 = growth_lib[self.rng.random_range(0..growth_lib.len())](&mut self.rng);
+                    let g2 = self.motif(t);
                     growth = Expr::ite(feat_gate(&mut self.rng), growth, g2);
                 }
-                let backoff = motifs::cc_backoff(&mut self.rng);
+                let backoff = backoff(&mut self.rng);
                 let body = Expr::ite(Expr::feat(Feature::LossEvent), backoff, growth);
                 if self.rng.random_bool(0.25) {
                     let hi = Expr::int(self.rng.random_range(128..4_096));
@@ -214,38 +167,16 @@ impl MockLlm {
             }
             2 => {
                 // graft a fresh motif in place of a subtree
-                let lib = match mode {
-                    Mode::Cache => motifs::cache_motifs(),
-                    Mode::Kernel => motifs::cc_motifs(),
-                    Mode::Lb => motifs::lb_motifs(),
-                    Mode::Aqm => motifs::aqm_motifs(),
-                };
-                let motif = lib[self.rng.random_range(0..lib.len())](&mut self.rng);
+                let motif = self.motif(template(mode));
                 base.replace_subexpr(ix, &motif)
             }
             _ => {
-                // add a term at the root (userspace) / wrap in a gate (kernel)
-                match mode {
-                    Mode::Cache => {
-                        let lib = motifs::cache_motifs();
-                        let m = lib[self.rng.random_range(0..lib.len())](&mut self.rng);
-                        Expr::bin(BinOp::Add, base.clone(), m)
-                    }
-                    Mode::Lb => {
-                        let lib = motifs::lb_motifs();
-                        let m = lib[self.rng.random_range(0..lib.len())](&mut self.rng);
-                        Expr::bin(BinOp::Add, base.clone(), m)
-                    }
-                    Mode::Aqm => {
-                        let lib = motifs::aqm_motifs();
-                        let m = lib[self.rng.random_range(0..lib.len())](&mut self.rng);
-                        Expr::bin(BinOp::Add, base.clone(), m)
-                    }
-                    Mode::Kernel => {
-                        let lib = motifs::cc_motifs();
-                        let alt = lib[self.rng.random_range(0..lib.len())](&mut self.rng);
-                        Expr::ite(feat_gate(&mut self.rng), base.clone(), alt)
-                    }
+                // add a term at the root (summed) / gate against a motif (loss-gated)
+                let t = template(mode);
+                let m = self.motif(t);
+                match t.shape {
+                    Shape::Summed { .. } => Expr::bin(BinOp::Add, base.clone(), m),
+                    Shape::LossGated { .. } => Expr::ite(feat_gate(&mut self.rng), base.clone(), m),
                 }
             }
         }
@@ -273,8 +204,8 @@ impl MockLlm {
     }
 }
 
-/// A random boolean gate over kernel features, used by the kernel remixer
-/// to nest growth strategies.
+/// A random boolean gate over kernel features, used by the loss-gated
+/// shape to nest growth strategies.
 fn feat_gate(rng: &mut StdRng) -> Expr {
     {
         use policysmith_dsl::CmpOp;
@@ -296,10 +227,11 @@ fn feat_gate(rng: &mut StdRng) -> Expr {
 
 impl Generator for MockLlm {
     fn generate(&mut self, prompt: &Prompt, n: usize) -> Vec<String> {
+        let t = template(prompt.mode);
         let exemplars = self.parsed_exemplars(prompt);
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let expr = if exemplars.is_empty() || self.rng.random_bool(self.cfg.p_explore) {
+            let expr = if exemplars.is_empty() || self.rng.random_bool(t.p_explore) {
                 self.fresh_remix(prompt.mode)
             } else if exemplars.len() >= 2 && self.rng.random_bool(0.3) {
                 let a = &exemplars[self.rng.random_range(0..exemplars.len())];
@@ -311,7 +243,7 @@ impl Generator for MockLlm {
             };
             let expr = simplify(&expr);
             let src = if self.rng.random_bool(self.cfg.p_fault) {
-                let kind = self.cfg.fault_mix.sample(&mut self.rng);
+                let kind = t.fault_mix.sample(&mut self.rng);
                 inject(kind, &expr, prompt.mode, &mut self.rng)
             } else {
                 to_source(&expr)
@@ -327,29 +259,30 @@ impl Generator for MockLlm {
         p.feedback = Some(stderr.to_string());
         let rendered = p.render();
         let err = stderr.to_lowercase();
+        let skill = template(prompt.mode).repair_skill;
 
         let fixed: Option<String> = if err.contains("float") {
-            if !self.rng.random_bool(self.cfg.repair_skill[0]) {
+            if !self.rng.random_bool(skill[0]) {
                 None
             } else {
                 // round every float literal to an integer
                 parse_with_floats_rounded(source)
             }
         } else if err.contains("divisor") || err.contains("division") {
-            if !self.rng.random_bool(self.cfg.repair_skill[1]) {
+            if !self.rng.random_bool(skill[1]) {
                 None
             } else {
                 parse(source).ok().map(|e| to_source(&guard_divisions(&e)))
             }
         } else if err.contains("unknown identifier") {
-            if !self.rng.random_bool(self.cfg.repair_skill[2]) {
+            if !self.rng.random_bool(skill[2]) {
                 None
             } else {
                 replace_unknown_ident(source, prompt.mode, &mut self.rng)
             }
         } else {
             // syntax and the rest: try closing parens
-            if !self.rng.random_bool(self.cfg.repair_skill[3]) {
+            if !self.rng.random_bool(skill[3]) {
                 None
             } else {
                 balance_parens(source)
@@ -379,7 +312,7 @@ fn parse_with_floats_rounded(src: &str) -> Option<String> {
 
 /// Wrap every not-provably-nonzero divisor in `max(.., 1)` — the idiom the
 /// verifier's diagnostics teach (§5.0.3).
-pub fn guard_divisions(e: &Expr) -> Expr {
+fn guard_divisions(e: &Expr) -> Expr {
     fn guard(e: ExprRef<'_>) -> Expr {
         match e.kind() {
             ExprKind::Bin(op @ (BinOp::Div | BinOp::Rem), a, b) => {
@@ -401,7 +334,7 @@ pub fn guard_divisions(e: &Expr) -> Expr {
 fn replace_unknown_ident(src: &str, mode: Mode, rng: &mut StdRng) -> Option<String> {
     // the fakes the injector uses in the cache and kernel templates only
     // (a known gap: an lb or aqm fake is never repaired)
-    let fakes = [Mode::Cache, Mode::Kernel].into_iter().flat_map(faults::fake_idents);
+    let fakes = [Mode::Cache, Mode::Kernel].into_iter().flat_map(|m| template(m).fake_idents);
     let cat = Feature::catalog(mode);
     let replacement = cat[rng.random_range(0..cat.len())].name();
     for fake in fakes {

@@ -7,20 +7,20 @@
 //!
 //! What makes it "LLM-like" rather than a plain mutation engine:
 //!
-//! * **Motif remixing** ([`motifs`]): candidates are assembled from a
-//!   library of domain idioms the caching/CC literature keeps reusing
-//!   (frequency × size ratios, recency penalties, history boosts, AIMD
-//!   backoffs, delay gating, …) — mirroring §2's observation that
-//!   "state-of-the-art heuristics are delicate recombinations of existing
-//!   approaches" and that LLMs remix pretrained patterns.
+//! * **Motif remixing**: candidates are assembled from a library of
+//!   domain idioms the caching/CC literature keeps reusing (frequency ×
+//!   size ratios, recency penalties, history boosts, AIMD backoffs, delay
+//!   gating, …) — mirroring §2's observation that "state-of-the-art
+//!   heuristics are delicate recombinations of existing approaches" and
+//!   that LLMs remix pretrained patterns.
 //! * **Exemplar conditioning**: the prompt carries the best scored
 //!   programs so far (§4.2.1's top-2 feedback); the generator mutates and
 //!   crosses them over, plus keeps exploring fresh combinations.
-//! * **Calibrated hallucination** ([`faults`]): a configurable fraction of
-//!   candidates carries exactly the fault classes the paper reports —
-//!   float literals, unguarded division, unknown identifiers, truncated
-//!   syntax — so the Checker path (and §5.0.3's compile-rate numbers) is
-//!   exercised realistically.
+//! * **Calibrated hallucination**: a calibrated fraction of candidates
+//!   carries exactly the fault classes the paper reports — float
+//!   literals, unguarded division, unknown identifiers, truncated syntax —
+//!   so the Checker path (and §5.0.3's compile-rate numbers) is exercised
+//!   realistically.
 //! * **stderr-driven repair**: given compiler/verifier diagnostics, the
 //!   generator applies the fix an LLM learns from feedback (round floats,
 //!   wrap divisors in `max(.., 1)`, replace hallucinated names), with
@@ -28,12 +28,17 @@
 //!   second pass.
 //! * **Token accounting** ([`tokens`]): prompt and completion sizes are
 //!   metered so the §4.2.6 cost experiment has something to measure.
+//!
+//! Each template's motif library, remix shape, calibration, prompt text
+//! and fault vocabulary is one private row; only the fault rate is a
+//! [`GenConfig`] setting.
 
-pub mod faults;
+mod faults;
 pub mod flaky;
 pub mod generator;
-pub mod motifs;
+mod motifs;
 pub mod prompt;
+mod template;
 pub mod tokens;
 
 pub use flaky::{FlakyConfig, FlakyGen, FlakyStats};

@@ -5,7 +5,8 @@
 //! "delicate recombinations and improvements of existing approaches" and
 //! that LLMs are effective precisely because they remix these recurring
 //! structures. Each function below is one such structure with randomized
-//! constants; the generator sums/nests them into candidates.
+//! constants; each template's row lists its library, and the generator
+//! sums or nests them into candidates by the row's shape.
 
 use policysmith_dsl::{BinOp, CmpOp, Expr, Feature};
 use rand::RngExt;
@@ -109,20 +110,6 @@ pub fn cache_cold_penalty(rng: &mut impl RngExt) -> Expr {
         -int(scale(rng, 5, 60)),
         int(0),
     )
-}
-
-/// All cache motif constructors.
-pub fn cache_motifs() -> Vec<fn(&mut rand::rngs::StdRng) -> Expr> {
-    vec![
-        cache_recency,
-        cache_frequency,
-        cache_gdsf_ratio,
-        cache_size_penalty,
-        cache_history_boost,
-        cache_percentile_gate,
-        cache_fresh_bonus,
-        cache_cold_penalty,
-    ]
 }
 
 // --------------------------------------------------------------- kernel --
@@ -232,11 +219,6 @@ pub fn cc_loss_memory(rng: &mut impl RngExt) -> Expr {
     )
 }
 
-/// All kernel growth-side motifs (the loss side is [`cc_backoff`]).
-pub fn cc_motifs() -> Vec<fn(&mut rand::rngs::StdRng) -> Expr> {
-    vec![cc_growth, cc_delay_gate, cc_rate_target, cc_hist_trend, cc_loss_memory]
-}
-
 // ------------------------------------------------------------------- lb --
 //
 // Dispatch-scoring idioms from the load-balancing literature. Scores are
@@ -310,19 +292,6 @@ pub fn lb_queue_gate(rng: &mut impl RngExt) -> Expr {
         int(scale(rng, 10_000, 1_000_000)),
         int(0),
     )
-}
-
-/// All lb scoring motifs.
-pub fn lb_motifs() -> Vec<fn(&mut rand::rngs::StdRng) -> Expr> {
-    vec![
-        lb_queue_len,
-        lb_normalized_load,
-        lb_size_cost,
-        lb_latency_signal,
-        lb_inflight_penalty,
-        lb_work_left,
-        lb_queue_gate,
-    ]
 }
 
 // ------------------------------------------------------------------ aqm --
@@ -407,122 +376,25 @@ pub fn aqm_depth_escalation(rng: &mut impl RngExt) -> Expr {
     )
 }
 
-/// All aqm verdict motifs.
-pub fn aqm_motifs() -> Vec<fn(&mut rand::rngs::StdRng) -> Expr> {
-    vec![
-        aqm_sojourn_gate,
-        aqm_delay_estimate_gate,
-        aqm_occupancy_gate,
-        aqm_ewma_gate,
-        aqm_spacing_guard,
-        aqm_short_queue_guard,
-        aqm_depth_escalation,
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use policysmith_dsl::{check, Mode};
+    use crate::template::template;
+    use policysmith_dsl::Mode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn cache_motifs_are_checker_clean() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for f in cache_motifs() {
-            for _ in 0..20 {
-                let e = f(&mut rng);
-                check(&e, Mode::Cache).unwrap_or_else(|err| {
-                    panic!("cache motif produced invalid expr: {err}\n{:?}", e)
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_motifs_pass_the_full_pipeline() {
-        use policysmith_kbpf_smoke::*;
-        let mut rng = StdRng::seed_from_u64(11);
-        for f in cc_motifs().into_iter().chain([cc_backoff as fn(&mut StdRng) -> Expr]) {
-            for _ in 0..20 {
-                let e = f(&mut rng);
-                check(&e, Mode::Kernel).unwrap();
-                smoke_verify(&e);
-            }
-        }
-    }
-
-    /// Minimal inline verify helper (gen does not depend on kbpf; this is a
-    /// structural stand-in asserting the guard discipline instead).
-    mod policysmith_kbpf_smoke {
-        pub use policysmith_dsl::Expr;
-
-        pub fn smoke_verify(e: &Expr) {
-            // every division's divisor must be syntactically nonzero —
-            // that is exactly what the kbpf verifier will prove with
-            // intervals, and motifs must satisfy it by construction
-            let report = policysmith_dsl::check_with_warnings(
-                e,
-                policysmith_dsl::Mode::Kernel,
-                usize::MAX,
-                usize::MAX,
-            );
-            assert!(
-                report.warnings.is_empty(),
-                "motif has unguarded division: {}",
-                policysmith_dsl::to_source(e)
-            );
-        }
-    }
-
-    #[test]
-    fn lb_motifs_are_checker_clean() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for f in lb_motifs() {
-            for _ in 0..20 {
-                let e = f(&mut rng);
-                check(&e, Mode::Lb)
-                    .unwrap_or_else(|err| panic!("lb motif produced invalid expr: {err}\n{:?}", e));
-                let report =
-                    policysmith_dsl::check_with_warnings(&e, Mode::Lb, usize::MAX, usize::MAX);
-                assert!(
-                    report.warnings.is_empty(),
-                    "lb motif has unguarded division: {}",
-                    policysmith_dsl::to_source(&e)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn aqm_motifs_are_checker_clean() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for f in aqm_motifs() {
-            for _ in 0..20 {
-                let e = f(&mut rng);
-                check(&e, Mode::Aqm)
-                    .unwrap_or_else(|err| panic!("aqm motif produced invalid expr: {err}\n{e:?}"));
-                let report =
-                    policysmith_dsl::check_with_warnings(&e, Mode::Aqm, usize::MAX, usize::MAX);
-                assert!(
-                    report.warnings.is_empty(),
-                    "aqm motif has unguarded division: {}",
-                    policysmith_dsl::to_source(&e)
-                );
-            }
-        }
-    }
 
     #[test]
     fn motifs_are_deterministic_per_seed() {
         let a: Vec<String> = {
             let mut rng = StdRng::seed_from_u64(3);
-            cache_motifs().iter().map(|f| policysmith_dsl::to_source(&f(&mut rng))).collect()
+            let motifs = template(Mode::Cache).motifs;
+            motifs.iter().map(|f| policysmith_dsl::to_source(&f(&mut rng))).collect()
         };
         let b: Vec<String> = {
             let mut rng = StdRng::seed_from_u64(3);
-            cache_motifs().iter().map(|f| policysmith_dsl::to_source(&f(&mut rng))).collect()
+            let motifs = template(Mode::Cache).motifs;
+            motifs.iter().map(|f| policysmith_dsl::to_source(&f(&mut rng))).collect()
         };
         assert_eq!(a, b);
     }

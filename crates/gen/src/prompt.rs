@@ -7,6 +7,7 @@
 //! structure (and render it to real text, because the §4.2.6 token ledger
 //! meters prompt size).
 
+use crate::template::template;
 use policysmith_dsl::{Feature, Mode};
 
 /// A scored example program fed back into the next round (§4.2.1: "the top
@@ -20,7 +21,8 @@ pub struct Exemplar {
 /// Everything handed to the Generator for one batch.
 #[derive(Debug, Clone)]
 pub struct Prompt {
-    /// Which template (cache `priority()` vs kernel `cong_control()`).
+    /// Which template: cache `priority()`, kernel `cong_control()`, lb
+    /// `score()` or aqm `act()`.
     pub mode: Mode,
     /// Natural-language constraints (§3: allowed constructs, performance
     /// requirements).
@@ -32,33 +34,14 @@ pub struct Prompt {
 }
 
 impl Prompt {
-    /// Fresh prompt for a template mode with the default constraint text.
+    /// Fresh prompt for a template mode with its row's constraint text.
     pub fn new(mode: Mode) -> Self {
-        let constraints = match mode {
-            Mode::Cache => "Implement priority(obj) for a priority-queue web cache. \
-                 Integer arithmetic only. The lowest-priority object is evicted. \
-                 Guard divisions against zero. O(log N) per access."
-                .to_string(),
-            Mode::Kernel => "Implement cong_control() returning the new cwnd in segments. \
-                 Kernel constraints: no floating point, no unbounded loops, all \
-                 divisions must be provably nonzero (the verifier rejects otherwise)."
-                .to_string(),
-            Mode::Lb => "Implement score(server, req) for a dispatch-tier load balancer. \
-                 The expression is evaluated once per server; the request is sent to \
-                 the LOWEST-scoring server (argmin, ties break to the lower index). \
-                 Integer arithmetic only. Guard divisions against zero — \
-                 server.speed and req.size are never zero, the other features can be. \
-                 O(1) per server per dispatch."
-                .to_string(),
-            Mode::Aqm => "Implement act(pkt, q) for an active-queue-management policy at \
-                 the bottleneck's dequeue hook. The returned value is a VERDICT: \
-                 <= 0 forwards the packet, == 1 ECN-marks it, >= 2 drops it. \
-                 Integer arithmetic only. Guard divisions against zero — pkt.size, \
-                 q.capacity and q.drain_rate are never zero, the other features \
-                 can be. One decision per packet at line rate, so O(1)."
-                .to_string(),
-        };
-        Prompt { mode, constraints, exemplars: Vec::new(), feedback: None }
+        Prompt {
+            mode,
+            constraints: template(mode).constraints.to_string(),
+            exemplars: Vec::new(),
+            feedback: None,
+        }
     }
 
     /// Replace the exemplar set (best first).
