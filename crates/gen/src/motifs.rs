@@ -379,10 +379,57 @@ pub fn aqm_depth_escalation(rng: &mut impl RngExt) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::template;
-    use policysmith_dsl::Mode;
+    use crate::template::{template, Shape};
+    use policysmith_dsl::{check_with_warnings, to_source, Mode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Draws every motif of `mode`'s row (the kernel row's loss-side
+    /// backoff included) 20 times and holds each draw checker-clean with
+    /// no unguarded division.
+    fn assert_row_motifs_clean(mode: Mode, seed: u64) {
+        let row = template(mode);
+        let backoff = match row.shape {
+            Shape::LossGated { backoff } => Some(backoff),
+            Shape::Summed { .. } => None,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        for f in row.motifs.iter().copied().chain(backoff) {
+            for _ in 0..20 {
+                let e = f(&mut rng);
+                // every divisor must be provably nonzero: the kbpf
+                // verifier proves that with intervals, and a motif
+                // must satisfy it by construction
+                let report = check_with_warnings(&e, mode, usize::MAX, usize::MAX);
+                assert!(
+                    report.ok() && report.warnings.is_empty(),
+                    "{mode:?} motif `{}`: {report:?}",
+                    to_source(&e)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cache_motifs_are_checker_clean() {
+        assert_row_motifs_clean(Mode::Cache, 7);
+    }
+
+    #[test]
+    fn kernel_motifs_pass_the_full_pipeline() {
+        assert!(matches!(template(Mode::Kernel).shape, Shape::LossGated { .. }));
+        assert_row_motifs_clean(Mode::Kernel, 11);
+    }
+
+    #[test]
+    fn lb_motifs_are_checker_clean() {
+        assert_row_motifs_clean(Mode::Lb, 13);
+    }
+
+    #[test]
+    fn aqm_motifs_are_checker_clean() {
+        assert_row_motifs_clean(Mode::Aqm, 17);
+    }
 
     #[test]
     fn motifs_are_deterministic_per_seed() {
