@@ -380,13 +380,15 @@ pub fn aqm_depth_escalation(rng: &mut impl RngExt) -> Expr {
 mod tests {
     use super::*;
     use crate::template::{template, Shape};
+    use policysmith_dsl::check::{DEFAULT_MAX_DEPTH, DEFAULT_MAX_SIZE};
     use policysmith_dsl::{check_with_warnings, to_source, Mode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Draws every motif of `mode`'s row (the kernel row's loss-side
-    /// backoff included) 20 times and holds each draw checker-clean with
-    /// no unguarded division.
+    /// backoff included) 20 times and holds each draw checker-clean
+    /// within `check`'s default size and depth budgets, with no unguarded
+    /// division.
     fn assert_row_motifs_clean(mode: Mode, seed: u64) {
         let row = template(mode);
         let backoff = match row.shape {
@@ -400,7 +402,7 @@ mod tests {
                 // every divisor must be provably nonzero: the kbpf
                 // verifier proves that with intervals, and a motif
                 // must satisfy it by construction
-                let report = check_with_warnings(&e, mode, usize::MAX, usize::MAX);
+                let report = check_with_warnings(&e, mode, DEFAULT_MAX_SIZE, DEFAULT_MAX_DEPTH);
                 assert!(
                     report.ok() && report.warnings.is_empty(),
                     "{mode:?} motif `{}`: {report:?}",
