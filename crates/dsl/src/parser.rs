@@ -573,6 +573,76 @@ mod tests {
         }
     }
 
+    // Error precedence. The whole source is lexed before anything is
+    // parsed, so a lex error anywhere beats every parse error, wherever
+    // the parser would have stopped.
+
+    #[test]
+    fn a_lex_error_after_a_syntax_error_wins() {
+        assert_eq!(parse("1 + + $"), Err(ParseError::UnexpectedChar { pos: 6, ch: '$' }));
+        assert_eq!(
+            parse("1 + + 2"),
+            Err(ParseError::UnexpectedToken {
+                pos: 4,
+                found: "+".into(),
+                expected: "an expression"
+            })
+        );
+    }
+
+    #[test]
+    fn a_lex_error_after_an_unknown_identifier_wins() {
+        assert_eq!(parse("foo.bar é"), Err(ParseError::UnexpectedChar { pos: 8, ch: 'é' }));
+        assert_eq!(
+            parse("foo.bar 2"),
+            Err(ParseError::UnknownIdentifier { pos: 0, name: "foo.bar".into() })
+        );
+    }
+
+    #[test]
+    fn a_stray_character_inside_80_deep_parens_beats_the_depth_budget() {
+        let nest = |inner: &str| format!("{}{inner}{}", "(".repeat(80), ")".repeat(80));
+        assert_eq!(
+            parse(&nest("obj.count $ 1")),
+            Err(ParseError::UnexpectedChar { pos: 90, ch: '$' })
+        );
+        // without it, the depth budget runs out 32 parens in: an `expr`
+        // and a `unary` per level, and one more of each at the top
+        assert_eq!(parse(&nest("obj.count + 1")), Err(ParseError::TooDeep { pos: 32 }));
+    }
+
+    #[test]
+    fn the_2049th_link_of_a_chain_is_too_deep_at_its_operator() {
+        // `obj.count` is 9 bytes and every ` + 1` 4, so the k-th `+` is at 4k + 6
+        assert_eq!(parse(&chain("+", 2_049)), Err(ParseError::TooDeep { pos: 8_202 }));
+        let with_stray = format!("{} $", chain("+", 2_049));
+        assert_eq!(parse(&with_stray), Err(ParseError::UnexpectedChar { pos: 8_206, ch: '$' }));
+    }
+
+    #[test]
+    fn a_depth_error_reports_the_next_token_or_byte_0_at_the_end() {
+        // the 63rd `-` opens the 65th level: `expr`, then a `unary` per `-`
+        // and one for the operand
+        assert_eq!(parse(&"-".repeat(64)), Err(ParseError::TooDeep { pos: 63 }));
+        assert_eq!(parse(&"-".repeat(63)), Err(ParseError::TooDeep { pos: 0 }));
+        assert_eq!(
+            parse(&"-".repeat(62)),
+            Err(ParseError::UnexpectedEof { expected: "an expression" })
+        );
+    }
+
+    #[test]
+    fn ternaries_and_calls_charge_a_level_per_nested_expr() {
+        let else_chain = |k: usize| format!("{}3", "1 ? 2 : ".repeat(k));
+        assert!(parse(&else_chain(62)).is_ok());
+        assert_eq!(parse(&else_chain(63)), Err(ParseError::TooDeep { pos: 500 }));
+        let then_chain = |k: usize| format!("{}3{}", "1 ? ".repeat(k), " : 2".repeat(k));
+        assert!(parse(&then_chain(62)).is_ok());
+        assert_eq!(parse(&then_chain(63)), Err(ParseError::TooDeep { pos: 252 }));
+        let calls = format!("{}1{}", "min(".repeat(40), ", 2)".repeat(40));
+        assert_eq!(parse(&calls), Err(ParseError::TooDeep { pos: 128 }));
+    }
+
     proptest! {
         /// The contract on `parse`: whatever it accepts is shallow enough
         /// to walk recursively. Chains of every level, stacked on one left
