@@ -5,10 +5,12 @@
 //! the parse-error fault class ("plausible yet non-conforming code", §3)
 //! is realistic.
 //!
-//! Every candidate passes through here, so the lexer allocates nothing but
-//! the token vector, reserved once from the source length: a token is a
-//! kind and a byte span, and the parser reads a literal's or identifier's
-//! text from the source it borrows.
+//! Every candidate passes through here, so the lexer allocates nothing: the
+//! parser pulls one token at a time from a [`Lexer`], a token is a kind and
+//! a byte span, and the parser reads a literal's or identifier's text from
+//! the source it borrows. A lex error anywhere in a source beats any parse
+//! error in it, so a parser that stops early lexes the rest
+//! ([`Lexer::rest`]) before it reports.
 //! Generator output is hostile bytes; a character no token starts with is
 //! reported whole, multibyte or not, at its byte offset.
 
@@ -63,90 +65,169 @@ pub enum TokenKind {
     OrOr,
     Shl,
     Shr,
+    /// A character no token starts with: a lex error.
+    Stray,
+    /// Past the last token: the end of the source.
+    End,
 }
 
-/// Tokenize `src`. Whitespace (including newlines) separates tokens and is
-/// otherwise ignored; `//` comments run to end of line.
-pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
-    use TokenKind::*;
-    let bytes = src.as_bytes();
-    let at = |i: usize| bytes.get(i).copied();
-    let run_end = |mut i: usize, f: fn(&u8) -> bool| {
-        while bytes.get(i).is_some_and(f) {
-            i += 1;
-        }
-        i
-    };
-    // a token per two bytes: spaced source (`x * y`) never regrows the
-    // vector, and source with a token in every byte regrows it once
-    let mut out = Vec::with_capacity(src.len() / 2 + 1);
-    let mut i = 0;
-    while i < bytes.len() {
-        let pos = i;
-        let next = at(i + 1);
-        let (kind, len) = match bytes[i] {
-            b' ' | b'\t' | b'\r' | b'\n' => {
-                i += 1;
-                continue;
-            }
-            b'/' if next == Some(b'/') => {
-                i = run_end(i, |&b| b != b'\n');
-                continue;
-            }
-            b'0'..=b'9' => {
-                let end = run_end(i, u8::is_ascii_digit);
-                // A '.' is part of the number only when followed by a digit,
-                // so `counts.p50` style paths never collide with floats.
-                if at(end) == Some(b'.') && at(end + 1).is_some_and(|b| b.is_ascii_digit()) {
-                    (Float, run_end(end + 1, u8::is_ascii_digit) - i)
-                } else {
-                    (Int, end - i)
-                }
-            }
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                (Ident, run_end(i, |&b| b.is_ascii_alphanumeric() || b == b'_') - i)
-            }
-            b'+' => (Plus, 1),
-            b'-' => (Minus, 1),
-            b'*' => (Star, 1),
-            b'/' => (Slash, 1),
-            b'%' => (Percent, 1),
-            b'(' => (LParen, 1),
-            b')' => (RParen, 1),
-            b'[' => (LBracket, 1),
-            b']' => (RBracket, 1),
-            b',' => (Comma, 1),
-            b'.' => (Dot, 1),
-            b'?' => (Question, 1),
-            b':' => (Colon, 1),
-            b'!' if next == Some(b'=') => (Ne, 2),
-            b'!' => (Bang, 1),
-            b'<' if next == Some(b'=') => (Le, 2),
-            b'<' if next == Some(b'<') => (Shl, 2),
-            b'<' => (Lt, 1),
-            b'>' if next == Some(b'=') => (Ge, 2),
-            b'>' if next == Some(b'>') => (Shr, 2),
-            b'>' => (Gt, 1),
-            b'=' if next == Some(b'=') => (EqEq, 2),
-            b'&' if next == Some(b'&') => (AndAnd, 2),
-            b'|' if next == Some(b'|') => (OrOr, 2),
-            _ => {
-                // Tokens, whitespace and comments all end on ASCII bytes, so
-                // `pos` starts a char: report that char, not its first byte.
-                let ch = src[pos..].chars().next().expect("pos < src.len() is a char boundary");
-                return Err(ParseError::UnexpectedChar { pos, ch });
-            }
-        };
-        i += len;
-        out.push(Token { kind, pos, end: i });
+/// Pulls the tokens of one source, one at a time, as the parser asks for
+/// them. Whitespace (including newlines) separates tokens and is otherwise
+/// ignored; `//` comments run to end of line.
+#[derive(Debug, Clone)]
+pub struct Lexer<'s> {
+    src: &'s str,
+    /// Where the next token's search starts.
+    i: usize,
+}
+
+/// Bytes that continue an identifier: `[A-Za-z0-9_]`.
+static WORD: [bool; 256] = {
+    let mut t = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = (b as u8).is_ascii_alphanumeric() || b == b'_' as usize;
+        b += 1;
     }
-    Ok(out)
+    t
+};
+
+/// The end of the run of bytes from `i` on that `keep` accepts.
+#[inline(always)]
+fn run_end(bytes: &[u8], mut i: usize, keep: impl Fn(u8) -> bool) -> usize {
+    while i < bytes.len() && keep(bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
+impl<'s> Lexer<'s> {
+    pub fn new(src: &'s str) -> Lexer<'s> {
+        Lexer { src, i: 0 }
+    }
+
+    /// The next token. Past the last one, an [`TokenKind::End`] token at
+    /// the source's length; at a character no token starts with, a
+    /// [`TokenKind::Stray`] token at it. The lexer stops at either, and
+    /// returns it as often as asked.
+    #[inline(always)]
+    pub fn next_token(&mut self) -> Token {
+        use TokenKind::*;
+        let bytes = self.src.as_bytes();
+        let digit = |b: u8| b.is_ascii_digit();
+        let mut i = self.i;
+        loop {
+            let Some(&b) = bytes.get(i) else {
+                self.i = i;
+                return Token { kind: End, pos: i, end: i };
+            };
+            let two = |second: u8, pair: TokenKind, single: TokenKind| {
+                if bytes.get(i + 1) == Some(&second) {
+                    (pair, 2)
+                } else {
+                    (single, 1)
+                }
+            };
+            let (kind, len) = match b {
+                b' ' | b'\t' | b'\r' | b'\n' => {
+                    i += 1;
+                    continue;
+                }
+                b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                    i = run_end(bytes, i + 2, |b| b != b'\n');
+                    continue;
+                }
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                    (Ident, run_end(bytes, i + 1, |b| WORD[b as usize]) - i)
+                }
+                b'0'..=b'9' => {
+                    let end = run_end(bytes, i + 1, digit);
+                    // A '.' is part of the number only when followed by a
+                    // digit, so `counts.p50` style paths never collide with
+                    // floats.
+                    if bytes.get(end) == Some(&b'.')
+                        && bytes.get(end + 1).is_some_and(|&b| digit(b))
+                    {
+                        (Float, run_end(bytes, end + 2, digit) - i)
+                    } else {
+                        (Int, end - i)
+                    }
+                }
+                b'+' => (Plus, 1),
+                b'-' => (Minus, 1),
+                b'*' => (Star, 1),
+                b'/' => (Slash, 1),
+                b'%' => (Percent, 1),
+                b'(' => (LParen, 1),
+                b')' => (RParen, 1),
+                b'[' => (LBracket, 1),
+                b']' => (RBracket, 1),
+                b',' => (Comma, 1),
+                b'.' => (Dot, 1),
+                b'?' => (Question, 1),
+                b':' => (Colon, 1),
+                b'!' => two(b'=', Ne, Bang),
+                b'<' if bytes.get(i + 1) == Some(&b'<') => (Shl, 2),
+                b'<' => two(b'=', Le, Lt),
+                b'>' if bytes.get(i + 1) == Some(&b'>') => (Shr, 2),
+                b'>' => two(b'=', Ge, Gt),
+                b'=' => two(b'=', EqEq, Stray),
+                b'&' => two(b'&', AndAnd, Stray),
+                b'|' => two(b'|', OrOr, Stray),
+                _ => (Stray, 0),
+            };
+            if kind == Stray {
+                self.i = i;
+                return Token { kind, pos: i, end: i };
+            }
+            let end = i + len;
+            // step over one following space without a branch: generated
+            // source is spaced (`x * y`), and whether a token is followed
+            // by one is a coin flip for the branch predictor
+            self.i = end + usize::from(bytes.get(end) == Some(&b' '));
+            return Token { kind, pos: i, end };
+        }
+    }
+
+    /// The lex error at or after the lexer's position: the first
+    /// character from there on that starts no token.
+    pub fn error_in_rest(&mut self) -> Option<ParseError> {
+        loop {
+            match self.next_token() {
+                t if t.kind == TokenKind::Stray => return Some(self.error_at(t.pos)),
+                t if t.kind == TokenKind::End => return None,
+                _ => {}
+            }
+        }
+    }
+
+    /// The error for the character at `pos`, which starts no token.
+    #[cold]
+    fn error_at(&self, pos: usize) -> ParseError {
+        // Tokens, whitespace and comments all end on ASCII bytes, so `pos`
+        // starts a char: report that char, not its first byte.
+        let ch = self.src[pos..].chars().next().expect("pos < src.len() is a char boundary");
+        ParseError::UnexpectedChar { pos, ch }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::TokenKind::*;
     use super::*;
+
+    /// Every token of `src`, or its first lex error.
+    fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
+        let mut lexer = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            match lexer.next_token() {
+                t if t.kind == End => return Ok(out),
+                t if t.kind == Stray => return Err(lexer.error_in_rest().unwrap()),
+                t => out.push(t),
+            }
+        }
+    }
 
     /// Each token's kind and text.
     fn toks(src: &str) -> Vec<(TokenKind, &str)> {
@@ -221,6 +302,24 @@ mod tests {
         assert_eq!(err, ParseError::UnexpectedChar { pos: 10, ch: 'é' });
         assert_eq!(err.to_string(), "error: unexpected character `é` at byte 10");
         assert_eq!(lex("// µs\n😀"), Err(ParseError::UnexpectedChar { pos: 7, ch: '😀' }));
+    }
+
+    #[test]
+    fn the_lexer_stops_at_the_end_or_a_stray_and_finds_a_later_one() {
+        let mut lexer = Lexer::new("ab // c");
+        assert_eq!(lexer.next_token().kind, Ident);
+        for _ in 0..2 {
+            assert_eq!(lexer.next_token(), Token { kind: End, pos: 7, end: 7 });
+        }
+        assert_eq!(lexer.error_in_rest(), None);
+        let mut lexer = Lexer::new("a $ b");
+        assert_eq!(lexer.next_token().kind, Ident);
+        for _ in 0..2 {
+            assert_eq!(lexer.next_token(), Token { kind: Stray, pos: 2, end: 2 });
+        }
+        let mut lexer = Lexer::new("a + b = c");
+        assert_eq!(lexer.next_token().kind, Ident);
+        assert_eq!(lexer.error_in_rest(), Some(ParseError::UnexpectedChar { pos: 6, ch: '=' }));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Recursive-descent parser for heuristic source.
+//! Parser for heuristic source: one precedence-climbing loop over an
+//! explicit stack.
 //!
 //! Grammar (C-like precedence, lowest first):
 //!
@@ -21,22 +22,32 @@
 //! Feature names resolve eagerly: `obj.count`, `ages.p75`, `hist_rtt[3]`, …
 //! Unknown identifiers are parse errors (the "hallucinated API" fault class).
 //!
-//! The seven binary levels (`or` … `mul`) are one operator table and one
-//! loop. What `parse` accepts is safe to walk recursively: nesting is
-//! bounded by [`MAX_PARSE_DEPTH`] and the binary chains, which nest the
-//! *tree* without nesting the parser, by a per-source link budget.
+//! The parser does not recurse. Whatever waits for an operand or an `expr`
+//! to finish — an operator, a prefix, a `(`, a call's argument, a ternary's
+//! branch — is a [`Frame`] on one stack, and the seven binary levels
+//! (`or` … `mul`) are one operator table: an operator folds every waiting
+//! operator at least as tight as itself before it waits for its own right
+//! operand. Tokens are pulled from the [`Lexer`] as the loop needs them;
+//! a lex error anywhere still beats any parse error, because a parse that
+//! stops early lexes the rest of the source before it reports.
+//!
+//! What `parse` accepts is safe to walk recursively: nesting is bounded by
+//! [`MAX_PARSE_DEPTH`] and the binary chains, which nest the *tree* without
+//! nesting an `expr`, by a per-source link budget. The nesting count is the
+//! grammar's: one level for each open `expr`, one for each open `unary`
+//! (an operand, plus one per prefix).
 
 use crate::ast::{BinOp, Builder, CmpOp, Expr};
 use crate::error::ParseError;
 use crate::feature::Feature;
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Lexer, Token, TokenKind};
 
 /// Maximum expression nesting the parser will accept. Protects against both
 /// stack overflow and pathological generated candidates.
 pub const MAX_PARSE_DEPTH: usize = 64;
 
 /// Maximum binary-operator links (`a + b` is one) in one source. A
-/// left-associative chain is built by a loop, so [`MAX_PARSE_DEPTH`] never
+/// left-associative chain nests no `expr`, so [`MAX_PARSE_DEPTH`] never
 /// sees it, yet every link is one more level of tree for the recursive
 /// walks — `to_source`, `simplify`, `eval`, the lowerer — and 40 000 of
 /// them overflow a 2 MiB stack, which aborts the process. (Dropping a tree
@@ -48,34 +59,65 @@ const MAX_PARSE_LINKS: usize = 2_048;
 /// Parse a complete heuristic expression. The whole input must be consumed.
 ///
 /// Every `Ok(e)` has `e.depth() <= MAX_PARSE_DEPTH + 2_048`: each node on a
-/// root-to-leaf path is either made by its own nested `expr`/`unary` call
-/// or is one of the source's binary links, and both are budgeted.
+/// root-to-leaf path is either made by its own nesting level (an `expr` or
+/// a `unary`) or is one of the source's binary links, and both are
+/// budgeted.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(src)?;
-    // every node but a folded `-literal`'s consumes a token of its own
-    let tree = Builder::with_capacity(tokens.len());
-    let mut p = Parser { src, tokens, i: 0, depth: 0, links: 0, tree };
-    p.expr()?;
-    if let Some(t) = p.peek() {
-        return Err(p.unexpected(t, "end of input"));
+    let mut lexer = Lexer::new(src);
+    let tok = lexer.next_token();
+    // about one node per 4 bytes of generated source; a longer one regrows
+    let mut tree = Builder::with_capacity(src.len() / 4 + 4);
+    let mut p = Parser { src, lexer, tok, depth: 0, links: 0 };
+    match p.run(&mut tree, &mut Vec::with_capacity(16)) {
+        Ok(()) => Ok(tree.finish()),
+        // The lexer stops at a stray character, and the parse stops at
+        // the first token it cannot use, a stray included: a lex error
+        // there or later in the source beats the parse error.
+        Err(e) => Err(p.lexer.clone().error_in_rest().unwrap_or(e)),
     }
-    Ok(p.tree.finish())
 }
 
-/// The parser borrows the source: tokens are spans into it, and only an
-/// error or an out-of-range literal copies text out. Each rule appends its
-/// subtree to `tree`, operands before their operator.
+/// The parser's cursor. It borrows the source: tokens are spans into it,
+/// and only an error or an out-of-range literal copies text out. Every
+/// subtree is appended to the [`Builder`] when it is complete, operands
+/// before their operator; what waits is on the [`Frame`] stack. Both are
+/// kept apart from the cursor, whose fields then stay in registers.
 struct Parser<'s> {
     src: &'s str,
-    tokens: Vec<Token>,
-    i: usize,
+    lexer: Lexer<'s>,
+    /// The next token, not yet consumed.
+    tok: Token,
+    /// Open nesting levels: `expr`s and `unary`s.
     depth: usize,
     /// Binary links built so far, over the whole source.
     links: usize,
-    tree: Builder,
+}
+
+/// Something that waits for the operand or `expr` above it on the stack.
+/// Each `start` is where the frame's subtree begins in the tree.
+#[derive(Clone, Copy)]
+enum Frame {
+    /// An `expr` parsing its condition (or only) chain.
+    Expr { start: usize },
+    /// An `expr` past its `?`, waiting for its then-branch.
+    Then { start: usize },
+    /// An `expr` past its `:`, waiting for its else-branch.
+    Else { start: usize },
+    /// A binary operator waiting for its right operand; `start` is its
+    /// left operand's.
+    Op { op: Infix, level: u8, start: usize },
+    /// A prefix `-` waiting for its operand.
+    Neg { start: usize },
+    /// A prefix `!` waiting for its operand.
+    Not { start: usize },
+    /// A `(` waiting for its `expr`.
+    Paren { start: usize },
+    /// An intrinsic call waiting for its next argument; `args` are done.
+    Call { f: Intrinsic, pos: usize, start: usize, args: usize },
 }
 
 /// The node a binary operator token builds.
+#[derive(Clone, Copy)]
 enum Infix {
     Bin(BinOp),
     Cmp(CmpOp),
@@ -105,242 +147,385 @@ fn infix(kind: TokenKind) -> Option<(u8, Infix)> {
     })
 }
 
-impl<'s> Parser<'s> {
-    fn peek(&self) -> Option<Token> {
-        self.tokens.get(self.i).copied()
+/// An intrinsic function.
+#[derive(Clone, Copy)]
+enum Intrinsic {
+    Abs,
+    Min,
+    Max,
+    Clamp,
+    If,
+}
+
+impl Intrinsic {
+    fn named(name: &str) -> Option<Intrinsic> {
+        Some(match name {
+            "abs" => Intrinsic::Abs,
+            "min" => Intrinsic::Min,
+            "max" => Intrinsic::Max,
+            "clamp" => Intrinsic::Clamp,
+            "if" => Intrinsic::If,
+            _ => return None,
+        })
     }
 
-    fn peek_is(&self, kind: TokenKind) -> bool {
-        self.peek().is_some_and(|t| t.kind == kind)
-    }
-
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.peek();
-        if t.is_some() {
-            self.i += 1;
+    fn name(self) -> &'static str {
+        match self {
+            Intrinsic::Abs => "abs",
+            Intrinsic::Min => "min",
+            Intrinsic::Max => "max",
+            Intrinsic::Clamp => "clamp",
+            Intrinsic::If => "if",
         }
+    }
+
+    fn arity(self) -> usize {
+        match self {
+            Intrinsic::Abs => 1,
+            Intrinsic::Min | Intrinsic::Max => 2,
+            Intrinsic::Clamp | Intrinsic::If => 3,
+        }
+    }
+}
+
+impl<'s> Parser<'s> {
+    /// Consume the next token and pull the one after it.
+    #[inline(always)]
+    fn bump(&mut self) -> Token {
+        let t = self.tok;
+        self.tok = self.lexer.next_token();
         t
     }
 
-    fn eat(&mut self, kind: TokenKind) -> bool {
-        let hit = self.peek_is(kind);
-        if hit {
-            self.i += 1;
-        }
-        hit
-    }
-
+    #[inline(always)]
     fn text(&self, t: Token) -> &'s str {
         t.text(self.src)
     }
 
+    /// The error for a token the grammar does not allow where it is.
+    #[inline(always)]
     fn unexpected(&self, t: Token, expected: &'static str) -> ParseError {
-        ParseError::UnexpectedToken { pos: t.pos, found: self.text(t).to_string(), expected }
+        unexpected(self.src, t, expected)
     }
 
+    #[inline(always)]
     fn expect(&mut self, kind: TokenKind, what: &'static str) -> Result<Token, ParseError> {
-        match self.bump() {
-            Some(t) if t.kind == kind => Ok(t),
-            Some(t) => Err(self.unexpected(t, what)),
-            None => Err(ParseError::UnexpectedEof { expected: what }),
+        let t = self.bump();
+        if t.kind != kind {
+            return Err(self.unexpected(t, what));
         }
+        Ok(t)
     }
 
+    /// Open a nesting level, charged to the next token (byte 0 at the end).
+    #[inline(always)]
     fn enter(&mut self) -> Result<(), ParseError> {
         self.depth += 1;
         if self.depth > MAX_PARSE_DEPTH {
-            let pos = self.peek().map(|t| t.pos).unwrap_or(0);
+            let pos = if self.tok.kind == TokenKind::End { 0 } else { self.tok.pos };
             return Err(ParseError::TooDeep { pos });
         }
         Ok(())
     }
 
-    fn leave(&mut self) {
-        self.depth -= 1;
-    }
-
-    fn expr(&mut self) -> Result<(), ParseError> {
+    /// Open an `expr`: its level, and its frame.
+    #[inline(always)]
+    fn open_expr(&mut self, tree: &Builder, stack: &mut Vec<Frame>) -> Result<(), ParseError> {
         self.enter()?;
-        let start = self.tree.mark();
-        self.binary(1)?;
-        if self.eat(TokenKind::Question) {
-            self.expr()?;
-            self.expect(TokenKind::Colon, "`:`")?;
-            self.expr()?;
-            self.tree.ite(start);
-        }
-        self.leave();
+        stack.push(Frame::Expr { start: tree.mark() });
         Ok(())
     }
 
-    /// Levels `or` … `mul`: a left-associative chain of every operator at
-    /// `level` or tighter, each right operand one level tighter still.
-    fn binary(&mut self, level: u8) -> Result<(), ParseError> {
-        let start = self.tree.mark();
-        self.unary()?;
-        while let Some((at, op)) =
-            self.peek().and_then(|t| infix(t.kind)).filter(|&(at, _)| at >= level)
-        {
-            self.links += 1;
-            if self.links > MAX_PARSE_LINKS {
-                return Err(ParseError::TooDeep { pos: self.tokens[self.i].pos });
+    /// The whole parse: one top-level `expr`, then the end of input.
+    #[inline(always)]
+    fn run(&mut self, tree: &mut Builder, stack: &mut Vec<Frame>) -> Result<(), ParseError> {
+        self.open_expr(tree, stack)?;
+        'operand: loop {
+            // An operand: its own level, one more per prefix, then a
+            // primary. A primary that opens an `expr` goes round again for
+            // that `expr`'s first operand.
+            self.enter()?;
+            let mut start = tree.mark();
+            loop {
+                let prefix = match self.tok.kind {
+                    TokenKind::Minus => Frame::Neg { start },
+                    TokenKind::Bang => Frame::Not { start },
+                    _ => break,
+                };
+                self.bump();
+                stack.push(prefix);
+                self.enter()?;
             }
-            self.i += 1;
-            self.binary(at + 1)?;
-            match op {
-                Infix::Bin(op) => self.tree.bin(op, start),
-                Infix::Cmp(op) => self.tree.cmp(op, start),
-            }
-        }
-        Ok(())
-    }
-
-    fn unary(&mut self) -> Result<(), ParseError> {
-        self.enter()?;
-        let start = self.tree.mark();
-        if self.eat(TokenKind::Minus) {
-            self.unary()?;
-            self.tree.negate(start);
-        } else if self.eat(TokenKind::Bang) {
-            self.unary()?;
-            self.tree.not(start);
-        } else {
-            self.primary()?;
-        }
-        self.leave();
-        Ok(())
-    }
-
-    fn primary(&mut self) -> Result<(), ParseError> {
-        let Some(t) = self.bump() else {
-            return Err(ParseError::UnexpectedEof { expected: "an expression" });
-        };
-        let text = self.text(t);
-        match t.kind {
-            TokenKind::Int => {
-                let v = text.parse::<i64>().map_err(|_| ParseError::IntOutOfRange {
-                    pos: t.pos,
-                    text: text.to_string(),
-                })?;
-                self.tree.int(v);
-            }
-            // f64 parse of digits.digits cannot fail, but overflows to inf
-            TokenKind::Float => match text.parse::<f64>().unwrap() {
-                v if v.is_finite() => self.tree.float(v),
-                _ => {
-                    return Err(ParseError::FloatOutOfRange { pos: t.pos, text: text.to_string() })
+            let t = self.bump();
+            match t.kind {
+                TokenKind::Int => {
+                    let text = self.text(t);
+                    let v = int_value(text).ok_or_else(|| ParseError::IntOutOfRange {
+                        pos: t.pos,
+                        text: text.to_string(),
+                    })?;
+                    tree.int(v);
                 }
-            },
-            TokenKind::LParen => {
-                self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
+                // f64 parse of digits.digits cannot fail, but overflows to inf
+                TokenKind::Float => match self.text(t).parse::<f64>().unwrap() {
+                    v if v.is_finite() => tree.float(v),
+                    _ => {
+                        let text = self.text(t).to_string();
+                        return Err(ParseError::FloatOutOfRange { pos: t.pos, text });
+                    }
+                },
+                TokenKind::LParen => {
+                    stack.push(Frame::Paren { start });
+                    self.open_expr(tree, stack)?;
+                    continue 'operand;
+                }
+                TokenKind::Ident => {
+                    if self.ident_tail(t, tree, stack)? {
+                        continue 'operand;
+                    }
+                }
+                _ => return Err(self.unexpected(t, "an expression")),
             }
-            TokenKind::Ident => self.ident_tail(t.pos, text)?,
-            _ => return Err(self.unexpected(t, "an expression")),
-        }
-        Ok(())
-    }
 
-    /// Parse what follows an initial identifier: an intrinsic call, an
-    /// indexed history feature, or a dotted feature path.
-    fn ident_tail(&mut self, pos: usize, first: &'s str) -> Result<(), ParseError> {
-        // Intrinsic call?
-        if self.peek_is(TokenKind::LParen) {
-            let arity = match first {
-                "abs" => 1,
-                "min" | "max" => 2,
-                "clamp" | "if" => 3,
-                _ => return Err(ParseError::UnknownIdentifier { pos, name: format!("{first}()") }),
-            };
-            self.i += 1; // consume '('
-            let start = self.tree.mark();
-            let mut args = 0;
-            if !self.peek_is(TokenKind::RParen) {
-                loop {
-                    self.expr()?;
-                    args += 1;
-                    if !self.eat(TokenKind::Comma) {
+            'operand_done: loop {
+                // The operand is complete: close its level and its prefixes.
+                self.depth -= 1;
+                while let Some(&(Frame::Neg { .. } | Frame::Not { .. })) = stack.last() {
+                    match stack.pop() {
+                        Some(Frame::Neg { start }) => tree.negate(start),
+                        Some(Frame::Not { start }) => tree.not(start),
+                        _ => unreachable!("the loop pops prefixes only"),
+                    }
+                    self.depth -= 1;
+                }
+
+                // Fold every waiting operator at least as tight as the next
+                // token's (all of them, if it is no operator): the operand
+                // is their right operand, and the fold their left.
+                let next = infix(self.tok.kind);
+                let level = next.map_or(0, |(at, _)| at);
+                while let Some(&Frame::Op { op, level: at, start: left }) = stack.last() {
+                    if at < level {
                         break;
+                    }
+                    stack.pop();
+                    match op {
+                        Infix::Bin(op) => tree.bin(op, left),
+                        Infix::Cmp(op) => tree.cmp(op, left),
+                    }
+                    start = left;
+                }
+                if let Some((at, op)) = next {
+                    self.links += 1;
+                    if self.links > MAX_PARSE_LINKS {
+                        return Err(ParseError::TooDeep { pos: self.tok.pos });
+                    }
+                    self.bump();
+                    stack.push(Frame::Op { op, level: at, start });
+                    continue 'operand;
+                }
+
+                // The chain is an `expr`'s condition.
+                if self.tok.kind == TokenKind::Question {
+                    self.bump();
+                    let Some(Frame::Expr { start }) = stack.pop() else {
+                        unreachable!("a chain is an `expr`'s")
+                    };
+                    stack.push(Frame::Then { start });
+                    self.open_expr(tree, stack)?;
+                    continue 'operand;
+                }
+
+                // The `expr` is complete, and so is every `expr` it ends.
+                loop {
+                    stack.pop();
+                    self.depth -= 1;
+                    let Some(&frame) = stack.last() else {
+                        if self.tok.kind != TokenKind::End {
+                            return Err(self.unexpected(self.tok, "end of input"));
+                        }
+                        return Ok(());
+                    };
+                    let top = stack.len() - 1;
+                    match frame {
+                        Frame::Then { start } => {
+                            self.expect(TokenKind::Colon, "`:`")?;
+                            stack[top] = Frame::Else { start };
+                            self.open_expr(tree, stack)?;
+                            continue 'operand;
+                        }
+                        Frame::Else { start } => tree.ite(start),
+                        Frame::Paren { start: paren } => {
+                            self.expect(TokenKind::RParen, "`)`")?;
+                            stack.pop();
+                            start = paren;
+                            continue 'operand_done;
+                        }
+                        Frame::Call { f, pos, start: call, args } => {
+                            let args = args + 1;
+                            if self.tok.kind == TokenKind::Comma {
+                                self.bump();
+                                stack[top] = Frame::Call { f, pos, start: call, args };
+                                self.open_expr(tree, stack)?;
+                                continue 'operand;
+                            }
+                            stack.pop();
+                            self.close_call(tree, f, pos, call, args)?;
+                            start = call;
+                            continue 'operand_done;
+                        }
+                        _ => unreachable!("only these wait for an `expr`"),
                     }
                 }
             }
-            self.expect(TokenKind::RParen, "`)`")?;
-            if args != arity {
-                return Err(ParseError::BadArity {
-                    pos,
-                    func: first.to_string(),
-                    expected: arity,
-                    got: args,
-                });
+        }
+    }
+
+    /// Close an intrinsic call after its `args`-th argument: its `)`, its
+    /// arity, its node.
+    #[inline(always)]
+    fn close_call(
+        &mut self,
+        tree: &mut Builder,
+        f: Intrinsic,
+        pos: usize,
+        start: usize,
+        args: usize,
+    ) -> Result<(), ParseError> {
+        self.expect(TokenKind::RParen, "`)`")?;
+        if args != f.arity() {
+            return Err(ParseError::BadArity {
+                pos,
+                func: f.name().to_string(),
+                expected: f.arity(),
+                got: args,
+            });
+        }
+        match f {
+            Intrinsic::Abs => tree.abs(start),
+            Intrinsic::Min => tree.bin(BinOp::Min, start),
+            Intrinsic::Max => tree.bin(BinOp::Max, start),
+            Intrinsic::Clamp => tree.clamp(start),
+            Intrinsic::If => tree.ite(start),
+        }
+        Ok(())
+    }
+
+    /// Parse what follows an initial identifier `first`: an intrinsic
+    /// call, an indexed history feature, or a dotted feature path. Returns
+    /// whether it opened a call, whose first argument comes next.
+    #[inline(always)]
+    fn ident_tail(
+        &mut self,
+        first: Token,
+        tree: &mut Builder,
+        stack: &mut Vec<Frame>,
+    ) -> Result<bool, ParseError> {
+        let (pos, name) = (first.pos, self.text(first));
+        // Intrinsic call?
+        if self.tok.kind == TokenKind::LParen {
+            let Some(f) = Intrinsic::named(name) else {
+                return Err(ParseError::UnknownIdentifier { pos, name: format!("{name}()") });
+            };
+            self.bump(); // consume '('
+            let start = tree.mark();
+            if self.tok.kind == TokenKind::RParen {
+                self.close_call(tree, f, pos, start, 0)?;
+                return Ok(false);
             }
-            match first {
-                "abs" => self.tree.abs(start),
-                "min" => self.tree.bin(BinOp::Min, start),
-                "max" => self.tree.bin(BinOp::Max, start),
-                "clamp" => self.tree.clamp(start),
-                "if" => self.tree.ite(start),
-                _ => unreachable!("`arity` admits only the intrinsics"),
-            }
-            return Ok(());
+            stack.push(Frame::Call { f, pos, start, args: 0 });
+            self.open_expr(tree, stack)?;
+            return Ok(true);
         }
 
         // Indexed history feature?
-        if self.eat(TokenKind::LBracket) {
-            let idx_tok = self.bump().ok_or(ParseError::UnexpectedEof { expected: "an index" })?;
-            if idx_tok.kind != TokenKind::Int {
-                return Err(self.unexpected(idx_tok, "an integer index"));
+        if self.tok.kind == TokenKind::LBracket {
+            self.bump();
+            let idx_tok = self.bump();
+            match idx_tok.kind {
+                TokenKind::Int => {}
+                TokenKind::End => return Err(ParseError::UnexpectedEof { expected: "an index" }),
+                _ => return Err(self.unexpected(idx_tok, "an integer index")),
             }
             let idx = self
                 .text(idx_tok)
                 .parse::<u8>()
-                .map_err(|_| ParseError::BadParam { pos: idx_tok.pos, name: first.to_string() })?;
+                .map_err(|_| ParseError::BadParam { pos: idx_tok.pos, name: name.to_string() })?;
             self.expect(TokenKind::RBracket, "`]`")?;
-            let feat = match first {
+            let feat = match name {
                 "hist_rtt" => Feature::HistRtt(idx),
                 "hist_delivered" => Feature::HistDelivered(idx),
                 "hist_loss" => Feature::HistLoss(idx),
                 "hist_cwnd" => Feature::HistCwnd(idx),
                 "hist_qdelay" => Feature::HistQdelay(idx),
                 _ => {
-                    return Err(ParseError::UnknownIdentifier { pos, name: format!("{first}[..]") })
+                    return Err(ParseError::UnknownIdentifier { pos, name: format!("{name}[..]") })
                 }
             };
             if !feat.param_in_range() {
                 return Err(ParseError::BadParam { pos, name: feat.name() });
             }
-            self.tree.feat(feat);
-            return Ok(());
+            tree.feat(feat);
+            return Ok(false);
         }
 
         // Dotted path. Segments past `MAX_PATH_SEGMENTS` are still read,
         // so a malformed tail is reported first, but name no feature.
-        let start = self.i - 1; // the token `first` is the text of
-        let mut segs = [first; MAX_PATH_SEGMENTS];
+        let mut segs = [name; MAX_PATH_SEGMENTS];
         let mut n = 1;
-        while self.eat(TokenKind::Dot) {
-            match self.bump() {
-                Some(t) if t.kind == TokenKind::Ident => {
-                    if let Some(seg) = segs.get_mut(n) {
-                        *seg = self.text(t);
-                    }
-                    n += 1;
-                }
-                Some(t) => return Err(self.unexpected(t, "an identifier after `.`")),
-                None => {
-                    return Err(ParseError::UnexpectedEof { expected: "an identifier after `.`" })
-                }
+        let mut end = first.end;
+        while self.tok.kind == TokenKind::Dot {
+            self.bump();
+            let t = self.bump();
+            if t.kind != TokenKind::Ident {
+                return Err(self.unexpected(t, "an identifier after `.`"));
             }
+            if let Some(seg) = segs.get_mut(n) {
+                *seg = self.text(t);
+            }
+            n += 1;
+            end = t.end;
         }
         // `a.b.c`: the path's tokens, dots included, back to back
-        let joined = || self.tokens[start..self.i].iter().map(|&t| self.text(t)).collect();
+        let src = self.src;
+        let joined = || joined(&src[pos..end]);
         match segs.get(..n).and_then(resolve_path) {
             Some(f) if f.param_in_range() => {
-                self.tree.feat(f);
-                Ok(())
+                tree.feat(f);
+                Ok(false)
             }
             Some(_) => Err(ParseError::BadParam { pos, name: joined() }),
             None => Err(ParseError::UnknownIdentifier { pos, name: joined() }),
         }
+    }
+}
+
+/// The error for a token of `src` the grammar does not allow where it is.
+#[cold]
+fn unexpected(src: &str, t: Token, expected: &'static str) -> ParseError {
+    match t.kind {
+        TokenKind::End => ParseError::UnexpectedEof { expected },
+        _ => ParseError::UnexpectedToken { pos: t.pos, found: t.text(src).to_string(), expected },
+    }
+}
+
+/// The value of an integer literal's digits, `None` past `i64::MAX`: what
+/// `str::parse::<i64>` gives for them, without its sign and radix cases.
+#[inline]
+fn int_value(digits: &str) -> Option<i64> {
+    digits.bytes().try_fold(0i64, |v, d| v.checked_mul(10)?.checked_add(i64::from(d - b'0')))
+}
+
+/// The tokens of `span`, which lexes cleanly, back to back.
+fn joined(span: &str) -> String {
+    let mut lexer = Lexer::new(span);
+    let mut out = String::with_capacity(span.len());
+    loop {
+        let t = lexer.next_token();
+        if t.kind == TokenKind::End {
+            return out;
+        }
+        out.push_str(t.text(span));
     }
 }
 
