@@ -198,7 +198,7 @@ pub fn emit(prog: &Program, env: &VerifyEnv) -> Result<EbpfProgram, EmitError> {
 /// so a result interval strictly inside the rails proves wrapping and
 /// saturating execution identical for this instruction.
 fn gate(pc: usize, insn: Insn, st: &AbsState) -> Result<(), EmitError> {
-    let reg = |r: u8| st.regs[r as usize].expect("verified program reads initialized registers");
+    let reg = |r: u8| st.reg(r).expect("verified program reads initialized registers");
     let operand = if insn.op.reads_src() { reg(insn.src) } else { Interval::exact(insn.imm) };
     use Op::*;
     let result = match insn.op {
@@ -388,9 +388,8 @@ impl Emitter {
             RshImm => self.alu(insn.dst, BPF_ARSH, Operand::Imm(insn.imm.clamp(0, 63) as i32), 0),
             LshReg | RshReg => {
                 let op = if insn.op == LshReg { BPF_LSH } else { BPF_ARSH };
-                let in_range = state
-                    .and_then(|st| st.regs[insn.src as usize])
-                    .is_some_and(|a| a.lo >= 0 && a.hi <= 63);
+                let in_range =
+                    state.and_then(|st| st.reg(insn.src)).is_some_and(|a| a.lo >= 0 && a.hi <= 63);
                 self.shift_reg(op, insn.dst, insn.src, in_range);
             }
             Ja => {

@@ -39,6 +39,7 @@
 use crate::isa::{Insn, Op, Program, MAX_INSNS, REG_COUNT};
 pub use crate::range::Interval;
 use crate::range::{refine_eq, refine_ge, refine_gt, refine_le, refine_lt, refine_ne};
+use std::cell::Cell;
 use std::fmt;
 
 /// Declared execution environment of a program: value ranges for each
@@ -170,27 +171,45 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Abstract machine state at one program point: one optional interval per
-/// register (⊥ = `None`) plus the scratch-map slots.
+/// Abstract machine state at one program point: one interval per register,
+/// with ⊥ (uninitialized) stored in the interval itself as an empty one,
+/// plus the scratch-map slots.
+///
+/// A register is 16 bytes, and the analysis carries one state forward
+/// through straight-line code, changing it in place: a state is copied
+/// only onto a jump's edge and, for [`analyze`], into its result.
 ///
 /// The map persists across invocations, so a slot is ⊤ until the program
 /// stores to it. Most programs never touch the map, and copying ⊤ for every
-/// slot at every instruction is most of what a state costs, so `maps` is
-/// either empty — every slot ⊤ — or holds one interval per slot. It is
-/// empty until the first `StMap` on a path, and after a join with a state
-/// that has not stored: that side's ⊤ absorbs whatever the other stored.
+/// slot is most of what a copied state would cost, so `maps` is either
+/// empty — every slot ⊤ — or holds one interval per slot. It is empty
+/// until the first `StMap` on a path, and after a join with a state that
+/// has not stored: that side's ⊤ absorbs whatever the other stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbsState {
-    pub regs: [Option<Interval>; REG_COUNT as usize],
-    pub maps: Vec<Interval>,
+    regs: [Interval; REG_COUNT as usize],
+    maps: Vec<Interval>,
 }
+
+/// ⊥ in a register slot: the empty interval, which no value lies in. It
+/// never leaves [`AbsState`]: [`AbsState::reg`] reads it as `None`.
+const UNINIT: Interval = Interval { lo: i64::MAX, hi: i64::MIN };
 
 impl AbsState {
     fn entry() -> AbsState {
-        AbsState { regs: Default::default(), maps: Vec::new() }
+        AbsState { regs: [UNINIT; REG_COUNT as usize], maps: Vec::new() }
     }
 
-    fn load(&self, slot: usize) -> Interval {
+    /// Register `r`'s interval; `None` while it is uninitialized (⊥).
+    #[inline]
+    pub fn reg(&self, r: u8) -> Option<Interval> {
+        let v = self.regs[r as usize];
+        (v.lo <= v.hi).then_some(v)
+    }
+
+    /// Map slot `slot`'s interval: ⊤ until a store on every path to here.
+    #[inline]
+    pub fn map(&self, slot: usize) -> Interval {
         self.maps.get(slot).copied().unwrap_or(Interval::TOP)
     }
 
@@ -202,13 +221,11 @@ impl AbsState {
     }
 
     fn join_with(&mut self, other: &AbsState) {
-        for i in 0..self.regs.len() {
-            self.regs[i] = match (self.regs[i], other.regs[i]) {
-                (Some(x), Some(y)) => Some(x.join(y)),
-                // A register initialized on only one path is ⊥ after the
-                // join: reading it later must be rejected.
-                _ => None,
-            };
+        for (a, &b) in self.regs.iter_mut().zip(&other.regs) {
+            // A register initialized on only one path is ⊥ after the
+            // join: reading it later must be rejected.
+            let init = a.lo <= a.hi && b.lo <= b.hi;
+            *a = if init { a.join(b) } else { UNINIT };
         }
         if other.maps.is_empty() {
             self.maps = Vec::new();
@@ -234,30 +251,74 @@ pub struct Analysis {
 /// joined over all `exit` sites (useful diagnostics: the harness logs the
 /// provable cwnd bounds of each accepted candidate).
 pub fn verify(prog: &Program, env: &VerifyEnv) -> Result<Interval, VerifyError> {
-    analyze(prog, env).map(|a| a.r0)
+    interpret(prog, env, |_, _| {})
 }
 
 /// Verify `prog` and return the per-instruction abstract states alongside
 /// the `r0` interval.
 pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError> {
-    structural_check(prog, env)?;
+    let mut in_states = vec![None; prog.insns.len()];
+    let r0 = interpret(prog, env, |pc, st| in_states[pc] = Some(st.clone()))?;
+    Ok(Analysis { in_states, r0 })
+}
 
+thread_local! {
+    /// The states waiting at each pc, for [`interpret`] to reuse from call
+    /// to call: a verification allocates nothing once its thread has
+    /// verified a program as long.
+    static PENDING: Cell<Vec<Option<AbsState>>> = const { Cell::new(Vec::new()) };
+}
+
+/// The one analysis: the structural pass, then the forward dataflow pass,
+/// which hands `seen` the in-state of every reachable instruction, in
+/// program order, before it applies the instruction.
+fn interpret(
+    prog: &Program,
+    env: &VerifyEnv,
+    seen: impl FnMut(usize, &AbsState),
+) -> Result<Interval, VerifyError> {
+    structural_check(prog, env)?;
+    let mut pending = PENDING.take();
+    pending.clear();
+    pending.resize(prog.insns.len(), None);
+    let r0 = dataflow(prog, env, &mut pending, seen);
+    PENDING.set(pending);
+    r0
+}
+
+/// The forward pass. `state` is the state falling through into `pc` while
+/// `live`, and `pending[pc]` the join of the jumps into it; an instruction
+/// with neither is unreachable. `state` stays where it is, and each
+/// instruction changes it in place: only a jump's edge copies it.
+fn dataflow(
+    prog: &Program,
+    env: &VerifyEnv,
+    pending: &mut [Option<AbsState>],
+    mut seen: impl FnMut(usize, &AbsState),
+) -> Result<Interval, VerifyError> {
     let n = prog.insns.len();
-    // in_state[pc]: join over all edges into pc; None = not yet reached.
-    let mut in_state: Vec<Option<AbsState>> = vec![None; n];
-    in_state[0] = Some(AbsState::entry());
+    let mut state = AbsState::entry();
+    let mut live = true;
     let mut r0_at_exit: Option<Interval> = None;
 
     for pc in 0..n {
-        let Some(state) = in_state[pc].clone() else {
+        if let Some(jumped) = pending[pc].take() {
+            if live {
+                state.join_with(&jumped);
+            } else {
+                state = jumped;
+                live = true;
+            }
+        }
+        if !live {
             continue; // unreachable
-        };
+        }
+        seen(pc, &state);
         let insn = prog.insns[pc];
-        let mut next = state;
 
         // Obligation: register reads.
         let read_reg = |st: &AbsState, r: u8| -> Result<Interval, VerifyError> {
-            st.regs[r as usize].ok_or(VerifyError::UninitRead { pc, reg: r })
+            st.reg(r).ok_or(VerifyError::UninitRead { pc, reg: r })
         };
         // The second operand, in whichever form the op takes it.
         let operand = |st: &AbsState| -> Result<Interval, VerifyError> {
@@ -269,39 +330,35 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
         };
 
         use Op::*;
-        match insn.op {
+        let result = match insn.op {
             Exit => {
-                let r0 = read_reg(&next, 0).map_err(|_| VerifyError::R0NotSet { pc })?;
+                let r0 = read_reg(&state, 0).map_err(|_| VerifyError::R0NotSet { pc })?;
                 r0_at_exit = Some(match r0_at_exit {
                     Some(acc) => acc.join(r0),
                     None => r0,
                 });
-                continue; // no successors
+                live = false; // no successors
+                continue;
             }
             Ja => {
-                let target = pc + 1 + insn.off as usize;
-                propagate(&mut in_state, target, next);
+                propagate(pending, pc + 1 + insn.off as usize, &state);
+                live = false;
                 continue;
             }
             JeqImm | JeqReg | JneImm | JneReg | JltImm | JltReg | JleImm | JleReg | JgtImm
             | JgtReg | JgeImm | JgeReg => {
-                let d = read_reg(&next, insn.dst)?;
-                let o = operand(&next)?;
-                branch(pc, insn, d, o, next, &mut in_state);
+                let d = read_reg(&state, insn.dst)?;
+                let o = operand(&state)?;
+                live = branch(pc, insn, d, o, &mut state, pending);
                 continue;
             }
-            _ => {}
-        }
-
-        // Straight-line ALU / memory ops.
-        let result: Option<Interval> = match insn.op {
-            MovImm | MovReg => Some(operand(&next)?),
-            AddImm | AddReg => Some(read_reg(&next, insn.dst)?.add(operand(&next)?)),
-            SubImm | SubReg => Some(read_reg(&next, insn.dst)?.sub(operand(&next)?)),
-            MulImm | MulReg => Some(read_reg(&next, insn.dst)?.mul(operand(&next)?)),
+            MovImm | MovReg => operand(&state)?,
+            AddImm | AddReg => read_reg(&state, insn.dst)?.add(operand(&state)?),
+            SubImm | SubReg => read_reg(&state, insn.dst)?.sub(operand(&state)?),
+            MulImm | MulReg => read_reg(&state, insn.dst)?.mul(operand(&state)?),
             DivImm | DivReg | RemImm | RemReg => {
-                let d = read_reg(&next, insn.dst)?;
-                let o = operand(&next)?;
+                let d = read_reg(&state, insn.dst)?;
+                let o = operand(&state)?;
                 if o.contains(0) {
                     return Err(VerifyError::DivByZeroPossible {
                         pc,
@@ -314,57 +371,55 @@ pub fn analyze(prog: &Program, env: &VerifyEnv) -> Result<Analysis, VerifyError>
                         hi: o.hi,
                     });
                 }
-                Some(if matches!(insn.op, DivImm | DivReg) { d.div(o) } else { d.rem(o) })
+                if matches!(insn.op, DivImm | DivReg) {
+                    d.div(o)
+                } else {
+                    d.rem(o)
+                }
             }
-            Neg => Some(read_reg(&next, insn.dst)?.neg()),
-            LshImm | LshReg => Some(read_reg(&next, insn.dst)?.shl(operand(&next)?)),
-            RshImm | RshReg => Some(read_reg(&next, insn.dst)?.shr(operand(&next)?)),
+            Neg => read_reg(&state, insn.dst)?.neg(),
+            LshImm | LshReg => read_reg(&state, insn.dst)?.shl(operand(&state)?),
+            RshImm | RshReg => read_reg(&state, insn.dst)?.shr(operand(&state)?),
             LdCtx => {
                 let (lo, hi) = env.ctx_ranges[insn.imm as usize];
-                Some(Interval::new(lo.min(hi), hi.max(lo)))
+                Interval::new(lo.min(hi), hi.max(lo))
             }
-            LdMap => Some(next.load(insn.imm as usize)),
+            LdMap => state.map(insn.imm as usize),
             StMap => {
-                let v = read_reg(&next, insn.src)?;
-                next.store(insn.imm as usize, v, env.map_slots);
-                None
+                let v = read_reg(&state, insn.src)?;
+                state.store(insn.imm as usize, v, env.map_slots);
+                continue;
             }
-            _ => unreachable!("jumps handled above"),
         };
-
-        if let Some(v) = result {
-            next.regs[insn.dst as usize] = Some(v);
-        }
-        propagate(&mut in_state, pc + 1, next);
+        state.regs[insn.dst as usize] = result;
     }
 
-    let r0 = r0_at_exit.ok_or(VerifyError::R0NotSet { pc: n - 1 })?;
-    Ok(Analysis { in_states: in_state, r0 })
+    r0_at_exit.ok_or(VerifyError::R0NotSet { pc: n - 1 })
 }
 
-/// Merge `state` into the in-state of `target`; the first edge to reach it
-/// moves in.
-fn propagate(in_state: &mut [Option<AbsState>], target: usize, state: AbsState) {
-    match &mut in_state[target] {
-        Some(existing) => existing.join_with(&state),
-        slot @ None => *slot = Some(state),
+/// Merge a copy of `state` into the pending in-state of `target`; the
+/// first edge to reach it moves in.
+fn propagate(pending: &mut [Option<AbsState>], target: usize, state: &AbsState) {
+    match &mut pending[target] {
+        Some(existing) => existing.join_with(state),
+        slot @ None => *slot = Some(state.clone()),
     }
 }
 
 /// Handle a conditional jump: refine intervals on the taken and fallthrough
-/// edges, prune statically-dead edges. An immediate operand has no register
-/// to refine.
+/// edges and prune statically-dead edges. The taken edge's state goes to
+/// `pending`; the fall-through's is `state`, refined in place, and the
+/// return value says whether that edge is live. An immediate operand has
+/// no register to refine.
 fn branch(
     pc: usize,
     insn: Insn,
     d: Interval,
     o: Interval,
-    state: AbsState,
-    in_state: &mut [Option<AbsState>],
-) {
+    state: &mut AbsState,
+    pending: &mut [Option<AbsState>],
+) -> bool {
     use Op::*;
-    let taken_target = pc + 1 + insn.off as usize;
-
     // (refined dst, refined operand) on the taken edge and fallthrough edge.
     let (taken, fall) = match insn.op {
         JeqImm | JeqReg => (refine_eq(d, o), refine_ne(d, o)),
@@ -375,22 +430,32 @@ fn branch(
         JgeImm | JgeReg => (refine_ge(d, o), refine_lt(d, o)),
         _ => unreachable!(),
     };
-
-    let refined = |mut st: AbsState, (rd, ro): (Interval, Interval)| {
-        st.regs[insn.dst as usize] = Some(rd);
-        if insn.op.reads_src() {
-            st.regs[insn.src as usize] = Some(ro);
+    // The registers a refinement narrows: `dst`, and `src` when the op
+    // reads it (an immediate form's `src` byte is not a register).
+    let (dst, src) = (insn.dst as usize, insn.op.reads_src().then_some(insn.src as usize));
+    let refine = |st: &mut AbsState, (rd, ro): (Interval, Interval)| {
+        st.regs[dst] = rd;
+        if let Some(src) = src {
+            st.regs[src] = ro;
         }
-        st
     };
-    match (taken, fall) {
-        (Some(t), Some(f)) => {
-            propagate(in_state, taken_target, refined(state.clone(), t));
-            propagate(in_state, pc + 1, refined(state, f));
+    if let Some(t) = taken {
+        // the edge's state is `state` with the taken refinement: refine,
+        // copy it out, and put the narrowed registers back
+        let saved = (state.regs[dst], src.map(|s| (s, state.regs[s])));
+        refine(state, t);
+        propagate(pending, pc + 1 + insn.off as usize, state);
+        if let Some((s, v)) = saved.1 {
+            state.regs[s] = v;
         }
-        (Some(t), None) => propagate(in_state, taken_target, refined(state, t)),
-        (None, Some(f)) => propagate(in_state, pc + 1, refined(state, f)),
-        (None, None) => {}
+        state.regs[dst] = saved.0;
+    }
+    match fall {
+        Some(f) => {
+            refine(state, f);
+            true
+        }
+        None => false,
     }
 }
 
@@ -731,10 +796,10 @@ mod tests {
         assert_eq!(a.in_states.len(), 4);
         // before insn 1, r1 holds ctx[0] ∈ [0,100]
         let st = a.in_states[1].as_ref().unwrap();
-        assert_eq!(st.regs[1], Some(Interval::new(0, 100)));
+        assert_eq!(st.reg(1), Some(Interval::new(0, 100)));
         // before insn 2, r1 ∈ [5,105]
         let st = a.in_states[2].as_ref().unwrap();
-        assert_eq!(st.regs[1], Some(Interval::new(5, 105)));
+        assert_eq!(st.reg(1), Some(Interval::new(5, 105)));
         assert_eq!(a.r0, Interval::new(5, 105));
     }
 
