@@ -16,8 +16,10 @@
 //!   analysis (e.g. `hist.contains ∈ [0,1]`, `mss ∈ [1, 65535]`).
 //!
 //! [`Feature::catalog`] is derived from the same table. The one other place
-//! a name is written is the parser's `resolve_path`, which stays a direct
-//! `match` because it is on the parse hot path; the exhaustive
+//! a name is written is the parser's `resolve_path`: a direct `match` on
+//! the path's segments, borrowed from the source, that the parse loop
+//! calls once per feature reference, so it stays a `match` rather than a
+//! scan of this table. The exhaustive
 //! `printer::tests::feature_names_roundtrip` holds the two together.
 //!
 //! Context-array slots are *not* fixed here: the kbpf compiler assigns each

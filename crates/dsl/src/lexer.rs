@@ -10,7 +10,7 @@
 //! a byte span, and the parser reads a literal's or identifier's text from
 //! the source it borrows. A lex error anywhere in a source beats any parse
 //! error in it, so a parser that stops early lexes the rest
-//! ([`Lexer::rest`]) before it reports.
+//! ([`Lexer::error_in_rest`]) before it reports.
 //! Generator output is hostile bytes; a character no token starts with is
 //! reported whole, multibyte or not, at its byte offset.
 

@@ -24,7 +24,7 @@
 //!
 //! The parser does not recurse. Whatever waits for an operand or an `expr`
 //! to finish — an operator, a prefix, a `(`, a call's argument, a ternary's
-//! branch — is a [`Frame`] on one stack, and the seven binary levels
+//! branch — is a frame on one stack, and the seven binary levels
 //! (`or` … `mul`) are one operator table: an operator folds every waiting
 //! operator at least as tight as itself before it waits for its own right
 //! operand. Tokens are pulled from the [`Lexer`] as the loop needs them;

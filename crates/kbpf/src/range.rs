@@ -20,9 +20,11 @@
 
 use policysmith_dsl::eval::{div_sat, rem_sat, shl_sat, shr_arith};
 
-/// A signed interval. ⊥ (unreachable / uninitialized) is represented as
-/// `None` at the *register* level by consumers; an `Interval` itself is
-/// always a valid `lo <= hi` pair.
+/// A signed interval. ⊥ (unreachable / uninitialized) is `None` at the
+/// *register* level for consumers: the verifier keeps an uninitialized
+/// register as an empty interval (`lo > hi`) inside its states and hands it
+/// out only as `None` ([`AbsState::reg`](crate::AbsState::reg)), so every
+/// `Interval` a consumer sees is a valid `lo <= hi` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interval {
     pub lo: i64,

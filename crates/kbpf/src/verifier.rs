@@ -32,9 +32,16 @@
 //! is not allowed as divisor") because they are fed back verbatim to the
 //! generator (§5.0.3's +19% repair pass).
 //!
-//! Two entry points: [`verify`] returns just the provable `r0` interval;
-//! [`analyze`] additionally returns the per-instruction abstract states the
-//! eBPF emitter consumes to prove saturating and wrapping arithmetic agree.
+//! Two entry points share the one analysis: [`verify`] returns just the
+//! provable `r0` interval; [`analyze`] additionally returns the
+//! per-instruction abstract states the eBPF emitter consumes to prove
+//! saturating and wrapping arithmetic agree.
+//!
+//! What a state costs: the pass carries one [`AbsState`] forward and
+//! changes it in place, a register at a time; a state is copied only onto
+//! a jump's edge (and, for `analyze`, into its result), and the states
+//! waiting at jump targets live in a per-thread buffer reused from call to
+//! call, so `verify` allocates nothing once warm.
 
 use crate::isa::{Insn, Op, Program, MAX_INSNS, REG_COUNT};
 pub use crate::range::Interval;
@@ -174,10 +181,6 @@ impl std::error::Error for VerifyError {}
 /// Abstract machine state at one program point: one interval per register,
 /// with ⊥ (uninitialized) stored in the interval itself as an empty one,
 /// plus the scratch-map slots.
-///
-/// A register is 16 bytes, and the analysis carries one state forward
-/// through straight-line code, changing it in place: a state is copied
-/// only onto a jump's edge and, for [`analyze`], into its result.
 ///
 /// The map persists across invocations, so a slot is ⊤ until the program
 /// stores to it. Most programs never touch the map, and copying ⊤ for every
