@@ -116,6 +116,17 @@ enum Frame {
     Call { f: Intrinsic, pos: usize, start: usize, args: usize },
 }
 
+/// What the token after an operand does, decided before the parser
+/// consumes it.
+enum Step {
+    /// An operator: it waits for its right operand.
+    Chain(Frame),
+    /// A `?`, `:` or `,`: this frame waits for the `expr` it opens.
+    Open(Frame),
+    /// A `)`: this paren or call is complete, and is an operand.
+    Close(Frame),
+}
+
 /// The node a binary operator token builds.
 #[derive(Clone, Copy)]
 enum Infix {
@@ -246,17 +257,16 @@ impl<'s> Parser<'s> {
             // that `expr`'s first operand.
             self.enter()?;
             let mut start = tree.mark();
-            loop {
-                let prefix = match self.tok.kind {
+            let t = loop {
+                let t = self.bump();
+                let prefix = match t.kind {
                     TokenKind::Minus => Frame::Neg { start },
                     TokenKind::Bang => Frame::Not { start },
-                    _ => break,
+                    _ => break t,
                 };
-                self.bump();
                 stack.push(prefix);
                 self.enter()?;
-            }
-            let t = self.bump();
+            };
             match t.kind {
                 TokenKind::Int => {
                     let text = self.text(t);
@@ -315,76 +325,73 @@ impl<'s> Parser<'s> {
                     }
                     start = left;
                 }
-                if let Some((at, op)) = next {
+                // What the next token does, decided before it is consumed:
+                // continue the chain, start the `expr`'s ternary, or — the
+                // `expr` being complete, and so every `expr` it ends — what
+                // the frame waiting for it waits for.
+                let step = if let Some((at, op)) = next {
                     self.links += 1;
                     if self.links > MAX_PARSE_LINKS {
                         return Err(ParseError::TooDeep { pos: self.tok.pos });
                     }
-                    self.bump();
-                    stack.push(Frame::Op { op, level: at, start });
-                    continue 'operand;
-                }
-
-                // The chain is an `expr`'s condition.
-                if self.tok.kind == TokenKind::Question {
-                    self.bump();
+                    Step::Chain(Frame::Op { op, level: at, start })
+                } else if self.tok.kind == TokenKind::Question {
                     let Some(Frame::Expr { start }) = stack.pop() else {
                         unreachable!("a chain is an `expr`'s")
                     };
-                    stack.push(Frame::Then { start });
-                    self.open_expr(tree, stack)?;
-                    continue 'operand;
-                }
-
-                // The `expr` is complete, and so is every `expr` it ends.
-                loop {
-                    stack.pop();
-                    self.depth -= 1;
-                    let Some(&frame) = stack.last() else {
-                        if self.tok.kind != TokenKind::End {
-                            return Err(self.unexpected(self.tok, "end of input"));
+                    Step::Open(Frame::Then { start })
+                } else {
+                    let waiting = loop {
+                        stack.pop();
+                        self.depth -= 1;
+                        match stack.last() {
+                            // its `expr` is complete too
+                            Some(&Frame::Else { start }) => tree.ite(start),
+                            _ => break stack.pop(),
                         }
-                        return Ok(());
                     };
-                    let top = stack.len() - 1;
-                    match frame {
-                        Frame::Then { start } => {
-                            self.expect(TokenKind::Colon, "`:`")?;
-                            stack[top] = Frame::Else { start };
-                            self.open_expr(tree, stack)?;
-                            continue 'operand;
+                    let kind = self.tok.kind;
+                    match waiting {
+                        None if kind == TokenKind::End => return Ok(()),
+                        None => return Err(self.unexpected(self.tok, "end of input")),
+                        Some(Frame::Then { start }) if kind == TokenKind::Colon => {
+                            Step::Open(Frame::Else { start })
                         }
-                        Frame::Else { start } => tree.ite(start),
-                        Frame::Paren { start: paren } => {
-                            self.expect(TokenKind::RParen, "`)`")?;
-                            stack.pop();
-                            start = paren;
-                            continue 'operand_done;
+                        Some(Frame::Then { .. }) => return Err(self.unexpected(self.tok, "`:`")),
+                        Some(Frame::Call { f, pos, start, args }) if kind == TokenKind::Comma => {
+                            Step::Open(Frame::Call { f, pos, start, args: args + 1 })
                         }
-                        Frame::Call { f, pos, start: call, args } => {
-                            let args = args + 1;
-                            if self.tok.kind == TokenKind::Comma {
-                                self.bump();
-                                stack[top] = Frame::Call { f, pos, start: call, args };
-                                self.open_expr(tree, stack)?;
-                                continue 'operand;
-                            }
-                            stack.pop();
-                            self.close_call(tree, f, pos, call, args)?;
-                            start = call;
-                            continue 'operand_done;
-                        }
-                        _ => unreachable!("only these wait for an `expr`"),
+                        Some(frame) if kind == TokenKind::RParen => Step::Close(frame),
+                        Some(_) => return Err(self.unexpected(self.tok, "`)`")),
                     }
+                };
+                self.bump();
+                match step {
+                    Step::Chain(op) => stack.push(op),
+                    Step::Open(frame) => {
+                        stack.push(frame);
+                        self.open_expr(tree, stack)?;
+                    }
+                    Step::Close(Frame::Paren { start: paren }) => {
+                        start = paren;
+                        continue 'operand_done;
+                    }
+                    Step::Close(Frame::Call { f, pos, start: call, args }) => {
+                        self.build_call(tree, f, pos, call, args + 1)?;
+                        start = call;
+                        continue 'operand_done;
+                    }
+                    Step::Close(_) => unreachable!("only a paren or a call closes"),
                 }
+                continue 'operand;
             }
         }
     }
 
-    /// Close an intrinsic call after its `args`-th argument: its `)`, its
-    /// arity, its node.
+    /// Build an intrinsic call's node over its `args` arguments, once its
+    /// `)` is consumed, if its arity allows.
     #[inline(always)]
-    fn close_call(
+    fn build_call(
         &mut self,
         tree: &mut Builder,
         f: Intrinsic,
@@ -392,7 +399,6 @@ impl<'s> Parser<'s> {
         start: usize,
         args: usize,
     ) -> Result<(), ParseError> {
-        self.expect(TokenKind::RParen, "`)`")?;
         if args != f.arity() {
             return Err(ParseError::BadArity {
                 pos,
@@ -430,7 +436,8 @@ impl<'s> Parser<'s> {
             self.bump(); // consume '('
             let start = tree.mark();
             if self.tok.kind == TokenKind::RParen {
-                self.close_call(tree, f, pos, start, 0)?;
+                self.bump();
+                self.build_call(tree, f, pos, start, 0)?;
                 return Ok(false);
             }
             stack.push(Frame::Call { f, pos, start, args: 0 });
