@@ -248,6 +248,9 @@ impl<'s> Parser<'s> {
     }
 
     /// The whole parse: one top-level `expr`, then the end of input.
+    ///
+    /// Tokens are consumed at two sites: an operand's, and the one after an
+    /// operand, where the next token is decided on before it is consumed.
     #[inline(always)]
     fn run(&mut self, tree: &mut Builder, stack: &mut Vec<Frame>) -> Result<(), ParseError> {
         self.open_expr(tree, stack)?;
