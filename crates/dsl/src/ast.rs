@@ -514,35 +514,29 @@ pub(crate) struct Builder {
 
 impl Builder {
     /// An empty builder with room for `n` nodes.
-    #[inline]
     pub(crate) fn with_capacity(n: usize) -> Builder {
         Builder { nodes: Vec::with_capacity(n) }
     }
 
     /// Where the next subtree starts.
-    #[inline]
     pub(crate) fn mark(&self) -> usize {
         self.nodes.len()
     }
 
     /// Append the operator `node` makes for the subtree since `start`.
-    #[inline]
     fn close(&mut self, start: usize, node: impl FnOnce(u32) -> Node) {
         let n = count(self.nodes.len() - start + 1);
         self.nodes.push(node(n));
     }
 
-    #[inline]
     pub(crate) fn int(&mut self, v: i64) {
         self.nodes.push(Node::Int(v));
     }
 
-    #[inline]
     pub(crate) fn float(&mut self, v: f64) {
         self.nodes.push(Node::Float(v));
     }
 
-    #[inline]
     pub(crate) fn feat(&mut self, f: Feature) {
         self.nodes.push(Node::Feat(f));
     }
@@ -550,7 +544,6 @@ impl Builder {
     /// Negate the operand since `start`. A literal operand folds into a
     /// negative literal, so the generator's constant mutations see `-5` as
     /// one node (`-i64::MIN` saturates).
-    #[inline]
     pub(crate) fn negate(&mut self, start: usize) {
         let literal = (self.nodes.len() == start + 1).then(|| self.nodes[start]);
         match literal {
@@ -562,38 +555,31 @@ impl Builder {
         }
     }
 
-    #[inline]
     pub(crate) fn not(&mut self, start: usize) {
         self.close(start, Node::Not);
     }
 
-    #[inline]
     pub(crate) fn abs(&mut self, start: usize) {
         self.close(start, Node::Abs);
     }
 
-    #[inline]
     pub(crate) fn bin(&mut self, op: BinOp, start: usize) {
         self.close(start, |n| Node::Bin(op, n));
     }
 
-    #[inline]
     pub(crate) fn cmp(&mut self, op: CmpOp, start: usize) {
         self.close(start, |n| Node::Cmp(op, n));
     }
 
-    #[inline]
     pub(crate) fn ite(&mut self, start: usize) {
         self.close(start, Node::If);
     }
 
-    #[inline]
     pub(crate) fn clamp(&mut self, start: usize) {
         self.close(start, Node::Clamp);
     }
 
     /// The one tree built.
-    #[inline]
     pub(crate) fn finish(self) -> Expr {
         debug_assert_eq!(self.nodes.last().map(|n| n.size()), Some(self.nodes.len()));
         Expr { nodes: self.nodes }
