@@ -72,7 +72,9 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
         Ok(()) => Ok(tree.finish()),
         // The lexer stops at a stray character, and the parse stops at
         // the first token it cannot use, a stray included: a lex error
-        // there or later in the source beats the parse error.
+        // there or later in the source beats the parse error. (A copy of
+        // the lexer goes on: lending out the parser's own would keep the
+        // parser in memory, not registers, for the whole parse.)
         Err(e) => Err(p.lexer.clone().error_in_rest().unwrap_or(e)),
     }
 }
