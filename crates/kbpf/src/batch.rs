@@ -230,8 +230,6 @@ impl BatchScratch {
 pub struct BatchPlan {
     /// Straight-line and map-free: eligible for the column engine.
     pub vectorizable: bool,
-    /// Contains a `StMap` — the map must be treated as mutated per row.
-    pub writes_map: bool,
     /// Contains a division or remainder — the only fault source the
     /// verifier leaves reachable, and the only reason to size the per-row
     /// fault buffer.
@@ -243,20 +241,16 @@ impl BatchPlan {
     pub fn for_program(prog: &Program) -> BatchPlan {
         use Op::*;
         let mut vectorizable = true;
-        let mut writes_map = false;
         let mut may_divide = false;
         for insn in &prog.insns {
             if insn.op.is_jump() || matches!(insn.op, LdMap | StMap) {
                 vectorizable = false;
             }
-            if matches!(insn.op, StMap) {
-                writes_map = true;
-            }
             if matches!(insn.op, DivImm | DivReg | RemImm | RemReg) {
                 may_divide = true;
             }
         }
-        BatchPlan { vectorizable, writes_map, may_divide }
+        BatchPlan { vectorizable, may_divide }
     }
 }
 
@@ -768,9 +762,9 @@ mod tests {
     #[test]
     fn plan_classifies_programs() {
         let plan = BatchPlan::for_program(&affine_prog());
-        assert!(plan.vectorizable && !plan.writes_map && !plan.may_divide);
+        assert!(plan.vectorizable && !plan.may_divide);
         let plan = BatchPlan::for_program(&div_prog());
-        assert!(plan.vectorizable && !plan.writes_map && plan.may_divide);
+        assert!(plan.vectorizable && plan.may_divide);
         let spill = prog(vec![
             i(Op::MovImm, 0, 0, 7),
             i(Op::StMap, 0, 0, 0),
@@ -778,7 +772,7 @@ mod tests {
             i(Op::Exit, 0, 0, 0),
         ]);
         let plan = BatchPlan::for_program(&spill);
-        assert!(!plan.vectorizable && plan.writes_map && !plan.may_divide);
+        assert!(!plan.vectorizable && !plan.may_divide);
     }
 
     #[test]

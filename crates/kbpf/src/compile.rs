@@ -31,9 +31,13 @@
 //! runtime fallback instead: the host latches the first fault and the
 //! study scores the candidate as a hard failure. For those modes a
 //! division the interval analysis cannot prove safe is recorded as
-//! [`Verification::MayFault`] and deferred to the VM's runtime guard; all
-//! structural obligations (bounds, initialization, termination) still hold
-//! for compiler-emitted code, and the VM re-checks them defensively anyway.
+//! [`Verification::MayFault`] and deferred to the VM's runtime guard. The
+//! structural pass still covers the whole of such a program — register
+//! numbers, ctx and map slots, forward-only in-bounds jumps — so
+//! [`CompiledPolicy::run`] stays inside its buffers and ends. The dataflow
+//! pass stops at the first division it cannot prove, so past it nothing
+//! is proved about initialization or the later divisors: the lowerer
+//! emits no read before a write, and `run` checks every divisor.
 
 use crate::batch::{self, BatchCtx, BatchFault, BatchPlan, BatchScratch, Column};
 use crate::isa::Program;
@@ -293,9 +297,9 @@ impl CompiledPolicy {
     }
 
     /// Execute against a context slab laid out per [`Self::layout`] and a
-    /// scratch map of at least [`SPILL_SLOTS`] slots. Allocation-free,
-    /// via the verified-program fast path (no fuel counter, no per-insn
-    /// validation — the pipeline already proved them unnecessary).
+    /// scratch map of at least [`SPILL_SLOTS`] slots. Allocation-free:
+    /// this is [`execute_verified`], which re-checks nothing the pipeline
+    /// proved (no fuel counter, no per-insn validation).
     ///
     /// For fully verified policies `run` cannot fail;
     /// [`Verification::MayFault`] policies may return
@@ -328,13 +332,6 @@ impl CompiledPolicy {
     /// How this policy executes in batch (classified once at compile time).
     pub fn batch_plan(&self) -> BatchPlan {
         self.batch_plan
-    }
-
-    /// Does the program write the scratch map? `false` for everything the
-    /// lowerer emits without register spills — batch hosts use this to skip
-    /// per-row map resets.
-    pub fn writes_map(&self) -> bool {
-        self.batch_plan.writes_map
     }
 
     /// Score every row of `batch` in one call, appending one result per

@@ -17,8 +17,9 @@
 //!   interval-domain abstract interpretation that rejects possible
 //!   division-by-zero, uninitialized reads, out-of-bounds accesses, and any
 //!   backward jump (so accepted programs provably terminate);
-//! * [`vm`] — the interpreter, bit-for-bit equivalent to the DSL
-//!   interpreter on verified programs;
+//! * [`vm`] — the one interpreter, for verified programs only,
+//!   bit-for-bit equivalent to the DSL interpreter and held to a
+//!   reference stepper kept in the crate's tests;
 //! * [`batch`] — structure-of-arrays batched evaluation over columns the
 //!   host fills ([`BatchCtx`] + `CompiledPolicy::run_batch` and the fused
 //!   argmin) or lends ([`Column`] + `CompiledPolicy::run_columns*`;
@@ -60,4 +61,4 @@ pub use isa::{Insn, Op, Program, MAX_INSNS, REG_COUNT};
 pub use lower::{LowerError, SPILL_SLOTS};
 pub use range::Interval;
 pub use verifier::{analyze, verify, AbsState, Analysis, VerifyEnv, VerifyError};
-pub use vm::{execute, execute_verified, execute_with_fuel, VmError};
+pub use vm::{execute_verified, VmError};

@@ -395,7 +395,7 @@ impl Compiler<'_> {
 mod tests {
     use super::*;
     use crate::verifier::verify;
-    use crate::vm::execute;
+    use crate::vm::execute_verified;
     use policysmith_dsl::env::MapEnv;
     use policysmith_dsl::{eval, parse, Mode};
 
@@ -410,7 +410,7 @@ mod tests {
         let mut ctx = Vec::new();
         layout.fill(env, &mut ctx);
         let mut map = vec![0i64; SPILL_SLOTS];
-        let vm_result = execute(&prog, &ctx, &mut map).unwrap();
+        let vm_result = execute_verified(&prog, &ctx, &mut map).unwrap();
         let interp = eval(&e, env).unwrap();
         assert_eq!(vm_result, interp, "src=`{src}`\n{prog}");
     }

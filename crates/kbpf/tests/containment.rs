@@ -3,100 +3,31 @@
 //! fault". A transfer that is too narrow shows here even when the run it
 //! mis-bounds ends without a fault and with the right result.
 //!
-//! Every fully verified program of the verdict golden's `MockLlm` corpus
-//! (all four modes) is stepped by a single-step interpreter written here,
+//! Every program the verdict golden's `MockLlm` corpus compiles to (all
+//! four modes) is run by the reference stepper (`stepper/mod.rs`),
 //! independent of the VM, on contexts made of each slot's range edges,
-//! 0 and ±1 (where in range), plus seeded draws. Before each executed
-//! instruction, every register the analysis calls initialized and every
-//! map slot must lie inside that pc's in-state interval; at the exit, the
-//! result must equal `execute_verified`'s and lie inside the proved `r0`.
+//! 0 and ±1 (where in range), plus seeded draws. Each run must end as
+//! `execute_verified`'s does, with the same result or the same
+//! `DivByZero { pc }`, and leave the same map.
+//!
+//! For a fully verified program, also: before each executed instruction,
+//! every register the analysis calls initialized and every map slot must
+//! lie inside that pc's in-state interval, and the result inside the
+//! proved `r0`. A [`Verification::MayFault`] program has no in-states to
+//! hold it to, since the analysis stops at the first division it cannot
+//! prove.
+//!
+//! [`Verification::MayFault`]: policysmith_kbpf::Verification::MayFault
 
 mod mock_corpus;
+mod stepper;
 
-use policysmith_dsl::eval::{div_sat, rem_sat, shl_sat, shr_arith};
 use policysmith_dsl::Mode;
 use policysmith_kbpf::{
-    analyze, execute_verified, AbsState, CompiledPolicy, Op, Program, REG_COUNT, SPILL_SLOTS,
+    analyze, execute_verified, AbsState, CompiledPolicy, Insn, Op, Program, VmError, REG_COUNT,
+    SPILL_SLOTS,
 };
-
-type Regs = [i64; REG_COUNT as usize];
-
-/// Run `prog` one instruction at a time from a zeroed register file,
-/// showing `before` the pc, registers and map ahead of each instruction.
-/// Returns `r0` at the exit. `prog` is verified: it ends, reads no
-/// uninitialized register and divides by no zero.
-fn step(
-    prog: &Program,
-    ctx: &[i64],
-    map: &mut [i64],
-    mut before: impl FnMut(usize, &Regs, &[i64]),
-) -> i64 {
-    let mut regs: Regs = [0; REG_COUNT as usize];
-    let mut pc = 0;
-    loop {
-        before(pc, &regs, map);
-        let insn = prog.insns[pc];
-        let d = regs[insn.dst as usize];
-        let o = if insn.op.reads_src() { regs[insn.src as usize] } else { insn.imm };
-        let mut next = pc + 1;
-        let mut jump_if = |cond: bool| {
-            if cond {
-                next = pc + 1 + insn.off as usize;
-            }
-        };
-        use Op::*;
-        let result = match insn.op {
-            MovImm | MovReg => Some(o),
-            AddImm | AddReg => Some(d.saturating_add(o)),
-            SubImm | SubReg => Some(d.saturating_sub(o)),
-            MulImm | MulReg => Some(d.saturating_mul(o)),
-            DivImm | DivReg => Some(div_sat(d, o)),
-            RemImm | RemReg => Some(rem_sat(d, o)),
-            Neg => Some(d.saturating_neg()),
-            LshImm | LshReg => Some(shl_sat(d, o)),
-            RshImm | RshReg => Some(shr_arith(d, o)),
-            LdCtx => Some(ctx[insn.imm as usize]),
-            LdMap => Some(map[insn.imm as usize]),
-            StMap => {
-                map[insn.imm as usize] = o;
-                None
-            }
-            Exit => return regs[0],
-            Ja => {
-                jump_if(true);
-                None
-            }
-            JeqImm | JeqReg => {
-                jump_if(d == o);
-                None
-            }
-            JneImm | JneReg => {
-                jump_if(d != o);
-                None
-            }
-            JltImm | JltReg => {
-                jump_if(d < o);
-                None
-            }
-            JleImm | JleReg => {
-                jump_if(d <= o);
-                None
-            }
-            JgtImm | JgtReg => {
-                jump_if(d > o);
-                None
-            }
-            JgeImm | JgeReg => {
-                jump_if(d >= o);
-                None
-            }
-        };
-        if let Some(v) = result {
-            regs[insn.dst as usize] = v;
-        }
-        pc = next;
-    }
-}
+use stepper::{step, Regs};
 
 /// xorshift64: the seeded draws.
 struct Rng(u64);
@@ -165,6 +96,30 @@ fn escape(pc: usize, st: &AbsState, regs: &Regs, map: &[i64]) -> Option<String> 
     })
 }
 
+/// Run `src`'s program `prog` on `ctx` from the map `start` in both the
+/// stepper and the VM, and demand the same ending and the same map.
+fn same_as_the_vm(
+    src: &str,
+    prog: &Program,
+    ctx: &[i64],
+    start: &[i64],
+    before: impl FnMut(usize, &Regs, &[i64]),
+) -> Result<i64, VmError> {
+    let mut map = start.to_vec();
+    let got = step(prog, ctx, &mut map, before);
+    let mut vm_map = start.to_vec();
+    let vm = execute_verified(prog, ctx, &mut vm_map);
+    assert_eq!(vm, got, "`{src}` on ctx {ctx:?}: the VM disagrees\n{prog}");
+    assert_eq!(vm_map, map, "`{src}` on ctx {ctx:?}: the VM left another map\n{prog}");
+    got
+}
+
+/// The map a run starts from: the map persists across runs, so it may
+/// hold anything.
+fn random_map(rng: &mut Rng) -> Vec<i64> {
+    (0..SPILL_SLOTS).map(|_| rng.next() as i64).collect()
+}
+
 #[test]
 fn every_executed_state_lies_inside_the_analysis() {
     let mut rng = Rng(0xc0_77a1_4e47);
@@ -172,18 +127,16 @@ fn every_executed_state_lies_inside_the_analysis() {
     for mode in Mode::ALL {
         for src in mock_corpus::sources(mode) {
             let Ok(policy) = CompiledPolicy::from_source(&src, mode) else { continue };
-            if policy.r0_bounds().is_none() {
-                continue; // may fault: not fully verified
+            if policy.may_fault() {
+                continue; // no in-states past the first unproved division
             }
             let prog = policy.program();
             let env = policy.layout().verify_env();
             let analysis = analyze(prog, &env).expect("compile verified it");
             programs += 1;
             for ctx in contexts(&env.ctx_ranges, 8, &mut rng) {
-                // the map persists across runs: it may hold anything
-                let start: Vec<i64> = (0..SPILL_SLOTS).map(|_| rng.next() as i64).collect();
-                let mut map = start.clone();
-                let r0 = step(prog, &ctx, &mut map, |pc, regs, map| {
+                let start = random_map(&mut rng);
+                let got = same_as_the_vm(&src, prog, &ctx, &start, |pc, regs, map| {
                     steps += 1;
                     let st = analysis.in_states[pc].as_ref().unwrap_or_else(|| {
                         panic!("{mode:?} `{src}`: pc {pc} ran but was proved unreachable")
@@ -192,8 +145,7 @@ fn every_executed_state_lies_inside_the_analysis() {
                         panic!("{mode:?} `{src}` on ctx {ctx:?}: {why}\n{prog}");
                     }
                 });
-                let vm = execute_verified(prog, &ctx, &mut start.clone());
-                assert_eq!(vm, Ok(r0), "{mode:?} `{src}` on ctx {ctx:?}: the VM disagrees");
+                let r0 = got.unwrap_or_else(|e| panic!("{mode:?} `{src}` on ctx {ctx:?}: {e}"));
                 assert!(analysis.r0.contains(r0), "{mode:?} `{src}`: r0 {r0} outside the proof");
                 runs += 1;
             }
@@ -202,4 +154,42 @@ fn every_executed_state_lies_inside_the_analysis() {
     // the suite is not vacuous
     assert!(programs > 2_000, "only {programs} verified programs");
     assert!(steps > 10 * runs, "{steps} steps over {runs} runs");
+}
+
+#[test]
+fn may_fault_programs_end_as_the_vm_does() {
+    let mut rng = Rng(0x3a7f_a017);
+    let (mut programs, mut runs, mut faults) = (0, 0, 0);
+    for mode in Mode::ALL {
+        for src in mock_corpus::sources(mode) {
+            let Ok(policy) = CompiledPolicy::from_source(&src, mode) else { continue };
+            if !policy.may_fault() {
+                continue;
+            }
+            let env = policy.layout().verify_env();
+            programs += 1;
+            for ctx in contexts(&env.ctx_ranges, 8, &mut rng) {
+                let start = random_map(&mut rng);
+                let got = same_as_the_vm(&src, policy.program(), &ctx, &start, |_, _, _| {});
+                faults += usize::from(got.is_err());
+                runs += 1;
+            }
+        }
+    }
+    // the suite is not vacuous: both endings occur
+    assert!(programs > 300, "only {programs} may-fault programs");
+    assert!(faults > 0 && faults < runs, "{faults} of {runs} runs faulted");
+}
+
+#[test]
+#[should_panic(expected = "a backward jump")]
+fn the_stepper_refuses_a_backward_jump() {
+    let prog = Program {
+        insns: vec![
+            Insn::new(Op::MovImm, 0, 0, 1),
+            Insn { op: Op::Ja, dst: 0, src: 0, imm: 0, off: -2 },
+            Insn::new(Op::Exit, 0, 0, 0),
+        ],
+    };
+    let _ = step(&prog, &[], &mut [], |_, _, _| {});
 }

@@ -3,8 +3,10 @@
 //!
 //! 1. **Verifier soundness.** If the pipeline reports a candidate fully
 //!    verified, executing it on *any* context whose values respect the
-//!    declared feature ranges never faults (no division by zero, no bounds
-//!    violations, no fuel exhaustion with the default budget).
+//!    declared feature ranges never faults (no division by zero), and the
+//!    reference stepper (`stepper/mod.rs`), which panics on a backward
+//!    jump instead of spinning, ends every accepted program. `run` and the
+//!    stepper agree on the result, fault included, and on the scratch map.
 //! 2. **Compiler correctness.** The VM and the DSL interpreter agree
 //!    bit-for-bit — `dsl::eval` is the specification, the compiled program
 //!    the implementation. This includes the fault cases: a division by
@@ -14,9 +16,11 @@
 //! 3. **Interval soundness.** The `r0` interval the verifier reports
 //!    contains every observed runtime result.
 
+mod stepper;
+
 use policysmith_dsl::env::MapEnv;
 use policysmith_dsl::{eval, BinOp, CmpOp, Expr, Feature, Mode};
-use policysmith_kbpf::{execute, CompiledPolicy, VmError, SPILL_SLOTS};
+use policysmith_kbpf::{CompiledPolicy, VmError, SPILL_SLOTS};
 use proptest::prelude::*;
 
 fn kernel_features() -> Vec<Feature> {
@@ -162,12 +166,11 @@ fn assert_compiled_matches_interpreter(e: &Expr, env: &MapEnv, mode: Mode) -> Te
     let mut map = vec![0i64; SPILL_SLOTS];
     let got = policy.run_with_env(env, &mut ctx, &mut map);
     let want = eval(e, env);
-    // `run` uses the verified fast path; the defensive interpreter is a
-    // second implementation of the same ISA and must never diverge from it
-    // (this is the guard that keeps the two VM loops in sync).
+    // `run` is the VM; the stepper is the ISA written once more, one
+    // instruction at a time, and the two must never diverge
     let mut map2 = vec![0i64; SPILL_SLOTS];
-    let defensive = execute(policy.program(), &ctx, &mut map2);
-    prop_assert_eq!(&got, &defensive, "fast-path and defensive VM disagree:\n{}", policy.program());
+    let stepped = stepper::step(policy.program(), &ctx, &mut map2, |_, _, _| {});
+    prop_assert_eq!(&got, &stepped, "the VM and the stepper disagree:\n{}", policy.program());
     prop_assert_eq!(&map, &map2, "scratch maps diverged:\n{}", policy.program());
     match (got, want) {
         (Ok(g), Ok(w)) => {

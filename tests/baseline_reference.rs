@@ -9,8 +9,13 @@
 //!
 //! * FIFO: evict the oldest insertion; hits change nothing.
 //! * LRU: evict the least recently requested.
+//! * MRU: evict the most recently requested.
 //! * LFU: evict the fewest requests since insertion, the oldest insertion
 //!   among ties.
+//! * FIFO-Reinsertion, or CLOCK (Corbató's second chance): a hit sets the
+//!   object's bit; to evict, take the oldest insertion, and while its bit
+//!   is set, clear it and send the object to the back as if newly
+//!   inserted.
 //! * SIEVE (Zhang et al., NSDI '24): new objects enter at the head; a hit
 //!   sets the object's visited bit; to evict, a hand walks from where it
 //!   last stopped (the tail at first) toward the head, clearing visited
@@ -37,8 +42,8 @@ struct Entry {
     last: u64,
 }
 
-/// FIFO, LRU and LFU: one entry per resident object, evicting the one with
-/// the smallest key.
+/// FIFO, LRU, MRU and LFU: one entry per resident object, evicting the one
+/// with the smallest key.
 struct Keyed {
     capacity: usize,
     resident: Vec<Entry>,
@@ -72,6 +77,10 @@ fn lru(capacity: usize) -> Keyed {
     Keyed { capacity, resident: Vec::new(), clock: 0, key: |e| (e.last, 0) }
 }
 
+fn mru(capacity: usize) -> Keyed {
+    Keyed { capacity, resident: Vec::new(), clock: 0, key: |e| (u64::MAX - e.last, 0) }
+}
+
 fn lfu(capacity: usize) -> Keyed {
     Keyed { capacity, resident: Vec::new(), clock: 0, key: |e| (e.count, e.inserted) }
 }
@@ -101,6 +110,32 @@ impl Reference for Sieve {
             // the neighbour toward the head slid into `h`; past the head,
             // the next sweep starts at the tail
             self.hand = (h < self.queue.len()).then_some(h);
+        }
+        self.queue.push((obj, false));
+        false
+    }
+}
+
+/// FIFO-Reinsertion: `queue[0]` is the front (oldest), the last entry the
+/// back.
+struct FifoReinsertion {
+    capacity: usize,
+    /// `(object, bit)`.
+    queue: Vec<(u64, bool)>,
+}
+
+impl Reference for FifoReinsertion {
+    fn request(&mut self, obj: u64) -> bool {
+        if let Some(e) = self.queue.iter_mut().find(|e| e.0 == obj) {
+            e.1 = true;
+            return true;
+        }
+        if self.queue.len() == self.capacity {
+            while self.queue[0].1 {
+                let (front, _) = self.queue.remove(0);
+                self.queue.push((front, false));
+            }
+            self.queue.remove(0);
         }
         self.queue.push((obj, false));
         false
@@ -154,6 +189,11 @@ fn lru_matches_its_reference() {
 }
 
 #[test]
+fn mru_matches_its_reference() {
+    matches_reference("MRU", |c| Box::new(mru(c)));
+}
+
+#[test]
 fn lfu_matches_its_reference() {
     matches_reference("LFU", |c| Box::new(lfu(c)));
 }
@@ -164,7 +204,12 @@ fn sieve_matches_its_reference() {
 }
 
 #[test]
-fn the_traces_tell_the_four_rules_apart() {
+fn fifo_re_matches_its_reference() {
+    matches_reference("FIFO-Re", |c| Box::new(FifoReinsertion { capacity: c, queue: Vec::new() }));
+}
+
+#[test]
+fn the_traces_tell_the_six_rules_apart() {
     // so that matching a reference above singles out one rule
     let misses = |name| -> Vec<u64> {
         let mut out = Vec::new();
@@ -178,7 +223,7 @@ fn the_traces_tell_the_four_rules_apart() {
         }
         out
     };
-    let all = ["FIFO", "LRU", "LFU", "SIEVE"].map(misses);
+    let all = ["FIFO", "LRU", "MRU", "LFU", "FIFO-Re", "SIEVE"].map(misses);
     for i in 0..all.len() {
         for j in i + 1..all.len() {
             assert_ne!(all[i], all[j], "two rules missed alike on every trace");

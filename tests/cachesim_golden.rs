@@ -55,7 +55,6 @@ fn fault_kind(fault: Option<&RuntimeFault>) -> &'static str {
         None => "none",
         Some(RuntimeFault::Vm(VmError::DivByZero { .. }))
         | Some(RuntimeFault::Interp(EvalError::DivByZero)) => "div-by-zero",
-        Some(RuntimeFault::Vm(_)) => "vm-other",
     }
 }
 
