@@ -25,6 +25,12 @@
 //!    reloaded or overwritten mid-program, a row-invariant zero divisor, a
 //!    row-invariant `r0`. Every case first poisons its scratch with a call
 //!    that faults on every row: nothing of it may show.
+//! 4. **Columns that hold one value.** A `Rows` column whose rows all agree
+//!    must score exactly like the `Uniform` it equals, and one that agrees
+//!    on every row but one exactly like the column it is: random programs
+//!    over slots drawn from all three shapes, through all four entry points
+//!    (`run_columns*` lent, `run_batch*` owned), plus named pins for an
+//!    all-zero divisor column and a zero-row batch.
 
 use policysmith_dsl::env::MapEnv;
 use policysmith_dsl::{Expr, Feature, Mode};
@@ -382,6 +388,130 @@ fn arb_uniform_flags() -> impl Strategy<Value = Vec<bool>> {
     proptest::collection::vec(any::<bool>(), RAW_SLOTS..RAW_SLOTS + 1)
 }
 
+/// One lent ctx slot as the engine receives it.
+#[derive(Debug, Clone)]
+enum Slot {
+    Uniform(i64),
+    Rows(Vec<i64>),
+}
+
+impl Slot {
+    fn column(&self) -> Column<'_> {
+        match self {
+            Slot::Uniform(v) => Column::Uniform(*v),
+            Slot::Rows(col) => Column::Rows(col),
+        }
+    }
+
+    fn at(&self, row: usize) -> i64 {
+        match self {
+            Slot::Uniform(v) => *v,
+            Slot::Rows(col) => col[row],
+        }
+    }
+}
+
+/// `RAW_SLOTS` lent slots over 1–8 rows, each at random one of: a
+/// `Uniform`; a `Rows` column of random values; a `Rows` column holding one
+/// value on every row (0, ±1, a rail or a random value); or such a column
+/// with one random row changed, so a column that is constant only on a
+/// prefix is common.
+fn arb_slots() -> impl Strategy<Value = (usize, Vec<Slot>)> {
+    let cell = || {
+        prop_oneof![
+            -3i64..4,
+            -3i64..4,
+            proptest::sample::select(vec![100, -100, i64::MAX, i64::MIN]),
+        ]
+    };
+    let repeated = || {
+        prop_oneof![
+            proptest::sample::select(vec![0, 1, -1, i64::MIN, i64::MAX]),
+            any::<i64>(),
+            cell(),
+        ]
+    };
+    // every draw is made for 8 rows and cut to the batch's
+    let slot = prop_oneof![
+        cell().prop_map(|v| (0u8, vec![v], 0usize)),
+        proptest::collection::vec(cell(), 8..9).prop_map(|col| (1, col, 0)),
+        repeated().prop_map(|v| (2, vec![v], 0)),
+        (repeated(), cell(), 0usize..8).prop_map(|(v, w, at)| (3, vec![v, w], at)),
+    ];
+    (1usize..9, proptest::collection::vec(slot, RAW_SLOTS..RAW_SLOTS + 1)).prop_map(
+        |(rows, draws)| {
+            let slots = draws
+                .into_iter()
+                .map(|(kind, vals, at)| match kind {
+                    0 => Slot::Uniform(vals[0]),
+                    1 => Slot::Rows(vals[..rows].to_vec()),
+                    2 => Slot::Rows(vec![vals[0]; rows]),
+                    _ => {
+                        let mut col = vec![vals[0]; rows];
+                        col[at % rows] = vals[1];
+                        Slot::Rows(col)
+                    }
+                })
+                .collect();
+            (rows, slots)
+        },
+    )
+}
+
+/// Hold all four entry points to the scalar VM on the materialised rows:
+/// `run_columns`/`run_columns_argmin` on `slots` as lent, and
+/// `run_batch`/`run_batch_argmin` on the same rows owned by a `BatchCtx`.
+/// Each call starts from a poisoned scratch.
+fn assert_entry_points_match_scalar(
+    prog: &Program,
+    plan: BatchPlan,
+    rows: usize,
+    slots: &[Slot],
+) -> TestCaseResult {
+    let materialised: Vec<Vec<i64>> =
+        (0..rows).map(|r| slots.iter().map(|s| s.at(r)).collect()).collect();
+    let lent: Vec<Column<'_>> = slots.iter().map(Slot::column).collect();
+    let refs: Vec<&[i64]> = materialised.iter().map(|row| row.as_slice()).collect();
+    let owned = BatchCtx::from_rows(slots.len(), &refs);
+
+    let mut smap = vec![0i64; SPILL_SLOTS];
+    let want: Vec<_> =
+        materialised.iter().map(|ctx| execute_verified(prog, ctx, &mut smap)).collect();
+    let want_argmin = naive_argmin(prog, &materialised);
+
+    for entry in ["run_columns", "run_batch"] {
+        let mut scratch = poisoned_scratch();
+        let mut map = vec![0i64; SPILL_SLOTS];
+        let mut out = Vec::new();
+        if entry == "run_columns" {
+            batch::run_columns(prog, plan, &lent, rows, &mut scratch, &mut map, &mut out);
+        } else {
+            batch::run_batch(prog, plan, &owned, &mut scratch, &mut map, &mut out);
+        }
+        prop_assert_eq!(&out, &want, "{} diverged on {:?}:\n{}", entry, slots, prog);
+        prop_assert_eq!(&map, &smap, "{} left another map:\n{}", entry, prog);
+
+        // twice on one scratch: the first call's faults (if any) must be gone
+        for _ in 0..2 {
+            let mut map = vec![0i64; SPILL_SLOTS];
+            let fused = if entry == "run_columns" {
+                batch::run_columns_argmin(prog, plan, &lent, rows, &mut scratch, &mut map)
+            } else {
+                batch::run_batch_argmin(prog, plan, &owned, &mut scratch, &mut map)
+            };
+            prop_assert_eq!(
+                &fused.map_err(|f| (f.row, f.fault)),
+                &want_argmin,
+                "{}_argmin diverged on {:?}:\n{}",
+                entry,
+                slots,
+                prog
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -435,6 +565,77 @@ proptest! {
         prop_assert!(plan.vectorizable, "random programs are straight-line and map-free");
         assert_lent_matches_scalar(&prog, plan, &rows, &uniform)?;
     }
+
+    #[test]
+    fn constant_and_varying_columns_match_scalar_at_every_entry_point(
+        prog in arb_program(),
+        slots in arb_slots(),
+    ) {
+        let plan = BatchPlan::for_program(&prog);
+        prop_assert!(plan.vectorizable, "random programs are straight-line and map-free");
+        assert_entry_points_match_scalar(&prog, plan, slots.0, &slots.1)?;
+    }
+}
+
+/// A divisor column that holds zero on every row is no different from a
+/// `Uniform(0)` one: every row faults at the division's `pc`, and the
+/// reduction reports row 0 — lent or owned.
+#[test]
+fn constant_zero_divisor_column_faults_every_row_like_uniform_zero() {
+    let policy =
+        CompiledPolicy::from_source("server.queue_len + 1000 / req.size", Mode::Lb).unwrap();
+    let slot = |f| policy.layout().slot(f).unwrap() as usize;
+    let div_pc = policy.program().insns.iter().position(|i| i.op == Op::DivReg).unwrap();
+    let queue_len = [3i64, 1, 2];
+    let zeros = [0i64; 3];
+    let run = |size: Column<'_>| {
+        let mut cols = [Column::Uniform(0); 2];
+        cols[slot(Feature::ServerQueueLen)] = Column::Rows(&queue_len);
+        cols[slot(Feature::ReqSize)] = size;
+        let mut scratch = BatchScratch::new();
+        let mut map = vec![0i64; SPILL_SLOTS];
+        let mut out = Vec::new();
+        policy.run_columns(&cols, 3, &mut scratch, &mut map, &mut out);
+        let fused = policy.run_columns_argmin(&cols, 3, &mut scratch, &mut map);
+        (out, fused)
+    };
+    let (out, fused) = run(Column::Rows(&zeros));
+    assert_eq!(out, vec![Err(VmError::DivByZero { pc: div_pc }); 3]);
+    assert_eq!(fused, Err(batch::BatchFault { row: 0, fault: VmError::DivByZero { pc: div_pc } }));
+    assert_eq!((out, fused), run(Column::Uniform(0)));
+
+    let mut owned = BatchCtx::with_rows(2, 3);
+    owned.column_mut(slot(Feature::ServerQueueLen)).copy_from_slice(&queue_len);
+    let mut scratch = BatchScratch::new();
+    let mut map = vec![0i64; SPILL_SLOTS];
+    let mut out = Vec::new();
+    policy.run_batch(&owned, &mut scratch, &mut map, &mut out);
+    assert_eq!(out, vec![Err(VmError::DivByZero { pc: div_pc }); 3]);
+    let err = policy.run_batch_argmin(&owned, &mut scratch, &mut map).unwrap_err();
+    assert_eq!((err.row, err.fault), (0, VmError::DivByZero { pc: div_pc }));
+}
+
+/// A batch of zero rows scores nothing: `run_columns` and `run_batch`
+/// append nothing to `out` and touch no column, even one lent empty.
+#[test]
+fn zero_row_batches_append_nothing() {
+    let policy =
+        CompiledPolicy::from_source("server.queue_len + 1000 / server.speed", Mode::Lb).unwrap();
+    let width = policy.layout().len();
+    let empty: [i64; 0] = [];
+    let cols = vec![Column::Rows(&empty); width];
+    let sentinel = vec![Ok(-7), Err(VmError::DivByZero { pc: 9 })];
+    let mut scratch = BatchScratch::new();
+    let mut map = vec![0i64; SPILL_SLOTS];
+
+    let mut out = sentinel.clone();
+    policy.run_columns(&cols, 0, &mut scratch, &mut map, &mut out);
+    assert_eq!(out, sentinel);
+
+    let mut out = sentinel.clone();
+    policy.run_batch(&BatchCtx::new(width), &mut scratch, &mut map, &mut out);
+    assert_eq!(out, sentinel);
+    assert_eq!(map, vec![0i64; SPILL_SLOTS]);
 }
 
 /// A row-invariant zero divisor faults **every** row at that `pc` — the
