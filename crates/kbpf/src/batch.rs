@@ -48,12 +48,21 @@
 //!   The engine tracks what each register holds *while executing* (the
 //!   program is straight-line, so a 16-entry array is the whole analysis):
 //!   a row-invariant value, a column lent by the caller, or a column of its
-//!   own. An instruction whose operands are all row-invariant runs **once**,
-//!   as a scalar; `LdCtx` copies nothing (a lent column is read in place by
-//!   the first instruction that combines it); everything else is one loop.
-//!   No check is dropped on the way: a division still tests every row's
-//!   divisor (a row-invariant zero divisor faults every row at that `pc`),
-//!   and every op is the saturating one the scalar VM runs.
+//!   own. Row-invariant are immediates, [`Column::Uniform`] slots, and
+//!   **`Rows` columns whose rows all hold one value** — lent or from a
+//!   [`BatchCtx`], found by `LdCtx` with a scan that stops at the first
+//!   row that differs, at most once per slot and call (a fleet whose
+//!   servers share one speed divides by it once per pick, not once per
+//!   server) — and whatever is computed from them alone. An instruction
+//!   whose operands are all row-invariant runs **once**, as a scalar;
+//!   `LdCtx` copies nothing (a lent column is read in place by the first
+//!   instruction that combines it); everything else is one loop. No check
+//!   is dropped on the way: a division still tests every row's divisor (a
+//!   row-invariant zero divisor faults every row at that `pc`), and every
+//!   op is the saturating one the scalar VM runs. Taking a constant column
+//!   for its value changes nothing a caller sees: each row scores what it
+//!   would have, a zero divisor faults every row either way, and a
+//!   row-invariant score reduces to row 0, the argmin of equal scores.
 //! * **Row fallback** — anything with jumps or map traffic gathers one row
 //!   at a time into a scratch buffer and calls [`execute_verified`], making
 //!   the contract hold structurally.
@@ -202,8 +211,9 @@ impl<'a> Source<'a> {
 }
 
 /// Reusable scratch for batch execution: the column register file, the
-/// per-row fault buffer, and the row-gather buffer. Allocated once per
-/// dispatcher and recycled across calls; buffers only grow.
+/// per-row fault buffer, the per-slot scan memo and the row-gather buffer.
+/// Allocated once per dispatcher and recycled across calls; buffers only
+/// grow.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     /// 16 register columns × rows, masked-indexed like the scalar fast
@@ -215,8 +225,28 @@ pub struct BatchScratch {
     /// writes here, and the call that saw it clears what it wrote after
     /// reporting — a clean call neither clears nor scans.
     fault: Vec<u32>,
+    /// What this call's `LdCtx` found in each ctx slot so far, so a slot
+    /// loaded twice is scanned once. Reset at the start of every call.
+    scans: Vec<Scan>,
     /// Row-major gather buffer for the fallback path.
     row: Vec<i64>,
+}
+
+/// What `LdCtx` learned of a `Rows` slot in the current call.
+#[derive(Debug, Clone, Copy)]
+enum Scan {
+    Unscanned,
+    /// Every row holds this value.
+    Holds(i64),
+    /// Two rows differ (or the batch has no rows).
+    Varies,
+}
+
+/// The one value every row of `col` holds, if there is one; `None` for an
+/// empty column. Stops at the first row that differs.
+fn single_value(col: &[i64]) -> Option<i64> {
+    let (&first, rest) = col.split_first()?;
+    rest.iter().all(|&v| v == first).then_some(first)
 }
 
 impl BatchScratch {
@@ -277,8 +307,8 @@ impl std::error::Error for BatchFault {}
 enum Reg<'a> {
     /// The same value on every row; never widened into a column.
     Uniform(i64),
-    /// A caller's column, loaded by `LdCtx` and not yet written: read in
-    /// place, never copied.
+    /// A caller's column whose rows differ, loaded by `LdCtx` and not yet
+    /// written: read in place, never copied.
     Lent(&'a [i64]),
     /// The register's own column in [`BatchScratch::regs`].
     Own,
@@ -498,6 +528,9 @@ fn execute_columns<'a>(
     if plan.may_divide && scratch.fault.len() < rows {
         scratch.fault.resize(rows, 0);
     }
+    scratch.scans.clear();
+    scratch.scans.resize(src.cols(), Scan::Unscanned);
+    let scans = &mut scratch.scans;
     let mut file = RegFile { kinds: [Reg::Uniform(0); 16], regs: &mut scratch.regs, rows };
     let mut faults = Faults { first: &mut scratch.fault, any: false };
     for (pc, insn) in prog.insns.iter().enumerate() {
@@ -515,9 +548,19 @@ fn execute_columns<'a>(
                 held => file.kinds[d] = held,
             },
             LdCtx => {
-                file.kinds[d] = match src.column(insn.imm as usize) {
-                    Column::Rows(col) => Reg::Lent(&col[..rows]),
+                let slot = insn.imm as usize;
+                file.kinds[d] = match src.column(slot) {
                     Column::Uniform(v) => Reg::Uniform(v),
+                    Column::Rows(col) => {
+                        let col = &col[..rows];
+                        if let Scan::Unscanned = scans[slot] {
+                            scans[slot] = single_value(col).map_or(Scan::Varies, Scan::Holds);
+                        }
+                        match scans[slot] {
+                            Scan::Holds(v) => Reg::Uniform(v),
+                            _ => Reg::Lent(col),
+                        }
+                    }
                 }
             }
             AddImm | AddReg => file.alu(d, rhs, i64::saturating_add),
