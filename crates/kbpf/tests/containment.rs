@@ -17,6 +17,11 @@
 //! hold it to, since the analysis stops at the first division it cannot
 //! prove.
 //!
+//! The corpus's contexts drive no immediate-form operation to an `i64`
+//! rail, so a handful of hand-written sources do: `SubImm`, `AddImm`,
+//! `MulImm` and `Neg` each saturate at an in-range context, under the
+//! same checks. A VM that wraps any of them fails here.
+//!
 //! [`Verification::MayFault`]: policysmith_kbpf::Verification::MayFault
 
 mod mock_corpus;
@@ -120,6 +125,39 @@ fn random_map(rng: &mut Rng) -> Vec<i64> {
     (0..SPILL_SLOTS).map(|_| rng.next() as i64).collect()
 }
 
+/// Run a fully verified `policy` (compiled from `src`) on its contexts in
+/// the stepper and the VM, holding every executed state to the analysis's
+/// in-state and the result to the proved `r0`. Returns the results and
+/// adds the steps taken to `steps`.
+fn contained_runs(
+    mode: Mode,
+    src: &str,
+    policy: &CompiledPolicy,
+    rng: &mut Rng,
+    steps: &mut u64,
+) -> Vec<i64> {
+    let prog = policy.program();
+    let env = policy.layout().verify_env();
+    let analysis = analyze(prog, &env).expect("compile verified it");
+    let mut results = Vec::new();
+    for ctx in contexts(&env.ctx_ranges, 8, rng) {
+        let start = random_map(rng);
+        let got = same_as_the_vm(src, prog, &ctx, &start, |pc, regs, map| {
+            *steps += 1;
+            let st = analysis.in_states[pc].as_ref().unwrap_or_else(|| {
+                panic!("{mode:?} `{src}`: pc {pc} ran but was proved unreachable")
+            });
+            if let Some(why) = escape(pc, st, regs, map) {
+                panic!("{mode:?} `{src}` on ctx {ctx:?}: {why}\n{prog}");
+            }
+        });
+        let r0 = got.unwrap_or_else(|e| panic!("{mode:?} `{src}` on ctx {ctx:?}: {e}"));
+        assert!(analysis.r0.contains(r0), "{mode:?} `{src}`: r0 {r0} outside the proof");
+        results.push(r0);
+    }
+    results
+}
+
 #[test]
 fn every_executed_state_lies_inside_the_analysis() {
     let mut rng = Rng(0xc0_77a1_4e47);
@@ -130,30 +168,42 @@ fn every_executed_state_lies_inside_the_analysis() {
             if policy.may_fault() {
                 continue; // no in-states past the first unproved division
             }
-            let prog = policy.program();
-            let env = policy.layout().verify_env();
-            let analysis = analyze(prog, &env).expect("compile verified it");
             programs += 1;
-            for ctx in contexts(&env.ctx_ranges, 8, &mut rng) {
-                let start = random_map(&mut rng);
-                let got = same_as_the_vm(&src, prog, &ctx, &start, |pc, regs, map| {
-                    steps += 1;
-                    let st = analysis.in_states[pc].as_ref().unwrap_or_else(|| {
-                        panic!("{mode:?} `{src}`: pc {pc} ran but was proved unreachable")
-                    });
-                    if let Some(why) = escape(pc, st, regs, map) {
-                        panic!("{mode:?} `{src}` on ctx {ctx:?}: {why}\n{prog}");
-                    }
-                });
-                let r0 = got.unwrap_or_else(|e| panic!("{mode:?} `{src}` on ctx {ctx:?}: {e}"));
-                assert!(analysis.r0.contains(r0), "{mode:?} `{src}`: r0 {r0} outside the proof");
-                runs += 1;
-            }
+            runs += contained_runs(mode, &src, &policy, &mut rng, &mut steps).len();
         }
     }
     // the suite is not vacuous
     assert!(programs > 2_000, "only {programs} verified programs");
-    assert!(steps > 10 * runs, "{steps} steps over {runs} runs");
+    assert!(steps > 10 * runs as u64, "{steps} steps over {runs} runs");
+}
+
+/// The corpus's contexts saturate no immediate-form operation, so these
+/// hand-written sources do: at an in-range context (`obj.count` is 0, 1 or
+/// larger), the last operation before `exit` saturates to the named rail.
+/// A VM that wraps instead, or a transfer that forgets the rail, fails
+/// here. `Neg` reaches only `i64::MAX` (from `i64::MIN`): `-i64::MAX` is
+/// `i64::MIN + 1`.
+#[test]
+fn immediate_forms_saturate_to_both_rails() {
+    const CASES: [(&str, Op, i64); 7] = [
+        ("obj.count - 9223372036854775807 - 9", Op::SubImm, i64::MIN),
+        ("obj.count + 9223372036854775807 - -9", Op::SubImm, i64::MAX),
+        ("obj.count + 9223372036854775807", Op::AddImm, i64::MAX),
+        ("obj.count + -9223372036854775807 + -9", Op::AddImm, i64::MIN),
+        ("obj.count * 9223372036854775807", Op::MulImm, i64::MAX),
+        ("obj.count * -9223372036854775807", Op::MulImm, i64::MIN),
+        ("-(obj.count - 9223372036854775807 - 9)", Op::Neg, i64::MAX),
+    ];
+    let mut rng = Rng(0x5a7_2a11);
+    let mut steps = 0;
+    for (src, op, rail) in CASES {
+        let policy = CompiledPolicy::from_source(src, Mode::Cache).unwrap();
+        assert!(!policy.may_fault(), "`{src}` is fully verified");
+        let insns = &policy.program().insns;
+        assert_eq!(insns[insns.len() - 2].op, op, "`{src}`\n{}", policy.program());
+        let results = contained_runs(Mode::Cache, src, &policy, &mut rng, &mut steps);
+        assert!(results.contains(&rail), "`{src}` never reached {rail}: {results:?}");
+    }
 }
 
 #[test]
