@@ -13,7 +13,8 @@
 //!    - Fig. 2 + Table 2 (`fig2_<dataset>.json`): every baseline and
 //!      heuristic swept over every trace of its dataset, the oracles, and
 //!      the fraction of traces where each heuristic beats all fourteen
-//!      baselines;
+//!      baselines; per trace, the compulsory floor and the ceiling it puts
+//!      on every improvement (see [`Headroom`]);
 //!    - Listing 1 (`listing1.json`): heuristic A, the w89 search, beside
 //!      the paper's literal Listing 1 on that trace;
 //!    - §4.2.6 cost (`cost.json`): CPU time, tokens and dollars per
@@ -28,7 +29,9 @@
 //!
 //! Exit status doubles as the CI guard. The §5.0.3 sections check the
 //! paper's story (see [`cc_compile`] and [`cc_range`]); the cost section
-//! checks the trace against the ledgers. Every artifact is written first,
+//! checks the trace against the ledgers; Fig. 2 checks that no policy
+//! improves on FIFO by more than its trace's cap, which would prove a
+//! simulator bug. Every artifact is written first,
 //! then any violation exits 1. A usage error exits 2.
 //!
 //! Usage: `exp_paper [--fast|--quick] [--requests N] [--seed N]`
@@ -43,9 +46,10 @@ use policysmith_core::studies::cache::CacheStudy;
 use policysmith_dsl::Mode;
 use policysmith_gen::{GenConfig, Generator, MockLlm, Prompt};
 use policysmith_obs::TraceKind;
-use policysmith_traces::{cloudphysics, msr, DatasetSpec};
+use policysmith_traces::{cloudphysics, msr, DatasetSpec, IdMap, IdSet, Trace};
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 fn main() {
     let opts = ExpOpts::from_args();
@@ -62,7 +66,7 @@ fn main() {
         (msr(), [3, 0, 7, 11], ["W", "X", "Y", "Z"], [57.0, 64.0, 57.0, 21.0]),
     ] {
         let done = search_dataset(&ds, &contexts, &labels, &opts);
-        fig2(&ds, &done, &paper_pct, &opts);
+        violations.extend(fig2(&ds, &done, &paper_pct, &opts));
         searches.extend(done);
     }
     let w89 = &searches[0];
@@ -146,13 +150,66 @@ struct Fig2Output {
     table2_beats_all: Vec<(String, f64)>,
     b_oracle_mean: f64,
     ps_oracle_mean: f64,
+    /// One entry per trace, in sweep order.
+    headroom: Vec<Headroom>,
+    /// `captured[p]` = policy `p`'s median of `improvement / cap` over the
+    /// traces whose cap is above zero: the share of the reachable
+    /// improvement it took on a typical trace (a mean would be ruled by
+    /// the traces whose cap is nearly zero).
+    captured: Vec<f64>,
+}
+
+/// How far below FIFO any policy can go on one trace. Whatever it
+/// evicts, a cache misses each distinct object that fits at least once,
+/// and every request to an object larger than the cache: the compulsory
+/// floor. So `cap = (fifo − floor) / fifo` bounds every policy's
+/// improvement there, the searched ones included, without simulation.
+#[derive(Clone, Serialize)]
+struct Headroom {
+    trace: String,
+    /// FIFO's miss ratio: the reference every improvement is taken over.
+    fifo: f64,
+    /// The compulsory floor's miss ratio.
+    floor: f64,
+    cap: f64,
+    /// Share of the trace's distinct objects that are requested once.
+    one_hit_wonders: f64,
+}
+
+impl Headroom {
+    fn of(trace: &Trace, study: &CacheStudy) -> Headroom {
+        let mut requests: IdMap<u64, u32> = IdMap::default();
+        let mut fits: IdSet<u64> = IdSet::default();
+        let mut too_large = 0u64;
+        for r in &trace.requests {
+            *requests.entry(r.obj).or_default() += 1;
+            if r.size as u64 > study.capacity() {
+                too_large += 1;
+            } else {
+                fits.insert(r.obj);
+            }
+        }
+        let n = trace.requests.len().max(1) as f64;
+        let floor = (fits.len() as u64 + too_large) as f64 / n;
+        let fifo = study.fifo_miss_ratio();
+        let once = requests.values().filter(|&&c| c == 1).count();
+        Headroom {
+            trace: trace.name.clone(),
+            fifo,
+            floor,
+            // the denominator `CacheStudy::improvement` divides by
+            cap: (fifo - floor) / fifo.max(1e-9),
+            one_hit_wonders: once as f64 / requests.len().max(1) as f64,
+        }
+    }
 }
 
 /// FIG2 + TAB2: miss-ratio improvement over FIFO of the fourteen
 /// baselines and the dataset's four heuristics on every trace, the
 /// B-/PS-Oracles, and the fraction of traces where each heuristic beats
-/// every baseline.
-fn fig2(ds: &DatasetSpec, searches: &[Search], paper_pct: &[f64], opts: &ExpOpts) {
+/// every baseline. Returns an improvement above its trace's cap as a
+/// violation.
+fn fig2(ds: &DatasetSpec, searches: &[Search], paper_pct: &[f64], opts: &ExpOpts) -> Vec<String> {
     let heuristics: Vec<Heuristic> = searches.iter().map(|s| s.heuristic.clone()).collect();
     let exprs: Vec<_> = heuristics
         .iter()
@@ -165,9 +222,12 @@ fn fig2(ds: &DatasetSpec, searches: &[Search], paper_pct: &[f64], opts: &ExpOpts
         .chain(heuristics.iter().map(|h| h.label.clone()));
 
     println!("-- sweeping all {} traces --", ds.count);
+    let headroom = Mutex::new(vec![None; ds.count]);
     let m = ImprovementMatrix::sweep(ds.name, names.collect(), ds.count, opts.threads, |t| {
         let trace = ds.trace(t, opts.requests);
         let study = CacheStudy::new(&trace);
+        headroom.lock().expect("no worker panics holding the lock")[t] =
+            Some(Headroom::of(&trace, &study));
         let baselines = baseline_names
             .iter()
             .map(|name| study.improvement(policies::by_name(name).expect("known baseline")));
@@ -210,6 +270,45 @@ fn fig2(ds: &DatasetSpec, searches: &[Search], paper_pct: &[f64], opts: &ExpOpts
         table2.push((h.label.clone(), frac));
     }
 
+    let headroom: Vec<Headroom> = headroom
+        .into_inner()
+        .expect("no worker panics holding the lock")
+        .into_iter()
+        .map(|h| h.expect("every trace swept"))
+        .collect();
+    let mut violations = Vec::new();
+    for (p, row) in m.rows.iter().enumerate() {
+        for (h, &improvement) in headroom.iter().zip(row) {
+            if improvement > h.cap + 1e-12 {
+                violations.push(format!(
+                    "{} on {}: improvement {improvement} above the compulsory cap {}",
+                    m.policies[p], h.trace, h.cap
+                ));
+            }
+        }
+    }
+    let reachable: Vec<usize> = (0..headroom.len()).filter(|&t| headroom[t].cap > 0.0).collect();
+    let captured: Vec<f64> = m
+        .rows
+        .iter()
+        .map(|row| {
+            let mut shares: Vec<f64> =
+                reachable.iter().map(|&t| row[t] / headroom[t].cap).collect();
+            shares.sort_by(f64::total_cmp);
+            shares.get(shares.len() / 2).copied().unwrap_or(0.0)
+        })
+        .collect();
+    let caps: Vec<f64> = headroom.iter().map(|h| h.cap).collect();
+    let (_, _, cap_mean, _, _) = summarize(&caps);
+    println!(
+        "\ncompulsory cap on improvement: mean {cap_mean:+.4}, {} of {} traces below +0.05",
+        caps.iter().filter(|&&c| c < 0.05).count(),
+        caps.len()
+    );
+    for (i, h) in heuristics.iter().enumerate() {
+        println!("  {}: captured {:.3} of the cap (median trace)", h.label, captured[n_base + i]);
+    }
+
     write_json(
         &format!("fig2_{}", ds.name),
         &Fig2Output {
@@ -221,9 +320,12 @@ fn fig2(ds: &DatasetSpec, searches: &[Search], paper_pct: &[f64], opts: &ExpOpts
             table2_beats_all: table2,
             b_oracle_mean: b_mean,
             ps_oracle_mean: ps_mean,
+            headroom,
+            captured,
         },
     );
     println!();
+    violations
 }
 
 /// LST1: heuristic A — the w89 search — beside the paper's literal
