@@ -411,7 +411,9 @@ impl Slot {
     }
 }
 
-/// `RAW_SLOTS` lent slots over 1–8 rows, each at random one of: a
+/// `RAW_SLOTS` lent slots over 1–19 rows (the engine scans columns in
+/// blocks of eight rows: none, one or two whole blocks, with or without a
+/// tail), each at random one of: a
 /// `Uniform`; a `Rows` column of random values; a `Rows` column holding one
 /// value on every row (0, ±1, a rail or a random value); or such a column
 /// with one random row changed, so a column that is constant only on a
@@ -431,14 +433,14 @@ fn arb_slots() -> impl Strategy<Value = (usize, Vec<Slot>)> {
             cell(),
         ]
     };
-    // every draw is made for 8 rows and cut to the batch's
+    // every draw is made for 19 rows and cut to the batch's
     let slot = prop_oneof![
         cell().prop_map(|v| (0u8, vec![v], 0usize)),
-        proptest::collection::vec(cell(), 8..9).prop_map(|col| (1, col, 0)),
+        proptest::collection::vec(cell(), 19..20).prop_map(|col| (1, col, 0)),
         repeated().prop_map(|v| (2, vec![v], 0)),
-        (repeated(), cell(), 0usize..8).prop_map(|(v, w, at)| (3, vec![v, w], at)),
+        (repeated(), cell(), 0usize..19).prop_map(|(v, w, at)| (3, vec![v, w], at)),
     ];
-    (1usize..9, proptest::collection::vec(slot, RAW_SLOTS..RAW_SLOTS + 1)).prop_map(
+    (1usize..20, proptest::collection::vec(slot, RAW_SLOTS..RAW_SLOTS + 1)).prop_map(
         |(rows, draws)| {
             let slots = draws
                 .into_iter()
