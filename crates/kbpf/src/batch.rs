@@ -52,18 +52,18 @@
 //!   **`Rows` columns whose rows all hold one value** — lent or from a
 //!   [`BatchCtx`], found by `LdCtx` with a scan that stops at the first
 //!   eight-row block holding a row that differs, at most once per slot and
-//!   call (a fleet whose
-//!   servers share one speed divides by it once per pick, not once per
-//!   server) — and whatever is computed from them alone. An instruction
-//!   whose operands are all row-invariant runs **once**, as a scalar;
-//!   `LdCtx` copies nothing (a lent column is read in place by the first
-//!   instruction that combines it); everything else is one loop. No check
-//!   is dropped on the way: a division still tests every row's divisor (a
-//!   row-invariant zero divisor faults every row at that `pc`), and every
-//!   op is the saturating one the scalar VM runs. Taking a constant column
-//!   for its value changes nothing a caller sees: each row scores what it
-//!   would have, a zero divisor faults every row either way, and a
-//!   row-invariant score reduces to row 0, the argmin of equal scores.
+//!   call (a fleet whose servers share one speed divides by it once per
+//!   pick, not once per server) — and whatever is computed from them
+//!   alone. An instruction whose operands are all row-invariant runs
+//!   **once**, as a scalar; `LdCtx` copies nothing (a lent column is read
+//!   in place by the first instruction that combines it); everything else
+//!   is one loop. No check is dropped on the way: a division still tests
+//!   every row's divisor (a row-invariant zero divisor faults every row at
+//!   that `pc`), and every op is the saturating one the scalar VM runs.
+//!   Taking a constant column for its value changes nothing a caller sees:
+//!   each row scores what it would have, a zero divisor faults every row
+//!   either way, and a row-invariant score reduces to row 0, the argmin of
+//!   equal scores.
 //! * **Row fallback** — anything with jumps or map traffic gathers one row
 //!   at a time into a scratch buffer and calls [`execute_verified`], making
 //!   the contract hold structurally.
@@ -226,29 +226,24 @@ pub struct BatchScratch {
     /// writes here, and the call that saw it clears what it wrote after
     /// reporting — a clean call neither clears nor scans.
     fault: Vec<u32>,
-    /// What this call's `LdCtx` found in each ctx slot so far, so a slot
-    /// loaded twice is scanned once. Reset at the start of every call.
-    scans: Vec<Scan>,
+    /// Per ctx slot: the column-engine call that last scanned it, and the
+    /// one value its rows held then, if they held one. A slot loaded twice
+    /// in a call is scanned once; an entry stamped by an earlier call is
+    /// stale, so nothing is cleared between calls.
+    scans: Vec<(u64, Option<i64>)>,
+    /// Column-engine calls so far: the stamp of the current call (the
+    /// first is 1, so a fresh entry's 0 is never current).
+    calls: u64,
     /// Row-major gather buffer for the fallback path.
     row: Vec<i64>,
-}
-
-/// What `LdCtx` learned of a `Rows` slot in the current call.
-#[derive(Debug, Clone, Copy)]
-enum Scan {
-    Unscanned,
-    /// Every row holds this value.
-    Holds(i64),
-    /// Two rows differ (or the batch has no rows).
-    Varies,
 }
 
 /// The one value every row of `col` holds, if there is one; `None` for an
 /// empty column. Rows are compared eight at a time without a branch (the
 /// compiler vectorizes the block), and the scan stops at the first block
-/// holding a row that differs: a row-by-row early exit costs a compare and
-/// a branch per row, which on a fleet of two tiers, 128 rows each, made a
-/// pick slower than the per-row division it replaces.
+/// holding a row that differs. A row-by-row early exit pays a compare and
+/// a branch per row: on a 256-server fleet of two speeds, 128 servers
+/// each, it made every pick slower, and blocks of eight did not.
 fn single_value(col: &[i64]) -> Option<i64> {
     let &first = col.first()?;
     let mut chunks = col.chunks_exact(8);
@@ -536,8 +531,11 @@ fn execute_columns<'a>(
     if plan.may_divide && scratch.fault.len() < rows {
         scratch.fault.resize(rows, 0);
     }
-    scratch.scans.clear();
-    scratch.scans.resize(src.cols(), Scan::Unscanned);
+    if scratch.scans.len() < src.cols() {
+        scratch.scans.resize(src.cols(), (0, None));
+    }
+    scratch.calls += 1;
+    let call = scratch.calls;
     let scans = &mut scratch.scans;
     let mut file = RegFile { kinds: [Reg::Uniform(0); 16], regs: &mut scratch.regs, rows };
     let mut faults = Faults { first: &mut scratch.fault, any: false };
@@ -561,12 +559,13 @@ fn execute_columns<'a>(
                     Column::Uniform(v) => Reg::Uniform(v),
                     Column::Rows(col) => {
                         let col = &col[..rows];
-                        if let Scan::Unscanned = scans[slot] {
-                            scans[slot] = single_value(col).map_or(Scan::Varies, Scan::Holds);
+                        let (stamp, held) = &mut scans[slot];
+                        if *stamp != call {
+                            (*stamp, *held) = (call, single_value(col));
                         }
-                        match scans[slot] {
-                            Scan::Holds(v) => Reg::Uniform(v),
-                            _ => Reg::Lent(col),
+                        match *held {
+                            Some(v) => Reg::Uniform(v),
+                            None => Reg::Lent(col),
                         }
                     }
                 }

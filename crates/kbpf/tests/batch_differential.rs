@@ -463,7 +463,9 @@ fn arb_slots() -> impl Strategy<Value = (usize, Vec<Slot>)> {
 /// Hold all four entry points to the scalar VM on the materialised rows:
 /// `run_columns`/`run_columns_argmin` on `slots` as lent, and
 /// `run_batch`/`run_batch_argmin` on the same rows owned by a `BatchCtx`.
-/// Each call starts from a poisoned scratch.
+/// Each pair of calls starts from a poisoned scratch that has also run
+/// `prog` over columns of ones: what that call found in each slot must not
+/// carry over.
 fn assert_entry_points_match_scalar(
     prog: &Program,
     plan: BatchPlan,
@@ -483,6 +485,10 @@ fn assert_entry_points_match_scalar(
 
     for entry in ["run_columns", "run_batch"] {
         let mut scratch = poisoned_scratch();
+        let ones = vec![1i64; rows];
+        let constant = vec![Column::Rows(&ones); slots.len()];
+        let mut map = vec![0i64; SPILL_SLOTS];
+        let _ = batch::run_columns_argmin(prog, plan, &constant, rows, &mut scratch, &mut map);
         let mut map = vec![0i64; SPILL_SLOTS];
         let mut out = Vec::new();
         if entry == "run_columns" {
