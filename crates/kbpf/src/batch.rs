@@ -50,20 +50,20 @@
 //!   a row-invariant value, a column lent by the caller, or a column of its
 //!   own. Row-invariant are immediates, [`Column::Uniform`] slots, and
 //!   **`Rows` columns whose rows all hold one value** — lent or from a
-//!   [`BatchCtx`], found by `LdCtx` with a scan that stops at the first
-//!   eight-row block holding a row that differs, at most once per slot and
-//!   call (a fleet whose servers share one speed divides by it once per
-//!   pick, not once per server) — and whatever is computed from them
-//!   alone. An instruction whose operands are all row-invariant runs
-//!   **once**, as a scalar; `LdCtx` copies nothing (a lent column is read
-//!   in place by the first instruction that combines it); everything else
-//!   is one loop. No check is dropped on the way: a division still tests
-//!   every row's divisor (a row-invariant zero divisor faults every row at
-//!   that `pc`), and every op is the saturating one the scalar VM runs.
-//!   Taking a constant column for its value changes nothing a caller sees:
-//!   each row scores what it would have, a zero divisor faults every row
-//!   either way, and a row-invariant score reduces to row 0, the argmin of
-//!   equal scores.
+//!   [`BatchCtx`], found by `LdCtx` with a scan that compares the first and
+//!   last rows, then stops at the first eight-row block holding a row that
+//!   differs, at most once per slot and call (a fleet whose servers share
+//!   one speed divides by it once per pick, not once per server) — and
+//!   whatever is computed from them alone. An instruction whose operands
+//!   are all row-invariant runs **once**, as a scalar; `LdCtx` copies
+//!   nothing (a lent column is read in place by the first instruction that
+//!   combines it); everything else is one loop. No check is dropped on the
+//!   way: a division still tests every row's divisor (a row-invariant zero
+//!   divisor faults every row at that `pc`), and every op is the saturating
+//!   one the scalar VM runs. Taking a constant column for its value changes
+//!   nothing a caller sees: each row scores what it would have, a zero
+//!   divisor faults every row either way, and a row-invariant score reduces
+//!   to row 0, the argmin of equal scores.
 //! * **Row fallback** — anything with jumps or map traffic gathers one row
 //!   at a time into a scratch buffer and calls [`execute_verified`], making
 //!   the contract hold structurally.
@@ -239,13 +239,18 @@ pub struct BatchScratch {
 }
 
 /// The one value every row of `col` holds, if there is one; `None` for an
-/// empty column. Rows are compared eight at a time without a branch (the
-/// compiler vectorizes the block), and the scan stops at the first block
-/// holding a row that differs. A row-by-row early exit pays a compare and
-/// a branch per row: on a 256-server fleet of two speeds, 128 servers
-/// each, it made every pick slower, and blocks of eight did not.
+/// empty column. A column whose rows differ nearly always differs between
+/// its first and last row, so those two are compared first: a scan that
+/// starts and ends in doubt cost an 8-server pick over four varying
+/// columns more than the scan could save. Otherwise rows are compared
+/// eight at a time without a branch (the compiler vectorizes the block),
+/// and the scan stops at the first block holding a row that differs; a
+/// row-by-row early exit pays a compare and a branch per row.
 fn single_value(col: &[i64]) -> Option<i64> {
-    let &first = col.first()?;
+    let (&first, &last) = (col.first()?, col.last()?);
+    if last != first {
+        return None;
+    }
     let mut chunks = col.chunks_exact(8);
     let same = chunks.by_ref().all(|c| c.iter().fold(true, |all, &v| all & (v == first)))
         && chunks.remainder().iter().all(|&v| v == first);
