@@ -49,21 +49,22 @@
 //!   program is straight-line, so a 16-entry array is the whole analysis):
 //!   a row-invariant value, a column lent by the caller, or a column of its
 //!   own. Row-invariant are immediates, [`Column::Uniform`] slots, and
-//!   **`Rows` columns whose rows all hold one value** — lent or from a
-//!   [`BatchCtx`], found by `LdCtx` with a scan that compares the first and
-//!   last rows, then stops at the first eight-row block holding a row that
-//!   differs, at most once per slot and call (a fleet whose servers share
-//!   one speed divides by it once per pick, not once per server) — and
-//!   whatever is computed from them alone. An instruction whose operands
-//!   are all row-invariant runs **once**, as a scalar; `LdCtx` copies
-//!   nothing (a lent column is read in place by the first instruction that
-//!   combines it); everything else is one loop. No check is dropped on the
-//!   way: a division still tests every row's divisor (a row-invariant zero
-//!   divisor faults every row at that `pc`), and every op is the saturating
-//!   one the scalar VM runs. Taking a constant column for its value changes
-//!   nothing a caller sees: each row scores what it would have, a zero
-//!   divisor faults every row either way, and a row-invariant score reduces
-//!   to row 0, the argmin of equal scores.
+//!   **`Rows` columns whose rows all hold one value** in a program that
+//!   divides — lent or from a [`BatchCtx`], found by `LdCtx` with a scan
+//!   that compares the first and last rows, then stops at the first
+//!   eight-row block holding a row that differs, at most once per slot and
+//!   call (a fleet whose servers share one speed divides by it once per
+//!   pick, not once per server) — and whatever is computed from them alone.
+//!   An instruction whose operands are all row-invariant runs **once**, as
+//!   a scalar; `LdCtx` copies nothing (a lent column is read in place by
+//!   the first instruction that combines it); everything else is one loop.
+//!   No check is dropped on the way: a division still tests every row's
+//!   divisor (a row-invariant zero divisor faults every row at that `pc`),
+//!   and every op is the saturating one the scalar VM runs. Taking a
+//!   constant column for its value changes nothing a caller sees: each row
+//!   scores what it would have, a zero divisor faults every row either way,
+//!   and a row-invariant score reduces to row 0, the argmin of equal
+//!   scores.
 //! * **Row fallback** — anything with jumps or map traffic gathers one row
 //!   at a time into a scratch buffer and calls [`execute_verified`], making
 //!   the contract hold structurally.
@@ -562,6 +563,11 @@ fn execute_columns<'a>(
                 let slot = insn.imm as usize;
                 file.kinds[d] = match src.column(slot) {
                     Column::Uniform(v) => Reg::Uniform(v),
+                    // a constant column pays for its scan only by taking a
+                    // division off every row; a program that cannot divide
+                    // would pay the scan, and on a small batch a branch it
+                    // cannot predict, for the odd add or argmin it saves
+                    Column::Rows(col) if !plan.may_divide => Reg::Lent(&col[..rows]),
                     Column::Rows(col) => {
                         let col = &col[..rows];
                         let (stamp, held) = &mut scans[slot];
