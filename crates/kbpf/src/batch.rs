@@ -241,12 +241,12 @@ pub struct BatchScratch {
 
 /// The one value every row of `col` holds, if there is one; `None` for an
 /// empty column. A column whose rows differ nearly always differs between
-/// its first and last row, so those two are compared first: a scan that
-/// starts and ends in doubt cost an 8-server pick over four varying
-/// columns more than the scan could save. Otherwise rows are compared
-/// eight at a time without a branch (the compiler vectorizes the block),
-/// and the scan stops at the first block holding a row that differs; a
-/// row-by-row early exit pays a compare and a branch per row.
+/// its first and last row, so those two are compared first (scanning four
+/// varying columns of an 8-server pick cost it more than any scan saves).
+/// Otherwise rows are compared eight at a time without a branch (the
+/// compiler vectorizes the block), and the scan stops at the first block
+/// holding a row that differs; a row-by-row early exit pays a compare and
+/// a branch per row.
 fn single_value(col: &[i64]) -> Option<i64> {
     let (&first, &last) = (col.first()?, col.last()?);
     if last != first {

@@ -14,11 +14,11 @@
 //!   computes from them alone runs once per pick, not once per server; and
 //!   `server.work_left` — the one column that moves with the clock — is
 //!   derived in one pass (`max(drain_at − now, 0)`) only when the layout
-//!   reads it. No per-row fill, no per-server VM call, no copy. A lent
-//!   column whose servers all hold one value — `server.speed` on a
-//!   uniform fleet — is found by the column engine and treated as a
-//!   uniform too, so `req.size * 1000 / server.speed` is one division per
-//!   pick there; the host declares nothing for it.
+//!   reads it. No per-row fill, no per-server VM call, no copy. In a
+//!   policy that divides, a lent column whose servers all hold one value
+//!   — `server.speed` on a uniform fleet — is found by the column engine
+//!   and treated as a uniform too, so `req.size * 1000 / server.speed` is
+//!   one division per pick there; the host declares nothing for it.
 //! * **Interpreted** ([`ExprDispatcher::interpreted`]) — `dsl::eval`,
 //!   server by server: the differential oracle. It is *not* on any hot
 //!   path; the study integration tests, `tests/dispatch_golden.rs` and the
