@@ -31,8 +31,8 @@
 //! paper's story (see [`cc_compile`] and [`cc_range`]); the cost section
 //! checks the trace against the ledgers; Fig. 2 checks that no policy
 //! improves on FIFO by more than its trace's cap, which would prove a
-//! simulator bug. Every artifact is written first,
-//! then any violation exits 1. A usage error exits 2.
+//! simulator bug. Every artifact is written first, then any violation
+//! exits 1. A usage error exits 2.
 //!
 //! Usage: `exp_paper [--fast|--quick] [--requests N] [--seed N]`
 
