@@ -403,11 +403,10 @@ impl Slot {
 
 /// `RAW_SLOTS` lent slots over 1–19 rows (the engine scans columns in
 /// blocks of eight rows: none, one or two whole blocks, with or without a
-/// tail), each at random one of: a
-/// `Uniform`; a `Rows` column of random values; a `Rows` column holding one
-/// value on every row (0, ±1, a rail or a random value); or such a column
-/// with one random row changed, so a column that is constant only on a
-/// prefix is common.
+/// tail), each at random one of: a `Uniform`; a `Rows` column of random
+/// values; a `Rows` column holding one value on every row (0, ±1, a rail
+/// or a random value); or such a column with one random row changed, so a
+/// column that agrees everywhere but in one block is common.
 fn arb_slots() -> impl Strategy<Value = (usize, Vec<Slot>)> {
     let cell = || {
         prop_oneof![
