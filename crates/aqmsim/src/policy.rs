@@ -104,14 +104,16 @@ impl ExprAqm {
         }
     }
 
-    /// Compile `expr` for `Mode::Aqm` and host it. Expressions the compile
-    /// pipeline rejects outright (float literals; every other rejection is
-    /// impossible for checked aqm source) fall back to the interpreter so
-    /// hosting stays total.
+    /// Compile `expr` for `Mode::Aqm` and host it on the VM.
+    ///
+    /// # Panics
+    /// If the compile pipeline refuses `expr` (a float literal, a
+    /// cross-mode feature, a size or depth budget): the host never swaps
+    /// in the interpreter behind a caller that asked for the VM.
     pub fn from_expr(name: &str, expr: &Expr) -> Self {
         match CompiledPolicy::compile(expr, Mode::Aqm) {
             Ok(policy) => Self::new(name, policy),
-            Err(_) => Self::interpreted(name, expr.clone()),
+            Err(e) => panic!("aqm host `{name}`: the compile pipeline refused the policy: {e}"),
         }
     }
 
@@ -134,11 +136,6 @@ impl ExprAqm {
     pub fn record_decisions(self) -> Self {
         self.probe.state.borrow_mut().record = true;
         self
-    }
-
-    /// Is this host running compiled bytecode (vs the interpreter oracle)?
-    pub fn is_compiled(&self) -> bool {
-        matches!(self.engine, Engine::Compiled { .. })
     }
 
     /// The first runtime fault, if any occurred.
@@ -239,10 +236,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "refused the policy")]
+    fn from_expr_refuses_rather_than_interprets() {
+        // a float literal fails the check; the host must not quietly run
+        // the oracle in its place
+        ExprAqm::from_expr("float", &parse("pkt.sojourn * 0.5").unwrap());
+    }
+
+    #[test]
     fn verdict_bands_map_to_decisions() {
         // a sojourn gate: 2 (drop) above 10 ms, 1 (mark) above 5 ms, else 0
         let mut h = host("if(pkt.sojourn > 10000, 2, if(pkt.sojourn > 5000, 1, 0))");
-        assert!(h.is_compiled(), "study candidates must run compiled");
         assert_eq!(h.on_dequeue(&view(1_000, 4)), AqmDecision::Pass);
         assert_eq!(h.on_dequeue(&view(7_000, 4)), AqmDecision::Mark);
         assert_eq!(h.on_dequeue(&view(20_000, 4)), AqmDecision::Drop);
@@ -313,7 +317,6 @@ mod tests {
             let e = parse(src).unwrap();
             let mut vm = ExprAqm::from_expr("vm", &e);
             let mut oracle = ExprAqm::interpreted("interp", e.clone());
-            assert!(vm.is_compiled());
             for (s, b) in [(0u64, 0u64), (3_000, 2), (8_000, 10), (40_000, 60), (200_000, 150)] {
                 let v = view(s, b);
                 assert_eq!(vm.on_dequeue(&v), oracle.on_dequeue(&v), "diverged on `{src}`");

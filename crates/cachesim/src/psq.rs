@@ -93,14 +93,17 @@ impl PriorityPolicy {
         )
     }
 
-    /// Compile `expr` for `Mode::Cache` and host it. Expressions the
-    /// compile pipeline rejects outright (float literals; nothing else is
-    /// rejectable for checked cache source) fall back to the interpreter
-    /// so hosting stays total.
+    /// Compile `expr` for `Mode::Cache` and host it on the VM.
+    ///
+    /// # Panics
+    /// If the compile pipeline refuses `expr` (a float literal, a
+    /// cross-mode feature, a size or depth budget): the host never swaps
+    /// in the interpreter behind a caller that asked for the VM.
     pub fn from_expr(name: impl Into<String>, expr: &Expr) -> Self {
+        let name = name.into();
         match CompiledPolicy::compile(expr, Mode::Cache) {
             Ok(policy) => Self::new(name, policy),
-            Err(_) => Self::interpreted(name, expr.clone()),
+            Err(e) => panic!("cache host `{name}`: the compile pipeline refused the policy: {e}"),
         }
     }
 
@@ -202,11 +205,6 @@ impl PriorityPolicy {
             Engine::Compiled { policy, .. } => policy.expr(),
             Engine::Interpreted { expr } => expr,
         }
-    }
-
-    /// Is this host running compiled bytecode (vs the interpreter oracle)?
-    pub fn is_compiled(&self) -> bool {
-        matches!(self.engine, Engine::Compiled { .. })
     }
 
     /// Re-score the callback's subject (object `id`).
@@ -353,7 +351,6 @@ mod tests {
         let ids: Vec<u64> = (0..8_000u64).map(|i| (i * 2654435761) % 120).collect();
         let cap = 2_000;
         let host = PriorityPolicy::from_expr("psq-lru", &lru_seed());
-        assert!(host.is_compiled());
         let psq = run_ids(host, &ids, cap).result();
         let lru = {
             let mut c = Cache::new(cap, Lru::new());
@@ -414,11 +411,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "refused the policy")]
+    fn from_expr_refuses_rather_than_interprets() {
+        // a float literal fails the check; the host must not quietly run
+        // the oracle in its place
+        PriorityPolicy::from_expr("float", &policysmith_dsl::parse("obj.count * 0.5").unwrap());
+    }
+
+    #[test]
     fn runtime_fault_is_latched_not_fatal() {
         // cache.objects - 3 hits zero when 3 objects are resident
         let expr = policysmith_dsl::parse("100 / (cache.objects - 3)").unwrap();
         let host = PriorityPolicy::from_expr("faulty", &expr);
-        assert!(host.is_compiled(), "may-fault candidates still run compiled");
         let c = run_ids(host, &[1, 2, 3, 4, 5, 6], 300);
         assert!(c.policy.first_error().is_some());
         // simulation completed anyway
@@ -556,7 +560,6 @@ mod tests {
         ] {
             let expr = policysmith_dsl::parse(src).unwrap();
             let compiled = PriorityPolicy::from_expr("vm", &expr);
-            assert!(compiled.is_compiled());
             let oracle = PriorityPolicy::interpreted("interp", expr.clone());
             let a = run_ids(compiled, &ids, 8_000);
             let b = run_ids(oracle, &ids, 8_000);

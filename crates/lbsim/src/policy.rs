@@ -16,9 +16,12 @@
 //!   derived in one pass (`max(drain_at − now, 0)`) only when the layout
 //!   reads it. No per-row fill, no per-server VM call, no copy. In a
 //!   policy that divides, a lent column whose servers all hold one value
-//!   — `server.speed` on a uniform fleet — is found by the column engine
-//!   and treated as a uniform too, so `req.size * 1000 / server.speed` is
-//!   one division per pick there; the host declares nothing for it.
+//!   is found by the column engine and treated as a uniform too: always
+//!   `server.speed` on a uniform fleet, so `req.size * 1000 / server.speed`
+//!   is one division per pick there, and for a moment any column that
+//!   happens to agree — every queue empty, an idle fleet's zero
+//!   `work_left`, equal in-flight counts. The host declares nothing for
+//!   either.
 //! * **Interpreted** ([`ExprDispatcher::interpreted`]) — `dsl::eval`,
 //!   server by server: the differential oracle. It is *not* on any hot
 //!   path; the study integration tests, `tests/dispatch_golden.rs` and the
@@ -133,6 +136,20 @@ fn lend<'a>(
     cols
 }
 
+/// The first lent value that lies outside its feature's declared
+/// [`Feature::range`], with that feature — the premise the verifier's
+/// interval analysis rests on, checked in builds with debug assertions.
+fn out_of_range(features: &[Feature], cols: &[Column<'_>], rows: usize) -> Option<(Feature, i64)> {
+    features.iter().zip(cols).find_map(|(&f, col)| {
+        let (lo, hi) = f.range();
+        let values = match col {
+            Column::Rows(col) => &col[..rows],
+            Column::Uniform(v) => std::slice::from_ref(v),
+        };
+        values.iter().find(|v| !(lo..=hi).contains(*v)).map(|&v| (f, v))
+    })
+}
+
 impl ExprDispatcher {
     /// Host a compiled (checked, lowered, verified) scoring policy on the
     /// batched full-scan engine — the production path (the serving runtime
@@ -154,14 +171,16 @@ impl ExprDispatcher {
         }
     }
 
-    /// Compile `expr` for `Mode::Lb` and host it. Expressions the compile
-    /// pipeline rejects outright (float literals; every other rejection is
-    /// impossible for checked lb source) fall back to the interpreter so
-    /// hosting stays total.
+    /// Compile `expr` for `Mode::Lb` and host it on the batched engine.
+    ///
+    /// # Panics
+    /// If the compile pipeline refuses `expr` (a float literal, a
+    /// cross-mode feature, a size or depth budget): the host never swaps
+    /// in the interpreter behind a caller that asked for the VM.
     pub fn from_expr(name: &str, expr: &Expr) -> Self {
         match CompiledPolicy::compile(expr, Mode::Lb) {
             Ok(policy) => Self::new(name, policy),
-            Err(_) => Self::interpreted(name, expr.clone()),
+            Err(e) => panic!("lb host `{name}`: the compile pipeline refused the policy: {e}"),
         }
     }
 
@@ -181,11 +200,6 @@ impl ExprDispatcher {
     /// signal (same contract as the cache host's `first_error`).
     pub fn first_error(&self) -> Option<&RuntimeFault> {
         self.first_error.as_ref()
-    }
-
-    /// Is this host running compiled bytecode (vs the interpreter oracle)?
-    pub fn is_compiled(&self) -> bool {
-        !matches!(self.engine, Engine::Interpreted { .. })
     }
 
     /// Total policy score evaluations across all picks so far.
@@ -227,6 +241,11 @@ impl Dispatcher for ExprDispatcher {
                     work_left.extend(view.drain_at_us.iter().map(|&at| (at - now).max(0)));
                 }
                 let cols = lend(view, features, work_left);
+                debug_assert_eq!(
+                    out_of_range(features, &cols, n),
+                    None,
+                    "a lent value lies outside the range the Checker assumed for its feature"
+                );
                 let row = policy.run_columns_argmin(&cols[..features.len()], n, scratch, map);
                 scored = rows_scored(&row, n);
                 row.map_err(|bf| RuntimeFault::Vm(bf.fault))
@@ -305,7 +324,6 @@ mod tests {
     fn argmin_on_queue_len_is_jsq() {
         let servers = [sv(4, 5, 4, 0), sv(1, 2, 4, 0), sv(2, 3, 4, 0)];
         let mut d = host("server.queue_len");
-        assert!(d.is_compiled(), "study candidates must run compiled");
         assert_eq!(pick_on(&mut d, &servers), 1);
         assert_eq!((d.picks(), d.score_calls()), (1, 3));
     }
@@ -344,6 +362,41 @@ mod tests {
         let picks: Vec<usize> = (0..4).map(|_| pick_on(&mut d, &servers)).collect();
         assert!(d.first_error().is_some(), "fault must latch");
         assert_eq!(picks, vec![0, 1, 0, 1], "fallback is round-robin");
+    }
+
+    #[test]
+    #[should_panic(expected = "refused the policy")]
+    fn from_expr_refuses_rather_than_interprets() {
+        // a float literal fails the check; the host must not quietly run
+        // the oracle in its place
+        ExprDispatcher::from_expr("float", &parse("server.queue_len + 0.5").unwrap());
+    }
+
+    #[test]
+    fn out_of_range_names_the_first_feature_and_value() {
+        let features = [Feature::ServerQueueLen, Feature::ServerSpeed];
+        let ok = [0, 3];
+        // only the batch's rows count: the slice may be longer
+        let long = [0, 3, -1];
+        assert_eq!(out_of_range(&features, &[Column::Rows(&long), Column::Uniform(4)], 2), None);
+        assert_eq!(
+            out_of_range(&features, &[Column::Rows(&long), Column::Uniform(0)], 3),
+            Some((Feature::ServerQueueLen, -1))
+        );
+        assert_eq!(
+            out_of_range(&features, &[Column::Rows(&ok), Column::Uniform(0)], 2),
+            Some((Feature::ServerSpeed, 0))
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the range")]
+    fn picks_check_what_they_lend() {
+        // server.speed is declared (1, 2^16): a zero speed is a host bug,
+        // caught before the division it would fault
+        let servers = [sv(1, 1, 4, 0), sv(1, 1, 0, 0)];
+        pick_on(&mut host("server.inflight * 1000 / server.speed"), &servers);
     }
 
     #[test]

@@ -19,18 +19,22 @@
 //! service time was already counted); a drop admits nothing, and a
 //! reconfigure never rewrites admitted work.
 //!
-//! Three entry points share one engine:
+//! Five entry points share one engine:
 //!
 //! * [`run`] — the one-shot batch API: offer a whole request stream, drain,
 //!   return the totals;
+//! * [`simulate`] — [`run`] over a [`Scenario`]'s fleet and generated
+//!   workload;
 //! * [`run_phased`] — the mid-run scenario-shift API: a sequence of
 //!   [`Scenario`] phases plays back-to-back through one live fleet (queues
 //!   and in-flight work carry across the boundary — nothing drains between
 //!   phases), the fleet is [`LbEngine::reconfigure`]d at each boundary, and
 //!   per-phase metrics come back alongside the combined totals;
-//! * [`LbEngine`] — the incremental engine both are built on, for hosts
-//!   that need to stream arrivals in windows and observe a live quality
-//!   signal between them (the drift-monitor loop of the adaptation story).
+//! * [`run_phased_windowed`] — [`run_phased`] with a tap after every window
+//!   of arrivals, where a drift monitor samples the live quality signal:
+//!   the serve runtime's driver;
+//! * [`LbEngine`] — the incremental engine all four are built on, for
+//!   hosts that offer arrivals one at a time or in windows of their own.
 
 use crate::dispatch::{Dispatcher, FleetColumns};
 use crate::model::{LbRequest, ServerCfg};
