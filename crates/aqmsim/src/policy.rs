@@ -151,7 +151,13 @@ impl ExprAqm {
         let env = AqmEnv { view };
         let verdict = match &mut self.engine {
             Engine::Compiled { policy, ctx, map } => {
-                policy.run_with_env(&env, ctx, map).map_err(RuntimeFault::Vm)
+                let verdict = policy.run_with_env(&env, ctx, map).map_err(RuntimeFault::Vm);
+                debug_assert_eq!(
+                    out_of_range(policy.layout().features(), ctx),
+                    None,
+                    "a context value lies outside the range the Checker assumed for its feature"
+                );
+                verdict
             }
             Engine::Interpreted { expr } => eval(expr, &env).map_err(RuntimeFault::Interp),
         };
@@ -184,6 +190,15 @@ impl AqmPolicy for ExprAqm {
         }
         d
     }
+}
+
+/// The first context value outside its feature's declared range, if any:
+/// the Checker verified the policy assuming every value lies inside it.
+fn out_of_range(features: &[Feature], ctx: &[i64]) -> Option<(Feature, i64)> {
+    features.iter().zip(ctx).find_map(|(&f, &v)| {
+        let (lo, hi) = f.range();
+        (!(lo..=hi).contains(&v)).then_some((f, v))
+    })
 }
 
 /// The per-decision feature environment, shared by both engines: plain
@@ -241,6 +256,15 @@ mod tests {
         // a float literal fails the check; the host must not quietly run
         // the oracle in its place
         ExprAqm::from_expr("float", &parse("pkt.sojourn * 0.5").unwrap());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Some((PktSize, 0))")]
+    fn decisions_check_the_context_they_fill() {
+        // pkt.size is declared (1, 2^16): an empty packet is a host bug
+        let mut h = host("pkt.size");
+        h.on_dequeue(&AqmView { pkt_size: 0, ..view(1_000, 4) });
     }
 
     #[test]

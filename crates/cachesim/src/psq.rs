@@ -219,7 +219,13 @@ impl PriorityPolicy {
         self.evaluations += 1;
         let result = match &mut self.engine {
             Engine::Compiled { policy, ctx, map } => {
-                policy.run_with_env(&env, ctx, map).map_err(RuntimeFault::Vm)
+                let score = policy.run_with_env(&env, ctx, map).map_err(RuntimeFault::Vm);
+                debug_assert_eq!(
+                    out_of_range(policy.layout().features(), ctx),
+                    None,
+                    "a context value lies outside the range the Checker assumed for its feature"
+                );
+                score
             }
             Engine::Interpreted { expr } => eval(expr, &env).map_err(RuntimeFault::Interp),
         };
@@ -273,6 +279,15 @@ impl Policy for PriorityPolicy {
         self.aggregates.on_access(view);
         self.rescore(id, view);
     }
+}
+
+/// The first context value outside its feature's declared range, if any:
+/// the Checker verified the policy assuming every value lies inside it.
+fn out_of_range(features: &[Feature], ctx: &[i64]) -> Option<(Feature, i64)> {
+    features.iter().zip(ctx).find_map(|(&f, &v)| {
+        let (lo, hi) = f.range();
+        (!(lo..=hi).contains(&v)).then_some((f, v))
+    })
 }
 
 /// The Table-1 feature environment for one evaluation.
@@ -343,6 +358,15 @@ mod tests {
             c.request(&req(i as u64, id));
         }
         c
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Some((ObjSize, 0))")]
+    fn rescores_check_the_context_they_fill() {
+        // obj.size is declared (1, 2^40): an empty object is a host bug
+        let host = PriorityPolicy::from_source("size", "obj.size").unwrap();
+        Cache::new(1_000, host).request(&Request { size: 0, ..req(0, 1) });
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! are laid out **column-major** (one contiguous column per feature slot,
 //! one row per server/object) and the program executes
 //! **instruction-major** — each instruction streams over whole columns in a
-//! tight loop the compiler can autovectorize.
+//! tight loop. The compiler vectorizes those loops at x86-64-v3, the
+//! workspace's declared minimum (`.cargo/config.toml`), and not at baseline
+//! x86-64: SSE2 has no 64-bit signed compare, which every saturating add
+//! and the argmin need. On the 256-server `decide-lb` pick (`lbsim.pick_ns`,
+//! three traced pairs) that is 956 ns at baseline and 495 ns at v3.
 //!
 //! Two ways in, one engine behind them:
 //!
@@ -931,5 +935,26 @@ mod tests {
         run_batch(&p, plan, &b, &mut scratch, &mut map, &mut out);
         assert_eq!(out, vec![Ok(5), Ok(12), Ok(23)]);
         assert_eq!(map[0], 23);
+    }
+
+    /// The column loops vectorize only at x86-64-v3 (see the module doc):
+    /// a build below it is correct but runs the lb pick about twice as
+    /// slow, so it fails here rather than passing unnoticed.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn built_for_x86_64_v3() {
+        let features = [
+            ("avx2", cfg!(target_feature = "avx2")),
+            ("bmi2", cfg!(target_feature = "bmi2")),
+            ("fma", cfg!(target_feature = "fma")),
+            ("lzcnt", cfg!(target_feature = "lzcnt")),
+            ("movbe", cfg!(target_feature = "movbe")),
+        ];
+        let missing: Vec<&str> = features.iter().filter(|f| !f.1).map(|f| f.0).collect();
+        assert!(
+            missing.is_empty(),
+            "built without {missing:?}: .cargo/config.toml sets target-cpu=x86-64-v3, and a \
+             RUSTFLAGS or CARGO_ENCODED_RUSTFLAGS in the environment replaces its flags"
+        );
     }
 }
